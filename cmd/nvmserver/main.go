@@ -92,8 +92,6 @@ func run() int {
 		tableID    = flag.Uint64("table", 1, "id of the table created at startup")
 		rowSize    = flag.Int("rowsize", 1000, "row size in bytes of the startup table")
 		maxConns   = flag.Int("maxconns", 64, "maximum concurrently served connections")
-		commitB    = flag.Int("commitbatch", 0, "max autocommit writes coalesced into one WAL flush per shard (0: store default, 1: disable group commit)")
-		commitD    = flag.Duration("commitdelay", 0, "max simulated time a committed write may wait for the group flush (0: no bound, size/idleness decide)")
 		observe    = flag.Bool("obs", false, "record engine latency histograms (reported via STATS and /metrics)")
 		httpAddr   = flag.String("http", "", "serve /metrics (Prometheus), /metrics.json, /trace, /debug/vars, and /debug/pprof/ on this address")
 		traceRing  = flag.Int("tracering", 0, "flight-recorder reservoir size for traced request timelines (0: server default)")
@@ -151,8 +149,6 @@ func run() int {
 		SSDBytes:          50 * scale,
 		Observe:           *observe,
 		CheckpointOnClose: *checkpoint,
-		CommitBatch:       *commitB,
-		CommitDelay:       *commitD,
 		Maintenance: nvmstore.MaintenanceOptions{
 			Interval: *maintIv,
 			Batch:    *maintBatch,

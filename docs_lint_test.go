@@ -7,6 +7,8 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -145,5 +147,33 @@ func receiverType(d *ast.FuncDecl) string {
 		default:
 			return ""
 		}
+	}
+}
+
+// TestServerFlagsDocumented fails when the flags cmd/nvmserver declares
+// and the flag rows of docs/OPERATIONS.md §1 differ in either direction:
+// an undocumented flag, or a documented flag the binary no longer has.
+func TestServerFlagsDocumented(t *testing.T) {
+	src, err := os.ReadFile("cmd/nvmserver/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, m := range regexp.MustCompile(`flag\.\w+\("([^"]+)"`).FindAllSubmatch(src, -1) {
+		declared = append(declared, string(m[1]))
+	}
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section, _, _ := strings.Cut(string(doc), "\n## 2.")
+	var documented []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllStringSubmatch(section, -1) {
+		documented = append(documented, m[1])
+	}
+	slices.Sort(declared)
+	slices.Sort(documented)
+	if len(declared) == 0 || !slices.Equal(declared, documented) {
+		t.Errorf("nvmserver flags and docs/OPERATIONS.md §1 differ:\n declared:   %v\n documented: %v", declared, documented)
 	}
 }

@@ -2,7 +2,9 @@ package nvmstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -174,7 +176,7 @@ func TestShardedPutBatchCoalesces(t *testing.T) {
 }
 
 // TestShardedGroupCommitConcurrent drives concurrent autocommit writers
-// through the sharded store's group committer and checks that every
+// through the sharded store's per-shard combiner and checks that every
 // acknowledged write reads back — the transparent-coalescing path under
 // real goroutine concurrency (the race detector sees this test).
 func TestShardedGroupCommitConcurrent(t *testing.T) {
@@ -183,7 +185,6 @@ func TestShardedGroupCommitConcurrent(t *testing.T) {
 		DRAMBytes:    8 << 20,
 		NVMBytes:     32 << 20,
 		SSDBytes:     128 << 20,
-		CommitBatch:  8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -230,5 +231,182 @@ func TestShardedGroupCommitConcurrent(t *testing.T) {
 	}
 	if m.OpsPerFlush <= 0 {
 		t.Fatalf("OpsPerFlush = %.2f, want > 0", m.OpsPerFlush)
+	}
+}
+
+// openCombinerStore opens a two-shard store whose shard 0 the combiner
+// tests drive: no background maintainer (nothing but the writers may
+// flush the log), a checkpoint base to recover from, and n keys owned by
+// shard 0.
+func openCombinerStore(t *testing.T, n int) (*ShardedStore, *ShardedTable, []uint64) {
+	t.Helper()
+	s, err := OpenSharded(2, Options{
+		Architecture:      ThreeTier,
+		DRAMBytes:         8 << 20,
+		NVMBytes:          32 << 20,
+		SSDBytes:          128 << 20,
+		StrictPersistence: true,
+		Maintenance:       MaintenanceOptions{Interval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	tab, err := s.CreateTable(1, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var keys []uint64
+	for k := uint64(0); len(keys) < n; k++ {
+		if s.ShardFor(k) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	return s, tab, keys
+}
+
+// queueBehindHeldShard takes shard 0's lock, starts one goroutine per
+// write — the first becomes the combiner and blocks on the lock, the
+// rest are observed queued behind it — then releases the lock and waits
+// for every write to return.
+func queueBehindHeldShard(s *ShardedStore, writes []func()) {
+	held, release := make(chan struct{}), make(chan struct{})
+	go s.WithShard(0, func(*Store) error {
+		close(held)
+		<-release
+		return nil
+	})
+	<-held
+	c := &s.combiners[0]
+	await := func(cond func() bool) {
+		for {
+			c.mu.Lock()
+			ok := cond()
+			c.mu.Unlock()
+			if ok {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	var wg sync.WaitGroup
+	for i, w := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w()
+		}()
+		await(func() bool { return c.busy && len(c.queue) == i })
+	}
+	close(release)
+	wg.Wait()
+}
+
+// TestCombinerCoalescesQueuedWriters pins both ends of the combiner: an
+// uncontended writer flushes exactly once per put, and nine writers
+// stacked up behind a held shard commit in exactly two flushes — the
+// combiner's own batch of one, then the eight it found queued.
+func TestCombinerCoalescesQueuedWriters(t *testing.T) {
+	s, tab, keys := openCombinerStore(t, 19)
+	row := func(k uint64) []byte { return bytes.Repeat([]byte{byte(k) + 1}, 16) }
+
+	before := s.Metrics().Log
+	for _, k := range keys[9:] {
+		if err := tab.Put(k, row(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := s.Metrics().Log
+	if c, f := after.Commits-before.Commits, after.Flushes-before.Flushes; c != 10 || f != 10 {
+		t.Fatalf("uncontended writer: %d commits in %d flushes, want 10 in 10", c, f)
+	}
+
+	errs := make([]error, 9)
+	writes := make([]func(), 9)
+	for i := range writes {
+		writes[i] = func() { errs[i] = tab.Put(keys[i], row(keys[i])) }
+	}
+	before = after
+	queueBehindHeldShard(s, writes)
+	after = s.Metrics().Log
+	if c, f := after.Commits-before.Commits, after.Flushes-before.Flushes; c != 9 || f != 2 {
+		t.Fatalf("queued writers: %d commits in %d flushes, want 9 in 2", c, f)
+	}
+	buf := make([]byte, 16)
+	for i, k := range keys[:9] {
+		if errs[i] != nil {
+			t.Fatalf("put %d: %v", k, errs[i])
+		}
+		if found, err := tab.Lookup(k, buf); err != nil || !found || !bytes.Equal(buf, row(k)) {
+			t.Fatalf("key %d: found=%v err=%v", k, found, err)
+		}
+	}
+}
+
+// TestCombinerCrashReleasesWriters crashes the shard at the group flush
+// of a full combiner batch (fault.WALGroupCrash) with more writers still
+// queued behind it. The combiner panics and restarts the shard; every
+// other writer must return — with an error, not an ack — and the shard
+// must serve again. Acknowledged writes survive the crash; writes that
+// failed or panicked are absent.
+func TestCombinerCrashReleasesWriters(t *testing.T) {
+	const writers = 1 + maxCombine + 8 // a batch of one, a full group, and a remainder
+	s, tab, keys := openCombinerStore(t, writers)
+	row := func(k uint64) []byte { return bytes.Repeat([]byte{byte(k) + 1}, 16) }
+	// The second group flush on shard 0 — the full group's — crashes.
+	s.InjectFaults(&fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Kind: fault.WALGroupCrash, EveryN: 2, Limit: 1},
+	}})
+
+	errs := make([]error, writers)
+	crashed := make([]bool, writers)
+	writes := make([]func(), writers)
+	for i := range writes {
+		writes[i] = func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := fault.AsCrash(r); !ok {
+						panic(r)
+					}
+					crashed[i] = true
+					_, errs[i] = s.CrashRestartShard(0)
+				}
+			}()
+			errs[i] = tab.Put(keys[i], row(keys[i]))
+		}
+	}
+	queueBehindHeldShard(s, writes)
+
+	if errs[0] != nil || crashed[0] {
+		t.Fatalf("first writer: err=%v crashed=%v, want a clean ack", errs[0], crashed[0])
+	}
+	if !crashed[1] || errs[1] != nil {
+		t.Fatalf("second combiner: crashed=%v restart err=%v, want a recovered crash", crashed[1], errs[1])
+	}
+	for i := 2; i < writers; i++ {
+		if crashed[i] || !errors.Is(errs[i], errShardCrashed) {
+			t.Fatalf("writer %d: crashed=%v err=%v, want errShardCrashed", i, crashed[i], errs[i])
+		}
+	}
+	buf := make([]byte, 16)
+	for i, k := range keys {
+		found, err := tab.Lookup(k, buf)
+		if err != nil || found != (i == 0) {
+			t.Fatalf("key %d after crash: found=%v err=%v, want found=%v", k, found, err, i == 0)
+		}
+	}
+
+	// The fault is spent and the combiner was released: every failed
+	// write goes through on retry.
+	for _, k := range keys[1:] {
+		if err := tab.Put(k, row(k)); err != nil {
+			t.Fatalf("retry put %d: %v", k, err)
+		}
+		if found, err := tab.Lookup(k, buf); err != nil || !found || !bytes.Equal(buf, row(k)) {
+			t.Fatalf("key %d after retry: found=%v err=%v", k, found, err)
+		}
 	}
 }

@@ -106,7 +106,6 @@ func ckptStallRun(o Options, maint nvmstore.MaintenanceOptions, full bool, rows 
 		NVMBytes:     10 * o.Scale,
 		SSDBytes:     50 * o.Scale,
 		WALBytes:     ckptStallShards << 20, // the 1 MiB per-shard floor
-		CommitBatch:  1,                     // no group commit: per-commit flushes, comparable across regimes
 		Maintenance:  maint,
 	})
 	if err != nil {

@@ -68,7 +68,7 @@ const (
 	// index array, and up to a full page of saved cache lines.
 	journalMagic      = 0x4a524e4c // "JRNL"
 	journalIndexLines = (LinesPerPage*2 + LineSize - 1) / LineSize
-	journalSize       = (1 + journalIndexLines) * LineSize + PageSize
+	journalSize       = (1+journalIndexLines)*LineSize + PageSize
 )
 
 // Config describes a Manager. The zero value is not valid; at minimum
@@ -205,6 +205,26 @@ type Stats struct {
 	NVMEvictions   int64 // pages evicted from the NVM cache
 	DirectFixes    int64 // in-place fixes (DirectNVM topology)
 	JournalUndos   int64 // interrupted write-backs undone at restart
+}
+
+// Add folds other into s, for aggregating per-shard counters.
+func (s *Stats) Add(other Stats) {
+	s.Fixes += other.Fixes
+	s.SwizzleHits += other.SwizzleHits
+	s.TableHits += other.TableHits
+	s.Swizzles += other.Swizzles
+	s.SSDLoads += other.SSDLoads
+	s.NVMPageLoads += other.NVMPageLoads
+	s.LinesLoaded += other.LinesLoaded
+	s.MiniAllocs += other.MiniAllocs
+	s.FullAllocs += other.FullAllocs
+	s.MiniPromotions += other.MiniPromotions
+	s.DRAMEvictions += other.DRAMEvictions
+	s.NVMAdmissions += other.NVMAdmissions
+	s.NVMDenials += other.NVMDenials
+	s.NVMEvictions += other.NVMEvictions
+	s.DirectFixes += other.DirectFixes
+	s.JournalUndos += other.JournalUndos
 }
 
 // nvmSlotMeta is the in-DRAM directory entry for one NVM page slot

@@ -94,6 +94,14 @@ type CkptStats struct {
 	TruncatedBytes int64
 }
 
+// Add folds other into c, for aggregating per-shard counters.
+func (c *CkptStats) Add(other CkptStats) {
+	c.Rounds += other.Rounds
+	c.Pages += other.Pages
+	c.Truncations += other.Truncations
+	c.TruncatedBytes += other.TruncatedBytes
+}
+
 // SetMaintenance replaces the engine's maintenance tuning. Fields left
 // zero keep their defaults. It must not run inside a transaction.
 func (e *Engine) SetMaintenance(o MaintenanceOptions) {

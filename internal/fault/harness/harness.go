@@ -68,9 +68,9 @@ type Config struct {
 	// GroupCommit switches the workload to the group-commit protocol:
 	// transactions commit without flushing and a shared log-tail flush
 	// every GroupEvery transactions makes them durable — the write path
-	// the sharded store's group committer and the server's shard
-	// workers run. Crashes can then land between a commit record and
-	// its group flush (fault.WALGroupCrash), where the invariant
+	// every ShardedStore.Batch caller (the server's shard workers, the
+	// embedded combiner) runs. Crashes can then land between a commit
+	// record and its group flush (fault.WALGroupCrash), where the invariant
 	// changes shape: unflushed committed transactions may be lost, but
 	// only as an all-or-nothing suffix — the survivors must form a
 	// prefix in commit order, each fully applied.
@@ -428,11 +428,7 @@ func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hi
 			p.after = nil
 		} else {
 			row := rowFor(w.cfg, o.key, txIdx)
-			found, uerr := tab.UpdateField(o.key, 0, row)
-			if uerr == nil && !found {
-				uerr = tab.Insert(o.key, row)
-			}
-			if uerr != nil {
+			if uerr := tab.Put(o.key, row); uerr != nil {
 				if fault.IsInjected(uerr) {
 					return true, nil
 				}

@@ -57,7 +57,8 @@ func GroupCommit(o Options) (bench.Result, error) {
 	res.Series = append(res.Series, s)
 	res.Notes = append(res.Notes,
 		"ops/flush is the delta of the server's log_commits/log_flushes over the measured window;",
-		"it counts every shard's flushes, including read-batch no-ops, so it trails the depth at high depths")
+		"only physical flushes count (a batch without commits leaves the tail empty and flushes nothing); the pipeline",
+		"spreads over every shard and a worker never waits for its batch to fill, so it trails the depth at high depths")
 	return res, nil
 }
 

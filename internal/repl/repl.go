@@ -118,11 +118,5 @@ func writeMeta(st *nvmstore.Store, applied, epoch uint64) error {
 			return err
 		}
 	}
-	row := encodeMeta(applied, epoch)
-	if ok, err := tab.UpdateField(MetaKey, 0, row); err != nil {
-		return err
-	} else if ok {
-		return nil
-	}
-	return tab.Insert(MetaKey, row)
+	return tab.Put(MetaKey, encodeMeta(applied, epoch))
 }

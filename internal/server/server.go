@@ -666,12 +666,12 @@ func (s *Server) shardWorker(i int) {
 			break
 		}
 		traced := false
-		// Yield to backpressure before taking the shard lock: when the
-		// shard's WAL is past the hard-fill threshold this blocks until
-		// background maintenance truncates it, so the batch's appends
-		// cannot fail with a full log.
-		s.store.PaceWriter(i)
-		err := s.store.WithShard(i, func(st *nvmstore.Store) error {
+		// One Batch per drained batch: it yields to writer backpressure,
+		// holds the shard lock across the executions, and ends in the
+		// one WAL flush that covers every commit of the batch (the
+		// fault.WALGroupCrash site sits just before it). Acks wait
+		// below until it has returned.
+		err := s.store.Batch(i, func(st *nvmstore.Store) error {
 			for bi := range batch {
 				if tl := batch[bi].tl; tl != nil {
 					traced = true
@@ -689,11 +689,7 @@ func (s *Server) shardWorker(i int) {
 					resps[bi] = execOnShard(st, batch[bi].req)
 				}
 			}
-			// One flush covers every commit of the batch; the
-			// fault.WALGroupCrash site sits between the executed batch
-			// and this flush. Acks wait below until it has landed.
-			_, err := st.FlushWAL()
-			return err
+			return nil
 		})
 		if err != nil {
 			// The tail flush itself cannot fail (it panics on injected
@@ -751,12 +747,7 @@ func execOnShard(st *nvmstore.Store, req wire.Request) wire.Response {
 		// Pooled row buffer; the shard worker recycles it after the
 		// response is encoded (reply copies it into the frame).
 		buf := wire.GetBufN(tab.RowSize())
-		var found bool
-		err := st.Update(func() error {
-			var err error
-			found, err = tab.Lookup(req.Key, buf)
-			return err
-		})
+		found, err := tab.Lookup(req.Key, buf)
 		switch {
 		case err != nil:
 			wire.PutBuf(buf)
@@ -768,7 +759,7 @@ func execOnShard(st *nvmstore.Store, req wire.Request) wire.Response {
 			resp.Code = wire.RespNotFound
 		}
 	case wire.OpPut:
-		if err := putOnShard(st, tab, req.Key, req.Value); err != nil {
+		if err := st.UpdateNoFlush(func() error { return tab.Put(req.Key, req.Value) }); err != nil {
 			resp.Code, resp.Err = wire.RespErr, err.Error()
 		} else {
 			resp.Code = wire.RespOK
@@ -792,39 +783,6 @@ func execOnShard(st *nvmstore.Store, req wire.Request) wire.Response {
 		resp.Code, resp.Err = wire.RespErr, "opcode not routable"
 	}
 	return resp
-}
-
-// putOnShard upserts row under an open shard lock: overwrite when the
-// key exists, insert (zero-padded to the row size) when it does not.
-// The commit does not flush — the shard worker's batch-end FlushWAL
-// makes it durable before the response is released.
-func putOnShard(st *nvmstore.Store, tab *nvmstore.Table, key uint64, row []byte) error {
-	size := tab.RowSize()
-	if len(row) > size {
-		return fmt.Errorf("put of %d bytes into %d-byte rows", len(row), size)
-	}
-	return st.UpdateNoFlush(func() error {
-		found, err := tab.UpdateField(key, 0, row)
-		if err != nil || found {
-			return err
-		}
-		return insertPadded(tab, key, row, size)
-	})
-}
-
-// insertPadded inserts row zero-padded to the table's row size through
-// a pooled scratch buffer (Insert copies the payload into the page, so
-// the scratch is recycled on return).
-func insertPadded(tab *nvmstore.Table, key uint64, row []byte, size int) error {
-	if len(row) == size {
-		return tab.Insert(key, row)
-	}
-	full := wire.GetBufN(size)
-	clear(full)
-	copy(full, row)
-	err := tab.Insert(key, full)
-	wire.PutBuf(full)
-	return err
 }
 
 // txWrite is one buffered write of a connection transaction.
@@ -1089,9 +1047,8 @@ func (c *conn) commit(req wire.Request) wire.Response {
 		byShard[i] = append(byShard[i], w)
 	}
 	for i, group := range byShard {
-		c.srv.store.PaceWriter(i)
-		err := c.srv.store.WithShard(i, func(st *nvmstore.Store) error {
-			return st.Update(func() error {
+		err := c.srv.store.Batch(i, func(st *nvmstore.Store) error {
+			return st.UpdateNoFlush(func() error {
 				for _, w := range group {
 					tab := st.Table(w.table)
 					if tab == nil {
@@ -1103,7 +1060,7 @@ func (c *conn) commit(req wire.Request) wire.Response {
 						}
 						continue
 					}
-					if err := putInTx(tab, w.key, w.val); err != nil {
+					if err := tab.Put(w.key, w.val); err != nil {
 						return err
 					}
 				}
@@ -1117,19 +1074,6 @@ func (c *conn) commit(req wire.Request) wire.Response {
 		}
 	}
 	return resp
-}
-
-// putInTx upserts inside an already-open transaction.
-func putInTx(tab *nvmstore.Table, key uint64, row []byte) error {
-	size := tab.RowSize()
-	if len(row) > size {
-		return fmt.Errorf("put of %d bytes into %d-byte rows", len(row), size)
-	}
-	found, err := tab.UpdateField(key, 0, row)
-	if err != nil || found {
-		return err
-	}
-	return insertPadded(tab, key, row, size)
 }
 
 // scan merges rows from every shard up to the clamped limit, reading

@@ -179,6 +179,55 @@ func TestBasicOps(t *testing.T) {
 // TestConcurrentPipelinedClients exercises the full path under -race:
 // several clients, each pipelining deeply, hitting every shard from
 // overlapping goroutines.
+// TestReadsAreNotTransactions pins that a wire GET is a pure read: a
+// thousand of them (hits and misses) append nothing to any shard's log
+// and leave every shard's MVCC transaction stamp where it was.
+func TestReadsAreNotTransactions(t *testing.T) {
+	_, store, addr := startServer(t, 2, server.Options{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for key := uint64(0); key < 64; key++ {
+		if err := cl.Put(testTable, key, rowFor(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stamps := func() []uint64 {
+		out := make([]uint64, store.NumShards())
+		for i := range out {
+			err := store.WithShard(i, func(st *nvmstore.Store) error {
+				sn, err := st.Snapshot()
+				if err != nil {
+					return err
+				}
+				out[i] = sn.Stamp()
+				sn.Close()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	records, before := store.Metrics().Log.Records, stamps()
+	for i := uint64(0); i < 1000; i++ {
+		if _, found, err := cl.Get(testTable, i%128); err != nil || found != (i%128 < 64) {
+			t.Fatalf("get %d: found=%v err=%v", i%128, found, err)
+		}
+	}
+	if got := store.Metrics().Log.Records; got != records {
+		t.Fatalf("1000 GETs appended %d log records", got-records)
+	}
+	for i, after := range stamps() {
+		if after != before[i] {
+			t.Fatalf("1000 GETs moved shard %d's transaction stamp %d -> %d", i, before[i], after)
+		}
+	}
+}
+
 func TestConcurrentPipelinedClients(t *testing.T) {
 	srv, _, addr := startServer(t, 4, server.Options{ShardQueue: 16, WriteQueue: 16, BatchMax: 8})
 	const (

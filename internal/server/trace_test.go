@@ -1,10 +1,12 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nvmstore/internal/client"
 	"nvmstore/internal/obs"
@@ -24,6 +26,20 @@ func statsDoc(t *testing.T, cl *client.Client) server.StatsDoc {
 		t.Fatal(err)
 	}
 	return doc
+}
+
+// drain shuts the server down. A connection's writer publishes a traced
+// request's timeline after the response bytes are on the socket, so a
+// client holding every response may still be one timeline per
+// connection ahead of the flight recorder; Shutdown joins every writer
+// and is the barrier behind which the recorder's counts are exact.
+func drain(t *testing.T, srv *server.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestTracingEndToEnd drives traced pipelined traffic through the full
@@ -56,6 +72,20 @@ func TestTracingEndToEnd(t *testing.T) {
 		t.Fatalf("TraceStamped = %d, want %d", got, ops)
 	}
 
+	// The trace section must surface through STATS over the wire (its
+	// exact count is checked behind the drain barrier below).
+	doc := statsDoc(t, cl)
+	if doc.Trace == nil {
+		t.Fatal("STATS trace section missing")
+	}
+	if len(doc.ShardQueueDepth) != 2 || len(doc.ShardInflight) != 2 {
+		t.Fatalf("per-shard gauges missing: %+v", doc)
+	}
+	if doc.MaxConns == 0 {
+		t.Fatal("MaxConns not reported")
+	}
+
+	drain(t, srv)
 	snap := srv.TraceSnapshot()
 	if snap.Sampled != ops {
 		t.Fatalf("flight recorder sampled %d, want %d", snap.Sampled, ops)
@@ -91,16 +121,9 @@ func TestTracingEndToEnd(t *testing.T) {
 		t.Fatalf("attribution inconsistent: %+v", snap.P99)
 	}
 
-	// The same snapshot must surface through STATS.
-	doc := statsDoc(t, cl)
-	if doc.Trace == nil || doc.Trace.Sampled != ops {
-		t.Fatalf("STATS trace section missing or wrong: %+v", doc.Trace)
-	}
-	if len(doc.ShardQueueDepth) != 2 || len(doc.ShardInflight) != 2 {
-		t.Fatalf("per-shard gauges missing: %+v", doc)
-	}
-	if doc.MaxConns == 0 {
-		t.Fatal("MaxConns not reported")
+	// The same snapshot feeds the STATS document.
+	if tr := srv.Stats().Trace; tr == nil || tr.Sampled != ops {
+		t.Fatalf("STATS trace section missing or wrong: %+v", tr)
 	}
 }
 
@@ -122,15 +145,16 @@ func TestTracingSampling(t *testing.T) {
 	if got := cl.TraceStamped(); got != ops/4 {
 		t.Fatalf("TraceStamped = %d, want %d", got, ops/4)
 	}
-	if snap := srv.TraceSnapshot(); snap.Sampled != ops/4 {
-		t.Fatalf("server sampled %d, want %d", snap.Sampled, ops/4)
-	}
 	// STATS itself must not be stamped (not a keyed op).
 	if _, err := cl.Stats(); err != nil {
 		t.Fatal(err)
 	}
 	if got := cl.TraceStamped(); got != ops/4 {
 		t.Fatalf("non-keyed op was stamped: %d", got)
+	}
+	drain(t, srv)
+	if snap := srv.TraceSnapshot(); snap.Sampled != ops/4 {
+		t.Fatalf("server sampled %d, want %d", snap.Sampled, ops/4)
 	}
 }
 

@@ -232,6 +232,16 @@ type Stats struct {
 	TruncateSkips int64
 }
 
+// Add folds other into s, for aggregating per-shard counters.
+func (s *Stats) Add(other Stats) {
+	s.Records += other.Records
+	s.Commits += other.Commits
+	s.Aborts += other.Aborts
+	s.Flushes += other.Flushes
+	s.Truncates += other.Truncates
+	s.TruncateSkips += other.TruncateSkips
+}
+
 // OpsPerFlush returns Commits/Flushes, the average number of committed
 // transactions each physical log-tail flush made durable — the
 // flush-amortization factor of group commit. It returns 0 when no flush

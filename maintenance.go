@@ -210,9 +210,7 @@ func (s *ShardedStore) startMaintenance() {
 // writers; idempotent.
 func (s *ShardedStore) stopMaintenance() {
 	for _, mt := range s.maint {
-		if mt != nil {
-			mt.shutdown()
-		}
+		mt.shutdown()
 	}
 }
 
@@ -225,9 +223,6 @@ func (s *ShardedStore) noteShard(i int) {
 		return
 	}
 	mt := s.maint[i]
-	if mt == nil {
-		return
-	}
 	e := s.shards[i].e
 	if e.OverHardFill() {
 		mt.engage()
@@ -239,16 +234,15 @@ func (s *ShardedStore) noteShard(i int) {
 // PaceWriter blocks while shard i's write-ahead log sits past the
 // hard-fill threshold, returning once background maintenance has
 // truncated it (or the store is closing) — backpressure instead of
-// wal.ErrLogFull. The sharded table's write paths call it internally;
-// a serving layer driving shards through WithShard should call it
-// before executing a write batch. It must not be called while holding
+// wal.ErrLogFull. Batch calls it before taking the shard lock; a caller
+// driving writes through WithShard directly should do the same before
+// each write batch. It must not be called while holding
 // the shard's lock, and it returns immediately when background
 // maintenance is disabled.
 func (s *ShardedStore) PaceWriter(i int) {
-	if s.maint == nil || s.maint[i] == nil {
-		return
+	if s.maint != nil {
+		s.maint[i].pace()
 	}
-	s.maint[i].pace()
 }
 
 // WriterThrottles returns how many writers have been blocked at the
@@ -257,9 +251,7 @@ func (s *ShardedStore) PaceWriter(i int) {
 func (s *ShardedStore) WriterThrottles() int64 {
 	var total int64
 	for _, mt := range s.maint {
-		if mt != nil {
-			total += mt.throttles.Load()
-		}
+		total += mt.throttles.Load()
 	}
 	return total
 }

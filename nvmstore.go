@@ -131,20 +131,6 @@ type Options struct {
 	NVMReadLatency  time.Duration
 	NVMWriteLatency time.Duration
 
-	// CommitBatch bounds how many autocommit writes a shard coalesces
-	// into one WAL flush (group commit) in a ShardedStore. Zero selects
-	// the default (DefaultCommitBatch); 1 or a negative value disables
-	// coalescing so every commit flushes individually. Single Stores
-	// ignore it — they are single-threaded, so there is nothing to
-	// coalesce transparently; use ApplyBatch for explicit batching.
-	CommitBatch int
-	// CommitDelay bounds, in simulated time, how long a committed but
-	// unflushed write may wait for companions before the group leader
-	// flushes anyway. Zero means no delay bound: a leader flushes as soon
-	// as no further writer is in flight or the batch is full. Measured on
-	// the shard's virtual clock, not wall time.
-	CommitDelay time.Duration
-
 	// Maintenance tunes incremental checkpointing and paced dirty
 	// write-back (see MaintenanceOptions). The zero value selects every
 	// default. In a ShardedStore a maintenance goroutine per shard runs
@@ -528,6 +514,29 @@ type Metrics struct {
 	Read ReadStats
 }
 
+// add accumulates another shard's snapshot: counters and gauges sum,
+// latency histograms merge. OpsPerFlush is a ratio and the caller's to
+// recompute from the summed Log.
+func (m *Metrics) add(o Metrics) {
+	m.Buffer.Add(o.Buffer)
+	m.Log.Add(o.Log)
+	m.Ckpt.Add(o.Ckpt)
+	m.WriterThrottles += o.WriterThrottles
+	m.NVMLinesRead += o.NVMLinesRead
+	m.NVMLinesFlushed += o.NVMLinesFlushed
+	m.NVMTotalWrites += o.NVMTotalWrites
+	m.SSDPagesRead += o.SSDPagesRead
+	m.SSDPagesWritten += o.SSDPagesWritten
+	m.Residency.Add(o.Residency)
+	m.Read.add(o.Read)
+	if o.Latency != nil {
+		if m.Latency == nil {
+			m.Latency = &LatencySnapshot{}
+		}
+		m.Latency.Merge(o.Latency)
+	}
+}
+
 // ReadStats is a snapshot of the multi-version read path: snapshot scans
 // served from stable page images, the optimistic lock-free lookup cache,
 // and the copy-on-write version store that backs both.
@@ -694,6 +703,28 @@ func (t *Table) LookupField(key uint64, off, n int, buf []byte) (bool, error) {
 // images for recovery.
 func (t *Table) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	return t.t.UpdateField(key, off, val)
+}
+
+// Put inserts or replaces the row for key — the one upsert every write
+// path shares. When the key exists, row overwrites the leading len(row)
+// bytes of the stored row and the rest is kept; when it does not, row is
+// inserted zero-padded to RowSize. A row longer than RowSize fails. Like
+// Insert, it needs a running transaction.
+func (t *Table) Put(key uint64, row []byte) error {
+	size := t.RowSize()
+	if len(row) > size {
+		return fmt.Errorf("nvmstore: put of %d bytes into %d-byte rows", len(row), size)
+	}
+	found, err := t.t.UpdateField(key, 0, row)
+	if err != nil || found {
+		return err
+	}
+	if len(row) < size {
+		full := make([]byte, size)
+		copy(full, row)
+		row = full
+	}
+	return t.t.Insert(key, row)
 }
 
 // Delete removes a row and reports whether it existed.

@@ -34,10 +34,8 @@ import (
 type ShardedStore struct {
 	shards []*Store
 	slots  []shardSlot
-	// gc holds one group committer per shard, or nil when group commit
-	// is disabled (Options.CommitBatch <= 1 after defaulting, or the
-	// NVMDirect architecture, which persists in place per commit).
-	gc []*groupCommitter
+	// combiners feed concurrent blocking writers to Batch, one per shard.
+	combiners []combiner
 	// maint holds one background maintainer per shard (incremental
 	// checkpointing and paced write-back off the commit path), or nil
 	// when background maintenance is disabled (negative
@@ -95,134 +93,126 @@ func (c *readCache) store(key uint64, r *cachedRow) {
 	}
 }
 
-// DefaultCommitBatch is the per-shard group-commit batch bound used when
-// Options.CommitBatch is zero: at most this many autocommit writes share
-// one WAL flush.
-const DefaultCommitBatch = 32
+// maxCombine bounds how many queued autocommit writes one combiner batch
+// executes under a single shard-lock hold and WAL flush — the same bound
+// the server's drain loop applies to its queue (server.Options.BatchMax).
+const maxCombine = 32
 
-// groupCommitter coalesces the WAL flushes of concurrent autocommit
-// writers on one shard. Writers append their commit record under the
-// shard lock without flushing, then rendezvous here: the first waiter
-// whose commit is not yet durable becomes the leader, waits while more
-// writers are in flight (bounded by maxBatch commits and maxDelayNs of
-// simulated time), performs one physical flush of the log tail covering
-// everyone, and wakes the group. A writer never returns before the flush
-// covering its commit has landed, so the ack⇒durable contract is
-// preserved — only the flush is shared.
-//
-// Liveness needs no timer: entered counts writers past enter() that have
-// not yet registered or cancelled, and every transition broadcasts. A
-// leader therefore only waits while some writer is demonstrably still on
-// its way, and a single uncontended writer flushes immediately with zero
-// added latency.
-type groupCommitter struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+// errShardCrashed fails the writers whose group commit was cut short by
+// a panic (an injected fault.Crash) unwinding through the batch.
+var errShardCrashed = errors.New("nvmstore: shard crashed during group commit; write not acknowledged")
 
-	// entered counts writers between enter() and register/cancel.
-	entered int
-	// seq numbers registered (appended, unflushed) commits; flushedSeq
-	// is the newest seq known durable. flushedSeq lags the log's true
-	// durable frontier when another path (abort, write-back barrier)
-	// flushes the tail; laggards then perform one cheap no-op flush.
-	seq        uint64
-	flushedSeq uint64
-	// flushing marks that a leader is collecting a batch or flushing.
-	flushing bool
-	// oldestNs/newestNs bracket the pending commits' shard-clock
-	// timestamps; their spread bounds how long (in simulated time) an
-	// early commit may wait for companions. oldestNs is approximate
-	// after a flush leaves late registrants pending — see await.
-	oldestNs, newestNs int64
-
-	maxBatch   int
-	maxDelayNs int64
+// combiner feeds one shard's concurrent blocking writers to Batch. The
+// first writer to find the shard idle becomes the combiner and runs its
+// own write as a batch of one, with no added wait. Writers arriving
+// meanwhile queue; the finishing combiner passes the role to the first
+// waiter, which takes up to maxCombine-1 further waiters along (whoever
+// queued by the time it wakes) and runs the whole group under one lock
+// hold and one flush. A writer returns
+// only after the flush covering its commit has landed, so ack ⇒ durable
+// holds — only the flush is shared. The queue is empty whenever busy is
+// false.
+type combiner struct {
+	mu    sync.Mutex
+	busy  bool
+	queue []*queuedWrite
 }
 
-func newGroupCommitter(maxBatch int, maxDelay time.Duration) *groupCommitter {
-	g := &groupCommitter{maxBatch: maxBatch, maxDelayNs: maxDelay.Nanoseconds()}
-	g.cond = sync.NewCond(&g.mu)
-	return g
+// queuedWrite is one table write in a combiner. wake is closed once err
+// is final (another combiner committed or failed the write) or once
+// lead is set (the writer, still first in the queue, is the next
+// combiner).
+type queuedWrite struct {
+	t    *ShardedTable
+	op   func(tab *Table) error
+	err  error
+	lead bool
+	wake chan struct{}
 }
 
-// enter announces an in-flight writer. It must precede acquiring the
-// shard lock so a collecting leader keeps waiting for this writer.
-func (g *groupCommitter) enter() {
-	g.mu.Lock()
-	g.entered++
-	g.mu.Unlock()
-}
-
-// cancel withdraws an entered writer whose transaction did not produce a
-// commit record to coalesce (error and rollback paths).
-func (g *groupCommitter) cancel() {
-	g.mu.Lock()
-	g.entered--
-	g.cond.Broadcast()
-	g.mu.Unlock()
-}
-
-// await registers a commit appended at shard-clock time ns and blocks
-// until a flush covering it has landed, leading that flush if no other
-// writer is. flush must perform one physical flush of the shard's log
-// tail (taking the shard lock) and is called without g.mu held.
-func (g *groupCommitter) await(ns int64, flush func() error) error {
-	g.mu.Lock()
-	g.entered--
-	g.seq++
-	my := g.seq
-	if g.seq-g.flushedSeq == 1 {
-		g.oldestNs = ns
+// write runs op against the table on key's owning shard as one
+// transaction and returns once its commit is durable, sharing the WAL
+// flush with concurrent writers on the same shard through the shard's
+// combiner.
+func (t *ShardedTable) write(key uint64, op func(tab *Table) error) error {
+	i := t.s.ShardFor(key)
+	c := &t.s.combiners[i]
+	c.mu.Lock()
+	if !c.busy {
+		c.busy = true
+		c.mu.Unlock()
+		// The uncontended path keeps its bookkeeping on the stack.
+		solo := queuedWrite{t: t, op: op}
+		return t.s.combine(i, []*queuedWrite{&solo})
 	}
-	g.newestNs = ns
-	g.cond.Broadcast()
-	for {
-		if g.flushedSeq >= my {
-			g.mu.Unlock()
-			return nil
-		}
-		if !g.flushing {
-			g.flushing = true
-			for int(g.seq-g.flushedSeq) < g.maxBatch && g.entered > 0 &&
-				(g.maxDelayNs <= 0 || g.newestNs-g.oldestNs < g.maxDelayNs) {
-				g.cond.Wait()
-			}
-			target := g.seq
-			g.mu.Unlock()
-			err := g.runFlush(flush)
-			g.mu.Lock()
-			g.flushing = false
-			// Commits through target are durable even when err is
-			// non-nil: FlushWAL's error comes from the checkpoint that
-			// runs after the tail flush succeeded. The leader reports
-			// it; followers' contract is already satisfied.
-			g.flushedSeq = target
-			// Any commits registered during the flush are the newest
-			// ones; restart the delay window at them.
-			g.oldestNs = g.newestNs
-			g.cond.Broadcast()
-			g.mu.Unlock()
-			return err
-		}
-		g.cond.Wait()
+	w := &queuedWrite{t: t, op: op, wake: make(chan struct{})}
+	c.queue = append(c.queue, w)
+	c.mu.Unlock()
+	<-w.wake
+	if !w.lead {
+		return w.err
 	}
+	// Still at the head of the queue: take the group from there.
+	c.mu.Lock()
+	n := min(len(c.queue), maxCombine)
+	group := c.queue[:n:n]
+	c.queue = c.queue[n:]
+	c.mu.Unlock()
+	return t.s.combine(i, group)
 }
 
-// runFlush invokes flush, keeping the committer usable when an injected
-// fault.Crash (or any other panic) unwinds through it: the leader role
-// is released and the group woken before the panic continues, so other
-// writers do not block forever on a crashed leader.
-func (g *groupCommitter) runFlush(flush func() error) error {
+// combine commits group (the caller's own write first) as one Batch,
+// one transaction per write, wakes its members, and passes the combiner
+// role to the next waiter or releases it. A panic unwinding through the
+// batch (an injected fault.Crash) acknowledges nothing: every other
+// member and every queued writer fails with errShardCrashed instead of
+// waiting on a combiner that will not come back, and the role is
+// released.
+func (s *ShardedStore) combine(i int, group []*queuedWrite) error {
+	c := &s.combiners[i]
+	flushed := false
 	defer func() {
-		if r := recover(); r != nil {
-			g.mu.Lock()
-			g.flushing = false
-			g.cond.Broadcast()
-			g.mu.Unlock()
-			panic(r)
+		c.mu.Lock()
+		var stranded []*queuedWrite
+		if !flushed {
+			stranded, c.queue = c.queue, nil
+		}
+		var next *queuedWrite
+		if len(c.queue) > 0 {
+			next = c.queue[0]
+			next.lead = true
+		} else {
+			c.busy = false
+		}
+		c.mu.Unlock()
+		for _, ws := range [][]*queuedWrite{group[1:], stranded} {
+			for _, w := range ws {
+				if !flushed {
+					w.err = errShardCrashed
+				}
+				close(w.wake)
+			}
+		}
+		if next != nil {
+			close(next.wake)
 		}
 	}()
-	return flush()
+	err := s.Batch(i, func(st *Store) error {
+		for _, w := range group {
+			s.slots[i].ops++
+			tab, err := w.t.shardTable(st)
+			if err == nil {
+				err = st.UpdateNoFlush(func() error { return w.op(tab) })
+			}
+			w.err = err
+		}
+		// The caller gets its own write's error or else the flush's —
+		// which comes from write-back pacing after the tail flush
+		// landed, so every member's commit is durable regardless.
+		return group[0].err
+	})
+	flushed = true
+	return err
 }
 
 // shardSlot holds one shard's lock and operation counter, padded so that
@@ -248,9 +238,10 @@ func OpenSharded(n int, opts Options) (*ShardedStore, error) {
 	per.SSDBytes = splitCapacity(opts.SSDBytes, n)
 	per.WALBytes = splitCapacity(opts.WALBytes, n)
 	s := &ShardedStore{
-		shards:  make([]*Store, n),
-		slots:   make([]shardSlot, n),
-		readers: make([]readCache, n),
+		shards:    make([]*Store, n),
+		slots:     make([]shardSlot, n),
+		readers:   make([]readCache, n),
+		combiners: make([]combiner, n),
 	}
 	for i := range s.shards {
 		st, err := Open(per)
@@ -258,16 +249,6 @@ func OpenSharded(n int, opts Options) (*ShardedStore, error) {
 			return nil, fmt.Errorf("nvmstore: open shard %d/%d: %w", i, n, err)
 		}
 		s.shards[i] = st
-	}
-	batch := opts.CommitBatch
-	if batch == 0 {
-		batch = DefaultCommitBatch
-	}
-	if batch > 1 && opts.Architecture != NVMDirect {
-		s.gc = make([]*groupCommitter, n)
-		for i := range s.gc {
-			s.gc[i] = newGroupCommitter(batch, opts.CommitDelay)
-		}
 	}
 	if opts.Maintenance.Interval >= 0 && opts.Architecture != NVMDirect {
 		s.startMaintenance()
@@ -308,54 +289,23 @@ func (s *ShardedStore) WithShard(i int, fn func(*Store) error) error {
 	return fn(s.shards[i])
 }
 
-// onShard is WithShard plus the per-shard op counter.
-func (s *ShardedStore) onShard(i int, fn func(*Store) error) error {
-	slot := &s.slots[i]
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	defer s.noteShard(i)
-	slot.ops++
-	return fn(s.shards[i])
-}
-
-// onShardDurable runs fn as one transaction on shard i and returns once
-// its commit is durable. With group commit enabled the WAL flush is
-// coalesced with concurrent writers on the same shard: the transaction
-// body runs under the shard lock with a non-flushing commit, the shard's
-// virtual-clock reading at commit is captured under the same lock (the
-// clock has no synchronization of its own), and the writer then waits on
-// the shard's group committer for a flush covering it. Without group
-// commit it is onShard + Store.Update, flushing per operation. Either
-// way the writer first yields to backpressure (PaceWriter) when the
-// shard's log is near full, so appends never fail with wal.ErrLogFull.
-func (s *ShardedStore) onShardDurable(i int, fn func(st *Store) error) error {
+// Batch is the store's one group-commit primitive: it yields to writer
+// backpressure (PaceWriter), takes shard i's lock, runs fn — which may
+// commit any number of transactions with UpdateNoFlush — and makes them
+// all durable with a single WAL flush before releasing the lock. fn's
+// commits must not be acknowledged before Batch returns; once it has,
+// they are durable whether or not it returned an error (fn's own, or
+// else one from write-back pacing after the flush). The server's shard
+// workers, connection COMMITs, PutBatch, and — through a per-shard
+// combiner — every autocommit ShardedTable write share flushes this way.
+func (s *ShardedStore) Batch(i int, fn func(st *Store) error) error {
 	s.PaceWriter(i)
-	if s.gc == nil {
-		return s.onShard(i, func(st *Store) error {
-			return st.Update(func() error { return fn(st) })
-		})
-	}
-	g := s.gc[i]
-	g.enter()
-	slot := &s.slots[i]
-	slot.mu.Lock()
-	slot.ops++
-	st := s.shards[i]
-	err := st.UpdateNoFlush(func() error { return fn(st) })
-	ns := st.e.Clock().Ns()
-	s.noteShard(i)
-	slot.mu.Unlock()
-	if err != nil {
-		// Rolled back; the abort record flushed immediately. Nothing of
-		// ours is pending.
-		g.cancel()
+	return s.WithShard(i, func(st *Store) error {
+		err := fn(st)
+		if _, ferr := st.FlushWAL(); err == nil {
+			err = ferr
+		}
 		return err
-	}
-	return g.await(ns, func() error {
-		return s.WithShard(i, func(st *Store) error {
-			_, err := st.FlushWAL()
-			return err
-		})
 	})
 }
 
@@ -552,44 +502,7 @@ func (s *ShardedStore) Metrics() Metrics {
 		s.slots[i].mu.Lock()
 		m := s.shards[i].Metrics()
 		s.slots[i].mu.Unlock()
-		total.Buffer.Fixes += m.Buffer.Fixes
-		total.Buffer.SwizzleHits += m.Buffer.SwizzleHits
-		total.Buffer.TableHits += m.Buffer.TableHits
-		total.Buffer.Swizzles += m.Buffer.Swizzles
-		total.Buffer.SSDLoads += m.Buffer.SSDLoads
-		total.Buffer.NVMPageLoads += m.Buffer.NVMPageLoads
-		total.Buffer.LinesLoaded += m.Buffer.LinesLoaded
-		total.Buffer.MiniAllocs += m.Buffer.MiniAllocs
-		total.Buffer.FullAllocs += m.Buffer.FullAllocs
-		total.Buffer.MiniPromotions += m.Buffer.MiniPromotions
-		total.Buffer.DRAMEvictions += m.Buffer.DRAMEvictions
-		total.Buffer.NVMAdmissions += m.Buffer.NVMAdmissions
-		total.Buffer.NVMDenials += m.Buffer.NVMDenials
-		total.Buffer.NVMEvictions += m.Buffer.NVMEvictions
-		total.Buffer.DirectFixes += m.Buffer.DirectFixes
-		total.Log.Records += m.Log.Records
-		total.Log.Commits += m.Log.Commits
-		total.Log.Aborts += m.Log.Aborts
-		total.Log.Flushes += m.Log.Flushes
-		total.Log.Truncates += m.Log.Truncates
-		total.Log.TruncateSkips += m.Log.TruncateSkips
-		total.NVMLinesRead += m.NVMLinesRead
-		total.NVMLinesFlushed += m.NVMLinesFlushed
-		total.NVMTotalWrites += m.NVMTotalWrites
-		total.SSDPagesRead += m.SSDPagesRead
-		total.SSDPagesWritten += m.SSDPagesWritten
-		total.Ckpt.Rounds += m.Ckpt.Rounds
-		total.Ckpt.Pages += m.Ckpt.Pages
-		total.Ckpt.Truncations += m.Ckpt.Truncations
-		total.Ckpt.TruncatedBytes += m.Ckpt.TruncatedBytes
-		total.Residency.Add(m.Residency)
-		total.Read.add(m.Read)
-		if m.Latency != nil {
-			if total.Latency == nil {
-				total.Latency = &LatencySnapshot{}
-			}
-			total.Latency.Merge(m.Latency)
-		}
+		total.add(m)
 	}
 	total.OpsPerFlush = total.Log.OpsPerFlush()
 	total.WriterThrottles = s.WriterThrottles()
@@ -689,96 +602,68 @@ func (t *ShardedTable) shardTable(st *Store) (*Table, error) {
 	return tab, nil
 }
 
-// Insert adds a row on the owning shard, as one transaction. Like every
-// write below, the operation is durable when the call returns; with
-// group commit the WAL flush backing that guarantee is shared with
-// concurrent writers on the same shard.
-func (t *ShardedTable) Insert(key uint64, row []byte) error {
-	return t.s.onShardDurable(t.s.ShardFor(key), func(st *Store) error {
+// read runs op against the table on shard i under the shard's lock,
+// counting it as a routed operation. Reads are not transactions: they
+// log nothing and leave the MVCC transaction stamp alone.
+func (t *ShardedTable) read(i int, op func(tab *Table) error) error {
+	return t.s.WithShard(i, func(st *Store) error {
+		t.s.slots[i].ops++
 		tab, err := t.shardTable(st)
 		if err != nil {
 			return err
 		}
-		return tab.Insert(key, row)
+		return op(tab)
 	})
 }
 
-// putTx is the upsert transaction body shared by Put and PutBatch: a
-// short row overwrites only its leading bytes when the key exists and is
-// zero-padded when it does not.
-func (t *ShardedTable) putTx(tab *Table, key uint64, row []byte) error {
-	found, err := tab.UpdateField(key, 0, row)
-	if err != nil || found {
-		return err
-	}
-	if len(row) < t.rowSize {
-		full := make([]byte, t.rowSize)
-		copy(full, row)
-		row = full
-	}
-	return tab.Insert(key, row)
+// Insert adds a row on the owning shard, as one transaction. Like every
+// write below, the operation is durable when the call returns; the WAL
+// flush backing that guarantee is shared with concurrent writers on the
+// same shard.
+func (t *ShardedTable) Insert(key uint64, row []byte) error {
+	return t.write(key, func(tab *Table) error { return tab.Insert(key, row) })
 }
 
 // Put inserts or replaces the row for key on the owning shard, as one
-// transaction — the upsert the KV serving layer maps PUT to. A row
-// longer than RowSize fails.
+// transaction — the upsert the KV serving layer maps PUT to (see
+// Table.Put). A row longer than RowSize fails.
 func (t *ShardedTable) Put(key uint64, row []byte) error {
-	if len(row) > t.rowSize {
-		return fmt.Errorf("nvmstore: put of %d bytes into %d-byte rows", len(row), t.rowSize)
-	}
-	return t.s.onShardDurable(t.s.ShardFor(key), func(st *Store) error {
-		tab, err := t.shardTable(st)
-		if err != nil {
-			return err
-		}
-		return t.putTx(tab, key, row)
-	})
+	return t.write(key, func(tab *Table) error { return tab.Put(key, row) })
 }
 
 // PutBatch upserts len(keys) rows (rows[i] under keys[i]) with explicit
 // group commit: the keys are grouped by owning shard, and each shard
-// executes its group under one lock acquisition — one transaction per
-// row, one WAL flush per shard at the end of its group. Rows that fail
-// individually are rolled back and reported in the joined error while
-// the rest of the batch proceeds. Every row that succeeded is durable
-// when PutBatch returns.
+// executes its group as one Batch — one transaction per row, one WAL
+// flush per shard at the end of its group. Rows that fail individually
+// are rolled back and reported in the joined error while the rest of
+// the batch proceeds. Every row that succeeded is durable when PutBatch
+// returns.
 func (t *ShardedTable) PutBatch(keys []uint64, rows [][]byte) error {
 	if len(keys) != len(rows) {
 		return fmt.Errorf("nvmstore: put batch of %d keys with %d rows", len(keys), len(rows))
-	}
-	var errs []error
-	for _, row := range rows {
-		if len(row) > t.rowSize {
-			return fmt.Errorf("nvmstore: put of %d bytes into %d-byte rows", len(row), t.rowSize)
-		}
 	}
 	byShard := make(map[int][]int)
 	for i, key := range keys {
 		sh := t.s.ShardFor(key)
 		byShard[sh] = append(byShard[sh], i)
 	}
+	var errs []error
 	for sh, idxs := range byShard {
-		t.s.PaceWriter(sh)
-		slot := &t.s.slots[sh]
-		slot.mu.Lock()
-		st := t.s.shards[sh]
-		tab, err := t.shardTable(st)
-		if err != nil {
-			slot.mu.Unlock()
-			return err
-		}
-		for _, i := range idxs {
-			slot.ops++
-			i := i
-			if err := st.UpdateNoFlush(func() error { return t.putTx(tab, keys[i], rows[i]) }); err != nil {
-				errs = append(errs, fmt.Errorf("nvmstore: put key %d: %w", keys[i], err))
+		err := t.s.Batch(sh, func(st *Store) error {
+			tab, err := t.shardTable(st)
+			if err != nil {
+				return err
 			}
-		}
-		_, err = st.FlushWAL()
-		t.s.noteShard(sh)
-		slot.mu.Unlock()
+			for _, i := range idxs {
+				t.s.slots[sh].ops++
+				if err := st.UpdateNoFlush(func() error { return tab.Put(keys[i], rows[i]) }); err != nil {
+					errs = append(errs, fmt.Errorf("nvmstore: put key %d: %w", keys[i], err))
+				}
+			}
+			return nil
+		})
 		if err != nil {
-			errs = append(errs, fmt.Errorf("nvmstore: flush shard %d: %w", sh, err))
+			errs = append(errs, fmt.Errorf("nvmstore: put batch on shard %d: %w", sh, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -815,22 +700,16 @@ func (t *ShardedTable) Lookup(key uint64, buf []byte) (bool, error) {
 	var found bool
 	var pid core.PageID
 	var ver, epoch uint64
-	err := t.s.onShard(sh, func(st *Store) error {
-		tab, err := t.shardTable(st)
-		if err != nil {
-			return err
+	err := t.read(sh, func(tab *Table) error {
+		var err error
+		found, pid, err = tab.t.LookupWithPage(key, buf)
+		if err == nil && found {
+			// Version and epoch are stable under the shard lock
+			// (restarts run under it too).
+			ver = v.VerOf(pid)
+			epoch = v.Epoch()
 		}
-		return st.Update(func() error {
-			var err error
-			found, pid, err = tab.t.LookupWithPage(key, buf)
-			if err == nil && found {
-				// Version and epoch are stable under the shard lock
-				// (restarts run under it too).
-				ver = v.VerOf(pid)
-				epoch = v.Epoch()
-			}
-			return err
-		})
+		return err
 	})
 	if err == nil && found {
 		cache.store(key, &cachedRow{
@@ -846,16 +725,10 @@ func (t *ShardedTable) Lookup(key uint64, buf []byte) (bool, error) {
 // LookupField copies n bytes at byte offset off of key's row into buf.
 func (t *ShardedTable) LookupField(key uint64, off, n int, buf []byte) (bool, error) {
 	var found bool
-	err := t.s.onShard(t.s.ShardFor(key), func(st *Store) error {
-		tab, err := t.shardTable(st)
-		if err != nil {
-			return err
-		}
-		return st.Update(func() error {
-			var err error
-			found, err = tab.LookupField(key, off, n, buf)
-			return err
-		})
+	err := t.read(t.s.ShardFor(key), func(tab *Table) error {
+		var err error
+		found, err = tab.LookupField(key, off, n, buf)
+		return err
 	})
 	return found, err
 }
@@ -864,11 +737,8 @@ func (t *ShardedTable) LookupField(key uint64, off, n int, buf []byte) (bool, er
 // transaction.
 func (t *ShardedTable) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	var found bool
-	err := t.s.onShardDurable(t.s.ShardFor(key), func(st *Store) error {
-		tab, err := t.shardTable(st)
-		if err != nil {
-			return err
-		}
+	err := t.write(key, func(tab *Table) error {
+		var err error
 		found, err = tab.UpdateField(key, off, val)
 		return err
 	})
@@ -878,11 +748,8 @@ func (t *ShardedTable) UpdateField(key uint64, off int, val []byte) (bool, error
 // Delete removes a row and reports whether it existed.
 func (t *ShardedTable) Delete(key uint64) (bool, error) {
 	var found bool
-	err := t.s.onShardDurable(t.s.ShardFor(key), func(st *Store) error {
-		tab, err := t.shardTable(st)
-		if err != nil {
-			return err
-		}
+	err := t.write(key, func(tab *Table) error {
+		var err error
 		found, err = tab.Delete(key)
 		return err
 	})
@@ -893,8 +760,8 @@ func (t *ShardedTable) Delete(key uint64) (bool, error) {
 // passing fieldLen bytes at fieldOff of each row; it stops after limit
 // rows (limit <= 0 means all) or when fn returns false. Hash partitioning
 // scatters consecutive keys across shards, so the scan collects each
-// shard's range (one read transaction per shard, shards visited one at a
-// time) and merges the results before invoking fn.
+// shard's range (under that shard's lock, shards visited one at a time)
+// and merges the results before invoking fn.
 func (t *ShardedTable) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
 	type entry struct {
 		key   uint64
@@ -902,16 +769,10 @@ func (t *ShardedTable) Scan(from uint64, limit int, fieldOff, fieldLen int, fn f
 	}
 	var all []entry
 	for i := range t.s.shards {
-		err := t.s.onShard(i, func(st *Store) error {
-			tab, err := t.shardTable(st)
-			if err != nil {
-				return err
-			}
-			return st.Update(func() error {
-				return tab.Scan(from, limit, fieldOff, fieldLen, func(key uint64, field []byte) bool {
-					all = append(all, entry{key, append([]byte(nil), field...)})
-					return true
-				})
+		err := t.read(i, func(tab *Table) error {
+			return tab.Scan(from, limit, fieldOff, fieldLen, func(key uint64, field []byte) bool {
+				all = append(all, entry{key, append([]byte(nil), field...)})
+				return true
 			})
 		})
 		if err != nil {
@@ -1062,11 +923,7 @@ func (t *ShardedTable) ScanSnapshot(sn *Snapshot, from uint64, limit int, fieldO
 func (t *ShardedTable) Count() (int, error) {
 	total := 0
 	for i := range t.s.shards {
-		err := t.s.onShard(i, func(st *Store) error {
-			tab, err := t.shardTable(st)
-			if err != nil {
-				return err
-			}
+		err := t.read(i, func(tab *Table) error {
 			n, err := tab.Count()
 			total += n
 			return err

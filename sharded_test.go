@@ -3,6 +3,7 @@ package nvmstore
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -261,7 +262,57 @@ func TestShardedWholeStoreCrash(t *testing.T) {
 	}
 }
 
+// walkInt64s visits every int64 field of v (a struct, recursing into
+// nested structs and skipping pointers) with its dotted path.
+func walkInt64s(v reflect.Value, path string, fn func(path string, f reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), path+v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			walkInt64s(f, name+".", fn)
+		case reflect.Int64:
+			fn(name, f)
+		}
+	}
+}
+
+// TestShardedMetricsAggregate walks every int64 field of Metrics by
+// reflection, so a counter added to any of its structs cannot be dropped
+// from the sharded sum silently: first on synthetic snapshots in which
+// every field is distinct and nonzero, then on a live store against the
+// per-shard snapshots.
 func TestShardedMetricsAggregate(t *testing.T) {
+	checkSum := func(got Metrics, parts ...Metrics) {
+		t.Helper()
+		want := map[string]int64{}
+		for i := range parts {
+			walkInt64s(reflect.ValueOf(&parts[i]).Elem(), "", func(path string, f reflect.Value) {
+				if path == "Read.VersionChainMax" {
+					want[path] = max(want[path], f.Int())
+				} else {
+					want[path] += f.Int()
+				}
+			})
+		}
+		walkInt64s(reflect.ValueOf(&got).Elem(), "", func(path string, f reflect.Value) {
+			if f.Int() != want[path] {
+				t.Errorf("%s = %d, want %d from the per-shard snapshots", path, f.Int(), want[path])
+			}
+		})
+	}
+
+	var a, b Metrics
+	n := int64(0)
+	for _, m := range []*Metrics{&a, &b} {
+		walkInt64s(reflect.ValueOf(m).Elem(), "", func(_ string, f reflect.Value) {
+			n++
+			f.SetInt(n)
+		})
+	}
+	sum := a
+	sum.add(b)
+	checkSum(sum, a, b)
+
 	s := openShardedStore(t, 2)
 	table, err := s.CreateTable(1, 32)
 	if err != nil {
@@ -279,13 +330,9 @@ func TestShardedMetricsAggregate(t *testing.T) {
 	if m.Buffer.Fixes == 0 {
 		t.Fatal("aggregated buffer fixes = 0")
 	}
-	var perShard int64
-	for i := 0; i < s.NumShards(); i++ {
-		perShard += s.Shard(i).Metrics().Log.Commits
-	}
-	if m.Log.Commits != perShard {
-		t.Fatalf("aggregate commits %d != per-shard sum %d", m.Log.Commits, perShard)
-	}
+	// No lookup ran and no writer was throttled, so the store-level
+	// counters Metrics sets on top of the per-shard sum are zero.
+	checkSum(m, s.Shard(0).Metrics(), s.Shard(1).Metrics())
 }
 
 func TestOpenShardedValidation(t *testing.T) {
