@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -175,5 +176,50 @@ func TestServerFlagsDocumented(t *testing.T) {
 	slices.Sort(documented)
 	if len(declared) == 0 || !slices.Equal(declared, documented) {
 		t.Errorf("nvmserver flags and docs/OPERATIONS.md §1 differ:\n declared:   %v\n documented: %v", declared, documented)
+	}
+}
+
+// TestStatsFieldsDocumented fails when the json field names of
+// server.StatsDoc and the field names in the first column of the
+// docs/OPERATIONS.md §3 table differ in either direction.
+func TestStatsFieldsDocumented(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/server/server.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != "StatsDoc" {
+			return true
+		}
+		for _, field := range ts.Type.(*ast.StructType).Fields.List {
+			if field.Tag == nil {
+				t.Errorf("StatsDoc field %v has no json tag", field.Names)
+				continue
+			}
+			tag := reflect.StructTag(strings.Trim(field.Tag.Value, "`")).Get("json")
+			name, _, _ := strings.Cut(tag, ",")
+			declared = append(declared, name)
+		}
+		return false
+	})
+	doc, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## 3.")
+	section, _, _ = strings.Cut(section, "\n## 4.")
+	var documented []string
+	backticked := regexp.MustCompile("`([^`]+)`")
+	for _, row := range regexp.MustCompile("(?m)^\\| (`[^|]+) \\|").FindAllStringSubmatch(section, -1) {
+		for _, m := range backticked.FindAllStringSubmatch(row[1], -1) {
+			documented = append(documented, m[1])
+		}
+	}
+	slices.Sort(declared)
+	slices.Sort(documented)
+	if len(declared) == 0 || !slices.Equal(declared, documented) {
+		t.Errorf("server.StatsDoc json fields and docs/OPERATIONS.md §3 differ:\n declared:   %v\n documented: %v", declared, documented)
 	}
 }

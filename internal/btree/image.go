@@ -10,14 +10,14 @@ import (
 // Snapshot-read support: scans against a stable stamp read leaves as
 // immutable byte images — either a copy of the live page (when its
 // version is old enough) or a copy-on-write image from the version store
-// (core.Versions). Image accessors are pure functions over the bytes, so
-// a snapshot scan holds the engine's lock only for the per-leaf image
-// fetch and decodes entries lock-free.
+// (core.Versions). Fetching an image follows the Manager's single-threaded
+// contract (it runs under the engine's lock); the image accessors are pure
+// functions over the copied bytes, so a snapshot scan decodes entries
+// outside the lock.
 
 // noteLeafWrite gives the version layer a chance to save a copy-on-write
 // image of the leaf about to be modified, and bumps the leaf's version
-// stamp so optimistic readers revalidate. It must run before the first
-// byte of any leaf mutation.
+// stamp. It must run before the first byte of any leaf mutation.
 func (t *Tree) noteLeafWrite(h core.Handle) {
 	t.m.Versions().WillModify(h.PID(), func() []byte { return h.ReadAll() })
 }
@@ -144,33 +144,4 @@ func (t *Tree) ScanImage(data []byte, from uint64, fieldOff, fieldLen int, fn fu
 		}
 		return true, nil
 	}
-}
-
-// LookupWithPage is Lookup plus the page id of the leaf the key was
-// routed to, for optimistic read caches that validate a cached row
-// against the leaf's version counter.
-func (t *Tree) LookupWithPage(key uint64, buf []byte) (bool, core.PageID, error) {
-	if len(buf) < t.payload {
-		return false, core.InvalidPageID, fmt.Errorf("btree: buffer of %d bytes for payload of %d", len(buf), t.payload)
-	}
-	h, err := t.findLeaf(key, t.leafMode())
-	if err != nil {
-		return false, core.InvalidPageID, err
-	}
-	defer t.m.Unfix(h)
-	pid := h.PID()
-	if t.layout == LayoutHash {
-		pos, found := t.hashSearch(h, key)
-		if !found {
-			return false, pid, nil
-		}
-		copy(buf, h.Read(t.hashPayOff(pos), t.payload))
-		return true, pid, nil
-	}
-	pos, found := t.leafSearch(h, key)
-	if !found {
-		return false, pid, nil
-	}
-	copy(buf, h.Read(t.leafPayOff(pos), t.payload))
-	return true, pid, nil
 }

@@ -379,11 +379,6 @@ func (c *Client) PutAsync(table, key uint64, value []byte) *Call {
 	return c.asyncCall(wire.Request{Op: wire.OpPut, Table: table, Key: key, Value: value})
 }
 
-// DeleteAsync issues a pipelined DELETE. Not retried; see GetAsync.
-func (c *Client) DeleteAsync(table, key uint64) *Call {
-	return c.asyncCall(wire.Request{Op: wire.OpDelete, Table: table, Key: key})
-}
-
 // Get returns the row for key and whether it exists, retrying transport
 // failures (see Options.Retries).
 func (c *Client) Get(table, key uint64) ([]byte, bool, error) {

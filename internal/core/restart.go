@@ -135,8 +135,8 @@ func (m *Manager) CrashRestart() error {
 
 // reopen resets all volatile state and rebuilds the mapping table.
 func (m *Manager) reopen() error {
-	// Invalidate lock-free readers and drop version state before any page
-	// content can be rewritten outside the version protocol.
+	// Invalidate open snapshots and drop version state before any page
+	// content is rewritten outside the version protocol.
 	m.vers.Reset()
 	m.table = make(map[PageID]location)
 	m.frames = m.frames[:0]

@@ -1,28 +1,18 @@
 package core
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sort"
 
 // This file implements the multi-version read path: per-page version
 // stamps plus copy-on-write leaf images, so read transactions can see a
 // stable snapshot while writers keep modifying the tree.
 //
-// The design splits state along the synchronization boundary of the
-// sharded driver:
-//
-//   - Per-page version counters are atomics in a sync.Map, so optimistic
-//     readers on other goroutines can validate a cached row against the
-//     current page version without taking the shard lock. Writers bump a
-//     page's counter (under the shard lock) *before* modifying the first
-//     byte, which makes "counter unchanged" imply "bytes unchanged".
-//   - Everything else — the version store of copy-on-write images, the
-//     active-snapshot registry, the transaction stamp — follows the
-//     Manager's single-threaded contract and is only touched while the
-//     owning engine is quiescent (under the shard lock in the sharded
-//     driver).
+// All of it — the per-page version counters, the version store of
+// copy-on-write images, the active-snapshot registry, the transaction
+// stamp, the restart epoch — follows the Manager's single-threaded
+// contract: it is only touched while the owning engine is quiescent
+// (under the shard lock in the sharded driver). Nothing reads it from
+// outside that lock; snapshot scans fetch leaf images under the lock and
+// decode the immutable copies outside it.
 //
 // Stamps are per-engine transaction sequence numbers: Engine.Begin
 // advances the stamp, and every page modified by a transaction carries
@@ -56,19 +46,17 @@ type pageVersion struct {
 }
 
 // Versions tracks per-page version counters and the copy-on-write version
-// store for one Manager. Counter and epoch reads are safe from any
-// goroutine; all other methods follow the Manager's single-threaded
-// contract (hold the shard lock in the sharded driver).
+// store for one Manager. Every method follows the Manager's
+// single-threaded contract (hold the shard lock in the sharded driver).
 type Versions struct {
-	// counters maps PageID -> *atomic.Uint64. Stored under the engine
-	// lock, loaded lock-free by optimistic readers.
-	counters sync.Map
-	// epoch invalidates lock-free readers wholesale: it advances before
-	// any restart or snapshot load rewrites page content outside the
-	// version protocol.
-	epoch atomic.Uint64
+	// counters holds each page's current version stamp (absent = 0, never
+	// modified since tracking began).
+	counters map[PageID]uint64
+	// epoch invalidates open snapshots wholesale: it advances whenever a
+	// restart or snapshot load rewrites page content outside the version
+	// protocol.
+	epoch uint64
 
-	// Engine-locked state.
 	stamp     uint64
 	nextSnap  uint64
 	snaps     map[uint64]uint64 // snapshot id -> pinned stamp
@@ -79,35 +67,21 @@ type Versions struct {
 
 func newVersions() *Versions {
 	return &Versions{
-		snaps: make(map[uint64]uint64),
-		store: make(map[PageID][]pageVersion),
+		counters: make(map[PageID]uint64),
+		snaps:    make(map[uint64]uint64),
+		store:    make(map[PageID][]pageVersion),
 	}
 }
 
 // Versions returns the manager's multi-version read-path state.
 func (m *Manager) Versions() *Versions { return m.vers }
 
-// Epoch returns the reader-invalidation epoch. Safe from any goroutine.
-func (v *Versions) Epoch() uint64 { return v.epoch.Load() }
+// Epoch returns the restart epoch a snapshot is valid in.
+func (v *Versions) Epoch() uint64 { return v.epoch }
 
 // VerOf returns the current version stamp of a page (0 if never
-// modified since tracking began). Safe from any goroutine.
-func (v *Versions) VerOf(pid PageID) uint64 {
-	if c, ok := v.counters.Load(pid); ok {
-		return c.(*atomic.Uint64).Load()
-	}
-	return 0
-}
-
-func (v *Versions) setVer(pid PageID, ver uint64) {
-	if c, ok := v.counters.Load(pid); ok {
-		c.(*atomic.Uint64).Store(ver)
-		return
-	}
-	c := new(atomic.Uint64)
-	c.Store(ver)
-	v.counters.Store(pid, c)
-}
+// modified since tracking began).
+func (v *Versions) VerOf(pid PageID) uint64 { return v.counters[pid] }
 
 // BeginTx advances the transaction stamp and returns it. Engines call it
 // once per transaction.
@@ -124,9 +98,8 @@ func (v *Versions) Stamp() uint64 { return v.stamp }
 // WillModify must be called before the first byte of a page modification.
 // If any active snapshot still needs the page's current content, image()
 // is invoked and the copy saved into the version store; either way the
-// page's version counter advances to the current transaction stamp, which
-// invalidates optimistic readers. Repeated calls within one transaction
-// are cheap no-ops.
+// page's version counter advances to the current transaction stamp.
+// Repeated calls within one transaction are cheap no-ops.
 func (v *Versions) WillModify(pid PageID, image func() []byte) {
 	cur := v.VerOf(pid)
 	if v.stamp > 0 && cur == v.stamp {
@@ -149,13 +122,13 @@ func (v *Versions) WillModify(pid PageID, image func() []byte) {
 			v.stats.ChainMax = n
 		}
 	}
-	v.setVer(pid, target)
+	v.counters[pid] = target
 }
 
 // NoteNewPage stamps a freshly allocated page with the current
 // transaction stamp without saving an image: a page born after a snapshot
 // must not present its content as part of that snapshot.
-func (v *Versions) NoteNewPage(pid PageID) { v.setVer(pid, v.stamp) }
+func (v *Versions) NoteNewPage(pid PageID) { v.counters[pid] = v.stamp }
 
 // BeginSnapshot registers a snapshot pinned at the current stamp and
 // returns its id and the pinned stamp.
@@ -262,7 +235,7 @@ func anyStampIn(stamps []uint64, lo, hi uint64) bool {
 
 // Drop forgets all version state of a freed page.
 func (v *Versions) Drop(pid PageID) {
-	v.counters.Delete(pid)
+	delete(v.counters, pid)
 	if chain, ok := v.store[pid]; ok {
 		v.stats.Reclaimed += int64(len(chain))
 		v.stats.Live -= int64(len(chain))
@@ -270,20 +243,15 @@ func (v *Versions) Drop(pid PageID) {
 	}
 }
 
-// Stats returns the read-path counters. Engine-locked like the rest of
-// the non-atomic state.
+// Stats returns the read-path counters.
 func (v *Versions) Stats() VersionStats { return v.stats }
 
-// Reset invalidates all readers and clears version state. Restart and
-// snapshot-load paths call it before rewriting page content outside the
-// version protocol; the epoch advances first so lock-free readers fall
-// back to the locked path before any content can change under them.
+// Reset invalidates every open snapshot and clears version state. Restart
+// and snapshot-load paths call it before rewriting page content outside
+// the version protocol.
 func (v *Versions) Reset() {
-	v.epoch.Add(1)
-	v.counters.Range(func(k, _ any) bool {
-		v.counters.Delete(k)
-		return true
-	})
+	v.epoch++
+	v.counters = make(map[PageID]uint64)
 	v.store = make(map[PageID][]pageVersion)
 	v.snaps = make(map[uint64]uint64)
 	v.maxActive = 0

@@ -238,14 +238,13 @@ func (e *Engine) Begin() {
 	e.curTx = e.log.Begin()
 	e.txOps = e.txOps[:0]
 	// Advance the transaction stamp: pages modified by this transaction
-	// carry it as their version (snapshot reads, optimistic validation).
+	// carry it as their version (what snapshot reads compare against).
 	e.m.Versions().BeginTx()
 }
 
 // Versions exposes the buffer manager's multi-version read-path state
 // (per-page version counters, copy-on-write version store, snapshot
-// registry). Same synchronization contract as the engine itself, except
-// for the documented lock-free counter and epoch reads.
+// registry). Same synchronization contract as the engine itself.
 func (e *Engine) Versions() *core.Versions { return e.m.Versions() }
 
 // InTx reports whether a transaction is active.

@@ -242,16 +242,12 @@ type StatsDoc struct {
 	CkptPagesPerRound   float64 `json:"ckpt_pages_per_round"`
 	CkptTruncatedBytes  int64   `json:"ckpt_truncated_bytes"`
 	CkptWriterThrottles int64   `json:"ckpt_writer_throttles"`
-	// ReadSnapshotReads counts leaf images served to snapshot scans;
-	// ReadOptimisticHits and ReadOptimisticRetries count lock-free
-	// point-read cache hits and validation failures. ReadVersionsLive is
-	// the current number of copy-on-write page images pinned by open
-	// snapshots, ReadVersionsReclaimed the total freed so far,
+	// ReadSnapshotReads counts leaf images served to snapshot scans.
+	// ReadVersionsLive is the current number of copy-on-write page images
+	// pinned by open snapshots, ReadVersionsReclaimed the total freed so far,
 	// ReadVersionChainMax the high-water length of any one page's version
 	// chain, and ReadActiveSnapshots the open snapshots right now.
 	ReadSnapshotReads     int64 `json:"read_snapshot_reads"`
-	ReadOptimisticHits    int64 `json:"read_optimistic_hits"`
-	ReadOptimisticRetries int64 `json:"read_optimistic_retries"`
 	ReadVersionsLive      int64 `json:"read_versions_live"`
 	ReadVersionsReclaimed int64 `json:"read_versions_reclaimed"`
 	ReadVersionChainMax   int64 `json:"read_version_chain_max"`
@@ -504,8 +500,6 @@ func (s *Server) Stats() StatsDoc {
 	doc.CkptTruncatedBytes = m.Ckpt.TruncatedBytes
 	doc.CkptWriterThrottles = m.WriterThrottles
 	doc.ReadSnapshotReads = m.Read.SnapshotReads
-	doc.ReadOptimisticHits = m.Read.OptimisticHits
-	doc.ReadOptimisticRetries = m.Read.OptimisticRetries
 	doc.ReadVersionsLive = m.Read.VersionsLive
 	doc.ReadVersionsReclaimed = m.Read.VersionsReclaimed
 	doc.ReadVersionChainMax = m.Read.VersionChainMax
@@ -578,8 +572,6 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_ckpt_truncated_bytes_total", "WAL bytes reclaimed by maintenance truncations", nil, float64(doc.CkptTruncatedBytes))
 	p.Counter("nvmstore_ckpt_writer_throttles_total", "writers blocked at the hard log-fill threshold", nil, float64(doc.CkptWriterThrottles))
 	p.Counter("nvmstore_read_snapshot_reads_total", "leaf images served to snapshot scans", nil, float64(doc.ReadSnapshotReads))
-	p.Counter("nvmstore_read_optimistic_hits_total", "lock-free point-read cache hits", nil, float64(doc.ReadOptimisticHits))
-	p.Counter("nvmstore_read_optimistic_retries_total", "optimistic point reads that fell back to the locked path", nil, float64(doc.ReadOptimisticRetries))
 	p.Counter("nvmstore_read_versions_reclaimed_total", "copy-on-write page versions reclaimed", nil, float64(doc.ReadVersionsReclaimed))
 	p.Gauge("nvmstore_read_versions_live", "copy-on-write page versions currently pinned by snapshots", nil, float64(doc.ReadVersionsLive))
 	p.Gauge("nvmstore_read_version_chain_max", "high-water length of any one page's version chain", nil, float64(doc.ReadVersionChainMax))
@@ -1079,9 +1071,9 @@ func (c *conn) commit(req wire.Request) wire.Response {
 // scan merges rows from every shard up to the clamped limit, reading
 // through a store snapshot (ShardedTable.ScanSnapshot): the result is a
 // stable commit-LSN prefix per shard, and shard workers keep committing
-// while the scan decodes page images outside the shard locks. If the
-// snapshot is invalidated by a concurrent restart the scan falls back
-// to the locked path. The returned scratch backs the entries' values;
+// while the scan decodes page images outside the shard locks. If a
+// shard restarts mid-scan and invalidates the snapshot, the scan starts
+// over on a fresh one. The returned scratch backs the entries' values;
 // the caller recycles it after encoding the response.
 func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 	resp := wire.Response{ID: req.ID}
@@ -1116,16 +1108,18 @@ func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 		return true
 	}
 	var err error
-	if sn, snErr := c.srv.store.Snapshot(); snErr == nil {
+	for {
+		var sn *nvmstore.Snapshot
+		if sn, err = c.srv.store.Snapshot(); err != nil {
+			break
+		}
 		err = tab.ScanSnapshot(sn, req.Key, limit, 0, tab.RowSize(), collect)
 		sn.Close()
-		if errors.Is(err, nvmstore.ErrSnapshotInvalid) {
-			// A shard restarted mid-scan; retake under the shard locks.
-			vals, entries = vals[:0], entries[:0]
-			err = tab.Scan(req.Key, limit, 0, tab.RowSize(), collect)
+		if !errors.Is(err, nvmstore.ErrSnapshotInvalid) {
+			break
 		}
-	} else {
-		err = tab.Scan(req.Key, limit, 0, tab.RowSize(), collect)
+		// A shard restarted mid-scan: start over on a fresh snapshot.
+		vals, entries = vals[:0], entries[:0]
 	}
 	if err != nil {
 		wire.PutBuf(vals)

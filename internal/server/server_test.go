@@ -283,6 +283,10 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
+	// A shard worker counts a request after enqueuing its reply, so a
+	// client holding every answer can still be one count per shard ahead;
+	// Shutdown joins the workers and makes the counters exact.
+	drain(t, srv)
 	if got := srv.Stats().Ops; got < workers*perW*3 {
 		t.Fatalf("server answered %d ops, want >= %d", got, workers*perW*3)
 	}
@@ -596,6 +600,60 @@ func TestScanLargeRowsFitsFrame(t *testing.T) {
 	// frame killed it).
 	if _, found, err := cl.Get(testTable, 0); err != nil || !found {
 		t.Fatalf("connection dead after large scan: found=%v err=%v", found, err)
+	}
+}
+
+// TestScanSurvivesShardRestarts issues wire SCANs while shards are
+// crash-restarted underneath them. A restart invalidates the snapshot a
+// scan is reading through; the server starts that scan over on a fresh
+// snapshot, so every SCAN must succeed and return every row.
+func TestScanSurvivesShardRestarts(t *testing.T) {
+	const rows = 300
+	_, store, addr := startServer(t, 2, server.Options{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for key := uint64(0); key < rows; key++ {
+		if err := cl.Put(testTable, key, rowFor(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := make(chan error, 1)
+	go func() {
+		for i := 0; i < 40; i++ {
+			if _, err := store.CrashRestartShard(i % 2); err != nil {
+				restarted <- fmt.Errorf("restart %d: %w", i, err)
+				return
+			}
+		}
+		restarted <- nil
+	}()
+	for scans, restarting := 0, true; restarting || scans < 20; scans++ {
+		select {
+		case err := <-restarted:
+			if err != nil {
+				t.Fatal(err)
+			}
+			restarting = false
+		default:
+		}
+		entries, err := cl.Scan(testTable, 0, 0)
+		if err != nil {
+			t.Fatalf("scan %d: %v", scans, err)
+		}
+		if len(entries) != rows {
+			t.Fatalf("scan %d returned %d rows, want %d", scans, len(entries), rows)
+		}
+		for i, e := range entries {
+			if e.Key != uint64(i) || !bytes.Equal(e.Value, rowFor(e.Key)) {
+				t.Fatalf("scan %d entry %d: key %d or its row is wrong", scans, i, e.Key)
+			}
+		}
 	}
 }
 

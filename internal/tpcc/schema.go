@@ -168,9 +168,6 @@ const (
 
 func getU32(row []byte, off int) uint32    { return binary.LittleEndian.Uint32(row[off:]) }
 func putU32(row []byte, off int, v uint32) { binary.LittleEndian.PutUint32(row[off:], v) }
-func getU16(row []byte, off int) uint16    { return binary.LittleEndian.Uint16(row[off:]) }
 func putU16(row []byte, off int, v uint16) { binary.LittleEndian.PutUint16(row[off:], v) }
-func getI64(row []byte, off int) int64     { return int64(binary.LittleEndian.Uint64(row[off:])) }
 func putI64(row []byte, off int, v int64)  { binary.LittleEndian.PutUint64(row[off:], uint64(v)) }
-func getI32(row []byte, off int) int32     { return int32(binary.LittleEndian.Uint32(row[off:])) }
 func putI32(row []byte, off int, v int32)  { binary.LittleEndian.PutUint32(row[off:], uint32(v)) }

@@ -361,10 +361,6 @@ func (l *Log) FlushTail() int64 {
 	return n
 }
 
-// UnflushedCommits returns the number of commit records appended since
-// the last flush — the transactions that would be lost by a crash now.
-func (l *Log) UnflushedCommits() int64 { return l.unflushedCommits }
-
 // Abort appends an abort record. The caller must have undone the
 // transaction's changes and logged the compensating operations first
 // (CLR-style): recovery redoes an aborted transaction's records — original

@@ -510,7 +510,7 @@ type Metrics struct {
 	// for percentile summaries.
 	Latency *LatencySnapshot
 	// Read holds the multi-version read-path counters (snapshot reads,
-	// optimistic lookups, copy-on-write version-store occupancy).
+	// copy-on-write version-store occupancy).
 	Read ReadStats
 }
 
@@ -538,17 +538,16 @@ func (m *Metrics) add(o Metrics) {
 }
 
 // ReadStats is a snapshot of the multi-version read path: snapshot scans
-// served from stable page images, the optimistic lock-free lookup cache,
-// and the copy-on-write version store that backs both.
+// served from stable page images and the copy-on-write version store
+// that backs them.
 type ReadStats struct {
 	// SnapshotReads counts leaf images served to snapshot scans (from the
 	// live page when its version predates the snapshot, or from the
 	// version store otherwise).
 	SnapshotReads int64
-	// OptimisticHits counts lookups answered from the lock-free read
-	// cache without taking the shard lock; OptimisticRetries counts
-	// validation failures that fell back to the locked path. Both are
-	// zero on a single Store — the cache lives in ShardedStore.
+	// OptimisticHits and OptimisticRetries are always zero: every point
+	// read goes through the buffer manager under the shard lock. The
+	// fields remain only because the repo benchmark still reads them.
 	OptimisticHits    int64
 	OptimisticRetries int64
 	// VersionsSaved counts copy-on-write page images saved for open
@@ -800,50 +799,20 @@ func (sn *StoreSnapshot) Close() {
 	sn.s.e.Versions().EndSnapshot(sn.id)
 }
 
-// ScanAsOf is Scan against a snapshot: it visits the rows visible at
-// sn's stamp, in ascending key order from from, stopping after limit
-// rows (limit <= 0 means all) or when fn returns false. Writers
-// committing after the snapshot are invisible. It returns
-// ErrSnapshotInvalid if the store restarted since sn was taken.
-func (t *Table) ScanAsOf(sn *StoreSnapshot, from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
-	if sn.s != t.s {
-		return fmt.Errorf("nvmstore: snapshot belongs to a different store")
-	}
-	if t.s.e.Versions().Epoch() != sn.epoch {
-		return ErrSnapshotInvalid
-	}
-	n := 0
-	return chainScanAsOf(t.t, sn.stamp, from, fieldOff, fieldLen,
-		func(body func() error) error {
-			if t.s.e.Versions().Epoch() != sn.epoch {
-				return ErrSnapshotInvalid
-			}
-			return body()
-		},
-		func(key uint64, field []byte) bool {
-			if limit > 0 && n >= limit {
-				return false
-			}
-			n++
-			return fn(key, field)
-		})
-}
-
 // readLeafBatch is the number of leaf images a snapshot scan fetches per
 // lock acquisition: enough to amortize the lock round-trip, small enough
 // that writers wait for at most a few page copies.
 const readLeafBatch = 16
 
-// chainScanAsOf walks the leaf sibling chain as of snapshot stamp,
-// emitting entries with key >= from. locked runs its argument with the
-// store's exclusive access held (on a plain Store that is a direct call;
-// the sharded driver wraps the shard lock); only the leaf-image fetches
+// scanLeafChain walks the leaf sibling chain as of snapshot stamp,
+// emitting entries with key >= from until fn returns false. locked runs
+// its argument under the owning shard's lock; only the leaf-image fetches
 // run under it — up to readLeafBatch images per acquisition — and
 // decoding happens on the immutable images outside. The chain walk is
 // sound because splits keep the left sibling in place (so an as-of
 // image's next pointer is the as-of successor) and leaves are never
 // merged or freed while the tree lives.
-func chainScanAsOf(tree *btree.Tree, stamp, from uint64, fieldOff, fieldLen int, locked func(func() error) error, fn func(key uint64, field []byte) bool) error {
+func scanLeafChain(tree *btree.Tree, stamp, from uint64, fieldOff, fieldLen int, locked func(func() error) error, fn func(key uint64, field []byte) bool) error {
 	var imgs [][]byte
 	var next core.PageID
 	first, end := true, false

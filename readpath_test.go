@@ -1,0 +1,234 @@
+package nvmstore
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"time"
+)
+
+// TestPointReadsGoThroughBufferManager pins the one point-read path: on
+// every architecture, repeated ShardedTable.Lookups of one key cost the
+// buffer manager exactly what the same number of Table.Lookups under the
+// shard lock do — no read is answered from anywhere else — and a Lookup
+// after a Put returns the new row.
+func TestPointReadsGoThroughBufferManager(t *testing.T) {
+	const (
+		rows    = 500
+		rowSize = 64
+		key     = 7
+		n       = 50
+	)
+	for _, arch := range []Architecture{ThreeTier, MainMemory, NVMDirect, BasicNVMBuffer, SSDBuffer} {
+		t.Run(arch.String(), func(t *testing.T) {
+			// No maintainer goroutines: nothing but the reads below may
+			// touch the buffer manager while they are being counted.
+			s, err := OpenSharded(2, Options{
+				Architecture: arch,
+				DRAMBytes:    16 << 20,
+				NVMBytes:     64 << 20,
+				SSDBytes:     256 << 20,
+				WALBytes:     2 << 20,
+				Maintenance:  MaintenanceOptions{Interval: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			table, err := s.CreateTable(1, rowSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < rows; k++ {
+				if err := table.Insert(k, snapRow(k, 1, rowSize)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			buf := make([]byte, rowSize)
+			lookup := func(want []byte) {
+				t.Helper()
+				found, err := table.Lookup(key, buf)
+				if err != nil || !found {
+					t.Fatalf("lookup: found=%v err=%v", found, err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Fatal("lookup returned the wrong row")
+				}
+			}
+			lookup(snapRow(key, 1, rowSize))
+			if err := table.Put(key, snapRow(key, 2, rowSize)); err != nil {
+				t.Fatal(err)
+			}
+			want := snapRow(key, 2, rowSize)
+			lookup(want) // a read after a write sees the write
+
+			// What n reads cost the storage layer: page fixes, NVM cache
+			// lines requested, simulated device time.
+			type cost struct {
+				fixes, lines int64
+				sim          time.Duration
+			}
+			measure := func(read func()) cost {
+				m0, t0 := s.Metrics(), s.MaxSimulatedTime()
+				for i := 0; i < n; i++ {
+					read()
+				}
+				m1 := s.Metrics()
+				return cost{m1.Buffer.Fixes - m0.Buffer.Fixes, m1.NVMLinesRead - m0.NVMLinesRead, s.MaxSimulatedTime() - t0}
+			}
+			got := measure(func() { lookup(want) })
+			ref := measure(func() {
+				err := s.WithShard(s.ShardFor(key), func(st *Store) error {
+					found, err := st.Table(1).Lookup(key, buf)
+					if err == nil && !found {
+						err = fmt.Errorf("key %d not found", key)
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+			if ref.fixes < n {
+				t.Fatalf("%d Table.Lookups fixed %d pages; the reference itself is off", n, ref.fixes)
+			}
+			// In-place reads request NVM lines every time (the device's
+			// simulated CPU cache may serve them, at no simulated time).
+			if arch == NVMDirect && ref.lines < n {
+				t.Fatalf("%d in-place Table.Lookups requested %d NVM lines", n, ref.lines)
+			}
+			if got != ref {
+				t.Fatalf("%d ShardedTable.Lookups cost %+v, %d Table.Lookups under the shard lock %+v: a read bypassed the buffer manager",
+					n, got, n, ref)
+			}
+		})
+	}
+}
+
+// TestScanAndSnapshotScanAgree checks that on a quiescent store the
+// locked scan and a scan through a fresh snapshot emit the same (key,
+// field) sequence, whatever the start key, limit, leaf layout and shard
+// count.
+func TestScanAndSnapshotScanAgree(t *testing.T) {
+	const (
+		rows     = 1500 // several leaves per shard
+		rowSize  = 64
+		stride   = 3 // keys 0, 3, 6, ...: some start keys fall between rows
+		fieldOff = 8
+		fieldLen = 16
+	)
+	type entry struct {
+		key   uint64
+		field string
+	}
+	for _, layout := range []LeafLayout{LayoutSorted, LayoutHash} {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("layout%d/shards%d", layout, shards), func(t *testing.T) {
+				s := openShardedStore(t, shards)
+				defer s.Close()
+				table, err := s.CreateTableLayout(1, rowSize, layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < rows; i++ {
+					if err := table.Insert(i*stride, snapRow(i*stride, 1, rowSize)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, from := range []uint64{0, 4, rows * stride / 2, (rows - 3) * stride, rows*stride + 100} {
+					for _, limit := range []int{0, 1, 7, 50, rows + 10} {
+						collect := func(scan func(fn func(uint64, []byte) bool) error) []entry {
+							var got []entry
+							if err := scan(func(k uint64, f []byte) bool {
+								got = append(got, entry{k, string(f)})
+								return true
+							}); err != nil {
+								t.Fatalf("from %d limit %d: %v", from, limit, err)
+							}
+							return got
+						}
+						locked := collect(func(fn func(uint64, []byte) bool) error {
+							return table.Scan(from, limit, fieldOff, fieldLen, fn)
+						})
+						sn, err := s.Snapshot()
+						if err != nil {
+							t.Fatal(err)
+						}
+						snap := collect(func(fn func(uint64, []byte) bool) error {
+							return table.ScanSnapshot(sn, from, limit, fieldOff, fieldLen, fn)
+						})
+						sn.Close()
+
+						want := 0
+						if first := (from + stride - 1) / stride; first < rows {
+							want = int(rows - first)
+						}
+						if limit > 0 && want > limit {
+							want = limit
+						}
+						if len(locked) != want {
+							t.Fatalf("from %d limit %d: locked scan emitted %d rows, want %d", from, limit, len(locked), want)
+						}
+						if len(snap) != len(locked) {
+							t.Fatalf("from %d limit %d: snapshot scan emitted %d rows, locked scan %d", from, limit, len(snap), len(locked))
+						}
+						for i := range locked {
+							if locked[i] != snap[i] {
+								t.Fatalf("from %d limit %d: row %d differs: locked key %d, snapshot key %d", from, limit, i, locked[i].key, snap[i].key)
+							}
+							if i > 0 && locked[i].key <= locked[i-1].key {
+								t.Fatalf("from %d limit %d: keys not ascending at row %d", from, limit, i)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTableHandleDuringShardRestart resolves table handles while shard 0
+// is repeatedly crash-restarted: a restart replaces the shard's table map
+// under the shard lock, so ShardedStore.Table must read it under that
+// lock — it may never race with the restart (-race) nor miss a table
+// that exists.
+func TestTableHandleDuringShardRestart(t *testing.T) {
+	s := openShardedStore(t, 2)
+	defer s.Close()
+	table, err := s.CreateTable(1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 100; k++ {
+		if err := table.Insert(k, snapRow(k, 1, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := make(chan error, 1)
+	go func() {
+		for i := 0; i < 50; i++ {
+			if _, err := s.CrashRestartShard(0); err != nil {
+				restarted <- err
+				return
+			}
+		}
+		restarted <- nil
+	}()
+	for {
+		select {
+		case err := <-restarted:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
+		if s.Table(1) == nil {
+			<-restarted
+			t.Fatal("Table(1) returned nil for a table that exists")
+		}
+	}
+}

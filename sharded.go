@@ -6,10 +6,8 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"nvmstore/internal/core"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/obs"
 	"nvmstore/internal/shard"
@@ -42,55 +40,6 @@ type ShardedStore struct {
 	// Options.Maintenance.Interval, or the NVMDirect architecture,
 	// which truncates its log per commit).
 	maint []*maintainer
-	// readers holds one optimistic lookup cache per shard; readHits and
-	// readRetries count lock-free cache hits and validation failures
-	// across all shards (see ShardedTable.Lookup).
-	readers     []readCache
-	readHits    atomic.Int64
-	readRetries atomic.Int64
-}
-
-// readCacheCap bounds one shard's optimistic lookup cache; when full the
-// cache is dropped wholesale rather than evicted piecemeal — hot keys
-// repopulate within one locked lookup each.
-const readCacheCap = 4096
-
-// readCache is one shard's optimistic lookup cache: immutable cached rows
-// validated lock-free against the owning leaf's version counter. Entries
-// are only ever replaced whole (a *cachedRow is never mutated), so a
-// reader that wins validation can copy the row without any lock.
-type readCache struct {
-	rows  sync.Map // uint64 key -> *cachedRow
-	count atomic.Int64
-}
-
-// cachedRow is an immutable row snapshot plus the leaf version it was
-// read under. Valid while the store epoch and the leaf's version counter
-// still match; any leaf mutation (including a split moving the key or a
-// delete) bumps the counter first, invalidating the entry.
-type cachedRow struct {
-	row   []byte
-	pid   core.PageID
-	ver   uint64
-	epoch uint64
-}
-
-// store caches a row, dropping the whole cache when the cap is reached
-// (the count is approximate under concurrency; the cap is a bound on
-// memory, not an exact size).
-func (c *readCache) store(key uint64, r *cachedRow) {
-	if c.count.Load() >= readCacheCap {
-		c.rows.Range(func(k, _ any) bool {
-			c.rows.Delete(k)
-			return true
-		})
-		c.count.Store(0)
-	}
-	if _, loaded := c.rows.LoadOrStore(key, r); loaded {
-		c.rows.Store(key, r)
-	} else {
-		c.count.Add(1)
-	}
 }
 
 // maxCombine bounds how many queued autocommit writes one combiner batch
@@ -240,7 +189,6 @@ func OpenSharded(n int, opts Options) (*ShardedStore, error) {
 	s := &ShardedStore{
 		shards:    make([]*Store, n),
 		slots:     make([]shardSlot, n),
-		readers:   make([]readCache, n),
 		combiners: make([]combiner, n),
 	}
 	for i := range s.shards {
@@ -355,9 +303,13 @@ func (s *ShardedStore) CreateTableLayout(id uint64, rowSize int, layout LeafLayo
 }
 
 // Table returns the sharded table with the given id, or nil if shard 0
-// does not know it (tables reappear automatically after restarts).
+// does not know it (tables reappear automatically after restarts). The
+// shard's table map is read under its lock: a restart of shard 0 replaces
+// the map while holding it.
 func (s *ShardedStore) Table(id uint64) *ShardedTable {
+	s.slots[0].mu.Lock()
 	t := s.shards[0].Table(id)
+	s.slots[0].mu.Unlock()
 	if t == nil {
 		return nil
 	}
@@ -485,14 +437,6 @@ func (s *ShardedStore) TotalSimulatedTime() time.Duration {
 	return total
 }
 
-// CombinedTime implements the parallel hybrid-time model: a parallel
-// region that took wall CPU time costs wall plus the slowest shard's
-// simulated device time. With one shard this is exactly the
-// single-threaded wall + simulated model.
-func (s *ShardedStore) CombinedTime(wall time.Duration) time.Duration {
-	return wall + s.MaxSimulatedTime()
-}
-
 // Metrics returns the sum of all shards' counters, each shard snapshotted
 // under its lock (see Manager.Stats for the contract). Latency histograms
 // are merged across shards; residency gauges are summed.
@@ -506,8 +450,6 @@ func (s *ShardedStore) Metrics() Metrics {
 	}
 	total.OpsPerFlush = total.Log.OpsPerFlush()
 	total.WriterThrottles = s.WriterThrottles()
-	total.Read.OptimisticHits = s.readHits.Load()
-	total.Read.OptimisticRetries = s.readRetries.Load()
 	return total
 }
 
@@ -670,55 +612,16 @@ func (t *ShardedTable) PutBatch(keys []uint64, rows [][]byte) error {
 }
 
 // Lookup copies the row for key into buf and reports whether it exists.
-//
-// The fast path is optimistic and lock-free: a previously cached copy of
-// the row is validated against the owning leaf's version counter (and
-// the store epoch, which restarts bump) without touching the shard lock,
-// so point reads scale independently of writers on the shard. Writers
-// bump the leaf's counter before modifying the first byte, so a
-// validated cache hit is exactly the row a locked lookup would return.
-// On a miss or failed validation the lookup takes the shard lock, reads
-// the row, and re-caches it.
+// Like every read it runs under the owning shard's lock and through that
+// shard's buffer manager, so it is charged to the simulated devices and
+// counted in the tier metrics exactly as a Table.Lookup is.
 func (t *ShardedTable) Lookup(key uint64, buf []byte) (bool, error) {
-	sh := t.s.ShardFor(key)
-	cache := &t.s.readers[sh]
-	v := t.s.shards[sh].e.Versions()
-	if e, ok := cache.rows.Load(key); ok {
-		c := e.(*cachedRow)
-		// Seqlock-style validation: if both epoch reads agree, no restart
-		// ran in between, so the version counter read reflects live
-		// pre-restart state; if the version also matches, the leaf is
-		// byte-identical to when the row was cached.
-		e1 := v.Epoch()
-		if e1 == c.epoch && v.VerOf(c.pid) == c.ver && v.Epoch() == e1 {
-			copy(buf, c.row)
-			t.s.readHits.Add(1)
-			return true, nil
-		}
-		t.s.readRetries.Add(1)
-	}
 	var found bool
-	var pid core.PageID
-	var ver, epoch uint64
-	err := t.read(sh, func(tab *Table) error {
+	err := t.read(t.s.ShardFor(key), func(tab *Table) error {
 		var err error
-		found, pid, err = tab.t.LookupWithPage(key, buf)
-		if err == nil && found {
-			// Version and epoch are stable under the shard lock
-			// (restarts run under it too).
-			ver = v.VerOf(pid)
-			epoch = v.Epoch()
-		}
+		found, err = tab.Lookup(key, buf)
 		return err
 	})
-	if err == nil && found {
-		cache.store(key, &cachedRow{
-			row:   append([]byte(nil), buf[:t.rowSize]...),
-			pid:   pid,
-			ver:   ver,
-			epoch: epoch,
-		})
-	}
 	return found, err
 }
 
@@ -763,17 +666,34 @@ func (t *ShardedTable) Delete(key uint64) (bool, error) {
 // shard's range (under that shard's lock, shards visited one at a time)
 // and merges the results before invoking fn.
 func (t *ShardedTable) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
+	return t.mergeShards(limit, fn, func(i int, add func(key uint64, field []byte) bool) error {
+		return t.read(i, func(tab *Table) error {
+			return tab.Scan(from, limit, fieldOff, fieldLen, func(key uint64, field []byte) bool {
+				// The field is only valid during the callback.
+				return add(key, append([]byte(nil), field...))
+			})
+		})
+	})
+}
+
+// mergeShards is the cross-shard half of every scan: collect gathers
+// shard i's rows in key order through add (which stops it after limit
+// rows — the global first limit rows hold at most limit from any one
+// shard); the rows of all shards are then sorted by key, trimmed to limit
+// (limit <= 0 means all) and passed to fn until it returns false. The
+// field slices handed to add must stay valid until mergeShards returns.
+func (t *ShardedTable) mergeShards(limit int, fn func(key uint64, field []byte) bool, collect func(i int, add func(key uint64, field []byte) bool) error) error {
 	type entry struct {
 		key   uint64
 		field []byte
 	}
 	var all []entry
 	for i := range t.s.shards {
-		err := t.read(i, func(tab *Table) error {
-			return tab.Scan(from, limit, fieldOff, fieldLen, func(key uint64, field []byte) bool {
-				all = append(all, entry{key, append([]byte(nil), field...)})
-				return true
-			})
+		got := 0
+		err := collect(i, func(key uint64, field []byte) bool {
+			all = append(all, entry{key, field})
+			got++
+			return limit <= 0 || got < limit
 		})
 		if err != nil {
 			return err
@@ -859,8 +779,8 @@ func (sn *Snapshot) LSNs() []uint64 {
 // sn, in ascending global key order from from, stopping after limit rows
 // (limit <= 0 means all) or when fn returns false. Unlike Scan, which
 // holds each shard's lock for that shard's whole range, a snapshot scan
-// takes a shard's lock only to fetch one leaf image at a time and
-// decodes entries outside it, so shard workers keep committing while the
+// takes a shard's lock only to fetch a batch of leaf images at a time
+// and decodes entries outside it, so shard workers keep committing while the
 // scan runs — writers committing after the snapshot are simply
 // invisible to it. It returns ErrSnapshotInvalid if any scanned shard
 // restarted since the snapshot was taken.
@@ -868,12 +788,7 @@ func (t *ShardedTable) ScanSnapshot(sn *Snapshot, from uint64, limit int, fieldO
 	if sn.s != t.s {
 		return fmt.Errorf("nvmstore: snapshot belongs to a different store")
 	}
-	type entry struct {
-		key   uint64
-		field []byte
-	}
-	var all []entry
-	for i := range t.s.shards {
+	return t.mergeShards(limit, fn, func(i int, add func(key uint64, field []byte) bool) error {
 		st := t.s.shards[i]
 		ss := sn.snaps[i]
 		slot := &t.s.slots[i]
@@ -896,27 +811,9 @@ func (t *ShardedTable) ScanSnapshot(sn *Snapshot, from uint64, limit int, fieldO
 		}); err != nil {
 			return err
 		}
-		got := 0
-		err := chainScanAsOf(tab.t, ss.stamp, from, fieldOff, fieldLen, locked, func(key uint64, field []byte) bool {
-			// Image slices are immutable, so no per-entry copy is needed.
-			all = append(all, entry{key, field})
-			got++
-			return limit <= 0 || got < limit
-		})
-		if err != nil {
-			return err
-		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].key < all[b].key })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	for _, e := range all {
-		if !fn(e.key, e.field) {
-			break
-		}
-	}
-	return nil
+		// Image slices are immutable, so add needs no per-entry copy.
+		return scanLeafChain(tab.t, ss.stamp, from, fieldOff, fieldLen, locked, add)
+	})
 }
 
 // Count returns the total number of rows across all shards.

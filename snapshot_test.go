@@ -1,7 +1,6 @@
 package nvmstore
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"sync"
@@ -241,52 +240,6 @@ func TestSnapshotWritersNotBlockedByScan(t *testing.T) {
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("parked scan failed: %v", err)
-	}
-}
-
-// TestOptimisticLookupRetry is the regression test for the seqlock-style
-// point-read fast path: a cached read must be invalidated by any write
-// to its page, so a Lookup after an Update can never serve the stale
-// cached row.
-func TestOptimisticLookupRetry(t *testing.T) {
-	s := openShardedStore(t, 2)
-	defer s.Close()
-	table, err := s.CreateTable(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rows = 128
-	for k := uint64(0); k < rows; k++ {
-		if err := table.Insert(k, snapRow(k, 1, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	buf := make([]byte, 64)
-	// First lookup fills the read cache, the second must hit it.
-	for i := 0; i < 2; i++ {
-		if found, err := table.Lookup(7, buf); err != nil || !found {
-			t.Fatalf("lookup: found=%v err=%v", found, err)
-		}
-	}
-	if hits := s.Metrics().Read.OptimisticHits; hits == 0 {
-		t.Fatal("repeated lookup of an untouched key did not hit the optimistic cache")
-	}
-	if !bytes.Equal(buf, snapRow(7, 1, 64)) {
-		t.Fatal("cached row content mismatch")
-	}
-	// Any write to the page bumps its version; the stale cache entry
-	// must fail validation and the locked path must return the new row.
-	if err := table.Put(7, snapRow(7, 2, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if found, err := table.Lookup(7, buf); err != nil || !found {
-		t.Fatalf("lookup after update: found=%v err=%v", found, err)
-	}
-	if !bytes.Equal(buf, snapRow(7, 2, 64)) {
-		t.Fatal("optimistic fast path served a stale row after an update")
-	}
-	if retries := s.Metrics().Read.OptimisticRetries; retries == 0 {
-		t.Fatal("stale cache entry did not count an optimistic retry")
 	}
 }
 
