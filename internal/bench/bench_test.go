@@ -3,6 +3,11 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"nvmstore/internal/btree"
+	"nvmstore/internal/core"
+	"nvmstore/internal/ycsb"
 )
 
 // tinyOptions makes every experiment run in seconds for testing.
@@ -97,16 +102,53 @@ func TestFig8Shape(t *testing.T) {
 	direct := get("NVM Direct")
 	ssd := get("SSD BM")
 
-	// DRAM area (1 unit): main memory is fastest. All-DRAM systems differ
-	// only in CPU overhead here, so allow 15% wall-clock noise.
+	// DRAM area (1 unit): main memory is fastest. The four systems that
+	// buffer in DRAM hold all the data there and differ only in host CPU
+	// overhead, which a loaded box cannot order reliably; what is
+	// deterministic is that none of them touches a device in the measured
+	// window — no NVM line or page loads, no SSD reads, equal simulated
+	// time — while NVM Direct, reading NVM in place, pays device time.
 	for _, s := range []Series{tier, basic, direct, ssd} {
-		memY, _ := at(mem, 1)
-		y, ok := at(s, 1)
-		if !ok {
+		if _, ok := at(s, 1); !ok {
 			t.Fatalf("%s missing point at 1 unit", s.Name)
 		}
-		if y > memY*1.15 {
-			t.Errorf("at 1 unit %s (%.0f) beats Main Memory (%.0f)", s.Name, y, memY)
+	}
+	var memSim time.Duration
+	for _, topo := range fiveSystems {
+		e, err := buildEngine(o, topo, 2*o.Scale, 10*o.Scale, 50*o.Scale, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := ycsb.RowsForDataSize(o.Scale)
+		w, err := ycsb.Load(e, rows, btree.LayoutSorted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < max(o.Warmup, rows); i++ {
+			if err := w.Lookup(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := e.Manager().Stats()
+		m, err := measureN(e.Clock(), o.Ops, w.Lookup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := e.Manager().Stats()
+		switch topo {
+		case core.MemOnly:
+			memSim = m.Sim
+		case core.DirectNVM:
+			if m.Sim <= memSim {
+				t.Errorf("at 1 unit %v charged %v of device time, Main Memory %v: in-place NVM reads cost nothing", topo, m.Sim, memSim)
+			}
+			continue
+		}
+		if lines, pages, ssdLoads := after.LinesLoaded-before.LinesLoaded, after.NVMPageLoads-before.NVMPageLoads, after.SSDLoads-before.SSDLoads; lines+pages+ssdLoads != 0 {
+			t.Errorf("at 1 unit %v loaded %d NVM lines, %d NVM pages and %d SSD pages with all data in DRAM", topo, lines, pages, ssdLoads)
+		}
+		if m.Sim != memSim {
+			t.Errorf("at 1 unit %v charged %v of device time, Main Memory %v", topo, m.Sim, memSim)
 		}
 	}
 	// Main memory vanishes beyond DRAM.

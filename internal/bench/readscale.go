@@ -26,10 +26,11 @@ const (
 //     scan excludes writers (and other scanners) from the shard while it
 //     runs.
 //   - "snapshot": ShardedStore.Snapshot + ScanSnapshot — the scan pins a
-//     stable read point and takes a shard's lock only to fetch one leaf
-//     image at a time, decoding entries outside it; writers keep
-//     committing against the live pages, saving copy-on-write images for
-//     the first post-snapshot touch of each leaf.
+//     stable read point and takes a shard's lock only to copy the next
+//     batch of rows out of the as-of leaves, running the callback
+//     outside it; writers keep committing against the live pages, saving
+//     copy-on-write images for the first post-snapshot touch of each
+//     leaf.
 //
 // X is the number of concurrent scanners, Y is throughput: one series
 // per regime for sustained writes/s and one per regime for completed
@@ -42,8 +43,8 @@ const (
 // The expected shape: locked write throughput collapses as scanners are
 // added (each scan monopolizes the shards), while snapshot write
 // throughput stays near its scanner-free level and snapshot scans
-// complete at a steady rate because they never wait for more than one
-// leaf fetch.
+// complete at a steady rate because no lock hold of theirs exceeds one
+// batch of leaf reads.
 func ReadScale(o Options) (Result, error) {
 	o.applyDefaults()
 	res := Result{

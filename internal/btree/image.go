@@ -3,17 +3,17 @@ package btree
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"nvmstore/internal/core"
 )
 
-// Snapshot-read support: scans against a stable stamp read leaves as
-// immutable byte images — either a copy of the live page (when its
-// version is old enough) or a copy-on-write image from the version store
-// (core.Versions). Fetching an image follows the Manager's single-threaded
-// contract (it runs under the engine's lock); the image accessors are pure
-// functions over the copied bytes, so a snapshot scan decodes entries
-// outside the lock.
+// Snapshot-read support: scans against a stable stamp read each leaf in
+// place — the fixed live page when its version is old enough, otherwise
+// the copy-on-write image the version store (core.Versions) saved before
+// the first later write. Both follow the Manager's single-threaded
+// contract (they run under the engine's lock); the visitor copies out the
+// entries it wants and nothing else leaves the lock.
 
 // noteLeafWrite gives the version layer a chance to save a copy-on-write
 // image of the leaf about to be modified, and bumps the leaf's version
@@ -57,91 +57,70 @@ func (t *Tree) LeafFor(key uint64) (core.PageID, error) {
 	return pid, nil
 }
 
-// LeafImageAsOf returns an immutable image of the given leaf as of the
-// snapshot stamp asOf, or false if the page did not exist at that stamp.
-// When the live page's version is still <= asOf the live content is
-// copied; otherwise the copy-on-write image is served from the version
-// store. Must run under the engine's lock; the returned image may be read
-// without it.
-func (t *Tree) LeafImageAsOf(pid core.PageID, asOf uint64) ([]byte, bool, error) {
+// VisitLeafAsOf reads one leaf in place as of the snapshot stamp asOf and
+// calls fn, in key order, with each entry whose key is >= from: the key
+// and a read-only view of fieldLen payload bytes at fieldOff, valid only
+// during the call. It stops when fn returns false. The bytes read are the
+// fixed live page when its version is still <= asOf, otherwise the
+// copy-on-write image the version store already holds — no copy of the
+// leaf is made either way, and a leaf whose keys are all below from costs
+// a header read and a search. It returns the leaf's as-of right sibling
+// and whether the page existed at asOf (a leaf born later has no as-of
+// content and fn is not called). Must run under the engine's lock, fn
+// included.
+func (t *Tree) VisitLeafAsOf(pid core.PageID, asOf, from uint64, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) (next core.PageID, existed bool, err error) {
+	if fieldOff < 0 || fieldLen < 0 || fieldOff+fieldLen > t.payload {
+		return core.InvalidPageID, false, fmt.Errorf("btree: scan field [%d,%d) outside payload of %d bytes", fieldOff, fieldOff+fieldLen, t.payload)
+	}
 	v := t.m.Versions()
 	if v.VerOf(pid) <= asOf {
 		h, err := t.m.Fix(core.MakeRef(pid), core.ModeFull)
 		if err != nil {
-			return nil, false, err
+			return core.InvalidPageID, false, err
 		}
-		img := append([]byte(nil), h.ReadAll()...)
-		t.m.Unfix(h)
 		v.NoteServed()
-		return img, true, nil
+		next, err = t.visitLeafData(h.ReadAll(), from, fieldOff, fieldLen, fn)
+		t.m.Unfix(h)
+		return next, true, err
 	}
-	if img, ok := v.ImageAsOf(pid, asOf); ok {
-		return img, true, nil
+	img, ok := v.ImageAsOf(pid, asOf)
+	if !ok {
+		return core.InvalidPageID, false, nil
 	}
-	return nil, false, nil
+	next, err = t.visitLeafData(img, from, fieldOff, fieldLen, fn)
+	return next, true, err
 }
 
-// ImageNext returns the right-sibling page id recorded in a leaf image.
-func ImageNext(data []byte) core.PageID {
-	return core.PageID(binary.LittleEndian.Uint64(data[offNext:]))
-}
-
-// ScanImage emits the entries with key >= from of one leaf image in key
-// order, calling fn with each key and a read-only view of fieldLen
-// payload bytes at fieldOff (sliced out of the image, valid as long as
-// the image). It reports whether the scan should continue (false once fn
-// returns false).
-func (t *Tree) ScanImage(data []byte, from uint64, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) (bool, error) {
-	if fieldOff < 0 || fieldLen < 0 || fieldOff+fieldLen > t.payload {
-		return false, fmt.Errorf("btree: scan field [%d,%d) outside payload of %d bytes", fieldOff, fieldOff+fieldLen, t.payload)
-	}
+// visitLeafData is VisitLeafAsOf over the bytes of one leaf, live or saved.
+func (t *Tree) visitLeafData(data []byte, from uint64, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) (core.PageID, error) {
 	// Like the live scan, dispatch on the tree's layout rather than the
 	// page's type byte: leaves materialized by logical crash recovery are
 	// rebuilt in place from zeroed images and never pass through initLeaf,
 	// so a valid leaf may carry type 0. Only an inner node — a sign the
 	// chain walk left the leaf level — is rejected.
 	if data[offType] == nodeInner {
-		return false, fmt.Errorf("btree: snapshot scan reached an inner-node page image")
+		return core.InvalidPageID, fmt.Errorf("btree: snapshot scan reached an inner node")
 	}
-	switch {
-	case t.layout != LayoutHash:
-		count := nodeCountData(data)
-		// Binary search for the first key >= from.
-		lo, hi := 0, count
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if binary.LittleEndian.Uint64(data[t.leafKeyOff(mid):]) < from {
-				lo = mid + 1
-			} else {
-				hi = mid
+	next := core.PageID(binary.LittleEndian.Uint64(data[offNext:]))
+	if t.layout == LayoutHash {
+		for _, e := range t.hashGatherData(data, from) {
+			off := t.hashPayOff(e.slot) + fieldOff
+			if !fn(e.key, data[off:off+fieldLen]) {
+				break
 			}
 		}
-		for pos := lo; pos < count; pos++ {
-			key := binary.LittleEndian.Uint64(data[t.leafKeyOff(pos):])
-			var field []byte
-			if fieldLen > 0 {
-				off := t.leafPayOff(pos) + fieldOff
-				field = data[off : off+fieldLen]
-			}
-			if !fn(key, field) {
-				return false, nil
-			}
-		}
-		return true, nil
-	default:
-		for _, e := range t.hashGatherData(data) {
-			if e.key < from {
-				continue
-			}
-			var field []byte
-			if fieldLen > 0 {
-				off := t.hashPayOff(e.slot) + fieldOff
-				field = data[off : off+fieldLen]
-			}
-			if !fn(e.key, field) {
-				return false, nil
-			}
-		}
-		return true, nil
+		return next, nil
 	}
+	count := nodeCountData(data)
+	pos := sort.Search(count, func(i int) bool {
+		return binary.LittleEndian.Uint64(data[t.leafKeyOff(i):]) >= from
+	})
+	for ; pos < count; pos++ {
+		key := binary.LittleEndian.Uint64(data[t.leafKeyOff(pos):])
+		off := t.leafPayOff(pos) + fieldOff
+		if !fn(key, data[off:off+fieldLen]) {
+			break
+		}
+	}
+	return next, nil
 }

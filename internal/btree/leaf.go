@@ -185,19 +185,20 @@ type hashEntry struct {
 // hashGather collects the occupied slots of a hash leaf in key order.
 // Scans over hash leaves pay this sorting cost, as the paper notes (§5.5).
 func (t *Tree) hashGather(h core.Handle) []hashEntry {
-	return t.hashGatherData(h.ReadAll())
+	return t.hashGatherData(h.ReadAll(), 0)
 }
 
-// hashGatherData is hashGather over a raw page image (snapshot scans read
-// copy-on-write images without fixing a page).
-func (t *Tree) hashGatherData(data []byte) []hashEntry {
+// hashGatherData is hashGather over the bytes of a leaf (snapshot scans
+// read copy-on-write images without fixing a page), restricted to keys
+// >= from so that a leaf below the scan's start sorts nothing.
+func (t *Tree) hashGatherData(data []byte, from uint64) []hashEntry {
 	entries := make([]hashEntry, 0, nodeCountData(data))
 	for i := 0; i < t.hashCap; i++ {
-		if data[t.hashStateOff(i)] == slotOccupied {
-			entries = append(entries, hashEntry{
-				key:  binary.LittleEndian.Uint64(data[t.hashKeyOff(i):]),
-				slot: i,
-			})
+		if data[t.hashStateOff(i)] != slotOccupied {
+			continue
+		}
+		if key := binary.LittleEndian.Uint64(data[t.hashKeyOff(i):]); key >= from {
+			entries = append(entries, hashEntry{key: key, slot: i})
 		}
 	}
 	sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })

@@ -11,8 +11,8 @@ import "sort"
 // stamp, the restart epoch — follows the Manager's single-threaded
 // contract: it is only touched while the owning engine is quiescent
 // (under the shard lock in the sharded driver). Nothing reads it from
-// outside that lock; snapshot scans fetch leaf images under the lock and
-// decode the immutable copies outside it.
+// outside that lock; snapshot scans read the live page or a saved image in
+// place under the lock and take only the rows they return out of it.
 //
 // Stamps are per-engine transaction sequence numbers: Engine.Begin
 // advances the stamp, and every page modified by a transaction carries
@@ -32,7 +32,7 @@ type VersionStats struct {
 	Saved           int64  // copy-on-write images saved
 	Reclaimed       int64  // images reclaimed after their snapshots closed
 	Live            int64  // images currently held in the version store
-	Served          int64  // leaf images served to snapshot readers
+	Served          int64  // as-of leaves read by snapshot readers, live or saved
 	ChainMax        int64  // longest per-page version chain observed
 	ActiveSnapshots int64  // snapshots currently pinning versions
 	Stamp           uint64 // current transaction stamp
@@ -177,7 +177,7 @@ func (v *Versions) ImageAsOf(pid PageID, asOf uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// NoteServed counts one live leaf image served to a snapshot reader
+// NoteServed counts one live leaf read in place by a snapshot reader
 // (saved images count themselves in ImageAsOf).
 func (v *Versions) NoteServed() { v.stats.Served++ }
 

@@ -242,7 +242,7 @@ type StatsDoc struct {
 	CkptPagesPerRound   float64 `json:"ckpt_pages_per_round"`
 	CkptTruncatedBytes  int64   `json:"ckpt_truncated_bytes"`
 	CkptWriterThrottles int64   `json:"ckpt_writer_throttles"`
-	// ReadSnapshotReads counts leaf images served to snapshot scans.
+	// ReadSnapshotReads counts as-of leaves read by snapshot scans.
 	// ReadVersionsLive is the current number of copy-on-write page images
 	// pinned by open snapshots, ReadVersionsReclaimed the total freed so far,
 	// ReadVersionChainMax the high-water length of any one page's version
@@ -571,7 +571,7 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_ckpt_pages_total", "dirty pages written back by checkpoint rounds", nil, float64(doc.CkptPages))
 	p.Counter("nvmstore_ckpt_truncated_bytes_total", "WAL bytes reclaimed by maintenance truncations", nil, float64(doc.CkptTruncatedBytes))
 	p.Counter("nvmstore_ckpt_writer_throttles_total", "writers blocked at the hard log-fill threshold", nil, float64(doc.CkptWriterThrottles))
-	p.Counter("nvmstore_read_snapshot_reads_total", "leaf images served to snapshot scans", nil, float64(doc.ReadSnapshotReads))
+	p.Counter("nvmstore_read_snapshot_reads_total", "as-of leaves read by snapshot scans", nil, float64(doc.ReadSnapshotReads))
 	p.Counter("nvmstore_read_versions_reclaimed_total", "copy-on-write page versions reclaimed", nil, float64(doc.ReadVersionsReclaimed))
 	p.Gauge("nvmstore_read_versions_live", "copy-on-write page versions currently pinned by snapshots", nil, float64(doc.ReadVersionsLive))
 	p.Gauge("nvmstore_read_version_chain_max", "high-water length of any one page's version chain", nil, float64(doc.ReadVersionChainMax))
@@ -1070,10 +1070,10 @@ func (c *conn) commit(req wire.Request) wire.Response {
 
 // scan merges rows from every shard up to the clamped limit, reading
 // through a store snapshot (ShardedTable.ScanSnapshot): the result is a
-// stable commit-LSN prefix per shard, and shard workers keep committing
-// while the scan decodes page images outside the shard locks. If a
-// shard restarts mid-scan and invalidates the snapshot, the scan starts
-// over on a fresh one. The returned scratch backs the entries' values;
+// stable commit-LSN prefix per shard, and a shard's lock is held only
+// while the rows it contributes are copied out of its leaves, so shard
+// workers keep committing. If a shard restarts mid-scan and invalidates
+// the snapshot, the scan starts over on a fresh one. The returned scratch backs the entries' values;
 // the caller recycles it after encoding the response.
 func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 	resp := wire.Response{ID: req.ID}

@@ -39,7 +39,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -541,9 +543,9 @@ func (m *Metrics) add(o Metrics) {
 // served from stable page images and the copy-on-write version store
 // that backs them.
 type ReadStats struct {
-	// SnapshotReads counts leaf images served to snapshot scans (from the
-	// live page when its version predates the snapshot, or from the
-	// version store otherwise).
+	// SnapshotReads counts the as-of leaves snapshot scans read: one per
+	// leaf visited in place, whether the live page (its version predates
+	// the snapshot) or a copy-on-write image from the version store.
 	SnapshotReads int64
 	// OptimisticHits and OptimisticRetries are always zero: every point
 	// read goes through the buffer manager under the shard lock. The
@@ -799,88 +801,86 @@ func (sn *StoreSnapshot) Close() {
 	sn.s.e.Versions().EndSnapshot(sn.id)
 }
 
-// readLeafBatch is the number of leaf images a snapshot scan fetches per
-// lock acquisition: enough to amortize the lock round-trip, small enough
-// that writers wait for at most a few page copies.
+// readLeafBatch is the number of leaves a snapshot scan visits per lock
+// acquisition: enough to amortize the lock round-trip, small enough that
+// writers wait for at most a few leaf reads.
 const readLeafBatch = 16
 
-// scanLeafChain walks the leaf sibling chain as of snapshot stamp,
-// emitting entries with key >= from until fn returns false. locked runs
-// its argument under the owning shard's lock; only the leaf-image fetches
-// run under it — up to readLeafBatch images per acquisition — and
-// decoding happens on the immutable images outside. The chain walk is
-// sound because splits keep the left sibling in place (so an as-of
-// image's next pointer is the as-of successor) and leaves are never
-// merged or freed while the tree lives.
-func scanLeafChain(tree *btree.Tree, stamp, from uint64, fieldOff, fieldLen int, locked func(func() error) error, fn func(key uint64, field []byte) bool) error {
-	var imgs [][]byte
-	var next core.PageID
-	first, end := true, false
-	for !end {
-		imgs = imgs[:0]
-		err := locked(func() error {
-			if first {
-				first = false
-				// Start at the leaf currently routing from: if it existed
-				// at the snapshot stamp it covered from then too (leaf
-				// ranges only narrow). A leaf born after the stamp has no
-				// as-of image; fall back to the stable chain head.
-				pid, err := tree.LeafFor(from)
-				if err != nil {
-					return err
-				}
-				img, _, err := tree.LeafImageAsOf(pid, stamp)
-				if err != nil {
-					return err
-				}
-				if img == nil {
-					head, err := tree.HeadLeaf()
-					if err != nil {
-						return err
-					}
-					img, _, err = tree.LeafImageAsOf(head, stamp)
-					if err != nil {
-						return err
-					}
-				}
-				if img == nil {
-					end = true
-					return nil
-				}
-				imgs = append(imgs, img)
-				next = btree.ImageNext(img)
-			}
-			for len(imgs) < readLeafBatch {
-				if next == core.InvalidPageID {
-					end = true
-					return nil
-				}
-				img, _, err := tree.LeafImageAsOf(next, stamp)
-				if err != nil {
-					return err
-				}
-				if img == nil {
-					// A mid-chain successor with no as-of image was born
-					// after the snapshot: the as-of chain ends here.
-					end = true
-					return nil
-				}
-				imgs = append(imgs, img)
-				next = btree.ImageNext(img)
-			}
-			return nil
-		})
+// leafChain is where a snapshot scan of one tree stands between lock
+// holds: the next leaf of the as-of sibling chain to visit and the first
+// key still wanted from it.
+type leafChain struct {
+	from    uint64
+	next    core.PageID
+	started bool
+}
+
+// advance continues the walk of tree's leaf sibling chain as of snapshot
+// stamp by one lock hold, which the caller provides. It reads at most
+// readLeafBatch leaves in place and copies at most budget entries
+// (budget <= 0: whatever those leaves hold) into c, so the hold is bounded
+// by what the scan asked for, not by the leaves it passes; c is marked
+// done at the end of the chain. The walk is sound because splits keep the
+// left sibling in place (so a leaf's as-of content names its as-of
+// successor), leaves are never merged or freed while the tree lives, and
+// as-of content does not change between holds.
+func (p *leafChain) advance(tree *btree.Tree, stamp uint64, fieldOff, fieldLen, budget int, c *shardCursor) error {
+	routed := false
+	if !p.started {
+		// Start at the leaf currently routing from: if it existed at the
+		// snapshot stamp it covered from then too (leaf ranges only
+		// narrow). A leaf born after the stamp has no as-of content; fall
+		// back to the stable chain head and skip forward from there.
+		pid, err := tree.LeafFor(p.from)
 		if err != nil {
 			return err
 		}
-		for _, img := range imgs {
-			more, err := tree.ScanImage(img, from, fieldOff, fieldLen, fn)
-			if err != nil || !more {
+		p.next, p.started, routed = pid, true, true
+	}
+	if budget > 0 {
+		// One arena per hold, sized to the most it can copy.
+		room := min(budget, readLeafBatch*tree.LeafCapacity())
+		c.keys = slices.Grow(c.keys, room)
+		c.fields = slices.Grow(c.fields, room*fieldLen)
+	}
+	rows, full, last := 0, false, false
+	emit := func(key uint64, field []byte) bool {
+		c.add(key, field)
+		rows++
+		p.from = key + 1
+		last = key == math.MaxUint64 // p.from wrapped; no key can follow
+		full = rows == budget
+		return !full && !last
+	}
+	for leaves := 0; ; leaves++ {
+		if p.next == core.InvalidPageID {
+			c.done = true
+			return nil
+		}
+		if full || leaves == readLeafBatch {
+			return nil
+		}
+		next, existed, err := tree.VisitLeafAsOf(p.next, stamp, p.from, fieldOff, fieldLen, emit)
+		switch {
+		case err != nil:
+			return err
+		case last:
+			p.next = core.InvalidPageID
+		case full:
+			// Budget spent inside this leaf: the next hold resumes in it.
+		case existed:
+			p.next = next
+		case routed:
+			if p.next, err = tree.HeadLeaf(); err != nil {
 				return err
 			}
+		default:
+			// A mid-chain successor with no as-of content was born after
+			// the snapshot: the as-of chain ends here.
+			p.next = core.InvalidPageID
 		}
+		routed = false
 	}
-	return nil
 }
 
 // SaveSnapshot checkpoints the store and writes its entire durable state

@@ -105,21 +105,36 @@ func TestPointReadsGoThroughBufferManager(t *testing.T) {
 	}
 }
 
-// TestScanAndSnapshotScanAgree checks that on a quiescent store the
-// locked scan and a scan through a fresh snapshot emit the same (key,
-// field) sequence, whatever the start key, limit, leaf layout and shard
-// count.
+// TestScanAndSnapshotScanAgree checks that the locked scan and a scan
+// through a snapshot emit the same (key, field) sequence, whatever the
+// start key, limit, leaf layout and shard count. The limits include ones
+// the first cursor fill cannot cover (more than a shard's share plus
+// slack, more than readLeafBatch leaves, and no limit at all), so the
+// merge refills mid-scan. It runs twice: on a quiescent store against a
+// fresh snapshot, then against one snapshot while a writer updates every
+// row and splits leaves behind it — the snapshot must keep reading what
+// the locked scan saw when it was opened.
 func TestScanAndSnapshotScanAgree(t *testing.T) {
 	const (
-		rows     = 1500 // several leaves per shard
-		rowSize  = 64
-		stride   = 3 // keys 0, 3, 6, ...: some start keys fall between rows
+		rows     = 1500
+		rowSize  = 512 // ~15 rows a leaf: dozens of leaves per shard
+		stride   = 3   // keys 0, 3, 6, ...: some start keys fall between rows
 		fieldOff = 8
 		fieldLen = 16
 	)
 	type entry struct {
 		key   uint64
 		field string
+	}
+	type query struct {
+		from  uint64
+		limit int
+	}
+	var queries []query
+	for _, from := range []uint64{0, 4, rows * stride / 2, (rows - 3) * stride, rows*stride + 100} {
+		for _, limit := range []int{0, 1, 7, 50, 400, rows + 10} {
+			queries = append(queries, query{from, limit})
+		}
 	}
 	for _, layout := range []LeafLayout{LayoutSorted, LayoutHash} {
 		for _, shards := range []int{1, 3} {
@@ -135,52 +150,94 @@ func TestScanAndSnapshotScanAgree(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for _, from := range []uint64{0, 4, rows * stride / 2, (rows - 3) * stride, rows*stride + 100} {
-					for _, limit := range []int{0, 1, 7, 50, rows + 10} {
-						collect := func(scan func(fn func(uint64, []byte) bool) error) []entry {
-							var got []entry
-							if err := scan(func(k uint64, f []byte) bool {
-								got = append(got, entry{k, string(f)})
-								return true
-							}); err != nil {
-								t.Fatalf("from %d limit %d: %v", from, limit, err)
-							}
-							return got
+				collect := func(q query, scan func(fn func(uint64, []byte) bool) error) []entry {
+					var got []entry
+					if err := scan(func(k uint64, f []byte) bool {
+						got = append(got, entry{k, string(f)})
+						return true
+					}); err != nil {
+						t.Fatalf("from %d limit %d: %v", q.from, q.limit, err)
+					}
+					return got
+				}
+				locked := func(q query) []entry {
+					got := collect(q, func(fn func(uint64, []byte) bool) error {
+						return table.Scan(q.from, q.limit, fieldOff, fieldLen, fn)
+					})
+					want := 0
+					if first := (q.from + stride - 1) / stride; first < rows {
+						want = int(rows - first)
+					}
+					if q.limit > 0 && want > q.limit {
+						want = q.limit
+					}
+					if len(got) != want {
+						t.Fatalf("from %d limit %d: locked scan emitted %d rows, want %d", q.from, q.limit, len(got), want)
+					}
+					return got
+				}
+				agree := func(q query, want []entry, sn *Snapshot) {
+					snap := collect(q, func(fn func(uint64, []byte) bool) error {
+						return table.ScanSnapshot(sn, q.from, q.limit, fieldOff, fieldLen, fn)
+					})
+					if len(snap) != len(want) {
+						t.Fatalf("from %d limit %d: snapshot scan emitted %d rows, locked scan %d", q.from, q.limit, len(snap), len(want))
+					}
+					for i := range want {
+						if want[i] != snap[i] {
+							t.Fatalf("from %d limit %d: row %d differs: locked key %d, snapshot key %d", q.from, q.limit, i, want[i].key, snap[i].key)
 						}
-						locked := collect(func(fn func(uint64, []byte) bool) error {
-							return table.Scan(from, limit, fieldOff, fieldLen, fn)
-						})
-						sn, err := s.Snapshot()
+						if i > 0 && want[i].key <= want[i-1].key {
+							t.Fatalf("from %d limit %d: keys not ascending at row %d", q.from, q.limit, i)
+						}
+					}
+				}
+
+				refs := make([][]entry, len(queries))
+				for i, q := range queries {
+					refs[i] = locked(q)
+					sn, err := s.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					agree(q, refs[i], sn)
+					sn.Close()
+				}
+
+				sn, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sn.Close()
+				written := make(chan error, 1)
+				go func() {
+					for i := uint64(0); i < rows; i++ {
+						if err := table.Put(i*stride, snapRow(i*stride, 2, rowSize)); err != nil {
+							written <- err
+							return
+						}
+						if err := table.Insert(i*stride+1, snapRow(i*stride+1, 2, rowSize)); err != nil {
+							written <- err
+							return
+						}
+					}
+					written <- nil
+				}()
+				for writing := true; writing; {
+					select {
+					case err := <-written:
 						if err != nil {
 							t.Fatal(err)
 						}
-						snap := collect(func(fn func(uint64, []byte) bool) error {
-							return table.ScanSnapshot(sn, from, limit, fieldOff, fieldLen, fn)
-						})
-						sn.Close()
-
-						want := 0
-						if first := (from + stride - 1) / stride; first < rows {
-							want = int(rows - first)
-						}
-						if limit > 0 && want > limit {
-							want = limit
-						}
-						if len(locked) != want {
-							t.Fatalf("from %d limit %d: locked scan emitted %d rows, want %d", from, limit, len(locked), want)
-						}
-						if len(snap) != len(locked) {
-							t.Fatalf("from %d limit %d: snapshot scan emitted %d rows, locked scan %d", from, limit, len(snap), len(locked))
-						}
-						for i := range locked {
-							if locked[i] != snap[i] {
-								t.Fatalf("from %d limit %d: row %d differs: locked key %d, snapshot key %d", from, limit, i, locked[i].key, snap[i].key)
-							}
-							if i > 0 && locked[i].key <= locked[i-1].key {
-								t.Fatalf("from %d limit %d: keys not ascending at row %d", from, limit, i)
-							}
-						}
+						writing = false // one more sweep, over the final tree
+					default:
 					}
+					for i, q := range queries {
+						agree(q, refs[i], sn)
+					}
+				}
+				if s.Metrics().Read.VersionsSaved == 0 {
+					t.Fatal("the writer saved no copy-on-write image: the snapshot only ever read live pages")
 				}
 			})
 		}

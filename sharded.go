@@ -661,50 +661,99 @@ func (t *ShardedTable) Delete(key uint64) (bool, error) {
 
 // Scan visits rows with key >= from in ascending global key order,
 // passing fieldLen bytes at fieldOff of each row; it stops after limit
-// rows (limit <= 0 means all) or when fn returns false. Hash partitioning
-// scatters consecutive keys across shards, so the scan collects each
-// shard's range (under that shard's lock, shards visited one at a time)
-// and merges the results before invoking fn.
+// rows (limit <= 0 means all) or when fn returns false. The field slice
+// is only valid during the callback. Hash partitioning scatters
+// consecutive keys across shards, so the scan copies each shard's range
+// in one hold of that shard's lock (shards visited one at a time) and
+// merges the shards' rows before invoking fn.
 func (t *ShardedTable) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
-	return t.mergeShards(limit, fn, func(i int, add func(key uint64, field []byte) bool) error {
+	return t.mergeShards(limit, fieldLen, fn, func(i int, c *shardCursor, _ int) error {
+		// The global first limit rows hold at most limit from any one
+		// shard, so this single fill covers whatever the merge may ask.
+		c.done = true
 		return t.read(i, func(tab *Table) error {
-			return tab.Scan(from, limit, fieldOff, fieldLen, func(key uint64, field []byte) bool {
-				// The field is only valid during the callback.
-				return add(key, append([]byte(nil), field...))
-			})
+			return tab.Scan(from, limit, fieldOff, fieldLen, c.add)
 		})
 	})
 }
 
-// mergeShards is the cross-shard half of every scan: collect gathers
-// shard i's rows in key order through add (which stops it after limit
-// rows — the global first limit rows hold at most limit from any one
-// shard); the rows of all shards are then sorted by key, trimmed to limit
-// (limit <= 0 means all) and passed to fn until it returns false. The
-// field slices handed to add must stay valid until mergeShards returns.
-func (t *ShardedTable) mergeShards(limit int, fn func(key uint64, field []byte) bool, collect func(i int, add func(key uint64, field []byte) bool) error) error {
-	type entry struct {
-		key   uint64
-		field []byte
+// shardCursor buffers the next rows of one shard for the cross-shard
+// merge: keys[pos:] are still to be merged, and the field of keys[j] is
+// the j-th run of fieldLen bytes in fields. Both buffers are reused from
+// fill to fill and, through cursorPool, from scan to scan.
+type shardCursor struct {
+	keys   []uint64
+	fields []byte
+	pos    int
+	done   bool // the shard holds no rows beyond the buffered ones
+}
+
+// add buffers one row, copying field; it has the shape of a scan callback.
+func (c *shardCursor) add(key uint64, field []byte) bool {
+	c.keys = append(c.keys, key)
+	c.fields = append(c.fields, field...)
+	return true
+}
+
+// reset empties the buffers for the next fill, keeping their memory.
+func (c *shardCursor) reset() {
+	c.keys, c.fields, c.pos = c.keys[:0], c.fields[:0], 0
+}
+
+var cursorPool = sync.Pool{New: func() any { return new([]shardCursor) }}
+
+// scanFillSlack is how many rows beyond its even share of what the merge
+// still needs a cursor asks its shard for. Hash partitioning spreads a key
+// range about evenly, so a few rows of slack make a second lock hold on a
+// shard the exception.
+const scanFillSlack = 4
+
+// mergeShards is the cross-shard half of every scan, a streaming k-way
+// merge: fill(i, c, want) appends shard i's next rows in key order to c
+// and marks c done once the shard has no more; the merge emits the
+// smallest buffered key to fn until limit rows are out (limit <= 0 means
+// all), fn returns false or every shard is done, and calls fill again
+// only for a cursor it has drained. want is that cursor's share of the
+// rows still missing plus scanFillSlack, or 0 when there is no limit; a
+// fill may return fewer rows (the merge comes back) but its rows beyond
+// want are wasted work. fn's field slice is valid only during the call.
+func (t *ShardedTable) mergeShards(limit, fieldLen int, fn func(key uint64, field []byte) bool, fill func(i int, c *shardCursor, want int) error) error {
+	n := len(t.s.shards)
+	pooled := cursorPool.Get().(*[]shardCursor)
+	defer cursorPool.Put(pooled)
+	for len(*pooled) < n {
+		*pooled = append(*pooled, shardCursor{})
 	}
-	var all []entry
-	for i := range t.s.shards {
-		got := 0
-		err := collect(i, func(key uint64, field []byte) bool {
-			all = append(all, entry{key, field})
-			got++
-			return limit <= 0 || got < limit
-		})
-		if err != nil {
-			return err
+	curs := (*pooled)[:n]
+	for i := range curs {
+		curs[i].reset()
+		curs[i].done = false
+	}
+	for emitted := 0; limit <= 0 || emitted < limit; emitted++ {
+		best := -1
+		for i := range curs {
+			c := &curs[i]
+			for c.pos == len(c.keys) && !c.done {
+				c.reset()
+				want := 0
+				if limit > 0 {
+					want = (limit-emitted+n-1)/n + scanFillSlack
+				}
+				if err := fill(i, c, want); err != nil {
+					return err
+				}
+			}
+			if c.pos < len(c.keys) && (best < 0 || c.keys[c.pos] < curs[best].keys[curs[best].pos]) {
+				best = i
+			}
 		}
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].key < all[b].key })
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-	}
-	for _, e := range all {
-		if !fn(e.key, e.field) {
+		if best < 0 {
+			break
+		}
+		c := &curs[best]
+		j := c.pos
+		c.pos++
+		if !fn(c.keys[j], c.fields[j*fieldLen:(j+1)*fieldLen]) {
 			break
 		}
 	}
@@ -777,42 +826,40 @@ func (sn *Snapshot) LSNs() []uint64 {
 
 // ScanSnapshot is Scan against a snapshot: it visits the rows visible at
 // sn, in ascending global key order from from, stopping after limit rows
-// (limit <= 0 means all) or when fn returns false. Unlike Scan, which
-// holds each shard's lock for that shard's whole range, a snapshot scan
-// takes a shard's lock only to fetch a batch of leaf images at a time
-// and decodes entries outside it, so shard workers keep committing while the
-// scan runs — writers committing after the snapshot are simply
-// invisible to it. It returns ErrSnapshotInvalid if any scanned shard
-// restarted since the snapshot was taken.
+// (limit <= 0 means all) or when fn returns false. The field slice is
+// only valid during the callback. Unlike Scan, which holds each shard's
+// lock for that shard's whole range, a snapshot scan holds a shard's
+// lock only while it copies the next rows the merge asked for out of the
+// as-of leaves — at most readLeafBatch leaves read in place per hold —
+// and runs fn outside it, so shard workers keep committing while the
+// scan runs; writers committing after the snapshot are simply invisible
+// to it. It returns ErrSnapshotInvalid if any scanned shard restarted
+// since the snapshot was taken.
 func (t *ShardedTable) ScanSnapshot(sn *Snapshot, from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
 	if sn.s != t.s {
 		return fmt.Errorf("nvmstore: snapshot belongs to a different store")
 	}
-	return t.mergeShards(limit, fn, func(i int, add func(key uint64, field []byte) bool) error {
+	chains := make([]leafChain, len(t.s.shards))
+	for i := range chains {
+		chains[i].from = from
+	}
+	return t.mergeShards(limit, fieldLen, fn, func(i int, c *shardCursor, want int) error {
 		st := t.s.shards[i]
 		ss := sn.snaps[i]
-		slot := &t.s.slots[i]
 		// Readers take the bare shard lock: they are not routed
 		// operations (no ops count) and must not engage the writer
 		// throttle or maintainer nudge on their own behalf.
-		locked := func(body func() error) error {
-			slot.mu.Lock()
-			defer slot.mu.Unlock()
-			if st.e.Versions().Epoch() != ss.epoch {
-				return ErrSnapshotInvalid
-			}
-			return body()
+		slot := &t.s.slots[i]
+		slot.mu.Lock()
+		defer slot.mu.Unlock()
+		if st.e.Versions().Epoch() != ss.epoch {
+			return ErrSnapshotInvalid
 		}
-		var tab *Table
-		if err := locked(func() error {
-			var err error
-			tab, err = t.shardTable(st)
-			return err
-		}); err != nil {
+		tab, err := t.shardTable(st)
+		if err != nil {
 			return err
 		}
-		// Image slices are immutable, so add needs no per-entry copy.
-		return scanLeafChain(tab.t, ss.stamp, from, fieldOff, fieldLen, locked, add)
+		return chains[i].advance(tab.t, ss.stamp, fieldOff, fieldLen, want, c)
 	})
 }
 

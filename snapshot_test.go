@@ -3,9 +3,12 @@ package nvmstore
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"nvmstore/internal/core"
 )
 
 // snapRow builds a row whose first 8 bytes carry a little-endian
@@ -286,5 +289,219 @@ func TestSnapshotInvalidatedByRestart(t *testing.T) {
 	}
 	if seen != 200 {
 		t.Fatalf("post-recovery snapshot saw %d rows, want 200", seen)
+	}
+}
+
+// allocatedBy returns the heap bytes one run of fn allocates. The runtime
+// counts allocations process-wide, so like testing.AllocsPerRun it runs fn
+// on a single P, and it takes the least of three runs: goroutines other
+// tests left behind can only add to a run.
+func allocatedBy(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestSnapshotScanReadsOnlyWhatItReturns pins the cost of a bounded
+// snapshot scan to its result, not to readLeafBatch: on a 2-shard store
+// whose leaves hold 16 rows each, a 50-row scan reads at most the leaves
+// that hold 50 rows plus two per shard (one for starting mid-leaf, one
+// for the slack and a possible refill), and allocates a handful of
+// objects, none of them per row or per leaf.
+func TestSnapshotScanReadsOnlyWhatItReturns(t *testing.T) {
+	const (
+		shards      = 2
+		rowSize     = 500 // 32 rows fill a leaf; ascending inserts leave 16 in each
+		rowsPerLeaf = 16
+		rows        = 4000
+		limit       = 50
+	)
+	s := openShardedStore(t, shards)
+	defer s.Close()
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < rows; k++ {
+		if err := table.Insert(k, snapRow(k, 1, rowSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+
+	const maxLeaves = (limit+rowsPerLeaf-1)/rowsPerLeaf + 2*shards
+	for from := uint64(0); from+limit <= rows; from += 37 {
+		before := s.Metrics().Read.SnapshotReads
+		next := from
+		if err := table.ScanSnapshot(sn, from, limit, 0, rowSize, func(k uint64, _ []byte) bool {
+			if k != next {
+				t.Fatalf("scan from %d emitted key %d, want %d", from, k, next)
+			}
+			next++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if next != from+limit {
+			t.Fatalf("scan from %d emitted %d rows, want %d", from, next-from, limit)
+		}
+		if leaves := s.Metrics().Read.SnapshotReads - before; leaves > maxLeaves {
+			t.Fatalf("a %d-row scan from %d read %d leaves, want at most %d", limit, from, leaves, maxLeaves)
+		}
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := table.ScanSnapshot(sn, rows/2, limit, 0, rowSize, func(uint64, []byte) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("a %d-row snapshot scan makes %.0f allocations, want at most 8", limit, allocs)
+	}
+}
+
+// TestSnapshotScanSkipsLeavesBelowStart covers the start leaf born after
+// the snapshot: the leaf routing the start key was split off behind the
+// snapshot, so the scan falls back to the chain head and walks every leaf
+// before the start key. It must pass them without copying a row out of
+// them — what the scan allocates stays within twice what it returns,
+// however many leaves lie in front.
+func TestSnapshotScanSkipsLeavesBelowStart(t *testing.T) {
+	const (
+		rowSize = 500
+		stride  = 10
+		rows    = 3000 // ~190 leaves in front of the start key
+		limit   = 50
+		from    = (rows - 100) * stride
+	)
+	s := openShardedStore(t, 1)
+	defer s.Close()
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < rows; k++ {
+		if err := table.Insert(k*stride, snapRow(k*stride, 1, rowSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	// Fill the gaps around the start key until its leaf splits and the
+	// key routes to a leaf that did not exist at the snapshot.
+	bornAfter := func() bool {
+		born := false
+		err := s.WithShard(0, func(st *Store) error {
+			pid, err := st.Table(1).t.LeafFor(from)
+			v := st.e.Versions()
+			_, saved := v.ImageAsOf(pid, sn.snaps[0].stamp)
+			born = v.VerOf(pid) > sn.snaps[0].stamp && !saved
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return born
+	}
+	for k := uint64(from - 20*stride); !bornAfter(); k++ {
+		if k > from+20*stride {
+			t.Fatal("the start key's leaf never split")
+		}
+		if k%stride != 0 {
+			if err := table.Insert(k, snapRow(k, 2, rowSize)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var next uint64
+	var got int
+	allocated := allocatedBy(func() {
+		next, got = from, 0
+		err = table.ScanSnapshot(sn, from, limit, 0, rowSize, func(k uint64, row []byte) bool {
+			if k != next || binary.LittleEndian.Uint64(row) != 1 {
+				t.Errorf("row %d: key %d generation %d, want key %d generation 1", got, k, binary.LittleEndian.Uint64(row), next)
+			}
+			next += stride
+			got++
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != limit {
+		t.Fatalf("scan emitted %d rows, want %d", got, limit)
+	}
+	if returned := uint64(limit * rowSize); allocated > 2*returned {
+		t.Fatalf("scan allocated %d bytes to return %d: it still copies the leaves it passes", allocated, returned)
+	}
+}
+
+// TestUnboundedSnapshotScanMemoryBounded scans a whole table of several
+// hundred leaves with no limit and samples the live heap from inside the
+// callback: the scan buffers at most readLeafBatch leaves' worth of rows
+// per shard at a time, so the heap it holds on to is bounded by shards x
+// batch, not by the table.
+func TestUnboundedSnapshotScanMemoryBounded(t *testing.T) {
+	const (
+		shards  = 2
+		rowSize = 1000 // 8 rows a leaf after ascending inserts
+		rows    = 4000 // ~500 leaves, 8 MB of pages
+	)
+	s := openShardedStore(t, shards)
+	defer s.Close()
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < rows; k++ {
+		if err := table.Insert(k, snapRow(k, 1, rowSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	base := liveHeap()
+	seen, grown := 0, uint64(0)
+	if err := table.ScanSnapshot(sn, 0, 0, 0, rowSize, func(uint64, []byte) bool {
+		if seen++; seen%500 == 0 {
+			if live := liveHeap(); live > base && live-base > grown {
+				grown = live - base
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if seen != rows {
+		t.Fatalf("scan saw %d rows, want %d", seen, rows)
+	}
+	if bound := uint64(shards * readLeafBatch * core.PageSize); grown > bound {
+		t.Fatalf("unbounded scan of %d leaves holds %d bytes of heap, want at most %d (shards x readLeafBatch leaves)",
+			rows/8, grown, bound)
 	}
 }
