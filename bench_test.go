@@ -149,15 +149,10 @@ func BenchmarkScanThreeTier(b *testing.B) {
 	benchOp(b, core.ThreeTier, func(w *ycsb.Workload) error { return w.ScanRange(100) })
 }
 
-// BenchmarkScan50 measures a 50-row scan of the benchmark's wire_scan
-// table (30 000 rows of 1000 B over 2 shards, DRAM-resident, loaded in
-// key order) through both sharded scan paths: "locked" is
-// ShardedTable.Scan, "snapshot" is what a wire SCAN executes — open a
-// snapshot, ScanSnapshot, close it. leaves/scan is the number of leaf
-// pages read per scan: the snapshot path counts them itself
-// (Read.SnapshotReads); for the locked path they are the page fixes a
-// 50-row scan makes beyond a 1-row scan from the same key, which fixes
-// the same inner nodes and exactly one leaf per shard.
+// BenchmarkScan50 measures a 50-row ShardedTable.Scan of the benchmark's
+// wire_scan table (30 000 rows of 1000 B over 2 shards, DRAM-resident,
+// loaded in key order) — the call a wire SCAN executes. leaves/scan is the
+// number of leaf pages read per scan (Read.SnapshotReads).
 func BenchmarkScan50(b *testing.B) {
 	const (
 		shards  = 2
@@ -197,50 +192,19 @@ func BenchmarkScan50(b *testing.B) {
 	emitted := 0
 	count := func(uint64, []byte) bool { emitted++; return true }
 
-	b.Run("locked", func(b *testing.B) {
-		fixes := func() int64 { return s.Metrics().Buffer.Fixes }
-		base := fixes()
-		for i := 0; i < b.N; i++ {
-			if err := table.Scan(start(i), 1, 0, rowSize, count); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	base := s.Metrics().Read.SnapshotReads
+	for i := 0; i < b.N; i++ {
+		if err := table.Scan(start(i), limit, 0, rowSize, count); err != nil {
+			b.Fatal(err)
 		}
-		oneRow := fixes() - base
-		b.ReportAllocs()
-		b.ResetTimer()
-		emitted, base = 0, fixes()
-		for i := 0; i < b.N; i++ {
-			if err := table.Scan(start(i), limit, 0, rowSize, count); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if emitted != limit*b.N {
-			b.Fatalf("%d scans emitted %d rows", b.N, emitted)
-		}
-		b.ReportMetric(float64(fixes()-base-oneRow)/float64(b.N)+shards, "leaves/scan")
-	})
-	b.Run("snapshot", func(b *testing.B) {
-		b.ReportAllocs()
-		emitted = 0
-		base := s.Metrics().Read.SnapshotReads
-		for i := 0; i < b.N; i++ {
-			sn, err := s.Snapshot()
-			if err != nil {
-				b.Fatal(err)
-			}
-			err = table.ScanSnapshot(sn, start(i), limit, 0, rowSize, count)
-			sn.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if emitted != limit*b.N {
-			b.Fatalf("%d scans emitted %d rows", b.N, emitted)
-		}
-		b.ReportMetric(float64(s.Metrics().Read.SnapshotReads-base)/float64(b.N), "leaves/scan")
-	})
+	}
+	b.StopTimer()
+	if emitted != limit*b.N {
+		b.Fatalf("%d scans emitted %d rows", b.N, emitted)
+	}
+	b.ReportMetric(float64(s.Metrics().Read.SnapshotReads-base)/float64(b.N), "leaves/scan")
 }
 
 // BenchmarkTPCCThreeTier measures the TPC-C mix on the paper's three-tier

@@ -98,9 +98,10 @@ func TestGroupCommitAckDurable(t *testing.T) {
 	}
 }
 
-// TestApplyBatchSingleFlush pins the flush amortization ApplyBatch
-// promises: N operations, exactly one log-tail flush.
-func TestApplyBatchSingleFlush(t *testing.T) {
+// TestNoFlushCommitsShareOneFlush pins the flush amortization every
+// group-commit site is built on: N UpdateNoFlush commits and one FlushWAL
+// are N commits and exactly one log-tail flush.
+func TestNoFlushCommitsShareOneFlush(t *testing.T) {
 	s := open(t, ThreeTier)
 	table, err := s.CreateTable(1, 16)
 	if err != nil {
@@ -108,13 +109,14 @@ func TestApplyBatchSingleFlush(t *testing.T) {
 	}
 	before := s.Metrics().Log
 	const n = 10
-	ops := make([]func() error, n)
-	for i := range ops {
-		k := uint64(i + 1)
-		ops[i] = func() error { return table.Insert(k, bytes.Repeat([]byte{byte(k)}, 16)) }
+	for k := uint64(1); k <= n; k++ {
+		err := s.UpdateNoFlush(func() error { return table.Insert(k, bytes.Repeat([]byte{byte(k)}, 16)) })
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.ApplyBatch(ops); err != nil {
-		t.Fatal(err)
+	if covered, err := s.FlushWAL(); err != nil || covered != n {
+		t.Fatalf("FlushWAL covered %d commits, err %v; want %d", covered, err, n)
 	}
 	after := s.Metrics().Log
 	if c := after.Commits - before.Commits; c != n {
@@ -124,7 +126,7 @@ func TestApplyBatchSingleFlush(t *testing.T) {
 		t.Fatalf("flushes = %d, want 1 (the group flush)", f)
 	}
 	if opf := s.Metrics().OpsPerFlush; opf <= 1 {
-		t.Fatalf("OpsPerFlush = %.2f, want > 1 after a batched apply", opf)
+		t.Fatalf("OpsPerFlush = %.2f, want > 1 after a shared flush", opf)
 	}
 }
 

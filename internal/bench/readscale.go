@@ -17,34 +17,24 @@ const (
 	readScaleRowSize = 128
 )
 
-// ReadScale measures what the multi-version read path buys under mixed
-// load: full-table scans run concurrently with uniform single-row update
-// transactions, in two regimes:
+// ReadScale measures what scans cost writers: full-table
+// ShardedTable.Scans run concurrently with uniform single-row update
+// transactions. A scan pins a stable read point and takes a shard's lock
+// only to copy the next batch of rows out of the as-of leaves, running
+// the callback outside it; writers keep committing against the live
+// pages, saving a copy-on-write image for the first post-snapshot touch
+// of each leaf.
 //
-//   - "locked": the pre-snapshot behavior — ShardedTable.Scan takes each
-//     shard's lock and holds it for that shard's entire range, so every
-//     scan excludes writers (and other scanners) from the shard while it
-//     runs.
-//   - "snapshot": ShardedStore.Snapshot + ScanSnapshot — the scan pins a
-//     stable read point and takes a shard's lock only to copy the next
-//     batch of rows out of the as-of leaves, running the callback
-//     outside it; writers keep committing against the live pages, saving
-//     copy-on-write images for the first post-snapshot touch of each
-//     leaf.
-//
-// X is the number of concurrent scanners, Y is throughput: one series
-// per regime for sustained writes/s and one per regime for completed
-// scans/s, both counted over a fixed wall-clock window per cell.
+// X is the number of concurrent scanners, 0 being the writers alone. The
+// series are sustained writes/s, completed scans/s and the p99 latency of
+// a write, all counted over a fixed wall-clock window per cell.
 // Throughput is wall-clock — lock interference is a wall-time
-// phenomenon; the simulated device time both regimes charge is nearly
-// identical and is reported in the notes along with the version-store
-// counters (images saved/reclaimed, snapshot reads).
+// phenomenon; the version-store counters (images saved/reclaimed,
+// snapshot reads) are reported in the notes.
 //
-// The expected shape: locked write throughput collapses as scanners are
-// added (each scan monopolizes the shards), while snapshot write
-// throughput stays near its scanner-free level and snapshot scans
-// complete at a steady rate because no lock hold of theirs exceeds one
-// batch of leaf reads.
+// The expected shape: write throughput falls with the CPU the scanners
+// take, not to zero, and scans complete at a steady rate because no lock
+// hold of theirs exceeds one batch of leaf reads.
 func ReadScale(o Options) (Result, error) {
 	o.applyDefaults()
 	res := Result{
@@ -54,42 +44,31 @@ func ReadScale(o Options) (Result, error) {
 		XLabel: "concurrent scanners",
 		YLabel: "ops/s (wall)",
 	}
-	scanners := []int{1, 2, 4}
+	scanners := []int{0, 1, 2, 4}
 	window := 1500 * time.Millisecond
 	if o.Quick {
-		scanners = []int{1, 4}
+		scanners = []int{0, 1, 4}
 		window = 1 * time.Second
 	}
 	rows := int(o.Scale >> 10) // data = Scale/32 bytes at 128 B/row: DRAM-resident
 	if rows < 1024 {
 		rows = 1024
 	}
-	modes := []struct {
-		name string
-		snap bool
-	}{
-		{"locked", false},
-		{"snapshot", true},
-	}
-	for _, mode := range modes {
-		writeSeries := Series{Name: fmt.Sprintf("writes/s (%s scans)", mode.name)}
-		scanSeries := Series{Name: fmt.Sprintf("scans/s (%s)", mode.name)}
-		p99Series := Series{Name: fmt.Sprintf("write p99 ns (%s scans)", mode.name)}
-		for _, n := range scanners {
-			cell, err := readScaleRun(o, rows, n, mode.snap, window)
-			if err != nil {
-				return res, fmt.Errorf("readscale %s/%d: %w", mode.name, n, err)
-			}
-			writeSeries.X = append(writeSeries.X, float64(n))
-			writeSeries.Y = append(writeSeries.Y, cell.wps)
-			scanSeries.X = append(scanSeries.X, float64(n))
-			scanSeries.Y = append(scanSeries.Y, cell.sps)
-			p99Series.X = append(p99Series.X, float64(n))
-			p99Series.Y = append(p99Series.Y, float64(cell.p99))
-			res.Notes = append(res.Notes, fmt.Sprintf("%s scans, %d scanners: %s", mode.name, n, cell.note))
+	writeSeries := Series{Name: "writes/s"}
+	scanSeries := Series{Name: "scans/s"}
+	p99Series := Series{Name: "write p99 ns"}
+	for _, n := range scanners {
+		cell, err := readScaleRun(o, rows, n, window)
+		if err != nil {
+			return res, fmt.Errorf("readscale %d scanners: %w", n, err)
 		}
-		res.Series = append(res.Series, writeSeries, scanSeries, p99Series)
+		x := float64(n)
+		writeSeries.X, writeSeries.Y = append(writeSeries.X, x), append(writeSeries.Y, cell.wps)
+		scanSeries.X, scanSeries.Y = append(scanSeries.X, x), append(scanSeries.Y, cell.sps)
+		p99Series.X, p99Series.Y = append(p99Series.X, x), append(p99Series.Y, float64(cell.p99))
+		res.Notes = append(res.Notes, fmt.Sprintf("%d scanners: %s", n, cell.note))
 	}
+	res.Series = []Series{writeSeries, scanSeries, p99Series}
 	return res, nil
 }
 
@@ -104,7 +83,7 @@ type readScaleCell struct {
 // goroutines looping uniform single-row update transactions, and n
 // scanner goroutines looping full scans, all racing for the length of
 // the measurement window.
-func readScaleRun(o Options, rows, n int, snap bool, window time.Duration) (cell readScaleCell, err error) {
+func readScaleRun(o Options, rows, n int, window time.Duration) (cell readScaleCell, err error) {
 	s, err := nvmstore.OpenSharded(readScaleShards, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
 		DRAMBytes:    2 * o.Scale,
@@ -220,20 +199,8 @@ func readScaleRun(o Options, rows, n int, snap bool, window time.Duration) (cell
 					return
 				default:
 				}
-				var serr error
-				if snap {
-					sn, snErr := s.Snapshot()
-					if snErr != nil {
-						fail(snErr)
-						return
-					}
-					serr = table.ScanSnapshot(sn, 0, 0, 0, readScaleRowSize, count)
-					sn.Close()
-				} else {
-					serr = table.Scan(0, 0, 0, readScaleRowSize, count)
-				}
-				if serr != nil {
-					fail(serr)
+				if err := table.Scan(0, 0, 0, readScaleRowSize, count); err != nil {
+					fail(err)
 					return
 				}
 				scans.Add(1)

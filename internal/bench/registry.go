@@ -51,7 +51,7 @@ func Experiments() []Experiment {
 		{"groupcommit", "group-commit batch-size sweep, write-heavy YCSB (not in the paper)", GroupCommit},
 		{"ckptstall", "commit tail latency: inline vs paced vs background checkpointing (not in the paper)", CkptStall},
 		{"faults", "throughput under injected device faults (not in the paper)", FaultSweep},
-		{"readscale", "snapshot-scan read path vs locked scans under write load (not in the paper)", ReadScale},
+		{"readscale", "write and scan throughput vs concurrent scanners (not in the paper)", ReadScale},
 	}
 	for i := range exps {
 		exps[i].Run = instrument(exps[i].Run)

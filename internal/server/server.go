@@ -874,6 +874,14 @@ func (c *conn) readLoop() {
 	}()
 }
 
+// answer replies to a request dispatch handled on the reader goroutine and
+// counts it: every opcode answered inline ends here, so none goes
+// uncounted.
+func (c *conn) answer(req wire.Request, start time.Time, resp wire.Response) {
+	c.reply(resp, nil)
+	c.srv.record(req.Op, start)
+}
+
 // dispatch routes one decoded request. Runs on the reader goroutine.
 func (c *conn) dispatch(req wire.Request) {
 	start := time.Now()
@@ -884,9 +892,8 @@ func (c *conn) dispatch(req wire.Request) {
 	switch req.Op {
 	case wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpScan:
 		if req.Table == repl.MetaTable {
-			c.reply(wire.Response{Code: wire.RespErr, ID: req.ID,
-				Err: fmt.Sprintf("table %#x is reserved for replication metadata", repl.MetaTable)}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{Code: wire.RespErr, ID: req.ID,
+				Err: fmt.Sprintf("table %#x is reserved for replication metadata", repl.MetaTable)})
 			return
 		}
 	}
@@ -894,43 +901,37 @@ func (c *conn) dispatch(req wire.Request) {
 	case wire.OpGet:
 		if c.txActive {
 			if resp, hit := c.txRead(req); hit {
-				c.reply(resp, nil)
-				c.srv.record(req.Op, start)
+				c.answer(req, start, resp)
 				return
 			}
 		}
 		c.route(req, start, nil)
 	case wire.OpPut:
 		if msg := c.writeBlocked(); msg != "" {
-			c.reply(wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg})
 			return
 		}
 		if c.txActive {
 			c.txWrites = append(c.txWrites, txWrite{req.Table, req.Key, append([]byte(nil), req.Value...), false})
-			c.reply(wire.Response{Code: wire.RespOK, ID: req.ID}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{Code: wire.RespOK, ID: req.ID})
 			return
 		}
 		c.route(req, start, append(wire.GetBuf(), req.Value...))
 	case wire.OpDelete:
 		if msg := c.writeBlocked(); msg != "" {
-			c.reply(wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg})
 			return
 		}
 		if c.txActive {
 			c.txWrites = append(c.txWrites, txWrite{req.Table, req.Key, nil, true})
-			c.reply(wire.Response{Code: wire.RespOK, ID: req.ID}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{Code: wire.RespOK, ID: req.ID})
 			return
 		}
 		c.route(req, start, nil)
 	case wire.OpScan:
 		resp, scratch := c.scan(req)
-		c.reply(resp, nil)
-		wire.PutBuf(scratch) // reply copied the entries into the frame
-		c.srv.record(req.Op, start)
+		c.answer(req, start, resp)
+		wire.PutBuf(scratch) // the reply copied the entries into the frame
 	case wire.OpBegin:
 		resp := wire.Response{Code: wire.RespOK, ID: req.ID}
 		if c.txActive {
@@ -938,23 +939,19 @@ func (c *conn) dispatch(req wire.Request) {
 		} else {
 			c.txActive = true
 		}
-		c.reply(resp, nil)
-		c.srv.record(req.Op, start)
+		c.answer(req, start, resp)
 	case wire.OpCommit:
 		if msg := c.writeBlocked(); msg != "" {
 			c.txActive = false
 			c.txWrites = c.txWrites[:0]
-			c.reply(wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg})
 			return
 		}
-		c.reply(c.commit(req), nil)
-		c.srv.record(req.Op, start)
+		c.answer(req, start, c.commit(req))
 	case wire.OpRollback:
 		c.txActive = false
 		c.txWrites = c.txWrites[:0]
-		c.reply(wire.Response{Code: wire.RespOK, ID: req.ID}, nil)
-		c.srv.record(req.Op, start)
+		c.answer(req, start, wire.Response{Code: wire.RespOK, ID: req.ID})
 	case wire.OpStats:
 		resp := wire.Response{ID: req.ID}
 		buf, err := json.Marshal(c.srv.Stats())
@@ -963,8 +960,7 @@ func (c *conn) dispatch(req wire.Request) {
 		} else {
 			resp.Code, resp.Value = wire.RespStats, buf
 		}
-		c.reply(resp, nil)
-		c.srv.record(req.Op, start)
+		c.answer(req, start, resp)
 	case wire.OpReplSubscribe:
 		c.replSubscribe(req, start)
 	case wire.OpReplAck:
@@ -1068,13 +1064,12 @@ func (c *conn) commit(req wire.Request) wire.Response {
 	return resp
 }
 
-// scan merges rows from every shard up to the clamped limit, reading
-// through a store snapshot (ShardedTable.ScanSnapshot): the result is a
-// stable commit-LSN prefix per shard, and a shard's lock is held only
-// while the rows it contributes are copied out of its leaves, so shard
-// workers keep committing. If a shard restarts mid-scan and invalidates
-// the snapshot, the scan starts over on a fresh one. The returned scratch backs the entries' values;
-// the caller recycles it after encoding the response.
+// scan answers a SCAN with ShardedTable.Scan up to the clamped limit —
+// the call an embedded caller makes: a stable commit-LSN prefix per
+// shard, read without holding a shard's lock beyond the copy of the rows
+// it contributes, resumed on a fresh snapshot if a shard restarts
+// mid-scan. The returned scratch backs the entries' values; the caller
+// recycles it after encoding the response.
 func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 	resp := wire.Response{ID: req.ID}
 	tab := c.srv.store.Table(req.Table)
@@ -1107,21 +1102,7 @@ func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 		entries = append(entries, wire.Entry{Key: key, Value: vals[off:len(vals):len(vals)]})
 		return true
 	}
-	var err error
-	for {
-		var sn *nvmstore.Snapshot
-		if sn, err = c.srv.store.Snapshot(); err != nil {
-			break
-		}
-		err = tab.ScanSnapshot(sn, req.Key, limit, 0, tab.RowSize(), collect)
-		sn.Close()
-		if !errors.Is(err, nvmstore.ErrSnapshotInvalid) {
-			break
-		}
-		// A shard restarted mid-scan: start over on a fresh snapshot.
-		vals, entries = vals[:0], entries[:0]
-	}
-	if err != nil {
+	if err := tab.Scan(req.Key, limit, 0, tab.RowSize(), collect); err != nil {
 		wire.PutBuf(vals)
 		resp.Code, resp.Err = wire.RespErr, err.Error()
 		return resp, nil

@@ -39,9 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"slices"
 	"sort"
 	"time"
 
@@ -296,26 +294,6 @@ func (s *Store) UpdateNoFlush(fn func() error) error {
 	return s.CommitNoFlush()
 }
 
-// ApplyBatch runs each op in its own transaction, coalescing their
-// commit flushes into a single WAL flush at the end of the batch — the
-// explicit form of group commit. Ops that fail are rolled back
-// individually and reported in the returned error; the remaining ops
-// still run. When ApplyBatch returns, every op that succeeded is
-// durable. The amortization shows up in Metrics().Log: Commits grows by
-// the batch size while Flushes grows by one.
-func (s *Store) ApplyBatch(ops []func() error) error {
-	var errs []error
-	for _, op := range ops {
-		if err := s.UpdateNoFlush(op); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if _, err := s.FlushWAL(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
 // Checkpoint forces all dirty pages to persistent storage and truncates
 // the write-ahead log, synchronously — the full stall the incremental
 // rounds exist to avoid. Shutdown and snapshot paths use it; the commit
@@ -331,17 +309,6 @@ type MaintenanceOptions = engine.MaintenanceOptions
 // rounds, pages written back, and WAL truncations with the bytes they
 // discarded. Reported in Metrics.Ckpt.
 type CkptStats = engine.CkptStats
-
-// CheckpointRound performs one bounded incremental-checkpoint round:
-// write back up to batch dirty pages (batch <= 0 selects the configured
-// Maintenance.Batch) and truncate the WAL once the dirty set is
-// drained. It returns the pages written back and whether the log was
-// truncated. The sharded store's maintenance goroutines call it per
-// shard; single-threaded callers can use it to spread checkpoint work
-// explicitly.
-func (s *Store) CheckpointRound(batch int) (pages int, truncated bool, err error) {
-	return s.e.CheckpointRound(batch)
-}
 
 // LogFill returns the WAL region's fill fraction (0..1) — the signal
 // that drives paced write-back and writer throttling.
@@ -799,88 +766,6 @@ func (sn *StoreSnapshot) Stamp() uint64 { return sn.stamp }
 // page images only it could read. Closing twice is harmless.
 func (sn *StoreSnapshot) Close() {
 	sn.s.e.Versions().EndSnapshot(sn.id)
-}
-
-// readLeafBatch is the number of leaves a snapshot scan visits per lock
-// acquisition: enough to amortize the lock round-trip, small enough that
-// writers wait for at most a few leaf reads.
-const readLeafBatch = 16
-
-// leafChain is where a snapshot scan of one tree stands between lock
-// holds: the next leaf of the as-of sibling chain to visit and the first
-// key still wanted from it.
-type leafChain struct {
-	from    uint64
-	next    core.PageID
-	started bool
-}
-
-// advance continues the walk of tree's leaf sibling chain as of snapshot
-// stamp by one lock hold, which the caller provides. It reads at most
-// readLeafBatch leaves in place and copies at most budget entries
-// (budget <= 0: whatever those leaves hold) into c, so the hold is bounded
-// by what the scan asked for, not by the leaves it passes; c is marked
-// done at the end of the chain. The walk is sound because splits keep the
-// left sibling in place (so a leaf's as-of content names its as-of
-// successor), leaves are never merged or freed while the tree lives, and
-// as-of content does not change between holds.
-func (p *leafChain) advance(tree *btree.Tree, stamp uint64, fieldOff, fieldLen, budget int, c *shardCursor) error {
-	routed := false
-	if !p.started {
-		// Start at the leaf currently routing from: if it existed at the
-		// snapshot stamp it covered from then too (leaf ranges only
-		// narrow). A leaf born after the stamp has no as-of content; fall
-		// back to the stable chain head and skip forward from there.
-		pid, err := tree.LeafFor(p.from)
-		if err != nil {
-			return err
-		}
-		p.next, p.started, routed = pid, true, true
-	}
-	if budget > 0 {
-		// One arena per hold, sized to the most it can copy.
-		room := min(budget, readLeafBatch*tree.LeafCapacity())
-		c.keys = slices.Grow(c.keys, room)
-		c.fields = slices.Grow(c.fields, room*fieldLen)
-	}
-	rows, full, last := 0, false, false
-	emit := func(key uint64, field []byte) bool {
-		c.add(key, field)
-		rows++
-		p.from = key + 1
-		last = key == math.MaxUint64 // p.from wrapped; no key can follow
-		full = rows == budget
-		return !full && !last
-	}
-	for leaves := 0; ; leaves++ {
-		if p.next == core.InvalidPageID {
-			c.done = true
-			return nil
-		}
-		if full || leaves == readLeafBatch {
-			return nil
-		}
-		next, existed, err := tree.VisitLeafAsOf(p.next, stamp, p.from, fieldOff, fieldLen, emit)
-		switch {
-		case err != nil:
-			return err
-		case last:
-			p.next = core.InvalidPageID
-		case full:
-			// Budget spent inside this leaf: the next hold resumes in it.
-		case existed:
-			p.next = next
-		case routed:
-			if p.next, err = tree.HeadLeaf(); err != nil {
-				return err
-			}
-		default:
-			// A mid-chain successor with no as-of content was born after
-			// the snapshot: the as-of chain ends here.
-			p.next = core.InvalidPageID
-		}
-		routed = false
-	}
 }
 
 // SaveSnapshot checkpoints the store and writes its entire durable state

@@ -3,6 +3,7 @@ package nvmstore
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -105,16 +106,16 @@ func TestPointReadsGoThroughBufferManager(t *testing.T) {
 	}
 }
 
-// TestScanAndSnapshotScanAgree checks that the locked scan and a scan
-// through a snapshot emit the same (key, field) sequence, whatever the
-// start key, limit, leaf layout and shard count. The limits include ones
-// the first cursor fill cannot cover (more than a shard's share plus
-// slack, more than readLeafBatch leaves, and no limit at all), so the
-// merge refills mid-scan. It runs twice: on a quiescent store against a
-// fresh snapshot, then against one snapshot while a writer updates every
-// row and splits leaves behind it — the snapshot must keep reading what
-// the locked scan saw when it was opened.
-func TestScanAndSnapshotScanAgree(t *testing.T) {
+// TestScanAndSnapshotScanMatchModel checks Scan and ScanSnapshot against a
+// model — the sorted keys that were inserted and the rows snapRow builds
+// for them — whatever the architecture, leaf layout, shard count, start
+// key and limit. The limits include ones the first cursor refill cannot
+// cover (more than a shard's share plus slack, more than readLeafBatch
+// leaves, and no limit at all), so the merge refills mid-scan. It runs on
+// a quiescent store, then holds one snapshot while a writer updates every
+// row and splits leaves behind it — the snapshot must keep reading the
+// rows it was opened on — and at the end Scan must read the writer's.
+func TestScanAndSnapshotScanMatchModel(t *testing.T) {
 	const (
 		rows     = 1500
 		rowSize  = 512 // ~15 rows a leaf: dozens of leaves per shard
@@ -122,10 +123,6 @@ func TestScanAndSnapshotScanAgree(t *testing.T) {
 		fieldOff = 8
 		fieldLen = 16
 	)
-	type entry struct {
-		key   uint64
-		field string
-	}
 	type query struct {
 		from  uint64
 		limit int
@@ -136,110 +133,118 @@ func TestScanAndSnapshotScanAgree(t *testing.T) {
 			queries = append(queries, query{from, limit})
 		}
 	}
-	for _, layout := range []LeafLayout{LayoutSorted, LayoutHash} {
-		for _, shards := range []int{1, 3} {
-			t.Run(fmt.Sprintf("layout%d/shards%d", layout, shards), func(t *testing.T) {
-				s := openShardedStore(t, shards)
-				defer s.Close()
-				table, err := s.CreateTableLayout(1, rowSize, layout)
-				if err != nil {
-					t.Fatal(err)
+	type scanFunc func(q query, fn func(uint64, []byte) bool) error
+	// check runs q through scan and compares what it emits with the
+	// model: the keys >= q.from of the ascending slice keys, up to the
+	// limit, each with generation gen's field.
+	check := func(t *testing.T, name string, q query, scan scanFunc, keys []uint64, gen uint64) {
+		t.Helper()
+		want := keys[sort.Search(len(keys), func(i int) bool { return keys[i] >= q.from }):]
+		if q.limit > 0 && len(want) > q.limit {
+			want = want[:q.limit]
+		}
+		n := 0
+		err := scan(q, func(k uint64, f []byte) bool {
+			if n < len(want) {
+				if k != want[n] {
+					t.Fatalf("%s from %d limit %d: row %d has key %d, want %d", name, q.from, q.limit, n, k, want[n])
 				}
-				for i := uint64(0); i < rows; i++ {
-					if err := table.Insert(i*stride, snapRow(i*stride, 1, rowSize)); err != nil {
+				if !bytes.Equal(f, snapRow(k, gen, rowSize)[fieldOff:fieldOff+fieldLen]) {
+					t.Fatalf("%s from %d limit %d: key %d does not carry generation %d's field", name, q.from, q.limit, k, gen)
+				}
+			}
+			n++
+			return true
+		})
+		if err != nil {
+			t.Fatalf("%s from %d limit %d: %v", name, q.from, q.limit, err)
+		}
+		if n != len(want) {
+			t.Fatalf("%s from %d limit %d: emitted %d rows, want %d", name, q.from, q.limit, n, len(want))
+		}
+	}
+	for _, arch := range []Architecture{ThreeTier, MainMemory, NVMDirect, BasicNVMBuffer, SSDBuffer} {
+		for _, layout := range []LeafLayout{LayoutSorted, LayoutHash} {
+			for _, shards := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/layout%d/shards%d", arch, layout, shards), func(t *testing.T) {
+					s, err := OpenSharded(shards, Options{
+						Architecture:      arch,
+						DRAMBytes:         32 << 20,
+						NVMBytes:          256 << 20,
+						SSDBytes:          1 << 30,
+						WALBytes:          4 << 20,
+						StrictPersistence: true,
+					})
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				collect := func(q query, scan func(fn func(uint64, []byte) bool) error) []entry {
-					var got []entry
-					if err := scan(func(k uint64, f []byte) bool {
-						got = append(got, entry{k, string(f)})
-						return true
-					}); err != nil {
-						t.Fatalf("from %d limit %d: %v", q.from, q.limit, err)
+					defer s.Close()
+					table, err := s.CreateTableLayout(1, rowSize, layout)
+					if err != nil {
+						t.Fatal(err)
 					}
-					return got
-				}
-				locked := func(q query) []entry {
-					got := collect(q, func(fn func(uint64, []byte) bool) error {
+					var loaded, rewritten []uint64
+					for i := uint64(0); i < rows; i++ {
+						if err := table.Insert(i*stride, snapRow(i*stride, 1, rowSize)); err != nil {
+							t.Fatal(err)
+						}
+						loaded = append(loaded, i*stride)
+						rewritten = append(rewritten, i*stride, i*stride+1)
+					}
+					live := func(q query, fn func(uint64, []byte) bool) error {
 						return table.Scan(q.from, q.limit, fieldOff, fieldLen, fn)
-					})
-					want := 0
-					if first := (q.from + stride - 1) / stride; first < rows {
-						want = int(rows - first)
 					}
-					if q.limit > 0 && want > q.limit {
-						want = q.limit
-					}
-					if len(got) != want {
-						t.Fatalf("from %d limit %d: locked scan emitted %d rows, want %d", q.from, q.limit, len(got), want)
-					}
-					return got
-				}
-				agree := func(q query, want []entry, sn *Snapshot) {
-					snap := collect(q, func(fn func(uint64, []byte) bool) error {
-						return table.ScanSnapshot(sn, q.from, q.limit, fieldOff, fieldLen, fn)
-					})
-					if len(snap) != len(want) {
-						t.Fatalf("from %d limit %d: snapshot scan emitted %d rows, locked scan %d", q.from, q.limit, len(snap), len(want))
-					}
-					for i := range want {
-						if want[i] != snap[i] {
-							t.Fatalf("from %d limit %d: row %d differs: locked key %d, snapshot key %d", q.from, q.limit, i, want[i].key, snap[i].key)
-						}
-						if i > 0 && want[i].key <= want[i-1].key {
-							t.Fatalf("from %d limit %d: keys not ascending at row %d", q.from, q.limit, i)
+					asOf := func(sn *Snapshot) scanFunc {
+						return func(q query, fn func(uint64, []byte) bool) error {
+							return table.ScanSnapshot(sn, q.from, q.limit, fieldOff, fieldLen, fn)
 						}
 					}
-				}
 
-				refs := make([][]entry, len(queries))
-				for i, q := range queries {
-					refs[i] = locked(q)
 					sn, err := s.Snapshot()
 					if err != nil {
 						t.Fatal(err)
 					}
-					agree(q, refs[i], sn)
-					sn.Close()
-				}
+					defer sn.Close()
+					for _, q := range queries {
+						check(t, "Scan", q, live, loaded, 1)
+						check(t, "ScanSnapshot", q, asOf(sn), loaded, 1)
+					}
 
-				sn, err := s.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer sn.Close()
-				written := make(chan error, 1)
-				go func() {
-					for i := uint64(0); i < rows; i++ {
-						if err := table.Put(i*stride, snapRow(i*stride, 2, rowSize)); err != nil {
-							written <- err
-							return
+					written := make(chan error, 1)
+					go func() {
+						for i := uint64(0); i < rows; i++ {
+							if err := table.Put(i*stride, snapRow(i*stride, 2, rowSize)); err != nil {
+								written <- err
+								return
+							}
+							if err := table.Insert(i*stride+1, snapRow(i*stride+1, 2, rowSize)); err != nil {
+								written <- err
+								return
+							}
 						}
-						if err := table.Insert(i*stride+1, snapRow(i*stride+1, 2, rowSize)); err != nil {
-							written <- err
-							return
+						written <- nil
+					}()
+					for writing := true; writing; {
+						select {
+						case err := <-written:
+							if err != nil {
+								t.Fatal(err)
+							}
+							writing = false // one more sweep, over the final tree
+						default:
+						}
+						for _, q := range queries {
+							check(t, "ScanSnapshot behind a writer", q, asOf(sn), loaded, 1)
 						}
 					}
-					written <- nil
-				}()
-				for writing := true; writing; {
-					select {
-					case err := <-written:
-						if err != nil {
-							t.Fatal(err)
-						}
-						writing = false // one more sweep, over the final tree
-					default:
+					if s.Metrics().Read.VersionsSaved == 0 {
+						t.Fatal("the writer saved no copy-on-write image: the snapshot only ever read live pages")
 					}
-					for i, q := range queries {
-						agree(q, refs[i], sn)
+					for _, q := range queries {
+						check(t, "Scan after the writer", q, live, rewritten, 2)
 					}
-				}
-				if s.Metrics().Read.VersionsSaved == 0 {
-					t.Fatal("the writer saved no copy-on-write image: the snapshot only ever read live pages")
-				}
-			})
+				})
+			}
 		}
 	}
 }

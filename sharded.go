@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"nvmstore/internal/core"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/obs"
 	"nvmstore/internal/shard"
@@ -662,42 +665,48 @@ func (t *ShardedTable) Delete(key uint64) (bool, error) {
 // Scan visits rows with key >= from in ascending global key order,
 // passing fieldLen bytes at fieldOff of each row; it stops after limit
 // rows (limit <= 0 means all) or when fn returns false. The field slice
-// is only valid during the callback. Hash partitioning scatters
-// consecutive keys across shards, so the scan copies each shard's range
-// in one hold of that shard's lock (shards visited one at a time) and
-// merges the shards' rows before invoking fn.
+// is only valid during the callback. It is ScanSnapshot over a snapshot
+// opened for the call and closed after it: per shard the rows are a
+// commit-LSN prefix, no shard lock is held while fn runs, and writers
+// keep committing throughout. If a shard restarts under the scan, Scan
+// opens a fresh snapshot and resumes after the last key it emitted with
+// the limit that remains: keys stay strictly ascending and every row is
+// a committed value, but rows emitted before and after the restart come
+// from different snapshots.
 func (t *ShardedTable) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
-	return t.mergeShards(limit, fieldLen, fn, func(i int, c *shardCursor, _ int) error {
-		// The global first limit rows hold at most limit from any one
-		// shard, so this single fill covers whatever the merge may ask.
-		c.done = true
-		return t.read(i, func(tab *Table) error {
-			return tab.Scan(from, limit, fieldOff, fieldLen, c.add)
-		})
-	})
+	for {
+		sn, err := t.s.Snapshot()
+		if err != nil {
+			return err
+		}
+		next, emitted, err := t.scanAsOf(sn, from, limit, fieldOff, fieldLen, fn)
+		sn.Close()
+		if !errors.Is(err, ErrSnapshotInvalid) {
+			return err
+		}
+		// An invalidated scan stopped short of its limit, so some remains.
+		from = next
+		if limit > 0 {
+			limit -= emitted
+		}
+	}
 }
 
-// shardCursor buffers the next rows of one shard for the cross-shard
-// merge: keys[pos:] are still to be merged, and the field of keys[j] is
-// the j-th run of fieldLen bytes in fields. Both buffers are reused from
-// fill to fill and, through cursorPool, from scan to scan.
+// shardCursor is one shard's side of a scan. It buffers the shard's next
+// rows for the cross-shard merge: keys[pos:] are still to be merged, and
+// the field of keys[j] is the j-th run of fieldLen bytes in fields. Between
+// lock holds it remembers where the walk of the shard's as-of leaf chain
+// stands: the next leaf to visit and the first key still wanted from it.
+// The buffers are reused from refill to refill and, through cursorPool,
+// from scan to scan.
 type shardCursor struct {
-	keys   []uint64
-	fields []byte
-	pos    int
-	done   bool // the shard holds no rows beyond the buffered ones
-}
-
-// add buffers one row, copying field; it has the shape of a scan callback.
-func (c *shardCursor) add(key uint64, field []byte) bool {
-	c.keys = append(c.keys, key)
-	c.fields = append(c.fields, field...)
-	return true
-}
-
-// reset empties the buffers for the next fill, keeping their memory.
-func (c *shardCursor) reset() {
-	c.keys, c.fields, c.pos = c.keys[:0], c.fields[:0], 0
+	keys    []uint64
+	fields  []byte
+	pos     int
+	from    uint64
+	next    core.PageID
+	started bool
+	done    bool // the shard holds no rows beyond the buffered ones
 }
 
 var cursorPool = sync.Pool{New: func() any { return new([]shardCursor) }}
@@ -708,16 +717,20 @@ var cursorPool = sync.Pool{New: func() any { return new([]shardCursor) }}
 // shard the exception.
 const scanFillSlack = 4
 
-// mergeShards is the cross-shard half of every scan, a streaming k-way
-// merge: fill(i, c, want) appends shard i's next rows in key order to c
-// and marks c done once the shard has no more; the merge emits the
-// smallest buffered key to fn until limit rows are out (limit <= 0 means
-// all), fn returns false or every shard is done, and calls fill again
-// only for a cursor it has drained. want is that cursor's share of the
-// rows still missing plus scanFillSlack, or 0 when there is no limit; a
-// fill may return fewer rows (the merge comes back) but its rows beyond
-// want are wasted work. fn's field slice is valid only during the call.
-func (t *ShardedTable) mergeShards(limit, fieldLen int, fn func(key uint64, field []byte) bool, fill func(i int, c *shardCursor, want int) error) error {
+// readLeafBatch is the number of leaves a scan visits per lock
+// acquisition: enough to amortize the lock round-trip, small enough that
+// writers wait for at most a few leaf reads.
+const readLeafBatch = 16
+
+// scanAsOf is the one scan, a streaming k-way merge over the shards'
+// leaves as of sn: it emits the smallest buffered key to fn until limit
+// rows are out (limit <= 0 means all), fn returns false or every shard is
+// done, and refills only a cursor it has drained — with that cursor's
+// share of the rows still missing plus scanFillSlack, or with whatever
+// readLeafBatch leaves hold when there is no limit. It also returns the
+// key a scan would resume from and the number of rows emitted, which
+// Scan needs when the error is ErrSnapshotInvalid.
+func (t *ShardedTable) scanAsOf(sn *Snapshot, from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) (next uint64, emitted int, err error) {
 	n := len(t.s.shards)
 	pooled := cursorPool.Get().(*[]shardCursor)
 	defer cursorPool.Put(pooled)
@@ -726,21 +739,21 @@ func (t *ShardedTable) mergeShards(limit, fieldLen int, fn func(key uint64, fiel
 	}
 	curs := (*pooled)[:n]
 	for i := range curs {
-		curs[i].reset()
-		curs[i].done = false
+		c := &curs[i]
+		*c = shardCursor{keys: c.keys[:0], fields: c.fields[:0], from: from}
 	}
-	for emitted := 0; limit <= 0 || emitted < limit; emitted++ {
+	next = from
+	for limit <= 0 || emitted < limit {
 		best := -1
 		for i := range curs {
 			c := &curs[i]
 			for c.pos == len(c.keys) && !c.done {
-				c.reset()
 				want := 0
 				if limit > 0 {
 					want = (limit-emitted+n-1)/n + scanFillSlack
 				}
-				if err := fill(i, c, want); err != nil {
-					return err
+				if err := t.refill(sn, i, c, fieldOff, fieldLen, want); err != nil {
+					return next, emitted, err
 				}
 			}
 			if c.pos < len(c.keys) && (best < 0 || c.keys[c.pos] < curs[best].keys[curs[best].pos]) {
@@ -753,11 +766,99 @@ func (t *ShardedTable) mergeShards(limit, fieldLen int, fn func(key uint64, fiel
 		c := &curs[best]
 		j := c.pos
 		c.pos++
-		if !fn(c.keys[j], c.fields[j*fieldLen:(j+1)*fieldLen]) {
+		emitted++
+		next = c.keys[j] + 1
+		// next wraps to 0 after the largest key, which no row can follow.
+		if !fn(c.keys[j], c.fields[j*fieldLen:(j+1)*fieldLen]) || next == 0 {
 			break
 		}
 	}
-	return nil
+	return next, emitted, nil
+}
+
+// refill replaces c's drained buffer with shard i's next rows as of sn, in
+// one hold of the shard's lock: it continues the walk of the table's leaf
+// sibling chain, reads at most readLeafBatch leaves in place and copies at
+// most budget entries (budget <= 0: whatever those leaves hold), so the
+// hold is bounded by what the scan asked for, not by the leaves it passes;
+// c is marked done at the end of the chain. It fails with
+// ErrSnapshotInvalid if the shard restarted since sn was taken. The walk is
+// sound because splits keep the left sibling in place (so a leaf's as-of
+// content names its as-of successor), leaves are never merged or freed
+// while the tree lives, and as-of content does not change between holds.
+func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fieldLen, budget int) error {
+	// Readers take the bare shard lock: they are not routed operations
+	// (no ops count) and must not engage the writer throttle or
+	// maintainer nudge on their own behalf.
+	slot := &t.s.slots[i]
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	st, ss := t.s.shards[i], sn.snaps[i]
+	if st.e.Versions().Epoch() != ss.epoch {
+		return ErrSnapshotInvalid
+	}
+	tab, err := t.shardTable(st)
+	if err != nil {
+		return err
+	}
+	tree := tab.t
+	routed := false
+	if !c.started {
+		// Start at the leaf currently routing from: if it existed at the
+		// snapshot stamp it covered from then too (leaf ranges only
+		// narrow). A leaf born after the stamp has no as-of content; fall
+		// back to the stable chain head and skip forward from there.
+		pid, err := tree.LeafFor(c.from)
+		if err != nil {
+			return err
+		}
+		c.next, c.started, routed = pid, true, true
+	}
+	c.keys, c.fields, c.pos = c.keys[:0], c.fields[:0], 0
+	if budget > 0 {
+		// One arena per hold, sized to the most it can copy.
+		room := min(budget, readLeafBatch*tree.LeafCapacity())
+		c.keys = slices.Grow(c.keys, room)
+		c.fields = slices.Grow(c.fields, room*fieldLen)
+	}
+	full, last := false, false
+	emit := func(key uint64, field []byte) bool {
+		c.keys = append(c.keys, key)
+		c.fields = append(c.fields, field...)
+		c.from = key + 1
+		last = key == math.MaxUint64 // c.from wrapped; no key can follow
+		full = len(c.keys) == budget
+		return !full && !last
+	}
+	for leaves := 0; ; leaves++ {
+		if c.next == core.InvalidPageID {
+			c.done = true
+			return nil
+		}
+		if full || leaves == readLeafBatch {
+			return nil
+		}
+		next, existed, err := tree.VisitLeafAsOf(c.next, ss.stamp, c.from, fieldOff, fieldLen, emit)
+		switch {
+		case err != nil:
+			return err
+		case last:
+			c.next = core.InvalidPageID
+		case full:
+			// Budget spent inside this leaf: the next hold resumes in it.
+		case existed:
+			c.next = next
+		case routed:
+			if c.next, err = tree.HeadLeaf(); err != nil {
+				return err
+			}
+		default:
+			// A mid-chain successor with no as-of content was born after
+			// the snapshot: the as-of chain ends here.
+			c.next = core.InvalidPageID
+		}
+		routed = false
+	}
 }
 
 // Snapshot is a stable read point over every shard of a ShardedStore:
@@ -824,43 +925,23 @@ func (sn *Snapshot) LSNs() []uint64 {
 	return lsns
 }
 
-// ScanSnapshot is Scan against a snapshot: it visits the rows visible at
-// sn, in ascending global key order from from, stopping after limit rows
+// ScanSnapshot is Scan against a snapshot the caller holds, so that
+// several scans see one state: it visits the rows visible at sn, in
+// ascending global key order from from, stopping after limit rows
 // (limit <= 0 means all) or when fn returns false. The field slice is
-// only valid during the callback. Unlike Scan, which holds each shard's
-// lock for that shard's whole range, a snapshot scan holds a shard's
-// lock only while it copies the next rows the merge asked for out of the
-// as-of leaves — at most readLeafBatch leaves read in place per hold —
-// and runs fn outside it, so shard workers keep committing while the
-// scan runs; writers committing after the snapshot are simply invisible
-// to it. It returns ErrSnapshotInvalid if any scanned shard restarted
-// since the snapshot was taken.
+// only valid during the callback. It holds a shard's lock only while it
+// copies the next rows the merge asked for out of the as-of leaves — at
+// most readLeafBatch leaves read in place per hold — and runs fn outside
+// it, so shard workers keep committing while the scan runs; writers
+// committing after the snapshot are simply invisible to it. Unlike Scan
+// it does not resume: it returns ErrSnapshotInvalid if any scanned shard
+// restarted since the snapshot was taken.
 func (t *ShardedTable) ScanSnapshot(sn *Snapshot, from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
 	if sn.s != t.s {
 		return fmt.Errorf("nvmstore: snapshot belongs to a different store")
 	}
-	chains := make([]leafChain, len(t.s.shards))
-	for i := range chains {
-		chains[i].from = from
-	}
-	return t.mergeShards(limit, fieldLen, fn, func(i int, c *shardCursor, want int) error {
-		st := t.s.shards[i]
-		ss := sn.snaps[i]
-		// Readers take the bare shard lock: they are not routed
-		// operations (no ops count) and must not engage the writer
-		// throttle or maintainer nudge on their own behalf.
-		slot := &t.s.slots[i]
-		slot.mu.Lock()
-		defer slot.mu.Unlock()
-		if st.e.Versions().Epoch() != ss.epoch {
-			return ErrSnapshotInvalid
-		}
-		tab, err := t.shardTable(st)
-		if err != nil {
-			return err
-		}
-		return chains[i].advance(tab.t, ss.stamp, fieldOff, fieldLen, want, c)
-	})
+	_, _, err := t.scanAsOf(sn, from, limit, fieldOff, fieldLen, fn)
+	return err
 }
 
 // Count returns the total number of rows across all shards.

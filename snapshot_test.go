@@ -292,6 +292,121 @@ func TestSnapshotInvalidatedByRestart(t *testing.T) {
 	}
 }
 
+// TestScanResumesAcrossShardRestart restarts shards under a running
+// ShardedTable.Scan — from the scan's own callback, then from another
+// goroutine — and checks the contract of the resume: every key from the
+// start key on exactly once, ascending, with its committed row, and no
+// more than limit of them. In the callback runs the last key the scan
+// will reach is rewritten right after the restart; the scan must return
+// the new row, which it can only have read through a snapshot opened
+// after the one the restart invalidated.
+func TestScanResumesAcrossShardRestart(t *testing.T) {
+	const (
+		shards  = 3
+		rows    = 4000
+		rowSize = 1000 // at most 16 rows a leaf: a refill buffers at most 256 rows of a shard
+	)
+	s := openShardedStore(t, shards)
+	defer s.Close()
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := make([]uint64, rows) // the committed generation of each key
+	for k := uint64(0); k < rows; k++ {
+		gens[k] = 1
+		if err := table.Insert(k, snapRow(k, 1, rowSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// scan runs one Scan and checks everything it emits; during is called
+	// with the number of rows emitted so far, after each row's checks.
+	scan := func(from uint64, limit int, during func(n int)) {
+		t.Helper()
+		want := rows - int(from)
+		if limit > 0 && want > limit {
+			want = limit
+		}
+		n := 0
+		err := table.Scan(from, limit, 0, rowSize, func(k uint64, row []byte) bool {
+			if k != from+uint64(n) {
+				t.Fatalf("from %d limit %d: row %d has key %d, want %d", from, limit, n, k, from+uint64(n))
+			}
+			if gen := binary.LittleEndian.Uint64(row); gen != gens[k] {
+				t.Fatalf("from %d limit %d: key %d read at generation %d, committed is %d", from, limit, k, gen, gens[k])
+			}
+			n++
+			during(n)
+			return true
+		})
+		if err != nil {
+			t.Fatalf("from %d limit %d: %v", from, limit, err)
+		}
+		if n != want {
+			t.Fatalf("from %d limit %d: emitted %d rows, want %d", from, limit, n, want)
+		}
+	}
+
+	for _, q := range []struct {
+		from  uint64
+		limit int
+	}{{0, 0}, {300, 0}, {0, 3000}, {300, 3000}} {
+		// The last key is at least 1500 rows ahead of every restart
+		// below, about twice what the cursors can have buffered.
+		last := uint64(rows - 1)
+		if q.limit > 0 {
+			last = q.from + uint64(q.limit) - 1
+		}
+		for _, at := range []int{1, 100, 1500} {
+			scan(q.from, q.limit, func(n int) {
+				if n != at {
+					return
+				}
+				if _, err := s.CrashRestartShard(n % shards); err != nil {
+					t.Fatal(err)
+				}
+				gens[last]++
+				if err := table.Put(last, snapRow(last, gens[last], rowSize)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+
+	// A restarter goroutine: the scan's callback hands it a kick every 64
+	// rows and carries on, so each restart runs while the scan merges,
+	// refills or resumes, and every scan spans dozens of them.
+	kick, restarted := make(chan struct{}), make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; err == nil; i++ {
+			if _, ok := <-kick; !ok {
+				break
+			}
+			_, err = s.CrashRestartShard(i % shards)
+		}
+		restarted <- err
+		for range kick { // a failed restarter must not park the scan
+		}
+	}()
+	func() {
+		defer close(kick) // also when a check below fails the test
+		for _, limit := range []int{0, 1700} {
+			scan(5, limit, func(n int) {
+				if n%64 == 0 {
+					kick <- struct{}{}
+				}
+			})
+		}
+	}()
+	if err := <-restarted; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // allocatedBy returns the heap bytes one run of fn allocates. The runtime
 // counts allocations process-wide, so like testing.AllocsPerRun it runs fn
 // on a single P, and it takes the least of three runs: goroutines other
