@@ -6,6 +6,13 @@
 // pooled connections, while the Async variants let a single goroutine
 // keep a deep pipeline of its own.
 //
+// Issuing a request encodes it into its connection's write buffer and
+// wakes that connection's flusher goroutine, which hands everything
+// buffered to the socket in one write: requests issued back to back
+// share a write, and a request is on its way to the wire as soon as it
+// is issued — the issuer need not call Result, Done, or anything else
+// for it to be sent.
+//
 // Transactions never share those pooled connections: the server scopes
 // transaction state per connection, so Begin dials a dedicated
 // connection for the Tx and Commit/Rollback close it again. That keeps
@@ -169,15 +176,23 @@ func (c *Client) dialConn() (*conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	return newConn(c, nc), nil
+}
+
+// newConn wraps an established connection and starts its reader and
+// flusher goroutines; both exit when the connection closes or fails.
+func newConn(c *Client, nc net.Conn) *conn {
 	cn := &conn{
 		cl:      c,
 		nc:      nc,
-		bw:      bufio.NewWriter(nc),
+		kick:    make(chan struct{}, 1),
+		closed:  make(chan struct{}),
 		pending: make(map[uint32]*Call),
 		sem:     make(chan struct{}, c.opts.Depth),
 	}
 	go cn.readLoop()
-	return cn, nil
+	go cn.flushLoop()
+	return cn
 }
 
 // Close tears down every pooled connection and any dedicated
@@ -366,9 +381,13 @@ func (call *Call) Result() (wire.Response, error) {
 	return call.resp, nil
 }
 
-// GetAsync issues a pipelined GET. Async calls are not retried — a
-// pipelined caller owns its own in-flight window and decides what to
-// reissue (IsRetryable tells it whether it safely can).
+// GetAsync issues a pipelined GET: when it returns, the request is
+// encoded (the caller may reuse its arguments) and its connection's
+// flusher has been woken to send it, together with whatever else was
+// issued meanwhile — it reaches the server without any further call on
+// the returned Call. Async calls are not retried — a pipelined caller
+// owns its own in-flight window and decides what to reissue
+// (IsRetryable tells it whether it safely can).
 func (c *Client) GetAsync(table, key uint64) *Call {
 	return c.asyncCall(wire.Request{Op: wire.OpGet, Table: table, Key: key})
 }
@@ -558,8 +577,17 @@ type conn struct {
 	cl *Client
 	nc net.Conn
 
-	wmu sync.Mutex // serializes encode+write
-	bw  *bufio.Writer
+	// wbuf holds the encoded requests not yet handed to the socket; do
+	// appends under wmu and the flusher swaps it for an empty buffer
+	// before writing, so issuers never wait on a socket write. Every
+	// request in it holds a sem slot, which bounds it to Depth requests.
+	wmu  sync.Mutex
+	wbuf []byte
+	// kick wakes the flusher; a token left in it covers everything
+	// appended before the flusher's next swap.
+	kick chan struct{}
+	// closed is closed by close; it stops the flusher.
+	closed chan struct{}
 
 	mu      sync.Mutex
 	pending map[uint32]*Call
@@ -571,6 +599,10 @@ type conn struct {
 	closeOnce sync.Once
 }
 
+// maxIdleWriteBuf caps the write buffer a connection keeps between
+// flushes, so one burst of large PUTs does not pin its size forever.
+const maxIdleWriteBuf = 64 << 10
+
 // failed reports whether the connection has a sticky transport error.
 func (cn *conn) failed() bool {
 	cn.mu.Lock()
@@ -578,8 +610,8 @@ func (cn *conn) failed() bool {
 	return cn.err != nil
 }
 
-// do registers, encodes, and writes one request, returning the
-// in-flight call. Failures surface through the call.
+// do registers and encodes one request and wakes the flusher, returning
+// the in-flight call. Failures surface through the call.
 func (cn *conn) do(req wire.Request) *Call {
 	call := &Call{op: req.Op, done: make(chan struct{}), start: time.Now()}
 	cn.sem <- struct{}{}
@@ -598,17 +630,42 @@ func (cn *conn) do(req wire.Request) *Call {
 	cn.mu.Unlock()
 
 	cn.wmu.Lock()
-	buf := wire.AppendRequest(wire.GetBuf(), req)
-	_, err := cn.bw.Write(buf)
-	if err == nil {
-		err = cn.bw.Flush()
-	}
-	wire.PutBuf(buf) // flushed (or failed): the writer owns no alias
+	cn.wbuf = wire.AppendRequest(cn.wbuf, req)
 	cn.wmu.Unlock()
-	if err != nil {
-		cn.close(fmt.Errorf("client: write: %w", err))
+	select {
+	case cn.kick <- struct{}{}:
+	default: // a wake-up is already pending; it will see this request
 	}
 	return call
+}
+
+// flushLoop is the connection's writer: each wake-up sends everything
+// issued since the last one in a single socket write. It never waits for
+// more requests, so a lone request leaves at once; requests issued while
+// it was not running (back to back by one goroutine, or during the
+// previous write) leave together.
+func (cn *conn) flushLoop() {
+	var out []byte
+	for {
+		select {
+		case <-cn.kick:
+		case <-cn.closed:
+			return
+		}
+		cn.wmu.Lock()
+		out, cn.wbuf = cn.wbuf, out[:0]
+		cn.wmu.Unlock()
+		if len(out) == 0 {
+			continue
+		}
+		if _, err := cn.nc.Write(out); err != nil {
+			cn.close(fmt.Errorf("client: write: %w", err))
+			return
+		}
+		if cap(out) > maxIdleWriteBuf {
+			out = nil
+		}
+	}
 }
 
 // readLoop matches responses to pending calls until the connection
@@ -667,6 +724,7 @@ func (cn *conn) close(err error) {
 		calls := cn.pending
 		cn.pending = make(map[uint32]*Call)
 		cn.mu.Unlock()
+		close(cn.closed)
 		cn.nc.Close()
 		for _, call := range calls {
 			call.err = err

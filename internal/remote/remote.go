@@ -179,6 +179,16 @@ func Run(o Options) (bench.Result, error) {
 			o.Ops, o.Clients, o.Depth, o.Conns, wall.Round(time.Microsecond), sim, combined.Round(time.Microsecond)),
 		"latency rows: wire.* are client-observed wall-clock round trips;",
 		"the rest are the server engine's simulated-time histograms (with -obs)")
+	// The wire path's cost in the paper's Fig. 10 idiom — a counter, not
+	// a timing: socket calls the server made per operation of the
+	// measured window, and how many responses shared a write.
+	if writes := after.WriteSyscalls - before.WriteSyscalls; writes > 0 {
+		ops := float64(o.Ops)
+		res.Notes = append(res.Notes, fmt.Sprintf(
+			"server socket calls: %.3f reads/op, %.3f writes/op, %.2f frames per write",
+			float64(after.ReadSyscalls-before.ReadSyscalls)/ops, float64(writes)/ops,
+			float64(after.FramesWritten-before.FramesWritten)/float64(writes)))
+	}
 	if n := reissued.Load(); n > 0 || cl.Retries() > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%d pipelined ops reissued after transport failures (%d client-level retries); reissues cost time but add no ops",

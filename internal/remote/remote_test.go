@@ -3,6 +3,7 @@ package remote_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,4 +147,38 @@ func TestRemoteUntracedHasNoAttribution(t *testing.T) {
 			t.Fatalf("untraced run has trace note: %q", n)
 		}
 	}
+}
+
+// TestRemoteReportsSocketCalls pins the wire path's counter note: a run
+// reports the server's socket reads and writes per operation from its
+// STATS deltas. However the pipeline happens to bunch, neither can
+// exceed one per operation (unbuffered frame reads cost two), and a
+// write carries at least one frame.
+func TestRemoteReportsSocketCalls(t *testing.T) {
+	addr := startServer(t, 1)
+	res, err := remote.Run(remote.Options{
+		Addr:    addr,
+		Clients: 1,
+		Depth:   4,
+		Rows:    100,
+		Load:    true,
+		Ops:     2000,
+		Warmup:  50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range res.Notes {
+		var reads, writes, perWrite float64
+		if _, err := fmt.Sscanf(n, "server socket calls: %f reads/op, %f writes/op, %f frames per write",
+			&reads, &writes, &perWrite); err != nil {
+			continue
+		}
+		if reads <= 0 || reads > 1.01 || writes <= 0 || writes > 1.01 || perWrite < 1 {
+			t.Fatalf("socket calls out of range: %q", n)
+		}
+		t.Log(n)
+		return
+	}
+	t.Fatalf("no socket-call note in %q", res.Notes)
 }

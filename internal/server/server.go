@@ -7,7 +7,9 @@
 //
 // # Threading model
 //
-// One goroutine per connection reads and decodes frames; decoded keyed
+// One goroutine per connection reads frames through a fixed-size
+// buffered reader — the requests a pipelining client already has in the
+// socket cost one read, not two each — and decodes them; decoded keyed
 // requests (GET/PUT/DELETE) are routed by key hash to a per-shard
 // worker goroutine, which drains its queue in batches and executes each
 // batch under a single acquisition of the shard lock — the server-side
@@ -15,23 +17,26 @@
 // batch commit without flushing and share one WAL flush at the end of
 // the batch (group commit); responses are enqueued only after that
 // flush lands, so an acknowledged write is always durable. Responses
-// travel through a per-connection writer goroutine, so a connection's
-// responses are pipelined: many requests in flight, responses matched
-// to requests by wire request id, in whatever order the shards finish.
-// Scans, transaction control, and stats run inline on the reader.
+// travel through a per-connection writer goroutine, which sends
+// whatever its queue holds as one vectored socket write, so a
+// connection's responses are pipelined: many requests in flight,
+// responses matched to requests by wire request id, in whatever order
+// the shards finish. Scans, transaction control, and stats run inline
+// on the reader.
 //
 // # Backpressure
 //
 // Every queue is bounded. A full shard queue blocks the readers feeding
-// it, which stops them from reading more frames, which fills the TCP
-// receive window — backpressure propagates to the clients as the
-// network's own flow control. A full connection write queue blocks the
-// shard workers the same way, but only for a bounded time: every write
-// carries a deadline (Options.WriteTimeout), so a peer that stops
-// reading (TCP zero window) fails its writer within the deadline rather
-// than never, the connection is severed, and its queue drains to the
-// floor (responses to a dead connection are discarded) — one stalled
-// client cannot wedge a shard for longer than WriteTimeout.
+// it, which stops them from reading more frames — a reader is at most
+// one read buffer of requests ahead of the queue it waits on — which
+// fills the TCP receive window: backpressure propagates to the clients
+// as the network's own flow control. A full connection write queue
+// blocks the shard workers the same way, but only for a bounded time:
+// every socket write carries a deadline (Options.WriteTimeout), so a
+// peer that stops reading (TCP zero window) fails its writer within the
+// deadline rather than never, the connection is severed, and its queue
+// drains to the floor (responses to a dead connection are discarded) —
+// one stalled client cannot wedge a shard for longer than WriteTimeout.
 // Options.MaxConns bounds concurrent connections; excess dials wait in
 // the listen backlog.
 //
@@ -50,6 +55,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -83,18 +89,22 @@ type Options struct {
 	// limits are clamped to it, and further clamped by encoded bytes so
 	// a response always fits in wire.MaxFrame whatever the row size.
 	MaxScan int
-	// WriteTimeout bounds each response write to a connection (default
-	// 30s). A peer that stops reading for longer is severed, so a
-	// stalled client cannot block a shard worker indefinitely.
+	// WriteTimeout bounds each socket write to a connection (default
+	// 30s); one write carries the responses queued at the time, at most
+	// 64 frames or 64 KB plus one frame. A peer that stops reading for
+	// longer is severed, so a stalled client cannot block a shard worker
+	// indefinitely.
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level error logs.
 	Logf func(format string, args ...any)
 	// Faults, when set, injects network faults on the response path:
 	// fault.NetDrop closes a connection instead of writing a queued
 	// response and fault.NetPartial writes half a response frame before
-	// closing — the failures a resilient client must retry through. One
-	// injector is shared by all connections, so probability rules model
-	// a server-wide fault rate.
+	// closing — the failures a resilient client must retry through. Both
+	// are checked once per response frame, in queue order, however the
+	// frames are batched into socket writes. One injector is shared by
+	// all connections, so probability rules model a server-wide fault
+	// rate.
 	Faults *fault.Injector
 	// Repl, when set, makes this server a replication primary: REPL
 	// SUBSCRIBE connections stream the store's WAL through it, acks
@@ -198,6 +208,13 @@ type Server struct {
 		accepted  atomic.Int64 // total accepted
 		ops       atomic.Int64 // requests answered
 		connWaits atomic.Int64 // accepts that waited on MaxConns
+
+		// The wire path's cost counters: socket reads and writes that
+		// returned (not the runtime's EAGAIN retries inside one), and
+		// the response frames those writes carried.
+		readCalls     atomic.Int64
+		writeCalls    atomic.Int64
+		framesWritten atomic.Int64
 	}
 }
 
@@ -256,6 +273,15 @@ type StatsDoc struct {
 	// to wait for a free slot — the MaxConns saturation counter.
 	MaxConns  int   `json:"max_conns"`
 	ConnWaits int64 `json:"conn_waits"`
+	// ReadSyscalls and WriteSyscalls count the socket reads and writes
+	// that returned, over all connections; FramesWritten the response
+	// frames those writes carried. Their deltas over a window, divided by
+	// the ops answered in it, are the wire path's socket calls per
+	// request, and FramesWritten ÷ WriteSyscalls is the response
+	// coalescing factor.
+	ReadSyscalls  int64 `json:"read_syscalls"`
+	WriteSyscalls int64 `json:"write_syscalls"`
+	FramesWritten int64 `json:"frames_written"`
 	// ShardQueueDepth and ShardInflight are per-shard-worker gauges:
 	// requests sitting in each shard's queue right now, and requests
 	// routed to each shard whose responses are not yet enqueued.
@@ -355,6 +381,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		c := &conn{
 			srv: s,
 			nc:  nc,
+			br:  bufio.NewReaderSize(countedReader{nc, &s.stats.readCalls}, readBufSize),
 			out: make(chan outFrame, s.opts.WriteQueue),
 		}
 		s.conns[c] = struct{}{}
@@ -469,6 +496,10 @@ func (s *Server) Stats() StatsDoc {
 		Wire:      s.WireLatency(),
 		MaxConns:  s.opts.MaxConns,
 		ConnWaits: s.stats.connWaits.Load(),
+
+		ReadSyscalls:  s.stats.readCalls.Load(),
+		WriteSyscalls: s.stats.writeCalls.Load(),
+		FramesWritten: s.stats.framesWritten.Load(),
 	}
 	s.mu.Lock()
 	qs, inflight := s.shardQ, s.inflight
@@ -553,6 +584,9 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_conn_waits_total", "accepts that waited for a free connection slot", nil, float64(doc.ConnWaits))
 	p.Counter("nvmstore_accepted_total", "connections ever accepted", nil, float64(doc.Accepted))
 	p.Counter("nvmstore_ops_total", "requests answered", nil, float64(doc.Ops))
+	p.Counter("nvmstore_read_syscalls_total", "socket reads that returned, all connections", nil, float64(doc.ReadSyscalls))
+	p.Counter("nvmstore_write_syscalls_total", "socket writes that returned, all connections", nil, float64(doc.WriteSyscalls))
+	p.Counter("nvmstore_frames_written_total", "response frames carried by those socket writes", nil, float64(doc.FramesWritten))
 	for i := range doc.ShardQueueDepth {
 		shard := []obs.Label{{Name: "shard", Value: fmt.Sprint(i)}}
 		p.Gauge("nvmstore_shard_queue_depth", "requests waiting in the shard worker queue", shard, float64(doc.ShardQueueDepth[i]))
@@ -792,11 +826,47 @@ type outFrame struct {
 	tl  *obs.Timeline
 }
 
+// The wire path's batching bounds. They are constants, not options: no
+// two deployments need different values, and each only has to be large
+// enough that a pipelined burst fits.
+const (
+	// readBufSize is the per-connection read buffer: the requests one
+	// socket read can take in, and the most a reader runs ahead of a
+	// full shard queue. Larger frames are read straight into the frame
+	// buffer.
+	readBufSize = 16 << 10
+	// writeBatchFrames and writeBatchBytes bound one socket write: the
+	// writer stops collecting queued frames at either, so a write under
+	// one deadline is at most writeBatchBytes plus one frame long.
+	writeBatchFrames = 64
+	writeBatchBytes  = 64 << 10
+)
+
+// countedReader counts the reads of a connection's socket that
+// returned; it sits under the connection's buffered reader.
+type countedReader struct {
+	r io.Reader
+	n *atomic.Int64
+}
+
+func (cr countedReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n.Add(1)
+	return n, err
+}
+
 // conn is one client connection.
 type conn struct {
 	srv *Server
 	nc  net.Conn
+	br  *bufio.Reader // nc through countedReader; owned by the reader goroutine
 	out chan outFrame // encoded response frames
+
+	// iov is the writer goroutine's reusable gather list and bufs the
+	// view of it that net.Buffers.WriteTo consumes (a field, so taking
+	// its address allocates nothing).
+	iov  [][]byte
+	bufs net.Buffers
 
 	// pending counts requests handed to shard workers whose responses
 	// have not been enqueued yet; out closes only after it reaches zero
@@ -828,9 +898,9 @@ func (c *conn) closeRead() {
 
 // reply encodes and enqueues a response, with the request's timeline
 // when traced (nil otherwise). Blocking here is the server's
-// backpressure (see the package comment); the write loop's per-write
-// deadline guarantees the queue always drains, so reply never blocks
-// longer than roughly one WriteTimeout.
+// backpressure (see the package comment); the write loop's deadline on
+// every socket write guarantees the queue always drains, so reply never
+// blocks longer than roughly one WriteTimeout.
 func (c *conn) reply(resp wire.Response, tl *obs.Timeline) {
 	c.out <- outFrame{buf: wire.AppendResponse(wire.GetBuf(), resp), tl: tl}
 }
@@ -841,7 +911,10 @@ func (c *conn) readLoop() {
 	var payload []byte
 	var err error
 	for {
-		payload, buf, err = wire.ReadFrame(c.nc, buf)
+		// Every request already in the socket arrives with one read of
+		// c.br; the frames after the first are served from its buffer —
+		// also after closeRead, so a drain answers all of them.
+		payload, buf, err = wire.ReadFrame(c.br, buf)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				c.srv.logf("server: %s: read: %v", c.nc.RemoteAddr(), err)
@@ -1113,18 +1186,43 @@ func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 
 func (c *conn) writeLoop() {
 	defer c.srv.connWG.Done()
+	batch := make([]outFrame, 0, writeBatchFrames)
 	var err error
 	for f := range c.out {
-		err = c.writeFrame(f.buf, err)
-		// The frame is on the wire (or discarded): recycle it. Written
-		// and dropped frames alike, so the pool sees every buffer back.
-		wire.PutBuf(f.buf)
-		if f.tl != nil {
-			// The timeline is complete once the response bytes hit the
-			// socket (or were discarded on a dead peer); after Record
-			// it is published and must not be touched again.
-			f.tl.Finish(time.Now().UnixNano())
-			c.srv.flight.Record(f.tl)
+		// Take what else is queued already, never wait for more: a lone
+		// response leaves at once, a burst leaves in one socket write.
+		batch = append(batch[:0], f)
+		size := len(f.buf)
+	collect:
+		for len(batch) < writeBatchFrames && size < writeBatchBytes {
+			select {
+			case f, ok := <-c.out:
+				if !ok {
+					break collect
+				}
+				batch = append(batch, f)
+				size += len(f.buf)
+			default:
+				break collect
+			}
+		}
+		err = c.writeBatch(batch, err)
+		var now int64
+		for _, f := range batch {
+			// The frame is on the wire (or discarded): recycle it. Written,
+			// dropped and severed frames alike, so the pool sees every
+			// buffer back exactly once.
+			wire.PutBuf(f.buf)
+			if f.tl != nil {
+				// The timeline is complete once the batch's bytes hit the
+				// socket (or were discarded on a dead peer); after Record
+				// it is published and must not be touched again.
+				if now == 0 {
+					now = time.Now().UnixNano()
+				}
+				f.tl.Finish(now)
+				c.srv.flight.Record(f.tl)
+			}
 		}
 	}
 	c.nc.Close()
@@ -1136,41 +1234,63 @@ func (c *conn) writeLoop() {
 	<-s.connSem
 }
 
-// writeFrame sends one encoded response frame, threading the sticky
-// write error: once the peer is gone every later frame is discarded so
-// the queue keeps draining.
-func (c *conn) writeFrame(buf []byte, err error) error {
+// writeBatch sends the batch's encoded response frames as one vectored
+// socket write under one deadline, threading the sticky write error:
+// once the peer is gone every later frame is discarded so the queue
+// keeps draining. Injected faults are decided per frame, in queue
+// order, before anything is sent: the frames ahead of a faulted one
+// leave whole (plus half of it, for a partial fault), then the
+// connection is severed — a batch is severable at every frame boundary,
+// exactly like the frame-at-a-time writes it replaces.
+func (c *conn) writeBatch(batch []outFrame, err error) error {
 	if err != nil {
 		return err // peer gone: discard
 	}
-	if in := c.srv.opts.Faults; in != nil {
-		if in.Check(fault.NetDrop).Fire {
-			c.nc.Close()
-			return errors.New("injected connection drop")
+	s := c.srv
+	iov := c.iov[:0]
+	whole := 0
+	var injected error
+	for _, f := range batch {
+		if in := s.opts.Faults; in != nil {
+			if in.Check(fault.NetDrop).Fire {
+				injected = errors.New("injected connection drop")
+				break
+			}
+			if in.Check(fault.NetPartial).Fire {
+				// Half a frame, then sever: the client sees a short read
+				// on a frame it can neither finish nor trust.
+				iov = append(iov, f.buf[:len(f.buf)/2])
+				injected = errors.New("injected partial frame")
+				break
+			}
 		}
-		if in.Check(fault.NetPartial).Fire {
-			// Half a frame, then sever: the client sees a short read
-			// on a frame it can neither finish nor trust.
-			c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-			c.nc.Write(buf[:len(buf)/2])
-			c.nc.Close()
-			return errors.New("injected partial frame")
-		}
+		iov = append(iov, f.buf)
+		whole++
 	}
-	// The deadline is what makes a stalled peer (TCP zero window)
-	// a bounded problem: Write fails at the latest after
-	// WriteTimeout, the connection is severed, and every later
-	// response is discarded — shard workers blocked on this
-	// connection's full queue unblock.
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.opts.WriteTimeout))
-	if _, werr := c.nc.Write(buf); werr != nil {
-		// Sever the connection so the reader unblocks; its
-		// remaining in-flight responses will be discarded above.
+	c.iov = iov
+	if len(iov) > 0 {
+		// The deadline is what makes a stalled peer (TCP zero window)
+		// a bounded problem: the write fails at the latest after
+		// WriteTimeout, the connection is severed, and every later
+		// response is discarded — shard workers blocked on this
+		// connection's full queue unblock.
+		c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+		c.bufs = iov
+		_, werr := c.bufs.WriteTo(c.nc)
+		s.stats.writeCalls.Add(1)
+		if werr != nil {
+			// Sever the connection so the reader unblocks; its
+			// remaining in-flight responses will be discarded above.
+			c.nc.Close()
+			if !errors.Is(werr, net.ErrClosed) {
+				s.logf("server: %s: write: %v", c.nc.RemoteAddr(), werr)
+			}
+			return werr
+		}
+		s.stats.framesWritten.Add(int64(whole))
+	}
+	if injected != nil {
 		c.nc.Close()
-		if !errors.Is(werr, net.ErrClosed) {
-			c.srv.logf("server: %s: write: %v", c.nc.RemoteAddr(), werr)
-		}
-		return werr
 	}
-	return nil
+	return injected
 }

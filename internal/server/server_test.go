@@ -660,8 +660,9 @@ func TestScanSurvivesShardRestarts(t *testing.T) {
 // TestStalledReaderDoesNotWedgeShard opens a raw connection that floods
 // GETs for large rows and never reads a byte of response. The write
 // deadline must sever that connection so the shard worker — which
-// replies while holding the shard lock — cannot stay blocked on it, and
-// a well-behaved client must keep getting service.
+// enqueues replies after releasing the shard lock, but blocks on this
+// connection's full write queue — cannot stay blocked on it, and a
+// well-behaved client must keep getting service.
 func TestStalledReaderDoesNotWedgeShard(t *testing.T) {
 	const rowSize = 8000
 	_, _, addr := startServerRowSize(t, 1, rowSize, server.Options{

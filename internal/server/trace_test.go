@@ -256,6 +256,9 @@ func TestPrometheusExport(t *testing.T) {
 		"nvmstore_conns ",
 		"nvmstore_conn_waits_total ",
 		"nvmstore_ops_total ",
+		"nvmstore_read_syscalls_total ",
+		"nvmstore_write_syscalls_total ",
+		"nvmstore_frames_written_total ",
 		"nvmstore_log_flushes_total ",
 		"nvmstore_trace_sampled_total ",
 	} {

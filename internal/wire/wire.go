@@ -445,16 +445,25 @@ func DecodeResponse(payload []byte) (Response, error) {
 // paths draw from this pool instead. Capacities converge on the
 // workload's frame sizes; buffers that prove too small are dropped and
 // replaced by larger ones.
-var bufPool sync.Pool
+//
+// A sync.Pool stores pointers, and boxing a slice header on every Put
+// would itself allocate, so the *[]byte holders cycle through a pool of
+// their own: GetBuf empties a holder into holderPool, PutBuf refills one
+// from it. In steady state neither call allocates.
+var bufPool, holderPool sync.Pool
 
 // GetBuf returns a zero-length recycled buffer (possibly nil: appending
 // grows it like any other slice). Pair with PutBuf once every alias of
 // the buffer is dead.
 func GetBuf() []byte {
-	if p, ok := bufPool.Get().(*[]byte); ok {
-		return (*p)[:0]
+	p, ok := bufPool.Get().(*[]byte)
+	if !ok {
+		return nil
 	}
-	return nil
+	buf := (*p)[:0]
+	*p = nil
+	holderPool.Put(p)
+	return buf
 }
 
 // GetBufN returns a recycled buffer of length n with unspecified
@@ -476,8 +485,12 @@ func PutBuf(buf []byte) {
 	if cap(buf) == 0 {
 		return
 	}
-	buf = buf[:0]
-	bufPool.Put(&buf)
+	p, ok := holderPool.Get().(*[]byte)
+	if !ok {
+		p = new([]byte)
+	}
+	*p = buf[:0]
+	bufPool.Put(p)
 }
 
 // ReadFrame reads one length-prefixed payload from r into buf (grown as
@@ -491,15 +504,25 @@ func PutBuf(buf []byte) {
 // contract above already requires that). io.EOF is returned unwrapped
 // on a clean close before the prefix; a close mid-frame is
 // io.ErrUnexpectedEOF.
+//
+// The length prefix is read into buf too (a local array would escape
+// through the io.Reader call and cost an allocation per frame), so a
+// loop that passes its buffer back allocates only when a frame outgrows
+// it.
 func ReadFrame(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	var prefix []byte
+	if cap(buf) >= 4 {
+		prefix = buf[:4]
+	} else {
+		prefix = make([]byte, 4) // cold start: the caller has no buffer yet
+	}
+	if _, err := io.ReadFull(r, prefix); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, buf, io.ErrUnexpectedEOF
 		}
 		return nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
+	n := binary.BigEndian.Uint32(prefix)
 	if n > MaxFrame {
 		return nil, buf, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
