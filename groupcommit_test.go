@@ -178,7 +178,7 @@ func TestShardedPutBatchCoalesces(t *testing.T) {
 }
 
 // TestShardedGroupCommitConcurrent drives concurrent autocommit writers
-// through the sharded store's per-shard combiner and checks that every
+// through the sharded store's combining Batch and checks that every
 // acknowledged write reads back — the transparent-coalescing path under
 // real goroutine concurrency (the race detector sees this test).
 func TestShardedGroupCommitConcurrent(t *testing.T) {
@@ -237,9 +237,9 @@ func TestShardedGroupCommitConcurrent(t *testing.T) {
 }
 
 // openCombinerStore opens a two-shard store whose shard 0 the combiner
-// tests drive: no background maintainer (nothing but the writers may
-// flush the log), a checkpoint base to recover from, and n keys owned by
-// shard 0.
+// tests drive: no background maintainer (nothing but the Batch callers
+// may flush the log), a checkpoint base to recover from, and n keys owned
+// by shard 0.
 func openCombinerStore(t *testing.T, n int) (*ShardedStore, *ShardedTable, []uint64) {
 	t.Helper()
 	s, err := OpenSharded(2, Options{
@@ -270,11 +270,34 @@ func openCombinerStore(t *testing.T, n int) (*ShardedStore, *ShardedTable, []uin
 	return s, tab, keys
 }
 
+// batchCallers returns one single-commit writer per key of shard 0, in
+// the three shapes a Batch call reaches the store in: a bare Batch (what
+// a server connection issues), an autocommit table write, and a PutBatch.
+// Each stores its result in errs.
+func batchCallers(s *ShardedStore, tab *ShardedTable, keys []uint64, row func(uint64) []byte, errs []error) []func() {
+	calls := make([]func(), len(keys))
+	for i, k := range keys {
+		switch i % 3 {
+		case 0:
+			calls[i] = func() {
+				errs[i] = s.Batch(0, func(st *Store) error {
+					return st.UpdateNoFlush(func() error { return st.Table(1).Put(k, row(k)) })
+				})
+			}
+		case 1:
+			calls[i] = func() { errs[i] = tab.Put(k, row(k)) }
+		case 2:
+			calls[i] = func() { errs[i] = tab.PutBatch([]uint64{k}, [][]byte{row(k)}) }
+		}
+	}
+	return calls
+}
+
 // queueBehindHeldShard takes shard 0's lock, starts one goroutine per
-// write — the first becomes the combiner and blocks on the lock, the
-// rest are observed queued behind it — then releases the lock and waits
-// for every write to return.
-func queueBehindHeldShard(s *ShardedStore, writes []func()) {
+// call — the first becomes the leader and blocks on the lock, the rest
+// are observed queued behind it — then releases the lock and waits for
+// every call to return.
+func queueBehindHeldShard(s *ShardedStore, calls []func()) {
 	held, release := make(chan struct{}), make(chan struct{})
 	go s.WithShard(0, func(*Store) error {
 		close(held)
@@ -295,11 +318,11 @@ func queueBehindHeldShard(s *ShardedStore, writes []func()) {
 		}
 	}
 	var wg sync.WaitGroup
-	for i, w := range writes {
+	for i, call := range calls {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w()
+			call()
 		}()
 		await(func() bool { return c.busy && len(c.queue) == i })
 	}
@@ -307,38 +330,38 @@ func queueBehindHeldShard(s *ShardedStore, writes []func()) {
 	wg.Wait()
 }
 
-// TestCombinerCoalescesQueuedWriters pins both ends of the combiner: an
-// uncontended writer flushes exactly once per put, and nine writers
-// stacked up behind a held shard commit in exactly two flushes — the
-// combiner's own batch of one, then the eight it found queued.
+// TestCombinerCoalescesQueuedWriters pins both ends of the combining
+// Batch: an uncontended caller flushes exactly once per call, and N
+// callers of every shape stacked up behind a held shard leave in exactly
+// 1 + ⌈(N-1)/maxCombine⌉ flushes — the first caller's group of one, then
+// the queue in groups of at most maxCombine.
 func TestCombinerCoalescesQueuedWriters(t *testing.T) {
-	s, tab, keys := openCombinerStore(t, 19)
+	const callers = 1 + maxCombine + 8
+	s, tab, keys := openCombinerStore(t, callers+10)
 	row := func(k uint64) []byte { return bytes.Repeat([]byte{byte(k) + 1}, 16) }
 
 	before := s.Metrics().Log
-	for _, k := range keys[9:] {
-		if err := tab.Put(k, row(k)); err != nil {
-			t.Fatal(err)
+	solo := make([]error, 10)
+	for i, call := range batchCallers(s, tab, keys[callers:], row, solo) {
+		if call(); solo[i] != nil {
+			t.Fatal(solo[i])
 		}
 	}
 	after := s.Metrics().Log
 	if c, f := after.Commits-before.Commits, after.Flushes-before.Flushes; c != 10 || f != 10 {
-		t.Fatalf("uncontended writer: %d commits in %d flushes, want 10 in 10", c, f)
+		t.Fatalf("uncontended callers: %d commits in %d flushes, want 10 in 10", c, f)
 	}
 
-	errs := make([]error, 9)
-	writes := make([]func(), 9)
-	for i := range writes {
-		writes[i] = func() { errs[i] = tab.Put(keys[i], row(keys[i])) }
-	}
+	errs := make([]error, callers)
 	before = after
-	queueBehindHeldShard(s, writes)
+	queueBehindHeldShard(s, batchCallers(s, tab, keys[:callers], row, errs))
 	after = s.Metrics().Log
-	if c, f := after.Commits-before.Commits, after.Flushes-before.Flushes; c != 9 || f != 2 {
-		t.Fatalf("queued writers: %d commits in %d flushes, want 9 in 2", c, f)
+	want := int64(1 + (callers-1+maxCombine-1)/maxCombine)
+	if c, f := after.Commits-before.Commits, after.Flushes-before.Flushes; c != callers || f != want {
+		t.Fatalf("queued callers: %d commits in %d flushes, want %d in %d", c, f, callers, want)
 	}
 	buf := make([]byte, 16)
-	for i, k := range keys[:9] {
+	for i, k := range keys[:callers] {
 		if errs[i] != nil {
 			t.Fatalf("put %d: %v", k, errs[i])
 		}
@@ -349,25 +372,25 @@ func TestCombinerCoalescesQueuedWriters(t *testing.T) {
 }
 
 // TestCombinerCrashReleasesWriters crashes the shard at the group flush
-// of a full combiner batch (fault.WALGroupCrash) with more writers still
-// queued behind it. The combiner panics and restarts the shard; every
-// other writer must return — with an error, not an ack — and the shard
-// must serve again. Acknowledged writes survive the crash; writes that
-// failed or panicked are absent.
+// of a full group (fault.WALGroupCrash) with more callers still queued
+// behind it. The leader panics and restarts the shard; every other caller
+// must return — with errShardCrashed, not an ack — and the shard must
+// serve again. Acknowledged writes survive the crash; writes that failed
+// or panicked are absent.
 func TestCombinerCrashReleasesWriters(t *testing.T) {
-	const writers = 1 + maxCombine + 8 // a batch of one, a full group, and a remainder
-	s, tab, keys := openCombinerStore(t, writers)
+	const callers = 1 + maxCombine + 8 // a group of one, a full group, and a remainder
+	s, tab, keys := openCombinerStore(t, callers)
 	row := func(k uint64) []byte { return bytes.Repeat([]byte{byte(k) + 1}, 16) }
 	// The second group flush on shard 0 — the full group's — crashes.
 	s.InjectFaults(&fault.Plan{Seed: 1, Rules: []fault.Rule{
 		{Kind: fault.WALGroupCrash, EveryN: 2, Limit: 1},
 	}})
 
-	errs := make([]error, writers)
-	crashed := make([]bool, writers)
-	writes := make([]func(), writers)
-	for i := range writes {
-		writes[i] = func() {
+	errs := make([]error, callers)
+	crashed := make([]bool, callers)
+	calls := batchCallers(s, tab, keys, row, errs)
+	for i, call := range calls {
+		calls[i] = func() {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := fault.AsCrash(r); !ok {
@@ -377,20 +400,20 @@ func TestCombinerCrashReleasesWriters(t *testing.T) {
 					_, errs[i] = s.CrashRestartShard(0)
 				}
 			}()
-			errs[i] = tab.Put(keys[i], row(keys[i]))
+			call()
 		}
 	}
-	queueBehindHeldShard(s, writes)
+	queueBehindHeldShard(s, calls)
 
 	if errs[0] != nil || crashed[0] {
-		t.Fatalf("first writer: err=%v crashed=%v, want a clean ack", errs[0], crashed[0])
+		t.Fatalf("first caller: err=%v crashed=%v, want a clean ack", errs[0], crashed[0])
 	}
 	if !crashed[1] || errs[1] != nil {
-		t.Fatalf("second combiner: crashed=%v restart err=%v, want a recovered crash", crashed[1], errs[1])
+		t.Fatalf("second leader: crashed=%v restart err=%v, want a recovered crash", crashed[1], errs[1])
 	}
-	for i := 2; i < writers; i++ {
+	for i := 2; i < callers; i++ {
 		if crashed[i] || !errors.Is(errs[i], errShardCrashed) {
-			t.Fatalf("writer %d: crashed=%v err=%v, want errShardCrashed", i, crashed[i], errs[i])
+			t.Fatalf("caller %d: crashed=%v err=%v, want errShardCrashed", i, crashed[i], errs[i])
 		}
 	}
 	buf := make([]byte, 16)
@@ -401,7 +424,7 @@ func TestCombinerCrashReleasesWriters(t *testing.T) {
 		}
 	}
 
-	// The fault is spent and the combiner was released: every failed
+	// The fault is spent and the leader role was released: every failed
 	// write goes through on retry.
 	for _, k := range keys[1:] {
 		if err := tab.Put(k, row(k)); err != nil {

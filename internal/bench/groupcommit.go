@@ -26,7 +26,7 @@ const groupCommitNVMWriteLatency = 1800 * time.Nanosecond
 // size. Each operation is one transaction committed without flushing;
 // one log-tail flush per batch makes the whole batch durable, exactly
 // the engine-level protocol of ShardedStore.Batch, which the server's
-// shard workers and the embedded combiner run concurrently. Batch 1 is
+// connection readers and ShardedTable writers call concurrently. Batch 1 is
 // the ungrouped baseline (every commit flushes). NVM Direct is the control: it
 // persists tuples in place and truncates the log per commit, so there
 // is nothing to coalesce and its line stays flat.

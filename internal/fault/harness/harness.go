@@ -68,8 +68,8 @@ type Config struct {
 	// GroupCommit switches the workload to the group-commit protocol:
 	// transactions commit without flushing and a shared log-tail flush
 	// every GroupEvery transactions makes them durable — the write path
-	// every ShardedStore.Batch caller (the server's shard workers, the
-	// embedded combiner) runs. Crashes can then land between a commit
+	// every ShardedStore.Batch caller (the server's connection readers,
+	// ShardedTable writes) runs. Crashes can then land between a commit
 	// record and its group flush (fault.WALGroupCrash), where the invariant
 	// changes shape: unflushed committed transactions may be lost, but
 	// only as an all-or-nothing suffix — the survivors must form a

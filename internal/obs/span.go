@@ -13,16 +13,16 @@ import (
 type Stage uint8
 
 const (
-	// StageEnqueue is the reader goroutine's handoff into the shard
-	// queue, including any block on queue backpressure.
+	// StageEnqueue is the reader goroutine's decode and dispatch work, up
+	// to the request joining its shard's group of the burst.
 	StageEnqueue Stage = iota
-	// StageQueue is time spent waiting in the shard worker's queue.
+	// StageQueue is burst assembly plus waiting for the shard: the lock
+	// and the group peers executed before this request.
 	StageQueue
-	// StageExec is this request's own execution inside the batched
-	// shard worker, including the shard-lock wait.
+	// StageExec is this request's own execution under the shard lock.
 	StageExec
-	// StageFlush is the wait for the batch-end WAL/group-commit flush,
-	// including batch peers executed after this request.
+	// StageFlush is the wait for the group's WAL flush, the rest of the
+	// burst and any replica acks, including group peers executed later.
 	StageFlush
 	// StageWrite is the response's time in the connection writer: the
 	// out-queue wait plus the socket write.

@@ -12,12 +12,13 @@ import (
 // GroupCommit is the serving-layer counterpart of the in-process
 // groupcommit experiment: a write-only YCSB run swept over the client
 // pipeline depth. Depth is what drives coalescing end to end — a deeper
-// pipeline keeps more requests queued at each shard worker, the worker
-// executes them as one batch under the shard lock, commits every write
-// without flushing, and makes the whole batch durable with a single
-// log-tail flush before any response leaves the server. Depth 1 is the
-// ungrouped baseline: one request in flight per worker, so every write
-// pays its own flush. The achieved coalescing is reported as ops/flush
+// pipeline puts more requests into each burst a server connection reads,
+// its reader executes each shard's share as one group under the shard
+// lock, commits every write without flushing, and makes the whole group
+// durable with a single log-tail flush before any response leaves the
+// server. Depth 1 is the ungrouped baseline: one request in flight per
+// client worker, so a write shares a flush only when another
+// connection's write reaches the shard while it runs. The achieved coalescing is reported as ops/flush
 // from the server's own WAL counters (STATS log_commits/log_flushes
 // deltas over the measured window).
 func GroupCommit(o Options) (bench.Result, error) {

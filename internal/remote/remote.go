@@ -65,8 +65,8 @@ type Options struct {
 	// TraceSample, when positive, stamps every Nth keyed request with a
 	// wire-level trace header; the server records a per-stage timeline
 	// for each stamped request and the run reports the p99 stage
-	// decomposition (reader dispatch, shard queue, execution, WAL flush,
-	// response write) from the server's flight recorder. 1 traces every
+	// decomposition (reader dispatch, wait for the shard, execution, WAL
+	// flush, response write) from the server's flight recorder. 1 traces every
 	// request; 0 disables tracing.
 	TraceSample int
 }
@@ -180,14 +180,15 @@ func Run(o Options) (bench.Result, error) {
 		"latency rows: wire.* are client-observed wall-clock round trips;",
 		"the rest are the server engine's simulated-time histograms (with -obs)")
 	// The wire path's cost in the paper's Fig. 10 idiom — a counter, not
-	// a timing: socket calls the server made per operation of the
-	// measured window, and how many responses shared a write.
-	if writes := after.WriteSyscalls - before.WriteSyscalls; writes > 0 {
+	// a timing: socket calls the server made per operation of the window,
+	// responses per write, and requests per shard-lock acquisition.
+	writes, groups := after.WriteSyscalls-before.WriteSyscalls, after.ExecBatches-before.ExecBatches
+	if writes > 0 && groups > 0 {
 		ops := float64(o.Ops)
 		res.Notes = append(res.Notes, fmt.Sprintf(
-			"server socket calls: %.3f reads/op, %.3f writes/op, %.2f frames per write",
+			"server socket calls: %.3f reads/op, %.3f writes/op, %.2f frames per write, %.2f requests per shard-lock hold",
 			float64(after.ReadSyscalls-before.ReadSyscalls)/ops, float64(writes)/ops,
-			float64(after.FramesWritten-before.FramesWritten)/float64(writes)))
+			float64(after.FramesWritten-before.FramesWritten)/float64(writes), ops/float64(groups)))
 	}
 	if n := reissued.Load(); n > 0 || cl.Retries() > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(

@@ -152,8 +152,9 @@ func TestRemoteUntracedHasNoAttribution(t *testing.T) {
 // TestRemoteReportsSocketCalls pins the wire path's counter note: a run
 // reports the server's socket reads and writes per operation from its
 // STATS deltas. However the pipeline happens to bunch, neither can
-// exceed one per operation (unbuffered frame reads cost two), and a
-// write carries at least one frame.
+// exceed one per operation (unbuffered frame reads cost two), a write
+// carries at least one frame, and a shard-lock hold at least one request
+// and at most a burst.
 func TestRemoteReportsSocketCalls(t *testing.T) {
 	addr := startServer(t, 1)
 	res, err := remote.Run(remote.Options{
@@ -169,12 +170,12 @@ func TestRemoteReportsSocketCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range res.Notes {
-		var reads, writes, perWrite float64
-		if _, err := fmt.Sscanf(n, "server socket calls: %f reads/op, %f writes/op, %f frames per write",
-			&reads, &writes, &perWrite); err != nil {
+		var reads, writes, perWrite, perHold float64
+		if _, err := fmt.Sscanf(n, "server socket calls: %f reads/op, %f writes/op, %f frames per write, %f requests per shard-lock hold",
+			&reads, &writes, &perWrite, &perHold); err != nil {
 			continue
 		}
-		if reads <= 0 || reads > 1.01 || writes <= 0 || writes > 1.01 || perWrite < 1 {
+		if reads <= 0 || reads > 1.01 || writes <= 0 || writes > 1.01 || perWrite < 1 || perHold < 1 || perHold > 64 {
 			t.Fatalf("socket calls out of range: %q", n)
 		}
 		t.Log(n)

@@ -70,7 +70,8 @@ func statsAfterFrames(t *testing.T, srv *server.Server, before server.StatsDoc, 
 
 // TestBurstCostsFewSocketReads: 64 GET frames sent in one write are all
 // answered, and the server takes them in with a handful of socket reads
-// (two per frame before the buffered reader).
+// (two per frame before the buffered reader) and executes what each read
+// brought as one burst: at most one group per shard per read.
 func TestBurstCostsFewSocketReads(t *testing.T) {
 	srv, _, addr := startServer(t, 2, server.Options{})
 	raw, err := net.Dial("tcp", addr)
@@ -90,6 +91,10 @@ func TestBurstCostsFewSocketReads(t *testing.T) {
 	}
 	if writes := after.WriteSyscalls - before.WriteSyscalls; writes < 1 || writes > n {
 		t.Fatalf("write_syscalls advanced by %d, want 1..%d", writes, n)
+	}
+	reads := after.ReadSyscalls - before.ReadSyscalls
+	if groups := after.ExecBatches - before.ExecBatches; groups < 1 || groups > 2*reads {
+		t.Fatalf("%d frames over 2 shards executed as %d groups after %d socket reads, want at most %d", n, groups, reads, 2*reads)
 	}
 }
 
@@ -270,12 +275,13 @@ func TestBatchSeverableAtEveryFrame(t *testing.T) {
 
 // TestShutdownAnswersBufferedRequests: a drain answers every request the
 // server had read before the half-close — including the ones still
-// sitting in the connection's read buffer. The burst fits one read
-// buffer and arrives in one segment, so once its first response is back
-// the server has read all of it; a one-deep shard queue keeps most of it
-// waiting in the buffer while Shutdown half-closes the connection.
+// sitting in the connection's read buffer. The requests fit one read
+// buffer and arrive in one segment, so once the first response is back
+// the server has read all of them; the reader executes at most a burst
+// (64) before it answers, so most of them are still waiting in the buffer
+// while Shutdown half-closes the connection.
 func TestShutdownAnswersBufferedRequests(t *testing.T) {
-	srv, _, addr := startServer(t, 1, server.Options{ShardQueue: 1, BatchMax: 1})
+	srv, _, addr := startServer(t, 1, server.Options{})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

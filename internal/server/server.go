@@ -7,38 +7,40 @@
 //
 // # Threading model
 //
-// One goroutine per connection reads frames through a fixed-size
+// Two goroutines per connection and none per shard: requests run on the
+// connection that read them. The reader reads frames through a fixed-size
 // buffered reader — the requests a pipelining client already has in the
-// socket cost one read, not two each — and decodes them; decoded keyed
-// requests (GET/PUT/DELETE) are routed by key hash to a per-shard
-// worker goroutine, which drains its queue in batches and executes each
-// batch under a single acquisition of the shard lock — the server-side
-// continuation of the shard-per-core model (Appendix A.1). Writes in a
-// batch commit without flushing and share one WAL flush at the end of
-// the batch (group commit); responses are enqueued only after that
-// flush lands, so an acknowledged write is always durable. Responses
-// travel through a per-connection writer goroutine, which sends
-// whatever its queue holds as one vectored socket write, so a
-// connection's responses are pipelined: many requests in flight,
-// responses matched to requests by wire request id, in whatever order
-// the shards finish. Scans, transaction control, and stats run inline
-// on the reader.
+// socket cost one read, not two each — decodes every whole frame the
+// buffer already holds (a burst, at most writeBatchFrames keyed requests),
+// groups the keyed ones (GET/PUT/DELETE) by owning shard and executes each
+// group itself under a single acquisition of that shard's lock — the
+// shard-per-core model's single-threaded executor (Appendix A.1). A group
+// with writes is one ShardedStore.Batch: its commits share one WAL flush
+// with each other and with whatever other connections' groups reach the
+// shard meanwhile (group commit); a group of GETs takes the bare lock.
+// Responses are enqueued only after every flush (and, with semi-
+// synchronous replication, replica ack) covering the burst, so an
+// acknowledged write is always durable; a writer goroutine sends whatever
+// its queue holds as one vectored socket write, and the client matches
+// responses by request id. Scans, transaction control, replication
+// requests and stats also run on the reader, after the keyed requests
+// before them. So within one connection a GET for an idle shard waits for
+// the connection's own earlier group on a busy one; across connections
+// nothing is ordered but the shard lock.
 //
 // # Backpressure
 //
-// Every queue is bounded. A full shard queue blocks the readers feeding
-// it, which stops them from reading more frames — a reader is at most
-// one read buffer of requests ahead of the queue it waits on — which
-// fills the TCP receive window: backpressure propagates to the clients
-// as the network's own flow control. A full connection write queue
-// blocks the shard workers the same way, but only for a bounded time:
-// every socket write carries a deadline (Options.WriteTimeout), so a
-// peer that stops reading (TCP zero window) fails its writer within the
-// deadline rather than never, the connection is severed, and its queue
-// drains to the floor (responses to a dead connection are discarded) —
-// one stalled client cannot wedge a shard for longer than WriteTimeout.
-// Options.MaxConns bounds concurrent connections; excess dials wait in
-// the listen backlog.
+// A reader that is executing does not read: while its burst waits for a
+// shard lock, the writer throttle or replica acks, the socket fills — a
+// reader is at most one read buffer of requests ahead of the store — and
+// TCP flow control pushes back on that client. A full connection write
+// queue blocks its reader the same way, with no lock held, and only for a
+// bounded time: every socket write carries a deadline
+// (Options.WriteTimeout), so a peer that stops reading (TCP zero window)
+// fails its writer within the deadline rather than never, the connection
+// is severed, and its queue drains to the floor (responses to a dead
+// connection are discarded). Options.MaxConns bounds concurrent
+// connections; excess dials wait in the listen backlog.
 //
 // # Transactions
 //
@@ -78,11 +80,6 @@ type Options struct {
 	// MaxConns bounds concurrently served connections (default 64).
 	// Excess dials are not rejected; they wait in the listen backlog.
 	MaxConns int
-	// ShardQueue is the per-shard request queue depth (default 128).
-	ShardQueue int
-	// BatchMax is how many queued requests a shard worker executes per
-	// shard-lock acquisition (default 32).
-	BatchMax int
 	// WriteQueue is the per-connection response queue depth (default 128).
 	WriteQueue int
 	// MaxScan caps the rows one SCAN may return (default 1024). Client
@@ -92,8 +89,7 @@ type Options struct {
 	// WriteTimeout bounds each socket write to a connection (default
 	// 30s); one write carries the responses queued at the time, at most
 	// 64 frames or 64 KB plus one frame. A peer that stops reading for
-	// longer is severed, so a stalled client cannot block a shard worker
-	// indefinitely.
+	// longer is severed.
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level error logs.
 	Logf func(format string, args ...any)
@@ -109,7 +105,7 @@ type Options struct {
 	// Repl, when set, makes this server a replication primary: REPL
 	// SUBSCRIBE connections stream the store's WAL through it, acks
 	// record replica progress, and (with SyncReplicas set on the
-	// source) shard workers hold write acks until enough replicas
+	// source) a connection holds its write acks until enough replicas
 	// confirmed — see internal/repl.
 	Repl *repl.Source
 	// Replica, when set, marks this server a read replica fed by it:
@@ -131,12 +127,6 @@ func (o *Options) applyDefaults() {
 	if o.MaxConns <= 0 {
 		o.MaxConns = 64
 	}
-	if o.ShardQueue <= 0 {
-		o.ShardQueue = 128
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 32
-	}
 	if o.WriteQueue <= 0 {
 		o.WriteQueue = 128
 	}
@@ -154,21 +144,19 @@ func (o *Options) applyDefaults() {
 	}
 }
 
-// task is one keyed request on its way to a shard worker.
+// task is one keyed request of a connection's burst.
 type task struct {
-	c     *conn
-	req   wire.Request // Value owned by the task (copied off the read buffer)
+	req   wire.Request // Value owned by the task (copied off the frame buffer)
+	resp  wire.Response
 	start time.Time
-	// tl is the request's span timeline when it is traced, else nil.
-	// Ownership follows the request: the reader stamps the enqueue
-	// stage before the channel send, the shard worker stamps queue /
-	// exec / flush, and the connection writer finishes it — each
-	// handoff (channel send) orders the accesses.
+	// tl is the request's span timeline when it is traced, else nil. The
+	// reader stamps every stage but the last; the response's channel send
+	// hands it to the connection writer, which finishes it.
 	tl *obs.Timeline
 }
 
-// shardGauge is a cache-line-padded per-shard in-flight counter, so
-// adjacent shards' gauges do not false-share.
+// shardGauge is a cache-line-padded per-shard counter, so adjacent
+// shards' gauges do not false-share.
 type shardGauge struct {
 	n atomic.Int64
 	_ [56]byte
@@ -182,9 +170,9 @@ type Server struct {
 	store *nvmstore.ShardedStore
 	opts  Options
 
-	shardQ   []chan task
-	inflight []shardGauge
-	workerWG sync.WaitGroup
+	// queueDepth[i] counts the keyed requests for shard i decoded off some
+	// connection but not yet executed.
+	queueDepth []shardGauge
 
 	// flight retains sampled span timelines (uniform sample + slowest)
 	// for STATS, /trace, and the remote bench's p99 attribution.
@@ -215,6 +203,8 @@ type Server struct {
 		readCalls     atomic.Int64
 		writeCalls    atomic.Int64
 		framesWritten atomic.Int64
+
+		execBatches atomic.Int64 // per-shard groups of keyed requests executed
 	}
 }
 
@@ -282,11 +272,13 @@ type StatsDoc struct {
 	ReadSyscalls  int64 `json:"read_syscalls"`
 	WriteSyscalls int64 `json:"write_syscalls"`
 	FramesWritten int64 `json:"frames_written"`
-	// ShardQueueDepth and ShardInflight are per-shard-worker gauges:
-	// requests sitting in each shard's queue right now, and requests
-	// routed to each shard whose responses are not yet enqueued.
-	ShardQueueDepth []int   `json:"shard_queue_depth,omitempty"`
-	ShardInflight   []int64 `json:"shard_inflight,omitempty"`
+	// ExecBatches counts the per-shard groups of keyed requests executed,
+	// one shard-lock acquisition by one connection each: keyed ops ÷
+	// ExecBatches is the requests per lock hold, beside OpsPerFlush.
+	ExecBatches int64 `json:"exec_batches"`
+	// ShardQueueDepth is a per-shard gauge: keyed requests decoded off
+	// some connection but not yet executed.
+	ShardQueueDepth []int `json:"shard_queue_depth,omitempty"`
 	// Trace is the flight recorder's snapshot — sampled span timelines,
 	// the slowest requests, and the p99 stage attribution — present once
 	// at least one traced request was served.
@@ -306,11 +298,12 @@ type StatsDoc struct {
 func New(store *nvmstore.ShardedStore, opts Options) *Server {
 	opts.applyDefaults()
 	return &Server{
-		store:   store,
-		opts:    opts,
-		conns:   make(map[*conn]struct{}),
-		connSem: make(chan struct{}, opts.MaxConns),
-		flight:  obs.NewFlightRecorder(opts.TraceRing, opts.TraceSlow),
+		store:      store,
+		opts:       opts,
+		queueDepth: make([]shardGauge, store.NumShards()),
+		conns:      make(map[*conn]struct{}),
+		connSem:    make(chan struct{}, opts.MaxConns),
+		flight:     obs.NewFlightRecorder(opts.TraceRing, opts.TraceSlow),
 	}
 }
 
@@ -340,14 +333,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.started = true
 	s.ln = ln
-	n := s.store.NumShards()
-	s.shardQ = make([]chan task, n)
-	s.inflight = make([]shardGauge, n)
-	for i := range s.shardQ {
-		s.shardQ[i] = make(chan task, s.opts.ShardQueue)
-		s.workerWG.Add(1)
-		go s.shardWorker(i)
-	}
 	s.mu.Unlock()
 
 	for {
@@ -383,7 +368,10 @@ func (s *Server) Serve(ln net.Listener) error {
 			nc:  nc,
 			br:  bufio.NewReaderSize(countedReader{nc, &s.stats.readCalls}, readBufSize),
 			out: make(chan outFrame, s.opts.WriteQueue),
+
+			groups: make([][]task, s.store.NumShards()),
 		}
+		c.run = c.runLocked
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.stats.conns.Add(1)
@@ -405,13 +393,12 @@ func (s *Server) Addr() net.Addr {
 }
 
 // Shutdown drains the server gracefully: it stops accepting, half-
-// closes every connection's read side so no new requests arrive, waits
-// for every in-flight request to be executed and its response written,
-// then stops the shard workers. Every response sent before Shutdown
-// returns is durable per the autocommit/COMMIT contract. If ctx expires
-// first, remaining connections are severed and Shutdown returns
-// ctx.Err(). The store is left open; callers typically follow with
-// store.Close().
+// closes every connection's read side so no new requests arrive, and
+// waits for every request already read to be executed and its response
+// written. Every response sent before Shutdown returns is durable per the
+// autocommit/COMMIT contract. If ctx expires first, remaining connections
+// are severed and Shutdown returns ctx.Err(). The store is left open;
+// callers typically follow with store.Close().
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -449,16 +436,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-done
 	}
-	// draining is set, so no reader enqueues anymore (all readers have
-	// exited — connWG) and no second Shutdown reaches this point: the
-	// queues can be closed without clearing s.shardQ.
-	s.mu.Lock()
-	qs := s.shardQ
-	s.mu.Unlock()
-	for _, q := range qs {
-		close(q)
-	}
-	s.workerWG.Wait()
 	return err
 }
 
@@ -500,17 +477,12 @@ func (s *Server) Stats() StatsDoc {
 		ReadSyscalls:  s.stats.readCalls.Load(),
 		WriteSyscalls: s.stats.writeCalls.Load(),
 		FramesWritten: s.stats.framesWritten.Load(),
+		ExecBatches:   s.stats.execBatches.Load(),
+
+		ShardQueueDepth: make([]int, len(s.queueDepth)),
 	}
-	s.mu.Lock()
-	qs, inflight := s.shardQ, s.inflight
-	s.mu.Unlock()
-	if qs != nil {
-		doc.ShardQueueDepth = make([]int, len(qs))
-		doc.ShardInflight = make([]int64, len(qs))
-		for i := range qs {
-			doc.ShardQueueDepth[i] = len(qs[i])
-			doc.ShardInflight[i] = inflight[i].n.Load()
-		}
+	for i := range s.queueDepth {
+		doc.ShardQueueDepth[i] = int(s.queueDepth[i].n.Load())
 	}
 	if s.flight.Sampled() > 0 {
 		snap := s.flight.Snapshot()
@@ -587,13 +559,10 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_read_syscalls_total", "socket reads that returned, all connections", nil, float64(doc.ReadSyscalls))
 	p.Counter("nvmstore_write_syscalls_total", "socket writes that returned, all connections", nil, float64(doc.WriteSyscalls))
 	p.Counter("nvmstore_frames_written_total", "response frames carried by those socket writes", nil, float64(doc.FramesWritten))
+	p.Counter("nvmstore_exec_batches_total", "per-shard groups of keyed requests executed, one shard-lock hold each", nil, float64(doc.ExecBatches))
 	for i := range doc.ShardQueueDepth {
 		shard := []obs.Label{{Name: "shard", Value: fmt.Sprint(i)}}
-		p.Gauge("nvmstore_shard_queue_depth", "requests waiting in the shard worker queue", shard, float64(doc.ShardQueueDepth[i]))
-	}
-	for i := range doc.ShardInflight {
-		shard := []obs.Label{{Name: "shard", Value: fmt.Sprint(i)}}
-		p.Gauge("nvmstore_shard_inflight", "routed requests whose responses are not yet enqueued", shard, float64(doc.ShardInflight[i]))
+		p.Gauge("nvmstore_shard_queue_depth", "keyed requests decoded but not yet executed", shard, float64(doc.ShardQueueDepth[i]))
 	}
 	p.Gauge("nvmstore_sim_ns_max", "slowest shard's simulated device time", nil, float64(doc.MaxSimNs))
 	p.Counter("nvmstore_nvm_writes_total", "NVM words written (wear proxy)", nil, float64(doc.NVMTotalWrites))
@@ -659,103 +628,104 @@ func (s *Server) record(op byte, t0 time.Time) {
 	}
 }
 
-// shardWorker executes tasks routed to shard i. It drains up to
-// BatchMax queued tasks per shard-lock acquisition, so a loaded shard
-// amortizes locking across requests from every connection — and, since
-// writes commit without flushing, the whole batch shares one WAL flush
-// at the end (group commit). Responses are enqueued only after that
-// flush lands and the shard lock is released: an acknowledged write is
-// durable, and a slow connection queue never extends the lock hold.
-func (s *Server) shardWorker(i int) {
-	defer s.workerWG.Done()
-	q := s.shardQ[i]
-	batch := make([]task, 0, s.opts.BatchMax)
-	resps := make([]wire.Response, s.opts.BatchMax)
-	for t, ok := <-q; ok; t, ok = <-q {
-		if t.tl != nil {
-			t.tl.Mark(obs.StageQueue, time.Now().UnixNano())
+// execute runs the burst on the reader goroutine: every touched shard's
+// group under one hold of that shard's lock, then the wait for replica
+// acks, and only then the responses — an acknowledged write is durable,
+// and a slow connection queue never extends a lock hold.
+func (c *conn) execute() {
+	if c.queued == 0 {
+		return
+	}
+	s := c.srv
+	for shard, g := range c.groups {
+		if len(g) == 0 {
+			continue
 		}
-		batch = append(batch[:0], t)
-		for len(batch) < s.opts.BatchMax {
-			select {
-			case t, ok := <-q:
-				if !ok {
-					break
-				}
-				if t.tl != nil {
-					t.tl.Mark(obs.StageQueue, time.Now().UnixNano())
-				}
-				batch = append(batch, t)
-				continue
-			default:
+		// A group with writes is one Batch: writer backpressure, commits
+		// without flushing, then the one WAL flush that covers them and
+		// whatever other connections' groups combined with it (the
+		// fault.WALGroupCrash site sits just before it). Reads do not pay
+		// for writes: a group of GETs takes the bare lock.
+		run := s.store.WithShard
+		if hasWrite(g) {
+			run = s.store.Batch
+		}
+		c.shard = shard
+		if err := run(shard, c.run); err != nil {
+			// The tail flush cannot fail (it panics on injected crashes):
+			// this is inline write-back pacing after it (a no-op with
+			// background maintenance), so the acks are durable. Surface it.
+			s.logf("server: shard %d: flush: %v", shard, err)
+		}
+		s.stats.execBatches.Add(1)
+		s.queueDepth[shard].n.Add(-int64(len(g)))
+	}
+	if src := s.opts.Repl; src != nil {
+		// Semi-synchronous replication (SyncReplicas on the source): hold
+		// the acks until enough replicas acknowledged what the burst's
+		// flushes shipped — after all of them, so the waits overlap.
+		for shard, g := range c.groups {
+			if hasWrite(g) {
+				src.WaitAcked(shard)
 			}
-			break
 		}
-		traced := false
-		// One Batch per drained batch: it yields to writer backpressure,
-		// holds the shard lock across the executions, and ends in the
-		// one WAL flush that covers every commit of the batch (the
-		// fault.WALGroupCrash site sits just before it). Acks wait
-		// below until it has returned.
-		err := s.store.Batch(i, func(st *nvmstore.Store) error {
-			for bi := range batch {
-				if tl := batch[bi].tl; tl != nil {
-					traced = true
-					// Differencing the engine's cumulative counters
-					// around this one execution attributes its tier
-					// work; the shard lock makes the reads exact.
-					before, simBefore := st.TierCounters()
-					resps[bi] = execOnShard(st, batch[bi].req)
-					after, simAfter := st.TierCounters()
-					tl.Tiers = after.Sub(before)
-					tl.SimNs += simAfter - simBefore
-					tl.Shard = int32(i)
-					tl.Mark(obs.StageExec, time.Now().UnixNano())
-				} else {
-					resps[bi] = execOnShard(st, batch[bi].req)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			// The tail flush itself cannot fail (it panics on injected
-			// crashes); this is an error from inline write-back pacing
-			// after the flush (background maintenance makes that a
-			// no-op), so the acks below are durable regardless.
-			// Surface it.
-			s.logf("server: shard %d: flush: %v", i, err)
-		}
-		if src := s.opts.Repl; src != nil {
-			// Semi-synchronous replication: with SyncReplicas set on the
-			// source, hold the batch's acks until enough replicas
-			// acknowledged the records this flush shipped. No-op (one
-			// atomic-free options check) otherwise.
-			src.WaitAcked(i)
-		}
-		var flushedAt int64
-		if traced {
-			flushedAt = time.Now().UnixNano()
-		}
-		for bi, t := range batch {
+	}
+	for shard, g := range c.groups {
+		for i := range g {
+			t := &g[i]
 			if t.tl != nil {
-				// Charges the batch-end flush wait plus any batch peers
-				// executed after this request — the group-commit price
-				// this request paid.
-				t.tl.Mark(obs.StageFlush, flushedAt)
+				// Charges what followed this request's execution: group
+				// peers, the flush, later groups, the ack wait.
+				t.tl.Mark(obs.StageFlush, time.Now().UnixNano())
 			}
-			t.c.reply(resps[bi], t.tl)
+			c.reply(t.resp, t.tl)
 			// reply copied the response into its frame; the pooled
-			// buffers behind it (a GET's row, a PUT's routed value
-			// copy) are dead now.
-			if resps[bi].Code == wire.RespValue {
-				wire.PutBuf(resps[bi].Value)
+			// buffers behind it (a GET's row, a PUT's value copy) are
+			// dead now.
+			if t.resp.Code == wire.RespValue {
+				wire.PutBuf(t.resp.Value)
 			}
 			wire.PutBuf(t.req.Value)
 			s.record(t.req.Op, t.start)
-			s.inflight[i].n.Add(-1)
-			t.c.pending.Done()
+		}
+		c.groups[shard] = g[:0]
+	}
+	c.queued = 0
+}
+
+// hasWrite reports whether the group holds a PUT or DELETE.
+func hasWrite(g []task) bool {
+	for i := range g {
+		if g[i].req.Op != wire.OpGet {
+			return true
 		}
 	}
+	return false
+}
+
+// runLocked executes the group of shard c.shard. The shard lock is held,
+// by this connection's reader or by the one leading its combined Batch.
+func (c *conn) runLocked(st *nvmstore.Store) error {
+	g := c.groups[c.shard]
+	for i := range g {
+		t := &g[i]
+		if t.tl == nil {
+			t.resp = execOnShard(st, t.req)
+			continue
+		}
+		t.tl.Mark(obs.StageQueue, time.Now().UnixNano())
+		// Differencing the engine's cumulative counters around this one
+		// execution attributes its tier work; the shard lock makes the
+		// reads exact.
+		before, simBefore := st.TierCounters()
+		t.resp = execOnShard(st, t.req)
+		after, simAfter := st.TierCounters()
+		t.tl.Tiers = after.Sub(before)
+		t.tl.SimNs += simAfter - simBefore
+		t.tl.Shard = int32(c.shard)
+		t.tl.Mark(obs.StageExec, time.Now().UnixNano())
+	}
+	return nil
 }
 
 // execOnShard runs one keyed request against the shard that owns its
@@ -770,8 +740,8 @@ func execOnShard(st *nvmstore.Store, req wire.Request) wire.Response {
 	}
 	switch req.Op {
 	case wire.OpGet:
-		// Pooled row buffer; the shard worker recycles it after the
-		// response is encoded (reply copies it into the frame).
+		// Pooled row buffer; execute recycles it after the response is
+		// encoded (reply copies it into the frame).
 		buf := wire.GetBufN(tab.RowSize())
 		found, err := tab.Lookup(req.Key, buf)
 		switch {
@@ -831,13 +801,14 @@ type outFrame struct {
 // enough that a pipelined burst fits.
 const (
 	// readBufSize is the per-connection read buffer: the requests one
-	// socket read can take in, and the most a reader runs ahead of a
-	// full shard queue. Larger frames are read straight into the frame
-	// buffer.
+	// socket read can take in, and the most a reader runs ahead of the
+	// store. Larger frames are read straight into the frame buffer.
 	readBufSize = 16 << 10
 	// writeBatchFrames and writeBatchBytes bound one socket write: the
 	// writer stops collecting queued frames at either, so a write under
 	// one deadline is at most writeBatchBytes plus one frame long.
+	// writeBatchFrames also bounds a burst, the keyed requests a reader
+	// executes before it answers any: a burst's responses fit one write.
 	writeBatchFrames = 64
 	writeBatchBytes  = 64 << 10
 )
@@ -868,9 +839,19 @@ type conn struct {
 	iov  [][]byte
 	bufs net.Buffers
 
-	// pending counts requests handed to shard workers whose responses
-	// have not been enqueued yet; out closes only after it reaches zero
-	// and the reader has exited.
+	// groups is the burst: the keyed requests decoded but not yet
+	// executed, groups[i] those of shard i in arrival order, queued of
+	// them in all. runLocked executes groups[shard]; run is that method as
+	// a value made once, because Batch retains the function it is given
+	// and a closure per group would allocate. Owned by the reader.
+	groups [][]task
+	queued int
+	shard  int
+	run    func(*nvmstore.Store) error
+
+	// pending counts the goroutines besides the reader that still enqueue
+	// responses (a replication feeder, parked REPL WAITs); out closes only
+	// after it reaches zero and the reader has exited.
 	pending sync.WaitGroup
 
 	readClosed sync.Once
@@ -897,10 +878,10 @@ func (c *conn) closeRead() {
 }
 
 // reply encodes and enqueues a response, with the request's timeline
-// when traced (nil otherwise). Blocking here is the server's
-// backpressure (see the package comment); the write loop's deadline on
-// every socket write guarantees the queue always drains, so reply never
-// blocks longer than roughly one WriteTimeout.
+// when traced (nil otherwise). It blocks while the connection's write
+// queue is full, with no lock held; the write loop's deadline on every
+// socket write guarantees the queue always drains, so reply never blocks
+// longer than roughly one WriteTimeout.
 func (c *conn) reply(resp wire.Response, tl *obs.Timeline) {
 	c.out <- outFrame{buf: wire.AppendResponse(wire.GetBuf(), resp), tl: tl}
 }
@@ -930,7 +911,13 @@ func (c *conn) readLoop() {
 			break
 		}
 		c.dispatch(req)
+		// A partial frame ends the burst: the reader never blocks in a
+		// read with a request decoded and unexecuted.
+		if c.queued == writeBatchFrames || !wire.FrameBuffered(c.br) {
+			c.execute()
+		}
 	}
+	c.execute() // a frame that failed to decode ends the burst too
 	// Half-close so a blocked peer write fails rather than waiting for
 	// responses that will never come, then let in-flight responses
 	// drain before the writer is told it is done.
@@ -941,10 +928,8 @@ func (c *conn) readLoop() {
 		c.srv.opts.Repl.Detach(c.feed)
 	}
 	c.closeRead()
-	go func() {
-		c.pending.Wait()
-		close(c.out)
-	}()
+	c.pending.Wait()
+	close(c.out)
 }
 
 // answer replies to a request dispatch handled on the reader goroutine and
@@ -958,6 +943,13 @@ func (c *conn) answer(req wire.Request, start time.Time, resp wire.Response) {
 // dispatch routes one decoded request. Runs on the reader goroutine.
 func (c *conn) dispatch(req wire.Request) {
 	start := time.Now()
+	switch req.Op {
+	case wire.OpGet, wire.OpPut, wire.OpDelete:
+	default:
+		// What the reader answers itself sees the connection's earlier
+		// keyed requests applied: PUT k, SCAN from k returns the new row.
+		c.execute()
+	}
 	// repl.MetaTable holds the replication position row and is excluded
 	// from both the ship tap and snapshot bootstrap — user data stored
 	// there would silently never replicate. Reserve it at the boundary so
@@ -1047,32 +1039,26 @@ func (c *conn) dispatch(req wire.Request) {
 	}
 }
 
-// route hands a keyed request to its shard worker. value, when non-nil,
-// replaces req.Value with a copy the task owns (the read buffer is
-// about to be reused). A traced request gets its span timeline here —
-// the only per-request allocation tracing adds, and only on sampled
-// requests; transaction-buffered requests answer inline and are not
-// timelined.
+// route adds a keyed request to the burst, under its owning shard. value,
+// when non-nil, replaces req.Value with a copy the task owns (the frame
+// buffer is about to be reused). A traced request gets its span timeline
+// here — the only per-request allocation tracing adds, and only on
+// sampled requests; transaction-buffered requests answer inline and are
+// not timelined.
 func (c *conn) route(req wire.Request, start time.Time, value []byte) {
-	if value != nil {
-		req.Value = value
-	} else {
-		req.Value = nil
-	}
+	req.Value = value
 	var tl *obs.Timeline
 	if req.Traced() {
 		tl = new(obs.Timeline)
 		tl.Begin(req.TraceID, wire.OpName(req.Op), start.UnixNano())
-		// The enqueue stage is the reader-side dispatch work; the send
-		// below may also block on a full shard queue, which the queue
-		// stage absorbs (backpressure is time spent waiting for the
-		// shard either way).
+		// The enqueue stage is the reader-side decode and dispatch work;
+		// the queue stage runs until the request's own execution starts.
 		tl.Mark(obs.StageEnqueue, time.Now().UnixNano())
 	}
 	shard := c.srv.store.ShardFor(req.Key)
-	c.pending.Add(1)
-	c.srv.inflight[shard].n.Add(1)
-	c.srv.shardQ[shard] <- task{c: c, req: req, start: start, tl: tl}
+	c.groups[shard] = append(c.groups[shard], task{req: req, start: start, tl: tl})
+	c.queued++
+	c.srv.queueDepth[shard].n.Add(1)
 }
 
 // txRead answers a GET from the connection's transaction buffer, most
@@ -1272,8 +1258,8 @@ func (c *conn) writeBatch(batch []outFrame, err error) error {
 		// The deadline is what makes a stalled peer (TCP zero window)
 		// a bounded problem: the write fails at the latest after
 		// WriteTimeout, the connection is severed, and every later
-		// response is discarded — shard workers blocked on this
-		// connection's full queue unblock.
+		// response is discarded — the connection's reader, blocked on
+		// its full queue, unblocks.
 		c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		c.bufs = iov
 		_, werr := c.bufs.WriteTo(c.nc)

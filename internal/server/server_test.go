@@ -1,13 +1,16 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"nvmstore"
 	"nvmstore/internal/client"
+	"nvmstore/internal/repl"
 	"nvmstore/internal/server"
 	"nvmstore/internal/wire"
 )
@@ -47,6 +51,15 @@ func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options)
 	if _, err := store.CreateTable(testTable, rowSize); err != nil {
 		t.Fatal(err)
 	}
+	srv, addr := serveStore(t, store, sopts)
+	return srv, store, addr
+}
+
+// serveStore serves an already opened store on a loopback listener, for
+// tests whose server options or set-up need the store first. Cleanup
+// drains the server.
+func serveStore(t *testing.T, store *nvmstore.ShardedStore, sopts server.Options) (*server.Server, string) {
+	t.Helper()
 	srv := server.New(store, sopts)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
@@ -71,7 +84,7 @@ func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options)
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, store, addr
+	return srv, addr
 }
 
 // rowFor builds a deterministic row payload for key.
@@ -176,9 +189,6 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
-// TestConcurrentPipelinedClients exercises the full path under -race:
-// several clients, each pipelining deeply, hitting every shard from
-// overlapping goroutines.
 // TestReadsAreNotTransactions pins that a wire GET is a pure read: a
 // thousand of them (hits and misses) append nothing to any shard's log
 // and leave every shard's MVCC transaction stamp where it was.
@@ -228,8 +238,12 @@ func TestReadsAreNotTransactions(t *testing.T) {
 	}
 }
 
+// TestConcurrentPipelinedClients exercises the full path under -race:
+// several clients, each pipelining deeply, hitting every shard from
+// overlapping goroutines — twelve connection readers executing on four
+// shards, with write queues short enough that they block on their writers.
 func TestConcurrentPipelinedClients(t *testing.T) {
-	srv, _, addr := startServer(t, 4, server.Options{ShardQueue: 16, WriteQueue: 16, BatchMax: 8})
+	srv, _, addr := startServer(t, 4, server.Options{WriteQueue: 16})
 	const (
 		workers = 6
 		perW    = 300
@@ -283,9 +297,9 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	// A shard worker counts a request after enqueuing its reply, so a
-	// client holding every answer can still be one count per shard ahead;
-	// Shutdown joins the workers and makes the counters exact.
+	// A reader counts a request after enqueuing its reply, so a client
+	// holding every answer can still be one count per connection ahead;
+	// Shutdown joins the readers and makes the counters exact.
 	drain(t, srv)
 	if got := srv.Stats().Ops; got < workers*perW*3 {
 		t.Fatalf("server answered %d ops, want >= %d", got, workers*perW*3)
@@ -658,16 +672,15 @@ func TestScanSurvivesShardRestarts(t *testing.T) {
 }
 
 // TestStalledReaderDoesNotWedgeShard opens a raw connection that floods
-// GETs for large rows and never reads a byte of response. The write
-// deadline must sever that connection so the shard worker — which
-// enqueues replies after releasing the shard lock, but blocks on this
-// connection's full write queue — cannot stay blocked on it, and a
-// well-behaved client must keep getting service.
+// GETs for large rows and never reads a byte of response. That peer must
+// block nothing but its own connection: its reader executes a burst,
+// releases the shard lock, and only then blocks on the connection's full
+// write queue, so a well-behaved client's PUTs and GETs on the same shard
+// complete meanwhile — and the write deadline severs the stalled
+// connection, so the drain at the end of the test is not held up by it.
 func TestStalledReaderDoesNotWedgeShard(t *testing.T) {
 	const rowSize = 8000
 	_, _, addr := startServerRowSize(t, 1, rowSize, server.Options{
-		ShardQueue:   4,
-		BatchMax:     2,
 		WriteQueue:   2,
 		WriteTimeout: 300 * time.Millisecond,
 	})
@@ -685,7 +698,7 @@ func TestStalledReaderDoesNotWedgeShard(t *testing.T) {
 
 	// The stalled peer: requests ~16MiB of responses, reads none of it.
 	// The kernel socket buffers fill, the server's write blocks, and
-	// only the write deadline can unwedge the shard worker.
+	// only the write deadline ends it.
 	stalled, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -701,12 +714,14 @@ func TestStalledReaderDoesNotWedgeShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The healthy client must still be served; pre-deadline, the single
-	// shard's worker blocked forever on the stalled connection and this
-	// Get never returned.
+	// The healthy client must still be served, writes included.
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 20; i++ {
+			if err := cl.Put(testTable, uint64(i%8), row); err != nil {
+				done <- err
+				return
+			}
 			if _, _, err := cl.Get(testTable, uint64(i%8)); err != nil {
 				done <- err
 				return
@@ -770,4 +785,249 @@ func TestShutdownIdempotentAndConnRefusal(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// serverGoroutines counts the goroutines currently running code of this
+// package: the acceptor and every connection's reader and writer.
+func serverGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("nvmstore/internal/server.(*")) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestServeStartsNoGoroutinePerShard: a serving connection costs the
+// server one reader and one writer goroutine, whatever the shard count —
+// requests run on the connection that read them.
+func TestServeStartsNoGoroutinePerShard(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			_, _, addr := startServer(t, shards, server.Options{})
+			cl, err := client.Dial(addr, client.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			for key := uint64(0); key < 32; key++ { // every shard has served
+				if err := cl.Put(testTable, key, rowFor(key)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := serverGoroutines(); got != 3 {
+				t.Fatalf("%d server goroutines over %d shards, want 3: the acceptor, one reader, one writer", got, shards)
+			}
+		})
+	}
+}
+
+// TestPipelinedScanSeesEarlierPut: the reader executes a connection's
+// pending keyed requests before it answers a request it handles itself,
+// so PUT k followed by SCAN from k in one pipeline returns the new row.
+func TestPipelinedScanSeesEarlierPut(t *testing.T) {
+	_, _, addr := startServer(t, 2, server.Options{})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	const n = 200
+	var frames []byte
+	for k := uint64(0); k < n; k++ { // ids: PUT k is 2k+1, SCAN from k is 2k+2
+		frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpPut, ID: uint32(2*k + 1), Table: testTable, Key: k, Value: rowFor(k)})
+		frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpScan, ID: uint32(2*k + 2), Table: testTable, Key: k, Limit: 1})
+	}
+	if _, err := raw.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(raw)
+	var buf, payload []byte
+	for i := 0; i < 2*n; i++ {
+		if payload, buf, err = wire.ReadFrame(br, buf); err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resp.ID%2 == 1 {
+			if resp.Code != wire.RespOK {
+				t.Fatalf("put %d: %+v", resp.ID/2, resp)
+			}
+			continue
+		}
+		// No larger key exists yet, so a scan that ran before its PUT
+		// comes back empty.
+		k := uint64(resp.ID/2 - 1)
+		if resp.Code != wire.RespScan || len(resp.Entries) != 1 || resp.Entries[0].Key != k || !bytes.Equal(resp.Entries[0].Value, rowFor(k)) {
+			t.Fatalf("SCAN from %d pipelined behind PUT %d returned %+v", k, k, resp)
+		}
+	}
+}
+
+// awaitResult waits for a value on c, failing the test after 10 s.
+func awaitResult(t *testing.T, c <-chan error, what string) {
+	t.Helper()
+	select {
+	case err := <-c:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s: no answer", what)
+	}
+}
+
+// TestReadsDoNotWaitOnWriterThrottle pins a shard's log past the hard
+// fill threshold, so its writer throttle stays engaged (the set-up of
+// TestMaintenanceCloseReleasesThrottledWriters, reached through the public
+// API): a PUT must block — not fail — until the log can be truncated,
+// and a GET on the same shard must be answered meanwhile.
+func TestReadsDoNotWaitOnWriterThrottle(t *testing.T) {
+	store, err := nvmstore.OpenSharded(1, nvmstore.Options{
+		Architecture: nvmstore.ThreeTier,
+		DRAMBytes:    32 << 20,
+		NVMBytes:     256 << 20,
+		SSDBytes:     1 << 30,
+		WALBytes:     1 << 20,
+		Maintenance:  nvmstore.MaintenanceOptions{SoftFill: 0.01, HardFill: 0.01},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if _, err := store.CreateTable(testTable, testRowSize); err != nil {
+		t.Fatal(err)
+	}
+	// Retain LSN 1: every truncation is refused. Then fill past the hard
+	// threshold through WithShard, which engages the throttle on unlock
+	// but never waits on it.
+	err = store.WithShard(0, func(st *nvmstore.Store) error {
+		st.SetWALRetain(func() uint64 { return 1 })
+		for k := uint64(0); k < 400; k++ {
+			if err := st.Update(func() error { return st.Table(testTable).Put(k, rowFor(k)) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveStore(t, store, server.Options{})
+	writer, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	reader, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	put := writer.PutAsync(testTable, 1000, rowFor(1000))
+	for deadline := time.Now().Add(10 * time.Second); store.WriterThrottles() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the PUT was never throttled despite a pinned, over-full log")
+		}
+	}
+	got := make(chan error, 1)
+	go func() {
+		val, found, err := reader.Get(testTable, 7)
+		if err == nil && (!found || !bytes.Equal(val, rowFor(7))) {
+			err = fmt.Errorf("found=%v, wrong or missing row", found)
+		}
+		got <- err
+	}()
+	awaitResult(t, got, "GET while the shard's writer throttle is engaged")
+	select {
+	case <-put.Done():
+		t.Fatal("PUT was acknowledged while the log could not take it")
+	default:
+	}
+
+	// Unpin the log: maintenance truncates it and the PUT goes through.
+	if err := store.WithShard(0, func(st *nvmstore.Store) error { st.SetWALRetain(nil); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		_, err := put.Result()
+		got <- err
+	}()
+	awaitResult(t, got, "throttled PUT after the log was unpinned")
+}
+
+// TestReadsDoNotWaitOnReplicaAcks: with semi-synchronous replication and
+// the replica's ack withheld, a PUT's response is held on its own
+// connection only — another connection's GET on the same shard returns,
+// and sees the committed row, while the PUT is still pending.
+func TestReadsDoNotWaitOnReplicaAcks(t *testing.T) {
+	store, err := nvmstore.OpenSharded(1, nvmstore.Options{
+		Architecture: nvmstore.ThreeTier,
+		DRAMBytes:    8 << 20,
+		NVMBytes:     32 << 20,
+		SSDBytes:     128 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	if _, err := store.CreateTable(testTable, testRowSize); err != nil {
+		t.Fatal(err)
+	}
+	src := repl.NewSource(store, repl.SourceOptions{SyncReplicas: 1, SyncTimeout: time.Minute})
+	_, addr := serveStore(t, store, server.Options{Repl: src})
+	// A live replica that never acknowledges: attached in process, its
+	// items dropped on the floor.
+	mute := src.NewFeed("mute")
+	if err := src.Attach(mute, wire.ReplSubscribe{Epoch: 1, From: []uint64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	defer src.Detach(mute)
+	go func() {
+		for range mute.Items() {
+		}
+	}()
+	writer, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.Close()
+	reader, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+
+	put := writer.PutAsync(testTable, 1, rowFor(1))
+	got := make(chan error, 1)
+	go func() {
+		// The row shows up once the PUT has committed, which is when its
+		// connection starts waiting for the ack.
+		for {
+			_, found, err := reader.Get(testTable, 1)
+			if err != nil || found {
+				got <- err
+				return
+			}
+		}
+	}()
+	awaitResult(t, got, "GET on the shard of a PUT that waits for a replica ack")
+	select {
+	case <-put.Done():
+		t.Fatal("PUT was acknowledged before the replica acknowledged it")
+	default:
+	}
+	src.Ack(mute, wire.ReplAck{Epoch: 1, Shard: 0, Applied: math.MaxUint64})
+	go func() {
+		_, err := put.Result()
+		got <- err
+	}()
+	awaitResult(t, got, "PUT after the replica's ack")
 }

@@ -43,7 +43,7 @@ func drain(t *testing.T, srv *server.Server) {
 }
 
 // TestTracingEndToEnd drives traced pipelined traffic through the full
-// path — client stamp, wire v2, shard queue, batched execution, group
+// path — client stamp, wire v2, burst grouping, batched execution, group
 // commit, writer — and checks the flight recorder's timelines are
 // internally consistent.
 func TestTracingEndToEnd(t *testing.T) {
@@ -78,8 +78,11 @@ func TestTracingEndToEnd(t *testing.T) {
 	if doc.Trace == nil {
 		t.Fatal("STATS trace section missing")
 	}
-	if len(doc.ShardQueueDepth) != 2 || len(doc.ShardInflight) != 2 {
-		t.Fatalf("per-shard gauges missing: %+v", doc)
+	if len(doc.ShardQueueDepth) != 2 {
+		t.Fatalf("per-shard gauge missing: %+v", doc)
+	}
+	if doc.ExecBatches < 1 || doc.ExecBatches > ops {
+		t.Fatalf("exec_batches = %d for %d keyed ops", doc.ExecBatches, ops)
 	}
 	if doc.MaxConns == 0 {
 		t.Fatal("MaxConns not reported")
@@ -160,9 +163,9 @@ func TestTracingSampling(t *testing.T) {
 
 // TestTracingConcurrent hammers the traced path from many pipelined
 // clients at once — the -race CI job runs this to pin down the
-// timeline handoff ordering (reader → worker → writer → recorder).
+// timeline handoff ordering (reader → writer → recorder).
 func TestTracingConcurrent(t *testing.T) {
-	srv, _, addr := startServer(t, 4, server.Options{BatchMax: 8})
+	srv, _, addr := startServer(t, 4, server.Options{})
 	const clients = 4
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -251,8 +254,8 @@ func TestPrometheusExport(t *testing.T) {
 	for _, want := range []string{
 		`nvmstore_wire_latency_ns_bucket{op="get",le="+Inf"}`,
 		`nvmstore_wire_latency_ns_count{op="put"}`,
-		`nvmstore_shard_queue_depth{shard="0"}`,
-		`nvmstore_shard_inflight{shard="1"}`,
+		`nvmstore_shard_queue_depth{shard="1"}`,
+		"nvmstore_exec_batches_total ",
 		"nvmstore_conns ",
 		"nvmstore_conn_waits_total ",
 		"nvmstore_ops_total ",

@@ -41,6 +41,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -541,4 +542,15 @@ func ReadFrame(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
 		return nil, buf, err
 	}
 	return buf, buf, nil
+}
+
+// FrameBuffered reports whether br already holds a whole frame, prefix
+// and payload, so that the next ReadFrame(br, …) is served from its buffer.
+// It never reads, and leaves validating the length to ReadFrame.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4) // buffered: no read, no error
+	return int64(br.Buffered())-4 >= int64(binary.BigEndian.Uint32(prefix))
 }

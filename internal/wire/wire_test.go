@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -125,6 +126,60 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	if cap(buf) != first {
 		t.Errorf("buffer reallocated for a smaller frame: cap %d -> %d", first, cap(buf))
 	}
+}
+
+// TestFrameBuffered pins the "is a whole frame already in the buffer"
+// check at every cut of a two-frame stream: it is true exactly when the
+// next frame's prefix and payload are all buffered, it never reads, and
+// whenever it is true ReadFrame is served without a read either.
+func TestFrameBuffered(t *testing.T) {
+	one := AppendRequest(nil, Request{Op: OpPut, ID: 1, Table: 1, Key: 2, Value: []byte("value")})
+	stream := append(append([]byte(nil), one...), one...)
+	for cut := 0; cut <= len(stream); cut++ {
+		src := &countingReader{r: bytes.NewReader(stream[:cut])}
+		br := bufio.NewReaderSize(src, 4*len(stream))
+		br.Peek(1) // one read takes in everything the stream holds
+		reads := src.reads
+		var buf []byte
+		for frames := 0; ; frames++ {
+			want := cut-frames*len(one) >= len(one) // empty, partial prefix, partial payload: false
+			if got := FrameBuffered(br); got != want {
+				t.Fatalf("cut %d after %d frames: FrameBuffered = %v, want %v", cut, frames, got, want)
+			}
+			if !want {
+				break
+			}
+			var err error
+			if _, buf, err = ReadFrame(br, buf); err != nil {
+				t.Fatalf("cut %d: buffered frame %d: %v", cut, frames, err)
+			}
+		}
+		if src.reads != reads {
+			t.Fatalf("cut %d: %d reads of the source behind a buffered burst", cut, src.reads-reads)
+		}
+	}
+	// A frame longer than the buffer can hold is never "buffered"; ReadFrame
+	// reads it through.
+	big := AppendRequest(nil, Request{Op: OpPut, ID: 1, Table: 1, Key: 2, Value: make([]byte, 100)})
+	br := bufio.NewReaderSize(bytes.NewReader(big), 16)
+	br.Peek(16)
+	if FrameBuffered(br) {
+		t.Fatal("a frame larger than the buffer reported whole")
+	}
+	if payload, _, err := ReadFrame(br, nil); err != nil || len(payload) != len(big)-4 {
+		t.Fatalf("oversized frame: %d bytes, %v", len(payload), err)
+	}
+}
+
+// countingReader counts the reads that reach the source of a bufio.Reader.
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
 }
 
 func TestDecodeRequestErrors(t *testing.T) {
@@ -257,13 +312,22 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendRequest(nil, Request{Op: OpGet, ID: 1, Table: 1, Key: 2}))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	two := AppendRequest(AppendRequest(nil, Request{Op: OpGet, ID: 1, Table: 1, Key: 2}), Request{Op: OpGet, ID: 2, Table: 1, Key: 3})
+	f.Add(two[:len(two)-3]) // a whole frame, then a partial one
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		r := bytes.NewReader(stream)
+		// A small buffer, so that whole, partial and oversized frames occur.
+		r := bufio.NewReaderSize(bytes.NewReader(stream), 64)
 		var buf []byte
 		var payload []byte
 		var err error
 		for {
+			// Whatever the bytes, a frame reported whole is read from the
+			// buffer alone: ReadFrame must not hit the end of the stream.
+			whole, left := FrameBuffered(r), r.Buffered()
 			payload, buf, err = ReadFrame(r, buf)
+			if whole && (err == io.EOF || err == io.ErrUnexpectedEOF) {
+				t.Fatalf("FrameBuffered with %d bytes buffered, but ReadFrame: %v", left, err)
+			}
 			if err != nil {
 				return
 			}

@@ -35,7 +35,7 @@ import (
 type ShardedStore struct {
 	shards []*Store
 	slots  []shardSlot
-	// combiners feed concurrent blocking writers to Batch, one per shard.
+	// combiners queue concurrent Batch calls, one per shard.
 	combiners []combiner
 	// maint holds one background maintainer per shard (incremental
 	// checkpointing and paced write-back off the commit path), or nil
@@ -45,125 +45,80 @@ type ShardedStore struct {
 	maint []*maintainer
 }
 
-// maxCombine bounds how many queued autocommit writes one combiner batch
-// executes under a single shard-lock hold and WAL flush — the same bound
-// the server's drain loop applies to its queue (server.Options.BatchMax).
+// maxCombine bounds how many queued Batch calls one leader runs under a
+// single shard-lock hold and WAL flush.
 const maxCombine = 32
 
-// errShardCrashed fails the writers whose group commit was cut short by
-// a panic (an injected fault.Crash) unwinding through the batch.
+// errShardCrashed fails the Batch callers whose group commit was cut
+// short by a panic (an injected fault.Crash) unwinding through the group.
 var errShardCrashed = errors.New("nvmstore: shard crashed during group commit; write not acknowledged")
 
-// combiner feeds one shard's concurrent blocking writers to Batch. The
-// first writer to find the shard idle becomes the combiner and runs its
-// own write as a batch of one, with no added wait. Writers arriving
-// meanwhile queue; the finishing combiner passes the role to the first
-// waiter, which takes up to maxCombine-1 further waiters along (whoever
-// queued by the time it wakes) and runs the whole group under one lock
-// hold and one flush. A writer returns
-// only after the flush covering its commit has landed, so ack ⇒ durable
-// holds — only the flush is shared. The queue is empty whenever busy is
-// false.
+// combiner is one shard's queue of concurrent Batch calls (see Batch).
+// The queue is empty whenever busy is false.
 type combiner struct {
 	mu    sync.Mutex
 	busy  bool
-	queue []*queuedWrite
+	queue []*batchCall
 }
 
-// queuedWrite is one table write in a combiner. wake is closed once err
-// is final (another combiner committed or failed the write) or once
-// lead is set (the writer, still first in the queue, is the next
-// combiner).
-type queuedWrite struct {
-	t    *ShardedTable
-	op   func(tab *Table) error
+// batchCall is one queued Batch call. wake is closed once err is final (a
+// leader ran fn and flushed, or failed the call) or once lead is set (the
+// caller, still first in the queue, is the next leader).
+type batchCall struct {
+	fn   func(st *Store) error
 	err  error
 	lead bool
 	wake chan struct{}
 }
 
-// write runs op against the table on key's owning shard as one
-// transaction and returns once its commit is durable, sharing the WAL
-// flush with concurrent writers on the same shard through the shard's
-// combiner.
-func (t *ShardedTable) write(key uint64, op func(tab *Table) error) error {
-	i := t.s.ShardFor(key)
-	c := &t.s.combiners[i]
-	c.mu.Lock()
-	if !c.busy {
-		c.busy = true
-		c.mu.Unlock()
-		// The uncontended path keeps its bookkeeping on the stack.
-		solo := queuedWrite{t: t, op: op}
-		return t.s.combine(i, []*queuedWrite{&solo})
-	}
-	w := &queuedWrite{t: t, op: op, wake: make(chan struct{})}
-	c.queue = append(c.queue, w)
-	c.mu.Unlock()
-	<-w.wake
-	if !w.lead {
-		return w.err
-	}
-	// Still at the head of the queue: take the group from there.
-	c.mu.Lock()
-	n := min(len(c.queue), maxCombine)
-	group := c.queue[:n:n]
-	c.queue = c.queue[n:]
-	c.mu.Unlock()
-	return t.s.combine(i, group)
-}
-
-// combine commits group (the caller's own write first) as one Batch,
-// one transaction per write, wakes its members, and passes the combiner
-// role to the next waiter or releases it. A panic unwinding through the
-// batch (an injected fault.Crash) acknowledges nothing: every other
-// member and every queued writer fails with errShardCrashed instead of
-// waiting on a combiner that will not come back, and the role is
-// released.
-func (s *ShardedStore) combine(i int, group []*queuedWrite) error {
+// lead runs group (the caller's own call first) under one PaceWriter, one
+// hold of shard i's lock and one WAL flush, wakes its members, and passes
+// the leader role to the next waiter or releases it. A panic unwinding
+// through the group acknowledges nothing: the other members and the queue
+// fail with errShardCrashed instead of waiting on a leader that is gone.
+func (s *ShardedStore) lead(i int, group []*batchCall) error {
 	c := &s.combiners[i]
 	flushed := false
 	defer func() {
 		c.mu.Lock()
-		var stranded []*queuedWrite
+		var stranded []*batchCall
 		if !flushed {
 			stranded, c.queue = c.queue, nil
 		}
-		var next *queuedWrite
-		if len(c.queue) > 0 {
+		var next *batchCall
+		if c.busy = len(c.queue) > 0; c.busy {
 			next = c.queue[0]
 			next.lead = true
-		} else {
-			c.busy = false
 		}
 		c.mu.Unlock()
-		for _, ws := range [][]*queuedWrite{group[1:], stranded} {
-			for _, w := range ws {
+		// No append: it would move the solo caller's stack bookkeeping to
+		// the heap.
+		for _, calls := range [][]*batchCall{group[1:], stranded} {
+			for _, b := range calls {
 				if !flushed {
-					w.err = errShardCrashed
+					b.err = errShardCrashed
 				}
-				close(w.wake)
+				close(b.wake)
 			}
 		}
 		if next != nil {
 			close(next.wake)
 		}
 	}()
-	err := s.Batch(i, func(st *Store) error {
-		for _, w := range group {
-			s.slots[i].ops++
-			tab, err := w.t.shardTable(st)
-			if err == nil {
-				err = st.UpdateNoFlush(func() error { return w.op(tab) })
-			}
-			w.err = err
+	s.PaceWriter(i)
+	err := s.WithShard(i, func(st *Store) error {
+		for _, b := range group {
+			b.err = b.fn(st)
 		}
-		// The caller gets its own write's error or else the flush's —
-		// which comes from write-back pacing after the tail flush
-		// landed, so every member's commit is durable regardless.
-		return group[0].err
+		_, err := st.FlushWAL()
+		return err
 	})
 	flushed = true
+	if group[0].err != nil {
+		return group[0].err
+	}
+	// A flush error comes from write-back pacing after the tail flush
+	// landed, so every member's commits are durable; the leader reports it.
 	return err
 }
 
@@ -246,18 +201,39 @@ func (s *ShardedStore) WithShard(i int, fn func(*Store) error) error {
 // all durable with a single WAL flush before releasing the lock. fn's
 // commits must not be acknowledged before Batch returns; once it has,
 // they are durable whether or not it returned an error (fn's own, or
-// else one from write-back pacing after the flush). The server's shard
-// workers, connection COMMITs, PutBatch, and — through a per-shard
-// combiner — every autocommit ShardedTable write share flushes this way.
+// else one from write-back pacing after the flush).
+//
+// Concurrent calls on one shard combine. A caller that finds the shard
+// idle runs at once, as a group of one; callers that arrive meanwhile
+// queue, and the finishing leader passes the role to the first of them,
+// which runs up to maxCombine queued calls — each fn in arrival order —
+// under one pace, one lock hold and one flush. Every caller returns only
+// after the flush covering its commits: only the flush is shared. Server
+// connections, COMMITs, PutBatch and table writes are plain Batch calls.
 func (s *ShardedStore) Batch(i int, fn func(st *Store) error) error {
-	s.PaceWriter(i)
-	return s.WithShard(i, func(st *Store) error {
-		err := fn(st)
-		if _, ferr := st.FlushWAL(); err == nil {
-			err = ferr
-		}
-		return err
-	})
+	c := &s.combiners[i]
+	c.mu.Lock()
+	if !c.busy {
+		c.busy = true
+		c.mu.Unlock()
+		// The uncontended path keeps its bookkeeping on the stack.
+		solo := batchCall{fn: fn}
+		return s.lead(i, []*batchCall{&solo})
+	}
+	b := &batchCall{fn: fn, wake: make(chan struct{})}
+	c.queue = append(c.queue, b)
+	c.mu.Unlock()
+	<-b.wake
+	if !b.lead {
+		return b.err
+	}
+	// Still at the head of the queue: take the group from there.
+	c.mu.Lock()
+	n := min(len(c.queue), maxCombine)
+	group := c.queue[:n:n]
+	c.queue = c.queue[n:]
+	c.mu.Unlock()
+	return s.lead(i, group)
 }
 
 // Ops returns the total number of routed table operations.
@@ -561,19 +537,37 @@ func (t *ShardedTable) read(i int, op func(tab *Table) error) error {
 	})
 }
 
+// write runs op against the table on st, shard i, as one transaction that
+// commits without flushing: the body of a table write's Batch call. Each
+// writer below builds that call's one closure itself, because Batch
+// retains what it is given and a second closure would allocate.
+func (t *ShardedTable) write(st *Store, i int, op func(tab *Table) error) error {
+	t.s.slots[i].ops++
+	tab, err := t.shardTable(st)
+	if err != nil {
+		return err
+	}
+	return st.UpdateNoFlush(func() error { return op(tab) })
+}
+
 // Insert adds a row on the owning shard, as one transaction. Like every
-// write below, the operation is durable when the call returns; the WAL
-// flush backing that guarantee is shared with concurrent writers on the
-// same shard.
+// write below it is one Batch call: durable when it returns, its WAL
+// flush shared with concurrent writers on the same shard.
 func (t *ShardedTable) Insert(key uint64, row []byte) error {
-	return t.write(key, func(tab *Table) error { return tab.Insert(key, row) })
+	i := t.s.ShardFor(key)
+	return t.s.Batch(i, func(st *Store) error {
+		return t.write(st, i, func(tab *Table) error { return tab.Insert(key, row) })
+	})
 }
 
 // Put inserts or replaces the row for key on the owning shard, as one
 // transaction — the upsert the KV serving layer maps PUT to (see
 // Table.Put). A row longer than RowSize fails.
 func (t *ShardedTable) Put(key uint64, row []byte) error {
-	return t.write(key, func(tab *Table) error { return tab.Put(key, row) })
+	i := t.s.ShardFor(key)
+	return t.s.Batch(i, func(st *Store) error {
+		return t.write(st, i, func(tab *Table) error { return tab.Put(key, row) })
+	})
 }
 
 // PutBatch upserts len(keys) rows (rows[i] under keys[i]) with explicit
@@ -643,10 +637,12 @@ func (t *ShardedTable) LookupField(key uint64, off, n int, buf []byte) (bool, er
 // transaction.
 func (t *ShardedTable) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	var found bool
-	err := t.write(key, func(tab *Table) error {
-		var err error
-		found, err = tab.UpdateField(key, off, val)
-		return err
+	i := t.s.ShardFor(key)
+	err := t.s.Batch(i, func(st *Store) error {
+		return t.write(st, i, func(tab *Table) (err error) {
+			found, err = tab.UpdateField(key, off, val)
+			return err
+		})
 	})
 	return found, err
 }
@@ -654,10 +650,12 @@ func (t *ShardedTable) UpdateField(key uint64, off int, val []byte) (bool, error
 // Delete removes a row and reports whether it existed.
 func (t *ShardedTable) Delete(key uint64) (bool, error) {
 	var found bool
-	err := t.write(key, func(tab *Table) error {
-		var err error
-		found, err = tab.Delete(key)
-		return err
+	i := t.s.ShardFor(key)
+	err := t.s.Batch(i, func(st *Store) error {
+		return t.write(st, i, func(tab *Table) (err error) {
+			found, err = tab.Delete(key)
+			return err
+		})
 	})
 	return found, err
 }
@@ -932,8 +930,8 @@ func (sn *Snapshot) LSNs() []uint64 {
 // only valid during the callback. It holds a shard's lock only while it
 // copies the next rows the merge asked for out of the as-of leaves — at
 // most readLeafBatch leaves read in place per hold — and runs fn outside
-// it, so shard workers keep committing while the scan runs; writers
-// committing after the snapshot are simply invisible to it. Unlike Scan
+// it, so writers keep committing while the scan runs; what they commit
+// after the snapshot is simply invisible to it. Unlike Scan
 // it does not resume: it returns ErrSnapshotInvalid if any scanned shard
 // restarted since the snapshot was taken.
 func (t *ShardedTable) ScanSnapshot(sn *Snapshot, from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
