@@ -181,8 +181,9 @@ var drillSteps = []drillConfig{
 // with 10 units of data on 10 units of NVM and 2 units of DRAM, the
 // proposed optimizations are enabled cumulatively; throughput is reported
 // relative to the baseline, with the NVM Direct engine as the comparison
-// line. The note records the cache lines loaded from NVM, reproducing the
-// paper's 55x reduction claim.
+// line. The notes record the cache lines loaded from NVM, reproducing the
+// paper's 55x reduction claim, and the device read requests that fetched
+// them: lines and round trips per step.
 func Fig10(o Options) (Result, error) {
 	o.applyDefaults()
 	rows := ycsb.RowsForDataSize(10 * o.Scale)
@@ -210,6 +211,7 @@ func Fig10(o Options) (Result, error) {
 		}
 		st := e.Manager().Stats()
 		lines := st.LinesLoaded + st.NVMPageLoads*core.LinesPerPage
+		requests := st.LineLoadRequests + st.NVMPageLoads
 		if i == 0 {
 			baseline = m.PerSecond()
 			baseLines = lines
@@ -219,8 +221,8 @@ func Fig10(o Options) (Result, error) {
 			X:    []float64{float64(i)},
 			Y:    []float64{m.PerSecond() / baseline},
 		})
-		res.Notes = append(res.Notes, fmt.Sprintf("%-22s %8.0f tx/s, %12d NVM lines loaded (%.1fx fewer than baseline)",
-			step.name, m.PerSecond(), lines, float64(baseLines)/float64(lines+1)))
+		res.Notes = append(res.Notes, fmt.Sprintf("%-22s %8.0f tx/s, %12d NVM lines loaded (%.1fx fewer than baseline) in %10d read requests",
+			step.name, m.PerSecond(), lines, float64(baseLines)/float64(lines+1), requests))
 	}
 	// NVM Direct comparison line.
 	e, err := buildEngine(o, core.DirectNVM, 0, 10*o.Scale, 0, nil)

@@ -197,3 +197,31 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckInvariantsValidatesMiniFrames(t *testing.T) {
+	m, pid := evictedPage(t, DRAMNVM, 9, withFeatures(true, true, false))
+	h := mustFix(t, m, pid, ModeCacheLine)
+	h.Read(3*LineSize, 2*LineSize)
+	h.Write(9*LineSize, 8)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("healthy mini page flagged: %v", err)
+	}
+	f := h.f
+	good := *f
+	for name, corrupt := range map[string]func(){
+		"slots out of order":   func() { f.slots[0], f.slots[1] = f.slots[1], f.slots[0] },
+		"dirty bit past count": func() { f.miniDirty |= 1 << f.count },
+		"dirty without a bit":  func() { f.miniDirty = 0 },
+		"count past the limit": func() { f.count = MiniLines + 1 },
+	} {
+		corrupt()
+		if err := m.CheckInvariants(); err == nil {
+			t.Errorf("%s: not detected", name)
+		}
+		*f = good
+	}
+	m.Unfix(h)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

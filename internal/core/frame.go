@@ -114,7 +114,7 @@ func (f *Frame) read(m *Manager, off, n int) []byte {
 	default:
 		if !f.fullyResident {
 			a, b := lineSpan(off, n)
-			f.ensureLines(m, a, b)
+			f.makeResident(m, a, b)
 		}
 		return f.data[off : off+n]
 	}
@@ -137,7 +137,7 @@ func (f *Frame) write(m *Manager, off, n int) []byte {
 	default:
 		a, b := lineSpan(off, n)
 		if !f.fullyResident {
-			f.ensureLines(m, a, b)
+			f.makeResident(m, a, b)
 		}
 		f.dirty.setRange(a, b)
 		f.anyDirty = true
@@ -159,7 +159,7 @@ func (f *Frame) readAll(m *Manager) []byte {
 		return full.readAll(m)
 	default:
 		if !f.fullyResident {
-			f.ensureLines(m, 0, LinesPerPage-1)
+			f.makeResident(m, 0, LinesPerPage-1)
 		}
 		return f.data
 	}
@@ -177,7 +177,7 @@ func (f *Frame) writeAll(m *Manager) []byte {
 		return full.writeAll(m)
 	default:
 		if !f.fullyResident {
-			f.ensureLines(m, 0, LinesPerPage-1)
+			f.makeResident(m, 0, LinesPerPage-1)
 		}
 		f.dirty.setRange(0, LinesPerPage-1)
 		f.anyDirty = true
@@ -185,13 +185,38 @@ func (f *Frame) writeAll(m *Manager) []byte {
 	}
 }
 
-// ensureLines loads the missing cache lines in [a, b] from the frame's NVM
-// backing, coalescing contiguous runs into single device reads.
-func (f *Frame) ensureLines(m *Manager, a, b int) {
+// makeResident is MakeResident (§3.2) for both DRAM frame kinds: it loads
+// the cache lines of [a, b] the frame does not hold from its NVM backing,
+// one device read per maximal run of missing lines, so a multi-line
+// request pays latency + (n-1)·lineTransfer like a Touch on a direct
+// frame. It returns the position of line a in f.data, counted in lines: a
+// itself on a full frame, its slot on a mini page, where lines a..b then
+// occupy consecutive slots. ok is false, and nothing was loaded, when a
+// mini page cannot hold the missing lines and has to be promoted.
+func (f *Frame) makeResident(m *Manager, a, b int) (pos int, ok bool) {
 	if f.nvmSlot < 0 {
 		// Pages without NVM backing are created fully resident; reaching
 		// this point means frame state is corrupt.
 		panic("core: partial page without NVM backing")
+	}
+	pos = a
+	if f.kind == kindMini {
+		// One pass over the sorted slots: where line a sits or belongs,
+		// and how many lines of [a, b] follow it there.
+		pos = 0
+		for pos < int(f.count) && int(f.slots[pos]) < a {
+			pos++
+		}
+		missing := b - a + 1
+		for i := pos; i < int(f.count) && int(f.slots[i]) <= b; i++ {
+			missing--
+		}
+		if missing == 0 {
+			return pos, true
+		}
+		if int(f.count)+missing > MiniLines {
+			return 0, false
+		}
 	}
 	base := m.slotDataOff(f.nvmSlot)
 	var t0 int64
@@ -199,21 +224,44 @@ func (f *Frame) ensureLines(m *Manager, a, b int) {
 		t0 = m.clk.Ns()
 	}
 	loaded := 0
-	f.resident.clearRuns(a, b, func(from, to int) {
-		off := from * LineSize
-		end := (to + 1) * LineSize
-		m.nvm.ReadAt(f.data[off:end], base+int64(off))
-		f.resident.setRange(from, to)
-		m.stats.LinesLoaded += int64(to - from + 1)
-		loaded += to - from + 1
-	})
+	// load reads the missing run [from, to] into f.data at line position at.
+	load := func(at, from, to int) {
+		n := to - from + 1
+		m.nvm.ReadAt(f.data[at*LineSize:(at+n)*LineSize], base+int64(from)*LineSize)
+		m.stats.LineLoadRequests++
+		m.stats.LinesLoaded += int64(n)
+		loaded += n
+	}
+	if f.kind == kindMini {
+		for i, l := pos, a; l <= b; {
+			if i < int(f.count) && int(f.slots[i]) == l {
+				i, l = i+1, l+1
+				continue
+			}
+			// Lines l..to are missing: the run ends before the next
+			// resident line of the span, or with the span.
+			to := b
+			if i < int(f.count) && int(f.slots[i]) <= b {
+				to = int(f.slots[i]) - 1
+			}
+			f.miniOpen(i, l, to)
+			load(i, l, to)
+			i, l = i+to-l+1, to+1
+		}
+	} else {
+		f.resident.clearRuns(a, b, func(from, to int) {
+			load(from, from, to)
+			f.resident.setRange(from, to)
+		})
+		if f.resident.full() {
+			f.fullyResident = true
+		}
+	}
 	if m.rec != nil && loaded > 0 {
 		m.rec.Latency(obs.OpNVMLineLoad, m.clk.Ns()-t0)
 		m.trace(f.pid, f.idx, obs.EvLineLoad, obs.TierNVM, uint32(loaded))
 	}
-	if f.resident.full() {
-		f.fullyResident = true
-	}
+	return pos, true
 }
 
 // forward promotes a mini page if necessary and returns the full page all
@@ -225,94 +273,41 @@ func (f *Frame) forward(m *Manager) *Frame {
 	return f.promoted
 }
 
-// miniHas returns the slot index holding physical line id, or -1.
-func (f *Frame) miniHas(line uint8) int {
-	for i := 0; i < int(f.count); i++ {
-		if f.slots[i] == line {
-			return i
-		}
-		if f.slots[i] > line {
-			return -1
-		}
-	}
-	return -1
-}
-
-// miniAccess is MakeResident for mini pages: it resolves the slot
-// indirection, loading and inserting missing lines in sorted order, and
-// promotes to a full page when the request does not fit.
+// miniAccess resolves a mini page's slot indirection for [off, off+n),
+// promoting to a full page when the request does not fit.
 func (f *Frame) miniAccess(m *Manager, off, n int, forWrite bool) []byte {
-	if f.promoted != nil {
-		if forWrite {
-			return f.promoted.write(m, off, n)
+	if f.promoted == nil {
+		a, b := lineSpan(off, n)
+		if pos, ok := f.makeResident(m, a, b); ok {
+			if forWrite {
+				span := 1<<uint(b-a+1) - 1
+				f.miniDirty |= uint16(span << uint(pos))
+				f.anyDirty = true
+			}
+			start := pos*LineSize + off%LineSize
+			return f.data[start : start+n]
 		}
-		return f.promoted.read(m, off, n)
 	}
-	a, b := lineSpan(off, n)
-	missing := 0
-	for l := a; l <= b; l++ {
-		if f.miniHas(uint8(l)) < 0 {
-			missing++
-		}
-	}
-	if int(f.count)+missing > MiniLines {
-		full := f.forward(m)
-		if forWrite {
-			return full.write(m, off, n)
-		}
-		return full.read(m, off, n)
-	}
-	for l := a; l <= b; l++ {
-		f.miniEnsure(m, uint8(l))
-	}
-	pos := f.miniHas(uint8(a))
+	full := f.forward(m)
 	if forWrite {
-		for l := a; l <= b; l++ {
-			f.miniDirty |= 1 << uint(f.miniHas(uint8(l)))
-		}
-		f.anyDirty = true
+		return full.write(m, off, n)
 	}
-	start := pos*LineSize + off%LineSize
-	return f.data[start : start+n]
+	return full.read(m, off, n)
 }
 
-// miniEnsure loads physical line into the mini page if absent, keeping
-// slots sorted by physical id. Sorted order guarantees that physically
-// consecutive lines are consecutive in the data array, which is what makes
-// multi-line requests return contiguous memory (§3.2).
-func (f *Frame) miniEnsure(m *Manager, line uint8) {
-	if f.miniHas(line) >= 0 {
-		return
-	}
-	if int(f.count) >= MiniLines {
-		panic("core: mini page overflow not promoted")
-	}
-	// Find the insertion position.
-	pos := int(f.count)
-	for i := 0; i < int(f.count); i++ {
-		if f.slots[i] > line {
-			pos = i
-			break
-		}
-	}
-	// Shift slots, data, and the dirty mask up by one.
-	copy(f.slots[pos+1:f.count+1], f.slots[pos:f.count])
-	copy(f.data[(pos+1)*LineSize:(int(f.count)+1)*LineSize], f.data[pos*LineSize:int(f.count)*LineSize])
+// miniOpen inserts the physical lines [from, to] at slot pos with one shift
+// of slots, data and the dirty mask; the caller fills the opened data.
+// Slots stay sorted by physical id, which keeps physically consecutive
+// lines consecutive in the data array: that is what lets a multi-line
+// request return contiguous memory (§3.2).
+func (f *Frame) miniOpen(pos, from, to int) {
+	n, count := to-from+1, int(f.count)
+	copy(f.slots[pos+n:count+n], f.slots[pos:count])
+	copy(f.data[(pos+n)*LineSize:(count+n)*LineSize], f.data[pos*LineSize:count*LineSize])
 	low := uint16(1)<<uint(pos) - 1
-	f.miniDirty = (f.miniDirty & low) | (f.miniDirty&^low)<<1
-	f.slots[pos] = line
-	f.count++
-	// Load the line from the NVM backing.
-	base := m.slotDataOff(f.nvmSlot)
-	dst := f.data[pos*LineSize : (pos+1)*LineSize]
-	var t0 int64
-	if m.rec != nil {
-		t0 = m.clk.Ns()
+	f.miniDirty = (f.miniDirty & low) | (f.miniDirty&^low)<<uint(n)
+	for i := 0; i < n; i++ {
+		f.slots[pos+i] = uint8(from + i)
 	}
-	m.nvm.ReadAt(dst, base+int64(line)*LineSize)
-	m.stats.LinesLoaded++
-	if m.rec != nil {
-		m.rec.Latency(obs.OpNVMLineLoad, m.clk.Ns()-t0)
-		m.trace(f.pid, f.idx, obs.EvLineLoad, obs.TierNVM, 1)
-	}
+	f.count += uint8(n)
 }

@@ -189,22 +189,23 @@ func (c *Config) validate() error {
 
 // Stats counts buffer-manager events since the last ResetStats.
 type Stats struct {
-	Fixes          int64 // page fixes of any kind
-	SwizzleHits    int64 // fixes resolved through a swizzled reference
-	TableHits      int64 // fixes resolved to a DRAM frame via the table
-	Swizzles       int64 // references turned into swizzled pointers
-	SSDLoads       int64 // pages read from SSD into DRAM
-	NVMPageLoads   int64 // whole pages read from NVM (page-grained mode)
-	LinesLoaded    int64 // cache lines read from NVM (cache-line mode)
-	MiniAllocs     int64 // mini pages allocated
-	FullAllocs     int64 // full pages allocated
-	MiniPromotions int64 // mini pages promoted to full pages
-	DRAMEvictions  int64 // frames evicted from DRAM
-	NVMAdmissions  int64 // pages admitted to the NVM cache
-	NVMDenials     int64 // pages denied NVM admission
-	NVMEvictions   int64 // pages evicted from the NVM cache
-	DirectFixes    int64 // in-place fixes (DirectNVM topology)
-	JournalUndos   int64 // interrupted write-backs undone at restart
+	Fixes            int64 // page fixes of any kind
+	SwizzleHits      int64 // fixes resolved through a swizzled reference
+	TableHits        int64 // fixes resolved to a DRAM frame via the table
+	Swizzles         int64 // references turned into swizzled pointers
+	SSDLoads         int64 // pages read from SSD into DRAM
+	NVMPageLoads     int64 // whole pages read from NVM (page-grained mode)
+	LinesLoaded      int64 // cache lines read from NVM (cache-line mode)
+	LineLoadRequests int64 // device reads that fetched LinesLoaded, one per run of missing lines
+	MiniAllocs       int64 // mini pages allocated
+	FullAllocs       int64 // full pages allocated
+	MiniPromotions   int64 // mini pages promoted to full pages
+	DRAMEvictions    int64 // frames evicted from DRAM
+	NVMAdmissions    int64 // pages admitted to the NVM cache
+	NVMDenials       int64 // pages denied NVM admission
+	NVMEvictions     int64 // pages evicted from the NVM cache
+	DirectFixes      int64 // in-place fixes (DirectNVM topology)
+	JournalUndos     int64 // interrupted write-backs undone at restart
 }
 
 // Add folds other into s, for aggregating per-shard counters.
@@ -216,6 +217,7 @@ func (s *Stats) Add(other Stats) {
 	s.SSDLoads += other.SSDLoads
 	s.NVMPageLoads += other.NVMPageLoads
 	s.LinesLoaded += other.LinesLoaded
+	s.LineLoadRequests += other.LineLoadRequests
 	s.MiniAllocs += other.MiniAllocs
 	s.FullAllocs += other.FullAllocs
 	s.MiniPromotions += other.MiniPromotions

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"testing/quick"
+	"time"
 )
 
 // newTestManager builds a Manager with small capacities suited to tests:
@@ -326,6 +328,166 @@ func TestMiniPageContiguousMultiLine(t *testing.T) {
 		}
 	}
 	m.Unfix(h2)
+}
+
+// evictedPage allocates a page filled with fillPattern(seed) on a fresh
+// manager and evicts it, so the next fix finds it on NVM only.
+func evictedPage(t *testing.T, topo Topology, seed byte, opts ...func(*Config)) (*Manager, PageID) {
+	t.Helper()
+	m := newTestManager(t, topo, 8, opts...)
+	h := mustAlloc(t, m)
+	fillPattern(h, seed)
+	m.Unfix(h)
+	if err := m.CleanShutdown(); err != nil {
+		t.Fatal(err)
+	}
+	return m, h.PID()
+}
+
+// TestMakeResidentOneRequestPerRun pins the price of MakeResident: a cold
+// multi-line access is one device read of latency + (n-1)·lineTransfer on
+// every frame kind, and a resident line in the middle splits it in two.
+func TestMakeResidentOneRequestPerRun(t *testing.T) {
+	kinds := []struct {
+		name string
+		topo Topology
+		opt  func(*Config)
+		kind frameKind
+	}{
+		{"mini", DRAMNVM, withFeatures(true, true, false), kindMini},
+		{"full", DRAMNVM, withFeatures(true, false, false), kindFull},
+		{"direct", DirectNVM, withFeatures(false, false, false), kindDirect},
+	}
+	for _, k := range kinds {
+		m, pid := evictedPage(t, k.topo, 13, k.opt)
+		h := mustFix(t, m, pid, ModeCacheLine)
+		if h.f.kind != k.kind {
+			t.Fatalf("%s: frame kind = %d, want %d", k.name, h.f.kind, k.kind)
+		}
+		// check reads [off, off+n) and compares what it cost.
+		check := func(what string, off, n int, wantNs time.Duration, wantReads, wantLines int64) {
+			t.Helper()
+			m.ResetStats()
+			m.NVM().ResetStats()
+			t0 := m.Clock().Ns()
+			h.Read(off, n)
+			if got := m.Clock().Ns() - t0; got != int64(wantNs) {
+				t.Errorf("%s: %s charged %d ns, want %d", k.name, what, got, int64(wantNs))
+			}
+			if got := m.NVM().Stats().ReadOps; got != wantReads {
+				t.Errorf("%s: %s issued %d device reads, want %d", k.name, what, got, wantReads)
+			}
+			if st := m.Stats(); k.kind != kindDirect && (st.LinesLoaded != wantLines || st.LineLoadRequests != wantReads) {
+				t.Errorf("%s: %s: LinesLoaded/LineLoadRequests = %d/%d, want %d/%d",
+					k.name, what, st.LinesLoaded, st.LineLoadRequests, wantLines, wantReads)
+			}
+		}
+		check("cold 3-line read", 4*LineSize+10, 2*LineSize+20, m.cfg.NVMReadLatency+2*m.cfg.NVMLineTransfer, 1, 3)
+		if k.kind != kindDirect { // a direct frame holds no lines to split a span
+			h.Read(9*LineSize, 8)
+			check("3-line read around resident line 9", 8*LineSize, 3*LineSize, 2*m.cfg.NVMReadLatency, 2, 2)
+		}
+		m.Unfix(h)
+	}
+}
+
+// miniOp is one access of TestMiniPageMatchesModel: lines [Line%48,
+// +Span%4] of the page, from byte From%64 of the first line to byte To%64
+// of the last.
+type miniOp struct {
+	Line, Span, From, To uint8
+	Write                bool
+	Fill                 byte
+}
+
+// TestMiniPageMatchesModel drives random 1-4 line reads and writes against
+// one NVM-backed mini page and a plain 16 KB model of the page. Multi-line
+// inserts shift slots, data and the dirty mask by several positions at
+// once; whatever they get wrong shows up as a slice that differs from the
+// model, a broken slot directory, a misplaced dirty bit, a promotion at the
+// wrong moment or a wrong NVM image after eviction.
+func TestMiniPageMatchesModel(t *testing.T) {
+	run := func(ops []miniOp) bool {
+		m, pid := evictedPage(t, DRAMNVM, 17, withFeatures(true, true, false))
+		h := mustFix(t, m, pid, ModeCacheLine)
+		f := h.f
+		model := make([]byte, PageSize)
+		for i := range model {
+			model[i] = 17 ^ byte(i) ^ byte(i>>8)
+		}
+		var written [LinesPerPage]bool
+		for n, op := range ops {
+			a := int(op.Line % 48)
+			b := a + int(op.Span%4)
+			from, to := a*LineSize+int(op.From%64), b*LineSize+int(op.To%64)
+			if to < from {
+				from, to = a*LineSize+int(op.To%64), b*LineSize+int(op.From%64)
+			}
+			missing := 0
+			for l := a; l <= b; l++ {
+				if bytes.IndexByte(f.slots[:f.count], uint8(l)) < 0 {
+					missing++
+				}
+			}
+			promote := f.promoted == nil && int(f.count)+missing > MiniLines
+			wasPromoted := f.promoted != nil
+
+			var got []byte
+			if op.Write {
+				got = h.Write(from, to-from+1)
+			} else {
+				got = h.Read(from, to-from+1)
+			}
+			if !bytes.Equal(got, model[from:to+1]) {
+				t.Errorf("op %d %+v: returned slice differs from the model", n, op)
+				return false
+			}
+			if op.Write {
+				for i := range got {
+					got[i] = op.Fill + byte(i)
+				}
+				copy(model[from:], got)
+				for l := a; l <= b; l++ {
+					written[l] = true
+				}
+			}
+			if (f.promoted != nil) != (wasPromoted || promote) {
+				t.Errorf("op %d %+v: promoted=%v with %d lines resident and %d missing", n, op, f.promoted != nil, f.count, missing)
+				return false
+			}
+			if f.promoted != nil {
+				continue
+			}
+			if err := f.checkMini(); err != nil {
+				t.Errorf("op %d %+v: %v", n, op, err)
+				return false
+			}
+			for i := 0; i < int(f.count); i++ {
+				l := int(f.slots[i])
+				if !bytes.Equal(f.data[i*LineSize:(i+1)*LineSize], model[l*LineSize:(l+1)*LineSize]) {
+					t.Errorf("op %d %+v: slot %d does not hold line %d", n, op, i, l)
+					return false
+				}
+				if dirty := f.miniDirty&(1<<uint(i)) != 0; dirty != written[l] {
+					t.Errorf("op %d %+v: slot %d (line %d) dirty=%v, written=%v", n, op, i, l, dirty, written[l])
+					return false
+				}
+			}
+		}
+		m.Unfix(h)
+		if err := m.CleanShutdown(); err != nil {
+			t.Error(err)
+			return false
+		}
+		if !bytes.Equal(m.NVM().View(m.slotDataOff(int64(pid-1)), PageSize), model) {
+			t.Errorf("NVM slot differs from the model after eviction (%d ops)", len(ops))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(run, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(19))}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMiniPagePromotion(t *testing.T) {

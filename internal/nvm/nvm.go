@@ -95,8 +95,11 @@ type Stats struct {
 	// LinesReadCharged is the number of lines that actually paid NVM
 	// read latency (CPU-cache misses).
 	LinesReadCharged int64
-	// ReadOps is the number of ReadAt calls.
+	// ReadOps is the number of read requests: ReadAt and Touch calls.
 	ReadOps int64
+	// ReadOpsCharged is the number of read requests that paid NVM read
+	// latency: those with at least one line missing the CPU cache.
+	ReadOpsCharged int64
 	// LinesFlushed is the number of cache lines made durable by Flush.
 	LinesFlushed int64
 	// FlushOps is the number of Flush calls.
@@ -245,6 +248,7 @@ func (d *Device) ReadAt(p []byte, off int64) {
 	d.stats.LinesReadCharged += misses
 	var ns int64
 	if misses > 0 {
+		d.stats.ReadOpsCharged++
 		ns = int64(d.cfg.ReadLatency) + (misses-1)*int64(d.cfg.LineTransfer)
 		d.clk.AdvanceNs(ns)
 	}
@@ -274,6 +278,7 @@ func (d *Device) Touch(off int64, n int) {
 	d.stats.LinesReadCharged += misses
 	var ns int64
 	if misses > 0 {
+		d.stats.ReadOpsCharged++
 		ns = int64(d.cfg.ReadLatency) + (misses-1)*int64(d.cfg.LineTransfer)
 		d.clk.AdvanceNs(ns)
 	}

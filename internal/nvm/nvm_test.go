@@ -135,6 +135,11 @@ func TestCPUCacheHitsAreFree(t *testing.T) {
 	if st.LinesRead != 2 || st.LinesReadCharged != 1 {
 		t.Fatalf("stats = %+v, want LinesRead=2 LinesReadCharged=1", st)
 	}
+	d.Touch(0, 2*LineSize) // line 0 cached, line 1 not: one charged request
+	d.Touch(0, 2*LineSize) // both cached: a request, not a charged one
+	if st := d.Stats(); st.ReadOps != 4 || st.ReadOpsCharged != 2 {
+		t.Fatalf("stats = %+v, want ReadOps=4 ReadOpsCharged=2", st)
+	}
 }
 
 func TestCPUCacheEvicts(t *testing.T) {

@@ -30,8 +30,9 @@ const (
 	// OpDRAMHit is a page fix resolved entirely in DRAM (swizzled
 	// reference or mapping-table hit). No device time is charged.
 	OpDRAMHit Op = iota
-	// OpNVMLineLoad is a run of cache lines loaded from NVM into a full
-	// or mini page frame (§3.1, §3.2).
+	// OpNVMLineLoad is one page access that loaded cache lines from NVM
+	// into a full or mini page frame (§3.1, §3.2): all the device reads of
+	// that access, one per contiguous run of missing lines.
 	OpNVMLineLoad
 	// OpNVMPageLoad is a whole page read from NVM in page-grained mode.
 	OpNVMPageLoad
@@ -122,8 +123,8 @@ const (
 	// EvLoad: a page was loaded into DRAM (Tier: where it came from;
 	// Detail: 1 when it was materialized as a mini page).
 	EvLoad
-	// EvLineLoad: cache lines were loaded from the page's NVM backing
-	// (Detail: number of lines).
+	// EvLineLoad: a page access loaded cache lines from the page's NVM
+	// backing (Detail: number of lines that access loaded).
 	EvLineLoad
 	// EvPromote: a mini page was promoted to a full page.
 	EvPromote

@@ -399,11 +399,11 @@ func (s *Store) InjectFaults(plan *fault.Plan) fault.Injectors {
 }
 
 // CheckInvariants walks the buffer manager's internal structures —
-// frame/mapping-table agreement, swizzled-pointer bookkeeping, residency
-// state — and returns the first inconsistency found. The crash-schedule
-// harness calls it after every recovery; it is cheap enough for tests
-// but walks every frame, so production paths should not call it per
-// operation.
+// frame/mapping-table agreement, swizzled-pointer bookkeeping, mini-page
+// slot directories — and returns the first inconsistency found. The
+// crash-schedule harness calls it after every recovery; it is cheap
+// enough for tests but walks every frame, so production paths should not
+// call it per operation.
 func (s *Store) CheckInvariants() error { return s.e.Manager().CheckInvariants() }
 
 // SimulatedTime returns the accumulated simulated device time. Combined
@@ -465,6 +465,12 @@ type Metrics struct {
 	// hits); NVMLinesFlushed counts lines made durable.
 	NVMLinesRead    int64
 	NVMLinesFlushed int64
+	// NVMReadRequests counts the read requests that fetched NVMLinesRead
+	// (one per contiguous run; the device charges its latency per request
+	// and a transfer term per further line); NVMReadRequestsCharged counts
+	// those with at least one CPU-cache miss, which alone cost device time.
+	NVMReadRequests        int64
+	NVMReadRequestsCharged int64
 	// NVMTotalWrites is the total cache-line write (wear) count across
 	// the device — the endurance measure of the paper's Figure 16.
 	NVMTotalWrites int64
@@ -493,6 +499,8 @@ func (m *Metrics) add(o Metrics) {
 	m.WriterThrottles += o.WriterThrottles
 	m.NVMLinesRead += o.NVMLinesRead
 	m.NVMLinesFlushed += o.NVMLinesFlushed
+	m.NVMReadRequests += o.NVMReadRequests
+	m.NVMReadRequestsCharged += o.NVMReadRequestsCharged
 	m.NVMTotalWrites += o.NVMTotalWrites
 	m.SSDPagesRead += o.SSDPagesRead
 	m.SSDPagesWritten += o.SSDPagesWritten
@@ -599,6 +607,8 @@ func (s *Store) Metrics() Metrics {
 	nvmStats := s.e.Manager().NVM().Stats()
 	m.NVMLinesRead = nvmStats.LinesRead
 	m.NVMLinesFlushed = nvmStats.LinesFlushed
+	m.NVMReadRequests = nvmStats.ReadOps
+	m.NVMReadRequestsCharged = nvmStats.ReadOpsCharged
 	m.NVMTotalWrites = s.e.Manager().NVM().TotalWrites()
 	if ssd := s.e.Manager().SSD(); ssd != nil {
 		st := ssd.Stats()

@@ -163,6 +163,12 @@ func TestMetricsAndSimulatedTime(t *testing.T) {
 	if m.NVMTotalWrites == 0 || m.Log.Commits != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
+	// Lines come in requests, and only some requests miss the CPU cache.
+	if m.NVMReadRequests == 0 || m.NVMReadRequests > m.NVMLinesRead ||
+		m.NVMReadRequestsCharged == 0 || m.NVMReadRequestsCharged > m.NVMReadRequests {
+		t.Fatalf("NVM lines read / requests / charged = %d / %d / %d",
+			m.NVMLinesRead, m.NVMReadRequests, m.NVMReadRequestsCharged)
+	}
 }
 
 func TestMainMemoryCapacitySurface(t *testing.T) {
