@@ -183,7 +183,7 @@ func BenchmarkScan50(b *testing.B) {
 		if err := table.PutBatch(keys, vals); err != nil {
 			b.Fatal(err)
 		}
-		// No maintainer runs here: truncate the log before it fills.
+		// Every batch starts from a clean pool and an empty log.
 		if err := s.Checkpoint(); err != nil {
 			b.Fatal(err)
 		}

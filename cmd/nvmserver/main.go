@@ -99,10 +99,9 @@ func run() int {
 		checkpoint = flag.Bool("checkpoint-on-close", false, "write back all dirty pages on shutdown so the next start recovers instantly")
 		faultSpec  = flag.String("faults", "", `fault-injection spec armed on every shard's devices and on the response path, e.g. "seed:7;ssd.read:p=0.001,transient=2;net.drop:p=0.0005" (see internal/fault)`)
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before connections are severed")
-		maintIv    = flag.Duration("maint-interval", 0, "background-maintenance tick per shard (0: store default; negative: disable background maintenance)")
 		maintBatch = flag.Int("maint-batch", 0, "max dirty pages written back per maintenance round (0: store default)")
 		maintSoft  = flag.Float64("maint-softfill", 0, "log-fill fraction at which paced write-back starts (0: store default)")
-		maintHard  = flag.Float64("maint-hardfill", 0, "log-fill fraction past which writers are throttled until truncation (0: store default)")
+		maintHard  = flag.Float64("maint-hardfill", 0, "log-fill fraction from which a commit runs write-back rounds until the log is truncated (0: store default)")
 		replicaOf  = flag.String("replicaof", "", "serve as a read replica of the primary at this address (writes rejected as READONLY until promoted)")
 		promote    = flag.Uint64("promote", 0, "send a PROMOTE for this epoch to the server at -addr and exit (promotes a replica; fences the old primary)")
 		syncRepl   = flag.Int("syncreplicas", 0, "hold write acks until this many replicas acknowledged (0: asynchronous replication)")
@@ -150,7 +149,6 @@ func run() int {
 		Observe:           *observe,
 		CheckpointOnClose: *checkpoint,
 		Maintenance: nvmstore.MaintenanceOptions{
-			Interval: *maintIv,
 			Batch:    *maintBatch,
 			SoftFill: *maintSoft,
 			HardFill: *maintHard,

@@ -237,9 +237,8 @@ func TestShardedGroupCommitConcurrent(t *testing.T) {
 }
 
 // openCombinerStore opens a two-shard store whose shard 0 the combiner
-// tests drive: no background maintainer (nothing but the Batch callers
-// may flush the log), a checkpoint base to recover from, and n keys owned
-// by shard 0.
+// tests drive (nothing but the Batch callers ever flushes the log), with
+// a checkpoint base to recover from and n keys owned by shard 0.
 func openCombinerStore(t *testing.T, n int) (*ShardedStore, *ShardedTable, []uint64) {
 	t.Helper()
 	s, err := OpenSharded(2, Options{
@@ -248,7 +247,6 @@ func openCombinerStore(t *testing.T, n int) (*ShardedStore, *ShardedTable, []uin
 		NVMBytes:          32 << 20,
 		SSDBytes:          128 << 20,
 		StrictPersistence: true,
-		Maintenance:       MaintenanceOptions{Interval: -1},
 	})
 	if err != nil {
 		t.Fatal(err)

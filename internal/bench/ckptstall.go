@@ -23,42 +23,35 @@ const (
 	ckptStallHardFill = 0.5
 )
 
-// CkptStall measures what moving checkpoint write-back off the commit
-// path does to commit latency. Uniform multi-row update transactions
-// run against a two-shard store whose tiny log forces a checkpoint
-// cycle every few dozen commits, under three regimes:
+// CkptStall measures why checkpoint rounds are bounded. Uniform
+// multi-row update transactions run against a two-shard store whose tiny
+// log forces a checkpoint cycle every few dozen commits, under two
+// regimes, both on the commit path:
 //
 //   - "inline full checkpoint": the pre-maintenance behavior — the
 //     commit that finds the log past the threshold synchronously
 //     flushes the whole dirty set and truncates (Checkpoint), all on
 //     its own latency.
-//   - "inline paced rounds": the single-threaded fallback — the same
-//     write-back split into bounded CheckpointRound batches, one round
-//     per commit, so the cost is amortized across the writers that
-//     generate the dirt but still paid on the commit path.
-//   - "background maintainer": the sharded store's default — a
-//     per-shard goroutine runs the rounds between commits, and the
-//     commit path pays only for shard-lock overlap (plus hard-fill
-//     backpressure, which this workload never reaches).
+//   - "inline paced rounds": what the engine does — the same write-back
+//     split into bounded CheckpointRound batches, one round per commit
+//     from the soft threshold, so the cost is amortized across the
+//     writers that generate the dirt.
 //
 // Each series is one regime; X is the latency percentile over every
 // measured commit, Y the latency in nanoseconds. Per-commit latency is
-// wall time (including any wait for the shard lock, e.g. behind a
-// maintenance round) plus the simulated device time the commit itself
-// consumed under the lock. Background rounds' device time is
-// deliberately not charged to commits — that is the point being
-// measured — and the notes report each regime's write-back totals to
-// show the same maintenance work happened everywhere.
+// wall time plus the simulated device time the commit consumed under
+// the shard lock, write-back included: every device nanosecond is
+// charged to the commit that caused it. The notes report each regime's
+// write-back totals to show the same maintenance work happened in both.
 //
 // The expected shape: medians match (most commits do no write-back in
-// any regime); the inline-full tail carries whole-dirty-set stalls,
-// paced rounds shrink those to one bounded batch, and the background
-// maintainer removes even that from p99.
+// either regime); the inline-full tail carries whole-dirty-set stalls,
+// which paced rounds shrink to one bounded batch.
 func CkptStall(o Options) (Result, error) {
 	o.applyDefaults()
 	res := Result{
 		ID: "ckptstall",
-		Title: fmt.Sprintf("commit latency vs checkpoint placement (%d-row uniform update txs, %d shards, write-back batch %d)",
+		Title: fmt.Sprintf("commit latency vs checkpoint granularity (%d-row uniform update txs, %d shards, write-back batch %d)",
 			ckptStallTxRows, ckptStallShards, ckptStallBatch),
 		XLabel: "percentile",
 		YLabel: "commit latency (ns)",
@@ -72,11 +65,8 @@ func CkptStall(o Options) (Result, error) {
 		{"inline full checkpoint",
 			// Thresholds pinned high so the engine's own pacing never
 			// fires; the driver checkpoints at ckptStallSoftFill itself.
-			nvmstore.MaintenanceOptions{Interval: -1, SoftFill: 0.95, HardFill: 0.95}, true},
+			nvmstore.MaintenanceOptions{SoftFill: 0.95, HardFill: 0.95}, true},
 		{"inline paced rounds",
-			nvmstore.MaintenanceOptions{Interval: -1, Batch: ckptStallBatch,
-				SoftFill: ckptStallSoftFill, HardFill: ckptStallHardFill}, false},
-		{"background maintainer",
 			nvmstore.MaintenanceOptions{Batch: ckptStallBatch,
 				SoftFill: ckptStallSoftFill, HardFill: ckptStallHardFill}, false},
 	}
@@ -134,9 +124,9 @@ func ckptStallRun(o Options, maint nvmstore.MaintenanceOptions, full bool, rows 
 		if err := table.PutBatch(keys, rws); err != nil {
 			return nil, "", err
 		}
-		// The paced and background regimes keep the preload's log fill in
-		// check themselves; the full regime has its thresholds pinned high,
-		// so drain between chunks the way its measured phase does.
+		// The paced regime keeps the preload's log fill in check itself;
+		// the full regime has its thresholds pinned high, so drain between
+		// chunks the way its measured phase does.
 		if full {
 			for sh := 0; sh < ckptStallShards; sh++ {
 				if err := s.WithShard(sh, func(st *nvmstore.Store) error {
@@ -177,7 +167,6 @@ func ckptStallRun(o Options, maint nvmstore.MaintenanceOptions, full bool, rows 
 	// lock hold, on the committing operation's latency — the old
 	// behavior being measured against.
 	tx := func(sh int) (simNs int64, err error) {
-		s.PaceWriter(sh)
 		pool := byShard[sh]
 		err = s.WithShard(sh, func(st *nvmstore.Store) error {
 			sim0 := st.SimulatedTime()
@@ -222,9 +211,9 @@ func ckptStallRun(o Options, maint nvmstore.MaintenanceOptions, full bool, rows 
 	m := s.Metrics()
 	sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
 	notes := fmt.Sprintf(
-		"p50=%dns p99=%dns p999=%dns max=%dns; %d rounds (%d pages), %d truncations, %d full checkpoints, %d writer throttles",
+		"p50=%dns p99=%dns p999=%dns max=%dns; %d rounds (%d pages), %d truncations, %d full checkpoints",
 		quantile(lat, 0.50), quantile(lat, 0.99), quantile(lat, 0.999), quantile(lat, 1.0),
-		m.Ckpt.Rounds, m.Ckpt.Pages, m.Ckpt.Truncations, fullCkpts, m.WriterThrottles)
+		m.Ckpt.Rounds, m.Ckpt.Pages, m.Ckpt.Truncations, fullCkpts)
 	return lat, notes, nil
 }
 

@@ -49,7 +49,7 @@ func Experiments() []Experiment {
 		{"figA1", "multi-threaded scalability, appendix A.1 (threads sweep)", FigA1},
 		{"ablation", "NVM admission-set ablation (not in the paper)", AblationAdmission},
 		{"groupcommit", "group-commit batch-size sweep, write-heavy YCSB (not in the paper)", GroupCommit},
-		{"ckptstall", "commit tail latency: inline vs paced vs background checkpointing (not in the paper)", CkptStall},
+		{"ckptstall", "commit tail latency: inline full checkpoint vs inline paced rounds (not in the paper)", CkptStall},
 		{"faults", "throughput under injected device faults (not in the paper)", FaultSweep},
 		{"readscale", "write and scan throughput vs concurrent scanners (not in the paper)", ReadScale},
 	}

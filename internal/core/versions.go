@@ -182,8 +182,9 @@ func (v *Versions) ImageAsOf(pid PageID, asOf uint64) ([]byte, bool) {
 func (v *Versions) NoteServed() { v.stats.Served++ }
 
 // Reclaim drops every saved version no active snapshot can still read
-// and returns the number dropped. The background maintainer calls it
-// periodically; EndSnapshot calls it eagerly.
+// and returns the number dropped. EndSnapshot calls it: a version is only
+// saved while a snapshot that can read it is open, so a snapshot closing
+// is the only moment one becomes reclaimable.
 func (v *Versions) Reclaim() int64 {
 	if len(v.store) == 0 {
 		return 0

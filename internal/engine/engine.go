@@ -101,9 +101,6 @@ type Engine struct {
 	// maint tunes incremental checkpointing and paced write-back; see
 	// MaintenanceOptions. Always normalized (no zero fields).
 	maint MaintenanceOptions
-	// background marks that an external maintenance goroutine owns
-	// checkpointing, disabling the commit path's inline pacing.
-	background bool
 	// ckptCursor resumes the dirty-frame walk across checkpoint rounds.
 	ckptCursor int
 	// ckpt counts incremental-checkpoint activity.
@@ -255,8 +252,7 @@ func (e *Engine) InTx() bool { return e.txActive }
 // already persisted in place (§2.1). On the buffered architectures the
 // commit path never runs a full checkpoint: once the log passes the
 // maintenance soft-fill threshold, each commit contributes one bounded
-// incremental-checkpoint round (see MaintenanceOptions), or none at all
-// when a background maintainer owns the engine.
+// incremental-checkpoint round (see MaintenanceOptions and pace).
 func (e *Engine) Commit() error {
 	if !e.txActive {
 		return ErrNoTransaction

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"nvmstore/internal/core"
 	"nvmstore/internal/fault"
@@ -11,10 +10,6 @@ import (
 // Maintenance defaults, used when the corresponding MaintenanceOptions
 // field is zero.
 const (
-	// DefaultMaintenanceInterval paces a sharded store's background
-	// maintenance goroutine: how often each shard's log fill and dirty
-	// set are inspected between nudges from the write path.
-	DefaultMaintenanceInterval = 2 * time.Millisecond
 	// DefaultMaintenanceBatch bounds the pages written back per
 	// incremental-checkpoint round, and therefore the worst-case pause
 	// one round imposes on the shard.
@@ -22,9 +17,9 @@ const (
 	// DefaultSoftFill is the log-fill fraction at which paced write-back
 	// starts.
 	DefaultSoftFill = 0.5
-	// DefaultHardFill is the log-fill fraction past which writers are
-	// throttled (background mode) or the commit path drives rounds to
-	// completion (inline mode) so appends never hit wal.ErrLogFull.
+	// DefaultHardFill is the log-fill fraction from which a commit runs
+	// rounds back to back until the log is cut, so appends never hit
+	// wal.ErrLogFull.
 	DefaultHardFill = 0.9
 )
 
@@ -33,17 +28,11 @@ const (
 // FlushAll+Truncate on the commit path: it is a sequence of bounded
 // rounds (CheckpointRound), each writing back at most Batch dirty pages
 // in clock order, with the WAL truncated once the dirty set is drained.
-// The zero value selects every default.
+// The rounds run on the commit (or tail flush) that finds the log past
+// a threshold — see pace. The zero value selects every default.
 type MaintenanceOptions struct {
-	// Interval is the wall-clock pacing of a sharded store's background
-	// maintenance goroutine; each tick inspects the shard and runs
-	// rounds when the log fill or dirty ratio warrants. Single-threaded
-	// engines ignore it (their rounds piggyback on the commit path). A
-	// negative Interval disables the background goroutine entirely,
-	// falling back to inline pacing.
-	Interval time.Duration
 	// Batch bounds the pages written back per round. Smaller batches
-	// mean shorter lock holds and smaller foreground stalls; larger
+	// mean a smaller stall for the commit that runs the round; larger
 	// batches drain the dirty set in fewer rounds. Zero selects
 	// DefaultMaintenanceBatch.
 	Batch int
@@ -52,17 +41,14 @@ type MaintenanceOptions struct {
 	// dirty pages alone, preserving write coalescing in the pool.
 	SoftFill float64
 	// HardFill is the log-fill fraction past which the engine refuses
-	// to let the log grow unchecked: background mode throttles writers
-	// until maintenance truncates, inline mode runs rounds back to back
-	// on the committing goroutine. Zero selects DefaultHardFill.
+	// to let the log grow unchecked: the committing goroutine runs
+	// rounds back to back until the log is cut. Zero selects
+	// DefaultHardFill.
 	HardFill float64
 }
 
 // normalized returns o with zero fields replaced by the defaults.
 func (o MaintenanceOptions) normalized() MaintenanceOptions {
-	if o.Interval == 0 {
-		o.Interval = DefaultMaintenanceInterval
-	}
 	if o.Batch <= 0 {
 		o.Batch = DefaultMaintenanceBatch
 	}
@@ -108,35 +94,12 @@ func (e *Engine) SetMaintenance(o MaintenanceOptions) {
 	e.maint = o.normalized()
 }
 
-// Maintenance returns the engine's normalized maintenance tuning.
-func (e *Engine) Maintenance() MaintenanceOptions { return e.maint }
-
-// SetBackgroundMaintenance marks that an external maintenance goroutine
-// owns this engine's checkpointing: the commit path stops running
-// inline rounds and only the owner calls CheckpointRound. The sharded
-// store sets it when it starts a shard's maintainer.
-func (e *Engine) SetBackgroundMaintenance(on bool) { e.background = on }
-
 // CkptStats returns the incremental-checkpoint counters.
 func (e *Engine) CkptStats() CkptStats { return e.ckpt }
 
 // LogFill returns the WAL region's fill fraction (0..1).
 func (e *Engine) LogFill() float64 {
 	return float64(e.log.Bytes()) / float64(e.log.Capacity())
-}
-
-// NeedsMaintenance reports whether the log fill has reached the soft
-// threshold — the signal a background maintainer polls for between
-// rounds.
-func (e *Engine) NeedsMaintenance() bool {
-	return e.Topology() != core.DirectNVM && e.LogFill() >= e.maint.SoftFill
-}
-
-// OverHardFill reports whether the log fill has reached the hard
-// threshold at which writers must be throttled until maintenance
-// truncates.
-func (e *Engine) OverHardFill() bool {
-	return e.Topology() != core.DirectNVM && e.LogFill() >= e.maint.HardFill
 }
 
 // CheckpointRound performs one bounded round of an incremental (fuzzy)
@@ -146,11 +109,10 @@ func (e *Engine) OverHardFill() bool {
 // the WAL. It returns how many pages this round wrote back and whether
 // it truncated the log.
 //
-// Unlike Checkpoint, a round never stalls on the whole dirty set: the
-// caller interleaves rounds with foreground work (inline pacing on the
-// commit path, or a maintenance goroutine taking the shard lock per
-// round), and the checkpoint is "fuzzy" because pages dirtied between
-// rounds simply join a later round. Truncation only happens in the
+// Unlike Checkpoint, a round never stalls on the whole dirty set: pace
+// interleaves rounds with the commits that call it, and the checkpoint
+// is "fuzzy" because pages dirtied between rounds simply join a later
+// round. Truncation only happens in the
 // round that observes a fully clean pool, so every logged change is
 // durable in its home location first; a crash between rounds recovers
 // from the intact log exactly (the fault.CkptRound site at the top of
@@ -206,19 +168,20 @@ func (e *Engine) truncateLog() bool {
 	return true
 }
 
-// pace is the commit path's inline maintenance hook, called after a
-// commit or tail flush on engines without a background maintainer. Below
-// SoftFill it does nothing. From SoftFill it runs one bounded round per
-// commit — write-back amortized across the writers that generate the
-// dirt, in place of the old stall-the-world checkpoint. From HardFill it
-// runs rounds back to back until the log is truncated, so an append can
-// never hit wal.ErrLogFull; each round is still batch-bounded, keeping
-// the worst-case single-commit stall at one batch per round rather than
-// one full pool flush.
+// pace is the one placement of checkpoint write-back: Commit and FlushWAL
+// call it once the tail is durable, outside any transaction, so it runs
+// on the goroutine that filled the log and under whatever lock that
+// goroutine already holds (a ShardedStore's Batch holds the shard lock
+// around its one FlushWAL) — the writer that fills the log is the one
+// that drains it, and backpressure needs no protocol. Below SoftFill it
+// does nothing. From SoftFill it runs one bounded round per commit —
+// write-back amortized across the writers that generate the dirt, in
+// place of a stall-the-world checkpoint. From HardFill it runs rounds
+// back to back until the log is truncated, so an append only ever meets
+// wal.ErrLogFull when the cut is refused; each round is still
+// batch-bounded, keeping the worst-case single-commit stall at one batch
+// per round rather than one full pool flush.
 func (e *Engine) pace() error {
-	if e.background || e.txActive {
-		return nil
-	}
 	if e.LogFill() < e.maint.SoftFill {
 		return nil
 	}
@@ -232,9 +195,11 @@ func (e *Engine) pace() error {
 		}
 		if pages == 0 {
 			// Nothing written back and no truncation: the pool is
-			// already clean and the cut was refused (replication
-			// retention), or the topology has no page write-back. More
-			// rounds cannot shrink the log.
+			// already clean and the cut was refused (a retention
+			// watermark; under replication the flush in truncateLog
+			// ships the tail first, so that refusal cannot persist), or
+			// the topology has no page write-back. More rounds cannot
+			// shrink the log.
 			return nil
 		}
 	}

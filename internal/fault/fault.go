@@ -88,7 +88,7 @@ const (
 	// ("ckpt.round"): some dirty pages of the fuzzy checkpoint have been
 	// written back in earlier rounds, the log is not yet truncated, and
 	// the power fails. Recovery must replay the intact log over the
-	// partially written-back pool — the probe point of background
+	// partially written-back pool — the probe point of checkpoint
 	// maintenance.
 	CkptRound
 

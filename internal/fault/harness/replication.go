@@ -25,8 +25,10 @@ package harness
 // Every schedule is a pure function of the config: write→shard routing
 // is the deterministic shard hash, semi-synchronous replication
 // (SyncReplicas: 1) forces at least one replica WAL flush per
-// acknowledged write, and spread() picks the same opportunity indices
-// every run — so the same seed yields the same report.
+// acknowledged write once the replica's feed is live on every shard —
+// which each point waits for before its first write (awaitLiveFeed) —
+// and spread() picks the same opportunity indices every run — so the
+// same seed yields the same report.
 
 import (
 	"bytes"
@@ -337,6 +339,21 @@ func dialRepl(p *replPair, addr string) (*client.Client, error) {
 	return cl, nil
 }
 
+// awaitLiveFeed waits until the primary's source has a feed live on every
+// shard. Attach runs on the replica connection's goroutine, and until it
+// is through semi-sync degrades to no wait: writes issued earlier are
+// acknowledged unreplicated and reach the replica batched, so it flushes
+// fewer times than there were writes (a scheduled k-th flush may never
+// come) and a promotion may miss them.
+func awaitLiveFeed(src *repl.Source) error {
+	for deadline := time.Now().Add(20 * time.Second); !src.Live(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("replica feed never went live")
+		}
+	}
+	return nil
+}
+
 // durableLSNs reads a sharded store's per-shard durable WAL positions.
 func durableLSNs(st *nvmstore.ShardedStore) []uint64 {
 	lsns := make([]uint64, st.NumShards())
@@ -445,6 +462,9 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 	if err != nil {
 		return false, err
 	}
+	if err := awaitLiveFeed(p.src); err != nil {
+		return false, err
+	}
 	for i := 0; i < cfg.Writes; i++ {
 		key, row := replKey(cfg, i), replRow(cfg, i)
 		if err := cl.Put(replTable, key, row); err != nil {
@@ -495,6 +515,9 @@ func runPromotePoint(cfg ReplicationConfig, point int64) error {
 		return fmt.Errorf("unpromoted replica accepted a write (err=%v)", err)
 	}
 
+	if err := awaitLiveFeed(p.src); err != nil {
+		return err
+	}
 	model := make(map[uint64][]byte)
 	for i := 0; i < int(point); i++ {
 		key, row := replKey(cfg, i), replRow(cfg, i)

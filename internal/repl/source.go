@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -586,6 +587,21 @@ func (s *Source) WaitAcked(shard int) {
 		}
 		s.cond.Wait()
 	}
+}
+
+// Live reports whether some attached feed is live on every shard. Until
+// then WaitAcked has nobody to wait for and acknowledges writes
+// unreplicated; the crash-schedule harness waits for it before its first
+// write.
+func (s *Source) Live() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for f := range s.feeds {
+		if !f.dead && !slices.Contains(f.liveShard, false) {
+			return true
+		}
+	}
+	return false
 }
 
 // LagHistogram returns a snapshot of the ship→ack replication-lag

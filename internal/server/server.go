@@ -31,7 +31,7 @@
 // # Backpressure
 //
 // A reader that is executing does not read: while its burst waits for a
-// shard lock, the writer throttle or replica acks, the socket fills — a
+// shard lock or replica acks, the socket fills — a
 // reader is at most one read buffer of requests ahead of the store — and
 // TCP flow control pushes back on that client. A full connection write
 // queue blocks its reader the same way, with no lock held, and only for a
@@ -242,13 +242,11 @@ type StatsDoc struct {
 	// CkptRounds and CkptPages count incremental-checkpoint write-back
 	// rounds and the dirty pages they flushed; CkptPagesPerRound is
 	// their ratio. CkptTruncatedBytes sums the WAL bytes reclaimed by
-	// maintenance truncations, and CkptWriterThrottles counts writers
-	// blocked at the hard log-fill threshold (backpressure events).
-	CkptRounds          int64   `json:"ckpt_rounds"`
-	CkptPages           int64   `json:"ckpt_pages"`
-	CkptPagesPerRound   float64 `json:"ckpt_pages_per_round"`
-	CkptTruncatedBytes  int64   `json:"ckpt_truncated_bytes"`
-	CkptWriterThrottles int64   `json:"ckpt_writer_throttles"`
+	// maintenance truncations.
+	CkptRounds         int64   `json:"ckpt_rounds"`
+	CkptPages          int64   `json:"ckpt_pages"`
+	CkptPagesPerRound  float64 `json:"ckpt_pages_per_round"`
+	CkptTruncatedBytes int64   `json:"ckpt_truncated_bytes"`
 	// ReadSnapshotReads counts as-of leaves read by snapshot scans.
 	// ReadVersionsLive is the current number of copy-on-write page images
 	// pinned by open snapshots, ReadVersionsReclaimed the total freed so far,
@@ -501,7 +499,6 @@ func (s *Server) Stats() StatsDoc {
 		doc.CkptPagesPerRound = float64(m.Ckpt.Pages) / float64(m.Ckpt.Rounds)
 	}
 	doc.CkptTruncatedBytes = m.Ckpt.TruncatedBytes
-	doc.CkptWriterThrottles = m.WriterThrottles
 	doc.ReadSnapshotReads = m.Read.SnapshotReads
 	doc.ReadVersionsLive = m.Read.VersionsLive
 	doc.ReadVersionsReclaimed = m.Read.VersionsReclaimed
@@ -573,7 +570,6 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_ckpt_rounds_total", "incremental-checkpoint write-back rounds across shards", nil, float64(doc.CkptRounds))
 	p.Counter("nvmstore_ckpt_pages_total", "dirty pages written back by checkpoint rounds", nil, float64(doc.CkptPages))
 	p.Counter("nvmstore_ckpt_truncated_bytes_total", "WAL bytes reclaimed by maintenance truncations", nil, float64(doc.CkptTruncatedBytes))
-	p.Counter("nvmstore_ckpt_writer_throttles_total", "writers blocked at the hard log-fill threshold", nil, float64(doc.CkptWriterThrottles))
 	p.Counter("nvmstore_read_snapshot_reads_total", "as-of leaves read by snapshot scans", nil, float64(doc.ReadSnapshotReads))
 	p.Counter("nvmstore_read_versions_reclaimed_total", "copy-on-write page versions reclaimed", nil, float64(doc.ReadVersionsReclaimed))
 	p.Gauge("nvmstore_read_versions_live", "copy-on-write page versions currently pinned by snapshots", nil, float64(doc.ReadVersionsLive))
@@ -653,8 +649,8 @@ func (c *conn) execute() {
 		c.shard = shard
 		if err := run(shard, c.run); err != nil {
 			// The tail flush cannot fail (it panics on injected crashes):
-			// this is inline write-back pacing after it (a no-op with
-			// background maintenance), so the acks are durable. Surface it.
+			// this is write-back pacing after it, so the acks are durable.
+			// Surface it.
 			s.logf("server: shard %d: flush: %v", shard, err)
 		}
 		s.stats.execBatches.Add(1)

@@ -883,86 +883,6 @@ func awaitResult(t *testing.T, c <-chan error, what string) {
 	}
 }
 
-// TestReadsDoNotWaitOnWriterThrottle pins a shard's log past the hard
-// fill threshold, so its writer throttle stays engaged (the set-up of
-// TestMaintenanceCloseReleasesThrottledWriters, reached through the public
-// API): a PUT must block — not fail — until the log can be truncated,
-// and a GET on the same shard must be answered meanwhile.
-func TestReadsDoNotWaitOnWriterThrottle(t *testing.T) {
-	store, err := nvmstore.OpenSharded(1, nvmstore.Options{
-		Architecture: nvmstore.ThreeTier,
-		DRAMBytes:    32 << 20,
-		NVMBytes:     256 << 20,
-		SSDBytes:     1 << 30,
-		WALBytes:     1 << 20,
-		Maintenance:  nvmstore.MaintenanceOptions{SoftFill: 0.01, HardFill: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	if _, err := store.CreateTable(testTable, testRowSize); err != nil {
-		t.Fatal(err)
-	}
-	// Retain LSN 1: every truncation is refused. Then fill past the hard
-	// threshold through WithShard, which engages the throttle on unlock
-	// but never waits on it.
-	err = store.WithShard(0, func(st *nvmstore.Store) error {
-		st.SetWALRetain(func() uint64 { return 1 })
-		for k := uint64(0); k < 400; k++ {
-			if err := st.Update(func() error { return st.Table(testTable).Put(k, rowFor(k)) }); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, addr := serveStore(t, store, server.Options{})
-	writer, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer writer.Close()
-	reader, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
-
-	put := writer.PutAsync(testTable, 1000, rowFor(1000))
-	for deadline := time.Now().Add(10 * time.Second); store.WriterThrottles() == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the PUT was never throttled despite a pinned, over-full log")
-		}
-	}
-	got := make(chan error, 1)
-	go func() {
-		val, found, err := reader.Get(testTable, 7)
-		if err == nil && (!found || !bytes.Equal(val, rowFor(7))) {
-			err = fmt.Errorf("found=%v, wrong or missing row", found)
-		}
-		got <- err
-	}()
-	awaitResult(t, got, "GET while the shard's writer throttle is engaged")
-	select {
-	case <-put.Done():
-		t.Fatal("PUT was acknowledged while the log could not take it")
-	default:
-	}
-
-	// Unpin the log: maintenance truncates it and the PUT goes through.
-	if err := store.WithShard(0, func(st *nvmstore.Store) error { st.SetWALRetain(nil); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		_, err := put.Result()
-		got <- err
-	}()
-	awaitResult(t, got, "throttled PUT after the log was unpinned")
-}
-
 // TestReadsDoNotWaitOnReplicaAcks: with semi-synchronous replication and
 // the replica's ack withheld, a PUT's response is held on its own
 // connection only — another connection's GET on the same shard returns,

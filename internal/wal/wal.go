@@ -17,8 +17,7 @@
 // append-only until Truncate, which callers invoke once all logged
 // changes are known to be durable elsewhere: the engine after a full
 // checkpoint, the incremental-maintenance path when a write-back round
-// leaves the page pool clean (both the background maintainer and the
-// inline pacing fallback end their drains this way), and — in the
+// leaves the page pool clean, and — in the
 // NVM-direct architecture — every commit, because there the tuples
 // themselves are flushed before the transaction finishes.
 //

@@ -1,17 +1,19 @@
 package nvmstore
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
+	"nvmstore/internal/fault"
 	"nvmstore/internal/wal"
 )
 
 // openMaintStore opens a sharded store with the smallest WAL the core
 // allows (the per-shard region is floored at 1 MiB) so low fill
-// thresholds give background maintenance work to do quickly.
+// thresholds give checkpoint pacing work to do quickly.
 func openMaintStore(t *testing.T, shards int, m MaintenanceOptions) *ShardedStore {
 	t.Helper()
 	s, err := OpenSharded(shards, Options{
@@ -35,13 +37,13 @@ func openMaintStore(t *testing.T, shards int, m MaintenanceOptions) *ShardedStor
 }
 
 // TestShardedMaintenanceConcurrent hammers a sharded table from several
-// goroutines while each shard's background maintainer runs incremental
-// checkpoint rounds. Run under `go test -race` this checks that every
-// maintenance round takes the shard lock. The low soft threshold (the
-// workload fills ~14% of the floor-size log) guarantees it is crossed
-// many times, so rounds and truncations must both have happened — and
-// no writer may ever observe wal.ErrLogFull, because past the hard
-// threshold writers throttle instead.
+// goroutines whose commits run incremental checkpoint rounds. Run under
+// `go test -race` this checks that every round runs under the shard lock.
+// The low soft threshold (the workload fills ~14% of the floor-size log)
+// guarantees it is crossed many times, so rounds and truncations must
+// both have happened — and no writer may ever observe wal.ErrLogFull,
+// because from the hard threshold a commit cuts the log before it
+// returns.
 func TestShardedMaintenanceConcurrent(t *testing.T) {
 	s := openMaintStore(t, 2, MaintenanceOptions{SoftFill: 0.02, HardFill: 0.5})
 	table, err := s.CreateTable(1, 128)
@@ -78,17 +80,17 @@ func TestShardedMaintenanceConcurrent(t *testing.T) {
 	for wk, err := range errs {
 		if err != nil {
 			if errors.Is(err, wal.ErrLogFull) {
-				t.Fatalf("worker %d hit ErrLogFull despite backpressure: %v", wk, err)
+				t.Fatalf("worker %d hit ErrLogFull despite pacing: %v", wk, err)
 			}
 			t.Fatalf("worker %d: %v", wk, err)
 		}
 	}
 	m := s.Metrics()
 	if m.Ckpt.Rounds == 0 {
-		t.Fatal("no background checkpoint rounds ran")
+		t.Fatal("no checkpoint rounds ran")
 	}
 	if m.Ckpt.Truncations == 0 {
-		t.Fatal("background maintenance never truncated the WAL")
+		t.Fatal("pacing never truncated the WAL")
 	}
 	// All rows must still be readable after the fuzzy checkpoints.
 	if n, err := table.Count(); err != nil || n != workers*perW {
@@ -96,20 +98,12 @@ func TestShardedMaintenanceConcurrent(t *testing.T) {
 	}
 }
 
-// TestWriterThrottledNotFailed pins the hard threshold low so writers
-// cross it constantly: they must be blocked (WriterThrottles grows) and
-// then proceed once maintenance truncates — never failed with
-// wal.ErrLogFull. This is the regression test for the backpressure
-// contract: before background maintenance, a full log surfaced as an
-// error on the commit path.
-func TestWriterThrottledNotFailed(t *testing.T) {
-	s := openMaintStore(t, 1, MaintenanceOptions{
-		// A long tick makes nudges from the write path the only timely
-		// wake-up, maximizing the window in which writers sit throttled.
-		Interval: 250 * time.Millisecond,
-		SoftFill: 0.02,
-		HardFill: 0.02,
-	})
+// TestWritersPastHardFillNeverSeeLogFull pins the hard threshold low so
+// four writers cross it constantly: each commit that finds the log there
+// drains the dirty set and cuts the log before it returns, so no writer
+// ever fails with wal.ErrLogFull.
+func TestWritersPastHardFillNeverSeeLogFull(t *testing.T) {
+	s := openMaintStore(t, 1, MaintenanceOptions{SoftFill: 0.02, HardFill: 0.02})
 	table, err := s.CreateTable(1, 256)
 	if err != nil {
 		t.Fatal(err)
@@ -139,105 +133,212 @@ func TestWriterThrottledNotFailed(t *testing.T) {
 			t.Fatalf("worker %d: %v", wk, err)
 		}
 	}
-	m := s.Metrics()
-	if m.WriterThrottles == 0 {
-		t.Fatal("no writer was ever throttled at the hard threshold")
-	}
-	if m.Ckpt.Truncations == 0 {
-		t.Fatal("maintenance never truncated the WAL")
+	if m := s.Metrics(); m.Ckpt.Truncations == 0 {
+		t.Fatal("pacing never truncated the WAL")
 	}
 	if n, err := table.Count(); err != nil || n != workers*perW {
 		t.Fatalf("Count = %d, %v; want %d", n, err, workers*perW)
 	}
 }
 
-// TestMaintenanceDisabled checks the opt-out: with a negative Interval
-// no maintainer goroutine starts, PaceWriter is a no-op, and the commit
-// path falls back to inline pacing (rounds still run, the log still gets
-// truncated, writers still never fail).
-func TestMaintenanceDisabled(t *testing.T) {
-	s := openMaintStore(t, 1, MaintenanceOptions{Interval: -1, SoftFill: 0.1, HardFill: 0.2})
-	if s.maint != nil {
-		t.Fatal("maintainers started despite negative Interval")
-	}
-	s.PaceWriter(0) // must not block or panic
+// TestCkptRoundCrashOnShardedStore injects a crash into a checkpoint
+// round of a default ShardedStore. The round runs on the Put that filled
+// the log, so the fault.Crash unwinds through Batch (releasing the shard
+// lock) to that caller, which restarts the shard and carries on: exactly
+// one crash, and every acknowledged row reads back. The Put that crashed
+// was not acknowledged; its flush had landed, so its row may be there too.
+func TestCkptRoundCrashOnShardedStore(t *testing.T) {
+	s := openMaintStore(t, 1, MaintenanceOptions{SoftFill: 0.02})
 	table, err := s.CreateTable(1, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := uint64(0); k < 800; k++ {
-		if err := table.Put(k, shardedRow(k, 128)); err != nil {
-			t.Fatalf("put %d: %v", k, err)
+	if err := s.Checkpoint(); err != nil { // the base recovery starts from
+		t.Fatal(err)
+	}
+	s.InjectFaults(&fault.Plan{Seed: 1, Rules: []fault.Rule{
+		{Kind: fault.CkptRound, EveryN: 3, Limit: 1},
+	}})
+	const puts = 2000
+	crashes := 0
+	acked := make([]bool, puts)
+	for k := uint64(0); k < puts; k++ {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := fault.AsCrash(r); !ok {
+						panic(r)
+					}
+					crashes++
+					if _, err := s.CrashRestartShard(0); err != nil {
+						t.Fatalf("restart after the crash at put %d: %v", k, err)
+					}
+				}
+			}()
+			if err := table.Put(k, shardedRow(k, 128)); err != nil {
+				t.Fatalf("put %d: %v", k, err)
+			}
+			acked[k] = true
+		}()
+	}
+	if crashes != 1 {
+		t.Fatalf("%d crashes, want exactly 1", crashes)
+	}
+	buf := make([]byte, 128)
+	for k := uint64(0); k < puts; k++ {
+		if !acked[k] {
+			continue
+		}
+		if found, err := table.Lookup(k, buf); err != nil || !found || !bytes.Equal(buf, shardedRow(k, 128)) {
+			t.Fatalf("acknowledged key %d after the crash: found=%v err=%v", k, found, err)
 		}
 	}
-	m := s.Metrics()
-	if m.Ckpt.Rounds == 0 {
-		t.Fatal("inline pacing ran no checkpoint rounds")
-	}
-	if m.Ckpt.Truncations == 0 {
-		t.Fatal("inline pacing never truncated the WAL")
-	}
-	if m.WriterThrottles != 0 {
-		t.Fatalf("WriterThrottles = %d without background maintenance", m.WriterThrottles)
+	if err := s.WithShard(0, (*Store).CheckInvariants); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestMaintenanceCloseReleasesThrottledWriters pins the WAL with a
-// retention watermark so maintenance cannot truncate it, drives the fill
-// past the hard threshold (engaging the writer throttle for real, with
-// no way for the maintainer to clear it), and verifies Close wakes the
-// blocked writer instead of deadlocking on it.
-func TestMaintenanceCloseReleasesThrottledWriters(t *testing.T) {
-	s, err := OpenSharded(1, Options{
-		Architecture: ThreeTier,
-		DRAMBytes:    32 << 20,
-		NVMBytes:     256 << 20,
-		SSDBytes:     1 << 30,
-		WALBytes:     1 << 20,
-		Maintenance:  MaintenanceOptions{SoftFill: 0.01, HardFill: 0.01},
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestShardedCountersDeterministic: checkpoint rounds run on the commit
+// that filled the log and nowhere else, so one goroutine issuing the same
+// writes gets the same write-back — round for round, device write for
+// device write — and opening a store starts no goroutine.
+func TestShardedCountersDeterministic(t *testing.T) {
+	type counts struct {
+		ckpt               CkptStats
+		nvmWrites, ssdPage int64
 	}
-	// Retain LSN 1 forever: every Truncate is refused, so once the fill
-	// crosses the hard threshold the throttle stays engaged.
-	s.shards[0].e.Log().SetRetain(func() wal.LSN { return 1 })
-	if _, err := s.CreateTable(1, 256); err != nil {
-		t.Fatal(err)
-	}
-	// Fill past the (tiny) hard threshold without tripping PaceWriter:
-	// WithShard engages the throttle on unlock but never waits on it.
-	err = s.WithShard(0, func(st *Store) error {
-		for k := uint64(0); k < 100; k++ {
-			if err := st.Update(func() error {
-				return st.Table(1).Insert(k, shardedRow(k, 256))
-			}); err != nil {
-				return err
+	run := func() counts {
+		before := runtime.NumGoroutine()
+		s := openMaintStore(t, 2, MaintenanceOptions{SoftFill: 0.02})
+		// Goroutines of earlier tests may still be exiting; none may appear.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("OpenSharded left %d goroutines running, %d ran before it", after, before)
+		}
+		table, err := s.CreateTable(1, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := uint64(0); n < 20000; n++ {
+			k := n * 7919 % 5000
+			if err := table.Put(k, shardedRow(n, 128)); err != nil {
+				t.Fatalf("put %d: %v", n, err)
 			}
 		}
-		return nil
-	})
+		m := s.Metrics()
+		return counts{m.Ckpt, m.NVMTotalWrites, m.SSDPagesWritten}
+	}
+	first, second := run(), run()
+	if first != second {
+		t.Fatalf("same writes, different write-back:\n first  %+v\n second %+v", first, second)
+	}
+	if first.ckpt.Rounds < 100 || first.ckpt.Truncations == 0 {
+		t.Fatalf("%+v: the workload was meant to run hundreds of rounds", first.ckpt)
+	}
+}
+
+// TestFullLogFailsWritesNotReads is what is left when a truncation keeps
+// being refused (a retention watermark that never advances — under
+// replication the flush before the cut ships the tail, so there it
+// cannot last): nobody waits. Writes are acknowledged while the log has
+// room; then they fail with wal.ErrLogFull, unacknowledged and unapplied,
+// while reads on the shard are answered all along. Once the watermark is
+// gone, the first Batch to flush cuts the log and writes succeed again.
+func TestFullLogFailsWritesNotReads(t *testing.T) {
+	const (
+		rows    = 64
+		rowSize = 256
+	)
+	s := openMaintStore(t, 1, MaintenanceOptions{SoftFill: 0.01, HardFill: 0.01})
+	table, err := s.CreateTable(1, rowSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	released := make(chan struct{})
-	go func() {
-		s.PaceWriter(0)
-		close(released)
-	}()
-	// Give the writer a moment to actually block on the throttle.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-released:
-		t.Fatal("writer was not throttled despite a pinned, over-full log")
-	default:
+	model := make([][]byte, rows)
+	put := func(k, gen uint64) error {
+		row := shardedRow(k<<32|gen, rowSize)
+		err := table.Put(k, row)
+		if err == nil {
+			model[k] = row
+		}
+		return err
 	}
-	if err := s.Close(); err != nil {
+	for k := uint64(0); k < rows; k++ {
+		if err := put(k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retain := func(fn func() uint64) {
+		_ = s.WithShard(0, func(st *Store) error { st.SetWALRetain(fn); return nil })
+	}
+	retain(func() uint64 { return 1 }) // every truncation is refused
+
+	// A reader on the same shard, all the way through.
+	stop, readerDone := make(chan struct{}), make(chan error, 1)
+	go func() {
+		buf := make([]byte, rowSize)
+		for k := uint64(0); ; k = (k + 1) % rows {
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			default:
+			}
+			if found, err := table.Lookup(k, buf); err != nil || !found {
+				readerDone <- errors.Join(err, errors.New("lookup failed beside a full log"))
+				return
+			}
+		}
+	}()
+
+	acked := 0
+	var full error
+	for gen := uint64(1); full == nil; gen++ {
+		if gen > 1<<20 {
+			t.Fatal("the pinned log never filled")
+		}
+		if full = put(gen%rows, gen); full == nil {
+			acked++
+		}
+	}
+	if !errors.Is(full, wal.ErrLogFull) {
+		t.Fatalf("write into the full log: %v, want wal.ErrLogFull", full)
+	}
+	if acked < 1000 {
+		t.Fatalf("only %d writes acknowledged before the 1 MiB log filled", acked)
+	}
+	for k := uint64(0); k < 8; k++ {
+		if err := put(k, 1<<40); !errors.Is(err, wal.ErrLogFull) {
+			t.Fatalf("write into the full log: %v, want wal.ErrLogFull", err)
+		}
+	}
+	close(stop)
+	if err := <-readerDone; err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-released:
-	case <-time.After(5 * time.Second):
-		t.Fatal("throttled writer still blocked after Close")
+	check := func() {
+		t.Helper()
+		buf := make([]byte, rowSize)
+		for k := uint64(0); k < rows; k++ {
+			if found, err := table.Lookup(k, buf); err != nil || !found || !bytes.Equal(buf, model[k]) {
+				t.Fatalf("key %d does not hold its last acknowledged row: found=%v err=%v", k, found, err)
+			}
+		}
 	}
+	check()
+
+	// Unpinned, the log is still full when the next write appends, so that
+	// write fails like the others — but the flush that ends its Batch now
+	// cuts the log, and the write after it succeeds.
+	retain(nil)
+	before := s.Metrics().Ckpt.Truncations
+	if err := put(0, 1<<41); !errors.Is(err, wal.ErrLogFull) {
+		t.Fatalf("first write after the unpin: %v, want wal.ErrLogFull", err)
+	}
+	if got := s.Metrics().Ckpt.Truncations; got != before+1 {
+		t.Fatalf("truncations %d -> %d across the first flush after the unpin, want one more", before, got)
+	}
+	if err := put(0, 1<<42); err != nil {
+		t.Fatalf("write after the log was cut: %v", err)
+	}
+	check()
 }

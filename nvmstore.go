@@ -133,11 +133,9 @@ type Options struct {
 
 	// Maintenance tunes incremental checkpointing and paced dirty
 	// write-back (see MaintenanceOptions). The zero value selects every
-	// default. In a ShardedStore a maintenance goroutine per shard runs
-	// the checkpoint rounds off the commit path (a negative
-	// Maintenance.Interval disables the goroutines); in a
-	// single-threaded Store the rounds piggyback on the commit path,
-	// bounded to Maintenance.Batch pages each.
+	// default. The rounds run on the commit (or WAL tail flush) that
+	// finds the log past a threshold, bounded to Maintenance.Batch pages
+	// each — in a ShardedStore under the shard lock Batch already holds.
 	Maintenance MaintenanceOptions
 
 	// StrictPersistence makes NVM writes that were never flushed vanish
@@ -311,7 +309,7 @@ type MaintenanceOptions = engine.MaintenanceOptions
 type CkptStats = engine.CkptStats
 
 // LogFill returns the WAL region's fill fraction (0..1) — the signal
-// that drives paced write-back and writer throttling.
+// that drives paced write-back.
 func (s *Store) LogFill() float64 { return s.e.LogFill() }
 
 // WALRecord is one write-ahead-log record as delivered to the
@@ -457,9 +455,9 @@ type Metrics struct {
 	// pages per round, and maintenance truncations with the log bytes
 	// they discarded.
 	Ckpt CkptStats
-	// WriterThrottles counts writers a ShardedStore blocked at the
-	// hard log-fill threshold until background truncation caught up;
-	// always zero on a single Store.
+	// WriterThrottles is always zero: no writer waits outside the shard
+	// lock for a truncation any more. It remains only because
+	// benchmark/metrics.go:216 (sharded.writer_throttles) reads it.
 	WriterThrottles int64
 	// NVMLinesRead counts cache lines read from NVM (including CPU-cache
 	// hits); NVMLinesFlushed counts lines made durable.

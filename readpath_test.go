@@ -22,15 +22,12 @@ func TestPointReadsGoThroughBufferManager(t *testing.T) {
 	)
 	for _, arch := range []Architecture{ThreeTier, MainMemory, NVMDirect, BasicNVMBuffer, SSDBuffer} {
 		t.Run(arch.String(), func(t *testing.T) {
-			// No maintainer goroutines: nothing but the reads below may
-			// touch the buffer manager while they are being counted.
 			s, err := OpenSharded(2, Options{
 				Architecture: arch,
 				DRAMBytes:    16 << 20,
 				NVMBytes:     64 << 20,
 				SSDBytes:     256 << 20,
 				WALBytes:     2 << 20,
-				Maintenance:  MaintenanceOptions{Interval: -1},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -37,12 +37,6 @@ type ShardedStore struct {
 	slots  []shardSlot
 	// combiners queue concurrent Batch calls, one per shard.
 	combiners []combiner
-	// maint holds one background maintainer per shard (incremental
-	// checkpointing and paced write-back off the commit path), or nil
-	// when background maintenance is disabled (negative
-	// Options.Maintenance.Interval, or the NVMDirect architecture,
-	// which truncates its log per commit).
-	maint []*maintainer
 }
 
 // maxCombine bounds how many queued Batch calls one leader runs under a
@@ -71,8 +65,8 @@ type batchCall struct {
 	wake chan struct{}
 }
 
-// lead runs group (the caller's own call first) under one PaceWriter, one
-// hold of shard i's lock and one WAL flush, wakes its members, and passes
+// lead runs group (the caller's own call first) under one hold of shard
+// i's lock and one WAL flush, wakes its members, and passes
 // the leader role to the next waiter or releases it. A panic unwinding
 // through the group acknowledges nothing: the other members and the queue
 // fail with errShardCrashed instead of waiting on a leader that is gone.
@@ -105,7 +99,6 @@ func (s *ShardedStore) lead(i int, group []*batchCall) error {
 			close(next.wake)
 		}
 	}()
-	s.PaceWriter(i)
 	err := s.WithShard(i, func(st *Store) error {
 		for _, b := range group {
 			b.err = b.fn(st)
@@ -156,9 +149,6 @@ func OpenSharded(n int, opts Options) (*ShardedStore, error) {
 		}
 		s.shards[i] = st
 	}
-	if opts.Maintenance.Interval >= 0 && opts.Architecture != NVMDirect {
-		s.startMaintenance()
-	}
 	return s, nil
 }
 
@@ -184,30 +174,36 @@ func (s *ShardedStore) ShardFor(key uint64) int { return shard.Of(key, len(s.sha
 func (s *ShardedStore) Shard(i int) *Store { return s.shards[i] }
 
 // WithShard runs fn with shard i's store while holding its lock, so it is
-// safe to call from any goroutine. Before the lock is released the shard's
-// log fill is inspected (noteShard), so any locked access that grows the
-// log engages the writer throttle or nudges the maintainer as needed.
+// safe to call from any goroutine.
 func (s *ShardedStore) WithShard(i int, fn func(*Store) error) error {
 	slot := &s.slots[i]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	defer s.noteShard(i)
 	return fn(s.shards[i])
 }
 
-// Batch is the store's one group-commit primitive: it yields to writer
-// backpressure (PaceWriter), takes shard i's lock, runs fn — which may
-// commit any number of transactions with UpdateNoFlush — and makes them
-// all durable with a single WAL flush before releasing the lock. fn's
-// commits must not be acknowledged before Batch returns; once it has,
-// they are durable whether or not it returned an error (fn's own, or
-// else one from write-back pacing after the flush).
+// PaceWriter returns at once. Checkpoint write-back is paced inside the
+// shard lock, by the commit or tail flush that fills the log; nothing is
+// left to wait for outside it. It remains only because
+// benchmark/wired.go:383 (onStores) calls it.
+func (s *ShardedStore) PaceWriter(i int) {}
+
+// Batch is the store's one group-commit primitive: it takes shard i's
+// lock, runs fn — which may commit any number of transactions with
+// UpdateNoFlush — and makes them all durable with a single WAL flush
+// before releasing the lock. That flush is also where checkpoint
+// write-back is paced (Engine.pace): from the soft log-fill mark it runs
+// one bounded round, from the hard mark rounds until the log is cut, on
+// this goroutine and under this lock hold. fn's commits must not be
+// acknowledged before Batch returns; once it has, they are durable
+// whether or not it returned an error (fn's own, or else one from
+// write-back pacing after the flush).
 //
 // Concurrent calls on one shard combine. A caller that finds the shard
 // idle runs at once, as a group of one; callers that arrive meanwhile
 // queue, and the finishing leader passes the role to the first of them,
 // which runs up to maxCombine queued calls — each fn in arrival order —
-// under one pace, one lock hold and one flush. Every caller returns only
+// under one lock hold and one flush. Every caller returns only
 // after the flush covering its commits: only the flush is shared. Server
 // connections, COMMITs, PutBatch and table writes are plain Batch calls.
 func (s *ShardedStore) Batch(i int, fn func(st *Store) error) error {
@@ -295,14 +291,12 @@ func (s *ShardedStore) Table(id uint64) *ShardedTable {
 	return &ShardedTable{s: s, id: id, rowSize: t.RowSize()}
 }
 
-// Close shuts every shard down in an orderly fashion under its lock:
-// background maintenance is stopped first (releasing any throttled
-// writers), then log tails are flushed (plus a final checkpoint per
-// shard with Options.CheckpointOnClose), so every acknowledged
-// transaction is durable. Close is idempotent; closing a store with a
-// shard inside an open transaction fails, reporting every such shard.
+// Close shuts every shard down in an orderly fashion under its lock: log
+// tails are flushed (plus a final checkpoint per shard with
+// Options.CheckpointOnClose), so every acknowledged transaction is
+// durable. Close is idempotent; closing a store with a shard inside an
+// open transaction fails, reporting every such shard.
 func (s *ShardedStore) Close() error {
-	s.stopMaintenance()
 	var errs []error
 	for i := range s.shards {
 		if err := s.WithShard(i, (*Store).Close); err != nil {
@@ -428,7 +422,6 @@ func (s *ShardedStore) Metrics() Metrics {
 		total.add(m)
 	}
 	total.OpsPerFlush = total.Log.OpsPerFlush()
-	total.WriterThrottles = s.WriterThrottles()
 	return total
 }
 
@@ -785,9 +778,6 @@ func (t *ShardedTable) scanAsOf(sn *Snapshot, from uint64, limit int, fieldOff, 
 // content names its as-of successor), leaves are never merged or freed
 // while the tree lives, and as-of content does not change between holds.
 func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fieldLen, budget int) error {
-	// Readers take the bare shard lock: they are not routed operations
-	// (no ops count) and must not engage the writer throttle or
-	// maintainer nudge on their own behalf.
 	slot := &t.s.slots[i]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
@@ -892,10 +882,9 @@ func (s *ShardedStore) Snapshot() (*Snapshot, error) {
 	return sn, nil
 }
 
-// Close releases the snapshot on every shard, unpinning old page
-// versions for reclamation by the background maintainer (or eagerly, on
-// the spot, when no other snapshot needs them). Closing twice is
-// harmless.
+// Close releases the snapshot on every shard, reclaiming on the spot the
+// old page versions no other open snapshot can still read. Closing twice
+// is harmless.
 func (sn *Snapshot) Close() {
 	sn.once.Do(func() {
 		for i, ss := range sn.snaps {

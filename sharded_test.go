@@ -330,8 +330,8 @@ func TestShardedMetricsAggregate(t *testing.T) {
 	if m.Buffer.Fixes == 0 {
 		t.Fatal("aggregated buffer fixes = 0")
 	}
-	// No lookup ran and no writer was throttled, so the store-level
-	// counters Metrics sets on top of the per-shard sum are zero.
+	// No lookup ran, so the store-level counters Metrics sets on top of
+	// the per-shard sum are zero.
 	checkSum(m, s.Shard(0).Metrics(), s.Shard(1).Metrics())
 }
 

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"nvmstore/internal/core"
 )
@@ -102,14 +101,15 @@ func TestSnapshotFrozenPrefix(t *testing.T) {
 }
 
 // TestSnapshotConcurrentWithWritersAndMaintainer races snapshot scans
-// against writer goroutines and the background maintainer. Run under
+// against writer goroutines whose commits run checkpoint rounds (the low
+// soft threshold keeps write-back going throughout). Run under
 // -race this checks the whole read path's locking discipline; the
 // assertions check that each scan sees a self-consistent frozen prefix
 // (every original key exactly once, at some single observed generation
 // per key never newer than the moment the scan finished) and that all
 // saved versions are reclaimed once the snapshots close.
 func TestSnapshotConcurrentWithWritersAndMaintainer(t *testing.T) {
-	s := openMaintStore(t, 2, MaintenanceOptions{Interval: time.Millisecond, SoftFill: 0.02, HardFill: 0.5})
+	s := openMaintStore(t, 2, MaintenanceOptions{SoftFill: 0.02, HardFill: 0.5})
 	table, err := s.CreateTable(1, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +180,9 @@ func TestSnapshotConcurrentWithWritersAndMaintainer(t *testing.T) {
 	wg.Wait()
 
 	m := s.Metrics()
+	if m.Ckpt.Rounds == 0 {
+		t.Fatal("no checkpoint round ran beside the scans")
+	}
 	if m.Read.SnapshotReads == 0 {
 		t.Fatal("no snapshot reads counted")
 	}
