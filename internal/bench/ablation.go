@@ -70,7 +70,7 @@ func AblationAdmission(o Options) (Result, error) {
 					return res, err
 				}
 			}
-			e.Manager().ResetStats()
+			writes := openWriteWindow(e.Manager())
 			m, err := measure(e.Clock(), o.Ops, op)
 			if err != nil {
 				return res, err
@@ -80,6 +80,7 @@ func AblationAdmission(o Options) (Result, error) {
 			s.Y = append(s.Y, m.PerSecond())
 			res.Notes = append(res.Notes, fmt.Sprintf("%-14s scans %2d%%: %8.0f tx/s, NVM admissions %7d, denials %7d, NVM evictions %7d, SSD reads %7d",
 				pol.name, share, m.PerSecond(), st.NVMAdmissions, st.NVMDenials, st.NVMEvictions, e.Manager().SSD().Stats().PagesRead))
+			res.Notes = append(res.Notes, fmt.Sprintf("%-14s scans %2d%%: %s", pol.name, share, writes.note()))
 		}
 		res.Series = append(res.Series, s)
 	}

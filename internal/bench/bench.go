@@ -242,6 +242,55 @@ func measureN(clk *simclock.Clock, n int, op func() error) (Measurement, error) 
 	}, nil
 }
 
+// writeWindow attributes the device writes of a measurement window to the
+// buffer manager's write causes. What the NVM device counted beyond them is
+// the write-ahead log, which shares the device.
+type writeWindow struct {
+	m              *core.Manager
+	lines0, pages0 int64
+}
+
+// openWriteWindow starts a window on m, zeroing the manager's counters.
+func openWriteWindow(m *core.Manager) writeWindow {
+	m.ResetStats()
+	w := writeWindow{m: m, lines0: m.NVM().Stats().LinesFlushed}
+	if m.SSD() != nil {
+		w.pages0 = m.SSD().Stats().PagesWritten
+	}
+	return w
+}
+
+// note renders the split as sums, "NVM lines N = wal a + cause b + ...",
+// leaving out causes that wrote nothing.
+func (w writeWindow) note() string {
+	st := w.m.Stats()
+	lines := w.m.NVM().Stats().LinesFlushed - w.lines0
+	var pages int64
+	if w.m.SSD() != nil {
+		pages = w.m.SSD().Stats().PagesWritten - w.pages0
+	}
+	wal := lines
+	var nvmParts, ssdParts []string
+	for c, n := range st.NVMLinesWrittenBy {
+		wal -= n
+		if n > 0 {
+			nvmParts = append(nvmParts, fmt.Sprintf("%v %d", core.WriteCause(c), n))
+		}
+		if n := st.SSDPagesWrittenBy[c]; n > 0 {
+			ssdParts = append(ssdParts, fmt.Sprintf("%v %d", core.WriteCause(c), n))
+		}
+	}
+	out := fmt.Sprintf("NVM lines %d = wal %d", lines, wal)
+	if len(nvmParts) > 0 {
+		out += " + " + strings.Join(nvmParts, " + ")
+	}
+	out += fmt.Sprintf("; SSD pages %d", pages)
+	if len(ssdParts) > 0 {
+		out += " = " + strings.Join(ssdParts, " + ")
+	}
+	return out
+}
+
 // buildEngine opens an engine with the paper's per-architecture feature
 // defaults and the given capacities, applying any extra config mutation.
 // The simulated CPU cache scales with the experiment: the paper's testbed

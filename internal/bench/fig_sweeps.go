@@ -235,6 +235,7 @@ func Fig16(o Options) (Result, error) {
 		}
 		dev := e.Manager().NVM()
 		dev.ResetWear()
+		writes := openWriteWindow(e.Manager())
 		for i := 0; i < ops; i++ {
 			if err := w.Update(); err != nil {
 				return res, err
@@ -258,6 +259,7 @@ func Fig16(o Options) (Result, error) {
 		res.Series = append(res.Series, s)
 		res.Notes = append(res.Notes, fmt.Sprintf("%-12s total NVM line writes: %d, lines touched: %d, max per line: %d",
 			topo.String(), total, len(nonzero), nonzero[0]))
+		res.Notes = append(res.Notes, fmt.Sprintf("%-12s %s", topo.String(), writes.note()))
 	}
 	return res, nil
 }

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"nvmstore/internal/obs"
+	"nvmstore/internal/shard"
 	"nvmstore/internal/wire"
 )
 
@@ -222,19 +223,9 @@ func (c *Client) Latency() []obs.Row {
 	var rows []obs.Row
 	for op := wire.OpGet; op <= wire.OpStats; op++ {
 		h := c.hist[op].Snapshot()
-		n := h.Count()
-		if n == 0 {
-			continue
+		if r := h.Row("wire." + wire.OpName(op)); r.Count > 0 {
+			rows = append(rows, r)
 		}
-		rows = append(rows, obs.Row{
-			Op:    "wire." + wire.OpName(op),
-			Count: n,
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-			Max:   h.Max,
-			Mean:  h.Mean(),
-		})
 	}
 	return rows
 }
@@ -282,15 +273,6 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // tracing (see Options.TraceSample).
 func (c *Client) TraceStamped() int64 { return c.stamped.Load() }
 
-// traceMix is the SplitMix64 mixer, turning the stamp sequence number
-// into a well-spread 64-bit trace id.
-func traceMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // maybeTrace stamps req with a trace context when TraceSample selects
 // it. Only keyed requests are stamped — they are the ones the server
 // timelines — and a zero-id collision is nudged to 1 (ids only need to
@@ -309,7 +291,7 @@ func (c *Client) maybeTrace(req *wire.Request) {
 	if seq%uint64(n) != 0 {
 		return
 	}
-	id := traceMix(seq)
+	id := shard.Mix(seq) // a well-spread 64-bit trace id from the stamp sequence number
 	if id == 0 {
 		id = 1
 	}

@@ -187,6 +187,31 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// WriteCause names why the buffer manager wrote to a device. Every line it
+// flushes to NVM and every page it writes to SSD is charged to exactly one
+// cause (Stats.NVMLinesWrittenBy, Stats.SSDPagesWrittenBy); what the NVM
+// device counts beyond their sum is the write-ahead log, which shares the
+// device but not this package.
+type WriteCause uint8
+
+const (
+	causeDRAMEvict  WriteCause = iota // a frame's content, written back on DRAM eviction
+	causeCkpt                         // the same, by a checkpoint walk (FlushSome, FlushAll)
+	causeSplitForce                   // the same, by ForceWrite on a structural change
+	causeInPlace                      // dirty lines of an in-place (NVM Direct) page
+	causeNVMAdmit                     // the page copy that admits a frame to an NVM slot
+	causeJournal                      // the write-back undo journal: saved lines, arm, disarm, replay
+	causeSlotMeta                     // slot headers and the superblock
+	causeNVMEvict                     // an NVM slot's page going to SSD on NVM eviction
+	numWriteCauses
+)
+
+var writeCauseNames = [numWriteCauses]string{"dram-evict", "ckpt", "split-force", "in-place",
+	"nvm-admit", "journal", "slot-meta", "nvm-evict"}
+
+// String returns the short name used in experiment notes.
+func (c WriteCause) String() string { return writeCauseNames[c] }
+
 // Stats counts buffer-manager events since the last ResetStats.
 type Stats struct {
 	Fixes            int64 // page fixes of any kind
@@ -206,6 +231,11 @@ type Stats struct {
 	NVMEvictions     int64 // pages evicted from the NVM cache
 	DirectFixes      int64 // in-place fixes (DirectNVM topology)
 	JournalUndos     int64 // interrupted write-backs undone at restart
+
+	// NVMLinesWrittenBy and SSDPagesWrittenBy split the manager's device
+	// writes by WriteCause (index with the cause, name with its String).
+	NVMLinesWrittenBy [numWriteCauses]int64
+	SSDPagesWrittenBy [numWriteCauses]int64
 }
 
 // Add folds other into s, for aggregating per-shard counters.
@@ -227,6 +257,10 @@ func (s *Stats) Add(other Stats) {
 	s.NVMEvictions += other.NVMEvictions
 	s.DirectFixes += other.DirectFixes
 	s.JournalUndos += other.JournalUndos
+	for c := range s.NVMLinesWrittenBy {
+		s.NVMLinesWrittenBy[c] += other.NVMLinesWrittenBy[c]
+		s.SSDPagesWrittenBy[c] += other.SSDPagesWrittenBy[c]
+	}
 }
 
 // nvmSlotMeta is the in-DRAM directory entry for one NVM page slot
@@ -263,7 +297,6 @@ type Manager struct {
 	slotsOff    int64
 	journalOff  int64
 	journalBuf  []byte
-	journalList []int
 	nvmDir      []nvmSlotMeta // ThreeTier only
 	freeSlots   []int64
 	nvmNextSlot int64
@@ -295,12 +328,6 @@ type Manager struct {
 // to NVM or SSD (eviction, admission, or ForceWrite). See the field
 // comment; typically fn is the WAL's Flush.
 func (m *Manager) SetWriteBarrier(fn func()) { m.writeBarrier = fn }
-
-func (m *Manager) barrier() {
-	if m.writeBarrier != nil {
-		m.writeBarrier()
-	}
-}
 
 // New creates a Manager and its simulated devices.
 func New(cfg Config) (*Manager, error) {
@@ -498,55 +525,49 @@ func (m *Manager) Allocate() (Handle, error) {
 	if err != nil {
 		return Handle{}, err
 	}
-	switch m.cfg.Topology {
-	case DirectNVM:
+	if m.cfg.Topology == DirectNVM {
 		slot := int64(pid - 1)
 		if reused {
 			// Reused slots may hold stale data; clear it so the new
 			// page starts zeroed like a fresh one.
-			zero := m.scratch[:PageSize]
-			for i := range zero {
-				zero[i] = 0
-			}
-			m.nvm.WriteAt(zero, m.slotDataOff(slot))
+			zeroBytes(m.scratch)
+			m.nvm.WriteAt(m.scratch, m.slotDataOff(slot))
 		}
 		m.writeSlotHeader(slot, pid, false)
 		f := m.directFrame(pid, slot)
 		m.stats.DirectFixes++
 		m.trace(pid, -1, obs.EvAlloc, obs.TierNVM, 0)
 		return Handle{f, m}, nil
-	case DRAMNVM:
-		slot := int64(pid - 1)
-		m.writeSlotHeader(slot, pid, false)
-		f, err := m.newFrame(kindFull, pid)
-		if err != nil {
-			return Handle{}, err
-		}
-		zeroBytes(f.data)
-		f.nvmSlot = slot
-		m.initAllocated(f)
-		return Handle{f, m}, nil
-	default: // MemOnly, DRAMSSD, ThreeTier
-		f, err := m.newFrame(kindFull, pid)
-		if err != nil {
-			return Handle{}, err
-		}
-		zeroBytes(f.data)
-		f.nvmSlot = -1
-		m.initAllocated(f)
-		return Handle{f, m}, nil
 	}
-}
-
-func (m *Manager) initAllocated(f *Frame) {
-	f.fullyResident = true
-	f.resident.setRange(0, LinesPerPage-1)
+	slot := int64(-1) // MemOnly, DRAMSSD and ThreeTier pages start without NVM backing
+	if m.cfg.Topology == DRAMNVM {
+		slot = int64(pid - 1)
+		m.writeSlotHeader(slot, pid, false)
+	}
+	f, err := m.newFrame(kindFull, pid)
+	if err != nil {
+		return Handle{}, err
+	}
+	zeroBytes(f.data)
+	m.install(f, slot, true)
 	f.dirty.setRange(0, LinesPerPage-1)
 	f.anyDirty = true
+	m.trace(f.pid, f.idx, obs.EvAlloc, obs.TierDRAM, 0)
+	return Handle{f, m}, nil
+}
+
+// install registers a freshly allocated or loaded frame: backed by NVM slot
+// (-1 for none), pinned once and mapped in the page table. resident says
+// f.data already holds the whole page.
+func (m *Manager) install(f *Frame, slot int64, resident bool) {
+	f.nvmSlot = slot
+	if resident {
+		f.resident.setRange(0, LinesPerPage-1)
+		f.fullyResident = true
+	}
 	f.pins = 1
 	f.referenced = true
 	m.table[f.pid] = dramLoc(f.idx)
-	m.trace(f.pid, f.idx, obs.EvAlloc, obs.TierDRAM, 0)
 }
 
 // takePID hands out the next page identifier, enforcing the topology's
@@ -687,20 +708,16 @@ func (m *Manager) loadFromNVM(pid PageID, slot int64, mode AccessMode) (*Frame, 
 	if err != nil {
 		return nil, err
 	}
-	f.nvmSlot = slot
-	if kind == kindFull && !m.cfg.CacheLineGrained {
+	pageGrained := !m.cfg.CacheLineGrained
+	if pageGrained {
 		t0 := m.clk.Ns()
 		m.nvm.ReadAt(f.data, m.slotDataOff(slot))
-		f.resident.setRange(0, LinesPerPage-1)
-		f.fullyResident = true
 		m.stats.NVMPageLoads++
 		if m.rec != nil {
 			m.rec.Latency(obs.OpNVMPageLoad, m.clk.Ns()-t0)
 		}
 	}
-	f.pins = 1
-	f.referenced = true
-	m.table[pid] = dramLoc(f.idx)
+	m.install(f, slot, pageGrained)
 	var mini uint32
 	if kind == kindMini {
 		mini = 1
@@ -718,12 +735,7 @@ func (m *Manager) loadFromSSD(pid PageID) (*Frame, error) {
 		return nil, err
 	}
 	m.ssd.ReadPage(int64(pid-1), f.data)
-	f.nvmSlot = -1
-	f.resident.setRange(0, LinesPerPage-1)
-	f.fullyResident = true
-	f.pins = 1
-	f.referenced = true
-	m.table[pid] = dramLoc(f.idx)
+	m.install(f, -1, true)
 	m.stats.SSDLoads++
 	m.trace(pid, f.idx, obs.EvLoad, obs.TierSSD, 0)
 	return f, nil
@@ -784,15 +796,7 @@ func (m *Manager) Unfix(h Handle) {
 	}
 	if f.kind == kindDirect {
 		f.pins--
-		if f.anyDirty {
-			m.barrier()
-			base := m.slotDataOff(f.nvmSlot)
-			f.dirty.setRuns(0, LinesPerPage-1, func(from, to int) {
-				m.nvm.Flush(base+int64(from)*LineSize, (to-from+1)*LineSize)
-			})
-			f.dirty.reset()
-			f.anyDirty = false
-		}
+		m.writeBack(f, causeInPlace)
 		return
 	}
 	if f.promoted != nil {
@@ -822,52 +826,96 @@ func (m *Manager) ForceWrite(h Handle) {
 	if f.promoted != nil {
 		f = f.promoted
 	}
-	switch f.kind {
-	case kindDirect:
-		if f.anyDirty {
-			m.barrier()
-			base := m.slotDataOff(f.nvmSlot)
-			f.dirty.setRuns(0, LinesPerPage-1, func(from, to int) {
-				m.nvm.Flush(base+int64(from)*LineSize, (to-from+1)*LineSize)
-			})
-		}
-	default:
-		if !f.anyDirty {
-			return
-		}
+	cause := causeSplitForce
+	if f.kind == kindDirect {
+		cause = causeInPlace
+	}
+	m.writeBack(f, cause)
+}
+
+// writeBack is the one way page content leaves a frame for persistent
+// storage: eviction, the checkpoint walk, ForceWrite and the unfix of an
+// in-place page all end here. It runs the write barrier, writes the dirty
+// cache-line runs (or the whole page) to the frame's home — its NVM slot,
+// else SSD — under the undo journal, marks a ThreeTier slot dirty with
+// respect to SSD, and clears the frame's dirty state. The device writes
+// are charged to cause. A clean frame has nothing to persist; only when it
+// is being evicted does it still compete for an NVM slot (§4.2).
+func (m *Manager) writeBack(f *Frame, cause WriteCause) {
+	dirty := f.anyDirty
+	if !dirty && cause != causeDRAMEvict {
+		return
+	}
+	if dirty {
 		// Swizzled child references are transient in-memory state and
 		// must never reach persistent storage; they re-swizzle on the
 		// next fix.
-		if f.swizzledChildren > 0 {
-			m.unswizzleChildrenOf(f)
+		m.unswizzleChildrenOf(f)
+		if m.writeBarrier != nil {
+			m.writeBarrier()
 		}
-		m.barrier()
-		switch m.cfg.Topology {
-		case MemOnly:
-			return
-		case DRAMSSD:
-			m.ssd.WritePage(int64(f.pid-1), f.data)
-		case DRAMNVM:
-			m.writeBackToNVM(f)
-		case ThreeTier:
-			if f.nvmSlot >= 0 {
-				m.writeBackToNVM(f)
-				e := &m.nvmDir[f.nvmSlot]
-				if !e.dirtyWrtSSD {
-					e.dirtyWrtSSD = true
-					m.writeSlotHeader(f.nvmSlot, f.pid, true)
-				}
-			} else if slot, ok := m.freeNVMSlot(); ok {
-				// Not NVM-backed: stage on NVM when a slot is free (a
-				// forced page is being persisted because it matters —
-				// checkpoints and structural changes). No NVM eviction
-				// is triggered for it; with NVM full it goes to SSD.
-				m.admitToNVM(f, slot)
-				f.nvmSlot = slot
-				m.stats.NVMAdmissions++
-			} else {
-				m.ssd.WritePage(int64(f.pid-1), f.data)
+	}
+	if m.cfg.Topology == MemOnly {
+		return // no persistent home: the page stays dirty in DRAM
+	}
+	admit := false
+	if m.cfg.Topology == ThreeTier && f.nvmSlot < 0 {
+		if f.nvmSlot, admit = m.nvmSlotFor(f, cause); admit {
+			cause = causeNVMAdmit // the copy below is the admission, dirty or not
+		}
+	}
+	switch {
+	case f.nvmSlot < 0 && dirty:
+		mk := m.written()
+		m.ssd.WritePage(int64(f.pid-1), f.data)
+		m.charge(cause, mk)
+		m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierSSD, 0)
+	case f.nvmSlot >= 0 && (dirty || admit):
+		var t0 int64
+		if admit {
+			if !f.fullyResident {
+				panic(fmt.Sprintf("core: admitting partially resident page %d", f.pid))
 			}
+			if m.rec != nil {
+				t0 = m.clk.Ns()
+			}
+		}
+		// A slot that held no page needs no undo image, and in-place
+		// stores cannot be undone: they are on the device already.
+		journal := !admit && f.kind != kindDirect && m.journalArm(f)
+		base := m.slotDataOff(f.nvmSlot)
+		mk := m.written()
+		m.dirtyRuns(f, admit, func(line int, data []byte) {
+			off := base + int64(line)*LineSize
+			if f.kind != kindDirect {
+				m.nvm.WriteAt(data, off)
+			}
+			m.nvm.Flush(off, len(data))
+		})
+		m.charge(cause, mk)
+		if journal {
+			m.journalDisarm()
+		}
+		if m.nvmDir != nil {
+			// The slot's header and directory entry say whether the NVM
+			// copy is newer than the SSD copy (§4.4).
+			e := &m.nvmDir[f.nvmSlot]
+			if admit {
+				*e = nvmSlotMeta{pid: f.pid, referenced: true}
+				m.stats.NVMAdmissions++
+			}
+			if admit || !e.dirtyWrtSSD {
+				e.dirtyWrtSSD = dirty
+				m.writeSlotHeader(f.nvmSlot, f.pid, dirty)
+			}
+		}
+		if admit {
+			if m.rec != nil {
+				m.rec.Latency(obs.OpNVMAdmit, m.clk.Ns()-t0)
+			}
+			m.trace(f.pid, f.idx, obs.EvAdmit, obs.TierNVM, uint32(f.nvmSlot))
+		} else if f.kind != kindDirect {
+			m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierNVM, 0)
 		}
 	}
 	f.dirty.reset()
@@ -875,18 +923,100 @@ func (m *Manager) ForceWrite(h Handle) {
 	f.anyDirty = false
 }
 
-// FlushAll force-writes every dirty page in the buffer pool without
-// evicting anything. Together with truncating the WAL this forms a
-// checkpoint.
-func (m *Manager) FlushAll() {
-	for _, f := range m.frames {
-		if f != nil && f.anyDirty && f.promoted == nil {
-			m.ForceWrite(Handle{f, m})
+// nvmSlotFor is the one policy difference between write-back's callers: the
+// NVM slot, if any, for a ThreeTier frame that has none. Eviction is the
+// paper's admission decision (§4.2): a page the admission set has seen
+// recently moves into the NVM cache, evicting another slot's page
+// (transition 6) if it must; any other page goes back to SSD. A forced
+// write stages the page on NVM only while a slot is free — it is persisted
+// because it matters (checkpoints, structural changes), but it evicts
+// nothing.
+func (m *Manager) nvmSlotFor(f *Frame, cause WriteCause) (int64, bool) {
+	evicting := cause == causeDRAMEvict
+	if evicting && !m.admission.checkAndUpdate(f.pid) {
+		return -1, false
+	}
+	if slot, ok := m.freeNVMSlot(); ok {
+		return slot, true
+	}
+	if evicting {
+		// This fails with NVM completely pinned by cached pages.
+		if slot, err := m.evictNVMSlot(); err == nil {
+			return slot, true
 		}
+	}
+	return -1, false
+}
+
+// dirtyRuns calls fn for every maximal run of cache lines that writing f
+// back has to write, in ascending order: the first line's number on the
+// page and the run's bytes in f.data. That is the whole page when whole is
+// set or the manager is page-grained, a mini page's dirty slots, and
+// otherwise the runs of the dirty bitmask — writing only those is the
+// source of the endurance advantage measured in Figure 16.
+func (m *Manager) dirtyRuns(f *Frame, whole bool, fn func(line int, data []byte)) {
+	switch {
+	case whole || f.kind == kindFull && !m.cfg.CacheLineGrained:
+		fn(0, f.data)
+	case f.kind == kindMini:
+		for i := 0; i < int(f.count); i++ {
+			if f.miniDirty&(1<<uint(i)) == 0 {
+				continue
+			}
+			j := i
+			for j+1 < int(f.count) && f.miniDirty&(1<<uint(j+1)) != 0 && f.slots[j+1] == f.slots[j]+1 {
+				j++
+			}
+			fn(int(f.slots[i]), f.data[i*LineSize:(j+1)*LineSize])
+			i = j
+		}
+	default:
+		f.dirty.setRuns(0, LinesPerPage-1, func(from, to int) {
+			fn(from, f.data[from*LineSize:(to+1)*LineSize])
+		})
 	}
 }
 
-// FlushSome force-writes up to max dirty pages, resuming the frame walk
+// written and charge attribute device writes: charge adds what the devices
+// have absorbed since the mark to cause.
+type writeMark struct{ lines, pages int64 }
+
+func (m *Manager) written() (mk writeMark) {
+	mk.lines = m.nvm.Stats().LinesFlushed
+	if m.ssd != nil {
+		mk.pages = m.ssd.Stats().PagesWritten
+	}
+	return mk
+}
+
+func (m *Manager) charge(cause WriteCause, since writeMark) {
+	now := m.written()
+	m.stats.NVMLinesWrittenBy[cause] += now.lines - since.lines
+	m.stats.SSDPagesWrittenBy[cause] += now.pages - since.pages
+}
+
+// persist is nvm.Persist charged to cause; every store outside page data
+// (slot headers, superblock, journal) goes through it.
+func (m *Manager) persist(cause WriteCause, p []byte, off int64) {
+	mk := m.written()
+	m.nvm.Persist(p, off)
+	m.charge(cause, mk)
+}
+
+// needsWriteBack reports whether the frame holds modifications a checkpoint
+// has to persist. A promoted mini page's state lives in its full page.
+func (f *Frame) needsWriteBack() bool {
+	return f != nil && f.anyDirty && f.promoted == nil
+}
+
+// FlushAll writes back every dirty page in the buffer pool without
+// evicting anything. Together with truncating the WAL this forms a
+// checkpoint.
+func (m *Manager) FlushAll() {
+	m.FlushSome(0, len(m.frames))
+}
+
+// FlushSome writes back up to max dirty pages, resuming the frame walk
 // at cursor (the value a previous call returned; start at 0). It returns
 // the cursor for the next round and how many pages it wrote back. The
 // walk wraps once past the end of the frame table, so repeated rounds
@@ -904,9 +1034,8 @@ func (m *Manager) FlushSome(cursor, max int) (next, written int) {
 		cursor = 0
 	}
 	for scanned := 0; scanned < n && written < max; scanned++ {
-		f := m.frames[cursor]
-		if f != nil && f.anyDirty && f.promoted == nil {
-			m.ForceWrite(Handle{f, m})
+		if f := m.frames[cursor]; f.needsWriteBack() {
+			m.writeBack(f, causeCkpt)
 			written++
 		}
 		cursor++
@@ -925,7 +1054,7 @@ func (m *Manager) FlushSome(cursor, max int) (next, written int) {
 func (m *Manager) DirtyFrames() int {
 	n := 0
 	for _, f := range m.frames {
-		if f != nil && f.anyDirty && f.promoted == nil {
+		if f.needsWriteBack() {
 			n++
 		}
 	}
@@ -1118,66 +1247,25 @@ func (m *Manager) evictOne() error {
 	return ErrNoEvictable
 }
 
-// evictFrame writes a frame back according to the topology and releases it.
-// This is where the paper's NVM admission decision happens: a page without
-// NVM backing that is thrown out of DRAM either moves into the NVM cache
-// (if the admission set has seen it recently) or goes back to SSD.
+// evictFrame writes a frame back and releases it. For a ThreeTier frame
+// without NVM backing writeBack makes the paper's admission decision: the
+// page either moves into the NVM cache or, denied, goes back to SSD.
 func (m *Manager) evictFrame(f *Frame) {
 	var t0 int64
 	if m.rec != nil {
 		t0 = m.clk.Ns()
 	}
-	if f.swizzled() {
-		m.unswizzle(f)
-	}
+	m.unswizzle(f)
 	if m.cfg.DebugChecks {
 		m.verifyCleanLines(f)
 	}
-	if f.anyDirty {
-		m.barrier()
-	}
 	m.stats.DRAMEvictions++
-	switch m.cfg.Topology {
-	case DRAMSSD:
-		if f.anyDirty {
-			m.ssd.WritePage(int64(f.pid-1), f.data)
-			m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierSSD, 0)
-		}
+	m.writeBack(f, causeDRAMEvict)
+	if m.cfg.Topology == ThreeTier && f.nvmSlot >= 0 {
+		m.table[f.pid] = nvmLoc(f.nvmSlot)
+	} else {
 		delete(m.table, f.pid)
-	case DRAMNVM:
-		m.writeBackToNVM(f)
-		delete(m.table, f.pid)
-	case ThreeTier:
-		if f.nvmSlot >= 0 {
-			if m.writeBackToNVM(f) {
-				e := &m.nvmDir[f.nvmSlot]
-				if !e.dirtyWrtSSD {
-					e.dirtyWrtSSD = true
-					m.writeSlotHeader(f.nvmSlot, f.pid, true)
-				}
-			}
-			m.table[f.pid] = nvmLoc(f.nvmSlot)
-		} else if m.admission.checkAndUpdate(f.pid) {
-			if slot, err := m.allocNVMSlot(); err == nil {
-				m.admitToNVM(f, slot)
-				m.table[f.pid] = nvmLoc(slot)
-				m.stats.NVMAdmissions++
-			} else {
-				// NVM completely pinned by cached pages: fall back to SSD.
-				if f.anyDirty {
-					m.ssd.WritePage(int64(f.pid-1), f.data)
-					m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierSSD, 0)
-				}
-				delete(m.table, f.pid)
-				m.stats.NVMDenials++
-				m.trace(f.pid, f.idx, obs.EvDeny, obs.TierNVM, 0)
-			}
-		} else {
-			if f.anyDirty {
-				m.ssd.WritePage(int64(f.pid-1), f.data)
-				m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierSSD, 0)
-			}
-			delete(m.table, f.pid)
+		if m.cfg.Topology == ThreeTier {
 			m.stats.NVMDenials++
 			m.trace(f.pid, f.idx, obs.EvDeny, obs.TierNVM, 0)
 		}
@@ -1187,25 +1275,6 @@ func (m *Manager) evictFrame(f *Frame) {
 	if m.rec != nil {
 		m.rec.Latency(obs.OpDRAMEvict, m.clk.Ns()-t0)
 	}
-}
-
-// writeBackToNVM writes the frame's dirty content to its NVM slot and
-// reports whether anything was written. In page-grained mode the whole
-// page is written; in cache-line-grained mode only the dirty lines are,
-// which is the source of the endurance advantage measured in Figure 16.
-func (m *Manager) writeBackToNVM(f *Frame) bool {
-	if !f.anyDirty {
-		return false
-	}
-	armed := m.journalArm(f)
-	written := m.nvmWriteBack(f)
-	if armed {
-		m.journalDisarm()
-	}
-	if written {
-		m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierNVM, 0)
-	}
-	return written
 }
 
 // journalArm makes the upcoming in-place write-back atomic with respect
@@ -1227,52 +1296,35 @@ func (m *Manager) writeBackToNVM(f *Frame) bool {
 // rebuilds forward from there. journalDisarm retires the journal after
 // the write-back's last flush.
 func (m *Manager) journalArm(f *Frame) bool {
-	lines := m.journalList[:0]
-	switch {
-	case f.kind == kindMini:
-		for i := 0; i < int(f.count); i++ {
-			if f.miniDirty&(1<<uint(i)) != 0 {
-				lines = append(lines, int(f.slots[i]))
-			}
-		}
-	case !m.cfg.CacheLineGrained:
-		for ln := 0; ln < LinesPerPage; ln++ {
-			lines = append(lines, ln)
-		}
-	default:
-		f.dirty.setRuns(0, LinesPerPage-1, func(from, to int) {
-			for ln := from; ln <= to; ln++ {
-				lines = append(lines, ln)
-			}
-		})
-	}
-	m.journalList = lines
-	n := len(lines)
-	if n == 0 {
-		return false
-	}
 	idxBytes := journalIndexLines * LineSize
 	idx := m.journalBuf[:idxBytes]
 	data := m.journalBuf[idxBytes:]
 	base := m.slotDataOff(f.nvmSlot)
-	for i, ln := range lines {
-		binary.LittleEndian.PutUint16(idx[i*2:], uint16(ln))
-		m.nvm.ReadAt(data[i*LineSize:(i+1)*LineSize], base+int64(ln)*LineSize)
+	n := 0
+	m.dirtyRuns(f, false, func(line int, run []byte) {
+		for end := line + len(run)/LineSize; line < end; line++ {
+			binary.LittleEndian.PutUint16(idx[n*2:], uint16(line))
+			m.nvm.ReadAt(data[n*LineSize:(n+1)*LineSize], base+int64(line)*LineSize)
+			n++
+		}
+	})
+	if n == 0 {
+		return false
 	}
 	idxUsed := (n*2 + LineSize - 1) / LineSize * LineSize
-	m.nvm.Persist(idx[:idxUsed], m.journalOff+LineSize)
-	m.nvm.Persist(data[:n*LineSize], m.journalOff+int64(1+journalIndexLines)*LineSize)
+	m.persist(causeJournal, idx[:idxUsed], m.journalOff+LineSize)
+	m.persist(causeJournal, data[:n*LineSize], m.journalOff+int64(1+journalIndexLines)*LineSize)
 	var h [16]byte
 	binary.LittleEndian.PutUint32(h[0:], journalMagic)
 	binary.LittleEndian.PutUint32(h[4:], uint32(n))
 	binary.LittleEndian.PutUint64(h[8:], uint64(f.nvmSlot))
-	m.nvm.Persist(h[:], m.journalOff)
+	m.persist(causeJournal, h[:], m.journalOff)
 	return true
 }
 
 func (m *Manager) journalDisarm() {
 	var z [16]byte
-	m.nvm.Persist(z[:], m.journalOff)
+	m.persist(causeJournal, z[:], m.journalOff)
 }
 
 // replayJournal undoes a write-back that a crash interrupted: if the
@@ -1297,78 +1349,12 @@ func (m *Manager) replayJournal() {
 		for i := 0; i < n; i++ {
 			ln := int(binary.LittleEndian.Uint16(idx[i*2:]))
 			if ln < LinesPerPage {
-				m.nvm.Persist(data[i*LineSize:(i+1)*LineSize], base+int64(ln)*LineSize)
+				m.persist(causeJournal, data[i*LineSize:(i+1)*LineSize], base+int64(ln)*LineSize)
 			}
 		}
 		m.stats.JournalUndos++
 	}
 	m.journalDisarm()
-}
-
-func (m *Manager) nvmWriteBack(f *Frame) bool {
-	base := m.slotDataOff(f.nvmSlot)
-	if f.kind == kindMini {
-		i := 0
-		for i < int(f.count) {
-			if f.miniDirty&(1<<uint(i)) == 0 {
-				i++
-				continue
-			}
-			j := i
-			for j+1 < int(f.count) && f.miniDirty&(1<<uint(j+1)) != 0 && f.slots[j+1] == f.slots[j]+1 {
-				j++
-			}
-			off := base + int64(f.slots[i])*LineSize
-			n := (j - i + 1) * LineSize
-			m.nvm.WriteAt(f.data[i*LineSize:i*LineSize+n], off)
-			m.nvm.Flush(off, n)
-			i = j + 1
-		}
-		return true
-	}
-	if !m.cfg.CacheLineGrained {
-		m.nvm.WriteAt(f.data, base)
-		m.nvm.Flush(base, PageSize)
-		return true
-	}
-	f.dirty.setRuns(0, LinesPerPage-1, func(from, to int) {
-		off := base + int64(from)*LineSize
-		n := (to - from + 1) * LineSize
-		m.nvm.WriteAt(f.data[from*LineSize:from*LineSize+n], off)
-		m.nvm.Flush(off, n)
-	})
-	return true
-}
-
-// admitToNVM copies a fully resident frame into a fresh NVM slot (§4.2,
-// transition 4). The slot starts dirty with respect to SSD when the frame
-// carried modifications.
-func (m *Manager) admitToNVM(f *Frame, slot int64) {
-	if !f.fullyResident {
-		panic(fmt.Sprintf("core: admitting partially resident page %d", f.pid))
-	}
-	var t0 int64
-	if m.rec != nil {
-		t0 = m.clk.Ns()
-	}
-	base := m.slotDataOff(slot)
-	m.nvm.WriteAt(f.data, base)
-	m.nvm.Flush(base, PageSize)
-	m.writeSlotHeader(slot, f.pid, f.anyDirty)
-	m.nvmDir[slot] = nvmSlotMeta{pid: f.pid, referenced: true, dirtyWrtSSD: f.anyDirty}
-	if m.rec != nil {
-		m.rec.Latency(obs.OpNVMAdmit, m.clk.Ns()-t0)
-		m.trace(f.pid, f.idx, obs.EvAdmit, obs.TierNVM, uint32(slot))
-	}
-}
-
-// allocNVMSlot returns a free NVM page slot, evicting one (§4.2,
-// transition 6) if necessary.
-func (m *Manager) allocNVMSlot() (int64, error) {
-	if slot, ok := m.freeNVMSlot(); ok {
-		return slot, nil
-	}
-	return m.evictNVMSlot()
 }
 
 // freeNVMSlot returns an NVM page slot only if one is free, never
@@ -1416,7 +1402,9 @@ func (m *Manager) evictNVMSlot() (int64, error) {
 		}
 		if e.dirtyWrtSSD {
 			m.nvm.ReadAt(m.scratch, m.slotDataOff(slot))
+			mk := m.written()
 			m.ssd.WritePage(int64(e.pid-1), m.scratch)
+			m.charge(causeNVMEvict, mk)
 			m.trace(e.pid, -1, obs.EvWriteback, obs.TierSSD, uint32(slot))
 		}
 		pid := e.pid
@@ -1490,12 +1478,12 @@ func (m *Manager) writeSlotHeader(slot int64, pid PageID, dirty bool) {
 	}
 	binary.LittleEndian.PutUint32(h[4:], flags)
 	binary.LittleEndian.PutUint64(h[8:], uint64(pid))
-	m.nvm.Persist(h[:], m.slotHeaderOff(slot))
+	m.persist(causeSlotMeta, h[:], m.slotHeaderOff(slot))
 }
 
 func (m *Manager) clearSlotHeader(slot int64) {
 	var h [16]byte
-	m.nvm.Persist(h[:], m.slotHeaderOff(slot))
+	m.persist(causeSlotMeta, h[:], m.slotHeaderOff(slot))
 }
 
 func (m *Manager) readSlotHeader(slot int64) (pid PageID, dirty bool, ok bool) {

@@ -19,7 +19,7 @@ func (m *Manager) persistSuper() {
 	var h [16]byte
 	binary.LittleEndian.PutUint64(h[0:], superMagic)
 	binary.LittleEndian.PutUint64(h[8:], uint64(m.nextPID))
-	m.nvm.Persist(h[:], m.superOff())
+	m.persist(causeSlotMeta, h[:], m.superOff())
 }
 
 // persistNextPID flushes only the allocation watermark, called on every
@@ -27,7 +27,7 @@ func (m *Manager) persistSuper() {
 func (m *Manager) persistNextPID() {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(m.nextPID))
-	m.nvm.Persist(b[:], m.superOff()+8)
+	m.persist(causeSlotMeta, b[:], m.superOff()+8)
 }
 
 // SetUserMeta durably stores up to 1 KB of engine metadata (for example a
@@ -39,7 +39,7 @@ func (m *Manager) SetUserMeta(b []byte) error {
 	buf := make([]byte, 2+userMetaMax)
 	binary.LittleEndian.PutUint16(buf[0:], uint16(len(b)))
 	copy(buf[2:], b)
-	m.nvm.Persist(buf, m.superOff()+64)
+	m.persist(causeSlotMeta, buf, m.superOff()+64)
 	return nil
 }
 

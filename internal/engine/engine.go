@@ -265,7 +265,7 @@ func (e *Engine) Commit() error {
 		return err
 	}
 	if e.Topology() == core.DirectNVM {
-		e.log.Truncate()
+		e.truncateLog()
 		return nil
 	}
 	return e.pace()
@@ -346,18 +346,17 @@ func (e *Engine) Rollback() error {
 }
 
 // Checkpoint forces all dirty pages to persistent storage and truncates
-// the log, stalling until the whole dirty set is written back. The
-// commit path never calls it — incremental rounds (CheckpointRound)
-// checkpoint in bounded steps there — but shutdown, restart, and
-// snapshot paths still want the synchronous full barrier. It must not
-// run inside a transaction.
+// the log, stalling until the whole dirty set is written back: a drain of
+// the pool, then the same counted cut a CheckpointRound ends in. The
+// commit path never calls it — incremental rounds checkpoint in bounded
+// steps there — but shutdown, restart, and snapshot paths still want the
+// synchronous full barrier. It must not run inside a transaction.
 func (e *Engine) Checkpoint() error {
 	if e.txActive {
 		return fmt.Errorf("engine: checkpoint inside a transaction")
 	}
-	e.log.Flush()
 	e.m.FlushAll()
-	e.log.Truncate()
+	e.truncateLog()
 	return nil
 }
 

@@ -262,6 +262,40 @@ func TestAutoCheckpointTruncatesLog(t *testing.T) {
 	}
 }
 
+// TestCheckpointCountsItsTruncation: a full checkpoint cuts the log through
+// the same counted path as an incremental round, so CkptStats accounts for
+// every byte the log ever dropped — what a bytes-logged-per-write metric
+// (truncated bytes plus the change in fill) needs to stay non-negative.
+func TestCheckpointCountsItsTruncation(t *testing.T) {
+	for _, topo := range []core.Topology{core.MemOnly, core.DRAMSSD, core.DRAMNVM, core.ThreeTier} {
+		t.Run(topo.String(), func(t *testing.T) {
+			e := openEngine(t, topo)
+			tr, _ := e.CreateTree(1, testPayload, btree.LayoutSorted)
+			mustInsert(t, e, tr, 1, 2, 3)
+			logged := e.Log().Bytes()
+			if logged == 0 {
+				t.Fatal("inserts logged nothing")
+			}
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if c := e.CkptStats(); c.Truncations != 1 || c.TruncatedBytes != logged {
+				t.Fatalf("after Checkpoint: %d truncations of %d bytes, want 1 of %d", c.Truncations, c.TruncatedBytes, logged)
+			}
+			if e.Log().Bytes() != 0 || e.Manager().DirtyFrames() != 0 && topo != core.MemOnly {
+				t.Fatalf("checkpoint left %d log bytes, %d dirty frames", e.Log().Bytes(), e.Manager().DirtyFrames())
+			}
+			// An empty log has nothing to cut and nothing to count.
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if c := e.CkptStats(); c.Truncations != 1 {
+				t.Fatalf("checkpoint of an empty log counted a truncation: %d", c.Truncations)
+			}
+		})
+	}
+}
+
 func TestDirectTruncatesPerCommit(t *testing.T) {
 	e := openEngine(t, core.DirectNVM)
 	tr, _ := e.CreateTree(1, testPayload, btree.LayoutSorted)
@@ -272,6 +306,9 @@ func TestDirectTruncatesPerCommit(t *testing.T) {
 	}
 	if e.Log().Bytes() != 0 {
 		t.Fatalf("log not empty after direct commit: %d bytes", e.Log().Bytes())
+	}
+	if c := e.CkptStats(); c.Truncations != 2 || c.TruncatedBytes == 0 {
+		t.Fatalf("CkptStats = %+v, want both per-commit truncations counted", c)
 	}
 }
 

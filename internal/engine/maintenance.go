@@ -72,9 +72,9 @@ type CkptStats struct {
 	Rounds int64
 	// Pages counts dirty pages written back by those rounds.
 	Pages int64
-	// Truncations counts WAL truncations performed at the end of a
-	// drained checkpoint; TruncatedBytes sums the log bytes they
-	// discarded.
+	// Truncations counts every WAL truncation (all go through
+	// truncateLog): the round that drains the dirty set, a full
+	// Checkpoint, NVM Direct's per-commit cut.
 	Truncations int64
 	// TruncatedBytes sums the log bytes discarded by those truncations.
 	TruncatedBytes int64

@@ -110,12 +110,15 @@ type Stats struct {
 
 // Device is a simulated NVM DIMM.
 type Device struct {
-	cfg   Config
-	clk   *simclock.Clock
-	data  []byte
-	wear  []uint32
-	stats Stats
-	cache *cpuCache
+	cfg  Config
+	clk  *simclock.Clock
+	data []byte
+	wear []uint32
+	// wearTotal is the running sum of wear, kept so TotalWrites need not
+	// walk the array.
+	wearTotal int64
+	stats     Stats
+	cache     *cpuCache
 
 	// pending maps line index -> previous durable content, only in
 	// strict persistence mode.
@@ -388,6 +391,7 @@ func (d *Device) Flush(off int64, n int) {
 					delete(d.pending, l)
 				}
 			}
+			d.wearTotal += durable
 			d.stats.LinesFlushed += durable
 			panic(fault.Crash{Kind: fault.NVMTornFlush, Site: "nvm.flush"})
 		}
@@ -398,6 +402,7 @@ func (d *Device) Flush(off int64, n int) {
 			delete(d.pending, l)
 		}
 	}
+	d.wearTotal += count
 	d.stats.FlushOps++
 	d.stats.LinesFlushed += count
 	ns := int64(d.cfg.WriteLatency) + (count-1)*int64(d.cfg.LineTransfer)
@@ -451,19 +456,14 @@ func (d *Device) WearCounts() []uint32 {
 
 // TotalWrites returns the sum of all wear counters, i.e. the total number
 // of cache-line writes the device has absorbed.
-func (d *Device) TotalWrites() int64 {
-	var sum int64
-	for _, w := range d.wear {
-		sum += int64(w)
-	}
-	return sum
-}
+func (d *Device) TotalWrites() int64 { return d.wearTotal }
 
 // ResetWear zeroes the wear counters.
 func (d *Device) ResetWear() {
 	for i := range d.wear {
 		d.wear[i] = 0
 	}
+	d.wearTotal = 0
 }
 
 // Stats returns a snapshot of the traffic counters.

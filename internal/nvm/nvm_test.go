@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"nvmstore/internal/fault"
 	"nvmstore/internal/simclock"
 )
 
@@ -114,6 +115,59 @@ func TestFlushIncrementsWear(t *testing.T) {
 	d.ResetWear()
 	if got := d.TotalWrites(); got != 0 {
 		t.Fatalf("TotalWrites() after ResetWear = %d, want 0", got)
+	}
+}
+
+// TestTotalWritesIsSumOfWearCounts pins the running total against the array
+// it summarizes through every way wear changes: whole flushes, the durable
+// prefix of a torn flush, ResetWear, and a snapshot round trip.
+func TestTotalWritesIsSumOfWearCounts(t *testing.T) {
+	d, _ := newStrictFaultDevice()
+	check := func(when string) {
+		t.Helper()
+		var sum int64
+		for _, w := range d.WearCounts() {
+			sum += int64(w)
+		}
+		if got := d.TotalWrites(); got != sum {
+			t.Fatalf("%s: TotalWrites() = %d, wear counters sum to %d", when, got, sum)
+		}
+	}
+	p := make([]byte, 8*LineSize)
+	d.Persist(p, 0)
+	d.Persist(p[:100], 3*LineSize+10)
+	check("after flushes")
+	if d.TotalWrites() != 10 {
+		t.Fatalf("TotalWrites() = %d, want 10", d.TotalWrites())
+	}
+
+	d.SetFaults((&fault.Plan{Seed: 77, Rules: []fault.Rule{
+		{Kind: fault.NVMTornFlush, EveryN: 1, Limit: 1},
+	}}).Injector(0))
+	func() {
+		defer func() {
+			if _, ok := fault.AsCrash(recover()); !ok {
+				t.Fatal("torn flush did not crash")
+			}
+		}()
+		d.Persist(p, 16*LineSize)
+	}()
+	d.Crash()
+	check("after a torn flush")
+
+	var snap bytes.Buffer
+	if err := d.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	d.ResetWear()
+	check("after ResetWear")
+	d.Persist(p[:LineSize], 0)
+	if err := d.ReadSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	check("after a snapshot restore")
+	if d.TotalWrites() < 10 {
+		t.Fatalf("TotalWrites() = %d after restoring a snapshot taken at >= 10", d.TotalWrites())
 	}
 }
 

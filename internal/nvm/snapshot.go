@@ -74,8 +74,10 @@ func (d *Device) ReadSnapshot(r io.Reader) error {
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return fmt.Errorf("nvm: snapshot wear: %w", err)
 	}
+	d.wearTotal = 0
 	for i := range d.wear {
 		d.wear[i] = binary.LittleEndian.Uint32(buf[i*4:])
+		d.wearTotal += int64(d.wear[i])
 	}
 	if d.pending != nil {
 		d.pending = make(map[int64][]byte)

@@ -86,25 +86,28 @@ type Row struct {
 	Mean  int64  `json:"mean_ns"`
 }
 
+// Row summarizes the histogram under the given operation name. An empty
+// histogram gives a Row with Count 0, which callers leave out.
+func (s *HistSnapshot) Row(name string) Row {
+	return Row{
+		Op:    name,
+		Count: s.Count(),
+		P50:   s.Quantile(0.50),
+		P90:   s.Quantile(0.90),
+		P99:   s.Quantile(0.99),
+		Max:   s.Max,
+		Mean:  s.Mean(),
+	}
+}
+
 // Rows summarizes every operation that recorded at least one sample, in
 // Op declaration order (storage hierarchy top to bottom).
 func (s *Snapshot) Rows() []Row {
 	var rows []Row
 	for op := Op(0); op < NumOps; op++ {
-		h := &s.Ops[op]
-		n := h.Count()
-		if n == 0 {
-			continue
+		if r := s.Ops[op].Row(op.String()); r.Count > 0 {
+			rows = append(rows, r)
 		}
-		rows = append(rows, Row{
-			Op:    op.String(),
-			Count: n,
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-			Max:   h.Max,
-			Mean:  h.Mean(),
-		})
 	}
 	return rows
 }

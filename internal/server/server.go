@@ -443,19 +443,9 @@ func (s *Server) WireLatency() []obs.Row {
 	var rows []obs.Row
 	for op := wire.OpGet; op <= wire.OpStats; op++ {
 		h := s.wireHist[op].Snapshot()
-		n := h.Count()
-		if n == 0 {
-			continue
+		if r := h.Row("wire." + wire.OpName(op)); r.Count > 0 {
+			rows = append(rows, r)
 		}
-		rows = append(rows, obs.Row{
-			Op:    "wire." + wire.OpName(op),
-			Count: n,
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-			Max:   h.Max,
-			Mean:  h.Mean(),
-		})
 	}
 	return rows
 }
@@ -569,7 +559,7 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_log_flushes_total", "physical WAL flushes across shards", nil, float64(doc.LogFlushes))
 	p.Counter("nvmstore_ckpt_rounds_total", "incremental-checkpoint write-back rounds across shards", nil, float64(doc.CkptRounds))
 	p.Counter("nvmstore_ckpt_pages_total", "dirty pages written back by checkpoint rounds", nil, float64(doc.CkptPages))
-	p.Counter("nvmstore_ckpt_truncated_bytes_total", "WAL bytes reclaimed by maintenance truncations", nil, float64(doc.CkptTruncatedBytes))
+	p.Counter("nvmstore_ckpt_truncated_bytes_total", "WAL bytes reclaimed by every truncation", nil, float64(doc.CkptTruncatedBytes))
 	p.Counter("nvmstore_read_snapshot_reads_total", "as-of leaves read by snapshot scans", nil, float64(doc.ReadSnapshotReads))
 	p.Counter("nvmstore_read_versions_reclaimed_total", "copy-on-write page versions reclaimed", nil, float64(doc.ReadVersionsReclaimed))
 	p.Gauge("nvmstore_read_versions_live", "copy-on-write page versions currently pinned by snapshots", nil, float64(doc.ReadVersionsLive))

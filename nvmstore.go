@@ -571,15 +571,22 @@ type WearProfile struct {
 
 // WearProfile computes the NVM wear distribution.
 func (s *Store) WearProfile() WearProfile {
-	counts := s.e.Manager().NVM().WearCounts()
-	touched := make([]uint32, 0, len(counts))
+	return wearProfile(s.e.Manager().NVM().WearCounts())
+}
+
+// wearProfile summarizes the wear counters of one or more devices taken
+// together, as if they were one larger device.
+func wearProfile(devices ...[]uint32) WearProfile {
+	var touched []uint32
 	var p WearProfile
-	for _, c := range counts {
-		if c > 0 {
-			touched = append(touched, c)
-			p.TotalWrites += int64(c)
-			if c > p.MaxPerLine {
-				p.MaxPerLine = c
+	for _, counts := range devices {
+		for _, c := range counts {
+			if c > 0 {
+				touched = append(touched, c)
+				p.TotalWrites += int64(c)
+				if c > p.MaxPerLine {
+					p.MaxPerLine = c
+				}
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -470,28 +469,13 @@ func (s *ShardedStore) Collector(i int) *obs.Collector { return s.shards[i].coll
 // WearProfile computes the NVM wear distribution over all shards'
 // devices together, as if they were one larger device.
 func (s *ShardedStore) WearProfile() WearProfile {
-	var touched []uint32
-	var p WearProfile
+	devices := make([][]uint32, len(s.shards))
 	for i := range s.shards {
 		s.slots[i].mu.Lock()
-		counts := s.shards[i].e.Manager().NVM().WearCounts()
+		devices[i] = s.shards[i].e.Manager().NVM().WearCounts()
 		s.slots[i].mu.Unlock()
-		for _, c := range counts {
-			if c > 0 {
-				touched = append(touched, c)
-				p.TotalWrites += int64(c)
-				if c > p.MaxPerLine {
-					p.MaxPerLine = c
-				}
-			}
-		}
 	}
-	p.LinesTouched = len(touched)
-	if len(touched) > 0 {
-		sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
-		p.MedianPerLine = touched[len(touched)/2]
-	}
-	return p
+	return wearProfile(devices...)
 }
 
 // ShardedTable routes fixed-size rows keyed by uint64 across the store's
