@@ -94,7 +94,7 @@ func microEngine(b *testing.B, topo core.Topology) (*engine.Engine, *ycsb.Worklo
 		b.Fatal(err)
 	}
 	// The three-tier design needs many eviction cycles before the NVM
-	// admission set reaches steady state.
+	// cache holds the hot pages: admission is a duel of load counts.
 	for i := 0; i < 40000; i++ {
 		if err := w.Lookup(); err != nil {
 			b.Fatal(err)

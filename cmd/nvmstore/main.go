@@ -90,8 +90,8 @@ func report(e *engine.Engine, ops int, wall, sim time.Duration) {
 	fmt.Printf("\n%d transactions in %v wall + %v simulated device time\n", ops, wall.Round(time.Millisecond), sim.Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f tx/s (combined time)\n", float64(ops)/total.Seconds())
 	st := e.Manager().Stats()
-	fmt.Printf("buffer: %d fixes (%d swizzled), %d DRAM evictions, %d NVM admissions, %d NVM evictions\n",
-		st.Fixes, st.SwizzleHits, st.DRAMEvictions, st.NVMAdmissions, st.NVMEvictions)
+	fmt.Printf("buffer: %d fixes (%d swizzled), %d DRAM evictions, %d NVM admissions, %d NVM denials, %d NVM evictions\n",
+		st.Fixes, st.SwizzleHits, st.DRAMEvictions, st.NVMAdmissions, st.NVMDenials, st.NVMEvictions)
 	nd := e.Manager().NVM().Stats()
 	fmt.Printf("NVM: %d lines read (%d charged), %d lines flushed, total line writes %d\n",
 		nd.LinesRead, nd.LinesReadCharged, nd.LinesFlushed, e.Manager().NVM().TotalWrites())

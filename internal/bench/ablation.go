@@ -9,15 +9,15 @@ import (
 	"nvmstore/internal/zipfian"
 )
 
-// AblationAdmission isolates the NVM admission set of §4.2. The paper's
+// AblationAdmission isolates the NVM admission decision of §4.2. The paper's
 // rationale: pages that are evicted from DRAM once and never return must
-// not pollute the NVM cache, so a page is admitted only when it was
-// recently denied. This experiment mixes Zipf point lookups with a growing
-// share of scan transactions — each scan drags a swath of cold pages
-// through DRAM exactly once — and compares the admission set against an
-// always-admit policy. Without the set, scan-touched cold pages evict warm
-// pages from NVM; the notes record the NVM churn behind the throughput
-// difference.
+// not pollute the NVM cache. This experiment mixes Zipf point lookups with a
+// growing share of scan transactions — each scan drags a swath of cold
+// pages through DRAM exactly once — and compares the admission duel (a page
+// enters a full NVM only if it came back through DRAM more often than the
+// slot it would evict, core.Manager.nvmSlotFor) against an always-admit
+// policy. Without the duel, scan-touched cold pages evict warm pages from
+// NVM; the notes record the NVM churn behind the throughput difference.
 func AblationAdmission(o Options) (Result, error) {
 	o.applyDefaults()
 	scanShares := []int{0, 2, 10}
@@ -26,17 +26,17 @@ func AblationAdmission(o Options) (Result, error) {
 	}
 	res := Result{
 		ID:     "ablation",
-		Title:  "NVM admission-set ablation (YCSB lookups + scans, data=10, DRAM=2, NVM=4 units)",
+		Title:  "NVM admission ablation (YCSB lookups + scans, data=10, DRAM=2, NVM=4 units)",
 		XLabel: "scan[%]",
 		YLabel: "tx/s",
 	}
 	rows := ycsb.RowsForDataSize(10 * o.Scale)
 	policies := []struct {
-		name          string
-		admissionSize int
+		name        string
+		alwaysAdmit bool
 	}{
-		{"Admission set", 0}, // default: sized to the NVM slot count
-		{"Always admit", -1},
+		{"Admission duel", false}, // the default
+		{"Always admit", true},
 	}
 	for _, pol := range policies {
 		s := Series{Name: pol.name}
@@ -44,7 +44,7 @@ func AblationAdmission(o Options) (Result, error) {
 			// NVM deliberately smaller than the data so admission
 			// decisions matter.
 			e, err := buildEngine(o, core.ThreeTier, 2*o.Scale, 4*o.Scale, 50*o.Scale, func(c *core.Config) {
-				c.AdmissionSetSize = pol.admissionSize
+				c.AlwaysAdmit = pol.alwaysAdmit
 			})
 			if err != nil {
 				return res, err

@@ -13,8 +13,13 @@ import (
 
 // ycsbPoint loads a fresh engine with rows of YCSB data, warms the caches,
 // and measures throughput of op. The warm-up grows with the data size:
-// reaching the three-tier steady state needs every hot page to cycle
-// through DRAM eviction and NVM admission at least twice.
+// the bulk load leaves NVM full of whatever was evicted first, and a hot
+// page displaces one of those only after coming back through DRAM more
+// often than it (core.Manager.nvmSlotFor), so the three-tier steady state
+// needs every hot page to cycle through DRAM eviction a few times. From
+// that fill the duel converges more slowly than the paper's "admit on the
+// second denial" — EXPERIMENTS.md records what Fig. 8 pays just past the
+// NVM line.
 func ycsbPoint(o Options, e *engine.Engine, rows int, op func(*ycsb.Workload) error) (Measurement, error) {
 	warmup, ops := o.Warmup, o.Ops
 	w, err := ycsb.Load(e, rows, btree.LayoutSorted)

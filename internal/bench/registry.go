@@ -47,7 +47,7 @@ func Experiments() []Experiment {
 		{"fig16", "NVM wear, appendix A.4 (Figure 16)", Fig16},
 		{"fig17", "restart ramp-up, appendix A.5 (Figure 17)", Fig17},
 		{"figA1", "multi-threaded scalability, appendix A.1 (threads sweep)", FigA1},
-		{"ablation", "NVM admission-set ablation (not in the paper)", AblationAdmission},
+		{"ablation", "NVM admission ablation: duel vs always-admit (not in the paper)", AblationAdmission},
 		{"groupcommit", "group-commit batch-size sweep, write-heavy YCSB (not in the paper)", GroupCommit},
 		{"ckptstall", "commit tail latency: inline full checkpoint vs inline paced rounds (not in the paper)", CkptStall},
 		{"faults", "throughput under injected device faults (not in the paper)", FaultSweep},

@@ -208,37 +208,6 @@ func TestLocationEncoding(t *testing.T) {
 	}
 }
 
-func TestAdmissionSet(t *testing.T) {
-	var s admissionSet
-	s.init(2)
-	if s.checkAndUpdate(1) {
-		t.Fatal("first sighting of page 1 admitted")
-	}
-	if !s.checkAndUpdate(1) {
-		t.Fatal("second sighting of page 1 denied")
-	}
-	// Page 1 was removed on admission; it must be denied again.
-	if s.checkAndUpdate(1) {
-		t.Fatal("page 1 admitted again without a new denial")
-	}
-
-	// Capacity eviction: 2 and 3 fill the set, 4 evicts 2.
-	s.checkAndUpdate(2)
-	s.checkAndUpdate(3)
-	s.checkAndUpdate(4)
-	if s.checkAndUpdate(2) {
-		t.Fatal("page 2 admitted although it was evicted from the set")
-	}
-}
-
-func TestAdmissionSetDisabled(t *testing.T) {
-	var s admissionSet
-	s.init(-1)
-	if !s.checkAndUpdate(5) {
-		t.Fatal("disabled admission set denied a page")
-	}
-}
-
 func TestTopologyString(t *testing.T) {
 	names := map[Topology]string{
 		MemOnly:   "Main Memory",

@@ -15,7 +15,9 @@
 //     replaced by direct frame references, avoiding the mapping-table
 //     lookup for hot pages;
 //   - three-tier replacement (§4.2): DRAM eviction (clock), NVM admission
-//     (an admission set in the spirit of ARC), and NVM eviction (clock);
+//     (a duel of load counts against the NVM clock's victim — a departure
+//     from the paper's admission set, see DESIGN.md §5), and NVM eviction
+//     (clock);
 //   - a combined page table (§4.3) that maps a page identifier to its DRAM
 //     or NVM location with a single lookup;
 //   - system restart (§4.4): the volatile mapping table is rebuilt by
@@ -116,9 +118,6 @@ var (
 	// ErrNoEvictable is returned when DRAM is full and every frame is
 	// pinned or has swizzled children.
 	ErrNoEvictable = errors.New("core: DRAM full and no frame is evictable")
-	// ErrNVMFull is returned when the NVM device has no free page slot
-	// and none can be evicted.
-	ErrNVMFull = errors.New("core: NVM full and no slot is evictable")
 	// ErrCapacity is returned when a topology with a hard capacity limit
 	// (Main Memory, NVM Direct, Basic NVM BM) runs out of space.
 	ErrCapacity = errors.New("core: storage capacity exhausted")

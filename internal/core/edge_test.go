@@ -33,7 +33,7 @@ func TestThreeTierAdmissionFallsBackWhenNVMPinned(t *testing.T) {
 	m := newTestManager(t, ThreeTier, 8, func(c *Config) {
 		c.CacheLineGrained = true
 		c.NVMBytes = 2 * slotSize
-		c.AdmissionSetSize = -1 // always admit: pressure on the slots
+		c.AlwaysAdmit = true // no duel to lose: only the pins can keep the third page out
 	})
 	var pids []PageID
 	for i := 0; i < 2; i++ {
@@ -78,8 +78,7 @@ func TestThreeTierAdmissionFallsBackWhenNVMPinned(t *testing.T) {
 
 func TestFreePageReleasesNVMSlot(t *testing.T) {
 	m := newTestManager(t, ThreeTier, 4, withFeatures(true, true, false), func(c *Config) {
-		c.NVMBytes = 2 * slotSize
-		c.AdmissionSetSize = -1
+		c.NVMBytes = 2 * slotSize // free slots admit at once
 	})
 	h := mustAlloc(t, m)
 	pid := h.PID()
@@ -108,9 +107,7 @@ func TestFreePageReleasesNVMSlot(t *testing.T) {
 }
 
 func TestRestartScanSkipsFreedSlots(t *testing.T) {
-	m := newTestManager(t, ThreeTier, 4, withFeatures(true, false, false), func(c *Config) {
-		c.AdmissionSetSize = -1
-	})
+	m := newTestManager(t, ThreeTier, 4, withFeatures(true, false, false))
 	keep := mustAlloc(t, m)
 	keepPID := keep.PID()
 	fillPattern(keep, 1)

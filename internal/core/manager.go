@@ -69,6 +69,11 @@ const (
 	journalMagic      = 0x4a524e4c // "JRNL"
 	journalIndexLines = (LinesPerPage*2 + LineSize - 1) / LineSize
 	journalSize       = (1+journalIndexLines)*LineSize + PageSize
+
+	// nvmAgeEvery × the NVM slot count is how many page loads halve every
+	// load count (noteLoad): what the admission duel remembers. A
+	// constant, chosen by the sweep in EXPERIMENTS.md "Ablation".
+	nvmAgeEvery = 16
 )
 
 // Config describes a Manager. The zero value is not valid; at minimum
@@ -97,10 +102,9 @@ type Config struct {
 	// Swizzling enables pointer swizzling (§3.3).
 	Swizzling bool
 
-	// AdmissionSetSize bounds the NVM admission set (§4.2). Zero selects
-	// the default (the number of NVM page slots); a negative value
-	// disables the set, admitting every page on first eviction.
-	AdmissionSetSize int
+	// AlwaysAdmit turns the NVM admission duel (§4.2, see nvmSlotFor) off:
+	// every page evicted from DRAM enters NVM, evicting a slot if it must.
+	AlwaysAdmit bool
 
 	// Device timing. Zero values select the defaults documented in
 	// internal/nvm and internal/ssd (500 ns NVM, 100/200 µs SSD).
@@ -302,7 +306,10 @@ type Manager struct {
 	nvmNextSlot int64
 	nvmHand     int64
 
-	admission admissionSet
+	// loads[pid] counts how often the page entered DRAM (install), the
+	// evidence the admission duel compares (ThreeTier only); see noteLoad.
+	loads      []uint8
+	loadsSince int64 // loads since every count was last halved
 
 	nextPID  PageID
 	freePIDs []PageID
@@ -378,11 +385,6 @@ func New(cfg Config) (*Manager, error) {
 	}
 	if cfg.Topology == ThreeTier {
 		m.nvmDir = make([]nvmSlotMeta, m.nvmSlots)
-		size := cfg.AdmissionSetSize
-		if size == 0 {
-			size = int(m.nvmSlots)
-		}
-		m.admission.init(size)
 	}
 	m.persistSuper()
 	return m, nil
@@ -568,6 +570,28 @@ func (m *Manager) install(f *Frame, slot int64, resident bool) {
 	f.pins = 1
 	f.referenced = true
 	m.table[f.pid] = dramLoc(f.idx)
+	if m.nvmDir != nil {
+		m.noteLoad(f.pid)
+	}
+}
+
+// noteLoad counts one entry of the page into DRAM — from NVM, from SSD or
+// by Allocate — in a saturating 8-bit counter, and halves every counter
+// once per nvmAgeEvery × nvmSlots loads, so a page that stopped coming back
+// loses its standing within a few NVM-cache turnovers.
+func (m *Manager) noteLoad(pid PageID) {
+	if n := int(pid) + 1 - len(m.loads); n > 0 {
+		m.loads = append(m.loads, make([]uint8, n)...)
+	}
+	if m.loads[pid] < 255 {
+		m.loads[pid]++
+	}
+	if m.loadsSince++; m.loadsSince >= nvmAgeEvery*m.nvmSlots {
+		for i, c := range m.loads {
+			m.loads[i] = c / 2
+		}
+		m.loadsSince = 0
+	}
 }
 
 // takePID hands out the next page identifier, enforcing the topology's
@@ -924,28 +948,31 @@ func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 }
 
 // nvmSlotFor is the one policy difference between write-back's callers: the
-// NVM slot, if any, for a ThreeTier frame that has none. Eviction is the
-// paper's admission decision (§4.2): a page the admission set has seen
-// recently moves into the NVM cache, evicting another slot's page
-// (transition 6) if it must; any other page goes back to SSD. A forced
+// NVM slot, if any, for a ThreeTier frame that has none. A free slot is
+// taken at once. Past that, eviction is the admission decision of §4.2,
+// made as a duel: the NVM clock names its victim, and the page moves in
+// (transition 6 evicts the victim) only if it has come back through DRAM
+// more often than the victim has — a tie keeps the victim, and the hand has
+// moved past it either way. The paper asks only "was this page denied
+// recently?", which a cold page passes by chance often enough to turn the
+// whole NVM cache over, cold page for cold page (DESIGN.md §9.4). A forced
 // write stages the page on NVM only while a slot is free — it is persisted
 // because it matters (checkpoints, structural changes), but it evicts
 // nothing.
 func (m *Manager) nvmSlotFor(f *Frame, cause WriteCause) (int64, bool) {
-	evicting := cause == causeDRAMEvict
-	if evicting && !m.admission.checkAndUpdate(f.pid) {
-		return -1, false
-	}
 	if slot, ok := m.freeNVMSlot(); ok {
 		return slot, true
 	}
-	if evicting {
-		// This fails with NVM completely pinned by cached pages.
-		if slot, err := m.evictNVMSlot(); err == nil {
-			return slot, true
-		}
+	if cause != causeDRAMEvict {
+		return -1, false
 	}
-	return -1, false
+	// This fails with NVM completely pinned by cached pages.
+	slot, ok := m.pickNVMVictim()
+	if !ok || !m.cfg.AlwaysAdmit && m.loads[f.pid] <= m.loads[m.nvmDir[slot].pid] {
+		return -1, false
+	}
+	m.evictNVMSlot(slot)
+	return slot, true
 }
 
 // dirtyRuns calls fn for every maximal run of cache lines that writing f
@@ -1113,6 +1140,9 @@ func (m *Manager) FreePage(h Handle) {
 	pid := f.pid
 	m.trace(pid, f.idx, obs.EvFree, obs.TierDRAM, 0)
 	m.vers.Drop(pid)
+	if int(pid) < len(m.loads) {
+		m.loads[pid] = 0 // pids are reused: the next page starts without history
+	}
 	if f.kind == kindDirect {
 		m.clearSlotHeader(f.nvmSlot)
 		f.pins = 0
@@ -1373,9 +1403,9 @@ func (m *Manager) freeNVMSlot() (int64, bool) {
 	return 0, false
 }
 
-// evictNVMSlot runs the NVM clock and evicts one slot, writing its page to
-// SSD when the NVM copy is newer.
-func (m *Manager) evictNVMSlot() (int64, error) {
+// pickNVMVictim runs the NVM clock (second chance) and returns the slot it
+// would evict, leaving the hand past it.
+func (m *Manager) pickNVMVictim() (int64, bool) {
 	n := m.nvmSlots
 	for scanned := int64(0); scanned < 2*n+1; scanned++ {
 		slot := m.nvmHand
@@ -1396,29 +1426,35 @@ func (m *Manager) evictNVMSlot() (int64, error) {
 			e.referenced = false
 			continue
 		}
-		var t0 int64
-		if m.rec != nil {
-			t0 = m.clk.Ns()
-		}
-		if e.dirtyWrtSSD {
-			m.nvm.ReadAt(m.scratch, m.slotDataOff(slot))
-			mk := m.written()
-			m.ssd.WritePage(int64(e.pid-1), m.scratch)
-			m.charge(causeNVMEvict, mk)
-			m.trace(e.pid, -1, obs.EvWriteback, obs.TierSSD, uint32(slot))
-		}
-		pid := e.pid
-		delete(m.table, e.pid)
-		m.clearSlotHeader(slot)
-		*e = nvmSlotMeta{}
-		m.stats.NVMEvictions++
-		if m.rec != nil {
-			m.rec.Latency(obs.OpNVMEvict, m.clk.Ns()-t0)
-			m.trace(pid, -1, obs.EvEvict, obs.TierNVM, uint32(slot))
-		}
-		return slot, nil
+		return slot, true
 	}
-	return 0, ErrNVMFull
+	return 0, false
+}
+
+// evictNVMSlot evicts the slot's page from the NVM cache, writing it to SSD
+// when the NVM copy is newer.
+func (m *Manager) evictNVMSlot(slot int64) {
+	e := &m.nvmDir[slot]
+	var t0 int64
+	if m.rec != nil {
+		t0 = m.clk.Ns()
+	}
+	if e.dirtyWrtSSD {
+		m.nvm.ReadAt(m.scratch, m.slotDataOff(slot))
+		mk := m.written()
+		m.ssd.WritePage(int64(e.pid-1), m.scratch)
+		m.charge(causeNVMEvict, mk)
+		m.trace(e.pid, -1, obs.EvWriteback, obs.TierSSD, uint32(slot))
+	}
+	pid := e.pid
+	delete(m.table, e.pid)
+	m.clearSlotHeader(slot)
+	*e = nvmSlotMeta{}
+	m.stats.NVMEvictions++
+	if m.rec != nil {
+		m.rec.Latency(obs.OpNVMEvict, m.clk.Ns()-t0)
+		m.trace(pid, -1, obs.EvEvict, obs.TierNVM, uint32(slot))
+	}
 }
 
 // promoteMini promotes a mini page to a full page (§3.2): the resident
@@ -1495,53 +1531,6 @@ func (m *Manager) readSlotHeader(slot int64) (pid PageID, dirty bool, ok bool) {
 	flags := binary.LittleEndian.Uint32(h[4:])
 	pid = PageID(binary.LittleEndian.Uint64(h[8:]))
 	return pid, flags&slotFlagDirty != 0, pid != 0
-}
-
-// admissionSet is the bounded set of §4.2 that identifies warm pages: a
-// page is admitted to NVM only if it was recently denied, i.e. if it keeps
-// coming back.
-type admissionSet struct {
-	cap  int
-	m    map[PageID]int
-	ring []PageID
-	head int
-}
-
-func (s *admissionSet) init(capacity int) {
-	s.cap = capacity
-	if capacity > 0 {
-		s.m = make(map[PageID]int, capacity)
-		s.ring = make([]PageID, 0, capacity)
-	}
-}
-
-// checkAndUpdate reports whether pid should be admitted: true if pid was
-// in the set (and removes it), false otherwise (and remembers pid). A
-// disabled set (capacity < 0 at configuration) admits everything.
-func (s *admissionSet) checkAndUpdate(pid PageID) bool {
-	if s.cap <= 0 {
-		return true
-	}
-	if _, ok := s.m[pid]; ok {
-		delete(s.m, pid)
-		return true
-	}
-	if len(s.ring) < s.cap {
-		s.ring = append(s.ring, pid)
-		s.m[pid] = 1
-		return false
-	}
-	old := s.ring[s.head]
-	if _, ok := s.m[old]; ok {
-		delete(s.m, old)
-	}
-	s.ring[s.head] = pid
-	s.m[pid] = 1
-	s.head++
-	if s.head == s.cap {
-		s.head = 0
-	}
-	return false
 }
 
 func zeroBytes(b []byte) {

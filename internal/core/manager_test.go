@@ -672,43 +672,77 @@ func TestFixRootSwizzles(t *testing.T) {
 }
 
 func TestThreeTierAdmission(t *testing.T) {
-	m := newTestManager(t, ThreeTier, 4, withFeatures(true, true, false))
+	m := newTestManager(t, ThreeTier, 4, withFeatures(true, true, false), func(c *Config) {
+		c.NVMBytes = 2 * slotSize
+	})
+	evictAll := func() {
+		t.Helper()
+		if err := m.CleanShutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func(pid PageID, seed byte) {
+		t.Helper()
+		h := mustFix(t, m, pid, ModeCacheLine)
+		checkPattern(t, h, seed)
+		m.Unfix(h)
+		evictAll()
+	}
+	var residents [2]PageID
+	for i := range residents {
+		h := mustAlloc(t, m)
+		residents[i] = h.PID()
+		fillPattern(h, byte(10+i))
+		m.Unfix(h)
+	}
+
+	// First eviction with free slots: both pages move into NVM at once,
+	// nothing goes to SSD.
+	evictAll()
+	st := m.Stats()
+	if st.NVMAdmissions != 2 || st.NVMDenials != 0 || m.SSD().Stats().PagesWritten != 0 {
+		t.Fatalf("with free slots: admissions=%d denials=%d SSD writes=%d, want 2/0/0",
+			st.NVMAdmissions, st.NVMDenials, m.SSD().Stats().PagesWritten)
+	}
+	for i, pid := range residents {
+		cycle(pid, byte(10+i)) // loaded twice now
+	}
+
+	// NVM is full. A once-loaded page loses the duel against a twice-loaded
+	// resident and goes to SSD.
 	h := mustAlloc(t, m)
 	pid := h.PID()
 	fillPattern(h, 13)
 	m.Unfix(h)
-
-	// First eviction: the page has never been denied, so it is denied
-	// admission and written to SSD.
-	if err := m.CleanShutdown(); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.NVMDenials != 1 || st.NVMAdmissions != 0 {
-		t.Fatalf("after first eviction: denials=%d admissions=%d, want 1/0", st.NVMDenials, st.NVMAdmissions)
+	evictAll()
+	st = m.Stats()
+	if st.NVMDenials != 1 || st.NVMAdmissions != 2 || st.NVMEvictions != 0 {
+		t.Fatalf("once-loaded page against twice-loaded residents: denials=%d admissions=%d NVM evictions=%d, want 1/2/0",
+			st.NVMDenials, st.NVMAdmissions, st.NVMEvictions)
 	}
 	if m.SSD().Stats().PagesWritten != 1 {
 		t.Fatalf("SSD writes = %d, want 1", m.SSD().Stats().PagesWritten)
 	}
 
-	// Reload from SSD and evict again: now it is in the admission set
-	// and moves into NVM.
-	h2 := mustFix(t, m, pid, ModeCacheLine)
-	checkPattern(t, h2, 13)
-	m.Unfix(h2)
-	if err := m.CleanShutdown(); err != nil {
-		t.Fatal(err)
+	// It comes back from SSD: two loads each is a tie, and a tie keeps the
+	// victim.
+	cycle(pid, 13)
+	if st = m.Stats(); st.NVMDenials != 2 || st.NVMAdmissions != 2 {
+		t.Fatalf("tie: denials=%d admissions=%d, want 2/2", st.NVMDenials, st.NVMAdmissions)
 	}
+
+	// It comes back again and wins, evicting a resident.
+	cycle(pid, 13)
 	st = m.Stats()
-	if st.NVMAdmissions != 1 {
-		t.Fatalf("NVMAdmissions = %d, want 1", st.NVMAdmissions)
+	if st.NVMAdmissions != 3 || st.NVMEvictions != 1 {
+		t.Fatalf("after the third load: admissions=%d NVM evictions=%d, want 3/1", st.NVMAdmissions, st.NVMEvictions)
 	}
 	loc, ok := m.table[pid]
 	if !ok || loc.inDRAM() {
 		t.Fatalf("page location after admission = %v, want NVM", loc)
 	}
 
-	// Third fix comes from NVM, cache-line-grained.
+	// The next fix comes from NVM, cache-line-grained.
 	m.ResetStats()
 	ssdReads := m.SSD().Stats().PagesRead
 	h3 := mustFix(t, m, pid, ModeCacheLine)
@@ -720,6 +754,12 @@ func TestThreeTierAdmission(t *testing.T) {
 		t.Fatal("NVM-resident page was read from SSD")
 	}
 	m.Unfix(h3)
+	// Both former residents are still readable, wherever they are.
+	for i, pid := range residents {
+		h := mustFix(t, m, pid, ModeFull)
+		checkPattern(t, h, byte(10+i))
+		m.Unfix(h)
+	}
 }
 
 func TestThreeTierNVMEviction(t *testing.T) {
@@ -727,8 +767,8 @@ func TestThreeTierNVMEviction(t *testing.T) {
 		c.CacheLineGrained = true
 		c.NVMBytes = 2 * slotSize // room for only two NVM pages
 	})
-	// Create three pages and cycle each through DRAM twice so all want
-	// NVM admission; with two slots, at least one NVM eviction happens.
+	// Three pages, two slots: the first two take the free slots, the third
+	// ties with them and goes to SSD.
 	var pids []PageID
 	for i := 0; i < 3; i++ {
 		h := mustAlloc(t, m)
@@ -736,20 +776,26 @@ func TestThreeTierNVMEviction(t *testing.T) {
 		fillPattern(h, byte(20+i))
 		m.Unfix(h)
 	}
-	for round := 0; round < 2; round++ {
-		if err := m.CleanShutdown(); err != nil {
-			t.Fatal(err)
-		}
-		for _, pid := range pids {
-			h := mustFix(t, m, pid, ModeFull)
-			m.Unfix(h)
-		}
-	}
 	if err := m.CleanShutdown(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stats().NVMEvictions == 0 {
-		t.Fatal("no NVM evictions despite 3 pages and 2 slots")
+	if st := m.Stats(); st.NVMAdmissions != 2 || st.NVMDenials != 1 || st.NVMEvictions != 0 {
+		t.Fatalf("3 pages into 2 free slots: admissions=%d denials=%d NVM evictions=%d, want 2/1/0",
+			st.NVMAdmissions, st.NVMDenials, st.NVMEvictions)
+	}
+	// The third page comes back through DRAM, the residents do not: it wins
+	// its duel and a dirty resident is evicted to SSD.
+	ssdWrites := m.SSD().Stats().PagesWritten
+	h := mustFix(t, m, pids[2], ModeFull)
+	m.Unfix(h)
+	if err := m.CleanShutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().NVMEvictions != 1 {
+		t.Fatalf("NVM evictions = %d, want 1", m.Stats().NVMEvictions)
+	}
+	if got := m.SSD().Stats().PagesWritten - ssdWrites; got != 1 {
+		t.Fatalf("the evicted slot was dirty with respect to SSD: %d SSD writes, want 1", got)
 	}
 	// All pages must still be readable with correct content.
 	for i, pid := range pids {

@@ -10,14 +10,14 @@ import (
 // TestPageLifecycleEvents drives one page through the full three-tier
 // lifecycle by calling the eviction paths directly (no clock-hand
 // scheduling involved) and asserts the exact event sequence the tracer
-// must emit: allocation, SSD round trip through the admission-set denial,
-// NVM admission, mini-page load, promotion, NVM write-back, and the final
+// must emit: allocation, SSD round trip through a lost admission duel, NVM
+// admission, mini-page load, promotion, NVM write-back, and the final
 // eviction of its NVM slot to SSD.
 func TestPageLifecycleEvents(t *testing.T) {
 	rec := obs.NewCollector(1024)
 	m, err := New(Config{
 		Topology:         ThreeTier,
-		NVMBytes:         64 * slotSize,
+		NVMBytes:         slotSize, // one slot, so that a denial can be staged
 		SSDBytes:         1 << 20,
 		CacheLineGrained: true,
 		MiniPages:        true,
@@ -26,9 +26,11 @@ func TestPageLifecycleEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	newPage(t, m, 0) // another page takes the one free slot
 
-	// Allocate and dirty a page, then evict it. The admission set has not
-	// seen the page, so it is denied NVM and written to SSD.
+	// Allocate and dirty a page, then evict it. It has been in DRAM as
+	// often as the slot's page — a tie — so it is denied NVM and written
+	// to SSD.
 	h, err := m.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -38,8 +40,8 @@ func TestPageLifecycleEvents(t *testing.T) {
 	m.Unfix(h)
 	m.evictFrame(h.f)
 
-	// Reload from SSD and evict again: now the admission set remembers
-	// the page and it moves into the NVM cache.
+	// Reload from SSD and evict again: now it has come back once more
+	// than the slot's page and moves into the NVM cache.
 	h, err = m.Fix(MakeRef(pid), ModeFull)
 	if err != nil {
 		t.Fatal(err)
@@ -66,9 +68,11 @@ func TestPageLifecycleEvents(t *testing.T) {
 	// Evict the dirty full page (write-back to its NVM slot), then evict
 	// the NVM slot itself (write-back to SSD).
 	m.evictFrame(full)
-	if _, err := m.evictNVMSlot(); err != nil {
-		t.Fatal(err)
+	slot, ok := m.pickNVMVictim()
+	if !ok {
+		t.Fatal("no NVM victim")
 	}
+	m.evictNVMSlot(slot)
 
 	type step struct {
 		kind   obs.EventKind
@@ -81,7 +85,7 @@ func TestPageLifecycleEvents(t *testing.T) {
 		{obs.EvDeny, obs.TierNVM, 0},
 		{obs.EvEvict, obs.TierDRAM, 0},
 		{obs.EvLoad, obs.TierSSD, 0},
-		{obs.EvAdmit, obs.TierNVM, 0}, // second eviction admits
+		{obs.EvAdmit, obs.TierNVM, 0}, // second eviction wins the duel
 		{obs.EvEvict, obs.TierDRAM, 0},
 		{obs.EvLoad, obs.TierNVM, 1},     // detail 1 = mini page
 		{obs.EvLineLoad, obs.TierNVM, 1}, // the 8-byte read
@@ -138,7 +142,7 @@ func dumpEvents(ev []obs.Event) string {
 func TestResidencyGauges(t *testing.T) {
 	m, err := New(Config{
 		Topology:         ThreeTier,
-		NVMBytes:         64 * slotSize,
+		NVMBytes:         slotSize, // one slot, so that a denial can be staged
 		SSDBytes:         1 << 20,
 		CacheLineGrained: true,
 		MiniPages:        true,
@@ -160,16 +164,23 @@ func TestResidencyGauges(t *testing.T) {
 	if r.DRAMDirtyPages != 1 || r.DRAMPinnedPages != 1 {
 		t.Fatalf("dirty/pinned = %d/%d", r.DRAMDirtyPages, r.DRAMPinnedPages)
 	}
-	if r.NVMSlots != 64 || r.NVMPages != 0 {
+	if r.NVMSlots != 1 || r.NVMPages != 0 {
 		t.Fatalf("nvm slots/pages = %d/%d", r.NVMSlots, r.NVMPages)
 	}
 
-	// Evict twice: deny to SSD, reload, admit to NVM clean.
+	newPage(t, m, 0) // another page takes the free slot, dirty
+	r = m.Residency()
+	if r.NVMPages != 1 || r.NVMDirtyPages != 1 || r.SSDPages != 0 {
+		t.Fatalf("after the free slot was taken: %+v", r)
+	}
+
+	// Evict twice: deny to SSD (a tie with the slot's page), reload, admit
+	// to NVM clean in place of the other page, which goes to SSD.
 	pid := h.PID()
 	m.Unfix(h)
 	m.evictFrame(h.f)
 	r = m.Residency()
-	if r.DRAMFullPages != 0 || r.SSDPages != 1 || r.NVMPages != 0 {
+	if r.DRAMFullPages != 0 || r.SSDPages != 1 || r.NVMPages != 1 {
 		t.Fatalf("after deny: %+v", r)
 	}
 	h, err = m.Fix(MakeRef(pid), ModeFull)
@@ -179,7 +190,7 @@ func TestResidencyGauges(t *testing.T) {
 	m.Unfix(h)
 	m.evictFrame(h.f)
 	r = m.Residency()
-	if r.NVMPages != 1 || r.NVMDirtyPages != 0 {
+	if r.NVMPages != 1 || r.NVMDirtyPages != 0 || r.SSDPages != 2 {
 		t.Fatalf("after admit: %+v", r)
 	}
 

@@ -104,7 +104,7 @@ func (m *Manager) CleanShutdown() error {
 
 // CleanRestart simulates stopping and restarting the system cleanly:
 // dirty pages are written back, all volatile state (DRAM frames, mapping
-// table, CPU caches, admission set) is dropped, and the mapping table is
+// table, CPU caches, load counts) is dropped, and the mapping table is
 // rebuilt from the NVM page headers. The time for the rebuild scan is
 // charged to the simulated clock, reproducing the ~200 ms table
 // reconstruction the paper reports.
@@ -145,10 +145,6 @@ func (m *Manager) reopen() error {
 	m.dramUsed = 0
 	m.freePIDs = nil
 	m.nvm.DropCPUCache()
-	if m.cfg.Topology == ThreeTier {
-		m.admission.init(m.admission.cap)
-		m.admission.head = 0
-	}
 	if err := m.readSuper(); err != nil {
 		return err
 	}
@@ -169,6 +165,11 @@ func (m *Manager) rebuildFromNVM() {
 		return
 	}
 	m.nvmDir = make([]nvmSlotMeta, m.nvmSlots)
+	// The load counts are volatile. Every page the scan finds has been in
+	// DRAM at least once, and starts from that: counted as zero it would
+	// lose its slot to the first cold page that passes through DRAM.
+	m.loads = make([]uint8, m.nextPID)
+	m.loadsSince = 0
 	m.freeSlots = m.freeSlots[:0]
 	m.nvmNextSlot = m.nvmSlots
 	m.nvmHand = 0
@@ -179,6 +180,7 @@ func (m *Manager) rebuildFromNVM() {
 			continue
 		}
 		m.nvmDir[slot] = nvmSlotMeta{pid: pid, dirtyWrtSSD: dirty}
+		m.loads[pid] = 1
 		m.table[pid] = nvmLoc(slot)
 	}
 }

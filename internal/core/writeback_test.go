@@ -159,7 +159,7 @@ var writeBackStreams = []struct {
 	name string
 	topo Topology
 	opts func(*Config)
-	want writeTraffic // recorded at the commit before writeBack existed
+	want writeTraffic // recorded at the commit before writeBack existed (ThreeTier: see its row)
 	// The causes the topology's write-back path can reach, by device.
 	lines, pages []WriteCause
 }{
@@ -182,8 +182,11 @@ var writeBackStreams = []struct {
 		nil,
 	},
 	{
+		// Re-recorded when the admission set (LinesFlushed 79077, SSD pages
+		// 527, 248 admissions, 232 NVM evictions, 192.4 ms) became the
+		// admission duel: a policy change, not a moved device call.
 		"ThreeTier cache-line+mini", ThreeTier, withFeatures(true, true, false),
-		writeTraffic{FlushOps: 5051, LinesFlushed: 79077, SSDPagesWritten: 527, DRAMEvictions: 1547, NVMAdmissions: 248, NVMDenials: 559, NVMEvictions: 232, MaxWear: 1034, ClockNs: 192438370},
+		writeTraffic{FlushOps: 4744, LinesFlushed: 29921, SSDPagesWritten: 396, DRAMEvictions: 1499, NVMAdmissions: 52, NVMDenials: 626, NVMEvictions: 36, MaxWear: 1156, ClockNs: 151044520},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMAdmit, causeJournal, causeSlotMeta},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMEvict},
 	},

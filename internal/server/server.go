@@ -232,6 +232,13 @@ type StatsDoc struct {
 	NVMTotalWrites int64 `json:"nvm_total_writes"`
 	SSDPagesRead   int64 `json:"ssd_pages_read"`
 	SSDPagesWrite  int64 `json:"ssd_pages_written"`
+	// NVMAdmissions, NVMDenials and NVMEvictions count the §4.2 decisions
+	// across shards: pages a DRAM eviction moved into the NVM cache, pages
+	// it sent to SSD instead (lost admission duels), and slots evicted to
+	// make room for an admission.
+	NVMAdmissions int64 `json:"nvm_admissions"`
+	NVMDenials    int64 `json:"nvm_denials"`
+	NVMEvictions  int64 `json:"nvm_evictions"`
 	// LogCommits and LogFlushes are the store's WAL counters across all
 	// shards; OpsPerFlush is their ratio — the average number of commits
 	// each physical WAL flush made durable, group commit's amortization
@@ -480,6 +487,9 @@ func (s *Server) Stats() StatsDoc {
 	doc.NVMTotalWrites = m.NVMTotalWrites
 	doc.SSDPagesRead = m.SSDPagesRead
 	doc.SSDPagesWrite = m.SSDPagesWritten
+	doc.NVMAdmissions = m.Buffer.NVMAdmissions
+	doc.NVMDenials = m.Buffer.NVMDenials
+	doc.NVMEvictions = m.Buffer.NVMEvictions
 	doc.LogCommits = m.Log.Commits
 	doc.LogFlushes = m.Log.Flushes
 	doc.OpsPerFlush = m.OpsPerFlush
@@ -555,6 +565,9 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Counter("nvmstore_nvm_writes_total", "NVM words written (wear proxy)", nil, float64(doc.NVMTotalWrites))
 	p.Counter("nvmstore_ssd_reads_total", "SSD pages read", nil, float64(doc.SSDPagesRead))
 	p.Counter("nvmstore_ssd_writes_total", "SSD pages written", nil, float64(doc.SSDPagesWrite))
+	p.Counter("nvmstore_nvm_admissions_total", "pages a DRAM eviction admitted to the NVM cache", nil, float64(doc.NVMAdmissions))
+	p.Counter("nvmstore_nvm_denials_total", "pages a DRAM eviction sent to SSD instead (lost admission duels)", nil, float64(doc.NVMDenials))
+	p.Counter("nvmstore_nvm_evictions_total", "NVM slots evicted to make room for an admission", nil, float64(doc.NVMEvictions))
 	p.Counter("nvmstore_log_commits_total", "WAL commits across shards", nil, float64(doc.LogCommits))
 	p.Counter("nvmstore_log_flushes_total", "physical WAL flushes across shards", nil, float64(doc.LogFlushes))
 	p.Counter("nvmstore_ckpt_rounds_total", "incremental-checkpoint write-back rounds across shards", nil, float64(doc.CkptRounds))

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nvmstore"
 	"nvmstore/internal/client"
 	"nvmstore/internal/obs"
 	"nvmstore/internal/server"
@@ -263,11 +264,55 @@ func TestPrometheusExport(t *testing.T) {
 		"nvmstore_write_syscalls_total ",
 		"nvmstore_frames_written_total ",
 		"nvmstore_log_flushes_total ",
+		"nvmstore_nvm_admissions_total ",
+		"nvmstore_nvm_denials_total ",
+		"nvmstore_nvm_evictions_total ",
 		"nvmstore_trace_sampled_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestStatsExportsAdmissionDecisions: on a store whose data outgrows DRAM
+// and NVM, STATS carries the §4.2 decisions, and they are the buffer
+// manager's own counters summed over the shards.
+func TestStatsExportsAdmissionDecisions(t *testing.T) {
+	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
+		Architecture: nvmstore.ThreeTier,
+		DRAMBytes:    256 << 10,
+		NVMBytes:     1 << 20,
+		SSDBytes:     64 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]byte, 1000)
+	if _, err := store.CreateTable(testTable, len(row)); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveStore(t, store, server.Options{})
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for pass := 0; pass < 2; pass++ {
+		for i := uint64(0); i < 6000; i++ {
+			if err := cl.Put(testTable, i, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	doc := statsDoc(t, cl)
+	buf := store.Metrics().Buffer
+	if doc.NVMAdmissions != buf.NVMAdmissions || doc.NVMDenials != buf.NVMDenials || doc.NVMEvictions != buf.NVMEvictions {
+		t.Fatalf("STATS admissions/denials/evictions = %d/%d/%d, store counted %d/%d/%d",
+			doc.NVMAdmissions, doc.NVMDenials, doc.NVMEvictions, buf.NVMAdmissions, buf.NVMDenials, buf.NVMEvictions)
+	}
+	if doc.NVMAdmissions == 0 || doc.NVMDenials == 0 {
+		t.Fatalf("data of 3x NVM produced %d admissions and %d denials", doc.NVMAdmissions, doc.NVMDenials)
 	}
 }
 
