@@ -7,7 +7,7 @@ import (
 
 	"nvmstore/internal/btree"
 	"nvmstore/internal/core"
-	"nvmstore/internal/nvm"
+	"nvmstore/internal/fault"
 )
 
 // TestMidOperationCrashInjection kills the power in the middle of
@@ -82,16 +82,18 @@ func runCrashInjectionTrial(t *testing.T, topo core.Topology, seed int64) (crash
 			key, tg, _ := txAttempt()
 			model[key] = tg
 		}
-		// Arm a crash within the next few flushes and keep running until
-		// it fires. The op whose commit was interrupted may land either
-		// way; everything committed before must survive.
-		e.Manager().NVM().FailAfterFlushes(int64(rng.Intn(40)))
+		// Arm a crash within the next few flushes — n more succeed, the
+		// next one panics — and keep running until it fires. The op whose
+		// commit was interrupted may land either way; everything committed
+		// before must survive.
+		n := int64(rng.Intn(40))
+		e.ArmFaults(&fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: n + 1, Limit: 1}}}, 0)
 		var pendingKey, pendingTag uint64
 		pendingInsert := false
 		crashed := func() (c bool) {
 			defer func() {
 				if r := recover(); r != nil {
-					if _, ok := r.(nvm.InjectedCrash); !ok {
+					if _, ok := fault.AsCrash(r); !ok {
 						panic(r)
 					}
 					c = true
@@ -109,7 +111,7 @@ func runCrashInjectionTrial(t *testing.T, topo core.Topology, seed int64) (crash
 		if !crashed {
 			// The flush budget was larger than 500 transactions needed;
 			// disarm and continue.
-			e.Manager().NVM().FailAfterFlushes(-1)
+			e.ArmFaults(nil, 0)
 		} else {
 			crashes++
 			// The interrupted transaction is whichever txAttempt was in

@@ -124,10 +124,6 @@ type Device struct {
 	// strict persistence mode.
 	pending map[int64][]byte
 
-	// Crash injection (FailAfterFlushes).
-	failArmed bool
-	failIn    int64
-
 	// faults, when non-nil, is consulted on every Flush for scheduled
 	// torn flushes, clean crashes, and stalls (see SetFaults).
 	faults *fault.Injector
@@ -329,23 +325,6 @@ func (d *Device) WriteAt(p []byte, off int64) {
 	copy(d.data[off:off+int64(len(p))], p)
 }
 
-// InjectedCrash is the panic value thrown by a flush when a crash was
-// armed with FailAfterFlushes. Test harnesses recover it and then restart
-// the engine, simulating a power failure in the middle of an operation.
-type InjectedCrash struct{}
-
-// Error implements the error interface.
-func (InjectedCrash) Error() string { return "nvm: injected crash" }
-
-// FailAfterFlushes arms a crash: after n more successful flushes, the next
-// flush panics with InjectedCrash before persisting anything, and in
-// strict-persistence mode every line not yet flushed is lost. Pass a
-// negative n to disarm.
-func (d *Device) FailAfterFlushes(n int64) {
-	d.failIn = n
-	d.failArmed = n >= 0
-}
-
 // SetFaults installs a fault injector consulted on every Flush: a
 // fault.NVMStall charges extra latency, a fault.NVMCrash panics with
 // fault.Crash before persisting anything, and a fault.NVMTornFlush
@@ -363,13 +342,6 @@ func (d *Device) Flush(off int64, n int) {
 	d.checkRange(off, n)
 	if n == 0 {
 		return
-	}
-	if d.failArmed {
-		if d.failIn <= 0 {
-			d.failArmed = false
-			panic(InjectedCrash{})
-		}
-		d.failIn--
 	}
 	first, count := lineRange(off, n)
 	if d.faults != nil {

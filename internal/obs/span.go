@@ -24,8 +24,8 @@ const (
 	// StageFlush is the wait for the group's WAL flush, the rest of the
 	// burst and any replica acks, including group peers executed later.
 	StageFlush
-	// StageWrite is the response's time in the connection writer: the
-	// out-queue wait plus the socket write.
+	// StageWrite is the response's time between its encoding and the
+	// return of the socket write that carried it.
 	StageWrite
 
 	// NumStages is the number of timeline stages.

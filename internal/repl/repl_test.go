@@ -587,6 +587,14 @@ func TestCrashMidApplyRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rp.Close()
+	// Writes that precede the replica's subscription reach it as one
+	// bootstrap, in too few WAL flushes for the 7th to exist: every write
+	// must be shipped as a batch of its own, so wait for the live feed.
+	for deadline := time.Now().Add(20 * time.Second); !src.Live(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica feed never went live")
+		}
+	}
 
 	pcl := dial(t, paddr)
 	const n = 150

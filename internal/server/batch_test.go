@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,8 +19,8 @@ import (
 )
 
 // The tests in this file pin what batching the wire path must not
-// change: one socket read takes in a whole burst, responses queued
-// behind a blocked write leave together, a batch stays severable at
+// change: one socket read takes in a whole burst, a burst's responses
+// leave in one socket write bounded in bytes, a batch stays severable at
 // every frame, and traced frames are stamped after their batch's write.
 
 // getFrames encodes n GET frames for keys 0..mod-1, ids 1..n, traced
@@ -35,8 +37,9 @@ func getFrames(n, mod int, traced bool) []byte {
 	return frames
 }
 
-// readResponses reads and decodes n response frames from r.
-func readResponses(t *testing.T, r io.Reader, n int) {
+// readResponses reads and decodes n response frames from r and returns
+// their total length on the wire.
+func readResponses(t *testing.T, r io.Reader, n int) (bytes int) {
 	t.Helper()
 	var buf []byte
 	for i := 0; i < n; i++ {
@@ -49,12 +52,14 @@ func readResponses(t *testing.T, r io.Reader, n int) {
 		if _, err := wire.DecodeResponse(payload); err != nil {
 			t.Fatalf("response %d of %d: %v", i+1, n, err)
 		}
+		bytes += 4 + len(payload)
 	}
+	return bytes
 }
 
 // statsAfterFrames returns the STATS taken once frames_written has
 // advanced by n since before. The peer holds a response as soon as it is
-// in the socket, a moment before the writer counts it, so a reading
+// in the socket, a moment before the server counts it, so a reading
 // taken straight after the last response could miss the last write.
 func statsAfterFrames(t *testing.T, srv *server.Server, before server.StatsDoc, n int64) server.StatsDoc {
 	t.Helper()
@@ -98,102 +103,228 @@ func TestBurstCostsFewSocketReads(t *testing.T) {
 	}
 }
 
-// stalledBurst asks for n large rows on a raw connection and reads none
-// of them until the server provably holds more answered-but-unwritten
-// responses than the connection's write queue has room for — its writer
-// is then inside a socket write (or about to start one) with frames
-// queued behind it. It returns the connection, the STATS taken before
-// the burst, and the frames the server had finished writing when the
-// stall was observed together with the time just before that reading.
-func stalledBurst(t *testing.T, srv *server.Server, addr string, writeQueue, n int, traced bool) (raw net.Conn, before server.StatsDoc, writtenAtStall int64, stallAt time.Time) {
+// meteredListener hands the server connections that record what each
+// socket write carried. The server sets one write deadline per socket
+// write, so the bytes written between two SetWriteDeadline calls are one
+// write's length; done is when its last byte was handed to the kernel.
+type meteredListener struct {
+	net.Listener
+	mu     sync.Mutex
+	writes []meteredWrite
+}
+
+type meteredWrite struct {
+	bytes int
+	done  time.Time
+}
+
+func (l *meteredListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &meteredConn{Conn: nc, l: l}, nil
+}
+
+// snapshot returns the socket writes recorded so far.
+func (l *meteredListener) snapshot() []meteredWrite {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]meteredWrite(nil), l.writes...)
+}
+
+type meteredConn struct {
+	net.Conn
+	l *meteredListener
+}
+
+func (c *meteredConn) SetWriteDeadline(t time.Time) error {
+	c.l.mu.Lock()
+	c.l.writes = append(c.l.writes, meteredWrite{})
+	c.l.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *meteredConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.l.mu.Lock()
+	w := &c.l.writes[len(c.l.writes)-1]
+	w.bytes += n
+	w.done = time.Now()
+	c.l.mu.Unlock()
+	return n, err
+}
+
+// startMeteredServer is startServer behind a meteredListener.
+func startMeteredServer(t *testing.T, shards int, sopts server.Options) (*server.Server, *meteredListener, string) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ml := &meteredListener{Listener: ln}
+	srv := server.New(openStore(t, shards, testRowSize), sopts)
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ml) }()
+	t.Cleanup(func() {
+		drain(t, srv)
+		if err := <-errc; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	})
+	return srv, ml, ln.Addr().String()
+}
+
+// TestBurstLeavesInOneWrite: the responses to requests that arrived
+// together leave together. k GETs sent in one client write are answered by
+// one socket write of k frames, and a PUT followed by a SCAN — one request
+// the reader groups and one it answers itself — share a write too, in
+// request order.
+func TestBurstLeavesInOneWrite(t *testing.T) {
+	srv, _, addr := startServer(t, 2, server.Options{})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { raw.Close() })
-	before = srv.Stats()
-	if _, err := raw.Write(getFrames(n, 8, traced)); err != nil {
+	defer raw.Close()
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(raw)
+	for _, k := range []int{1, 8, 64} {
+		before := srv.Stats()
+		if _, err := raw.Write(getFrames(k, k, false)); err != nil {
+			t.Fatal(err)
+		}
+		readResponses(t, br, k)
+		after := statsAfterFrames(t, srv, before, int64(k))
+		if writes := after.WriteSyscalls - before.WriteSyscalls; writes != 1 {
+			t.Fatalf("%d GETs sent in one write were answered in %d socket writes, want 1", k, writes)
+		}
+	}
+
+	const key = 7
+	frames := wire.AppendRequest(nil, wire.Request{Op: wire.OpPut, ID: 1, Table: testTable, Key: key, Value: rowFor(key)})
+	frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpScan, ID: 2, Table: testTable, Key: key, Limit: 1})
+	before := srv.Stats()
+	if _, err := raw.Write(frames); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		stallAt = time.Now()
-		doc := srv.Stats()
-		answered := doc.Ops - before.Ops
-		writtenAtStall = doc.FramesWritten - before.FramesWritten
-		if answered-writtenAtStall > int64(writeQueue) {
-			return raw, before, writtenAtStall, stallAt
+	var buf []byte
+	for id := uint32(1); id <= 2; id++ {
+		var payload []byte
+		if payload, buf, err = wire.ReadFrame(br, buf); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never stalled on the unread connection: %d answered, %d written (%+v)", answered, writtenAtStall, doc)
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil || resp.ID != id {
+			t.Fatalf("response %d of PUT, SCAN: %+v, %v", id, resp, err)
 		}
-		time.Sleep(time.Millisecond)
+		if id == 2 && (resp.Code != wire.RespScan || len(resp.Entries) != 1 || resp.Entries[0].Key != key) {
+			t.Fatalf("SCAN behind its PUT returned %+v", resp)
+		}
+	}
+	after := statsAfterFrames(t, srv, before, 2)
+	if writes := after.WriteSyscalls - before.WriteSyscalls; writes != 1 {
+		t.Fatalf("PUT and SCAN sent in one write were answered in %d socket writes, want 1", writes)
 	}
 }
 
-// bigRowServer serves one shard of rowSize-byte rows, keys 0..7 loaded.
-// It returns once the loading connection is gone from the server: a
-// response reaches the client before the server counts it (ops after the
-// enqueue, frames after the write), and a connection's writer exits only
-// after both, so from here on the counters owe nothing to the load.
-func bigRowServer(t *testing.T, rowSize int, sopts server.Options) (*server.Server, string) {
-	t.Helper()
-	srv, _, addr := startServerRowSize(t, 1, rowSize, sopts)
-	cl, err := client.Dial(addr, client.Options{})
+// TestBurstSplitsAtByteBound: a burst whose answers outgrow one socket
+// write's byte bound leaves in several writes, each at most the bound plus
+// the frame that crossed it — a connection never holds, or sends under one
+// deadline, more than that.
+func TestBurstSplitsAtByteBound(t *testing.T) {
+	const (
+		rows       = 200
+		scans      = 12
+		boundBytes = 64 << 10 // the server's writeBatchBytes
+	)
+	srv, ml, addr := startMeteredServer(t, 2, server.Options{})
+	cl, err := client.Dial(addr, client.Options{Depth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := make([]byte, rowSize)
-	for key := uint64(0); key < 8; key++ {
-		if err := cl.Put(testTable, key, row); err != nil {
+	var calls []*client.Call
+	for key := uint64(0); key < rows; key++ {
+		calls = append(calls, cl.PutAsync(testTable, key, rowFor(key)))
+	}
+	for _, call := range calls {
+		if _, err := call.Result(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cl.Close()
-	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Conns != 0; {
+	// A response reaches the client a moment before the server counts it,
+	// and a connection is gone only after both: from here on the counters
+	// owe nothing to the load.
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().Conns != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("loading connection never closed")
 		}
-		time.Sleep(time.Millisecond)
 	}
-	return srv, addr
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var frames []byte
+	for i := 0; i < scans; i++ {
+		frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpScan, ID: uint32(i + 1), Table: testTable, Limit: rows})
+	}
+	loaded := len(ml.snapshot())
+	before := srv.Stats()
+	if _, err := raw.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	read := readResponses(t, bufio.NewReader(raw), scans)
+	after := statsAfterFrames(t, srv, before, scans)
+
+	frameLen := read / scans // every answer is the same 200 rows
+	if scans*frameLen <= 2*boundBytes {
+		t.Fatalf("%d answers of %d bytes do not exercise the %d-byte bound", scans, frameLen, boundBytes)
+	}
+	writes := ml.snapshot()[loaded:]
+	if len(writes) < 2 || int64(len(writes)) != after.WriteSyscalls-before.WriteSyscalls {
+		t.Fatalf("%d bytes of answers left in %d socket writes (write_syscalls +%d), want several",
+			read, len(writes), after.WriteSyscalls-before.WriteSyscalls)
+	}
+	total := 0
+	for i, w := range writes {
+		if w.bytes > boundBytes+frameLen {
+			t.Fatalf("socket write %d carried %d bytes, bound is %d plus one %d-byte frame", i, w.bytes, boundBytes, frameLen)
+		}
+		total += w.bytes
+	}
+	if total != read {
+		t.Fatalf("socket writes carried %d bytes, the peer read %d", total, read)
+	}
 }
 
-// TestFramesQueuedBehindABlockedWriteLeaveTogether: responses that pile
-// up while the peer is not reading are sent several to a socket write
-// once it does. The peer is stalled, not timed: it starts reading only
-// after the server is seen holding a full write queue.
-func TestFramesQueuedBehindABlockedWriteLeaveTogether(t *testing.T) {
-	const rowSize, writeQueue, n = 8000, 8, 2000
-	srv, addr := bigRowServer(t, rowSize, server.Options{WriteQueue: writeQueue})
-	raw, before, _, _ := stalledBurst(t, srv, addr, writeQueue, n, false)
-	readResponses(t, bufio.NewReaderSize(raw, 64<<10), n)
-	after := statsAfterFrames(t, srv, before, n)
-	writes := after.WriteSyscalls - before.WriteSyscalls
-	if writes < 1 || writes >= n {
-		t.Fatalf("%d frames left in %d socket writes: queued frames were not coalesced", n, writes)
-	}
-	t.Logf("%d frames in %d socket writes (%.1f per write)", n, writes, float64(n)/float64(writes))
-}
-
-// TestTracedFramesStampedAfterTheirBatchWrite: traced frames that share
-// a socket write share one StageWrite stamp, taken after that write
-// returned, and every timeline still sums exactly to its total.
+// TestTracedFramesStampedAfterTheirBatchWrite: the traced frames of one
+// burst share one StageWrite stamp, taken after the socket write that
+// carried them returned, and every timeline still sums exactly to its
+// total.
 func TestTracedFramesStampedAfterTheirBatchWrite(t *testing.T) {
-	const rowSize, writeQueue, n = 8000, 8, 2000
-	srv, addr := bigRowServer(t, rowSize, server.Options{WriteQueue: writeQueue, TraceRing: 2 * n})
-	raw, before, writtenAtStall, stallAt := stalledBurst(t, srv, addr, writeQueue, n, true)
-	readResponses(t, bufio.NewReaderSize(raw, 64<<10), n)
-	drain(t, srv) // joins the writer: every timeline is recorded
-	writes := srv.Stats().WriteSyscalls - before.WriteSyscalls
+	const n = 150 // one client write, one server read: bursts of 64, 64 and 22
+	srv, ml, addr := startMeteredServer(t, 1, server.Options{TraceRing: 2 * n})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(getFrames(n, 8, true)); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	readResponses(t, bufio.NewReader(raw), n)
+	drain(t, srv) // joins the connection: every timeline is recorded
 
 	snap := srv.TraceSnapshot()
 	if snap.Sampled != n || len(snap.Sample) != n {
 		t.Fatalf("recorded %d timelines (%d sampled), want %d", len(snap.Sample), snap.Sampled, n)
 	}
 	ends := make(map[int64]int)
-	var afterStall int64
 	for _, tl := range snap.Sample {
 		var sum int64
 		for _, ns := range tl.Stages {
@@ -205,23 +336,29 @@ func TestTracedFramesStampedAfterTheirBatchWrite(t *testing.T) {
 		if sum != tl.TotalNs {
 			t.Fatalf("stage sum %d != total %d (%+v)", sum, tl.TotalNs, tl)
 		}
-		end := tl.StartUnixNs + tl.TotalNs
-		ends[end]++
-		if end > stallAt.UnixNano() {
-			afterStall++
+		ends[tl.StartUnixNs+tl.TotalNs]++
+	}
+	// One stamp per socket write, shared by the frames it carried and not
+	// earlier than the moment the write returned.
+	writes := ml.snapshot()
+	if len(writes) != 3 || len(ends) != len(writes) {
+		t.Fatalf("%d distinct write stamps for %d frames in %d socket writes, want 3 and 3", len(ends), n, len(writes))
+	}
+	stamps := make([]int64, 0, len(ends))
+	for end := range ends {
+		stamps = append(stamps, end)
+	}
+	slices.Sort(stamps)
+	for i, frames := range []int{64, 64, 22} {
+		if ends[stamps[i]] != frames {
+			t.Fatalf("write %d: %d timelines share its stamp, want %d", i, ends[stamps[i]], frames)
+		}
+		if done := writes[i].done.UnixNano(); stamps[i] < done {
+			t.Fatalf("write %d returned at %d but its frames are stamped %d, %d ns earlier", i, done, stamps[i], done-stamps[i])
 		}
 	}
-	// One stamp per socket write, shared by the frames it carried.
-	if int64(len(ends)) > writes || len(ends) >= n {
-		t.Fatalf("%d distinct write stamps for %d frames in %d socket writes", len(ends), n, writes)
-	}
-	// A frame not yet written when the stall was observed cannot carry a
-	// stamp from before it: the stamp is taken after the write returns.
-	if unwritten := int64(n) - writtenAtStall; afterStall < unwritten {
-		t.Fatalf("%d frames were unwritten at the stall but only %d timelines end after it", unwritten, afterStall)
-	}
 	if snap.P99.Stages[obs.StageWrite] <= 0 {
-		t.Fatalf("stalled writes left no write-stage time in the p99 attribution: %+v", snap.P99)
+		t.Fatalf("no write-stage time in the p99 attribution: %+v", snap.P99)
 	}
 }
 

@@ -50,7 +50,6 @@ func (c *conn) writeBlocked() string {
 // every item the source enqueues — snapshot chunks first where needed,
 // then live batches — until the feed is dropped or the connection dies.
 func (c *conn) replSubscribe(req wire.Request, start time.Time) {
-	defer c.srv.record(req.Op, start)
 	src := c.srv.opts.Repl
 	resp := wire.Response{ID: req.ID, Code: wire.RespErr}
 	switch {
@@ -62,21 +61,24 @@ func (c *conn) replSubscribe(req wire.Request, start time.Time) {
 		resp.Err = "connection already subscribed"
 	}
 	if resp.Err != "" {
-		c.reply(resp, nil)
+		c.answer(req, start, resp)
 		return
 	}
 	sub, err := wire.DecodeReplSubscribe(req.Value)
 	if err != nil {
 		resp.Err = err.Error()
-		c.reply(resp, nil)
+		c.answer(req, start, resp)
 		return
 	}
 	f := src.NewFeed(c.nc.RemoteAddr().String())
 	c.feed = f
-	c.reply(wire.Response{ID: req.ID, Code: wire.RespOK}, nil)
-	// The feeder sends on c.out, so it must be registered with pending
-	// before the reader exits — we are on the reader goroutine, so this
-	// Add happens-before the post-loop pending.Wait.
+	c.answer(req, start, wire.Response{ID: req.ID, Code: wire.RespOK})
+	// The OK, and every response before it, must be on the wire before the
+	// feed's first pushed frame.
+	c.flush()
+	// The feeder writes to the connection, so it must be registered with
+	// pending before the reader exits — we are on the reader goroutine, so
+	// this Add happens-before the post-loop pending.Wait.
 	c.pending.Add(1)
 	go c.feeder(f)
 	// Attach streams the bootstrap into the feed's bounded queue, so it
@@ -113,7 +115,7 @@ func (c *conn) feeder(f *repl.Feed) {
 					n++
 				}
 				body := wire.AppendReplBatch(nil, wire.ReplBatch{Shard: uint32(b.Shard), Epoch: epoch, Recs: recs[:n]})
-				c.reply(wire.Response{Code: wire.RespReplBatch, Value: body}, nil)
+				c.push(wire.Response{Code: wire.RespReplBatch, Value: body})
 				recs = recs[n:]
 			}
 		case it.Snap != nil:
@@ -130,7 +132,7 @@ func (c *conn) feeder(f *repl.Feed) {
 					Shard: sn.Shard, Epoch: sn.Epoch, Final: sn.Final && last,
 					SnapLSN: sn.SnapLSN, Rows: rows[:n],
 				})
-				c.reply(wire.Response{Code: wire.RespReplSnap, Value: body}, nil)
+				c.push(wire.Response{Code: wire.RespReplSnap, Value: body})
 				rows = rows[n:]
 				if last {
 					break
@@ -163,12 +165,11 @@ func (c *conn) replAck(req wire.Request, start time.Time) {
 // acked prefix); sent to the old primary it fences it, so every later
 // write is rejected with FencedPrefix.
 func (c *conn) replPromote(req wire.Request, start time.Time) {
-	defer c.srv.record(req.Op, start)
 	resp := wire.Response{ID: req.ID}
 	pr, err := wire.DecodeReplPromote(req.Value)
 	if err != nil {
 		resp.Code, resp.Err = wire.RespErr, err.Error()
-		c.reply(resp, nil)
+		c.answer(req, start, resp)
 		return
 	}
 	s := c.srv
@@ -195,7 +196,7 @@ func (c *conn) replPromote(req wire.Request, start time.Time) {
 	default:
 		resp.Code, resp.Err = wire.RespErr, "no replication state on this server"
 	}
-	c.reply(resp, nil)
+	c.answer(req, start, resp)
 }
 
 // durableLSNs collects the per-shard durable WAL positions this server
@@ -220,7 +221,6 @@ func (c *conn) durableLSNs() []uint64 {
 // answers RoleFenced with the epoch that superseded it, so read clients
 // stop treating its vector as an authority and fail over.
 func (c *conn) replLSNs(req wire.Request, start time.Time) {
-	defer c.srv.record(req.Op, start)
 	s := c.srv
 	var doc wire.ReplLSNs
 	switch {
@@ -237,7 +237,7 @@ func (c *conn) replLSNs(req wire.Request, start time.Time) {
 			doc.Epoch = rp.Epoch()
 		}
 	}
-	c.reply(wire.Response{ID: req.ID, Code: wire.RespReplLSNs, Value: wire.AppendReplLSNs(nil, doc)}, nil)
+	c.answer(req, start, wire.Response{ID: req.ID, Code: wire.RespReplLSNs, Value: wire.AppendReplLSNs(nil, doc)})
 }
 
 // replWait blocks until the replica's applied vector covers the
@@ -252,21 +252,18 @@ func (c *conn) replWait(req wire.Request, start time.Time) {
 	rp := c.srv.opts.Replica
 	w, err := wire.DecodeReplWait(req.Value)
 	if err != nil {
-		c.reply(wire.Response{ID: req.ID, Code: wire.RespErr, Err: err.Error()}, nil)
-		c.srv.record(req.Op, start)
+		c.answer(req, start, wire.Response{ID: req.ID, Code: wire.RespErr, Err: err.Error()})
 		return
 	}
 	if src := c.srv.opts.Repl; src != nil {
 		if e := src.FencedBy(); e != 0 {
 			msg := fmt.Sprintf("%sprimary superseded by epoch %d; re-resolve and wait elsewhere", FencedPrefix, e)
-			c.reply(wire.Response{ID: req.ID, Code: wire.RespErr, Err: msg}, nil)
-			c.srv.record(req.Op, start)
+			c.answer(req, start, wire.Response{ID: req.ID, Code: wire.RespErr, Err: msg})
 			return
 		}
 	}
 	if rp == nil || rp.Promoted() {
-		c.reply(wire.Response{ID: req.ID, Code: wire.RespOK}, nil)
-		c.srv.record(req.Op, start)
+		c.answer(req, start, wire.Response{ID: req.ID, Code: wire.RespOK})
 		return
 	}
 	timeout := time.Duration(w.TimeoutMs) * time.Millisecond
@@ -280,7 +277,7 @@ func (c *conn) replWait(req wire.Request, start time.Time) {
 		if err := rp.WaitLSN(w.LSNs, timeout); err != nil {
 			resp.Code, resp.Err = wire.RespErr, err.Error()
 		}
-		c.reply(resp, nil)
+		c.push(resp)
 		c.srv.record(req.Op, start)
 	}()
 }

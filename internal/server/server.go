@@ -7,40 +7,39 @@
 //
 // # Threading model
 //
-// Two goroutines per connection and none per shard: requests run on the
-// connection that read them. The reader reads frames through a fixed-size
-// buffered reader — the requests a pipelining client already has in the
-// socket cost one read, not two each — decodes every whole frame the
-// buffer already holds (a burst, at most writeBatchFrames keyed requests),
-// groups the keyed ones (GET/PUT/DELETE) by owning shard and executes each
-// group itself under a single acquisition of that shard's lock — the
-// shard-per-core model's single-threaded executor (Appendix A.1). A group
-// with writes is one ShardedStore.Batch: its commits share one WAL flush
-// with each other and with whatever other connections' groups reach the
-// shard meanwhile (group commit); a group of GETs takes the bare lock.
-// Responses are enqueued only after every flush (and, with semi-
-// synchronous replication, replica ack) covering the burst, so an
-// acknowledged write is always durable; a writer goroutine sends whatever
-// its queue holds as one vectored socket write, and the client matches
-// responses by request id. Scans, transaction control, replication
-// requests and stats also run on the reader, after the keyed requests
-// before them. So within one connection a GET for an idle shard waits for
-// the connection's own earlier group on a busy one; across connections
-// nothing is ordered but the shard lock.
+// One goroutine per connection and none per shard: requests run, and their
+// responses leave, on the connection that read them. The reader reads
+// frames through a fixed-size buffered reader — the requests a pipelining
+// client already has in the socket cost one read, not two each — decodes
+// every whole frame the buffer already holds (a burst, at most
+// writeBatchFrames keyed requests), groups the keyed ones (GET/PUT/DELETE)
+// by owning shard and executes each group itself under a single
+// acquisition of that shard's lock — the shard-per-core model's
+// single-threaded executor (Appendix A.1). A group with writes is one
+// ShardedStore.Batch: its commits share one WAL flush with each other and
+// with whatever other connections' groups reach the shard meanwhile (group
+// commit); a group of GETs takes the bare lock. Responses are encoded only
+// after every flush (and, with semi-synchronous replication, replica ack)
+// covering the burst, so an acknowledged write is always durable; the
+// reader then sends the burst's responses as one vectored socket write,
+// and the client matches responses by request id. Scans, transaction
+// control, replication requests and stats also run on the reader, after
+// the keyed requests before them. So within one connection a GET for an
+// idle shard waits for the connection's own earlier group on a busy one;
+// across connections nothing is ordered but the shard lock.
 //
 // # Backpressure
 //
-// A reader that is executing does not read: while its burst waits for a
-// shard lock or replica acks, the socket fills — a
-// reader is at most one read buffer of requests ahead of the store — and
-// TCP flow control pushes back on that client. A full connection write
-// queue blocks its reader the same way, with no lock held, and only for a
-// bounded time: every socket write carries a deadline
-// (Options.WriteTimeout), so a peer that stops reading (TCP zero window)
-// fails its writer within the deadline rather than never, the connection
-// is severed, and its queue drains to the floor (responses to a dead
-// connection are discarded). Options.MaxConns bounds concurrent
-// connections; excess dials wait in the listen backlog.
+// A reader that is executing or writing does not read: while its burst
+// waits for a shard lock, replica acks or a peer that stopped reading
+// (TCP zero window), the socket fills — a reader is at most one read
+// buffer of requests ahead of the store and holds at most one burst of
+// responses — and TCP flow control pushes back on that client. It waits
+// with no lock held, and in a write only for a bounded time: every socket
+// write carries a deadline (Options.WriteTimeout), after which the
+// connection is severed and the responses still owed to it are discarded.
+// Options.MaxConns bounds concurrent connections; excess dials wait in
+// the listen backlog.
 //
 // # Transactions
 //
@@ -80,27 +79,24 @@ type Options struct {
 	// MaxConns bounds concurrently served connections (default 64).
 	// Excess dials are not rejected; they wait in the listen backlog.
 	MaxConns int
-	// WriteQueue is the per-connection response queue depth (default 128).
-	WriteQueue int
 	// MaxScan caps the rows one SCAN may return (default 1024). Client
 	// limits are clamped to it, and further clamped by encoded bytes so
 	// a response always fits in wire.MaxFrame whatever the row size.
 	MaxScan int
 	// WriteTimeout bounds each socket write to a connection (default
-	// 30s); one write carries the responses queued at the time, at most
-	// 64 frames or 64 KB plus one frame. A peer that stops reading for
-	// longer is severed.
+	// 30s); one write carries a burst's responses, at most 64 frames or
+	// 64 KB plus one frame. A peer that stops reading for longer is
+	// severed.
 	WriteTimeout time.Duration
 	// Logf, when set, receives connection-level error logs.
 	Logf func(format string, args ...any)
 	// Faults, when set, injects network faults on the response path:
-	// fault.NetDrop closes a connection instead of writing a queued
-	// response and fault.NetPartial writes half a response frame before
-	// closing — the failures a resilient client must retry through. Both
-	// are checked once per response frame, in queue order, however the
-	// frames are batched into socket writes. One injector is shared by
-	// all connections, so probability rules model a server-wide fault
-	// rate.
+	// fault.NetDrop closes a connection instead of writing a response and
+	// fault.NetPartial writes half a response frame before closing — the
+	// failures a resilient client must retry through. Both are checked
+	// once per response frame, in response order, however the frames are
+	// batched into socket writes. One injector is shared by all
+	// connections, so probability rules model a server-wide fault rate.
 	Faults *fault.Injector
 	// Repl, when set, makes this server a replication primary: REPL
 	// SUBSCRIBE connections stream the store's WAL through it, acks
@@ -127,9 +123,6 @@ func (o *Options) applyDefaults() {
 	if o.MaxConns <= 0 {
 		o.MaxConns = 64
 	}
-	if o.WriteQueue <= 0 {
-		o.WriteQueue = 128
-	}
 	if o.MaxScan <= 0 {
 		o.MaxScan = 1024
 	}
@@ -149,9 +142,8 @@ type task struct {
 	req   wire.Request // Value owned by the task (copied off the frame buffer)
 	resp  wire.Response
 	start time.Time
-	// tl is the request's span timeline when it is traced, else nil. The
-	// reader stamps every stage but the last; the response's channel send
-	// hands it to the connection writer, which finishes it.
+	// tl is the request's span timeline when it is traced, else nil; it is
+	// finished after the socket write that carried the response.
 	tl *obs.Timeline
 }
 
@@ -188,7 +180,7 @@ type Server struct {
 	connSem chan struct{}
 
 	// wireHist[op] is the wall-clock latency histogram of request
-	// opcode op, recorded from frame decode to response enqueue.
+	// opcode op, recorded from frame decode to response encode.
 	wireHist [wire.OpStats + 1]obs.Histogram
 
 	stats struct {
@@ -369,11 +361,9 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		c := &conn{
-			srv: s,
-			nc:  nc,
-			br:  bufio.NewReaderSize(countedReader{nc, &s.stats.readCalls}, readBufSize),
-			out: make(chan outFrame, s.opts.WriteQueue),
-
+			srv:    s,
+			nc:     nc,
+			br:     bufio.NewReaderSize(countedReader{nc, &s.stats.readCalls}, readBufSize),
 			groups: make([][]task, s.store.NumShards()),
 		}
 		c.run = c.runLocked
@@ -381,9 +371,8 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		s.stats.conns.Add(1)
 		s.stats.accepted.Add(1)
-		s.connWG.Add(2)
+		s.connWG.Add(1)
 		go c.readLoop()
-		go c.writeLoop()
 	}
 }
 
@@ -444,28 +433,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// WireLatency returns the server-side wall-clock latency rows, one per
-// request opcode that served at least one request.
-func (s *Server) WireLatency() []obs.Row {
-	var rows []obs.Row
-	for op := wire.OpGet; op <= wire.OpStats; op++ {
-		h := s.wireHist[op].Snapshot()
-		if r := h.Row("wire." + wire.OpName(op)); r.Count > 0 {
-			rows = append(rows, r)
-		}
-	}
-	return rows
+// snapshot is one reading of every server and store metric: the STATS
+// document plus the histograms a Prometheus scrape renders in full. Both
+// are made from one, so a scrape reads the store (every shard lock) and
+// the replication source once and its numbers agree with each other.
+type snapshot struct {
+	doc     StatsDoc
+	wire    [wire.OpStats + 1]obs.HistSnapshot
+	engine  *nvmstore.LatencySnapshot // nil unless the store observes
+	replLag obs.HistSnapshot
+	sampled int64 // traced requests the flight recorder has seen
 }
 
 // Stats assembles the STATS document.
-func (s *Server) Stats() StatsDoc {
-	doc := StatsDoc{
+func (s *Server) Stats() StatsDoc { return s.snapshot().doc }
+
+func (s *Server) snapshot() *snapshot {
+	snap := &snapshot{doc: StatsDoc{
 		Shards:    s.store.NumShards(),
 		Conns:     s.stats.conns.Load(),
 		Accepted:  s.stats.accepted.Load(),
 		Ops:       s.stats.ops.Load(),
 		MaxSimNs:  s.store.MaxSimulatedTime().Nanoseconds(),
-		Wire:      s.WireLatency(),
 		MaxConns:  s.opts.MaxConns,
 		ConnWaits: s.stats.connWaits.Load(),
 
@@ -475,13 +464,20 @@ func (s *Server) Stats() StatsDoc {
 		ExecBatches:   s.stats.execBatches.Load(),
 
 		ShardQueueDepth: make([]int, len(s.queueDepth)),
-	}
+	}}
+	doc := &snap.doc
 	for i := range s.queueDepth {
 		doc.ShardQueueDepth[i] = int(s.queueDepth[i].n.Load())
 	}
-	if s.flight.Sampled() > 0 {
-		snap := s.flight.Snapshot()
-		doc.Trace = &snap
+	for op := wire.OpGet; op <= wire.OpStats; op++ {
+		snap.wire[op] = s.wireHist[op].Snapshot()
+		if r := snap.wire[op].Row("wire." + wire.OpName(op)); r.Count > 0 {
+			doc.Wire = append(doc.Wire, r)
+		}
+	}
+	if snap.sampled = s.flight.Sampled(); snap.sampled > 0 {
+		tr := s.flight.Snapshot()
+		doc.Trace = &tr
 	}
 	m := s.store.Metrics()
 	doc.NVMTotalWrites = m.NVMTotalWrites
@@ -504,18 +500,19 @@ func (s *Server) Stats() StatsDoc {
 	doc.ReadVersionsReclaimed = m.Read.VersionsReclaimed
 	doc.ReadVersionChainMax = m.Read.VersionChainMax
 	doc.ReadActiveSnapshots = m.Read.ActiveSnapshots
-	if m.Latency != nil {
+	if snap.engine = m.Latency; m.Latency != nil {
 		doc.Engine = m.Latency.Rows()
 	}
 	if src := s.opts.Repl; src != nil {
 		rs := src.Stats()
 		doc.Repl = &rs
+		snap.replLag = src.LagHistogram()
 	}
 	if rp := s.opts.Replica; rp != nil {
 		rs := rp.Stats()
 		doc.Replica = &rs
 	}
-	return doc
+	return snap
 }
 
 // TraceSnapshot returns the flight recorder's current contents — the
@@ -527,20 +524,21 @@ func (s *Server) TraceSnapshot() obs.FlightSnapshot { return s.flight.Snapshot()
 // histograms, connection and per-shard gauges, device and WAL counters —
 // into p in the Prometheus text exposition format. One call renders one
 // complete scrape.
-func (s *Server) WritePrometheus(p *obs.PromWriter) {
-	doc := s.Stats()
+func (s *Server) WritePrometheus(p *obs.PromWriter) { s.snapshot().writePrometheus(p) }
+
+func (snap *snapshot) writePrometheus(p *obs.PromWriter) {
+	doc := &snap.doc
 	for op := wire.OpGet; op <= wire.OpStats; op++ {
-		h := s.wireHist[op].Snapshot()
+		h := snap.wire[op]
 		if h.Count() == 0 {
 			continue
 		}
 		p.Histogram("nvmstore_wire_latency_ns", "server-side wall-clock request latency by opcode",
 			[]obs.Label{{Name: "op", Value: wire.OpName(op)}}, h)
 	}
-	m := s.store.Metrics()
-	if m.Latency != nil {
+	if snap.engine != nil {
 		for op := obs.Op(0); op < obs.NumOps; op++ {
-			h := m.Latency.Ops[op]
+			h := snap.engine.Ops[op]
 			if h.Count() == 0 {
 				continue
 			}
@@ -578,16 +576,15 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 	p.Gauge("nvmstore_read_versions_live", "copy-on-write page versions currently pinned by snapshots", nil, float64(doc.ReadVersionsLive))
 	p.Gauge("nvmstore_read_version_chain_max", "high-water length of any one page's version chain", nil, float64(doc.ReadVersionChainMax))
 	p.Gauge("nvmstore_read_active_snapshots", "currently open read snapshots", nil, float64(doc.ReadActiveSnapshots))
-	p.Counter("nvmstore_trace_sampled_total", "traced requests recorded by the flight recorder", nil, float64(s.flight.Sampled()))
-	if src := s.opts.Repl; src != nil {
-		rs := src.Stats()
+	p.Counter("nvmstore_trace_sampled_total", "traced requests recorded by the flight recorder", nil, float64(snap.sampled))
+	if rs := doc.Repl; rs != nil {
 		p.Gauge("nvmstore_repl_epoch", "current replication epoch", nil, float64(rs.Epoch))
 		p.Gauge("nvmstore_repl_fenced_by", "epoch that superseded this primary (0: active)", nil, float64(rs.FencedBy))
 		p.Gauge("nvmstore_repl_replicas", "currently attached replica feeds", nil, float64(len(rs.Replicas)))
 		p.Counter("nvmstore_repl_snapshot_chunks_total", "bootstrap snapshot chunks streamed", nil, float64(rs.SnapshotChunks))
 		p.Counter("nvmstore_repl_dropped_feeds_total", "replica feeds dropped by flow control", nil, float64(rs.DroppedFeeds))
-		if lag := src.LagHistogram(); lag.Count() > 0 {
-			p.Histogram("nvmstore_repl_lag_ns", "ship→ack replication lag (wall ns)", nil, lag)
+		if snap.replLag.Count() > 0 {
+			p.Histogram("nvmstore_repl_lag_ns", "ship→ack replication lag (wall ns)", nil, snap.replLag)
 		}
 		for _, f := range rs.Replicas {
 			rep := fmt.Sprint(f.ID)
@@ -599,9 +596,8 @@ func (s *Server) WritePrometheus(p *obs.PromWriter) {
 			}
 		}
 	}
-	if rp := s.opts.Replica; rp != nil {
-		rs := rp.Stats()
-		if s.opts.Repl == nil {
+	if rs := doc.Replica; rs != nil {
+		if doc.Repl == nil {
 			p.Gauge("nvmstore_repl_epoch", "current replication epoch", nil, float64(rs.Epoch))
 		}
 		connected := 0.0
@@ -630,7 +626,7 @@ func (s *Server) record(op byte, t0 time.Time) {
 // execute runs the burst on the reader goroutine: every touched shard's
 // group under one hold of that shard's lock, then the wait for replica
 // acks, and only then the responses — an acknowledged write is durable,
-// and a slow connection queue never extends a lock hold.
+// and a slow peer never extends a lock hold.
 func (c *conn) execute() {
 	if c.queued == 0 {
 		return
@@ -787,9 +783,8 @@ type txWrite struct {
 	del        bool
 }
 
-// outFrame is one encoded response frame on its way to the connection
-// writer, paired with the request's timeline when it is traced (the
-// writer stamps the final stage after the socket write).
+// outFrame is one encoded response frame and, when its request is traced,
+// the timeline whose final stage is stamped after the socket write.
 type outFrame struct {
 	buf []byte
 	tl  *obs.Timeline
@@ -804,10 +799,10 @@ const (
 	// store. Larger frames are read straight into the frame buffer.
 	readBufSize = 16 << 10
 	// writeBatchFrames and writeBatchBytes bound one socket write: the
-	// writer stops collecting queued frames at either, so a write under
-	// one deadline is at most writeBatchBytes plus one frame long.
-	// writeBatchFrames also bounds a burst, the keyed requests a reader
-	// executes before it answers any: a burst's responses fit one write.
+	// reader sends the responses it holds when they reach either, so a
+	// write under one deadline is at most writeBatchBytes plus one frame
+	// long. writeBatchFrames also bounds a burst, the keyed requests a
+	// reader executes before it answers any: their responses fit one write.
 	writeBatchFrames = 64
 	writeBatchBytes  = 64 << 10
 )
@@ -830,11 +825,18 @@ type conn struct {
 	srv *Server
 	nc  net.Conn
 	br  *bufio.Reader // nc through countedReader; owned by the reader goroutine
-	out chan outFrame // encoded response frames
 
-	// iov is the writer goroutine's reusable gather list and bufs the
-	// view of it that net.Buffers.WriteTo consumes (a field, so taking
-	// its address allocates nothing).
+	// out is the responses the reader has encoded and not yet sent, outBytes
+	// their total length. Owned by the reader.
+	out      []outFrame
+	outBytes int
+
+	// wmu serializes socket writes (the reader's, a feeder's, a parked REPL
+	// WAIT's) and guards the sticky write error, the reusable gather list
+	// iov and bufs, the view of it that net.Buffers.WriteTo consumes (a
+	// field, so taking its address allocates nothing).
+	wmu  sync.Mutex
+	werr error
 	iov  [][]byte
 	bufs net.Buffers
 
@@ -848,9 +850,9 @@ type conn struct {
 	shard  int
 	run    func(*nvmstore.Store) error
 
-	// pending counts the goroutines besides the reader that still enqueue
-	// responses (a replication feeder, parked REPL WAITs); out closes only
-	// after it reaches zero and the reader has exited.
+	// pending counts the goroutines besides the reader that still push
+	// responses (a replication feeder, parked REPL WAITs); the reader
+	// closes the connection only after it reaches zero.
 	pending sync.WaitGroup
 
 	readClosed sync.Once
@@ -876,13 +878,27 @@ func (c *conn) closeRead() {
 	})
 }
 
-// reply encodes and enqueues a response, with the request's timeline
-// when traced (nil otherwise). It blocks while the connection's write
-// queue is full, with no lock held; the write loop's deadline on every
-// socket write guarantees the queue always drains, so reply never blocks
-// longer than roughly one WriteTimeout.
+// reply encodes a response on the reader, with the request's timeline when
+// traced (nil otherwise), and sends what the reader holds once that
+// reaches a socket write's bound.
 func (c *conn) reply(resp wire.Response, tl *obs.Timeline) {
-	c.out <- outFrame{buf: wire.AppendResponse(wire.GetBuf(), resp), tl: tl}
+	buf := wire.AppendResponse(wire.GetBuf(), resp)
+	c.out = append(c.out, outFrame{buf: buf, tl: tl})
+	c.outBytes += len(buf)
+	if len(c.out) == writeBatchFrames || c.outBytes >= writeBatchBytes {
+		c.flush()
+	}
+}
+
+// flush sends the responses the reader holds, if any, as one socket write.
+func (c *conn) flush() {
+	c.send(c.out)
+	c.out, c.outBytes = c.out[:0], 0
+}
+
+// push sends one response from a goroutine registered with c.pending.
+func (c *conn) push(resp wire.Response) {
+	c.send([]outFrame{{buf: wire.AppendResponse(wire.GetBuf(), resp)}})
 }
 
 func (c *conn) readLoop() {
@@ -914,21 +930,28 @@ func (c *conn) readLoop() {
 		// read with a request decoded and unexecuted.
 		if c.queued == writeBatchFrames || !wire.FrameBuffered(c.br) {
 			c.execute()
+			c.flush()
 		}
 	}
 	c.execute() // a frame that failed to decode ends the burst too
-	// Half-close so a blocked peer write fails rather than waiting for
-	// responses that will never come, then let in-flight responses
-	// drain before the writer is told it is done.
+	c.flush()
 	wire.PutBuf(buf) // every alias died with the loop
 	if c.feed != nil {
 		// Dropping the feed closes its item channel; the feeder drains
-		// (it registered with pending) and the close below waits for it.
+		// (it registered with pending) and the Wait below joins it.
 		c.srv.opts.Repl.Detach(c.feed)
 	}
+	// Half-close so a blocked peer write fails rather than waiting for
+	// responses that will never come; parked answers leave before the close.
 	c.closeRead()
 	c.pending.Wait()
-	close(c.out)
+	c.nc.Close()
+	s := c.srv
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.stats.conns.Add(-1)
+	<-s.connSem
 }
 
 // answer replies to a request dispatch handled on the reader goroutine and
@@ -1077,7 +1100,8 @@ func (c *conn) txRead(req wire.Request) (wire.Response, bool) {
 }
 
 // commit applies the buffered transaction, one atomic sub-transaction
-// per shard (shared-nothing semantics).
+// per shard (shared-nothing semantics), in ascending shard order: which
+// shards committed before a failing one does not vary from run to run.
 func (c *conn) commit(req wire.Request) wire.Response {
 	resp := wire.Response{Code: wire.RespOK, ID: req.ID}
 	if !c.txActive {
@@ -1087,12 +1111,15 @@ func (c *conn) commit(req wire.Request) wire.Response {
 	writes := c.txWrites
 	c.txActive = false
 	c.txWrites = nil
-	byShard := make(map[int][]txWrite)
+	byShard := make([][]txWrite, c.srv.store.NumShards())
 	for _, w := range writes {
 		i := c.srv.store.ShardFor(w.key)
 		byShard[i] = append(byShard[i], w)
 	}
 	for i, group := range byShard {
+		if len(group) == 0 {
+			continue
+		}
 		err := c.srv.store.Batch(i, func(st *nvmstore.Store) error {
 			return st.UpdateNoFlush(func() error {
 				for _, w := range group {
@@ -1169,68 +1196,42 @@ func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 	return resp, vals
 }
 
-func (c *conn) writeLoop() {
-	defer c.srv.connWG.Done()
-	batch := make([]outFrame, 0, writeBatchFrames)
-	var err error
-	for f := range c.out {
-		// Take what else is queued already, never wait for more: a lone
-		// response leaves at once, a burst leaves in one socket write.
-		batch = append(batch[:0], f)
-		size := len(f.buf)
-	collect:
-		for len(batch) < writeBatchFrames && size < writeBatchBytes {
-			select {
-			case f, ok := <-c.out:
-				if !ok {
-					break collect
-				}
-				batch = append(batch, f)
-				size += len(f.buf)
-			default:
-				break collect
+// send writes the batch's frames to the socket — or discards them: the
+// write error is sticky, once the peer is gone every later frame goes to
+// the floor — then recycles their buffers and completes their timelines.
+func (c *conn) send(batch []outFrame) {
+	c.wmu.Lock()
+	if c.werr == nil {
+		c.werr = c.writeBatch(batch)
+	}
+	c.wmu.Unlock()
+	var now int64
+	for _, f := range batch {
+		// The frame is on the wire (or discarded): recycle it. Written,
+		// dropped and severed frames alike, so the pool sees every buffer
+		// back exactly once.
+		wire.PutBuf(f.buf)
+		if f.tl != nil {
+			// The timeline is complete once the batch's bytes hit the
+			// socket (or were discarded on a dead peer); after Record it
+			// is published and must not be touched again.
+			if now == 0 {
+				now = time.Now().UnixNano()
 			}
-		}
-		err = c.writeBatch(batch, err)
-		var now int64
-		for _, f := range batch {
-			// The frame is on the wire (or discarded): recycle it. Written,
-			// dropped and severed frames alike, so the pool sees every
-			// buffer back exactly once.
-			wire.PutBuf(f.buf)
-			if f.tl != nil {
-				// The timeline is complete once the batch's bytes hit the
-				// socket (or were discarded on a dead peer); after Record
-				// it is published and must not be touched again.
-				if now == 0 {
-					now = time.Now().UnixNano()
-				}
-				f.tl.Finish(now)
-				c.srv.flight.Record(f.tl)
-			}
+			f.tl.Finish(now)
+			c.srv.flight.Record(f.tl)
 		}
 	}
-	c.nc.Close()
-	s := c.srv
-	s.mu.Lock()
-	delete(s.conns, c)
-	s.mu.Unlock()
-	s.stats.conns.Add(-1)
-	<-s.connSem
 }
 
 // writeBatch sends the batch's encoded response frames as one vectored
-// socket write under one deadline, threading the sticky write error:
-// once the peer is gone every later frame is discarded so the queue
-// keeps draining. Injected faults are decided per frame, in queue
-// order, before anything is sent: the frames ahead of a faulted one
-// leave whole (plus half of it, for a partial fault), then the
-// connection is severed — a batch is severable at every frame boundary,
-// exactly like the frame-at-a-time writes it replaces.
-func (c *conn) writeBatch(batch []outFrame, err error) error {
-	if err != nil {
-		return err // peer gone: discard
-	}
+// socket write under one deadline and returns the error that severed the
+// connection, if one did. Injected faults are decided per frame, in order,
+// before anything is sent: the frames ahead of a faulted one leave whole
+// (plus half of it, for a partial fault), then the connection is severed
+// — a batch is severable at every frame boundary, exactly like the
+// frame-at-a-time writes it replaces. The caller holds c.wmu.
+func (c *conn) writeBatch(batch []outFrame) error {
 	s := c.srv
 	iov := c.iov[:0]
 	whole := 0
@@ -1257,15 +1258,14 @@ func (c *conn) writeBatch(batch []outFrame, err error) error {
 		// The deadline is what makes a stalled peer (TCP zero window)
 		// a bounded problem: the write fails at the latest after
 		// WriteTimeout, the connection is severed, and every later
-		// response is discarded — the connection's reader, blocked on
-		// its full queue, unblocks.
+		// response is discarded.
 		c.nc.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
 		c.bufs = iov
 		_, werr := c.bufs.WriteTo(c.nc)
 		s.stats.writeCalls.Add(1)
 		if werr != nil {
-			// Sever the connection so the reader unblocks; its
-			// remaining in-flight responses will be discarded above.
+			// Sever the connection so the next read fails; send discards
+			// the responses to what the reader already holds.
 			c.nc.Close()
 			if !errors.Is(werr, net.ErrClosed) {
 				s.logf("server: %s: write: %v", c.nc.RemoteAddr(), werr)

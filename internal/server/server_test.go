@@ -11,6 +11,7 @@ import (
 	"math"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,6 +40,15 @@ func startServer(t *testing.T, shards int, sopts server.Options) (*server.Server
 // the large-row framing tests.
 func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options) (*server.Server, *nvmstore.ShardedStore, string) {
 	t.Helper()
+	store := openStore(t, shards, rowSize)
+	srv, addr := serveStore(t, store, sopts)
+	return srv, store, addr
+}
+
+// openStore opens the small sharded three-tier store the tests serve,
+// with its one table.
+func openStore(t *testing.T, shards, rowSize int) *nvmstore.ShardedStore {
+	t.Helper()
 	store, err := nvmstore.OpenSharded(shards, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
 		DRAMBytes:    8 << 20,
@@ -51,8 +61,7 @@ func startServerRowSize(t *testing.T, shards, rowSize int, sopts server.Options)
 	if _, err := store.CreateTable(testTable, rowSize); err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := serveStore(t, store, sopts)
-	return srv, store, addr
+	return store
 }
 
 // serveStore serves an already opened store on a loopback listener, for
@@ -241,9 +250,9 @@ func TestReadsAreNotTransactions(t *testing.T) {
 // TestConcurrentPipelinedClients exercises the full path under -race:
 // several clients, each pipelining deeply, hitting every shard from
 // overlapping goroutines — twelve connection readers executing on four
-// shards, with write queues short enough that they block on their writers.
+// shards and writing their own responses.
 func TestConcurrentPipelinedClients(t *testing.T) {
-	srv, _, addr := startServer(t, 4, server.Options{WriteQueue: 16})
+	srv, _, addr := startServer(t, 4, server.Options{})
 	const (
 		workers = 6
 		perW    = 300
@@ -297,14 +306,13 @@ func TestConcurrentPipelinedClients(t *testing.T) {
 			t.Fatalf("worker %d: %v", w, err)
 		}
 	}
-	// A reader counts a request after enqueuing its reply, so a client
-	// holding every answer can still be one count per connection ahead;
-	// Shutdown joins the readers and makes the counters exact.
+	// Shutdown joins the readers, so the counters owe nothing to a
+	// connection still finishing its last burst.
 	drain(t, srv)
 	if got := srv.Stats().Ops; got < workers*perW*3 {
 		t.Fatalf("server answered %d ops, want >= %d", got, workers*perW*3)
 	}
-	if rows := srv.WireLatency(); len(rows) == 0 {
+	if rows := srv.Stats().Wire; len(rows) == 0 {
 		t.Fatal("no wire latency recorded")
 	}
 }
@@ -674,14 +682,13 @@ func TestScanSurvivesShardRestarts(t *testing.T) {
 // TestStalledReaderDoesNotWedgeShard opens a raw connection that floods
 // GETs for large rows and never reads a byte of response. That peer must
 // block nothing but its own connection: its reader executes a burst,
-// releases the shard lock, and only then blocks on the connection's full
-// write queue, so a well-behaved client's PUTs and GETs on the same shard
-// complete meanwhile — and the write deadline severs the stalled
-// connection, so the drain at the end of the test is not held up by it.
+// releases the shard lock, and only then blocks in its own socket write,
+// so a well-behaved client's PUTs and GETs on the same shard complete
+// meanwhile — and the write deadline severs the stalled connection, so the
+// drain at the end of the test is not held up by it.
 func TestStalledReaderDoesNotWedgeShard(t *testing.T) {
 	const rowSize = 8000
 	_, _, addr := startServerRowSize(t, 1, rowSize, server.Options{
-		WriteQueue:   2,
 		WriteTimeout: 300 * time.Millisecond,
 	})
 	cl, err := client.Dial(addr, client.Options{})
@@ -788,7 +795,7 @@ func TestShutdownIdempotentAndConnRefusal(t *testing.T) {
 }
 
 // serverGoroutines counts the goroutines currently running code of this
-// package: the acceptor and every connection's reader and writer.
+// package: the acceptor and every connection's reader.
 func serverGoroutines() int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -802,8 +809,8 @@ func serverGoroutines() int {
 }
 
 // TestServeStartsNoGoroutinePerShard: a serving connection costs the
-// server one reader and one writer goroutine, whatever the shard count —
-// requests run on the connection that read them.
+// server one goroutine, whatever the shard count — requests run, and their
+// responses leave, on the connection that read them.
 func TestServeStartsNoGoroutinePerShard(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -818,8 +825,8 @@ func TestServeStartsNoGoroutinePerShard(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := serverGoroutines(); got != 3 {
-				t.Fatalf("%d server goroutines over %d shards, want 3: the acceptor, one reader, one writer", got, shards)
+			if got := serverGoroutines(); got != 2 {
+				t.Fatalf("%d server goroutines over %d shards, want 2: the acceptor and the connection's reader", got, shards)
 			}
 		})
 	}
@@ -883,37 +890,34 @@ func awaitResult(t *testing.T, c <-chan error, what string) {
 	}
 }
 
+// mutedPrimary serves a one-shard semi-synchronous primary (one replica
+// ack per write, a minute's patience) with a live replica attached in
+// process that never acknowledges by itself: its items are dropped on the
+// floor, so a write's response is held until the test acks for it.
+func mutedPrimary(t *testing.T) (*nvmstore.ShardedStore, *repl.Source, *repl.Feed, string) {
+	t.Helper()
+	store := openStore(t, 1, testRowSize)
+	t.Cleanup(func() { store.Close() })
+	src := repl.NewSource(store, repl.SourceOptions{SyncReplicas: 1, SyncTimeout: time.Minute})
+	_, addr := serveStore(t, store, server.Options{Repl: src})
+	mute := src.NewFeed("mute")
+	if err := src.Attach(mute, wire.ReplSubscribe{Epoch: 1, From: []uint64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { src.Detach(mute) })
+	go func() {
+		for range mute.Items() {
+		}
+	}()
+	return store, src, mute, addr
+}
+
 // TestReadsDoNotWaitOnReplicaAcks: with semi-synchronous replication and
 // the replica's ack withheld, a PUT's response is held on its own
 // connection only — another connection's GET on the same shard returns,
 // and sees the committed row, while the PUT is still pending.
 func TestReadsDoNotWaitOnReplicaAcks(t *testing.T) {
-	store, err := nvmstore.OpenSharded(1, nvmstore.Options{
-		Architecture: nvmstore.ThreeTier,
-		DRAMBytes:    8 << 20,
-		NVMBytes:     32 << 20,
-		SSDBytes:     128 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	if _, err := store.CreateTable(testTable, testRowSize); err != nil {
-		t.Fatal(err)
-	}
-	src := repl.NewSource(store, repl.SourceOptions{SyncReplicas: 1, SyncTimeout: time.Minute})
-	_, addr := serveStore(t, store, server.Options{Repl: src})
-	// A live replica that never acknowledges: attached in process, its
-	// items dropped on the floor.
-	mute := src.NewFeed("mute")
-	if err := src.Attach(mute, wire.ReplSubscribe{Epoch: 1, From: []uint64{0}}); err != nil {
-		t.Fatal(err)
-	}
-	defer src.Detach(mute)
-	go func() {
-		for range mute.Items() {
-		}
-	}()
+	_, src, mute, addr := mutedPrimary(t)
 	writer, err := client.Dial(addr, client.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -950,4 +954,117 @@ func TestReadsDoNotWaitOnReplicaAcks(t *testing.T) {
 		got <- err
 	}()
 	awaitResult(t, got, "PUT after the replica's ack")
+}
+
+// TestSubscribeOKPrecedesFeed: a SUBSCRIBE's OK is on the wire before the
+// feed it starts pushes anything. The SUBSCRIBE arrives in one burst
+// behind 8 GETs and ahead of a PUT whose acknowledgement a mute replica
+// holds back, so the connection's reader is parked mid-burst while the
+// feeder pushes the bootstrap: the frame after the 8 values must still be
+// the OK.
+func TestSubscribeOKPrecedesFeed(t *testing.T) {
+	store, src, mute, addr := mutedPrimary(t)
+	for key := uint64(0); key < 8; key++ { // what the feed has to ship
+		if err := store.Table(testTable).Put(key, rowFor(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	const gets, subscribeID, putID = 8, 9, 10
+	var frames []byte
+	for i := 0; i < gets; i++ {
+		frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpGet, ID: uint32(i + 1), Table: testTable, Key: uint64(i)})
+	}
+	frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpReplSubscribe, ID: subscribeID,
+		Value: wire.AppendReplSubscribe(nil, wire.ReplSubscribe{Epoch: 1, From: []uint64{0}})})
+	frames = wire.AppendRequest(frames, wire.Request{Op: wire.OpPut, ID: putID, Table: testTable, Key: 100, Value: rowFor(100)})
+	if _, err := raw.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(raw)
+	var buf []byte
+	next := func() wire.Response {
+		t.Helper()
+		var payload []byte
+		if payload, buf, err = wire.ReadFrame(br, buf); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for i := 0; i < gets; i++ {
+		if resp := next(); resp.Code != wire.RespValue || resp.ID != uint32(i+1) {
+			t.Fatalf("response %d: code %d id %d, want the value of GET %d", i, resp.Code, resp.ID, i+1)
+		}
+	}
+	if resp := next(); resp.Code != wire.RespOK || resp.ID != subscribeID {
+		t.Fatalf("frame after the %d values: code %d id %d, want the SUBSCRIBE's OK", gets, resp.Code, resp.ID)
+	}
+	// The PUT's reader is still waiting for the mute replica, yet the feed
+	// flows; the ack releases the PUT.
+	if resp := next(); resp.Code != wire.RespReplSnap && resp.Code != wire.RespReplBatch {
+		t.Fatalf("frame after the OK: code %d id %d, want a pushed feed frame", resp.Code, resp.ID)
+	}
+	src.Ack(mute, wire.ReplAck{Epoch: 1, Shard: 0, Applied: math.MaxUint64})
+	for {
+		resp := next()
+		if resp.ID == putID {
+			if resp.Code != wire.RespOK {
+				t.Fatalf("PUT behind the SUBSCRIBE: %+v", resp)
+			}
+			return
+		}
+		if resp.Code != wire.RespReplSnap && resp.Code != wire.RespReplBatch {
+			t.Fatalf("unexpected frame on a feed connection: code %d id %d", resp.Code, resp.ID)
+		}
+	}
+}
+
+// TestCommitOrderDeterministic: a COMMIT applies its shards in ascending
+// order, so what a failing multi-shard COMMIT leaves behind is the same
+// on every run: shard 0's write (valid table) is committed, shard 1's
+// (unknown table) is the one reported.
+func TestCommitOrderDeterministic(t *testing.T) {
+	_, store, addr := startServer(t, 2, server.Options{})
+	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	keyOn := func(shard int, from uint64) uint64 {
+		for ; store.ShardFor(from) != shard; from++ {
+		}
+		return from
+	}
+	var k0, k1 uint64
+	for run := 0; run < 50; run++ {
+		k0, k1 = keyOn(0, k0+1), keyOn(1, k1+1)
+		tx, err := cl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Shard 1's write is buffered first: arrival order must not decide.
+		if err := tx.Put(99, k1, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Put(testTable, k0, rowFor(k0)); err != nil {
+			t.Fatal(err)
+		}
+		err = tx.Commit()
+		if err == nil || !strings.Contains(err.Error(), "commit on shard 1:") {
+			t.Fatalf("run %d: COMMIT with an unknown table on shard 1: %v", run, err)
+		}
+		if val, found, err := cl.Get(testTable, k0); err != nil || !found || !bytes.Equal(val, rowFor(k0)) {
+			t.Fatalf("run %d: shard 0's write was not committed ahead of shard 1's failure: found=%v err=%v", run, found, err)
+		}
+	}
 }

@@ -29,11 +29,11 @@ func statsDoc(t *testing.T, cl *client.Client) server.StatsDoc {
 	return doc
 }
 
-// drain shuts the server down. A connection's writer publishes a traced
-// request's timeline after the response bytes are on the socket, so a
-// client holding every response may still be one timeline per
-// connection ahead of the flight recorder; Shutdown joins every writer
-// and is the barrier behind which the recorder's counts are exact.
+// drain shuts the server down. A connection publishes a traced request's
+// timeline after the response bytes are on the socket, so a client
+// holding every response may still be one burst per connection ahead of
+// the flight recorder; Shutdown joins every connection and is the barrier
+// behind which the recorder's counts are exact.
 func drain(t *testing.T, srv *server.Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -45,7 +45,7 @@ func drain(t *testing.T, srv *server.Server) {
 
 // TestTracingEndToEnd drives traced pipelined traffic through the full
 // path — client stamp, wire v2, burst grouping, batched execution, group
-// commit, writer — and checks the flight recorder's timelines are
+// commit, burst write — and checks the flight recorder's timelines are
 // internally consistent.
 func TestTracingEndToEnd(t *testing.T) {
 	srv, _, addr := startServer(t, 2, server.Options{})
@@ -164,7 +164,7 @@ func TestTracingSampling(t *testing.T) {
 
 // TestTracingConcurrent hammers the traced path from many pipelined
 // clients at once — the -race CI job runs this to pin down the
-// timeline handoff ordering (reader → writer → recorder).
+// timeline handoff ordering (reader → recorder → snapshot).
 func TestTracingConcurrent(t *testing.T) {
 	srv, _, addr := startServer(t, 4, server.Options{})
 	const clients = 4
