@@ -351,7 +351,11 @@ type Call struct {
 func (call *Call) Done() <-chan struct{} { return call.done }
 
 // Result blocks until the response arrives and returns it. A RespErr
-// frame surfaces as a *RemoteError.
+// frame surfaces as a *RemoteError. The response's bytes — Value, every
+// entry's Value — belong to the caller from here on: the client keeps no
+// reference and never reuses them. The values of one response may share
+// one buffer (the frame it arrived in), so holding one value keeps the
+// whole response alive; copy a value to keep it alone.
 func (call *Call) Result() (wire.Response, error) {
 	<-call.done
 	if call.err != nil {
@@ -425,6 +429,11 @@ func (c *Client) Delete(table, key uint64) (bool, error) {
 
 // Scan returns up to limit rows with key >= from in ascending key order
 // (limit <= 0 means the server's maximum), retrying transport failures.
+// The entries are the caller's. Their values may share one buffer — a
+// long result is the response frame itself, handed over without a copy —
+// so holding one value keeps the whole result alive (copy a value to keep
+// it alone), and each value is capped at its length: an append
+// reallocates it.
 func (c *Client) Scan(table, from uint64, limit int) ([]wire.Entry, error) {
 	req := wire.Request{Op: wire.OpScan, Table: table, Key: from}
 	if limit > 0 {
@@ -650,20 +659,28 @@ func (cn *conn) flushLoop() {
 	}
 }
 
+// residentBuf is the size of a connection's resident frame buffer. A
+// response that fits it (an ack, a GET's row) is decoded there and its
+// value copied out for the Call, so the buffer serves the next frame; a
+// longer one (a SCAN result, a STATS document) is read into a buffer
+// allocated for that frame alone and given to the Call as it is — never
+// copied, pooled or reused. Handing off a short frame too would only
+// trade its copy for the allocator's zeroing of a fresh buffer.
+const residentBuf = 4 << 10
+
 // readLoop matches responses to pending calls until the connection
 // fails or closes.
 func (cn *conn) readLoop() {
 	br := bufio.NewReader(cn.nc)
-	buf := wire.GetBuf()
-	var payload []byte
-	var err error
+	resident := make([]byte, residentBuf)
 	for {
-		payload, buf, err = wire.ReadFrame(br, buf)
+		// ReadFrame leaves resident alone when the frame outgrows it and
+		// returns a buffer of the frame's own.
+		payload, _, err := wire.ReadFrame(br, resident)
 		if err != nil {
 			if err == io.EOF || errors.Is(err, net.ErrClosed) {
 				err = ErrClosed
 			}
-			wire.PutBuf(buf) // the loop below copied out every value
 			cn.close(err)
 			return
 		}
@@ -680,13 +697,15 @@ func (cn *conn) readLoop() {
 			cn.close(fmt.Errorf("client: response for unknown request id %d", resp.ID))
 			return
 		}
-		// The decode buffer is reused for the next frame: give the
-		// call copies that outlive it.
-		if resp.Value != nil {
-			resp.Value = append([]byte(nil), resp.Value...)
-		}
-		for i := range resp.Entries {
-			resp.Entries[i].Value = append([]byte(nil), resp.Entries[i].Value...)
+		if len(payload) <= residentBuf {
+			// Decoded in the resident buffer, which the next frame
+			// overwrites: give the call copies that outlive it.
+			if resp.Value != nil {
+				resp.Value = append([]byte(nil), resp.Value...)
+			}
+			for i := range resp.Entries {
+				resp.Entries[i].Value = append([]byte(nil), resp.Entries[i].Value...)
+			}
 		}
 		call.resp = resp
 		if int(call.op) < len(cn.cl.hist) {

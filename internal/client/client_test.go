@@ -356,3 +356,101 @@ func TestFlushErrorFailsPendingAndSlotRedials(t *testing.T) {
 		t.Fatalf("get of a never-sent put: found=%v err=%v", found, err)
 	}
 }
+
+// rowOf builds the row the ownership test stores under key in generation
+// gen, so that later responses carry different bytes than earlier ones.
+func rowOf(key uint64, gen byte) []byte {
+	row := bytes.Repeat([]byte{gen}, testRowSize)
+	row[0] = byte(key)
+	return row
+}
+
+// TestScanResultOutlivesLaterResponses: what a Call returned belongs to
+// its caller. A SCAN result too long for the connection's resident buffer
+// is the frame itself, handed over; a short one, and a GET's row, are
+// copies out of that buffer. Neither may change when 200 further GET, SCAN
+// and PUT responses — of every size, with other bytes — arrive on the same
+// connection.
+func TestScanResultOutlivesLaterResponses(t *testing.T) {
+	addr := startServer(t)
+	cl, err := Dial(addr, Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	const rows = 120
+	for key := uint64(0); key < rows; key++ {
+		if err := cl.Put(testTable, key, rowOf(key, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	scan := func(limit int) []wire.Entry {
+		t.Helper()
+		entries, err := cl.Scan(testTable, 0, limit)
+		if err != nil || len(entries) != limit {
+			t.Fatalf("scan of %d: %d entries, %v", limit, len(entries), err)
+		}
+		return entries
+	}
+	long, short := scan(rows), scan(10)
+	if frame := wire.ScanFrameSize(rows, testRowSize); frame <= residentBuf {
+		t.Fatalf("a %d-row result is %d bytes: it would not leave the %d-byte resident buffer", rows, frame, residentBuf)
+	}
+	if frame := wire.ScanFrameSize(10, testRowSize); frame > residentBuf {
+		t.Fatalf("a 10-row result is %d bytes: it would not fit the %d-byte resident buffer", frame, residentBuf)
+	}
+	row, found, err := cl.Get(testTable, 5)
+	if err != nil || !found {
+		t.Fatalf("get: found=%v err=%v", found, err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for _, entries := range [][]wire.Entry{long, short} {
+			for i, e := range entries {
+				if e.Key != uint64(i) || !bytes.Equal(e.Value, rowOf(e.Key, 1)) {
+					t.Fatalf("%s: entry %d of a %d-row scan result changed: key %d, row % x", when, i, len(entries), e.Key, e.Value[:4])
+				}
+			}
+		}
+		if !bytes.Equal(row, rowOf(5, 1)) {
+			t.Fatalf("%s: a GET's row changed: % x", when, row[:4])
+		}
+	}
+	check("at once")
+
+	// 200 more responses on the one connection, a pipeline of 8: rewritten
+	// rows, point reads, and scans on both sides of the resident buffer.
+	var inflight []*Call
+	for i := uint64(0); i < 200; i++ {
+		var req wire.Request
+		switch i % 4 {
+		case 0:
+			req = wire.Request{Op: wire.OpPut, Table: testTable, Key: i % rows, Value: rowOf(i%rows, 2)}
+		case 1:
+			req = wire.Request{Op: wire.OpGet, Table: testTable, Key: i % rows}
+		case 2:
+			req = wire.Request{Op: wire.OpScan, Table: testTable, Key: i % rows, Limit: rows}
+		case 3:
+			req = wire.Request{Op: wire.OpScan, Table: testTable, Key: i % rows, Limit: 1 + uint32(i%20)}
+		}
+		inflight = append(inflight, cl.asyncCall(req))
+		if len(inflight) == 8 {
+			if err := waitResult(t, inflight[0]); err != nil {
+				t.Fatal(err)
+			}
+			inflight = inflight[1:]
+		}
+	}
+	for _, call := range inflight {
+		if err := waitResult(t, call); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after 200 further responses")
+
+	// The caller owns the values one by one: appending to one reallocates
+	// it and leaves its neighbour in the frame alone.
+	_ = append(long[0].Value, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE)
+	check("after an append to the first value")
+}

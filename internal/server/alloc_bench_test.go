@@ -12,8 +12,8 @@ import (
 
 // startBenchServer is the benchmark twin of startServer: same loopback
 // setup, but against testing.B so the allocation benchmarks below can
-// use it.
-func startBenchServer(b *testing.B, shards int) string {
+// use it, with a caller-chosen row size.
+func startBenchServer(b *testing.B, shards, rowSize int) string {
 	b.Helper()
 	store, err := nvmstore.OpenSharded(shards, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
@@ -24,7 +24,7 @@ func startBenchServer(b *testing.B, shards int) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := store.CreateTable(testTable, testRowSize); err != nil {
+	if _, err := store.CreateTable(testTable, rowSize); err != nil {
 		b.Fatal(err)
 	}
 	srv := server.New(store, server.Options{})
@@ -60,7 +60,7 @@ func startBenchServer(b *testing.B, shards int) string {
 // the steady state should allocate only what must outlive a frame (the
 // decoded response's value copy and call bookkeeping).
 func BenchmarkServeGet(b *testing.B) {
-	addr := startBenchServer(b, 2)
+	addr := startBenchServer(b, 2, testRowSize)
 	cl, err := client.Dial(addr, client.Options{Conns: 1, Depth: 64})
 	if err != nil {
 		b.Fatal(err)
@@ -94,7 +94,7 @@ func BenchmarkServeGet(b *testing.B) {
 // BenchmarkServePut is BenchmarkServeGet for the write path: routed
 // value copy, group-committed execute, and the OK response.
 func BenchmarkServePut(b *testing.B) {
-	addr := startBenchServer(b, 2)
+	addr := startBenchServer(b, 2, testRowSize)
 	cl, err := client.Dial(addr, client.Options{Conns: 1, Depth: 64})
 	if err != nil {
 		b.Fatal(err)
@@ -116,6 +116,35 @@ func BenchmarkServePut(b *testing.B) {
 	for _, call := range inflight {
 		if _, err := call.Result(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeScan50 measures allocations per 50-row SCAN round trip
+// over 1000-byte rows, the ruler's shape: the server builds the 50 KB
+// frame in one pooled buffer and the client hands the frame it read to the
+// caller, so what is allocated does not grow with the row count (the
+// frame, the entry slice, call bookkeeping, the scan's cursors).
+func BenchmarkServeScan50(b *testing.B) {
+	const rowSize, keys, scanLen = 1000, 512, 50
+	addr := startBenchServer(b, 2, rowSize)
+	cl, err := client.Dial(addr, client.Options{Conns: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	row := make([]byte, rowSize)
+	for k := uint64(0); k < keys; k++ {
+		if err := cl.Put(testTable, k, row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, err := cl.Scan(testTable, uint64(i)%(keys-scanLen), scanLen)
+		if err != nil || len(entries) != scanLen {
+			b.Fatalf("scan: %d entries, %v", len(entries), err)
 		}
 	}
 }

@@ -879,12 +879,16 @@ func (c *conn) closeRead() {
 }
 
 // reply encodes a response on the reader, with the request's timeline when
-// traced (nil otherwise), and sends what the reader holds once that
-// reaches a socket write's bound.
+// traced (nil otherwise), and queues it.
 func (c *conn) reply(resp wire.Response, tl *obs.Timeline) {
-	buf := wire.AppendResponse(wire.GetBuf(), resp)
-	c.out = append(c.out, outFrame{buf: buf, tl: tl})
-	c.outBytes += len(buf)
+	c.queue(wire.AppendResponse(wire.GetBuf(), resp), tl)
+}
+
+// queue adds an encoded response frame in a pooled buffer to what the
+// reader holds, and sends that once it reaches a socket write's bound.
+func (c *conn) queue(frame []byte, tl *obs.Timeline) {
+	c.out = append(c.out, outFrame{buf: frame, tl: tl})
+	c.outBytes += len(frame)
 	if len(c.out) == writeBatchFrames || c.outBytes >= writeBatchBytes {
 		c.flush()
 	}
@@ -1016,9 +1020,7 @@ func (c *conn) dispatch(req wire.Request) {
 		}
 		c.route(req, start, nil)
 	case wire.OpScan:
-		resp, scratch := c.scan(req)
-		c.answer(req, start, resp)
-		wire.PutBuf(scratch) // the reply copied the entries into the frame
+		c.scan(req, start)
 	case wire.OpBegin:
 		resp := wire.Response{Code: wire.RespOK, ID: req.ID}
 		if c.txActive {
@@ -1153,14 +1155,16 @@ func (c *conn) commit(req wire.Request) wire.Response {
 // the call an embedded caller makes: a stable commit-LSN prefix per
 // shard, read without holding a shard's lock beyond the copy of the rows
 // it contributes, resumed on a fresh snapshot if a shard restarts
-// mid-scan. The returned scratch backs the entries' values; the caller
-// recycles it after encoding the response.
-func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
-	resp := wire.Response{ID: req.ID}
+// mid-scan. The server copies a row once: from the scan's cursor, where
+// fn is handed it, straight into the response frame.
+func (c *conn) scan(req wire.Request, start time.Time) {
+	fail := func(msg string) {
+		c.answer(req, start, wire.Response{Code: wire.RespErr, ID: req.ID, Err: msg})
+	}
 	tab := c.srv.store.Table(req.Table)
 	if tab == nil {
-		resp.Code, resp.Err = wire.RespErr, fmt.Sprintf("unknown table %d", req.Table)
-		return resp, nil
+		fail(fmt.Sprintf("unknown table %d", req.Table))
+		return
 	}
 	limit := int(req.Limit)
 	if limit <= 0 || limit > c.srv.opts.MaxScan {
@@ -1175,25 +1179,25 @@ func (c *conn) scan(req wire.Request) (_ wire.Response, scratch []byte) {
 			limit = 1 // a single >8MiB row cannot be framed anyway
 		}
 	}
-	// One pooled scratch holds every entry's row copy: its capacity
-	// covers the worst case up front, so the appends below never
-	// reallocate and the entry slices stay valid. dispatch recycles it
-	// once the response frame is encoded.
-	vals := wire.GetBufN(limit * tab.RowSize())[:0]
-	var entries []wire.Entry
+	// One pooled buffer sized for the worst case up front: the appends
+	// below never reallocate. The row count is known only when the scan
+	// returns (it may have resumed across a shard restart), so the frame's
+	// head is patched then.
+	frame := wire.BeginScanFrame(wire.GetBufN(wire.ScanFrameSize(limit, tab.RowSize())), req.ID)
+	rows := 0
 	collect := func(key uint64, field []byte) bool {
-		off := len(vals)
-		vals = append(vals, field...)
-		entries = append(entries, wire.Entry{Key: key, Value: vals[off:len(vals):len(vals)]})
+		frame = wire.AppendScanEntry(frame, key, field)
+		rows++
 		return true
 	}
 	if err := tab.Scan(req.Key, limit, 0, tab.RowSize(), collect); err != nil {
-		wire.PutBuf(vals)
-		resp.Code, resp.Err = wire.RespErr, err.Error()
-		return resp, nil
+		wire.PutBuf(frame) // a partial result is no answer
+		fail(err.Error())
+		return
 	}
-	resp.Code, resp.Entries = wire.RespScan, entries
-	return resp, vals
+	wire.FinishScanFrame(frame, rows)
+	c.queue(frame, nil)
+	c.srv.record(req.Op, start)
 }
 
 // send writes the batch's frames to the socket — or discards them: the

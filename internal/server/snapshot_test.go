@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nvmstore"
 	"nvmstore/internal/obs"
 )
 
@@ -15,20 +14,7 @@ import (
 // the Prometheus text still equals its field of the STATS document from
 // the same call — a second reading of the store would have moved on.
 func TestPrometheusMatchesStats(t *testing.T) {
-	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
-		Architecture: nvmstore.ThreeTier,
-		DRAMBytes:    8 << 20,
-		NVMBytes:     32 << 20,
-		SSDBytes:     128 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	tab, err := store.CreateTable(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, tab := openTestStore(t, 1, 64)
 	srv := New(store, Options{})
 
 	stop, stopped := make(chan struct{}), make(chan error, 1)
@@ -71,6 +57,7 @@ func TestPrometheusMatchesStats(t *testing.T) {
 			if !ok || strings.HasPrefix(line, "#") {
 				continue
 			}
+			var err error
 			if got[name], err = strconv.ParseFloat(val, 64); err != nil {
 				t.Fatalf("sample %q: %v", line, err)
 			}

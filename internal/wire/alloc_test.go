@@ -47,3 +47,43 @@ func TestReadFrameWarmBufferAllocatesNothing(t *testing.T) {
 		t.Fatalf("ReadFrame into a warm buffer: %v allocs, want 0", n)
 	}
 }
+
+// sameArray reports whether a and b share their backing array's start.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
+}
+
+// drainPool empties the buffer pool as seen from this P and reports
+// whether one of the buffers it held was b.
+func drainPool(b []byte) (held bool) {
+	for got := GetBuf(); cap(got) > 0; got = GetBuf() {
+		held = held || sameArray(got, b)
+	}
+	return held
+}
+
+// TestTooSmallBufferIsDropped pins what bufPool's comment promises: a
+// pooled buffer that GetBufN, or a growing ReadFrame, found too small is
+// left to the garbage collector. Put back, it would be the very buffer the
+// next GetBuf on this P is handed, which allocates again and grows the
+// pool by one buffer per miss.
+func TestTooSmallBufferIsDropped(t *testing.T) {
+	drainPool(nil)
+	small := make([]byte, 0, 8)
+	PutBuf(small)
+	if b := GetBufN(64); len(b) != 64 || sameArray(b, small) {
+		t.Fatalf("GetBufN(64): %d bytes, in the 8-byte buffer: %v", len(b), sameArray(b, small))
+	}
+	if drainPool(small) {
+		t.Fatal("GetBufN put the buffer it found too small back in the pool")
+	}
+
+	frame := AppendResponse(nil, Response{Code: RespValue, ID: 7, Value: bytes.Repeat([]byte("v"), 100)})
+	payload, grown, err := ReadFrame(bytes.NewReader(frame), small)
+	if err != nil || len(payload) != len(frame)-4 || sameArray(grown, small) {
+		t.Fatalf("ReadFrame into an 8-byte buffer: %d bytes, %v", len(payload), err)
+	}
+	if drainPool(small) {
+		t.Fatal("ReadFrame put the buffer the frame outgrew in the pool")
+	}
+}

@@ -230,7 +230,7 @@ type Response struct {
 	// Err is the error message for RespErr.
 	Err string
 	// Entries are the SCAN results for RespScan; each entry's Value
-	// aliases the decode buffer.
+	// aliases the decode buffer (see Entry).
 	Entries []Entry
 	// Flags and TraceID mirror the request fields: servers may echo the
 	// trace context, and nonzero values make AppendResponse emit a
@@ -240,7 +240,11 @@ type Response struct {
 	TraceID uint64
 }
 
-// Entry is one SCAN result row.
+// Entry is one SCAN result row. The values of one decoded response sit
+// back to back in one buffer — the frame they arrived in — so holding one
+// value keeps the whole response alive; copy a value to keep it alone.
+// Each is capped at its own length: appending to one reallocates it and
+// never reaches the next entry.
 type Entry struct {
 	Key   uint64
 	Value []byte
@@ -303,12 +307,51 @@ func AppendResponse(dst []byte, r Response) []byte {
 	case RespScan:
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Entries)))
 		for _, e := range r.Entries {
-			dst = binary.BigEndian.AppendUint64(dst, e.Key)
-			dst = binary.BigEndian.AppendUint32(dst, uint32(len(e.Value)))
-			dst = append(dst, e.Value...)
+			dst = AppendScanEntry(dst, e.Key, e.Value)
 		}
 	}
 	return dst
+}
+
+// The scan-frame builder writes a RespScan frame without an []Entry in
+// between: BeginScanFrame, one AppendScanEntry per row as the rows are
+// produced, FinishScanFrame once their number is known. The frame is
+// byte-identical to AppendResponse's for the same entries.
+
+// scanFrameHead is what precedes a RespScan frame's entries: the length
+// prefix, the untraced header and the row count.
+const scanFrameHead = 4 + headerSize + 4
+
+// ScanFrameSize returns the length of a RespScan frame of rows entries
+// whose values are valueLen bytes each — the capacity that lets a builder
+// append that many rows without growing its buffer.
+func ScanFrameSize(rows, valueLen int) int {
+	return scanFrameHead + rows*(12+valueLen)
+}
+
+// BeginScanFrame starts an untraced RespScan frame answering request id
+// in buf's storage, overwriting its contents, and returns the frame so
+// far. The length prefix and the row count are placeholders until
+// FinishScanFrame.
+func BeginScanFrame(buf []byte, id uint32) []byte {
+	buf = appendHeader(buf[:0], 4, RespScan, id, 0, 0)
+	return binary.BigEndian.AppendUint32(buf, 0)
+}
+
+// AppendScanEntry appends one scan entry — key uint64 | len uint32 | value
+// — to dst. It is the only encoder of that layout.
+func AppendScanEntry(dst []byte, key uint64, value []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, key)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(value)))
+	return append(dst, value...)
+}
+
+// FinishScanFrame completes a frame begun with BeginScanFrame to which
+// rows entries were appended: it patches the length prefix and the row
+// count in place.
+func FinishScanFrame(frame []byte, rows int) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	binary.BigEndian.PutUint32(frame[scanFrameHead-4:], uint32(rows))
 }
 
 // appendHeader writes the length prefix and the frame header for a
@@ -402,7 +445,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 			return Response{}, fmt.Errorf("%w: %s carries a body", ErrShortFrame, OpName(code))
 		}
 	case RespValue, RespStats, RespReplBatch, RespReplSnap, RespReplLSNs:
-		r.Value = body
+		r.Value = body[:len(body):len(body)]
 	case RespErr:
 		r.Err = string(body)
 	case RespScan:
@@ -427,7 +470,9 @@ func DecodeResponse(payload []byte) (Response, error) {
 			if uint64(vlen) > uint64(len(body)) {
 				return Response{}, fmt.Errorf("%w: scan entry %d value", ErrShortFrame, i)
 			}
-			r.Entries = append(r.Entries, Entry{Key: key, Value: body[:vlen]})
+			// Capped at its length: the next entry's key follows in memory
+			// the caller may own, and an append must not reach it.
+			r.Entries = append(r.Entries, Entry{Key: key, Value: body[:vlen:vlen]})
 			body = body[vlen:]
 		}
 		if len(body) != 0 {
@@ -444,8 +489,11 @@ func DecodeResponse(payload []byte) (Response, error) {
 // response written, and per row looked up; at tens of thousands of
 // requests per second that garbage dominates the profile, so the hot
 // paths draw from this pool instead. Capacities converge on the
-// workload's frame sizes; buffers that prove too small are dropped and
-// replaced by larger ones.
+// workload's frame sizes: a buffer that proves too small is dropped —
+// left to the garbage collector, never put back — and replaced by a
+// larger one. (Put back, it would be the next buffer handed out on the
+// same P, sync.Pool's private slot being last in, first out: the next
+// caller allocates again and the pool grows by one buffer per miss.)
 //
 // A sync.Pool stores pointers, and boxing a slice header on every Put
 // would itself allocate, so the *[]byte holders cycle through a pool of
@@ -468,15 +516,12 @@ func GetBuf() []byte {
 }
 
 // GetBufN returns a recycled buffer of length n with unspecified
-// contents. A pooled buffer with insufficient capacity is returned to
-// the pool and a fresh one allocated, so capacities ratchet up to the
-// workload's sizes.
+// contents. A pooled buffer with insufficient capacity is dropped and a
+// fresh one allocated, so capacities ratchet up to the workload's sizes.
 func GetBufN(n int) []byte {
-	b := GetBuf()
-	if cap(b) >= n {
+	if b := GetBuf(); cap(b) >= n {
 		return b[:n]
 	}
-	PutBuf(b)
 	return make([]byte, n)
 }
 
@@ -500,11 +545,12 @@ func PutBuf(buf []byte) {
 //
 //	payload, buf, err = wire.ReadFrame(r, buf)
 //
-// Growing recycles the old buffer through the frame pool, so callers
-// must treat the previous payload as dead across calls (the reuse
-// contract above already requires that). io.EOF is returned unwrapped
-// on a clean close before the prefix; a close mid-frame is
-// io.ErrUnexpectedEOF.
+// A payload that does not fit cap(buf) is read into a buffer allocated
+// for it alone, which is returned as newBuf; buf is neither written past
+// the prefix nor recycled, so a caller may pass the result back (its
+// buffer then grows to the largest frame seen) or keep buf and own the
+// returned payload outright. io.EOF is returned unwrapped on a clean
+// close before the prefix; a close mid-frame is io.ErrUnexpectedEOF.
 //
 // The length prefix is read into buf too (a local array would escape
 // through the io.Reader call and cost an allocation per frame), so a
@@ -531,7 +577,6 @@ func ReadFrame(r io.Reader, buf []byte) (payload, newBuf []byte, err error) {
 		return nil, buf, fmt.Errorf("%w: %d-byte payload", ErrShortFrame, n)
 	}
 	if cap(buf) < int(n) {
-		PutBuf(buf)
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]

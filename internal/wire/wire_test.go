@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,99 @@ func TestResponseRoundTrip(t *testing.T) {
 			if got.Entries[i].Key != want.Entries[i].Key ||
 				!bytes.Equal(got.Entries[i].Value, want.Entries[i].Value) {
 				t.Errorf("%s: entry %d: %+v != %+v", OpName(want.Code), i, got.Entries[i], want.Entries[i])
+			}
+		}
+	}
+}
+
+// TestDecodedValuesAreCapped: a decoded response's values alias one buffer
+// that a client may hand to its caller, entry after entry, so each is
+// capped at its own length — an append reallocates it and never reaches
+// what follows it in the frame.
+func TestDecodedValuesAreCapped(t *testing.T) {
+	frame := AppendResponse(nil, Response{Code: RespScan, ID: 1, Entries: []Entry{
+		{Key: 10, Value: []byte("first")},
+		{Key: 11, Value: []byte("second")},
+	}})
+	resp, err := DecodeResponse(frame[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), frame...)
+	grown := append(resp.Entries[0].Value, bytes.Repeat([]byte{0xEE}, 32)...)
+	if !bytes.Equal(frame, before) {
+		t.Fatal("append to entries[0].Value wrote into the frame past it")
+	}
+	if resp.Entries[1].Key != 11 || string(resp.Entries[1].Value) != "second" || !bytes.HasPrefix(grown, []byte("first")) {
+		t.Fatalf("entries[1] = %+v after an append to entries[0].Value", resp.Entries[1])
+	}
+
+	// A value followed by another frame in the same buffer.
+	two := AppendResponse(AppendResponse(nil, Response{Code: RespValue, ID: 2, Value: []byte("row")}), Response{Code: RespOK, ID: 3})
+	before = append(before[:0], two...)
+	val, err := DecodeResponse(two[4 : 4+headerSize+3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = append(val.Value, 0xEE)
+	if !bytes.Equal(two, before) {
+		t.Fatal("append to a decoded RespValue wrote past the frame")
+	}
+}
+
+// buildScanFrame encodes entries with the in-place builder, the way the
+// server does: room for limit rows up front, head patched at the end.
+func buildScanFrame(id uint32, entries []Entry, limit, valueLen int) []byte {
+	frame := BeginScanFrame(make([]byte, ScanFrameSize(limit, valueLen)), id)
+	for _, e := range entries {
+		frame = AppendScanEntry(frame, e.Key, e.Value)
+	}
+	FinishScanFrame(frame, len(entries))
+	return frame
+}
+
+// TestScanFrameBuilderMatchesAppendResponse: the builder and
+// AppendResponse are two ways to write one format. For random entry lists
+// — none, one, the server's default MaxScan, empty values — the frames are
+// equal byte for byte, fit the size announced, and read back as the
+// entries put in.
+func TestScanFrameBuilderMatchesAppendResponse(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	const maxScan = 1024 // the server's default Options.MaxScan
+	for _, c := range []struct{ rows, valueLen int }{
+		{0, 64}, {1, 64}, {1, 0}, {7, 1 + rng.Intn(200)}, {50, 1000}, {maxScan, 0}, {maxScan, 1 + rng.Intn(200)},
+	} {
+		rows, valueLen := c.rows, c.valueLen
+		entries := make([]Entry, rows)
+		for i := range entries {
+			val := make([]byte, valueLen)
+			rng.Read(val)
+			entries[i] = Entry{Key: rng.Uint64(), Value: val}
+		}
+		id := rng.Uint32()
+		want := AppendResponse(nil, Response{Code: RespScan, ID: id, Entries: entries})
+		// Room for more rows than the scan found, as on the server.
+		got := buildScanFrame(id, entries, rows+rng.Intn(3), valueLen)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d rows of %d bytes: built frame differs from AppendResponse's", rows, valueLen)
+		}
+		if len(got) != ScanFrameSize(rows, valueLen) {
+			t.Fatalf("%d rows of %d bytes: frame is %d bytes, ScanFrameSize says %d", rows, valueLen, len(got), ScanFrameSize(rows, valueLen))
+		}
+		payload, _, err := ReadFrame(bytes.NewReader(got), nil)
+		if err != nil {
+			t.Fatalf("%d rows: ReadFrame: %v", rows, err)
+		}
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatalf("%d rows: DecodeResponse: %v", rows, err)
+		}
+		if resp.Code != RespScan || resp.ID != id || len(resp.Entries) != rows {
+			t.Fatalf("%d rows: decoded %s id %d with %d entries", rows, OpName(resp.Code), resp.ID, len(resp.Entries))
+		}
+		for i, e := range resp.Entries {
+			if e.Key != entries[i].Key || !bytes.Equal(e.Value, entries[i].Value) {
+				t.Fatalf("%d rows: entry %d changed in the round trip", rows, i)
 			}
 		}
 	}
@@ -288,6 +382,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		f.Add(AppendResponse(nil, r)[4:])
 	}
 	f.Add([]byte{Version, RespScan, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(buildScanFrame(8, []Entry{{Key: 1, Value: []byte("ab")}, {Key: 2, Value: []byte("cd")}}, 3, 2)[4:])
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		r, err := DecodeResponse(payload)
 		if err != nil {
