@@ -47,10 +47,10 @@
 // Observability: -obs records per-tier latency histograms (printed as a
 // table after each experiment and embedded in the JSON output); -trace
 // additionally captures page-lifecycle events and writes them to
-// TRACE_<id>.jsonl; -http serves expvar, net/http/pprof, and a /metrics
-// JSON snapshot (refreshed once a second and after each experiment) for
-// the duration of the run. -json and -trace accept a bare flag (current
-// directory) or -json=dir / -trace=dir.
+// TRACE_<id>.jsonl; -http serves net/http/pprof and a /metrics.json
+// document (the running experiment and its latency rows, read on each
+// request) for the duration of the run. -json and -trace accept a bare
+// flag (current directory) or -json=dir / -trace=dir.
 package main
 
 import (
@@ -97,7 +97,7 @@ func (f *dirFlag) Set(s string) error {
 const traceRingCap = 1 << 16
 
 // phaseBox is the shared mutable "what is running right now" behind the
-// -http /metrics snapshot.
+// -http /metrics.json document.
 type phaseBox struct {
 	mu    sync.Mutex
 	phase string
@@ -131,7 +131,7 @@ func run() int {
 		format     = flag.String("format", "table", "output format: table, csv, or chart")
 		observe    = flag.Bool("obs", false, "record per-tier latency histograms")
 		faultSpec  = flag.String("faults", "", `fault-injection spec armed on every engine, e.g. "seed:7;ssd.read:p=0.001,transient=2;nvm.stall:p=0.01,stall=10us" (see internal/fault)`)
-		httpAddr   = flag.String("http", "", "serve expvar, pprof, and /metrics on this address during the run")
+		httpAddr   = flag.String("http", "", "serve pprof and /metrics.json on this address during the run")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -267,7 +267,7 @@ func run() int {
 		opts.Faults = plan
 	}
 	// -trace implies -obs (events without histograms would be half a
-	// picture); -http implies -obs so /metrics has something to show.
+	// picture); -http implies -obs so /metrics.json has something to show.
 	if *observe || traceDir.dir != "" || *httpAddr != "" {
 		sink := &bench.ObsSink{}
 		if traceDir.dir != "" {
@@ -277,22 +277,19 @@ func run() int {
 	}
 
 	var phase phaseBox
-	var dbg *obs.DebugServer
 	if *httpAddr != "" {
-		var err error
-		dbg, err = obs.StartDebug(*httpAddr, func() any {
+		dbg, err := obs.StartDebug(*httpAddr, func() any {
 			return struct {
 				Phase   string    `json:"phase"`
-				Updated string    `json:"updated"`
 				Latency []obs.Row `json:"latency"`
-			}{phase.get(), time.Now().Format(time.RFC3339), opts.Obs.Rows()}
+			}{phase.get(), opts.Obs.Rows()}
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "nvmbench: -http: %v\n", err)
 			return 2
 		}
 		defer dbg.Close()
-		fmt.Printf("(serving /metrics, /debug/vars, and /debug/pprof/ on %s)\n", dbg.Addr())
+		fmt.Printf("(serving /metrics.json and /debug/pprof/ on %s)\n", dbg.Addr())
 	}
 
 	var runs []bench.Experiment
@@ -308,10 +305,7 @@ func run() int {
 	}
 	exitCode := 0
 	for _, exp := range runs {
-		if dbg != nil {
-			phase.set(exp.ID)
-			dbg.Publish()
-		}
+		phase.set(exp.ID)
 		start := time.Now()
 		res, err := exp.Run(opts)
 		if err != nil {
@@ -338,9 +332,6 @@ func run() int {
 				break
 			}
 			fmt.Printf("(wrote %s, %d events)\n", path, n)
-		}
-		if dbg != nil {
-			dbg.Publish()
 		}
 		fmt.Printf("(%s finished in %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
 	}

@@ -8,7 +8,6 @@
 //	nvmserver                                # 4 three-tier shards on :7070
 //	nvmserver -addr :7070 -shards 8 -arch three-tier -scale 16
 //	nvmserver -obs -http :6060               # with engine histograms + debug HTTP
-//	nvmserver -http :6060 -tracering 1024    # larger trace flight recorder
 //
 // With -http, /metrics serves Prometheus text-format counters, gauges,
 // and latency histograms; /metrics.json the raw STATS document; /trace
@@ -93,9 +92,7 @@ func run() int {
 		rowSize    = flag.Int("rowsize", 1000, "row size in bytes of the startup table")
 		maxConns   = flag.Int("maxconns", 64, "maximum concurrently served connections")
 		observe    = flag.Bool("obs", false, "record engine latency histograms (reported via STATS and /metrics)")
-		httpAddr   = flag.String("http", "", "serve /metrics (Prometheus), /metrics.json, /trace, /debug/vars, and /debug/pprof/ on this address")
-		traceRing  = flag.Int("tracering", 0, "flight-recorder reservoir size for traced request timelines (0: server default)")
-		traceSlow  = flag.Int("traceslow", 0, "slowest-N traced timelines kept alongside the reservoir (0: server default)")
+		httpAddr   = flag.String("http", "", "serve /metrics (Prometheus), /metrics.json, /trace, and /debug/pprof/ on this address")
 		checkpoint = flag.Bool("checkpoint-on-close", false, "write back all dirty pages on shutdown so the next start recovers instantly")
 		faultSpec  = flag.String("faults", "", `fault-injection spec armed on every shard's devices and on the response path, e.g. "seed:7;ssd.read:p=0.001,transient=2;net.drop:p=0.0005" (see internal/fault)`)
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget before connections are severed")
@@ -173,10 +170,8 @@ func run() int {
 	}
 
 	srvOpts := server.Options{
-		MaxConns:  *maxConns,
-		Logf:      logger.Printf,
-		TraceRing: *traceRing,
-		TraceSlow: *traceSlow,
+		MaxConns: *maxConns,
+		Logf:     logger.Printf,
 		// Every server carries a replication source: it costs nothing
 		// until a replica subscribes (the WAL taps install lazily), and it
 		// lets a promoted replica feed its own replicas at the new epoch.
@@ -221,7 +216,7 @@ func run() int {
 			return 1
 		}
 		defer dbg.Close()
-		logger.Printf("debug endpoints on http://%s (/metrics Prometheus, /metrics.json, /trace, /debug/vars, /debug/pprof/)", dbg.Addr())
+		logger.Printf("debug endpoints on http://%s (/metrics Prometheus, /metrics.json, /trace, /debug/pprof/)", dbg.Addr())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

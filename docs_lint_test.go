@@ -180,8 +180,9 @@ func TestServerFlagsDocumented(t *testing.T) {
 }
 
 // TestStatsFieldsDocumented fails when the json field names of
-// server.StatsDoc and the field names in the first column of the
-// docs/OPERATIONS.md §3 table differ in either direction.
+// server.StatsDoc, each with its Prometheus kind (the prom tag, "—" for
+// none), and the fields in the first column of the docs/OPERATIONS.md §3
+// table, each with the kind column of its row, differ in either direction.
 func TestStatsFieldsDocumented(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "internal/server/server.go", nil, 0)
 	if err != nil {
@@ -198,9 +199,13 @@ func TestStatsFieldsDocumented(t *testing.T) {
 				t.Errorf("StatsDoc field %v has no json tag", field.Names)
 				continue
 			}
-			tag := reflect.StructTag(strings.Trim(field.Tag.Value, "`")).Get("json")
-			name, _, _ := strings.Cut(tag, ",")
-			declared = append(declared, name)
+			tag := reflect.StructTag(strings.Trim(field.Tag.Value, "`"))
+			name, _, _ := strings.Cut(tag.Get("json"), ",")
+			kind := tag.Get("prom")
+			if kind == "" {
+				kind = "—"
+			}
+			declared = append(declared, name+" "+kind)
 		}
 		return false
 	})
@@ -212,14 +217,14 @@ func TestStatsFieldsDocumented(t *testing.T) {
 	section, _, _ = strings.Cut(section, "\n## 4.")
 	var documented []string
 	backticked := regexp.MustCompile("`([^`]+)`")
-	for _, row := range regexp.MustCompile("(?m)^\\| (`[^|]+) \\|").FindAllStringSubmatch(section, -1) {
+	for _, row := range regexp.MustCompile("(?m)^\\| (`[^|]+) \\| ([^|]+) \\|").FindAllStringSubmatch(section, -1) {
 		for _, m := range backticked.FindAllStringSubmatch(row[1], -1) {
-			documented = append(documented, m[1])
+			documented = append(documented, m[1]+" "+row[2])
 		}
 	}
 	slices.Sort(declared)
 	slices.Sort(documented)
 	if len(declared) == 0 || !slices.Equal(declared, documented) {
-		t.Errorf("server.StatsDoc json fields and docs/OPERATIONS.md §3 differ:\n declared:   %v\n documented: %v", declared, documented)
+		t.Errorf("server.StatsDoc json fields and kinds and docs/OPERATIONS.md §3 differ:\n declared:   %v\n documented: %v", declared, documented)
 	}
 }

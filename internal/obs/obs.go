@@ -1,7 +1,7 @@
 // Package obs is the engine's observability layer: latency histograms at
 // every tier boundary of the storage hierarchy, a structured trace of
-// page-lifecycle events, and a live metrics publisher for long benchmark
-// runs.
+// page-lifecycle events, and the diagnostics HTTP endpoints (JSON metrics,
+// Prometheus text, pprof) of the long-running commands.
 //
 // The paper's evaluation (§5) explains *why* the three-tier buffer manager
 // wins — which tier absorbed each access, when cache-line-grained loads
@@ -15,7 +15,7 @@
 // instrumentation costs one nil check per boundary when disabled. The
 // concrete Collector implementation records into lock-free histograms
 // (atomic adds, mergeable snapshots) and an optional fixed-size event ring,
-// so a live /metrics endpoint can snapshot a running engine without
+// so a /metrics endpoint can snapshot a running engine without
 // stopping it.
 package obs
 

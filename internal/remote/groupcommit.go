@@ -2,11 +2,8 @@ package remote
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
 	"nvmstore/internal/bench"
-	"nvmstore/internal/client"
 )
 
 // GroupCommit is the serving-layer counterpart of the in-process
@@ -24,6 +21,7 @@ import (
 func GroupCommit(o Options) (bench.Result, error) {
 	o.applyDefaults()
 	o.WritePct = 100
+	o.TraceSample = 0 // the sweep reads WAL counters, not spans
 	depths := []int{1, 2, 4, 8, 16, 32, 64}
 
 	res := bench.Result{
@@ -63,50 +61,19 @@ func GroupCommit(o Options) (bench.Result, error) {
 	return res, nil
 }
 
-// groupCommitPoint runs one depth point: dial, optional load, warmup,
-// then a measured window bracketed by server STATS snapshots.
+// groupCommitPoint runs one depth point's measured window.
 func groupCommitPoint(o Options) (perSec, opsPerFlush float64, err error) {
-	cl, err := client.Dial(o.Addr, client.Options{
-		Conns:   o.Conns,
-		Depth:   o.Clients * o.Depth,
-		Retries: o.Retries,
-	})
+	cl, err := dial(o)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer cl.Close()
-
-	var reissued atomic.Int64
-	if o.Load {
-		if err := remoteLoad(cl, o, &reissued); err != nil {
-			return 0, 0, fmt.Errorf("load: %w", err)
-		}
-	}
-	if o.Warmup > 0 {
-		if err := remoteRun(cl, o, o.Warmup, &reissued); err != nil {
-			return 0, 0, fmt.Errorf("warmup: %w", err)
-		}
-	}
-	before, err := remoteStats(cl)
+	w, err := measure(cl, o)
 	if err != nil {
 		return 0, 0, err
 	}
-	start := time.Now()
-	if err := remoteRun(cl, o, o.Ops, &reissued); err != nil {
-		return 0, 0, err
+	if flushes := w.after.LogFlushes - w.before.LogFlushes; flushes > 0 {
+		opsPerFlush = float64(w.after.LogCommits-w.before.LogCommits) / float64(flushes)
 	}
-	wall := time.Since(start)
-	after, err := remoteStats(cl)
-	if err != nil {
-		return 0, 0, err
-	}
-	sim := time.Duration(after.MaxSimNs - before.MaxSimNs)
-	combined := wall + sim
-	if combined > 0 {
-		perSec = float64(o.Ops) / combined.Seconds()
-	}
-	if flushes := after.LogFlushes - before.LogFlushes; flushes > 0 {
-		opsPerFlush = float64(after.LogCommits-before.LogCommits) / float64(flushes)
-	}
-	return perSec, opsPerFlush, nil
+	return w.perSec(o.Ops), opsPerFlush, nil
 }

@@ -306,8 +306,10 @@ func TestBurstSplitsAtByteBound(t *testing.T) {
 // carried them returned, and every timeline still sums exactly to its
 // total.
 func TestTracedFramesStampedAfterTheirBatchWrite(t *testing.T) {
-	const n = 150 // one client write, one server read: bursts of 64, 64 and 22
-	srv, ml, addr := startMeteredServer(t, 1, server.Options{TraceRing: 2 * n})
+	// One client write, one server read: bursts of 64, 64 and 22; all 150
+	// fit the flight recorder's 256-timeline sample.
+	const n = 150
+	srv, ml, addr := startMeteredServer(t, 1, server.Options{})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)

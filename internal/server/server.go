@@ -63,6 +63,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,14 +111,6 @@ type Options struct {
 	// replica is promoted, and REPL WAIT blocks reads until the applied
 	// LSN vector covers the client's.
 	Replica *repl.Replica
-	// TraceRing is the flight recorder's uniform-sample capacity
-	// (default 256) and TraceSlow how many slowest traced requests it
-	// always keeps (default 8). Tracing itself is request-driven: the
-	// server records a span timeline for every keyed request whose wire
-	// header carries wire.FlagTraced, and an untraced request pays only
-	// a nil check per stage.
-	TraceRing int
-	TraceSlow int
 }
 
 func (o *Options) applyDefaults() {
@@ -129,13 +123,17 @@ func (o *Options) applyDefaults() {
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
 	}
-	if o.TraceRing <= 0 {
-		o.TraceRing = 256
-	}
-	if o.TraceSlow <= 0 {
-		o.TraceSlow = 8
-	}
 }
+
+// The flight recorder keeps a uniform sample of traceRing traced requests
+// and the traceSlow slowest. Tracing itself is request-driven: the server
+// records a span timeline for every keyed request whose wire header
+// carries wire.FlagTraced, and an untraced request pays only a nil check
+// per stage.
+const (
+	traceRing = 256
+	traceSlow = 8
+)
 
 // task is one keyed request of a connection's burst.
 type task struct {
@@ -201,81 +199,90 @@ type Server struct {
 }
 
 // StatsDoc is the JSON document a STATS request returns (and the shape
-// cmd/nvmserver publishes on its debug endpoint).
+// cmd/nvmserver serves at /metrics.json).
+//
+// A numeric field is also a Prometheus family, and its tags are that
+// family's only declaration: prom names the kind ("counter" or "gauge")
+// and help its HELP text. WritePrometheus renders the field as
+// nvmstore_<json name>, with _total appended for a counter; a slice
+// field is one family with a shard label per element.
 type StatsDoc struct {
 	// Shards is the store's shard count.
-	Shards int `json:"shards"`
+	Shards int `json:"shards" prom:"gauge" help:"store shards"`
 	// Conns is the number of currently open connections; Accepted the
 	// total ever accepted; Ops the requests answered.
-	Conns    int64 `json:"conns"`
-	Accepted int64 `json:"accepted"`
-	Ops      int64 `json:"ops"`
+	Conns    int64 `json:"conns" prom:"gauge" help:"currently open connections"`
+	Accepted int64 `json:"accepted" prom:"counter" help:"connections ever accepted"`
+	Ops      int64 `json:"ops" prom:"counter" help:"requests answered"`
 	// MaxSimNs is the slowest shard's simulated device time — the
 	// simulated component of the hybrid time model, for combining with
 	// wall time measured by a remote driver.
-	MaxSimNs int64 `json:"max_sim_ns"`
+	MaxSimNs int64 `json:"max_sim_ns" prom:"gauge" help:"slowest shard's simulated device time"`
 	// Wire holds the server-side wall-clock latency rows per opcode
 	// ("wire.get", ...); Engine the store's simulated-time histograms
 	// when it was opened with Observe.
 	Wire   []obs.Row `json:"wire"`
 	Engine []obs.Row `json:"engine,omitempty"`
-	// NVMTotalWrites and friends are the store's headline device
+	// NVMLinesWritten and friends are the store's headline device
 	// counters.
-	NVMTotalWrites int64 `json:"nvm_total_writes"`
-	SSDPagesRead   int64 `json:"ssd_pages_read"`
-	SSDPagesWrite  int64 `json:"ssd_pages_written"`
+	NVMLinesWritten int64 `json:"nvm_lines_written" prom:"counter" help:"NVM cache-line writes (wear proxy)"`
+	SSDPagesRead    int64 `json:"ssd_pages_read" prom:"counter" help:"SSD pages read"`
+	SSDPagesWritten int64 `json:"ssd_pages_written" prom:"counter" help:"SSD pages written"`
 	// NVMAdmissions, NVMDenials and NVMEvictions count the §4.2 decisions
 	// across shards: pages a DRAM eviction moved into the NVM cache, pages
 	// it sent to SSD instead (lost admission duels), and slots evicted to
 	// make room for an admission.
-	NVMAdmissions int64 `json:"nvm_admissions"`
-	NVMDenials    int64 `json:"nvm_denials"`
-	NVMEvictions  int64 `json:"nvm_evictions"`
+	NVMAdmissions int64 `json:"nvm_admissions" prom:"counter" help:"pages a DRAM eviction admitted to the NVM cache"`
+	NVMDenials    int64 `json:"nvm_denials" prom:"counter" help:"pages a DRAM eviction sent to SSD instead (lost admission duels)"`
+	NVMEvictions  int64 `json:"nvm_evictions" prom:"counter" help:"NVM slots evicted to make room for an admission"`
 	// LogCommits and LogFlushes are the store's WAL counters across all
 	// shards; OpsPerFlush is their ratio — the average number of commits
 	// each physical WAL flush made durable, group commit's amortization
 	// factor.
-	LogCommits  int64   `json:"log_commits"`
-	LogFlushes  int64   `json:"log_flushes"`
-	OpsPerFlush float64 `json:"ops_per_flush"`
+	LogCommits  int64   `json:"log_commits" prom:"counter" help:"WAL commits across shards"`
+	LogFlushes  int64   `json:"log_flushes" prom:"counter" help:"physical WAL flushes across shards"`
+	OpsPerFlush float64 `json:"ops_per_flush" prom:"gauge" help:"WAL commits per physical flush, lifetime"`
 	// CkptRounds and CkptPages count incremental-checkpoint write-back
 	// rounds and the dirty pages they flushed; CkptPagesPerRound is
 	// their ratio. CkptTruncatedBytes sums the WAL bytes reclaimed by
 	// maintenance truncations.
-	CkptRounds         int64   `json:"ckpt_rounds"`
-	CkptPages          int64   `json:"ckpt_pages"`
-	CkptPagesPerRound  float64 `json:"ckpt_pages_per_round"`
-	CkptTruncatedBytes int64   `json:"ckpt_truncated_bytes"`
+	CkptRounds         int64   `json:"ckpt_rounds" prom:"counter" help:"incremental-checkpoint write-back rounds across shards"`
+	CkptPages          int64   `json:"ckpt_pages" prom:"counter" help:"dirty pages written back by checkpoint rounds"`
+	CkptPagesPerRound  float64 `json:"ckpt_pages_per_round" prom:"gauge" help:"dirty pages per checkpoint round, lifetime"`
+	CkptTruncatedBytes int64   `json:"ckpt_truncated_bytes" prom:"counter" help:"WAL bytes reclaimed by every truncation"`
 	// ReadSnapshotReads counts as-of leaves read by snapshot scans.
 	// ReadVersionsLive is the current number of copy-on-write page images
 	// pinned by open snapshots, ReadVersionsReclaimed the total freed so far,
 	// ReadVersionChainMax the high-water length of any one page's version
 	// chain, and ReadActiveSnapshots the open snapshots right now.
-	ReadSnapshotReads     int64 `json:"read_snapshot_reads"`
-	ReadVersionsLive      int64 `json:"read_versions_live"`
-	ReadVersionsReclaimed int64 `json:"read_versions_reclaimed"`
-	ReadVersionChainMax   int64 `json:"read_version_chain_max"`
-	ReadActiveSnapshots   int64 `json:"read_active_snapshots"`
+	ReadSnapshotReads     int64 `json:"read_snapshot_reads" prom:"counter" help:"as-of leaves read by snapshot scans"`
+	ReadVersionsLive      int64 `json:"read_versions_live" prom:"gauge" help:"copy-on-write page versions currently pinned by snapshots"`
+	ReadVersionsReclaimed int64 `json:"read_versions_reclaimed" prom:"counter" help:"copy-on-write page versions reclaimed"`
+	ReadVersionChainMax   int64 `json:"read_version_chain_max" prom:"gauge" help:"high-water length of any one page's version chain"`
+	ReadActiveSnapshots   int64 `json:"read_active_snapshots" prom:"gauge" help:"currently open read snapshots"`
 	// MaxConns is the connection cap and ConnWaits how many accepts had
 	// to wait for a free slot — the MaxConns saturation counter.
-	MaxConns  int   `json:"max_conns"`
-	ConnWaits int64 `json:"conn_waits"`
+	MaxConns  int   `json:"max_conns" prom:"gauge" help:"connection cap (Options.MaxConns)"`
+	ConnWaits int64 `json:"conn_waits" prom:"counter" help:"accepts that waited for a free connection slot"`
 	// ReadSyscalls and WriteSyscalls count the socket reads and writes
 	// that returned, over all connections; FramesWritten the response
 	// frames those writes carried. Their deltas over a window, divided by
 	// the ops answered in it, are the wire path's socket calls per
 	// request, and FramesWritten ÷ WriteSyscalls is the response
 	// coalescing factor.
-	ReadSyscalls  int64 `json:"read_syscalls"`
-	WriteSyscalls int64 `json:"write_syscalls"`
-	FramesWritten int64 `json:"frames_written"`
+	ReadSyscalls  int64 `json:"read_syscalls" prom:"counter" help:"socket reads that returned, all connections"`
+	WriteSyscalls int64 `json:"write_syscalls" prom:"counter" help:"socket writes that returned, all connections"`
+	FramesWritten int64 `json:"frames_written" prom:"counter" help:"response frames carried by those socket writes"`
 	// ExecBatches counts the per-shard groups of keyed requests executed,
 	// one shard-lock acquisition by one connection each: keyed ops ÷
 	// ExecBatches is the requests per lock hold, beside OpsPerFlush.
-	ExecBatches int64 `json:"exec_batches"`
+	ExecBatches int64 `json:"exec_batches" prom:"counter" help:"per-shard groups of keyed requests executed, one shard-lock hold each"`
 	// ShardQueueDepth is a per-shard gauge: keyed requests decoded off
 	// some connection but not yet executed.
-	ShardQueueDepth []int `json:"shard_queue_depth,omitempty"`
+	ShardQueueDepth []int `json:"shard_queue_depth,omitempty" prom:"gauge" help:"keyed requests decoded but not yet executed"`
+	// TraceSampled counts the traced requests the flight recorder has
+	// seen.
+	TraceSampled int64 `json:"trace_sampled" prom:"counter" help:"traced requests recorded by the flight recorder"`
 	// Trace is the flight recorder's snapshot — sampled span timelines,
 	// the slowest requests, and the p99 stage attribution — present once
 	// at least one traced request was served.
@@ -300,7 +307,7 @@ func New(store *nvmstore.ShardedStore, opts Options) *Server {
 		queueDepth: make([]shardGauge, store.NumShards()),
 		conns:      make(map[*conn]struct{}),
 		connSem:    make(chan struct{}, opts.MaxConns),
-		flight:     obs.NewFlightRecorder(opts.TraceRing, opts.TraceSlow),
+		flight:     obs.NewFlightRecorder(traceRing, traceSlow),
 	}
 }
 
@@ -442,7 +449,6 @@ type snapshot struct {
 	wire    [wire.OpStats + 1]obs.HistSnapshot
 	engine  *nvmstore.LatencySnapshot // nil unless the store observes
 	replLag obs.HistSnapshot
-	sampled int64 // traced requests the flight recorder has seen
 }
 
 // Stats assembles the STATS document.
@@ -475,14 +481,14 @@ func (s *Server) snapshot() *snapshot {
 			doc.Wire = append(doc.Wire, r)
 		}
 	}
-	if snap.sampled = s.flight.Sampled(); snap.sampled > 0 {
+	if doc.TraceSampled = s.flight.Sampled(); doc.TraceSampled > 0 {
 		tr := s.flight.Snapshot()
 		doc.Trace = &tr
 	}
 	m := s.store.Metrics()
-	doc.NVMTotalWrites = m.NVMTotalWrites
+	doc.NVMLinesWritten = m.NVMTotalWrites
 	doc.SSDPagesRead = m.SSDPagesRead
-	doc.SSDPagesWrite = m.SSDPagesWritten
+	doc.SSDPagesWritten = m.SSDPagesWritten
 	doc.NVMAdmissions = m.Buffer.NVMAdmissions
 	doc.NVMDenials = m.Buffer.NVMDenials
 	doc.NVMEvictions = m.Buffer.NVMEvictions
@@ -520,11 +526,45 @@ func (s *Server) snapshot() *snapshot {
 // p99 attribution — for the /trace debug endpoint.
 func (s *Server) TraceSnapshot() obs.FlightSnapshot { return s.flight.Snapshot() }
 
-// WritePrometheus renders every server metric — wire and engine latency
-// histograms, connection and per-shard gauges, device and WAL counters —
-// into p in the Prometheus text exposition format. One call renders one
-// complete scrape.
+// WritePrometheus renders every server metric into p in the Prometheus
+// text exposition format: the wire and engine latency histograms, every
+// numeric STATS field by the rule on StatsDoc, and the replication
+// families. One call renders one complete scrape.
 func (s *Server) WritePrometheus(p *obs.PromWriter) { s.snapshot().writePrometheus(p) }
+
+// writeStatsFields renders every StatsDoc field that carries a prom tag,
+// by the naming rule on StatsDoc.
+func writeStatsFields(p *obs.PromWriter, doc *StatsDoc) {
+	v := reflect.ValueOf(doc).Elem()
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		kind := f.Tag.Get("prom")
+		if kind == "" {
+			continue
+		}
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		name, help, emit := "nvmstore_"+key, f.Tag.Get("help"), p.Gauge
+		if kind == "counter" {
+			name, emit = name+"_total", p.Counter
+		}
+		x := v.Field(i)
+		if x.Kind() != reflect.Slice {
+			emit(name, help, nil, sample(x))
+			continue
+		}
+		for shard := range x.Len() {
+			emit(name, help, []obs.Label{{Name: "shard", Value: fmt.Sprint(shard)}}, sample(x.Index(shard)))
+		}
+	}
+}
+
+// sample reads an integer or floating-point field as a sample value.
+func sample(v reflect.Value) float64 {
+	if v.CanFloat() {
+		return v.Float()
+	}
+	return float64(v.Int())
+}
 
 func (snap *snapshot) writePrometheus(p *obs.PromWriter) {
 	doc := &snap.doc
@@ -546,37 +586,7 @@ func (snap *snapshot) writePrometheus(p *obs.PromWriter) {
 				[]obs.Label{{Name: "op", Value: op.String()}}, h)
 		}
 	}
-	p.Gauge("nvmstore_conns", "currently open connections", nil, float64(doc.Conns))
-	p.Gauge("nvmstore_conns_max", "connection cap (Options.MaxConns)", nil, float64(doc.MaxConns))
-	p.Counter("nvmstore_conn_waits_total", "accepts that waited for a free connection slot", nil, float64(doc.ConnWaits))
-	p.Counter("nvmstore_accepted_total", "connections ever accepted", nil, float64(doc.Accepted))
-	p.Counter("nvmstore_ops_total", "requests answered", nil, float64(doc.Ops))
-	p.Counter("nvmstore_read_syscalls_total", "socket reads that returned, all connections", nil, float64(doc.ReadSyscalls))
-	p.Counter("nvmstore_write_syscalls_total", "socket writes that returned, all connections", nil, float64(doc.WriteSyscalls))
-	p.Counter("nvmstore_frames_written_total", "response frames carried by those socket writes", nil, float64(doc.FramesWritten))
-	p.Counter("nvmstore_exec_batches_total", "per-shard groups of keyed requests executed, one shard-lock hold each", nil, float64(doc.ExecBatches))
-	for i := range doc.ShardQueueDepth {
-		shard := []obs.Label{{Name: "shard", Value: fmt.Sprint(i)}}
-		p.Gauge("nvmstore_shard_queue_depth", "keyed requests decoded but not yet executed", shard, float64(doc.ShardQueueDepth[i]))
-	}
-	p.Gauge("nvmstore_sim_ns_max", "slowest shard's simulated device time", nil, float64(doc.MaxSimNs))
-	p.Counter("nvmstore_nvm_writes_total", "NVM words written (wear proxy)", nil, float64(doc.NVMTotalWrites))
-	p.Counter("nvmstore_ssd_reads_total", "SSD pages read", nil, float64(doc.SSDPagesRead))
-	p.Counter("nvmstore_ssd_writes_total", "SSD pages written", nil, float64(doc.SSDPagesWrite))
-	p.Counter("nvmstore_nvm_admissions_total", "pages a DRAM eviction admitted to the NVM cache", nil, float64(doc.NVMAdmissions))
-	p.Counter("nvmstore_nvm_denials_total", "pages a DRAM eviction sent to SSD instead (lost admission duels)", nil, float64(doc.NVMDenials))
-	p.Counter("nvmstore_nvm_evictions_total", "NVM slots evicted to make room for an admission", nil, float64(doc.NVMEvictions))
-	p.Counter("nvmstore_log_commits_total", "WAL commits across shards", nil, float64(doc.LogCommits))
-	p.Counter("nvmstore_log_flushes_total", "physical WAL flushes across shards", nil, float64(doc.LogFlushes))
-	p.Counter("nvmstore_ckpt_rounds_total", "incremental-checkpoint write-back rounds across shards", nil, float64(doc.CkptRounds))
-	p.Counter("nvmstore_ckpt_pages_total", "dirty pages written back by checkpoint rounds", nil, float64(doc.CkptPages))
-	p.Counter("nvmstore_ckpt_truncated_bytes_total", "WAL bytes reclaimed by every truncation", nil, float64(doc.CkptTruncatedBytes))
-	p.Counter("nvmstore_read_snapshot_reads_total", "as-of leaves read by snapshot scans", nil, float64(doc.ReadSnapshotReads))
-	p.Counter("nvmstore_read_versions_reclaimed_total", "copy-on-write page versions reclaimed", nil, float64(doc.ReadVersionsReclaimed))
-	p.Gauge("nvmstore_read_versions_live", "copy-on-write page versions currently pinned by snapshots", nil, float64(doc.ReadVersionsLive))
-	p.Gauge("nvmstore_read_version_chain_max", "high-water length of any one page's version chain", nil, float64(doc.ReadVersionChainMax))
-	p.Gauge("nvmstore_read_active_snapshots", "currently open read snapshots", nil, float64(doc.ReadActiveSnapshots))
-	p.Counter("nvmstore_trace_sampled_total", "traced requests recorded by the flight recorder", nil, float64(snap.sampled))
+	writeStatsFields(p, doc)
 	if rs := doc.Repl; rs != nil {
 		p.Gauge("nvmstore_repl_epoch", "current replication epoch", nil, float64(rs.Epoch))
 		p.Gauge("nvmstore_repl_fenced_by", "epoch that superseded this primary (0: active)", nil, float64(rs.FencedBy))

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -9,10 +12,12 @@ import (
 	"nvmstore/internal/obs"
 )
 
-// TestPrometheusMatchesStats: STATS and /metrics are made from one
-// snapshot, so with a writer running beside the scrape every scalar in
-// the Prometheus text still equals its field of the STATS document from
-// the same call — a second reading of the store would have moved on.
+// TestPrometheusMatchesStats: /metrics is derived from the STATS document
+// of the same snapshot. With a writer running beside the scrape, every
+// numeric key of the marshalled document appears as nvmstore_<key> or
+// nvmstore_<key>_total with the same value (a list as one sample per
+// shard), and no other unlabelled scalar appears — a second reading of
+// the store would have moved on.
 func TestPrometheusMatchesStats(t *testing.T) {
 	store, tab := openTestStore(t, 1, 64)
 	srv := New(store, Options{})
@@ -62,45 +67,69 @@ func TestPrometheusMatchesStats(t *testing.T) {
 				t.Fatalf("sample %q: %v", line, err)
 			}
 		}
-		doc := snap.doc
-		want := map[string]float64{
-			"nvmstore_conns":                         float64(doc.Conns),
-			"nvmstore_conns_max":                     float64(doc.MaxConns),
-			"nvmstore_conn_waits_total":              float64(doc.ConnWaits),
-			"nvmstore_accepted_total":                float64(doc.Accepted),
-			"nvmstore_ops_total":                     float64(doc.Ops),
-			"nvmstore_read_syscalls_total":           float64(doc.ReadSyscalls),
-			"nvmstore_write_syscalls_total":          float64(doc.WriteSyscalls),
-			"nvmstore_frames_written_total":          float64(doc.FramesWritten),
-			"nvmstore_exec_batches_total":            float64(doc.ExecBatches),
-			`nvmstore_shard_queue_depth{shard="0"}`:  float64(doc.ShardQueueDepth[0]),
-			`nvmstore_shard_queue_depth{shard="1"}`:  float64(doc.ShardQueueDepth[1]),
-			"nvmstore_sim_ns_max":                    float64(doc.MaxSimNs),
-			"nvmstore_nvm_writes_total":              float64(doc.NVMTotalWrites),
-			"nvmstore_ssd_reads_total":               float64(doc.SSDPagesRead),
-			"nvmstore_ssd_writes_total":              float64(doc.SSDPagesWrite),
-			"nvmstore_nvm_admissions_total":          float64(doc.NVMAdmissions),
-			"nvmstore_nvm_denials_total":             float64(doc.NVMDenials),
-			"nvmstore_nvm_evictions_total":           float64(doc.NVMEvictions),
-			"nvmstore_log_commits_total":             float64(doc.LogCommits),
-			"nvmstore_log_flushes_total":             float64(doc.LogFlushes),
-			"nvmstore_ckpt_rounds_total":             float64(doc.CkptRounds),
-			"nvmstore_ckpt_pages_total":              float64(doc.CkptPages),
-			"nvmstore_ckpt_truncated_bytes_total":    float64(doc.CkptTruncatedBytes),
-			"nvmstore_read_snapshot_reads_total":     float64(doc.ReadSnapshotReads),
-			"nvmstore_read_versions_reclaimed_total": float64(doc.ReadVersionsReclaimed),
-			"nvmstore_read_versions_live":            float64(doc.ReadVersionsLive),
-			"nvmstore_read_version_chain_max":        float64(doc.ReadVersionChainMax),
-			"nvmstore_read_active_snapshots":         float64(doc.ReadActiveSnapshots),
-			"nvmstore_trace_sampled_total":           float64(snap.sampled),
+		raw, err := json.Marshal(snap.doc)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("/metrics has %d scalar samples, the STATS document accounts for %d:\n%s", len(got), len(want), b.String())
+		var fields map[string]any
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
 		}
-		for name, w := range want {
-			if g, ok := got[name]; !ok || g != w {
-				t.Fatalf("round %d: %s = %v (present %v) in /metrics, %v in the STATS document of the same snapshot", round, name, g, ok, w)
+		matched := make(map[string]bool)
+		match := func(key, labels string, want float64) {
+			gauge, counter := "nvmstore_"+key+labels, "nvmstore_"+key+"_total"+labels
+			g, isGauge := got[gauge]
+			c, isCounter := got[counter]
+			if isGauge == isCounter {
+				t.Fatalf("round %d: STATS %s%s: want exactly one of %s and %s in /metrics:\n%s", round, key, labels, gauge, counter, b.String())
 			}
+			if isCounter {
+				g = c
+			}
+			if g != want {
+				t.Fatalf("round %d: STATS %s%s = %v, /metrics of the same snapshot reads %v", round, key, labels, want, g)
+			}
+			matched[gauge], matched[counter] = true, true
+		}
+		for key, v := range fields {
+			switch v := v.(type) {
+			case float64:
+				match(key, "", v)
+			case []any:
+				for shard, x := range v {
+					if x, ok := x.(float64); ok {
+						match(key, fmt.Sprintf(`{shard="%d"}`, shard), x)
+					}
+				}
+			}
+		}
+		for name := range got {
+			if !matched[name] && !strings.Contains(name, "{") {
+				t.Fatalf("round %d: /metrics scalar %s has no STATS field", round, name)
+			}
+		}
+	}
+}
+
+// TestNumericStatsFieldsTagged: a numeric StatsDoc field (or list of
+// them) is a Prometheus family only through its prom and help tags, so
+// one without them would be in STATS and silently missing from /metrics.
+func TestNumericStatsFieldsTagged(t *testing.T) {
+	typ := reflect.TypeOf(StatsDoc{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		k := f.Type.Kind()
+		if k == reflect.Slice {
+			k = f.Type.Elem().Kind()
+		}
+		numeric := k == reflect.Int || k == reflect.Int64 || k == reflect.Float64
+		switch kind := f.Tag.Get("prom"); {
+		case numeric && kind != "counter" && kind != "gauge":
+			t.Errorf("numeric StatsDoc field %s has prom tag %q, want counter or gauge", f.Name, kind)
+		case numeric && f.Tag.Get("help") == "":
+			t.Errorf("numeric StatsDoc field %s has no help tag", f.Name)
+		case !numeric && kind != "":
+			t.Errorf("StatsDoc field %s of type %s has a prom tag; only numbers are rendered", f.Name, f.Type)
 		}
 	}
 }

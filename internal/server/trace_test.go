@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -252,26 +253,52 @@ func TestPrometheusExport(t *testing.T) {
 	if err := obs.LintPromText([]byte(out)); err != nil {
 		t.Fatalf("prometheus lint: %v\n%s", err, out)
 	}
+	// The STATS scalars are TestPrometheusMatchesStats's; these are the
+	// hand-written histogram families.
 	for _, want := range []string{
 		`nvmstore_wire_latency_ns_bucket{op="get",le="+Inf"}`,
 		`nvmstore_wire_latency_ns_count{op="put"}`,
-		`nvmstore_shard_queue_depth{shard="1"}`,
-		"nvmstore_exec_batches_total ",
-		"nvmstore_conns ",
-		"nvmstore_conn_waits_total ",
-		"nvmstore_ops_total ",
-		"nvmstore_read_syscalls_total ",
-		"nvmstore_write_syscalls_total ",
-		"nvmstore_frames_written_total ",
-		"nvmstore_log_flushes_total ",
-		"nvmstore_nvm_admissions_total ",
-		"nvmstore_nvm_denials_total ",
-		"nvmstore_nvm_evictions_total ",
-		"nvmstore_trace_sampled_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+}
+
+// TestMetricsJSONIsLive: /metrics.json is the STATS document built on the
+// request, so a PUT acknowledged just before it shows there — no sleep, no
+// refresh period to wait out.
+func TestMetricsJSONIsLive(t *testing.T) {
+	srv, _, addr := startServer(t, 1, server.Options{})
+	dbg, err := obs.StartDebug("127.0.0.1:0", func() any { return srv.Stats() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
+	cl, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	fetch := func() server.StatsDoc {
+		resp, err := http.Get("http://" + dbg.Addr().String() + "/metrics.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var doc server.StatsDoc
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	before := fetch()
+	if err := cl.Put(testTable, 1, rowFor(1)); err != nil {
+		t.Fatal(err)
+	}
+	if after := fetch(); after.Ops != before.Ops+1 || after.LogCommits != before.LogCommits+1 {
+		t.Fatalf("/metrics.json after one PUT: ops %d -> %d, log_commits %d -> %d",
+			before.Ops, after.Ops, before.LogCommits, after.LogCommits)
 	}
 }
 
