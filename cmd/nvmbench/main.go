@@ -25,9 +25,7 @@
 // a trace header; the server records a per-stage timeline for each and
 // the run prints the p99 stage decomposition (reader dispatch, shard
 // queue, execution, WAL flush, response write), also embedded in the
-// -json output as "attribution". Combined with -experiment groupcommit it sweeps
-// client pipeline depth instead, measuring the server's group-commit
-// flush coalescing end to end.
+// -json output as "attribution".
 //
 // The repl experiment (-experiment repl) measures read-replica scaling:
 // it builds an in-process cluster — a served primary, a background
@@ -38,8 +36,7 @@
 //
 // Fault injection (-faults spec) arms a deterministic injection plan on
 // every engine an experiment builds, so any figure can be regenerated
-// under device faults; the dedicated "faults" experiment sweeps the
-// fault rate itself. Spec grammar: semicolon-separated
+// under device faults. Spec grammar: semicolon-separated
 // kind:param=value,... rules plus an optional seed:N, e.g.
 // "seed:7;ssd.read:p=0.001,transient=2;nvm.stall:p=0.01,stall=10us"
 // (kinds and parameters are documented in internal/fault).
@@ -219,7 +216,11 @@ func run() int {
 	}
 
 	if *remoteAddr != "" {
-		ro := remote.Options{
+		if *experiment != "" {
+			fmt.Fprintf(os.Stderr, "nvmbench: -remote runs the wire workload and takes no -experiment (got %q)\n", *experiment)
+			return 2
+		}
+		return runRemote(remote.Options{
 			Addr:        *remoteAddr,
 			Clients:     *clients,
 			Depth:       *depth,
@@ -231,18 +232,7 @@ func run() int {
 			Seed:        *seed,
 			Retries:     *retries,
 			TraceSample: *traceSamp,
-		}
-		// -remote -experiment groupcommit is the serving-layer variant
-		// of the group-commit sweep: pipeline depth, not -depth, is the
-		// swept variable there.
-		if *experiment == "groupcommit" {
-			return runRemoteWith(remote.GroupCommit, ro, *format, jsonDir.dir)
-		}
-		if *experiment != "" {
-			fmt.Fprintf(os.Stderr, "nvmbench: -remote runs the wire workload; only -experiment groupcommit has a remote variant (got %q)\n", *experiment)
-			return 2
-		}
-		return runRemoteWith(remote.Run, ro, *format, jsonDir.dir)
+		}, *format, jsonDir.dir)
 	}
 
 	if *experiment == "" {
@@ -367,11 +357,11 @@ func emit(res bench.Result, format string) {
 	}
 }
 
-// runRemoteWith drives a running nvmserver through the given remote
-// runner and prints the result.
-func runRemoteWith(run func(remote.Options) (bench.Result, error), o remote.Options, format, jsonDir string) int {
+// runRemote drives a running nvmserver with the remote YCSB mix and
+// prints the result.
+func runRemote(o remote.Options, format, jsonDir string) int {
 	start := time.Now()
-	res, err := run(o)
+	res, err := remote.Run(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nvmbench: -remote %s: %v\n", o.Addr, err)
 		return 1

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"nvmstore/internal/fault"
 )
@@ -99,34 +100,82 @@ func TestGroupCommitAckDurable(t *testing.T) {
 }
 
 // TestNoFlushCommitsShareOneFlush pins the flush amortization every
-// group-commit site is built on: N UpdateNoFlush commits and one FlushWAL
-// are N commits and exactly one log-tail flush.
+// group-commit site is built on. Twin stores get the same n updates: one
+// commits each with its own flush (Update), the other with UpdateNoFlush
+// and one FlushWAL. On ThreeTier the grouped twin's n commits take exactly
+// one log-tail flush, and each of the n-1 flushes it saves is a persist
+// barrier (WriteLatency) less the one line transfer (LineTransfer) the
+// shared flush still pays for it — a bound on the simulated clock, so
+// deterministic. NVMDirect persists in place and cuts the log at every
+// commit: grouping has nothing to save, and both twins advance the clock
+// by exactly the same time.
 func TestNoFlushCommitsShareOneFlush(t *testing.T) {
-	s := open(t, ThreeTier)
-	table, err := s.CreateTable(1, 16)
-	if err != nil {
-		t.Fatal(err)
+	const n = 16
+	type twin struct {
+		sim              time.Duration
+		commits, flushes int64
 	}
-	before := s.Metrics().Log
-	const n = 10
-	for k := uint64(1); k <= n; k++ {
-		err := s.UpdateNoFlush(func() error { return table.Insert(k, bytes.Repeat([]byte{byte(k)}, 16)) })
+	run := func(t *testing.T, arch Architecture, grouped bool) (twin, *Store) {
+		s := open(t, arch)
+		table, err := s.CreateTable(1, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for k := uint64(1); k <= n; k++ {
+			if err := s.Update(func() error { return table.Insert(k, bytes.Repeat([]byte{byte(k)}, 16)) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sim0, log0 := s.SimulatedTime(), s.Metrics().Log
+		for k := uint64(1); k <= n; k++ {
+			update := func() error {
+				if found, err := table.UpdateField(k, 4, []byte{byte(k), 0xAB}); err != nil || !found {
+					return fmt.Errorf("update %d: found=%v err=%v", k, found, err)
+				}
+				return nil
+			}
+			commit := s.Update
+			if grouped {
+				commit = s.UpdateNoFlush
+			}
+			if err := commit(update); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if grouped {
+			if _, err := s.FlushWAL(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log := s.Metrics().Log
+		return twin{s.SimulatedTime() - sim0, log.Commits - log0.Commits, log.Flushes - log0.Flushes}, s
 	}
-	if covered, err := s.FlushWAL(); err != nil || covered != n {
-		t.Fatalf("FlushWAL covered %d commits, err %v; want %d", covered, err, n)
-	}
-	after := s.Metrics().Log
-	if c := after.Commits - before.Commits; c != n {
-		t.Fatalf("commits = %d, want %d", c, n)
-	}
-	if f := after.Flushes - before.Flushes; f != 1 {
-		t.Fatalf("flushes = %d, want 1 (the group flush)", f)
-	}
-	if opf := s.Metrics().OpsPerFlush; opf <= 1 {
-		t.Fatalf("OpsPerFlush = %.2f, want > 1 after a shared flush", opf)
+
+	for _, arch := range []Architecture{ThreeTier, NVMDirect} {
+		t.Run(arch.String(), func(t *testing.T) {
+			each, _ := run(t, arch, false)
+			group, s := run(t, arch, true)
+			t.Logf("simulated time: %v flushing each, %v grouped", each.sim, group.sim)
+			if arch == NVMDirect {
+				if each.sim != group.sim {
+					t.Fatalf("simulated time %v flushing each, %v grouped; in-place persistence has nothing to group", each.sim, group.sim)
+				}
+				return
+			}
+			if each.commits != n || group.commits != n {
+				t.Fatalf("commits: %d flushing each, %d grouped; want %d", each.commits, group.commits, n)
+			}
+			if each.flushes != n || group.flushes != 1 {
+				t.Fatalf("flushes: %d flushing each, %d grouped; want %d and 1", each.flushes, group.flushes, n)
+			}
+			if opf := s.Metrics().OpsPerFlush; opf <= 1 {
+				t.Fatalf("OpsPerFlush = %.2f, want > 1 after a shared flush", opf)
+			}
+			cfg := s.e.Manager().NVM().Config()
+			if saved, least := each.sim-group.sim, (n-1)*(cfg.WriteLatency-cfg.LineTransfer); saved < least {
+				t.Fatalf("grouping saved %v of simulated time (%v -> %v), want >= %v", saved, each.sim, group.sim, least)
+			}
+		})
 	}
 }
 

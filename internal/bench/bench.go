@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"nvmstore/internal/core"
@@ -290,6 +291,11 @@ func (w writeWindow) note() string {
 	}
 	return out
 }
+
+// faultSite hands every faulted engine a distinct injection site, so
+// probability draws decorrelate across the engines built in one
+// process while each engine's stream stays reproducible.
+var faultSite atomic.Uint64
 
 // buildEngine opens an engine with the paper's per-architecture feature
 // defaults and the given capacities, applying any extra config mutation.

@@ -51,10 +51,6 @@ func TestAllExperimentsRun(t *testing.T) {
 					t.Fatalf("%s series %q empty", exp.ID, s.Name)
 				}
 				for i, y := range s.Y {
-					// readscale's first cell runs the writers alone.
-					if exp.ID == "readscale" && s.Name == "scans/s" && s.X[i] == 0 {
-						continue
-					}
 					if y <= 0 {
 						t.Fatalf("%s series %q point %d: non-positive value %f", exp.ID, s.Name, i, y)
 					}

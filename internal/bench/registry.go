@@ -48,10 +48,6 @@ func Experiments() []Experiment {
 		{"fig17", "restart ramp-up, appendix A.5 (Figure 17)", Fig17},
 		{"figA1", "multi-threaded scalability, appendix A.1 (threads sweep)", FigA1},
 		{"ablation", "NVM admission ablation: duel vs always-admit (not in the paper)", AblationAdmission},
-		{"groupcommit", "group-commit batch-size sweep, write-heavy YCSB (not in the paper)", GroupCommit},
-		{"ckptstall", "commit tail latency: inline full checkpoint vs inline paced rounds (not in the paper)", CkptStall},
-		{"faults", "throughput under injected device faults (not in the paper)", FaultSweep},
-		{"readscale", "write and scan throughput vs concurrent scanners (not in the paper)", ReadScale},
 	}
 	for i := range exps {
 		exps[i].Run = instrument(exps[i].Run)

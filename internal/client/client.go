@@ -40,6 +40,9 @@ import (
 	"nvmstore/internal/wire"
 )
 
+// dialTimeout bounds each dial.
+const dialTimeout = 5 * time.Second
+
 // Options tunes the client. The zero value is ready for use.
 type Options struct {
 	// Conns is the connection pool size (default 1).
@@ -48,8 +51,6 @@ type Options struct {
 	// past it, issuing a request blocks — the client-side backpressure
 	// matching the server's bounded queues.
 	Depth int
-	// DialTimeout bounds each dial (default 5s).
-	DialTimeout time.Duration
 	// Retries is how many times the synchronous KV methods (Get, Put,
 	// Delete, Scan, Stats) reissue a request after a retryable
 	// transport failure, redialing the failed connection first (default
@@ -74,9 +75,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.Depth <= 0 {
 		o.Depth = 128
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 5 * time.Second
 	}
 	if o.Retries == 0 {
 		o.Retries = 3
@@ -170,7 +168,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 
 // dialConn dials one connection and starts its read loop.
 func (c *Client) dialConn() (*conn, error) {
-	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}

@@ -110,16 +110,55 @@ func (o *Options) applyDefaults() {
 // round-trip latencies alongside the server's engine-level histograms.
 func Run(o Options) (bench.Result, error) {
 	o.applyDefaults()
-	cl, err := dial(o)
+	cl, err := client.Dial(o.Addr, client.Options{
+		Conns: o.Conns,
+		// Every worker must be able to fill its pipeline even if the
+		// round-robin lands them all on one connection.
+		Depth:       o.Clients * o.Depth,
+		Retries:     o.Retries,
+		TraceSample: o.TraceSample,
+	})
 	if err != nil {
 		return bench.Result{}, err
 	}
 	defer cl.Close()
-	w, err := measure(cl, o)
+	var reissued atomic.Int64
+	if o.Load {
+		if err := remoteLoad(cl, o, &reissued); err != nil {
+			return bench.Result{}, fmt.Errorf("remote load: %w", err)
+		}
+	}
+	if o.Warmup > 0 {
+		if err := remoteRun(cl, o, o.Warmup, &reissued); err != nil {
+			return bench.Result{}, fmt.Errorf("remote warmup: %w", err)
+		}
+	}
+	// The measured window: o.Ops operations between two STATS readings,
+	// with cl's latency histograms and the reissue count restarted.
+	reissued.Store(0)
+	cl.ResetLatency()
+	before, err := remoteStats(cl)
 	if err != nil {
 		return bench.Result{}, err
 	}
-	before, after := w.before, w.after
+	start := time.Now()
+	if err := remoteRun(cl, o, o.Ops, &reissued); err != nil {
+		return bench.Result{}, fmt.Errorf("remote run: %w", err)
+	}
+	wall := time.Since(start)
+	after, err := remoteStats(cl)
+	if err != nil {
+		return bench.Result{}, err
+	}
+	// Hybrid time, as everywhere in this repo: the engines charge device
+	// latencies to virtual clocks instead of sleeping, so wall time alone
+	// would flatter the run; the slowest shard's simulated advance is what
+	// dedicated hardware would have added.
+	sim := time.Duration(after.MaxSimNs - before.MaxSimNs)
+	var perSec float64
+	if combined := wall + sim; combined > 0 {
+		perSec = float64(o.Ops) / combined.Seconds()
+	}
 
 	res := bench.Result{
 		ID:      "remote",
@@ -130,13 +169,13 @@ func Run(o Options) (bench.Result, error) {
 		Series: []bench.Series{{
 			Name: "wire",
 			X:    []float64{float64(o.Clients)},
-			Y:    []float64{w.perSec(o.Ops)},
+			Y:    []float64{perSec},
 		}},
 		Latency: append(cl.Latency(), after.Engine...),
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d ops, %d clients × depth %d over %d conns: wall %v + sim %v = %v",
-			o.Ops, o.Clients, o.Depth, o.Conns, w.wall.Round(time.Microsecond), w.sim, (w.wall+w.sim).Round(time.Microsecond)),
+			o.Ops, o.Clients, o.Depth, o.Conns, wall.Round(time.Microsecond), sim, (wall+sim).Round(time.Microsecond)),
 		"latency rows: wire.* are client-observed wall-clock round trips;",
 		"the rest are the server engine's simulated-time histograms (with -obs)")
 	// The wire path's cost in the paper's Fig. 10 idiom — a counter, not
@@ -150,10 +189,10 @@ func Run(o Options) (bench.Result, error) {
 			float64(after.ReadSyscalls-before.ReadSyscalls)/ops, float64(writes)/ops,
 			float64(after.FramesWritten-before.FramesWritten)/float64(writes), ops/float64(groups)))
 	}
-	if w.reissued > 0 || cl.Retries() > 0 {
+	if n := reissued.Load(); n > 0 || cl.Retries() > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"%d pipelined ops reissued after transport failures (%d client-level retries); reissues cost time but add no ops",
-			w.reissued, cl.Retries()))
+			n, cl.Retries()))
 	}
 	if o.TraceSample > 0 {
 		if after.Trace == nil || after.Trace.Sampled == 0 {
@@ -213,74 +252,6 @@ func settle(o Options, p pending, reissued *atomic.Int64) error {
 	}
 	reissued.Add(1)
 	return p.redo()
-}
-
-// window is one measured run against a server: the STATS documents that
-// bracket it, its wall-clock time, the slowest shard's simulated advance
-// over it, and the pipelined operations reissued inside it.
-type window struct {
-	before, after server.StatsDoc
-	wall, sim     time.Duration
-	reissued      int64
-}
-
-// perSec is the window's throughput over combined time. Hybrid time, as
-// everywhere in this repo: the engines charge device latencies to virtual
-// clocks instead of sleeping, so wall time alone would flatter the run;
-// the slowest shard's simulated advance is what dedicated hardware would
-// have added.
-func (w window) perSec(ops int) float64 {
-	if combined := w.wall + w.sim; combined > 0 {
-		return float64(ops) / combined.Seconds()
-	}
-	return 0
-}
-
-// dial connects the run's client.
-func dial(o Options) (*client.Client, error) {
-	return client.Dial(o.Addr, client.Options{
-		Conns: o.Conns,
-		// Every worker must be able to fill its pipeline even if the
-		// round-robin lands them all on one connection.
-		Depth:       o.Clients * o.Depth,
-		Retries:     o.Retries,
-		TraceSample: o.TraceSample,
-	})
-}
-
-// measure loads the key space through cl when o.Load is set, warms up, and
-// runs o.Ops operations between two STATS readings. cl's latency
-// histograms cover the measured window only.
-func measure(cl *client.Client, o Options) (window, error) {
-	var w window
-	var reissued atomic.Int64
-	if o.Load {
-		if err := remoteLoad(cl, o, &reissued); err != nil {
-			return w, fmt.Errorf("remote load: %w", err)
-		}
-	}
-	if o.Warmup > 0 {
-		if err := remoteRun(cl, o, o.Warmup, &reissued); err != nil {
-			return w, fmt.Errorf("remote warmup: %w", err)
-		}
-	}
-	reissued.Store(0)
-	cl.ResetLatency()
-	var err error
-	if w.before, err = remoteStats(cl); err != nil {
-		return w, err
-	}
-	start := time.Now()
-	if err := remoteRun(cl, o, o.Ops, &reissued); err != nil {
-		return w, fmt.Errorf("remote run: %w", err)
-	}
-	w.wall = time.Since(start)
-	if w.after, err = remoteStats(cl); err != nil {
-		return w, err
-	}
-	w.sim = time.Duration(w.after.MaxSimNs - w.before.MaxSimNs)
-	w.reissued = reissued.Load()
-	return w, nil
 }
 
 // remoteStats fetches and decodes the server's STATS document.

@@ -282,17 +282,29 @@ func TestPromoteAndFence(t *testing.T) {
 	// Semi-synchronous: an acked write is on the replica before the ack.
 	src := repl.NewSource(primary, repl.SourceOptions{SyncReplicas: 1, SyncTimeout: 5 * time.Second})
 	paddr := serve(t, primary, server.Options{Repl: src})
+	pcl := dial(t, paddr)
+	const n = 100
+	// No replica is attached yet: the wait has no feed to wait for, so
+	// the ack goes out short of SyncReplicas — and is counted.
+	if err := pcl.Put(testTable, n, rowFor(n)); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Stats().DegradedAcks; got != 1 {
+		t.Fatalf("unreplicated PUT: %d degraded acks, want 1", got)
+	}
+
 	replica := newStore(t, 2)
 	rp, raddr := startReplica(t, replica, paddr)
-
-	pcl, rcl := dial(t, paddr), dial(t, raddr)
+	rcl := dial(t, raddr)
 	// Wait until the feed is live on every shard so semi-sync is armed.
 	syncReplica(t, pcl, rcl)
-	const n = 100
 	for k := uint64(0); k < n; k++ {
 		if err := pcl.Put(testTable, k, rowFor(k)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if got := src.Stats().DegradedAcks; got != 1 {
+		t.Fatalf("%d degraded acks after %d replicated PUTs, want still 1", got, n)
 	}
 
 	// Promote the replica to epoch 2, then fence the old primary.

@@ -13,12 +13,13 @@ import (
 	"nvmstore/internal/wire"
 )
 
+// replicaDialTimeout bounds each connection attempt to the primary.
+const replicaDialTimeout = 2 * time.Second
+
 // ReplicaOptions configures the replica side of replication.
 type ReplicaOptions struct {
 	// Primary is the primary server's address (host:port). Required.
 	Primary string
-	// DialTimeout bounds each connection attempt (default 2s).
-	DialTimeout time.Duration
 	// Backoff is the pause between reconnect attempts (default 100ms).
 	Backoff time.Duration
 	// Logf, when set, receives connection-lifecycle diagnostics.
@@ -62,9 +63,6 @@ type Replica struct {
 func NewReplica(store *nvmstore.ShardedStore, opts ReplicaOptions) (*Replica, error) {
 	if opts.Primary == "" {
 		return nil, fmt.Errorf("repl: replica needs a primary address")
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 2 * time.Second
 	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = 100 * time.Millisecond
@@ -136,7 +134,7 @@ type sessItem struct {
 // session runs one connection: subscribe, then route pushed frames to
 // per-shard apply workers until the connection dies.
 func (r *Replica) session() error {
-	conn, err := net.DialTimeout("tcp", r.opts.Primary, r.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", r.opts.Primary, replicaDialTimeout)
 	if err != nil {
 		return err
 	}

@@ -11,27 +11,31 @@ import (
 	"nvmstore/internal/wire"
 )
 
+const (
+	// ringMaxBytes bounds the per-shard retention ring of shipped records. A
+	// replica resuming from an LSN the ring no longer covers bootstraps
+	// from a snapshot instead.
+	ringMaxBytes = 4 << 20
+	// MaxBatchBytes bounds the image bytes the serving layer encodes into
+	// one pushed BATCH or snapshot frame (always well under wire.MaxFrame).
+	MaxBatchBytes = 256 << 10
+)
+
 // SourceOptions tunes the primary side of replication. The zero value
 // gives sensible defaults.
 type SourceOptions struct {
-	// RingBytes bounds the per-shard retention ring of shipped records
-	// (default 4MB). A replica resuming from an LSN the ring no longer
-	// covers bootstraps from a snapshot instead.
-	RingBytes int
 	// FeedQueue bounds the per-replica queue of pending items (default
 	// 1024). A replica that falls this far behind is dropped — flow
 	// control by disconnection, never by wedging the primary.
 	FeedQueue int
-	// MaxBatchBytes bounds the image bytes encoded into one pushed
-	// BATCH frame (default 256KB; always well under wire.MaxFrame).
-	MaxBatchBytes int
 	// SnapRows bounds the rows per snapshot chunk (default 1024).
 	SnapRows int
 	// SyncReplicas, when positive, makes WaitAcked block commits until
 	// this many replicas acknowledged the shard's last shipped LSN —
 	// semi-synchronous replication: an acked write then survives the
 	// loss of the primary. With fewer live replicas attached the wait
-	// degrades to the live count (and to no wait with none attached).
+	// degrades to the live count (and to no wait with none attached);
+	// Stats.DegradedAcks counts every wait that ends short of it.
 	SyncReplicas int
 	// SyncTimeout bounds a semi-synchronous wait before degrading to
 	// asynchronous for that batch (default 2s).
@@ -59,6 +63,7 @@ type Source struct {
 
 	statSnapChunks int64
 	statDropped    int64
+	statDegraded   int64
 }
 
 // srcShard is the per-shard retention state, guarded by Source.mu.
@@ -137,14 +142,8 @@ type ackStamp struct {
 // removed (with the ring cleared) when the last one detaches, so an
 // unreplicated server pays nothing. The initial epoch is 1.
 func NewSource(store *nvmstore.ShardedStore, opts SourceOptions) *Source {
-	if opts.RingBytes <= 0 {
-		opts.RingBytes = 4 << 20
-	}
 	if opts.FeedQueue <= 0 {
 		opts.FeedQueue = 1024
-	}
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = 256 << 10
 	}
 	if opts.SnapRows <= 0 {
 		opts.SnapRows = 1024
@@ -162,10 +161,6 @@ func NewSource(store *nvmstore.ShardedStore, opts SourceOptions) *Source {
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
-
-// MaxBatchBytes returns the configured per-frame payload bound, for
-// the serving layer's frame splitting.
-func (s *Source) MaxBatchBytes() int { return s.opts.MaxBatchBytes }
 
 // Epoch returns the current primary epoch.
 func (s *Source) Epoch() uint64 {
@@ -417,7 +412,7 @@ func (s *Source) ship(shard int, recs []nvmstore.WALRecord) {
 	sh.shipped = b.Last
 	sh.ring = append(sh.ring, b)
 	sh.ringBytes += b.Bytes
-	for len(sh.ring) > 1 && sh.ringBytes > s.opts.RingBytes {
+	for len(sh.ring) > 1 && sh.ringBytes > ringMaxBytes {
 		sh.ringBytes -= sh.ring[0].Bytes
 		sh.ring = sh.ring[1:]
 	}
@@ -548,8 +543,9 @@ func (s *Source) Ack(f *Feed, a wire.ReplAck) {
 // WaitAcked implements semi-synchronous commits: it blocks until
 // SyncReplicas live feeds have acknowledged the shard's last shipped
 // LSN, degrading to the number of live feeds (possibly zero) and to
-// asynchronous after SyncTimeout. Call it after the batch's WAL flush,
-// without holding the shard lock.
+// asynchronous after SyncTimeout. A return with fewer than SyncReplicas
+// acknowledgements is counted in Stats.DegradedAcks. Call it after the
+// batch's WAL flush, without holding the shard lock.
 func (s *Source) WaitAcked(shard int) {
 	if s.opts.SyncReplicas <= 0 {
 		return
@@ -575,14 +571,10 @@ func (s *Source) WaitAcked(shard int) {
 				acked++
 			}
 		}
-		need := s.opts.SyncReplicas
-		if live < need {
-			need = live
-		}
-		if acked >= need {
-			return
-		}
-		if time.Now().After(deadline) {
+		if acked >= min(s.opts.SyncReplicas, live) || time.Now().After(deadline) {
+			if acked < s.opts.SyncReplicas {
+				s.statDegraded++
+			}
 			return
 		}
 		s.cond.Wait()
@@ -634,6 +626,11 @@ type Stats struct {
 	SnapshotChunks int64 `json:"snapshot_chunks"`
 	// DroppedFeeds counts feeds dropped by flow control.
 	DroppedFeeds int64 `json:"dropped_feeds"`
+	// DegradedAcks counts semi-synchronous waits that returned with fewer
+	// than SyncReplicas acknowledgements: too few live feeds (none
+	// included) or SyncTimeout expired. Writes acked this way may exist on
+	// the primary alone.
+	DegradedAcks int64 `json:"degraded_acks"`
 	// LagP50Ns and LagP99Ns are quantiles of the ship→ack lag.
 	LagP50Ns int64 `json:"lag_p50_ns"`
 	// LagP99Ns is the 99th percentile ship→ack lag.
@@ -650,6 +647,7 @@ func (s *Source) Stats() Stats {
 		FencedBy:       s.fencedBy,
 		SnapshotChunks: s.statSnapChunks,
 		DroppedFeeds:   s.statDropped,
+		DegradedAcks:   s.statDegraded,
 		LagP50Ns:       lag.Quantile(0.50),
 		LagP99Ns:       lag.Quantile(0.99),
 	}

@@ -101,7 +101,7 @@ func (c *conn) replSubscribe(req wire.Request, start time.Time) {
 func (c *conn) feeder(f *repl.Feed) {
 	defer c.pending.Done()
 	src := c.srv.opts.Repl
-	max := src.MaxBatchBytes()
+	const max = repl.MaxBatchBytes
 	for it := range f.Items() {
 		switch {
 		case it.Batch != nil:

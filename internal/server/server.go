@@ -593,6 +593,7 @@ func (snap *snapshot) writePrometheus(p *obs.PromWriter) {
 		p.Gauge("nvmstore_repl_replicas", "currently attached replica feeds", nil, float64(len(rs.Replicas)))
 		p.Counter("nvmstore_repl_snapshot_chunks_total", "bootstrap snapshot chunks streamed", nil, float64(rs.SnapshotChunks))
 		p.Counter("nvmstore_repl_dropped_feeds_total", "replica feeds dropped by flow control", nil, float64(rs.DroppedFeeds))
+		p.Counter("nvmstore_repl_degraded_acks_total", "semi-synchronous acks sent with fewer than SyncReplicas replica acks", nil, float64(rs.DegradedAcks))
 		if snap.replLag.Count() > 0 {
 			p.Histogram("nvmstore_repl_lag_ns", "ship→ack replication lag (wall ns)", nil, snap.replLag)
 		}

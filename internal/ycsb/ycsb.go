@@ -473,26 +473,3 @@ func (w *Workload) Run(p Preset) error {
 		return fmt.Errorf("ycsb: unknown preset %q", p)
 	}
 }
-
-// UpdateNoFlush is Update with the commit's log flush elided
-// (engine.CommitNoFlush): the group-commit building block of the
-// batch-size sweep. The update is durable only after the caller flushes
-// the engine's WAL tail.
-func (w *Workload) UpdateNoFlush() error {
-	key := w.gen().Next()
-	field := int(w.gen().Uniform(Fields))
-	FillField(key+uint64(w.Ops), field, w.buf[:FieldSize])
-	w.e.Begin()
-	found, err := w.table.UpdateField(key, field*FieldSize, w.buf[:FieldSize])
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("ycsb: key %d missing", key)
-	}
-	if err := w.e.CommitNoFlush(); err != nil {
-		return err
-	}
-	w.Ops++
-	return nil
-}

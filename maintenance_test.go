@@ -236,6 +236,84 @@ func TestShardedCountersDeterministic(t *testing.T) {
 	}
 }
 
+// TestPacedRoundsBoundCommitWriteBack pins what pacing buys a commit: on a
+// floor-size log crossed many times, the write-back one commit does below
+// the hard threshold is at most one round of at most Batch pages, while
+// at a soft-threshold crossing the dirty set is larger than a batch — the
+// pages a full checkpoint would have written on that one commit. The
+// rounds still drain it: the log is cut.
+func TestPacedRoundsBoundCommitWriteBack(t *testing.T) {
+	const (
+		rows    = 4000
+		rowSize = 256
+		txRows  = 4
+		txs     = 3000
+	)
+	maint := MaintenanceOptions{Batch: 8, SoftFill: 0.04, HardFill: 0.9}
+	s, err := Open(Options{
+		Architecture: ThreeTier,
+		DRAMBytes:    32 << 20,
+		NVMBytes:     256 << 20,
+		SSDBytes:     1 << 30,
+		WALBytes:     1 << 20, // the floor
+		Maintenance:  maint,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < rows; k++ {
+		if err := s.Update(func() error { return table.Insert(k, shardedRow(k, rowSize)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil { // start clean, with an empty log
+		t.Fatal(err)
+	}
+
+	start := s.Metrics().Ckpt
+	var crossings, maxDirtyAtCrossing int64
+	for i := uint64(0); i < txs; i++ {
+		fill := s.LogFill()
+		m := s.Metrics()
+		err := s.Update(func() error {
+			for r := uint64(0); r < txRows; r++ {
+				key := (i*txRows + r) * 7919 % rows
+				if _, err := table.UpdateField(key, int(i%(rowSize-8)), shardedRow(i, 8)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("tx %d: %v", i, err)
+		}
+		after := s.Metrics().Ckpt
+		rounds, pages := after.Rounds-m.Ckpt.Rounds, after.Pages-m.Ckpt.Pages
+		if fill < maint.HardFill && (rounds > 1 || pages > int64(maint.Batch)) {
+			t.Fatalf("tx %d at log fill %.3f ran %d rounds writing %d pages, want at most 1 round of %d",
+				i, fill, rounds, pages, maint.Batch)
+		}
+		if fill < maint.SoftFill && rounds > 0 {
+			crossings++
+			maxDirtyAtCrossing = max(maxDirtyAtCrossing, m.Residency.DRAMDirtyPages)
+		}
+	}
+	end := s.Metrics().Ckpt
+	t.Logf("%d soft-threshold crossings (at most %d dirty pages), %d rounds, %d pages, %d truncations",
+		crossings, maxDirtyAtCrossing, end.Rounds-start.Rounds, end.Pages-start.Pages, end.Truncations-start.Truncations)
+	if end.Truncations == start.Truncations {
+		t.Fatal("paced rounds never cut the log")
+	}
+	if maxDirtyAtCrossing <= int64(maint.Batch) {
+		t.Fatalf("at most %d dirty pages at %d soft-threshold crossings, want more than a batch of %d",
+			maxDirtyAtCrossing, crossings, maint.Batch)
+	}
+}
+
 // TestFullLogFailsWritesNotReads is what is left when a truncation keeps
 // being refused (a retention watermark that never advances — under
 // replication the flush before the cut ships the tail, so there it
