@@ -441,11 +441,15 @@ func (t *Tree) UpdateField(key uint64, off int, val []byte) (bool, error) {
 		payOff = t.leafPayOff(pos)
 	}
 	t.noteLeafWrite(h)
-	dst := h.Write(payOff+off, len(val))
-	if t.logger != nil {
-		if err := t.logger.LogUpdate(t.id, key, off, dst, val); err != nil {
-			return false, err
-		}
+	if t.logger == nil {
+		copy(h.Write(payOff+off, len(val)), val)
+		return true, nil
+	}
+	// The after-image logged here is all that changes on the page, so the
+	// leaf's write-back needs no undo journal (core.Handle.Overwrite).
+	dst := h.Overwrite(payOff+off, len(val))
+	if err := t.logger.LogUpdate(t.id, key, off, dst, val); err != nil {
+		return false, err
 	}
 	copy(dst, val)
 	return true, nil

@@ -43,6 +43,12 @@ type Frame struct {
 	dirty         bitmask
 	fullyResident bool
 	anyDirty      bool
+	// needsJournal says some dirty byte was stored by a write other than
+	// Handle.Overwrite — an insert's shifted rows, a page image, a fresh
+	// page — which WAL redo cannot rebuild in a torn slot, so the next
+	// write-back runs under the undo journal (journalArm). Cleared with
+	// the dirty state.
+	needsJournal bool
 
 	// Mini-page state: slots[i] is the physical cache-line id stored in
 	// the i-th data slot; the slots are kept sorted by physical id so
@@ -73,6 +79,15 @@ type Frame struct {
 func (f *Frame) PID() PageID { return f.pid }
 
 func (f *Frame) swizzled() bool { return f.parent != nil || f.rootHolder != nil }
+
+// live returns the frame that holds the page's state: the full page a mini
+// page was promoted into, or f itself.
+func (f *Frame) live() *Frame {
+	if f.promoted != nil {
+		return f.promoted
+	}
+	return f
+}
 
 // getRef reads the page reference word at byte offset off of data.
 func getRef(data []byte, off int) Ref {

@@ -21,6 +21,9 @@ func (m *Manager) CheckInvariants() error {
 		if loc, ok := m.table[f.pid]; !ok || !loc.inDRAM() || loc.frame() != f.idx {
 			return fmt.Errorf("page %d frame %d not mapped correctly (loc=%v ok=%v)", f.pid, f.idx, loc, ok)
 		}
+		if f.needsJournal && !f.anyDirty {
+			return fmt.Errorf("page %d frame %d: journal flag set on a clean frame", f.pid, f.idx)
+		}
 		if f.kind == kindMini {
 			if err := f.checkMini(); err != nil {
 				return fmt.Errorf("page %d frame %d: %w", f.pid, f.idx, err)

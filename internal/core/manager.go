@@ -204,7 +204,7 @@ const (
 	causeSplitForce                   // the same, by ForceWrite on a structural change
 	causeInPlace                      // dirty lines of an in-place (NVM Direct) page
 	causeNVMAdmit                     // the page copy that admits a frame to an NVM slot
-	causeJournal                      // the write-back undo journal: saved lines, arm, disarm, replay
+	CauseJournal                      // the write-back undo journal: saved lines, arm, disarm, replay
 	causeSlotMeta                     // slot headers and the superblock
 	causeNVMEvict                     // an NVM slot's page going to SSD on NVM eviction
 	numWriteCauses
@@ -497,7 +497,21 @@ func (h Handle) Read(off, n int) []byte { return h.f.read(h.m, off, n) }
 
 // Write returns a writable slice of the page bytes [off, off+n), marking
 // the covered cache lines dirty. The same validity rule as Read applies.
-func (h Handle) Write(off, n int) []byte { return h.f.write(h.m, off, n) }
+// The page's next write-back runs under the undo journal.
+func (h Handle) Write(off, n int) []byte {
+	b := h.f.write(h.m, off, n)
+	h.f.live().needsJournal = true
+	return b
+}
+
+// Overwrite is Write for a store that WAL redo repeats by itself: the
+// caller logs the after-image of exactly these bytes, durable before any
+// write-back (the write barrier), and moves nothing else on the page. A
+// write-back whose dirty lines hold only such stores skips the undo
+// journal — a torn one leaves every line old or new, differing only in
+// logged bytes, and redo rewrites them (DESIGN.md §9.4). Any other store
+// must use Write.
+func (h Handle) Overwrite(off, n int) []byte { return h.f.write(h.m, off, n) }
 
 // ReadAll returns the entire page, loading it completely — the paper's
 // full-page path that avoids per-access residency checks. A mini page is
@@ -505,15 +519,17 @@ func (h Handle) Write(off, n int) []byte { return h.f.write(h.m, off, n) }
 func (h Handle) ReadAll() []byte { return h.f.readAll(h.m) }
 
 // WriteAll returns the entire page writable with every line marked dirty.
-func (h Handle) WriteAll() []byte { return h.f.writeAll(h.m) }
+// Like Write, it arms the undo journal for the next write-back.
+func (h Handle) WriteAll() []byte {
+	b := h.f.writeAll(h.m)
+	h.f.live().needsJournal = true
+	return b
+}
 
 // Ref returns the current reference for storing in a parent page: swizzled
 // if the page is swizzled, the plain page id otherwise.
 func (h Handle) Ref() Ref {
-	f := h.f
-	if f.promoted != nil {
-		f = f.promoted
-	}
+	f := h.f.live()
 	if f.swizzled() {
 		return swizzledRef(f.idx)
 	}
@@ -554,6 +570,7 @@ func (m *Manager) Allocate() (Handle, error) {
 	m.install(f, slot, true)
 	f.dirty.setRange(0, LinesPerPage-1)
 	f.anyDirty = true
+	f.needsJournal = true
 	m.trace(f.pid, f.idx, obs.EvAlloc, obs.TierDRAM, 0)
 	return Handle{f, m}, nil
 }
@@ -629,11 +646,7 @@ func (m *Manager) Fix(ref Ref, mode AccessMode) (Handle, error) {
 // stored reference with a direct frame pointer.
 func (m *Manager) FixChild(parent Handle, wordOff int, mode AccessMode) (Handle, error) {
 	ref := Ref(binary.LittleEndian.Uint64(parent.Read(wordOff, 8)))
-	pf := parent.f
-	if pf.promoted != nil {
-		pf = pf.promoted
-	}
-	return m.fix(ref, pf, wordOff, nil, mode)
+	return m.fix(ref, parent.f.live(), wordOff, nil, mode)
 }
 
 // FixRoot pins the page referenced by *holder, typically a tree's root
@@ -846,10 +859,7 @@ func (m *Manager) Unfix(h Handle) {
 // regardless of later eviction order. On a MemOnly topology it is a no-op:
 // that architecture has no page-based persistence.
 func (m *Manager) ForceWrite(h Handle) {
-	f := h.f
-	if f.promoted != nil {
-		f = f.promoted
-	}
+	f := h.f.live()
 	cause := causeSplitForce
 	if f.kind == kindDirect {
 		cause = causeInPlace
@@ -861,10 +871,11 @@ func (m *Manager) ForceWrite(h Handle) {
 // storage: eviction, the checkpoint walk, ForceWrite and the unfix of an
 // in-place page all end here. It runs the write barrier, writes the dirty
 // cache-line runs (or the whole page) to the frame's home — its NVM slot,
-// else SSD — under the undo journal, marks a ThreeTier slot dirty with
-// respect to SSD, and clears the frame's dirty state. The device writes
-// are charged to cause. A clean frame has nothing to persist; only when it
-// is being evicted does it still compete for an NVM slot (§4.2).
+// else SSD — under the undo journal when a store other than Overwrite
+// dirtied the frame, marks a ThreeTier slot dirty with respect to SSD, and
+// clears the frame's dirty state. The device writes are charged to cause.
+// A clean frame has nothing to persist; only when it is being evicted does
+// it still compete for an NVM slot (§4.2).
 func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 	dirty := f.anyDirty
 	if !dirty && cause != causeDRAMEvict {
@@ -904,9 +915,10 @@ func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 				t0 = m.clk.Ns()
 			}
 		}
-		// A slot that held no page needs no undo image, and in-place
-		// stores cannot be undone: they are on the device already.
-		journal := !admit && f.kind != kindDirect && m.journalArm(f)
+		// A slot that held no page needs no undo image, in-place stores
+		// cannot be undone (they are on the device already), and logged
+		// field overwrites need none: redo rewrites them (Overwrite).
+		journal := !admit && f.kind != kindDirect && f.needsJournal && m.journalArm(f)
 		base := m.slotDataOff(f.nvmSlot)
 		mk := m.written()
 		m.dirtyRuns(f, admit, func(line int, data []byte) {
@@ -945,6 +957,7 @@ func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 	f.dirty.reset()
 	f.miniDirty = 0
 	f.anyDirty = false
+	f.needsJournal = false
 }
 
 // nvmSlotFor is the one policy difference between write-back's callers: the
@@ -1094,11 +1107,7 @@ func (m *Manager) DirtyFrames() int {
 // this first: a swizzled child's back-pointer records the byte offset of
 // its reference word, which restructuring would invalidate.
 func (m *Manager) UnswizzleChildren(parent Handle) {
-	pf := parent.f
-	if pf.promoted != nil {
-		pf = pf.promoted
-	}
-	m.unswizzleChildrenOf(pf)
+	m.unswizzleChildrenOf(parent.f.live())
 }
 
 func (m *Manager) unswizzleChildrenOf(pf *Frame) {
@@ -1119,11 +1128,7 @@ func (m *Manager) unswizzleChildrenOf(pf *Frame) {
 // root holder) back to a plain page identifier. B-tree root splits use it
 // before re-homing the old root under a new parent.
 func (m *Manager) Unswizzle(h Handle) {
-	f := h.f
-	if f.promoted != nil {
-		f = f.promoted
-	}
-	m.unswizzle(f)
+	m.unswizzle(h.f.live())
 }
 
 // FreePage deallocates the page held by h, releasing its DRAM frame, NVM
@@ -1314,7 +1319,9 @@ func (m *Manager) evictFrame(f *Frame) {
 // repair that: rows that merely moved inside the page (shifted by a
 // neighboring, logged insert) are not themselves logged, and for a
 // dirty-with-respect-to-SSD slot the NVM copy is the only durable one,
-// so falling back to the SSD image would lose checkpointed data.
+// so falling back to the SSD image would lose checkpointed data. A frame
+// dirtied only through Overwrite has no such bytes, and writeBack does
+// not arm the journal for it.
 //
 // The journal therefore saves the pre-write-back durable content of
 // every line about to be overwritten, then arms a header naming the
@@ -1342,19 +1349,19 @@ func (m *Manager) journalArm(f *Frame) bool {
 		return false
 	}
 	idxUsed := (n*2 + LineSize - 1) / LineSize * LineSize
-	m.persist(causeJournal, idx[:idxUsed], m.journalOff+LineSize)
-	m.persist(causeJournal, data[:n*LineSize], m.journalOff+int64(1+journalIndexLines)*LineSize)
+	m.persist(CauseJournal, idx[:idxUsed], m.journalOff+LineSize)
+	m.persist(CauseJournal, data[:n*LineSize], m.journalOff+int64(1+journalIndexLines)*LineSize)
 	var h [16]byte
 	binary.LittleEndian.PutUint32(h[0:], journalMagic)
 	binary.LittleEndian.PutUint32(h[4:], uint32(n))
 	binary.LittleEndian.PutUint64(h[8:], uint64(f.nvmSlot))
-	m.persist(causeJournal, h[:], m.journalOff)
+	m.persist(CauseJournal, h[:], m.journalOff)
 	return true
 }
 
 func (m *Manager) journalDisarm() {
 	var z [16]byte
-	m.persist(causeJournal, z[:], m.journalOff)
+	m.persist(CauseJournal, z[:], m.journalOff)
 }
 
 // replayJournal undoes a write-back that a crash interrupted: if the
@@ -1379,7 +1386,7 @@ func (m *Manager) replayJournal() {
 		for i := 0; i < n; i++ {
 			ln := int(binary.LittleEndian.Uint16(idx[i*2:]))
 			if ln < LinesPerPage {
-				m.persist(causeJournal, data[i*LineSize:(i+1)*LineSize], base+int64(ln)*LineSize)
+				m.persist(CauseJournal, data[i*LineSize:(i+1)*LineSize], base+int64(ln)*LineSize)
 			}
 		}
 		m.stats.JournalUndos++
@@ -1473,6 +1480,7 @@ func (m *Manager) promoteMini(f *Frame) {
 		panic(fmt.Sprintf("core: mini-page promotion of page %d failed: %v", f.pid, err))
 	}
 	full.nvmSlot = f.nvmSlot
+	full.needsJournal = f.needsJournal
 	for i := 0; i < int(f.count); i++ {
 		line := int(f.slots[i])
 		copy(full.data[line*LineSize:(line+1)*LineSize], f.data[i*LineSize:(i+1)*LineSize])

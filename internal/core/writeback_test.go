@@ -172,13 +172,13 @@ var writeBackStreams = []struct {
 	{
 		"DRAMNVM page-grained", DRAMNVM, func(*Config) {},
 		writeTraffic{FlushOps: 7037, LinesFlushed: 603655, DRAMEvictions: 1806, MaxWear: 2308, ClockNs: 183475040},
-		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeJournal, causeSlotMeta},
+		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, CauseJournal, causeSlotMeta},
 		nil,
 	},
 	{
 		"DRAMNVM cache-line", DRAMNVM, func(c *Config) { c.CacheLineGrained, c.DebugChecks = true, true },
 		writeTraffic{FlushOps: 7674, LinesFlushed: 52549, DRAMEvictions: 1806, MaxWear: 2308, ClockNs: 31474410},
-		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeJournal, causeSlotMeta},
+		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, CauseJournal, causeSlotMeta},
 		nil,
 	},
 	{
@@ -187,7 +187,7 @@ var writeBackStreams = []struct {
 		// admission duel: a policy change, not a moved device call.
 		"ThreeTier cache-line+mini", ThreeTier, withFeatures(true, true, false),
 		writeTraffic{FlushOps: 4744, LinesFlushed: 29921, SSDPagesWritten: 396, DRAMEvictions: 1499, NVMAdmissions: 52, NVMDenials: 626, NVMEvictions: 36, MaxWear: 1156, ClockNs: 151044520},
-		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMAdmit, causeJournal, causeSlotMeta},
+		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMAdmit, CauseJournal, causeSlotMeta},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMEvict},
 	},
 	{

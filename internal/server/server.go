@@ -70,6 +70,7 @@ import (
 	"time"
 
 	"nvmstore"
+	"nvmstore/internal/core"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/obs"
 	"nvmstore/internal/repl"
@@ -228,6 +229,11 @@ type StatsDoc struct {
 	NVMLinesWritten int64 `json:"nvm_lines_written" prom:"counter" help:"NVM cache-line writes (wear proxy)"`
 	SSDPagesRead    int64 `json:"ssd_pages_read" prom:"counter" help:"SSD pages read"`
 	SSDPagesWritten int64 `json:"ssd_pages_written" prom:"counter" help:"SSD pages written"`
+	// NVMJournalLines is the share of NVMLinesWritten that the write-back
+	// undo journal wrote: what crash-safe in-place write-back costs on top
+	// of the page data. Write-backs that hold only logged field overwrites
+	// skip the journal, so on an update-only load it stays near zero.
+	NVMJournalLines int64 `json:"nvm_journal_lines" prom:"counter" help:"NVM cache-line writes by the write-back undo journal"`
 	// NVMAdmissions, NVMDenials and NVMEvictions count the §4.2 decisions
 	// across shards: pages a DRAM eviction moved into the NVM cache, pages
 	// it sent to SSD instead (lost admission duels), and slots evicted to
@@ -489,6 +495,7 @@ func (s *Server) snapshot() *snapshot {
 	doc.NVMLinesWritten = m.NVMTotalWrites
 	doc.SSDPagesRead = m.SSDPagesRead
 	doc.SSDPagesWritten = m.SSDPagesWritten
+	doc.NVMJournalLines = m.Buffer.NVMLinesWrittenBy[core.CauseJournal]
 	doc.NVMAdmissions = m.Buffer.NVMAdmissions
 	doc.NVMDenials = m.Buffer.NVMDenials
 	doc.NVMEvictions = m.Buffer.NVMEvictions

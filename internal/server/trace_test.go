@@ -11,6 +11,7 @@ import (
 
 	"nvmstore"
 	"nvmstore/internal/client"
+	"nvmstore/internal/core"
 	"nvmstore/internal/obs"
 	"nvmstore/internal/server"
 	"nvmstore/internal/wire"
@@ -303,8 +304,8 @@ func TestMetricsJSONIsLive(t *testing.T) {
 }
 
 // TestStatsExportsAdmissionDecisions: on a store whose data outgrows DRAM
-// and NVM, STATS carries the §4.2 decisions, and they are the buffer
-// manager's own counters summed over the shards.
+// and NVM, STATS carries the §4.2 decisions and the undo journal's lines,
+// and they are the buffer manager's own counters summed over the shards.
 func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
@@ -325,9 +326,11 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	for pass := 0; pass < 2; pass++ {
+	// Even keys are inserted, then updated; odd keys are then inserted
+	// between them, into leaves that already own an NVM slot.
+	for pass := 0; pass < 3; pass++ {
 		for i := uint64(0); i < 6000; i++ {
-			if err := cl.Put(testTable, i, row); err != nil {
+			if err := cl.Put(testTable, 2*i+uint64(pass/2), row); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -340,6 +343,9 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	}
 	if doc.NVMAdmissions == 0 || doc.NVMDenials == 0 {
 		t.Fatalf("data of 3x NVM produced %d admissions and %d denials", doc.NVMAdmissions, doc.NVMDenials)
+	}
+	if want := buf.NVMLinesWrittenBy[core.CauseJournal]; doc.NVMJournalLines != want || want == 0 {
+		t.Fatalf("STATS nvm_journal_lines = %d, store counted %d (want > 0)", doc.NVMJournalLines, want)
 	}
 }
 
