@@ -71,9 +71,10 @@ var (
 	ErrPayloadSize = errors.New("btree: wrong payload size")
 )
 
-// Logger receives logical redo/undo records for tree modifications. The
-// engine binds it to the current transaction's WAL. A nil Logger disables
-// logging (bulk load, recovery replay).
+// Logger receives every tree modification, with its redo and undo images,
+// before the page changes. The engine binds it to the current
+// transaction's WAL. A nil Logger disables logging (bulk load, recovery
+// replay).
 type Logger interface {
 	LogInsert(treeID, key uint64, payload []byte) error
 	LogDelete(treeID, key uint64, old []byte) error
@@ -415,8 +416,8 @@ func (t *Tree) lookupField(key uint64, off, n int, buf []byte) (bool, error) {
 }
 
 // UpdateField overwrites n bytes at byte offset off of key's payload and
-// reports whether the key was found. The before and after images are
-// logged.
+// reports whether the key was found. The before and after images go to
+// the Logger.
 func (t *Tree) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	if off < 0 || off+len(val) > t.payload {
 		return false, fmt.Errorf("btree: field [%d,%d) outside payload of %d bytes", off, off+len(val), t.payload)

@@ -325,15 +325,16 @@ type Manager struct {
 	vers *Versions
 
 	// writeBarrier, when set, runs before any dirty page content reaches
-	// persistent storage. Engines install the WAL's Flush here so the
+	// persistent storage. Engines install one that appends the undo of
+	// the running transaction's changes and flushes the WAL, so the
 	// write-ahead rule holds under page steal: no modified page is ever
-	// persisted before the log records describing the modification.
+	// persisted before the log records that redo or undo the modification.
 	writeBarrier func()
 }
 
 // SetWriteBarrier installs fn to run before dirty page content is written
 // to NVM or SSD (eviction, admission, or ForceWrite). See the field
-// comment; typically fn is the WAL's Flush.
+// comment.
 func (m *Manager) SetWriteBarrier(fn func()) { m.writeBarrier = fn }
 
 // New creates a Manager and its simulated devices.

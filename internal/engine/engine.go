@@ -10,16 +10,21 @@
 // and test driver").
 //
 // Transactions are single-threaded and explicit: Begin, tree operations,
-// then Commit or Rollback. Every modification logs a logical redo/undo
-// record; Commit flushes the log tail to NVM. Page write-back is gated by
-// a write barrier that flushes the log first, so the write-ahead rule
-// holds even though pages of uncommitted transactions may be stolen.
+// then Commit or Rollback. Every modification logs a logical redo record
+// (the key and the after image); its undo image stays in DRAM with the
+// transaction's op list, which Rollback walks. Commit flushes the log tail
+// to NVM. Page write-back is gated by a write barrier that first appends
+// the undo images of the running transaction's ops not yet in the log,
+// then flushes the log, so the write-ahead rule holds even though pages of
+// uncommitted transactions may be stolen; a page image logs them too,
+// because redo replays images whatever the outcome.
 //
-// Recovery is ARIES-style: repeat history from the redo images, then roll
-// back losers from the undo images. The NVM Direct architecture truncates
-// the log after every commit, as in the paper (§2.1): its tuples are
-// flushed in place before the transaction completes, so the log only needs
-// to cover in-flight transactions.
+// Recovery (wal.Recover) redoes the history of committed and aborted
+// transactions and every page image, unconditionally, then rolls the one
+// loser back from its undo images. The NVM Direct architecture writes
+// tuples in place before any barrier runs, so its records carry the undo
+// image inline; it truncates the log after every commit, as in the paper
+// (§2.1), so the log only covers the in-flight transaction.
 package engine
 
 import (
@@ -36,11 +41,15 @@ import (
 	"nvmstore/internal/wal"
 )
 
-// Opcodes stored in the wal.Record Off field (low two bits); field updates
-// keep the payload offset in the upper bits. For opImage records the PID
-// field holds a raw page id instead of a tree id.
+// Opcodes stored in the Off field of a logical record (low two bits);
+// field updates keep the payload offset in the upper bits. The record's
+// PID is the tree id. Each image starts with the 8-byte key: the redo
+// image (After) continues with the payload (insert) or the new field
+// bytes (update), and nothing for a delete; the undo image (Before, in an
+// undo record or an NVM Direct update) with the old payload (delete) or
+// the old field bytes (update), and nothing for an insert. Page images are
+// wal.RecImage records whose PID is a raw page id.
 const (
-	opImage  = 0
 	opInsert = 1
 	opDelete = 2
 	opUpdate = 3
@@ -95,6 +104,11 @@ type Engine struct {
 	txActive bool
 	curTx    wal.TxID
 	txOps    []txOp
+	// undoLogged counts the leading txOps whose undo image is in the log.
+	undoLogged int
+	// redo is the reusable buffer a redo image is assembled in; the log
+	// copies it.
+	redo []byte
 
 	replaying bool
 
@@ -111,13 +125,13 @@ type Engine struct {
 }
 
 // txOp records a logical operation of the running transaction for
-// Rollback.
+// Rollback and logUndo.
 type txOp struct {
 	op     int
 	treeID uint64
 	key    uint64
 	off    int
-	img    []byte // insert: payload; delete: old payload; update: before
+	img    []byte // the undo image, key first (see the opcodes)
 }
 
 // Open creates an engine over a fresh set of simulated devices.
@@ -133,7 +147,11 @@ func Open(cfg core.Config) (*Engine, error) {
 		tree:  make(map[uint64]*btree.Tree),
 		maint: MaintenanceOptions{}.normalized(),
 	}
-	m.SetWriteBarrier(e.log.Flush)
+	if cfg.Topology == core.MemOnly {
+		m.SetWriteBarrier(e.log.Flush) // no page ever reaches persistent storage
+	} else {
+		m.SetWriteBarrier(e.writeBarrier)
+	}
 	if cfg.Recorder != nil {
 		e.log.SetRecorder(cfg.Recorder, m.Clock())
 	}
@@ -207,15 +225,6 @@ func (e *Engine) TreeIDs() []uint64 {
 	return ids
 }
 
-// IsPageImage reports whether a WAL update record is a physical page
-// image (logged for B+-tree splits) rather than a logical operation.
-// Page images are meaningful only on the engine that wrote them — page
-// ids and layouts differ across stores — so replication ships only the
-// logical records and lets the replica's own trees split independently.
-func IsPageImage(r wal.Record) bool {
-	return r.Kind == wal.RecUpdate && r.Off&3 == opImage
-}
-
 func (e *Engine) register(t *btree.Tree) {
 	t.SetLogger(e)
 	t.SetMetaSync(e.saveCatalog)
@@ -234,6 +243,7 @@ func (e *Engine) Begin() {
 	e.txActive = true
 	e.curTx = e.log.Begin()
 	e.txOps = e.txOps[:0]
+	e.undoLogged = 0
 	// Advance the transaction stamp: pages modified by this transaction
 	// carry it as their version (what snapshot reads compare against).
 	e.m.Versions().BeginTx()
@@ -257,13 +267,15 @@ func (e *Engine) Commit() error {
 	if !e.txActive {
 		return ErrNoTransaction
 	}
-	e.txActive = false
 	if len(e.txOps) == 0 {
+		e.txActive = false
 		return nil // read-only: nothing to log or flush
 	}
 	if err := e.log.Commit(e.curTx); err != nil {
+		e.abandon()
 		return err
 	}
+	e.txActive = false
 	if e.Topology() == core.DirectNVM {
 		e.truncateLog()
 		return nil
@@ -286,11 +298,16 @@ func (e *Engine) CommitNoFlush() error {
 	if e.Topology() == core.DirectNVM {
 		return e.Commit()
 	}
-	e.txActive = false
 	if len(e.txOps) == 0 {
+		e.txActive = false
 		return nil // read-only: nothing to log or flush
 	}
-	return e.log.CommitNoFlush(e.curTx)
+	if err := e.log.CommitNoFlush(e.curTx); err != nil {
+		e.abandon()
+		return err
+	}
+	e.txActive = false
+	return nil
 }
 
 // FlushWAL flushes the log tail, making every CommitNoFlush since the
@@ -305,44 +322,55 @@ func (e *Engine) FlushWAL() (int64, error) {
 	return n, e.pace()
 }
 
-// Rollback undoes the running transaction using the logical undo
-// information collected since Begin, then logs an abort record. The
-// compensating operations are themselves logged (CLR-style): recovery
-// redoes an aborted transaction — operations plus compensations, netting
-// out — instead of undoing it, which would clobber later transactions'
-// changes to the same keys.
+// Rollback undoes the running transaction using the undo images kept
+// since Begin, then logs an abort record. The compensating operations are
+// themselves logged (CLR-style): recovery redoes an aborted transaction —
+// operations plus compensations, netting out — instead of undoing it,
+// which would clobber later transactions' changes to the same keys. The
+// compensations join txOps behind the ops they undo, so a steal part-way
+// through logs their undo images too; a crash there leaves a loser whose
+// undo images, rolled back in reverse, restore the state before Begin.
 func (e *Engine) Rollback() error {
 	if !e.txActive {
 		return ErrNoTransaction
 	}
-	if len(e.txOps) == 0 {
+	n := len(e.txOps)
+	if n == 0 {
 		e.txActive = false
 		return nil
 	}
-	// The compensations log through the normal path below; guard against
-	// them growing txOps while we walk it backwards.
-	ops := e.txOps
-	e.txOps = nil
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := ops[i]
+	for i := n - 1; i >= 0; i-- {
+		op := e.txOps[i]
 		t := e.tree[op.treeID]
 		var err error
 		switch op.op {
 		case opInsert:
 			_, err = t.Delete(op.key)
 		case opDelete:
-			err = t.InsertOrReplace(op.key, op.img)
+			err = t.InsertOrReplace(op.key, op.img[8:])
 		case opUpdate:
-			_, err = t.UpdateField(op.key, op.off, op.img)
+			_, err = t.UpdateField(op.key, op.off, op.img[8:])
 		}
 		if err != nil {
-			e.txActive = false
+			e.abandon()
 			return fmt.Errorf("engine: rollback: %w", err)
 		}
 	}
+	if err := e.log.Abort(e.curTx); err != nil {
+		e.abandon()
+		return err
+	}
 	e.txActive = false
-	e.txOps = e.txOps[:0]
-	return e.log.Abort(e.curTx)
+	return nil
+}
+
+// abandon ends a transaction whose commit or rollback failed. Its changes
+// stay in the pool with neither commit nor abort record, so a later
+// write-back may persist them: their undo images go to the log first, and
+// recovery rolls the transaction back as a loser.
+func (e *Engine) abandon() {
+	e.logUndo()
+	e.txActive = false
 }
 
 // Checkpoint forces all dirty pages to persistent storage and truncates
@@ -366,63 +394,80 @@ func (e *Engine) Checkpoint() error {
 
 // LogInsert implements btree.Logger.
 func (e *Engine) LogInsert(treeID, key uint64, payload []byte) error {
-	if e.replaying {
-		return nil
-	}
-	if !e.txActive {
-		return ErrNoTransaction
-	}
-	img := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint64(img, key)
-	copy(img[8:], payload)
-	if _, err := e.log.Update(e.curTx, treeID, opInsert, nil, img); err != nil {
-		return err
-	}
-	e.txOps = append(e.txOps, txOp{op: opInsert, treeID: treeID, key: key})
-	return nil
+	return e.logOp(txOp{op: opInsert, treeID: treeID, key: key}, nil, payload)
 }
 
 // LogDelete implements btree.Logger.
 func (e *Engine) LogDelete(treeID, key uint64, old []byte) error {
-	if e.replaying {
-		return nil
-	}
-	if !e.txActive {
-		return ErrNoTransaction
-	}
-	img := make([]byte, 8+len(old))
-	binary.LittleEndian.PutUint64(img, key)
-	copy(img[8:], old)
-	if _, err := e.log.Update(e.curTx, treeID, opDelete, img, nil); err != nil {
-		return err
-	}
-	e.txOps = append(e.txOps, txOp{op: opDelete, treeID: treeID, key: key, img: img[8:]})
-	return nil
+	return e.logOp(txOp{op: opDelete, treeID: treeID, key: key}, old, nil)
 }
 
 // LogUpdate implements btree.Logger.
 func (e *Engine) LogUpdate(treeID, key uint64, off int, before, after []byte) error {
+	return e.logOp(txOp{op: opUpdate, treeID: treeID, key: key, off: off}, before, after)
+}
+
+// logOp appends op's redo record — the key, then redo — and keeps op, its
+// undo image built from the key and undo, for Rollback and logUndo. The
+// log reserves room for op's undo record, so a later steal never meets a
+// full log. On NVM Direct the undo image goes into the record itself: the
+// tree writes the change in place before any barrier could log it.
+func (e *Engine) logOp(op txOp, undo, redo []byte) error {
 	if e.replaying {
 		return nil
 	}
 	if !e.txActive {
 		return ErrNoTransaction
 	}
-	b := make([]byte, 8+len(before))
-	binary.LittleEndian.PutUint64(b, key)
-	copy(b[8:], before)
-	a := make([]byte, 8+len(after))
-	binary.LittleEndian.PutUint64(a, key)
-	copy(a[8:], after)
-	if _, err := e.log.Update(e.curTx, treeID, opUpdate|off<<2, b, a); err != nil {
+	op.img = binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(undo)), op.key)
+	op.img = append(op.img, undo...) // undo aliases the page: copy it now
+	e.redo = binary.LittleEndian.AppendUint64(e.redo[:0], op.key)
+	e.redo = append(e.redo, redo...)
+	code := op.op | op.off<<2
+	inline := e.Topology() == core.DirectNVM
+	var err error
+	if inline {
+		_, err = e.log.UpdateInline(e.curTx, op.treeID, code, op.img, e.redo)
+	} else {
+		_, err = e.log.Update(e.curTx, op.treeID, code, e.redo, len(op.img))
+	}
+	if err != nil {
 		return err
 	}
-	e.txOps = append(e.txOps, txOp{op: opUpdate, treeID: treeID, key: key, off: off, img: b[8:]})
+	e.txOps = append(e.txOps, op)
+	if inline {
+		e.undoLogged = len(e.txOps)
+	}
 	return nil
 }
 
+// logUndo appends an undo record for every op of the running transaction
+// that no undo record covers yet. It runs where uncommitted bytes could
+// reach persistent storage: in the write barrier before a page write-back
+// (a steal), before a page image, which redo replays whatever the
+// transaction's outcome, and when abandon leaves the changes in the pool.
+// Each record fills room its op's redo record reserved, so it cannot fail.
+func (e *Engine) logUndo() {
+	for ; e.undoLogged < len(e.txOps); e.undoLogged++ {
+		op := &e.txOps[e.undoLogged]
+		e.log.AppendUndo(e.curTx, op.treeID, op.op|op.off<<2, op.img)
+	}
+}
+
+// writeBarrier runs before any dirty page content reaches persistent
+// storage: the running transaction's uncovered undo images, then the log
+// flush, so the write-ahead rule holds for the undo as for the redo.
+func (e *Engine) writeBarrier() {
+	if e.txActive {
+		e.logUndo()
+	}
+	e.log.Flush()
+}
+
 // LogPageImage implements btree.Logger: a redo-only record carrying the
-// full after-image of a page changed by a split.
+// full after-image of a page changed by a split. Redo replays it whatever
+// the transaction's outcome, so the undo images of the transaction's ops
+// so far, whose bytes the image may hold, are logged first.
 func (e *Engine) LogPageImage(pid core.PageID, image []byte) error {
 	if e.replaying {
 		return nil
@@ -430,15 +475,15 @@ func (e *Engine) LogPageImage(pid core.PageID, image []byte) error {
 	if !e.txActive {
 		return ErrNoTransaction
 	}
-	_, err := e.log.Update(e.curTx, uint64(pid), opImage, nil, image)
+	e.logUndo()
+	_, err := e.log.Image(e.curTx, uint64(pid), image)
 	return err
 }
 
 // Redo implements wal.Handler: repeat history with idempotent logical
 // operations; page-image records restore the page wholesale.
 func (e *Engine) Redo(r wal.Record) error {
-	op, off := r.Off&3, r.Off>>2
-	if op == opImage {
+	if r.Kind == wal.RecImage {
 		h, err := e.m.Fix(core.MakeRef(core.PageID(r.PID)), core.ModeFull)
 		if err != nil {
 			return fmt.Errorf("engine: redo page image %d: %w", r.PID, err)
@@ -451,21 +496,56 @@ func (e *Engine) Redo(r wal.Record) error {
 		e.m.Unfix(h)
 		return nil
 	}
+	t, key, err := e.logical(r, r.After)
+	if err != nil {
+		return err
+	}
+	switch op, off := r.Off&3, r.Off>>2; op {
+	case opInsert:
+		return t.InsertOrReplace(key, r.After[8:])
+	case opDelete:
+		_, err = t.Delete(key)
+	case opUpdate:
+		_, err = t.UpdateField(key, off, r.After[8:])
+	default:
+		err = fmt.Errorf("engine: unknown opcode %d", op)
+	}
+	return err
+}
+
+// Undo implements wal.Handler: roll back one change of the loser from its
+// undo image. Each undo is idempotent — delete if present, insert or
+// replace, set the field — so undoing a change whose page never left DRAM
+// is harmless.
+func (e *Engine) Undo(r wal.Record) error {
+	t, key, err := e.logical(r, r.Before)
+	if err != nil {
+		return err
+	}
+	switch op, off := r.Off&3, r.Off>>2; op {
+	case opInsert:
+		_, err = t.Delete(key)
+	case opDelete:
+		err = t.InsertOrReplace(key, r.Before[8:])
+	case opUpdate:
+		_, err = t.UpdateField(key, off, r.Before[8:])
+	default:
+		err = fmt.Errorf("engine: unknown opcode %d", op)
+	}
+	return err
+}
+
+// logical returns the tree a logical record names and the key img, one of
+// its images, starts with.
+func (e *Engine) logical(r wal.Record, img []byte) (*btree.Tree, uint64, error) {
 	t := e.tree[r.PID]
 	if t == nil {
-		return fmt.Errorf("engine: redo for unknown tree %d", r.PID)
+		return nil, 0, fmt.Errorf("engine: record %d for unknown tree %d", r.LSN, r.PID)
 	}
-	switch op {
-	case opInsert:
-		return t.InsertOrReplace(binary.LittleEndian.Uint64(r.After), r.After[8:])
-	case opDelete:
-		_, err := t.Delete(binary.LittleEndian.Uint64(r.Before))
-		return err
-	case opUpdate:
-		_, err := t.UpdateField(binary.LittleEndian.Uint64(r.After), off, r.After[8:])
-		return err
+	if len(img) < 8 {
+		return nil, 0, fmt.Errorf("engine: record %d: image of %d bytes has no key", r.LSN, len(img))
 	}
-	return fmt.Errorf("engine: unknown opcode %d", op)
+	return t, binary.LittleEndian.Uint64(img), nil
 }
 
 // ApplyLogical validates and replays one logical record from another
@@ -474,57 +554,21 @@ func (e *Engine) Redo(r wal.Record) error {
 // tree operations are logged into this engine's own WAL: the replica
 // has its own durability and crash recovery for everything it applied.
 // Commit/abort marks are ignored (the caller delimits transactions);
-// page-image records are rejected because page ids are meaningless
-// across engines. Image lengths are validated so a malformed or hostile
-// record returns an error instead of panicking.
+// page images and undo records are rejected: page ids are meaningless
+// across engines, and undo records never leave the log that wrote them.
+// A malformed or hostile record returns an error instead of panicking.
 func (e *Engine) ApplyLogical(r wal.Record) error {
-	if r.Kind != wal.RecUpdate {
+	switch r.Kind {
+	case wal.RecCommit, wal.RecAbort:
 		return nil
-	}
-	op := r.Off & 3
-	switch op {
-	case opImage:
-		return fmt.Errorf("engine: page-image record %d cannot be applied logically", r.LSN)
-	case opInsert, opUpdate:
-		if len(r.After) < 8 {
-			return fmt.Errorf("engine: logical record %d: short after image", r.LSN)
-		}
-	case opDelete:
-		if len(r.Before) < 8 {
-			return fmt.Errorf("engine: logical record %d: short before image", r.LSN)
-		}
+	case wal.RecUpdate:
+	default:
+		return fmt.Errorf("engine: record %d of kind %d cannot be applied logically", r.LSN, r.Kind)
 	}
 	if !e.txActive {
 		return ErrNoTransaction
 	}
 	return e.Redo(r)
-}
-
-// Undo implements wal.Handler: roll back one loser record. Page-image
-// records are redo-only (splits stay, like nested top actions).
-func (e *Engine) Undo(r wal.Record) error {
-	op, off := r.Off&3, r.Off>>2
-	if op == opImage {
-		return nil
-	}
-	t := e.tree[r.PID]
-	if t == nil {
-		return fmt.Errorf("engine: undo for unknown tree %d", r.PID)
-	}
-	switch op {
-	case opInsert:
-		key := binary.LittleEndian.Uint64(r.After)
-		_, err := t.Delete(key)
-		return err
-	case opDelete:
-		key := binary.LittleEndian.Uint64(r.Before)
-		return t.InsertOrReplace(key, r.Before[8:])
-	case opUpdate:
-		key := binary.LittleEndian.Uint64(r.Before)
-		_, err := t.UpdateField(key, off, r.Before[8:])
-		return err
-	}
-	return fmt.Errorf("engine: unknown opcode %d", op)
 }
 
 // CleanRestart simulates an orderly shutdown and restart: checkpoint,

@@ -9,14 +9,17 @@ import (
 
 	"nvmstore/internal/btree"
 	"nvmstore/internal/core"
+	"nvmstore/internal/fault"
 )
 
 // TestRecoveryFuzz drives random transactions — some committed, some
 // rolled back, one possibly in flight — against random crash points and
 // verifies exact transaction semantics: after recovery the database equals
 // the model of all committed transactions, nothing more, nothing less.
-// Random FlushAll calls inject page steal; strict persistence tears away
-// all unflushed NVM writes at the crash.
+// Random FlushAll calls inject page steal, between transactions and inside
+// one; some rollbacks stop part-way at an injected append failure and the
+// power fails there. Strict persistence tears away all unflushed NVM
+// writes at the crash.
 func TestRecoveryFuzz(t *testing.T) {
 	for _, topo := range []core.Topology{core.DRAMNVM, core.ThreeTier, core.DirectNVM} {
 		t.Run(topo.String(), func(t *testing.T) {
@@ -101,12 +104,27 @@ func runRecoveryTrial(t *testing.T, topo core.Topology, seed int64) {
 					t.Fatalf("seed %d: update found absent key", seed)
 				}
 			}
+			if rng.Intn(8) == 0 {
+				e.Manager().FlushAll() // steal inside the transaction
+			}
 		}
 		switch rng.Intn(10) {
 		case 0, 1: // rollback
 			if err := e.Rollback(); err != nil {
 				t.Fatalf("seed %d: rollback: %v", seed, err)
 			}
+		case 3: // rollback, failing at its n-th append, then crash
+			plan := &fault.Plan{Rules: []fault.Rule{{Kind: fault.WALAppendError, EveryN: 1 + int64(rng.Intn(ops+1)), Limit: 1}}}
+			e.ArmFaults(plan, 0)
+			err := e.Rollback()
+			e.ArmFaults(nil, 0)
+			if err == nil {
+				break // every compensation and the abort landed
+			}
+			if rng.Intn(2) == 0 {
+				e.Manager().FlushAll()
+			}
+			goto crash
 		case 2: // leave in flight and crash now
 			if rng.Intn(2) == 0 {
 				e.Log().Flush()

@@ -15,8 +15,9 @@ import (
 // committed ones and one of a transaction still running — and restarts.
 // The write-back runs without the undo journal, so nothing is undone at
 // restart and no journal line is written at all; WAL redo alone must
-// rebuild every committed field and roll the running update back, from a
-// slot whose lines are each of the old or the new image.
+// rebuild every committed field, and the undo record the write barrier
+// logged for the running update must roll it back, from a slot whose
+// lines are each of the old or the new image.
 func TestTornOverwriteWriteBackSkipsJournal(t *testing.T) {
 	for _, topo := range []core.Topology{core.ThreeTier, core.DRAMNVM} {
 		t.Run(topo.String(), func(t *testing.T) { tornWriteBackSweep(t, topo, false) })
@@ -46,8 +47,8 @@ type tornLeaf struct {
 // setupTornLeaf loads and checkpoints a small tree, so its leaves own NVM
 // slots, then commits field updates to rows of one leaf — with shift, also
 // an insert at the front of that leaf — and leaves one more update
-// uncommitted. The log is flushed, so the leaf's write-back is the next
-// thing to reach NVM.
+// uncommitted. The log is flushed, so what reaches NVM next is the
+// leaf's write-back, behind its barrier: the running update's undo record.
 func setupTornLeaf(t *testing.T, topo core.Topology, shift bool) *tornLeaf {
 	t.Helper()
 	e, err := Open(testConfig(topo))
@@ -156,9 +157,13 @@ func (s *tornLeaf) writeBackLeaf(t *testing.T, plan *fault.Plan) (fault.Injector
 
 func tornWriteBackSweep(t *testing.T, topo core.Topology, shift bool) {
 	dry := setupTornLeaf(t, topo, shift)
+	undos := dry.e.Log().Stats().Undos
 	inj, _ := dry.writeBackLeaf(t, &fault.Plan{})
 	flushes := inj.NVM.Opportunities(fault.NVMTornFlush)
 	journalLines := dry.e.Manager().Stats().NVMLinesWrittenBy[core.CauseJournal] - dry.journal0
+	if undos = dry.e.Log().Stats().Undos - undos; undos != 1 {
+		t.Fatalf("the write barrier logged %d undo records, want the running update's 1", undos)
+	}
 	if shift != (journalLines > 0) {
 		t.Fatalf("shift=%v: the write-back's %d flushes wrote %d journal lines", shift, flushes, journalLines)
 	}
@@ -176,10 +181,11 @@ func tornWriteBackSweep(t *testing.T, topo core.Topology, shift bool) {
 			t.Fatalf("point %d: recovery: %v", point, err)
 		}
 		st := s.e.Manager().Stats()
-		// The journal writes index and saved lines, then arms its header:
-		// a tear after the third flush finds it armed.
+		// The barrier flushes the log; the journal writes index and saved
+		// lines, then arms its header: a tear after the fourth flush finds
+		// it armed.
 		var wantUndos int64
-		if shift && point > 3 {
+		if shift && point > 4 {
 			wantUndos = 1
 		}
 		if st.JournalUndos != wantUndos {

@@ -181,6 +181,70 @@ func TestLiveReplication(t *testing.T) {
 	}
 }
 
+// TestStealingTransactionReplicates: on a primary whose DRAM holds a few
+// pages per shard, one wire transaction rewrites rows on many leaves, so
+// its own evictions log undo records. Those never leave the primary's log
+// — a replica rejects any record kind it cannot apply — and the replica
+// converges on the committed rows.
+func TestStealingTransactionReplicates(t *testing.T) {
+	small := func() *nvmstore.ShardedStore {
+		store, err := nvmstore.OpenSharded(2, nvmstore.Options{
+			Architecture: nvmstore.ThreeTier,
+			DRAMBytes:    256 << 10,
+			NVMBytes:     32 << 20,
+			SSDBytes:     128 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.CreateTable(testTable, testRowSize); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	primary := small()
+	paddr := serve(t, primary, server.Options{Repl: repl.NewSource(primary, repl.SourceOptions{})})
+	replica := small()
+	rp, raddr := startReplica(t, replica, paddr)
+	pcl, rcl := dial(t, paddr), dial(t, raddr)
+	const n = 20000
+	for k := uint64(0); k < n; k++ {
+		if err := pcl.Put(testTable, k, rowFor(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syncReplica(t, pcl, rcl)
+	undos, reconnects := primary.Metrics().Log.Undos, rp.Stats().Reconnects
+	tx, err := pcl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < n; k += 50 {
+		if err := tx.Put(testTable, k, rowFor(k+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if primary.Metrics().Log.Undos == undos {
+		t.Fatal("the transaction stole nothing on the primary")
+	}
+	syncReplica(t, pcl, rcl)
+	want, got := dump(t, primary), dump(t, replica)
+	if len(got) != len(want) {
+		t.Fatalf("replica holds %d rows, primary %d", len(got), len(want))
+	}
+	for k, row := range want {
+		if !bytes.Equal(got[k], row) {
+			t.Fatalf("key %d differs on replica", k)
+		}
+	}
+	if st := rp.Stats(); !st.Connected || st.Reconnects != reconnects {
+		t.Fatalf("the replica's feed broke on the transaction: %+v", st)
+	}
+}
+
 func TestSnapshotBootstrap(t *testing.T) {
 	primary := newStore(t, 2)
 	src := repl.NewSource(primary, repl.SourceOptions{SnapRows: 64})

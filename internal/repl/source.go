@@ -397,7 +397,16 @@ func (s *Source) ship(shard int, recs []nvmstore.WALRecord) {
 		if lsn > b.Last {
 			b.Last = lsn
 		}
-		if nvmstore.IsPageImage(r) || (r.Kind == nvmstore.WALRecUpdate && r.PID == MetaTable) {
+		// Only logical changes and transaction marks travel: a page image
+		// names this store's page ids (the replica's trees split on their
+		// own), and the meta row is the replica's own.
+		switch r.Kind {
+		case nvmstore.WALRecUpdate:
+			if r.PID == MetaTable {
+				continue
+			}
+		case nvmstore.WALRecCommit, nvmstore.WALRecAbort:
+		default:
 			continue
 		}
 		b.Recs = append(b.Recs, wire.ReplRec{

@@ -248,6 +248,10 @@ type StatsDoc struct {
 	LogCommits  int64   `json:"log_commits" prom:"counter" help:"WAL commits across shards"`
 	LogFlushes  int64   `json:"log_flushes" prom:"counter" help:"physical WAL flushes across shards"`
 	OpsPerFlush float64 `json:"ops_per_flush" prom:"gauge" help:"WAL commits per physical flush, lifetime"`
+	// LogUndoRecords counts the WAL undo records across shards: before
+	// images logged because a steal or a page image could expose an
+	// uncommitted change.
+	LogUndoRecords int64 `json:"log_undo_records" prom:"counter" help:"WAL undo records logged at a steal or a page image, across shards"`
 	// CkptRounds and CkptPages count incremental-checkpoint write-back
 	// rounds and the dirty pages they flushed; CkptPagesPerRound is
 	// their ratio. CkptTruncatedBytes sums the WAL bytes reclaimed by
@@ -501,6 +505,7 @@ func (s *Server) snapshot() *snapshot {
 	doc.NVMEvictions = m.Buffer.NVMEvictions
 	doc.LogCommits = m.Log.Commits
 	doc.LogFlushes = m.Log.Flushes
+	doc.LogUndoRecords = m.Log.Undos
 	doc.OpsPerFlush = m.OpsPerFlush
 	doc.CkptRounds = m.Ckpt.Rounds
 	doc.CkptPages = m.Ckpt.Pages

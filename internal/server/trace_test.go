@@ -347,6 +347,25 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	if want := buf.NVMLinesWrittenBy[core.CauseJournal]; doc.NVMJournalLines != want || want == 0 {
 		t.Fatalf("STATS nvm_journal_lines = %d, store counted %d (want > 0)", doc.NVMJournalLines, want)
 	}
+	// One transaction rewriting rows on more leaves than DRAM holds steals
+	// its own pages, and each steal logs the undo of what it exposes.
+	undos := doc.LogUndoRecords
+	tx, err := cl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 12000; i += 40 {
+		if err := tx.Put(testTable, i, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	doc = statsDoc(t, cl)
+	if want := store.Metrics().Log.Undos; doc.LogUndoRecords != want || want == undos {
+		t.Fatalf("STATS log_undo_records = %d, store counted %d (%d before the transaction)", doc.LogUndoRecords, want, undos)
+	}
 }
 
 // TestConnWaitsSaturation pins the MaxConns saturation counter: with a

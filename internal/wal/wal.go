@@ -1,17 +1,34 @@
-// Package wal implements write-ahead logging with redo and undo
-// information on NVM.
+// Package wal implements the write-ahead log on NVM.
 //
-// The paper (§2.3) uses the same textbook logging scheme in every evaluated
-// storage engine so that only the storage layout differs: before-and-after
-// images are appended to an NVM-resident log, a transaction commits by
-// flushing the log tail (clwb + sfence in hardware, Device.Flush here), and
-// an ARIES-style restart first repeats history from the redo images and
-// then rolls back loser transactions from the undo images.
+// The paper (§2.3) gives every evaluated engine the same textbook log:
+// before and after images, flushed at commit. This log keeps only what
+// recovery reads. A change is a RecUpdate record carrying its redo image
+// (After). Its undo image (Before, never empty) stays with the caller,
+// which appends it as a RecUndo record (AppendUndo) only once the change's
+// bytes could reach persistent storage before its commit: a page stolen
+// mid-transaction, or a page image, which redo replays whatever the
+// transaction's outcome. Where the store persists a change in place
+// before any write barrier runs (NVM Direct), UpdateInline keeps the undo
+// image inside the update record. A transaction commits by flushing the
+// log tail (clwb + sfence in hardware, Device.Flush here).
 //
-// Each record carries a monotonically increasing LSN. Storage engines keep
-// the LSN of the last applied record in each page header, so redo is
-// idempotent: a record is reapplied only when its LSN is newer than the
-// page's.
+// Recover applies one rule, and nowhere else decides it:
+//
+//   - redo is logical and unconditional, in log order: every RecUpdate of
+//     a committed or aborted transaction, and every RecImage. There are no
+//     page LSNs; a record is reapplied whether or not its page already
+//     holds it, so a Handler's operations must be idempotent;
+//   - a loser — neither commit nor abort record; there is at most one, the
+//     log's last transaction — has its RecUpdate records skipped;
+//   - the loser's undo images, RecUndo records and inline ones, are undone
+//     in reverse log order. Undo images exist only for changes a steal or
+//     a page image could have exposed.
+//
+// Update reserves room for the change's undo record, and the
+// transaction's commit or abort mark releases it, so ErrLogFull surfaces
+// at the change that does not fit and never inside the write barrier.
+// Undo records are no fault.WALAppendError site and never reach the ship
+// hook.
 //
 // The log occupies a fixed region of the simulated NVM device. It is
 // append-only until Truncate, which callers invoke once all logged
@@ -61,20 +78,21 @@ type TxID uint64
 // across the life of the log, surviving truncation.
 type LSN uint64
 
-// Record types.
+// Record kinds, the first payload byte of a record and Record.Kind.
 const (
-	recUpdate byte = 1
-	recCommit byte = 2
-	recAbort  byte = 3
-)
-
-// Exported record kinds, as reported in Record.Kind by the ship hook
-// (SetShip) and by Recover. RecUpdate records carry before/after images;
-// RecCommit and RecAbort are transaction marks with no images.
-const (
-	RecUpdate = recUpdate
-	RecCommit = recCommit
-	RecAbort  = recAbort
+	// RecUpdate is the redo record of a logical change: After is its redo
+	// image. Before is empty unless the change was logged with its undo
+	// image inline (UpdateInline).
+	RecUpdate byte = 1
+	// RecCommit and RecAbort are transaction marks with no images.
+	RecCommit byte = 2
+	RecAbort  byte = 3
+	// RecUndo is the undo record of an earlier RecUpdate of the same
+	// transaction (AppendUndo): Before is the undo image.
+	RecUndo byte = 4
+	// RecImage is a page's after image (After), redone whatever its
+	// transaction's outcome.
+	RecImage byte = 5
 )
 
 // ErrLogFull is returned when the log region cannot hold another record;
@@ -83,23 +101,25 @@ var ErrLogFull = errors.New("wal: log region full")
 
 // Record is one decoded log record.
 type Record struct {
-	// Kind is RecUpdate, RecCommit, or RecAbort. Recovery hands only
-	// RecUpdate records to the Handler; the ship hook delivers all three
-	// so subscribers see transaction boundaries.
+	// Kind is RecUpdate, RecCommit, RecAbort, RecUndo or RecImage.
+	// Recovery hands update, undo and image records to the Handler; the
+	// ship hook delivers every kind but RecUndo, so subscribers see
+	// transaction boundaries.
 	Kind byte
 	LSN  LSN
 	Tx   TxID
-	// Update records carry the page id, byte offset, and the before and
-	// after images.
+	// Data records carry the page (or caller-defined object) id, an
+	// offset, and their images: Before the undo image, After the redo
+	// image.
 	PID    uint64
 	Off    int
 	Before []byte
 	After  []byte
 }
 
-// Handler receives records during recovery. Redo is called for every
-// update record in log order (repeating history); Undo is called for the
-// update records of loser transactions in reverse order.
+// Handler receives records during recovery: Redo in log order for the
+// records redo repeats, Undo in reverse log order for the loser's undo
+// images — a RecUndo record, or a RecUpdate logged with UpdateInline.
 type Handler interface {
 	Redo(r Record) error
 	Undo(r Record) error
@@ -107,6 +127,7 @@ type Handler interface {
 
 // RecoveryStats summarizes a Recover run.
 type RecoveryStats struct {
+	// Records counts the data records scanned: updates, undos, images.
 	Records   int
 	Committed int
 	// Aborted counts transactions with an abort record: their log
@@ -114,7 +135,8 @@ type RecoveryStats struct {
 	// but not undone.
 	Aborted int
 	// Losers counts in-flight transactions (neither commit nor abort
-	// record), which the undo phase rolls back.
+	// record): their updates are not redone, and their undo images are
+	// rolled back.
 	Losers int
 	Redone int
 	Undone int
@@ -164,6 +186,13 @@ type Log struct {
 	// ship hook; Truncate is a counted no-op while that LSN is still
 	// resident.
 	retain func() LSN
+
+	// reserved is the room held back for the undo records that resTx,
+	// the transaction appending now, may still need. One transaction
+	// appends at a time; the first data record of another one ends the
+	// previous reservation.
+	resTx    TxID
+	reserved int64
 }
 
 // SetShip installs the replication tap: after every successful Flush, fn
@@ -229,6 +258,10 @@ type Stats struct {
 	// retention watermark (SetRetain): a record not yet handed to the
 	// ship hook was still resident, so the log was kept.
 	TruncateSkips int64
+	// Undos counts undo records (AppendUndo), appended because a steal
+	// or a page image could expose a change before its commit. They are
+	// included in Records.
+	Undos int64
 }
 
 // Add folds other into s, for aggregating per-shard counters.
@@ -239,6 +272,7 @@ func (s *Stats) Add(other Stats) {
 	s.Flushes += other.Flushes
 	s.Truncates += other.Truncates
 	s.TruncateSkips += other.TruncateSkips
+	s.Undos += other.Undos
 }
 
 // OpsPerFlush returns Commits/Flushes, the average number of committed
@@ -277,46 +311,91 @@ func (l *Log) Begin() TxID {
 	return tx
 }
 
-// Update appends a redo/undo record for a modification of page pid at byte
-// offset pageOff: before and after are the undo and redo images (they may
-// have different lengths; an insert has an empty before image). The record
-// is not durable until Flush, Commit, or Abort.
-func (l *Log) Update(tx TxID, pid uint64, pageOff int, before, after []byte) (LSN, error) {
+// Update appends the redo record of a change of pid at off: after is the
+// redo image, and undo the length of the undo image AppendUndo would log.
+// The log reserves room for that record until tx's commit or abort mark,
+// so a change that could not be undone fails here with ErrLogFull. The
+// record is not durable until Flush, Commit, or Abort.
+func (l *Log) Update(tx TxID, pid uint64, off int, after []byte, undo int) (LSN, error) {
+	return l.data(RecUpdate, tx, pid, off, nil, after, int64(prefixSize+updateHdr+undo))
+}
+
+// UpdateInline appends the redo record of a change with its undo image,
+// before (not empty), in the same record — for a store whose changes
+// reach persistent storage before any write barrier runs (NVM Direct).
+// Recover undoes it if tx loses. Nothing is reserved.
+func (l *Log) UpdateInline(tx TxID, pid uint64, off int, before, after []byte) (LSN, error) {
+	return l.data(RecUpdate, tx, pid, off, before, after, 0)
+}
+
+// Image appends the after image of page pid. Recover redoes it whatever
+// tx's outcome.
+func (l *Log) Image(tx TxID, pid uint64, image []byte) (LSN, error) {
+	return l.data(RecImage, tx, pid, 0, nil, image, 0)
+}
+
+// AppendUndo appends the undo record of an earlier Update of tx: before
+// is its undo image. It writes into the room Update reserved, so it cannot
+// fail; it is no fault.WALAppendError site, and the ship hook never sees
+// it. It panics when tx reserved no room for it, which is a bug in the
+// caller.
+func (l *Log) AppendUndo(tx TxID, pid uint64, off int, before []byte) LSN {
+	n := int64(prefixSize + updateHdr + len(before))
+	if tx != l.resTx || n > l.reserved {
+		panic(fmt.Sprintf("wal: undo record of %d bytes for tx %d exceeds its reservation", n, tx))
+	}
+	l.reserved -= n
+	l.stats.Undos++
+	return l.write(l.encode(RecUndo, tx, pid, off, before, nil))
+}
+
+// data appends a data record of kind, reserving reserve more bytes for
+// tx's undo records.
+func (l *Log) data(kind byte, tx TxID, pid uint64, off int, before, after []byte, reserve int64) (LSN, error) {
+	if tx != l.resTx {
+		l.resTx, l.reserved = tx, 0
+	}
+	payload := l.encode(kind, tx, pid, off, before, after)
+	if err := l.room(len(payload), reserve); err != nil {
+		return 0, err
+	}
+	l.reserved += reserve
+	lsn := l.write(payload)
+	if l.ship != nil {
+		// Owned copies: payload is the reusable scratch buffer and the
+		// caller's images may be overwritten after we return.
+		nb := len(before)
+		img := make([]byte, nb+len(after))
+		copy(img, before)
+		copy(img[nb:], after)
+		l.pending = append(l.pending, Record{
+			Kind: kind, LSN: lsn, Tx: tx, PID: pid, Off: off,
+			Before: img[:nb:nb], After: img[nb:],
+		})
+	}
+	return lsn, nil
+}
+
+// encode lays out a data record in the scratch buffer.
+func (l *Log) encode(kind byte, tx TxID, pid uint64, off int, before, after []byte) []byte {
 	nb, na := len(before), len(after)
 	payload := l.buf(updateHdr + nb + na)
-	payload[0] = recUpdate
-	lsn := l.nextLSN
-	binary.LittleEndian.PutUint64(payload[1:], uint64(lsn))
+	payload[0] = kind
+	binary.LittleEndian.PutUint64(payload[1:], uint64(l.nextLSN))
 	binary.LittleEndian.PutUint64(payload[9:], uint64(tx))
 	binary.LittleEndian.PutUint64(payload[17:], pid)
-	binary.LittleEndian.PutUint32(payload[25:], uint32(pageOff))
+	binary.LittleEndian.PutUint32(payload[25:], uint32(off))
 	binary.LittleEndian.PutUint32(payload[29:], uint32(nb))
 	binary.LittleEndian.PutUint32(payload[33:], uint32(na))
 	copy(payload[37:], before)
 	copy(payload[37+nb:], after)
-	if err := l.append(payload); err != nil {
-		return 0, err
-	}
-	if l.ship != nil {
-		// Owned copies: payload is the reusable scratch buffer and the
-		// caller's images may be overwritten after we return.
-		img := make([]byte, nb+na)
-		copy(img, before)
-		copy(img[nb:], after)
-		l.pending = append(l.pending, Record{
-			Kind: recUpdate, LSN: lsn, Tx: tx, PID: pid, Off: pageOff,
-			Before: img[:nb:nb], After: img[nb:],
-		})
-	}
-	l.nextLSN++
-	l.stats.Records++
-	return lsn, nil
+	return payload
 }
 
 // Commit appends a commit record and flushes the log tail, making the
 // transaction durable.
 func (l *Log) Commit(tx TxID) error {
-	if err := l.mark(recCommit, tx); err != nil {
+	if err := l.mark(RecCommit, tx); err != nil {
 		return err
 	}
 	l.unflushedCommits++
@@ -331,7 +410,7 @@ func (l *Log) Commit(tx TxID) error {
 // Callers implementing group commit must therefore not acknowledge the
 // transaction before flushing. Counted in Stats.Commits immediately.
 func (l *Log) CommitNoFlush(tx TxID) error {
-	if err := l.mark(recCommit, tx); err != nil {
+	if err := l.mark(RecCommit, tx); err != nil {
 		return err
 	}
 	l.unflushedCommits++
@@ -366,7 +445,7 @@ func (l *Log) FlushTail() int64 {
 // operations and compensations, netting out — and never undoes them, so a
 // later transaction's changes to the same keys cannot be clobbered.
 func (l *Log) Abort(tx TxID) error {
-	if err := l.mark(recAbort, tx); err != nil {
+	if err := l.mark(RecAbort, tx); err != nil {
 		return err
 	}
 	l.Flush()
@@ -382,32 +461,44 @@ func (l *Log) buf(n int) []byte {
 	return l.scratch[:n]
 }
 
+// mark appends a commit or abort mark. The mark ends tx, so it may use
+// tx's undo reservation, which it releases; if it fails, tx keeps it.
 func (l *Log) mark(kind byte, tx TxID) error {
+	held := l.reserved
+	if tx == l.resTx {
+		l.reserved = 0
+	}
 	payload := l.buf(markHdr)
 	payload[0] = kind
 	binary.LittleEndian.PutUint64(payload[1:], uint64(l.nextLSN))
 	binary.LittleEndian.PutUint64(payload[9:], uint64(tx))
-	if err := l.append(payload); err != nil {
+	if err := l.room(len(payload), 0); err != nil {
+		l.reserved = held
 		return err
 	}
+	lsn := l.write(payload)
 	if l.ship != nil {
-		l.pending = append(l.pending, Record{Kind: kind, LSN: l.nextLSN, Tx: tx})
+		l.pending = append(l.pending, Record{Kind: kind, LSN: lsn, Tx: tx})
 	}
-	l.nextLSN++
-	l.stats.Records++
 	return nil
 }
 
-// append writes a length-and-checksum-prefixed record at the head plus a
-// zero sentinel behind it, without flushing.
-func (l *Log) append(payload []byte) error {
-	need := int64(prefixSize+len(payload)) + 4 // record + sentinel
-	if l.head+need > l.size {
-		return fmt.Errorf("wal: record of %d bytes at offset %d: %w", len(payload), l.head, ErrLogFull)
+// room fails with ErrLogFull unless a record of n payload bytes, its
+// sentinel, and extra more reserved bytes fit beside the current
+// reservation. It is also the fault.WALAppendError site.
+func (l *Log) room(n int, extra int64) error {
+	if l.head+int64(prefixSize+n)+4+l.reserved+extra > l.size {
+		return fmt.Errorf("wal: record of %d bytes at offset %d: %w", n, l.head, ErrLogFull)
 	}
 	if dec := l.faults.Check(fault.WALAppendError); dec.Fire {
 		return &fault.Error{Kind: fault.WALAppendError, Site: "wal.append", Attempt: 1, Permanent: dec.Transient <= 0}
 	}
+	return nil
+}
+
+// write appends a length-and-checksum-prefixed record at the head plus a
+// zero sentinel behind it, without flushing, and returns its LSN.
+func (l *Log) write(payload []byte) LSN {
 	var prefix [prefixSize]byte
 	binary.LittleEndian.PutUint32(prefix[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(prefix[4:], crc32.ChecksumIEEE(payload))
@@ -419,7 +510,10 @@ func (l *Log) append(payload []byte) error {
 	if l.rec != nil {
 		l.rec.Latency(obs.OpWALAppend, 0)
 	}
-	return nil
+	lsn := l.nextLSN
+	l.nextLSN++
+	l.stats.Records++
+	return lsn
 }
 
 // Flush makes all appended records durable. On commit this is the paper's
@@ -497,11 +591,14 @@ func (l *Log) Capacity() int64 { return l.size }
 // Stats returns a snapshot of the activity counters.
 func (l *Log) Stats() Stats { return l.stats }
 
-// Recover scans the log, repeats history through h.Redo, rolls back loser
-// transactions through h.Undo, and positions the log for new appends after
-// the scanned records. A torn record at the tail (incomplete size prefix
-// or checksum mismatch) cleanly terminates the scan: it can only belong to
-// a transaction whose commit record was never flushed.
+// Recover scans the log, applies the package's recovery rule — redo
+// through h.Redo in log order for every record of a committed or aborted
+// transaction and every page image, then h.Undo in reverse log order for
+// the loser's undo images, while the loser's update records are skipped —
+// and positions the log for new appends after the scanned records. A torn
+// record at the tail (incomplete size prefix or checksum mismatch) cleanly
+// terminates the scan: it can only belong to a transaction whose commit
+// record was never flushed.
 //
 // Distinguishing a torn tail from true corruption is subtle, because the
 // log region is not erased on Truncate (only a 4-byte sentinel is
@@ -554,7 +651,7 @@ scan:
 			break
 		}
 		kind := payload[0]
-		if n < markHdr || (kind != recUpdate && kind != recCommit && kind != recAbort) {
+		if n < markHdr || !knownKind(kind) {
 			if l.validSuccessor(pos+prefixSize+n, maxLSN) {
 				return stats, fmt.Errorf("wal: corrupt record (type %d, %d bytes) mid-log at %d", kind, n, pos)
 			}
@@ -575,34 +672,32 @@ scan:
 			maxTx = tx
 		}
 		switch kind {
-		case recUpdate:
+		case RecCommit:
+			committed[tx] = true
+		case RecAbort:
+			aborted[tx] = true
+		default:
 			if n < updateHdr {
 				if l.validSuccessor(pos+prefixSize+n, maxLSN) {
-					return stats, fmt.Errorf("wal: truncated update record at %d", pos)
+					return stats, fmt.Errorf("wal: truncated data record at %d", pos)
 				}
 				stats.TornTail = true
 				break scan
 			}
-			pid := binary.LittleEndian.Uint64(payload[17:])
-			pageOff := int(binary.LittleEndian.Uint32(payload[25:]))
 			nb := int(binary.LittleEndian.Uint32(payload[29:]))
 			na := int(binary.LittleEndian.Uint32(payload[33:]))
 			if int64(updateHdr+nb+na) != n {
-				return stats, fmt.Errorf("wal: corrupt update record at %d", pos)
+				return stats, fmt.Errorf("wal: corrupt data record at %d", pos)
 			}
 			records = append(records, Record{
-				Kind:   recUpdate,
+				Kind:   kind,
 				LSN:    lsn,
 				Tx:     tx,
-				PID:    pid,
-				Off:    pageOff,
+				PID:    binary.LittleEndian.Uint64(payload[17:]),
+				Off:    int(binary.LittleEndian.Uint32(payload[25:])),
 				Before: payload[37 : 37+nb],
 				After:  payload[37+nb : 37+nb+na],
 			})
-		case recCommit:
-			committed[tx] = true
-		case recAbort:
-			aborted[tx] = true
 		}
 		seen[tx] = true
 		pos += prefixSize + n
@@ -620,18 +715,25 @@ scan:
 		}
 	}
 
-	// Redo phase: repeat history in log order.
+	// Redo: repeat the history of every transaction that ended — an
+	// aborted one's compensations net its changes out — plus every page
+	// image. The loser's changes are skipped: none of their bytes reached
+	// persistent storage unless an undo image below covers them.
+	ended := func(tx TxID) bool { return committed[tx] || aborted[tx] }
 	for _, r := range records {
+		if r.Kind == RecUndo || r.Kind == RecUpdate && !ended(r.Tx) {
+			continue
+		}
 		if err := h.Redo(r); err != nil {
 			return stats, fmt.Errorf("wal: redo lsn %d: %w", r.LSN, err)
 		}
 		stats.Redone++
 	}
-	// Undo phase: roll back in-flight losers in reverse order. Aborted
-	// transactions are skipped: their compensations were redone above.
+	// Undo: roll the loser's undo images back in reverse log order — its
+	// undo records and the updates that carry one inline.
 	for i := len(records) - 1; i >= 0; i-- {
 		r := records[i]
-		if committed[r.Tx] || aborted[r.Tx] {
+		if ended(r.Tx) || r.Kind == RecImage || len(r.Before) == 0 {
 			continue
 		}
 		if err := h.Undo(r); err != nil {
@@ -644,6 +746,7 @@ scan:
 	l.flushedTo = pos
 	l.unflushedCommits = 0
 	l.pending = nil // never-shipped appends died with the crash
+	l.resTx, l.reserved = 0, 0
 	l.nextLSN = maxLSN + 1
 	l.nextTx = maxTx + 1
 	l.durable = maxLSN
@@ -670,9 +773,8 @@ func (l *Log) validSuccessor(pos int64, maxLSN LSN) bool {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(prefix[4:]) {
 		return false
 	}
-	kind := payload[0]
-	if kind != recUpdate && kind != recCommit && kind != recAbort {
-		return false
-	}
-	return LSN(binary.LittleEndian.Uint64(payload[1:])) > maxLSN
+	return knownKind(payload[0]) && LSN(binary.LittleEndian.Uint64(payload[1:])) > maxLSN
 }
+
+// knownKind reports whether kind is a record type this log writes.
+func knownKind(kind byte) bool { return kind >= RecUpdate && kind <= RecImage }

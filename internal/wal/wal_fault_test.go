@@ -10,8 +10,9 @@ import (
 	"nvmstore/internal/nvm"
 )
 
-// staleImages returns before/after images sized so that a whole record
-// (prefix + payload) is exactly one 64-byte cache line: 8 + 37 + 9 + 10.
+// staleImages returns before/after images sized so that a whole inline
+// record (prefix + payload) is exactly one 64-byte cache line: 8 + 37 + 9
+// + 10. Inline records carry their undo, so a loser's is handed to Undo.
 // Records then start and end on line boundaries, which is the geometry
 // that lets a torn flush lose a sentinel line while keeping the record.
 func staleImages() (before, after []byte) {
@@ -32,7 +33,7 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	// durable. LSNs 1, 2, 3.
 	t1 := l.Begin()
 	for i := 0; i < 2; i++ {
-		if _, err := l.Update(t1, uint64(i+1), 0, before, after); err != nil {
+		if _, err := l.UpdateInline(t1, uint64(i+1), 0, before, after); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +47,7 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	// generation 1's second record. Tear the flush: persist the
 	// record's line only, then power-fail.
 	t2 := l.Begin()
-	if _, err := l.Update(t2, 9, 0, before, after); err != nil {
+	if _, err := l.UpdateInline(t2, 9, 0, before, after); err != nil {
 		t.Fatal(err)
 	}
 	dev.Flush(0, 64)
@@ -93,10 +94,10 @@ func TestUnknownTypeMidLogIsCorruption(t *testing.T) {
 	l, dev := newTestLog(t, false)
 	before, after := staleImages()
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, before, after); err != nil {
+	if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Update(tx, 2, 0, before, after); err != nil {
+	if _, err := l.UpdateInline(tx, 2, 0, before, after); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -118,7 +119,7 @@ func TestUnknownTypeAtTailIsTorn(t *testing.T) {
 	l, dev := newTestLog(t, false)
 	before, after := staleImages()
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, before, after); err != nil {
+	if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -152,7 +153,7 @@ func TestInjectedFlushCrashRecovers(t *testing.T) {
 	l.SetFaults(plan.Injector(0))
 
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte("aaaa"), []byte("bbbb")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("bbbb"), 4); err != nil {
 		t.Fatal(err)
 	}
 	func() {
@@ -188,7 +189,7 @@ func TestInjectedAppendError(t *testing.T) {
 	l.SetFaults(plan.Injector(0))
 
 	tx := l.Begin()
-	_, err := l.Update(tx, 1, 0, []byte("x"), []byte("y"))
+	_, err := l.Update(tx, 1, 0, []byte("y"), 1)
 	if err == nil {
 		t.Fatal("append did not fail")
 	}
@@ -199,7 +200,7 @@ func TestInjectedAppendError(t *testing.T) {
 		t.Fatalf("failed append advanced the log to %d bytes", l.Bytes())
 	}
 	// The limit is spent: the retry succeeds.
-	if _, err := l.Update(tx, 1, 0, []byte("x"), []byte("y")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("y"), 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -7,12 +7,15 @@ import (
 	"testing/quick"
 	"time"
 
+	"nvmstore/internal/fault"
 	"nvmstore/internal/nvm"
 	"nvmstore/internal/simclock"
 )
 
-// memHandler replays records against an in-memory set of pages, keeping a
-// per-page LSN like a real engine would.
+// memHandler replays records against an in-memory set of pages. Its
+// per-page LSN skips a redo the page already holds; the log itself never
+// asks for that (redo is unconditional), it only hands every record its
+// LSN.
 type memHandler struct {
 	pages map[uint64][]byte
 	lsn   map[uint64]LSN
@@ -63,7 +66,7 @@ func newTestLog(t *testing.T, strict bool) (*Log, *nvm.Device) {
 func TestCommittedTransactionRecovers(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 10, []byte("old!"), []byte("new!")); err != nil {
+	if _, err := l.Update(tx, 1, 10, []byte("new!"), 4); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -87,18 +90,20 @@ func TestCommittedTransactionRecovers(t *testing.T) {
 func TestLoserTransactionRolledBack(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte("AAAA"), []byte("BBBB")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("BBBB"), 4); err != nil {
 		t.Fatal(err)
 	}
+	// The page is stolen before the commit: its undo goes first.
+	l.AppendUndo(tx, 1, 0, []byte("AAAA"))
 	l.Flush() // durable but never committed
 
 	h := newMemHandler()
-	copy(h.page(1), "AAAA")
+	copy(h.page(1), "BBBB") // the stolen page
 	st, err := l.Recover(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Losers != 1 || st.Undone != 1 {
+	if st.Losers != 1 || st.Undone != 1 || st.Redone != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if got := string(h.page(1)[:4]); got != "AAAA" {
@@ -111,13 +116,14 @@ func TestInterleavedTransactions(t *testing.T) {
 	t1 := l.Begin()
 	t2 := l.Begin()
 	// t1 and t2 interleave on different pages; t1 commits, t2 does not.
-	if _, err := l.Update(t1, 1, 0, []byte("a"), []byte("X")); err != nil {
+	// t2's page was never stolen, so it has no undo and is not redone.
+	if _, err := l.Update(t1, 1, 0, []byte("X"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Update(t2, 2, 0, []byte("b"), []byte("Y")); err != nil {
+	if _, err := l.Update(t2, 2, 0, []byte("Y"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Update(t1, 1, 1, []byte("c"), []byte("Z")); err != nil {
+	if _, err := l.Update(t1, 1, 1, []byte("Z"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(t1); err != nil {
@@ -147,11 +153,11 @@ func TestAbortedTransactionNotUndone(t *testing.T) {
 	// record (CLR-style); recovery redoes everything and skips undo.
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 3, 0, []byte("ok"), []byte("no")); err != nil {
+	if _, err := l.Update(tx, 3, 0, []byte("no"), 2); err != nil {
 		t.Fatal(err)
 	}
 	// The compensation restoring the old value.
-	if _, err := l.Update(tx, 3, 0, []byte("no"), []byte("ok")); err != nil {
+	if _, err := l.Update(tx, 3, 0, []byte("ok"), 2); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Abort(tx); err != nil {
@@ -174,7 +180,7 @@ func TestAbortedTransactionNotUndone(t *testing.T) {
 func TestTornTailIgnored(t *testing.T) {
 	l, dev := newTestLog(t, true)
 	t1 := l.Begin()
-	if _, err := l.Update(t1, 1, 0, []byte("a"), []byte("B")); err != nil {
+	if _, err := l.Update(t1, 1, 0, []byte("B"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(t1); err != nil {
@@ -182,7 +188,7 @@ func TestTornTailIgnored(t *testing.T) {
 	}
 	// A second update is appended but never flushed; the crash tears it.
 	t2 := l.Begin()
-	if _, err := l.Update(t2, 1, 0, []byte("B"), []byte("C")); err != nil {
+	if _, err := l.Update(t2, 1, 0, []byte("C"), 1); err != nil {
 		t.Fatal(err)
 	}
 	dev.Crash()
@@ -204,7 +210,7 @@ func TestTornTailIgnored(t *testing.T) {
 func TestRecoverPositionsLogForAppends(t *testing.T) {
 	l, dev := newTestLog(t, false)
 	t1 := l.Begin()
-	if _, err := l.Update(t1, 1, 0, []byte("x"), []byte("y")); err != nil {
+	if _, err := l.Update(t1, 1, 0, []byte("y"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(t1); err != nil {
@@ -222,7 +228,7 @@ func TestRecoverPositionsLogForAppends(t *testing.T) {
 	if t2 <= t1 {
 		t.Fatalf("tx id after recovery = %d, want > %d", t2, t1)
 	}
-	lsn, err := l2.Update(t2, 1, 0, []byte("y"), []byte("z"))
+	lsn, err := l2.Update(t2, 1, 0, []byte("z"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestRecoverPositionsLogForAppends(t *testing.T) {
 func TestTruncate(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte("q"), []byte("r")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("r"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -271,7 +277,7 @@ func TestTruncateRetentionWatermark(t *testing.T) {
 	l.SetRetain(func() LSN { return keep })
 
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte("q"), []byte("r")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("r"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -302,7 +308,7 @@ func TestTruncateRetentionWatermark(t *testing.T) {
 	// A nil fn removes the guard entirely.
 	l.SetRetain(nil)
 	tx2 := l.Begin()
-	if _, err := l.Update(tx2, 1, 0, []byte("r"), []byte("s")); err != nil {
+	if _, err := l.Update(tx2, 1, 0, []byte("s"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx2); err != nil {
@@ -322,7 +328,7 @@ func TestLogFull(t *testing.T) {
 	img := make([]byte, 256)
 	var err error
 	for i := 0; i < 100; i++ {
-		if _, err = l.Update(tx, 1, 0, img, img); err != nil {
+		if _, err = l.Update(tx, 1, 0, img, len(img)); err != nil {
 			break
 		}
 	}
@@ -331,7 +337,7 @@ func TestLogFull(t *testing.T) {
 	}
 	// After truncation, appends work again.
 	l.Truncate()
-	if _, err := l.Update(tx, 1, 0, img, img); err != nil {
+	if _, err := l.Update(l.Begin(), 1, 0, img, len(img)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -339,10 +345,10 @@ func TestLogFull(t *testing.T) {
 func TestRedoIsIdempotentViaPageLSN(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte{0}, []byte{1}); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Update(tx, 1, 0, []byte{1}, []byte{2}); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte{2}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -363,7 +369,7 @@ func TestRedoIsIdempotentViaPageLSN(t *testing.T) {
 func TestCommitFlushesDurably(t *testing.T) {
 	l, dev := newTestLog(t, true)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte("u"), []byte("v")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("v"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -386,13 +392,14 @@ func TestCommitFlushesDurably(t *testing.T) {
 }
 
 func TestDifferingImageLengths(t *testing.T) {
-	// Inserts log an empty before image, deletes an empty after image.
+	// An update record has no before image; an inline one may have an
+	// empty after image.
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, nil, []byte("inserted")); err != nil {
+	if _, err := l.Update(tx, 1, 0, []byte("inserted"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Update(tx, 2, 0, []byte("deleted"), nil); err != nil {
+	if _, err := l.UpdateInline(tx, 2, 0, []byte("deleted"), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -414,7 +421,8 @@ func TestDifferingImageLengths(t *testing.T) {
 	}
 }
 
-// recorderHandler captures redo records.
+// recorderHandler captures the records handed to Redo and Undo, in call
+// order.
 type recorderHandler struct{ out *[]Record }
 
 func (r recorderHandler) Redo(rec Record) error {
@@ -424,13 +432,13 @@ func (r recorderHandler) Redo(rec Record) error {
 	*r.out = append(*r.out, cp)
 	return nil
 }
-func (r recorderHandler) Undo(Record) error { return nil }
+func (r recorderHandler) Undo(rec Record) error { return r.Redo(rec) }
 
 func TestRecordImagesAreCopies(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
 	buf := []byte("live")
-	if _, err := l.Update(tx, 1, 0, buf, buf); err != nil {
+	if _, err := l.Update(tx, 1, 0, buf, len(buf)); err != nil {
 		t.Fatal(err)
 	}
 	copy(buf, "dead") // caller reuses its buffer
@@ -446,30 +454,34 @@ func TestRecordImagesAreCopies(t *testing.T) {
 	}
 }
 
-// TestQuickRandomHistories property-checks recovery: for random interleaved
-// transaction histories with random commit/abort/in-flight endings, the
-// recovered state equals replaying only committed work (aborted
-// transactions log their compensations, as the engine does).
+// TestQuickRandomHistories property-checks recovery: for random
+// transaction histories with random commit/abort/steal steps and a final
+// transaction in flight, the recovered state equals replaying only
+// committed work (aborted transactions log their compensations, as the
+// engine does). A steal logs the undo of the running transaction's
+// uncovered changes, flushes, and persists every page as it stands.
 func TestQuickRandomHistories(t *testing.T) {
 	prop := func(script []uint16) bool {
 		l, _ := newTestLog(nil, false)
 		model := make(map[uint64]byte)   // page -> committed value
 		scratch := make(map[uint64]byte) // uncommitted view
-		for k, v := range model {
-			scratch[k] = v
+		stolen := make(map[uint64]byte)  // pages as the last steal persisted them
+		type change struct {
+			page   uint64
+			before byte
 		}
 		tx := l.Begin()
-		var txWrites []uint64
+		var changes []change
+		covered := 0
 		for _, op := range script {
 			page := uint64(op % 8)
 			val := byte(op >> 8)
-			before := []byte{scratch[page]}
-			if _, err := l.Update(tx, page, 0, before, []byte{val}); err != nil {
+			if _, err := l.Update(tx, page, 0, []byte{val}, 1); err != nil {
 				return false
 			}
+			changes = append(changes, change{page, scratch[page]})
 			scratch[page] = val
-			txWrites = append(txWrites, page)
-			switch op % 5 {
+			switch op % 7 {
 			case 0: // commit
 				if err := l.Commit(tx); err != nil {
 					return false
@@ -477,45 +489,41 @@ func TestQuickRandomHistories(t *testing.T) {
 				for k, v := range scratch {
 					model[k] = v
 				}
-				tx = l.Begin()
-				txWrites = nil
+				tx, changes, covered = l.Begin(), nil, 0
 			case 1: // abort with compensations
-				for i := len(txWrites) - 1; i >= 0; i-- {
-					p := txWrites[i]
-					if _, err := l.Update(tx, p, 0, []byte{scratch[p]}, []byte{model[p]}); err != nil {
+				for i := len(changes) - 1; i >= 0; i-- {
+					c := changes[i]
+					if _, err := l.Update(tx, c.page, 0, []byte{c.before}, 1); err != nil {
 						return false
 					}
-					scratch[p] = model[p]
+					scratch[c.page] = c.before
 				}
 				if err := l.Abort(tx); err != nil {
 					return false
 				}
-				for k := range scratch {
-					scratch[k] = model[k]
+				tx, changes, covered = l.Begin(), nil, 0
+			case 2: // steal
+				for ; covered < len(changes); covered++ {
+					c := changes[covered]
+					l.AppendUndo(tx, c.page, 0, []byte{c.before})
 				}
-				tx = l.Begin()
-				txWrites = nil
+				l.Flush()
+				for k, v := range scratch {
+					stolen[k] = v
+				}
 			}
 		}
 		// Crash with the final tx in flight (records flushed).
 		l.Flush()
 		h := newMemHandler()
-		for k, v := range model {
+		for k, v := range stolen {
 			h.page(k)[0] = v
 		}
-		// Apply the in-flight writes to the "pages" as a running system
-		// would have (they are volatile here, but undo must handle them
-		// after redo repeats history).
 		if _, err := l.Recover(h); err != nil {
 			return false
 		}
-		for k, v := range model {
-			if h.page(k)[0] != v {
-				return false
-			}
-		}
-		for k := range scratch {
-			if _, committed := model[k]; !committed && h.page(k)[0] != 0 {
+		for k := uint64(0); k < 8; k++ {
+			if h.page(k)[0] != model[k] {
 				return false
 			}
 		}
@@ -523,5 +531,150 @@ func TestQuickRandomHistories(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoverRule pins the one recovery rule on a log holding every kind
+// of record: redo, in log order, the records of the committed and the
+// aborted transaction and every page image — the loser's included — and
+// undo, in reverse log order, only the loser's undo images: its undo
+// records and its inline record. The loser's other updates are neither.
+func TestRecoverRule(t *testing.T) {
+	l, _ := newTestLog(t, false)
+	lsns := make(map[string]LSN)
+	must := func(name string, lsn LSN, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns[name] = lsn
+	}
+	t1 := l.Begin()
+	lsn, err := l.Update(t1, 1, 0, []byte("c1"), 2)
+	must("committed", lsn, err)
+	if err := l.Commit(t1); err != nil {
+		t.Fatal(err)
+	}
+	t2 := l.Begin()
+	lsn, err = l.Update(t2, 2, 0, []byte("a1"), 2)
+	must("aborted", lsn, err)
+	lsn, err = l.Update(t2, 2, 0, []byte("a0"), 2)
+	must("compensation", lsn, err)
+	if err := l.Abort(t2); err != nil {
+		t.Fatal(err)
+	}
+	t3 := l.Begin()
+	lsn, err = l.Update(t3, 3, 0, []byte("s1"), 2)
+	must("stolen", lsn, err)
+	must("undo stolen", l.AppendUndo(t3, 3, 0, []byte("s0")), nil)
+	lsn, err = l.Image(t3, 9, []byte("image"))
+	must("image", lsn, err)
+	lsn, err = l.UpdateInline(t3, 4, 0, []byte("i0"), []byte("i1"))
+	must("inline", lsn, err)
+	lsn, err = l.Update(t3, 5, 0, []byte("u1"), 2)
+	must("unstolen", lsn, err)
+	l.Flush()
+
+	var got []Record
+	st, err := l.Recover(recorderHandler{&got})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"committed", "aborted", "compensation", "image", "inline", "undo stolen"}
+	if len(got) != len(want) {
+		t.Fatalf("handled %d records, want %v", len(got), want)
+	}
+	for i, name := range want {
+		if got[i].LSN != lsns[name] {
+			t.Fatalf("call %d handled lsn %d, want %s (%d)", i, got[i].LSN, name, lsns[name])
+		}
+	}
+	if got[4].Kind != RecUpdate || string(got[4].Before) != "i0" || got[5].Kind != RecUndo || string(got[5].Before) != "s0" {
+		t.Fatalf("undo records handed over as %+v, %+v", got[4], got[5])
+	}
+	if st.Records != 8 || st.Committed != 1 || st.Aborted != 1 || st.Losers != 1 || st.Redone != 4 || st.Undone != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestUndoReservation: an update reserves room for its undo record, so a
+// log too full for the undo fails the update — never the undo, which
+// writes into the reservation. The commit mark releases it.
+func TestUndoReservation(t *testing.T) {
+	clk := &simclock.Clock{}
+	dev := nvm.New(nvm.Config{Size: 1 << 20, ReadLatency: 1, WriteLatency: 1, LineTransfer: 1}, clk)
+	l := New(dev, 0, 4096)
+	img := make([]byte, 100)
+	rec := int64(prefixSize + updateHdr + len(img)) // 145: a redo or undo record
+	tx := l.Begin()
+	n := 0
+	for ; ; n++ {
+		if _, err := l.Update(tx, uint64(n), 0, img, len(img)); err != nil {
+			if !errors.Is(err, ErrLogFull) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	// The failed update's redo record alone would have fit.
+	if free := l.Capacity() - l.Bytes() - 4; free < rec {
+		t.Fatalf("the log ran out of room (%d bytes free) before the reservation did", free)
+	}
+	for i := 0; i < n; i++ {
+		l.AppendUndo(tx, uint64(i), 0, img)
+	}
+	if got, want := l.Bytes(), 2*int64(n)*rec; got != want || got+4 > l.Capacity() {
+		t.Fatalf("%d updates and their undos take %d bytes, want %d within %d", n, got, want, l.Capacity())
+	}
+	if st := l.Stats(); st.Undos != int64(n) || st.Records != 2*int64(n) {
+		t.Fatalf("stats = %+v, want %d undos among %d records", st, n, 2*n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an undo beyond the reservation was appended")
+			}
+		}()
+		l.AppendUndo(tx, 0, 0, img)
+	}()
+
+	// A commit mark may use the reservation it releases.
+	l.Truncate()
+	tx = l.Begin()
+	for {
+		if _, err := l.Update(tx, 1, 0, img, len(img)); err != nil {
+			break
+		}
+	}
+	if err := l.Commit(tx); err != nil {
+		t.Fatalf("commit did not fit into the released reservation: %v", err)
+	}
+	if _, err := l.Update(l.Begin(), 1, 0, img, len(img)); err != nil {
+		t.Fatalf("the next transaction found no room: %v", err)
+	}
+}
+
+// TestUndoRecordsStayInTheLog: an undo record is no append-fault site and
+// never reaches the ship hook; the update it undoes does.
+func TestUndoRecordsStayInTheLog(t *testing.T) {
+	l, _ := newTestLog(t, false)
+	var shipped []Record
+	l.SetShip(func(rs []Record) { shipped = append(shipped, rs...) })
+	tx := l.Begin()
+	if _, err := l.Update(tx, 1, 0, []byte("new"), 3); err != nil {
+		t.Fatal(err)
+	}
+	in := (&fault.Plan{Rules: []fault.Rule{{Kind: fault.WALAppendError, EveryN: 1}}}).Injector(0)
+	l.SetFaults(in)
+	l.AppendUndo(tx, 1, 0, []byte("old"))
+	if n := in.Opportunities(fault.WALAppendError); n != 0 {
+		t.Fatalf("the undo append was %d fault opportunities", n)
+	}
+	l.SetFaults(nil)
+	if err := l.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	if len(shipped) != 2 || shipped[0].Kind != RecUpdate || shipped[1].Kind != RecCommit {
+		t.Fatalf("shipped %+v, want the update and the commit", shipped)
 	}
 }

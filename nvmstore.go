@@ -317,9 +317,11 @@ func (s *Store) LogFill() float64 { return s.e.LogFill() }
 // RecoveryStats below.
 type WALRecord = wal.Record
 
-// WAL record kinds, re-exported for replication consumers.
+// WAL record kinds, re-exported for replication consumers. The tap also
+// delivers page images (wal.RecImage), which name this store's own page
+// ids and are no use to any other store; it never delivers undo records.
 const (
-	// WALRecUpdate marks a record carrying before/after images.
+	// WALRecUpdate marks a logical change's redo record.
 	WALRecUpdate = wal.RecUpdate
 	// WALRecCommit marks a transaction commit record.
 	WALRecCommit = wal.RecCommit
@@ -353,17 +355,12 @@ func (s *Store) SetWALRetain(fn func() uint64) {
 // transaction's commit record is at or below it.
 func (s *Store) DurableLSN() uint64 { return uint64(s.e.Log().DurableLSN()) }
 
-// IsPageImage reports whether a shipped record is a physical page image
-// (logged by B+-tree splits). Page images are meaningless on any other
-// store — page ids and layouts differ — so replication filters them and
-// lets the replica's own trees split independently.
-func IsPageImage(r WALRecord) bool { return engine.IsPageImage(r) }
-
 // ReplayRecord applies one logical record from another store's log
 // inside the running transaction (Begin/Update). The operation is
 // logged to this store's own WAL, so applied records are crash-
 // recoverable here independently of the source. Commit/abort marks are
-// no-ops; page-image and malformed records return an error.
+// no-ops; page images, undo records and malformed records return an
+// error.
 func (s *Store) ReplayRecord(r WALRecord) error { return s.e.ApplyLogical(r) }
 
 // TableIDs returns the ids of all tables in ascending order.
@@ -682,8 +679,9 @@ func (t *Table) LookupField(key uint64, off, n int, buf []byte) (bool, error) {
 	return t.t.LookupField(key, off, n, buf)
 }
 
-// UpdateField overwrites part of key's row, logging before and after
-// images for recovery.
+// UpdateField overwrites part of key's row, logging the new bytes for
+// recovery. The old bytes stay in memory for Rollback and reach the log
+// only if the row's page is written back before the commit.
 func (t *Table) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	return t.t.UpdateField(key, off, val)
 }
