@@ -160,6 +160,51 @@ func TestCrashRecoveryCommittedSurvives(t *testing.T) {
 	}
 }
 
+// TestCrashRightAfterTruncationKeepsNewerValues: a crash right after a
+// checkpoint leaves an empty log over a region that still holds the
+// truncated generation's records. Recovery must keep counting LSNs up from
+// there, or after the next commit and crash it would take those stale
+// records for new ones and redo old values over the newer one.
+func TestCrashRightAfterTruncationKeepsNewerValues(t *testing.T) {
+	for _, topo := range []core.Topology{core.DRAMSSD, core.DRAMNVM, core.ThreeTier, core.DirectNVM} {
+		t.Run(topo.String(), func(t *testing.T) {
+			e := openEngine(t, topo)
+			tr, _ := e.CreateTree(1, testPayload, btree.LayoutSorted)
+			mustInsert(t, e, tr, 1)
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			set := func(v byte) {
+				t.Helper()
+				e.Begin()
+				if _, err := tr.UpdateField(1, 8, []byte{v}); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for v := byte(1); v <= 4; v++ {
+				set(v) // the generation the next checkpoint truncates
+			}
+			for i := 0; i < 2; i++ { // the second crash finds the log empty
+				if _, err := e.CrashRestart(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tr = e.Tree(1)
+			set(9)
+			if _, err := e.CrashRestart(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, testPayload)
+			if found, err := e.Tree(1).Lookup(1, buf); err != nil || !found || buf[8] != 9 {
+				t.Fatalf("after the crashes the field reads %d (found %v, err %v), want 9", buf[8], found, err)
+			}
+		})
+	}
+}
+
 func TestCrashRecoveryUnflushedCommitLost(t *testing.T) {
 	// A transaction whose commit record never reached NVM must vanish.
 	e := openEngine(t, core.DRAMNVM)

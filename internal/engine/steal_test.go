@@ -397,23 +397,50 @@ func TestDirectUndoIsInline(t *testing.T) {
 }
 
 // TestAutocommitUpdateLogsRedoOnly pins what one autocommit 100-byte
-// UpdateField appends on 3 Tier BM: a 153-byte update record (8-byte
-// prefix, 37-byte header, 8-byte key, 100 bytes of after image) and a
-// 25-byte commit record, 178 bytes, and no undo record.
+// UpdateField logs on 3 Tier BM: a 153-byte update record (8-byte prefix,
+// 37-byte header, 8-byte key, 100 bytes of after image) and a 25-byte
+// commit record, 178 bytes and no undo record. Committed through
+// Engine.Commit, the flush pads them to 192 log bytes: exactly 3 lines,
+// each flushed once.
 func TestAutocommitUpdateLogsRedoOnly(t *testing.T) {
 	s := newStealStore(t, testConfig(core.ThreeTier), 300)
-	before, st0 := s.e.Log().Bytes(), s.e.Log().Stats()
+	log, dev := s.e.Log(), s.e.Manager().NVM()
+	off, size := s.e.Manager().WALRegion()
+	walWear := func() (sum int64) {
+		for l := off / core.LineSize; l < (off+size)/core.LineSize; l++ {
+			sum += int64(dev.Wear(l))
+		}
+		return sum
+	}
+	// The records, seen before their flush.
+	before, st0 := log.Bytes(), log.Stats()
 	s.e.Begin()
 	s.ops(t, 100)
+	if err := s.e.CommitNoFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := log.Bytes() - before; got != 178 {
+		t.Fatalf("one autocommit UpdateField appended %d log bytes, want 178", got)
+	}
+	if st := log.Stats(); st.Records-st0.Records != 2 || st.Undos != st0.Undos {
+		t.Fatalf("stats %+v -> %+v, want 2 records and no undo", st0, st)
+	}
+	if _, err := s.e.FlushWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The autocommit path itself: Commit appends and flushes them.
+	before, st0, wear0 := log.Bytes(), log.Stats(), walWear()
+	s.e.Begin()
+	s.ops(t, 104)
 	if err := s.e.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.e.Log().Stats()
-	if got := s.e.Log().Bytes() - before; got != 178 {
-		t.Fatalf("one autocommit UpdateField appended %d log bytes, want 178", got)
+	if got, lines := log.Bytes()-before, walWear()-wear0; got != 192 || lines != 3 {
+		t.Fatalf("an autocommit took %d log bytes in %d line flushes, want 192 in 3", got, lines)
 	}
-	if st.Records-st0.Records != 2 || st.Undos != st0.Undos {
-		t.Fatalf("stats %+v -> %+v, want 2 records and no undo", st0, st)
+	if st := log.Stats(); st.Records-st0.Records != 2 || st.Undos != st0.Undos || st.Flushes-st0.Flushes != 1 {
+		t.Fatalf("stats %+v -> %+v, want 2 records, no undo and 1 flush", st0, st)
 	}
 }
 
@@ -439,14 +466,16 @@ func TestUndoReservationFailsTheOp(t *testing.T) {
 					break
 				}
 			}
-			if free := log.Capacity() - log.Bytes() - 4; free < 153 {
+			if free := log.Capacity() - log.Bytes(); free < 153 {
 				t.Fatalf("the log ran out (%d bytes free) before the reservation did", free)
 			}
 			s.e.Manager().FlushAll() // the steal: its barrier must not fail
 			if got := log.Stats().Undos - undos; got != int64(ops) {
 				t.Fatalf("%d undo records for %d ops", got, ops)
 			}
-			if log.Bytes()+4 > log.Capacity() {
+			// The barrier's flush padded the log to a line boundary: the pad
+			// is used room too.
+			if log.Bytes()%core.LineSize != 0 || log.Bytes() > log.Capacity() {
 				t.Fatalf("the log overran its region: %d of %d bytes", log.Bytes(), log.Capacity())
 			}
 			st := s.restart(t)

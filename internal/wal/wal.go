@@ -12,6 +12,26 @@
 // image inside the update record. A transaction commits by flushing the
 // log tail (clwb + sfence in hardware, Device.Flush here).
 //
+// The log is written in whole cache lines. A record is a 4-byte size and
+// a 4-byte CRC followed by its payload, and the records of one flush
+// follow each other without gaps. Flush ends on a line boundary: it sets
+// the flush-end bit in the size field of the last record it makes durable
+// — the rest of that record's last line is the flush's pad — flushes
+// [flushedTo, boundary) once, and moves the head to the boundary, so the
+// next record starts on a fresh line and no line is flushed twice between
+// two truncations. Recover reads the same rule back: behind a record with
+// the flush-end bit the log goes on at the next line.
+//
+// Nothing marks the end of the log: the region is never erased, so the
+// line after the last flush holds zeros, a record of an earlier
+// generation, or garbage. The region's last line is the log's header: it
+// holds the LSN floor, the highest LSN appended before the last Truncate,
+// which Truncate persists and Recover starts from. A record whose LSN does
+// not exceed the floor and every LSN before it is therefore stale. A scan
+// that stops right behind a flush-end record (or before any record) has
+// found the clean end; one that stops right behind any other record has
+// found a flush torn by a crash (RecoveryStats.TornTail).
+//
 // Recover applies one rule, and nowhere else decides it:
 //
 //   - redo is logical and unconditional, in log order: every RecUpdate of
@@ -24,9 +44,11 @@
 //     in reverse log order. Undo images exist only for changes a steal or
 //     a page image could have exposed.
 //
-// Update reserves room for the change's undo record, and the
-// transaction's commit or abort mark releases it, so ErrLogFull surfaces
-// at the change that does not fit and never inside the write barrier.
+// Every append makes room for the pad the next flush may add behind it,
+// Update reserves room for the change's undo record and its pad, and the
+// transaction's commit or abort mark releases the reservation, so
+// ErrLogFull surfaces at the change that does not fit and never inside
+// the write barrier.
 // Undo records are no fault.WALAppendError site and never reach the ship
 // hook.
 //
@@ -75,7 +97,8 @@ import (
 type TxID uint64
 
 // LSN is a log sequence number; LSNs increase strictly monotonically
-// across the life of the log, surviving truncation.
+// across the life of the log, surviving truncation and, through the
+// header's LSN floor, recovery.
 type LSN uint64
 
 // Record kinds, the first payload byte of a record and Record.Kind.
@@ -140,10 +163,11 @@ type RecoveryStats struct {
 	Losers int
 	Redone int
 	Undone int
-	// TornTail reports that the scan stopped at a torn log tail — bytes
-	// past the durable prefix that a crash left behind — rather than at
-	// a clean sentinel. Expected after any mid-flush crash; the torn
-	// bytes are overwritten by subsequent appends.
+	// TornTail reports that the scan stopped inside a flush a crash tore —
+	// right behind a record that was not the last of its flush — rather
+	// than at the clean end behind a flush's last record. Expected after
+	// any mid-flush crash; the torn bytes are overwritten by subsequent
+	// appends.
 	TornTail bool
 }
 
@@ -152,9 +176,11 @@ type Log struct {
 	dev  *nvm.Device
 	off  int64
 	size int64
+	hdr  int64 // device offset of the header line, behind the records
 
 	head      int64 // append position relative to off
 	flushedTo int64 // durable prefix relative to off
+	last      int64 // start of the last appended record, relative to off
 
 	nextLSN LSN
 	nextTx  TxID
@@ -291,16 +317,28 @@ const (
 	prefixSize = 8 // size + crc
 	updateHdr  = 1 + 8 + 8 + 8 + 4 + 4 + 4
 	markHdr    = 1 + 8 + 8
+	// flushEnd, set in a record's size field, marks the last record of a
+	// flush: the rest of its line is the flush's pad, and the log goes on
+	// at the next line.
+	flushEnd = uint32(1) << 31
 )
 
-// New creates a log over [off, off+size) of dev. The region is assumed to
-// be either fresh or left over from a previous run; call Recover to replay
-// it, or Truncate to discard it.
+// lineEnd returns the first line boundary at or after pos.
+func lineEnd(pos int64) int64 {
+	return (pos + nvm.LineSize - 1) / nvm.LineSize * nvm.LineSize
+}
+
+// New creates a log over [off, off+size) of dev. The region is either
+// fresh (all zeros) or left over from a previous run; before appending to
+// one left over, call Recover, which replays it and restores the LSN floor
+// that tells its stale records apart. off must be on a line boundary; a
+// partial last line is left unused, and the last whole line is the header.
 func New(dev *nvm.Device, off, size int64) *Log {
-	if size < 4096 {
-		panic(fmt.Sprintf("wal: log region of %d bytes is too small", size))
+	if size < 4096 || off%nvm.LineSize != 0 {
+		panic(fmt.Sprintf("wal: log region of %d bytes at %d is too small or not line-aligned", size, off))
 	}
-	return &Log{dev: dev, off: off, size: size, nextLSN: 1, nextTx: 1}
+	size -= size%nvm.LineSize + nvm.LineSize
+	return &Log{dev: dev, off: off, size: size, hdr: off + size, nextLSN: 1, nextTx: 1}
 }
 
 // Begin starts a transaction. Begin writes nothing: a transaction exists
@@ -317,8 +355,14 @@ func (l *Log) Begin() TxID {
 // so a change that could not be undone fails here with ErrLogFull. The
 // record is not durable until Flush, Commit, or Abort.
 func (l *Log) Update(tx TxID, pid uint64, off int, after []byte, undo int) (LSN, error) {
-	return l.data(RecUpdate, tx, pid, off, nil, after, int64(prefixSize+updateHdr+undo))
+	return l.data(RecUpdate, tx, pid, off, nil, after, undoRoom(undo))
 }
+
+// undoRoom is the room an undo record with an undo image of n bytes may
+// take: the record and the pad a flush may close it with. Appended at any
+// head, it ends the log at most this many bytes further on a line
+// boundary.
+func undoRoom(n int) int64 { return lineEnd(prefixSize + updateHdr + int64(n)) }
 
 // UpdateInline appends the redo record of a change with its undo image,
 // before (not empty), in the same record — for a store whose changes
@@ -340,9 +384,9 @@ func (l *Log) Image(tx TxID, pid uint64, image []byte) (LSN, error) {
 // it. It panics when tx reserved no room for it, which is a bug in the
 // caller.
 func (l *Log) AppendUndo(tx TxID, pid uint64, off int, before []byte) LSN {
-	n := int64(prefixSize + updateHdr + len(before))
+	n := undoRoom(len(before))
 	if tx != l.resTx || n > l.reserved {
-		panic(fmt.Sprintf("wal: undo record of %d bytes for tx %d exceeds its reservation", n, tx))
+		panic(fmt.Sprintf("wal: undo record needing %d bytes for tx %d exceeds its reservation", n, tx))
 	}
 	l.reserved -= n
 	l.stats.Undos++
@@ -483,11 +527,13 @@ func (l *Log) mark(kind byte, tx TxID) error {
 	return nil
 }
 
-// room fails with ErrLogFull unless a record of n payload bytes, its
-// sentinel, and extra more reserved bytes fit beside the current
-// reservation. It is also the fault.WALAppendError site.
+// room fails with ErrLogFull unless a record of n payload bytes, the pad
+// the next flush may close its line with, and extra more reserved bytes
+// fit beside the current reservation. The pad is counted because it would
+// come before the reserved undo records. room is also the
+// fault.WALAppendError site.
 func (l *Log) room(n int, extra int64) error {
-	if l.head+int64(prefixSize+n)+4+l.reserved+extra > l.size {
+	if lineEnd(l.head+int64(prefixSize+n))+l.reserved+extra > l.size {
 		return fmt.Errorf("wal: record of %d bytes at offset %d: %w", n, l.head, ErrLogFull)
 	}
 	if dec := l.faults.Check(fault.WALAppendError); dec.Fire {
@@ -496,17 +542,16 @@ func (l *Log) room(n int, extra int64) error {
 	return nil
 }
 
-// write appends a length-and-checksum-prefixed record at the head plus a
-// zero sentinel behind it, without flushing, and returns its LSN.
+// write appends a length-and-checksum-prefixed record at the head without
+// flushing, and returns its LSN.
 func (l *Log) write(payload []byte) LSN {
+	l.last = l.head
 	var prefix [prefixSize]byte
 	binary.LittleEndian.PutUint32(prefix[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(prefix[4:], crc32.ChecksumIEEE(payload))
 	l.dev.WriteAt(prefix[:], l.off+l.head)
 	l.dev.WriteAt(payload, l.off+l.head+prefixSize)
 	l.head += prefixSize + int64(len(payload))
-	var sentinel [4]byte
-	l.dev.WriteAt(sentinel[:], l.off+l.head)
 	if l.rec != nil {
 		l.rec.Latency(obs.OpWALAppend, 0)
 	}
@@ -517,26 +562,35 @@ func (l *Log) write(payload []byte) LSN {
 }
 
 // Flush makes all appended records durable. On commit this is the paper's
-// clwb of the log entry's cache lines followed by an sfence.
+// clwb of the log entry's cache lines followed by an sfence. Apart from
+// Truncate's header it is the one place the log's lines reach the device,
+// and it applies the line rule: the last record gets the flush-end bit,
+// [flushedTo, boundary) is flushed, and the head moves to the boundary.
 func (l *Log) Flush() {
 	if l.head == l.flushedTo {
 		return
 	}
-	if dec := l.faults.Check(fault.WALFlushCrash); dec.Fire {
-		// Tear the flush: a prefix of the unflushed tail reaches the
-		// medium, then the power fails. Recover sees the durable prefix
-		// (whole records replay; a partial record fails its CRC) and
-		// treats the rest as torn tail.
-		if partial := int(dec.Frac * float64(l.head-l.flushedTo)); partial > 0 {
-			l.dev.Flush(l.off+l.flushedTo, partial)
-		}
-		panic(fault.Crash{Kind: fault.WALFlushCrash, Site: "wal.flush"})
+	var size [4]byte
+	binary.LittleEndian.PutUint32(size[:], uint32(l.head-l.last-prefixSize)|flushEnd)
+	l.dev.WriteAt(size[:], l.off+l.last)
+	end := lineEnd(l.head)
+	n := end - l.flushedTo
+	torn := l.faults.Check(fault.WALFlushCrash)
+	if torn.Fire {
+		// Tear the flush: the lines holding a prefix of the unflushed
+		// records reach the medium, then the power fails. Recover sees the
+		// durable prefix (whole records replay; a record cut by the tear
+		// fails its CRC) and treats the rest as torn tail.
+		n = int64(torn.Frac * float64(l.head-l.flushedTo))
 	}
 	var t0 int64
 	if l.rec != nil {
 		t0 = l.clk.Ns()
 	}
-	l.dev.Flush(l.off+l.flushedTo, int(l.head-l.flushedTo)+4)
+	l.dev.Flush(l.off+l.flushedTo, int(n))
+	if torn.Fire {
+		panic(fault.Crash{Kind: fault.WALFlushCrash, Site: "wal.flush"})
+	}
 	if l.rec != nil {
 		l.rec.Latency(obs.OpWALFlush, l.clk.Ns()-t0)
 		if l.unflushedCommits > 0 {
@@ -546,7 +600,7 @@ func (l *Log) Flush() {
 		}
 	}
 	l.unflushedCommits = 0
-	l.flushedTo = l.head
+	l.head, l.flushedTo = end, end
 	l.stats.Flushes++
 	l.durable = l.nextLSN - 1
 	if l.ship != nil && len(l.pending) > 0 {
@@ -557,7 +611,9 @@ func (l *Log) Flush() {
 }
 
 // Truncate discards the whole log and returns the highest LSN it
-// discarded (the LSNs keep counting up afterwards). Callers — the
+// discarded (the LSNs keep counting up afterwards). Its one device write
+// persists that LSN in the header line as the floor Recover starts from,
+// so no record left in the region can pass for a later one. Callers — the
 // engine's full checkpoint, the incremental-maintenance drain when the
 // page pool comes up clean, the NVM-direct commit path — must guarantee
 // that every logged change is durable elsewhere first. When a retention
@@ -572,8 +628,9 @@ func (l *Log) Truncate() LSN {
 			return 0
 		}
 	}
-	var sentinel [4]byte
-	l.dev.Persist(sentinel[:], l.off)
+	var floor [8]byte
+	binary.LittleEndian.PutUint64(floor[:], uint64(l.nextLSN-1))
+	l.dev.Persist(floor[:], l.hdr)
 	l.head = 0
 	l.flushedTo = 0
 	l.unflushedCommits = 0
@@ -585,7 +642,7 @@ func (l *Log) Truncate() LSN {
 // Bytes returns the current size of the log contents.
 func (l *Log) Bytes() int64 { return l.head }
 
-// Capacity returns the size of the log region.
+// Capacity returns the room for records: the region less its header line.
 func (l *Log) Capacity() int64 { return l.size }
 
 // Stats returns a snapshot of the activity counters.
@@ -595,33 +652,37 @@ func (l *Log) Stats() Stats { return l.stats }
 // through h.Redo in log order for every record of a committed or aborted
 // transaction and every page image, then h.Undo in reverse log order for
 // the loser's undo images, while the loser's update records are skipped —
-// and positions the log for new appends after the scanned records. A torn
-// record at the tail (incomplete size prefix or checksum mismatch) cleanly
-// terminates the scan: it can only belong to a transaction whose commit
-// record was never flushed.
+// and positions the log for new appends after the scanned records. The
+// scan starts from the LSN floor in the header, goes on at the next line
+// behind a record with the flush-end bit, and stops at the first position
+// holding no record of the current generation: zeros, a size outside the
+// region, a checksum mismatch, or a stale record. A torn record can only
+// belong to a transaction whose commit record was never flushed.
 //
-// Distinguishing a torn tail from true corruption is subtle, because the
-// log region is not erased on Truncate (only a 4-byte sentinel is
-// persisted at the start) and a crash can tear a flush at any cache-line
-// boundary. The durable prefix can therefore end in *stale* bytes: a
-// complete, CRC-valid record from an earlier log generation whose lines
-// were never overwritten — for example when a record of the new
-// generation ends exactly on a line boundary and the crash lost the line
-// carrying its sentinel. The scan tells the cases apart by two rules and
-// stops (rather than failing) only when the tail explanation holds:
+// Nothing marks the end of the log: the region is not erased on Truncate,
+// so the line behind the last flush holds zeros, a complete CRC-valid
+// record of an earlier log generation, or garbage, and a crash can tear a
+// flush at any line boundary. A stop behind a flush-end record, or before
+// any record, is the clean end; a stop behind any other record is a torn
+// tail. Two rules keep stale bytes and garbage apart from the log, and the
+// scan stops (rather than failing) only when the end-of-log explanation
+// holds:
 //
-//   - LSNs are strictly monotonic in append order and survive
-//     truncation, so a CRC-valid record whose LSN does not exceed every
-//     LSN before it must be stale: torn tail, stop.
+//   - LSNs are strictly monotonic in append order and survive truncation
+//     and recovery (the header's floor), so a CRC-valid record whose LSN
+//     does not exceed the floor and every LSN before it must be stale:
+//     the end of the log, stop.
 //   - A CRC-valid record with an unknown type byte (or an impossible
 //     size) was never written by this WAL. If a valid successor record
 //     follows it, the bytes sit *mid-log* where no crash can place
 //     garbage — that is true corruption and recovery fails loudly
 //     instead of silently dropping committed records. With no valid
 //     successor it is the last blob before the durable frontier, where
-//     accidental CRC coincidences on torn bytes are the only remaining
-//     explanation: torn tail, stop.
+//     accidental CRC coincidences on torn or stale bytes are the only
+//     remaining explanation: the end of the log, stop.
 func (l *Log) Recover(h Handler) (RecoveryStats, error) {
+	var floor [8]byte
+	l.dev.ReadAt(floor[:], l.hdr)
 	var (
 		records   []Record
 		committed = make(map[TxID]bool)
@@ -629,42 +690,35 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 		seen      = make(map[TxID]bool)
 		stats     RecoveryStats
 		pos       int64
-		maxLSN    LSN
+		maxLSN    = LSN(binary.LittleEndian.Uint64(floor[:]))
 		maxTx     TxID
+		// flushed: the scan stands behind the last record of a flush, or
+		// before any record, where a stop is the clean end.
+		flushed = true
 	)
 scan:
-	for pos+prefixSize <= l.size {
-		var prefix [prefixSize]byte
-		l.dev.ReadAt(prefix[:], l.off+pos)
-		n := int64(binary.LittleEndian.Uint32(prefix[0:]))
-		if n == 0 {
-			break // clean end of log: the sentinel
-		}
-		if pos+prefixSize+n > l.size {
-			stats.TornTail = true // size prefix pointing outside the region
+	for {
+		size, payload, ok := l.record(pos)
+		if !ok {
 			break
 		}
-		payload := make([]byte, n)
-		l.dev.ReadAt(payload, l.off+pos+prefixSize)
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(prefix[4:]) {
-			stats.TornTail = true
-			break
+		n := int64(len(payload))
+		next := pos + prefixSize + n
+		if size&flushEnd != 0 {
+			next = lineEnd(next)
 		}
 		kind := payload[0]
 		if n < markHdr || !knownKind(kind) {
-			if l.validSuccessor(pos+prefixSize+n, maxLSN) {
+			if l.validSuccessor(next, maxLSN) {
 				return stats, fmt.Errorf("wal: corrupt record (type %d, %d bytes) mid-log at %d", kind, n, pos)
 			}
-			stats.TornTail = true
 			break
 		}
 		lsn := LSN(binary.LittleEndian.Uint64(payload[1:]))
 		tx := TxID(binary.LittleEndian.Uint64(payload[9:]))
 		if lsn <= maxLSN {
-			// Stale: a record from before the last truncation, re-exposed
-			// because the lines that would have overwritten or ended the
-			// log here never became durable.
-			stats.TornTail = true
+			// Stale: a record from before the last truncation, in a line
+			// the current generation has not reached or a crash lost.
 			break
 		}
 		maxLSN = lsn
@@ -678,10 +732,9 @@ scan:
 			aborted[tx] = true
 		default:
 			if n < updateHdr {
-				if l.validSuccessor(pos+prefixSize+n, maxLSN) {
+				if l.validSuccessor(next, maxLSN) {
 					return stats, fmt.Errorf("wal: truncated data record at %d", pos)
 				}
-				stats.TornTail = true
 				break scan
 			}
 			nb := int(binary.LittleEndian.Uint32(payload[29:]))
@@ -700,8 +753,9 @@ scan:
 			})
 		}
 		seen[tx] = true
-		pos += prefixSize + n
+		pos, flushed = next, size&flushEnd != 0
 	}
+	stats.TornTail = !flushed
 
 	stats.Records = len(records)
 	for tx := range seen {
@@ -756,24 +810,31 @@ scan:
 // validSuccessor reports whether a well-formed record of the current log
 // generation (known type, valid CRC, LSN past maxLSN) starts at pos. A
 // valid successor proves that the bytes *before* pos sit mid-log, which
-// rules out the torn-tail explanation for them: crashes only damage the
+// rules out the end-of-log explanation for them: crashes only damage the
 // frontier of the durable prefix, never bytes the log appended over.
 func (l *Log) validSuccessor(pos int64, maxLSN LSN) bool {
+	_, payload, ok := l.record(pos)
+	return ok && len(payload) >= markHdr && knownKind(payload[0]) &&
+		LSN(binary.LittleEndian.Uint64(payload[1:])) > maxLSN
+}
+
+// record reads the record at pos: its size field, flush-end bit included,
+// and its payload. ok is false unless pos holds a nonempty record inside
+// the region whose checksum matches.
+func (l *Log) record(pos int64) (size uint32, payload []byte, ok bool) {
 	if pos+prefixSize > l.size {
-		return false
+		return 0, nil, false
 	}
 	var prefix [prefixSize]byte
 	l.dev.ReadAt(prefix[:], l.off+pos)
-	n := int64(binary.LittleEndian.Uint32(prefix[0:]))
-	if n < markHdr || pos+prefixSize+n > l.size {
-		return false
+	size = binary.LittleEndian.Uint32(prefix[0:])
+	n := int64(size &^ flushEnd)
+	if n == 0 || pos+prefixSize+n > l.size {
+		return 0, nil, false
 	}
-	payload := make([]byte, n)
+	payload = make([]byte, n)
 	l.dev.ReadAt(payload, l.off+pos+prefixSize)
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(prefix[4:]) {
-		return false
-	}
-	return knownKind(payload[0]) && LSN(binary.LittleEndian.Uint64(payload[1:])) > maxLSN
+	return size, payload, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(prefix[4:])
 }
 
 // knownKind reports whether kind is a record type this log writes.

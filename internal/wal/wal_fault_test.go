@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"strings"
@@ -14,17 +15,17 @@ import (
 // record (prefix + payload) is exactly one 64-byte cache line: 8 + 37 + 9
 // + 10. Inline records carry their undo, so a loser's is handed to Undo.
 // Records then start and end on line boundaries, which is the geometry
-// that lets a torn flush lose a sentinel line while keeping the record.
+// that lets a torn flush end the durable prefix on a record boundary.
 func staleImages() (before, after []byte) {
 	return make([]byte, 9), make([]byte, 10)
 }
 
 // TestStaleRecordAfterTornFlushDetected reproduces the nastiest torn
 // tail: after a truncation, a new record is appended over the old log
-// and its lines are flushed, but the crash loses the line holding its
-// trailing sentinel. The scan position then lands exactly on a complete,
-// CRC-valid record of the *previous* generation. Recovery must not
-// replay it — its stale LSN gives it away.
+// and its line is flushed, but the crash loses the rest of the flush. The
+// scan position then lands exactly on a complete, CRC-valid record of the
+// *previous* generation, right after a record rather than a pad. Recovery
+// must not replay it — its stale LSN gives it away.
 func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	l, dev := newTestLog(t, true)
 	before, after := staleImages()
@@ -42,10 +43,9 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	}
 	l.Truncate()
 
-	// Generation 2: one update record (LSN 4) over [0, 64). Its
-	// sentinel lives in the next line — the line still holding
-	// generation 1's second record. Tear the flush: persist the
-	// record's line only, then power-fail.
+	// Generation 2: one update record (LSN 4) over [0, 64). The next
+	// line still holds generation 1's second record. Tear the flush:
+	// persist the record's line only, then power-fail.
 	t2 := l.Begin()
 	if _, err := l.UpdateInline(t2, 9, 0, before, after); err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 func rewriteKind(dev *nvm.Device, pos int64, kind byte) {
 	var prefix [prefixSize]byte
 	dev.ReadAt(prefix[:], pos)
-	n := int(binary.LittleEndian.Uint32(prefix[0:]))
+	n := binary.LittleEndian.Uint32(prefix[0:]) &^ flushEnd
 	payload := make([]byte, n)
 	dev.ReadAt(payload, pos+prefixSize)
 	payload[0] = kind
@@ -89,26 +89,48 @@ func rewriteKind(dev *nvm.Device, pos int64, kind byte) {
 // TestUnknownTypeMidLogIsCorruption: a CRC-valid record with an unknown
 // type byte followed by a valid successor cannot be a torn tail —
 // crashes only damage the durable frontier. Recovery must fail loudly
-// rather than silently drop the corrupt record and everything after it.
+// rather than silently drop the corrupt record and everything after it,
+// also when the successor starts on the next line, past a flush's pad.
 func TestUnknownTypeMidLogIsCorruption(t *testing.T) {
-	l, dev := newTestLog(t, false)
 	before, after := staleImages()
-	tx := l.Begin()
-	if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// build appends the record corrupted at offset 0 and its successor.
+		build func(l *Log, tx TxID) error
+	}{
+		{"adjacent", func(l *Log, tx TxID) error {
+			if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
+				return err
+			}
+			_, err := l.UpdateInline(tx, 2, 0, before, after)
+			return err
+		}},
+		{"past a pad", func(l *Log, tx TxID) error {
+			if _, err := l.UpdateInline(tx, 1, 0, before[:4], after[:4]); err != nil {
+				return err
+			}
+			l.Flush()
+			_, err := l.UpdateInline(tx, 2, 0, before, after)
+			return err
+		}},
 	}
-	if _, err := l.UpdateInline(tx, 2, 0, before, after); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(tx); err != nil {
-		t.Fatal(err)
-	}
-	rewriteKind(dev, 0, 99)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, dev := newTestLog(t, false)
+			tx := l.Begin()
+			if err := tc.build(l, tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+			rewriteKind(dev, 0, 99)
 
-	l2 := New(dev, 0, 1<<16)
-	_, err := l2.Recover(newMemHandler())
-	if err == nil || !strings.Contains(err.Error(), "corrupt record") {
-		t.Fatalf("err = %v, want mid-log corruption error", err)
+			_, err := New(dev, 0, 1<<16).Recover(newMemHandler())
+			if err == nil || !strings.Contains(err.Error(), "corrupt record") {
+				t.Fatalf("err = %v, want mid-log corruption error", err)
+			}
+		})
 	}
 }
 
@@ -125,7 +147,8 @@ func TestUnknownTypeAtTailIsTorn(t *testing.T) {
 	if err := l.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the *last* record (the commit mark) — nothing follows it.
+	// Corrupt the *last* record (the commit mark) — nothing follows it,
+	// and the record before it did not end a flush.
 	commitPos := int64(64) // record 1 occupies [0, 64)
 	rewriteKind(dev, commitPos, 77)
 
@@ -203,4 +226,280 @@ func TestInjectedAppendError(t *testing.T) {
 	if _, err := l.Update(tx, 1, 0, []byte("y"), 1); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestScanEnd: the log region is never erased, so the line after a
+// flush's pad holds zeros, a record of an earlier generation, or garbage.
+// A scan that stops there has found the clean end, also when the flush
+// ended exactly on a line boundary and left no pad. Only a scan that stops
+// inside a flush — right after a record whose next line the crash lost —
+// reports a torn tail.
+func TestScanEnd(t *testing.T) {
+	before, after := staleImages()
+	// commitOne commits a transaction of one one-line inline record at the
+	// head; from offset 0 its flush ends at 128, the commit record padded.
+	commitOne := func(l *Log) {
+		tx := l.Begin()
+		if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// earlier fills [0, 320) with a committed generation: four one-line
+	// records, LSNs 1 to 4, and a commit record. Its record at 128 is what
+	// the line behind commitOne's flush holds.
+	earlier := func(l *Log) {
+		tx := l.Begin()
+		for i := 0; i < 4; i++ {
+			if _, err := l.UpdateInline(tx, 9, 0, before, after); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		l.Truncate()
+	}
+	cases := []struct {
+		name  string
+		build func(l *Log, dev *nvm.Device)
+		torn  bool
+	}{
+		{"zeros", func(l *Log, _ *nvm.Device) { commitOne(l) }, false},
+		{"earlier generation", func(l *Log, _ *nvm.Device) {
+			earlier(l)
+			commitOne(l)
+		}, false},
+		{"earlier generation, recovered in between", func(l *Log, dev *nvm.Device) {
+			// A crash right after the truncation: recovery finds an empty
+			// log and must keep counting LSNs up from the header's floor,
+			// or the next generation's LSNs would fall below the stale
+			// record's at 128.
+			earlier(l)
+			dev.Crash()
+			l = New(dev, 0, 1<<16)
+			if st, err := l.Recover(newMemHandler()); err != nil || st.Records != 0 || st.TornTail {
+				t.Fatalf("recovery of the truncated log: %+v, %v", st, err)
+			}
+			commitOne(l)
+		}, false},
+		{"garbage", func(l *Log, dev *nvm.Device) {
+			commitOne(l)
+			var junk [nvm.LineSize]byte
+			binary.LittleEndian.PutUint32(junk[:], 40) // a plausible size, a wrong CRC
+			copy(junk[prefixSize:], "not a record")
+			dev.Persist(junk[:], 128)
+		}, false},
+		{"flush ending on the boundary", func(l *Log, _ *nvm.Device) {
+			// A 103-byte update record and the 25-byte commit end at 128:
+			// the flush adds no pad.
+			tx := l.Begin()
+			if _, err := l.Update(tx, 1, 0, make([]byte, 58), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+			if l.Bytes() != 128 {
+				t.Fatalf("the flush ended at %d, want 128", l.Bytes())
+			}
+		}, false},
+		{"torn flush", func(l *Log, dev *nvm.Device) {
+			commitOne(l)
+			// A one-line record at 128, then one crossing into the line
+			// at 256, which the crash loses.
+			tx := l.Begin()
+			if _, err := l.UpdateInline(tx, 2, 0, before, after); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Update(tx, 3, 0, make([]byte, 100), 0); err != nil {
+				t.Fatal(err)
+			}
+			dev.Flush(128, 2*nvm.LineSize)
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, dev := newTestLog(t, true)
+			tc.build(l, dev)
+			dev.Crash()
+			st, err := New(dev, 0, 1<<16).Recover(newMemHandler())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.TornTail != tc.torn || st.Committed != 1 || st.Redone != 1 {
+				t.Fatalf("stats = %+v, want TornTail %v and the one committed record redone", st, tc.torn)
+			}
+		})
+	}
+}
+
+// tearEachLine checks recovery from a torn padded flush. On a strict log
+// holding one committed transaction, prepare runs (ending flushed), then
+// flush — appends ending in one log flush. It runs once without a fault
+// to count the flush's lines, then under a fault.WALFlushCrash per seed
+// until the tear has left each count of them durable, from one line to
+// all. check gets the end of the durable prefix and what recovery found.
+func tearEachLine(t *testing.T, prepare, flush func(l *Log), check func(durable int64, st RecoveryStats, h *memHandler)) {
+	t.Helper()
+	setup := func() (*Log, *nvm.Device, int64) {
+		l, dev := newTestLog(t, true)
+		// Old bytes, so that a lost line never matches what it lost.
+		dev.Persist(bytes.Repeat([]byte{0xA5}, 4096), 0)
+		tx := l.Begin()
+		if _, err := l.Update(tx, 0, 0, []byte("committed"), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		if prepare != nil {
+			prepare(l)
+		}
+		return l, dev, l.Bytes()
+	}
+	l, _, start := setup()
+	flush(l)
+	lines := (l.Bytes() - start) / nvm.LineSize
+	left := map[int64]bool{}
+	for seed := uint64(1); int64(len(left)) < lines && seed <= 128; seed++ {
+		l, dev, start := setup()
+		l.SetFaults((&fault.Plan{Seed: seed, Rules: []fault.Rule{{Kind: fault.WALFlushCrash, EveryN: 1, Limit: 1}}}).Injector(0))
+		flushed := dev.Stats().LinesFlushed
+		func() {
+			defer func() {
+				if _, ok := fault.AsCrash(recover()); !ok {
+					t.Fatalf("seed %d: the flush did not crash", seed)
+				}
+			}()
+			flush(l)
+		}()
+		k := dev.Stats().LinesFlushed - flushed
+		if k > 0 {
+			left[k] = true
+		}
+		dev.Crash()
+		h := newMemHandler()
+		st, err := New(dev, 0, 1<<16).Recover(h)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if string(h.page(0)[:9]) != "committed" {
+			t.Fatalf("seed %d: %d of %d lines durable lost the committed transaction", seed, k, lines)
+		}
+		check(start+k*nvm.LineSize, st, h)
+	}
+	for k := int64(1); k <= lines; k++ {
+		if !left[k] {
+			t.Fatalf("no tear left exactly %d of the flush's %d lines durable (saw %v)", k, lines, left)
+		}
+	}
+}
+
+// TestTornPaddedFlush tears each line of three padded flushes — one
+// autocommit, a group of CommitNoFlush records ended by one FlushTail,
+// and a write-barrier flush of undo records, each crossing a line
+// boundary. Recovery must bring back exactly the prefix the durable lines
+// hold.
+func TestTornPaddedFlush(t *testing.T) {
+	t.Run("autocommit", func(t *testing.T) {
+		img := bytes.Repeat([]byte{'a'}, 108)
+		var commitEnd int64
+		tearEachLine(t, nil, func(l *Log) {
+			tx := l.Begin()
+			if _, err := l.Update(tx, 1, 0, img, len(img)); err != nil {
+				t.Fatal(err)
+			}
+			commitEnd = l.Bytes() + prefixSize + markHdr
+			if err := l.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}, func(durable int64, st RecoveryStats, h *memHandler) {
+			committed := commitEnd <= durable
+			want := 1
+			if committed {
+				want = 2
+			}
+			if st.Committed != want {
+				t.Fatalf("durable to %d: %d committed, want %d", durable, st.Committed, want)
+			}
+			if got := bytes.Equal(h.page(1)[:len(img)], img); got != committed {
+				t.Fatalf("durable to %d: update applied %v, want %v", durable, got, committed)
+			}
+		})
+	})
+
+	t.Run("group", func(t *testing.T) {
+		sizes := []int{20, 60, 3, 90, 41}
+		var ends []int64
+		tearEachLine(t, nil, func(l *Log) {
+			ends = ends[:0]
+			for i, n := range sizes {
+				tx := l.Begin()
+				if _, err := l.Update(tx, uint64(10+i), 0, bytes.Repeat([]byte{byte('A' + i)}, n), n); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.CommitNoFlush(tx); err != nil {
+					t.Fatal(err)
+				}
+				ends = append(ends, l.Bytes())
+			}
+			l.FlushTail()
+		}, func(durable int64, st RecoveryStats, h *memHandler) {
+			n := 0
+			for n < len(ends) && ends[n] <= durable {
+				n++
+			}
+			if st.Committed != 1+n {
+				t.Fatalf("durable to %d: %d committed, want %d", durable, st.Committed, 1+n)
+			}
+			for i, size := range sizes {
+				img := bytes.Repeat([]byte{byte('A' + i)}, size)
+				if got := bytes.Equal(h.page(uint64(10 + i))[:size], img); got != (i < n) {
+					t.Fatalf("durable to %d: transaction %d applied %v, want %v", durable, i, got, i < n)
+				}
+			}
+		})
+	})
+
+	t.Run("barrier", func(t *testing.T) {
+		undos := [][]byte{bytes.Repeat([]byte{'x'}, 78), bytes.Repeat([]byte{'y'}, 30), bytes.Repeat([]byte{'z'}, 100)}
+		var tx TxID
+		var ends []int64
+		tearEachLine(t, func(l *Log) {
+			tx = l.Begin()
+			for i, u := range undos {
+				if _, err := l.Update(tx, uint64(20+i), 0, []byte("new"), len(u)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l.Flush() // the redo records' flush: the barrier flushes only undo records
+		}, func(l *Log) {
+			ends = ends[:0]
+			for i, u := range undos {
+				start := l.Bytes()
+				l.AppendUndo(tx, uint64(20+i), 0, u)
+				ends = append(ends, l.Bytes())
+				if start/nvm.LineSize == (l.Bytes()-1)/nvm.LineSize {
+					t.Fatalf("undo record %d fits in the line at %d, want it to cross a boundary", i, start)
+				}
+			}
+			l.Flush()
+		}, func(durable int64, st RecoveryStats, h *memHandler) {
+			n := 0
+			for n < len(ends) && ends[n] <= durable {
+				n++
+			}
+			if st.Committed != 1 || st.Losers != 1 || st.Undone != n {
+				t.Fatalf("durable to %d: stats %+v, want the loser's first %d undo records undone", durable, st, n)
+			}
+			for i, u := range undos {
+				if got := bytes.Equal(h.page(uint64(20 + i))[:len(u)], u); got != (i < n) {
+					t.Fatalf("durable to %d: undo %d applied %v, want %v", durable, i, got, i < n)
+				}
+			}
+		})
+	})
 }

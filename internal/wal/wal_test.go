@@ -599,13 +599,14 @@ func TestRecoverRule(t *testing.T) {
 
 // TestUndoReservation: an update reserves room for its undo record, so a
 // log too full for the undo fails the update — never the undo, which
-// writes into the reservation. The commit mark releases it.
+// writes into the reservation, nor the flush's pad behind it. The commit
+// mark releases it.
 func TestUndoReservation(t *testing.T) {
 	clk := &simclock.Clock{}
 	dev := nvm.New(nvm.Config{Size: 1 << 20, ReadLatency: 1, WriteLatency: 1, LineTransfer: 1}, clk)
 	l := New(dev, 0, 4096)
 	img := make([]byte, 100)
-	rec := int64(prefixSize + updateHdr + len(img)) // 145: a redo or undo record
+	rec := int64(prefixSize + updateHdr + len(img)) // 145: a redo record
 	tx := l.Begin()
 	n := 0
 	for ; ; n++ {
@@ -617,14 +618,22 @@ func TestUndoReservation(t *testing.T) {
 		}
 	}
 	// The failed update's redo record alone would have fit.
-	if free := l.Capacity() - l.Bytes() - 4; free < rec {
+	if free := l.Capacity() - l.Bytes(); free < rec {
 		t.Fatalf("the log ran out of room (%d bytes free) before the reservation did", free)
 	}
+	// The worst case: every undo record is a write barrier of its own,
+	// closed by its own flush's pad.
+	l.Flush()
 	for i := 0; i < n; i++ {
 		l.AppendUndo(tx, uint64(i), 0, img)
+		l.Flush()
 	}
-	if got, want := l.Bytes(), 2*int64(n)*rec; got != want || got+4 > l.Capacity() {
-		t.Fatalf("%d updates and their undos take %d bytes, want %d within %d", n, got, want, l.Capacity())
+	// Each update reserves undoRoom(100) = 192 bytes, its undo record and
+	// the pad behind it, in a 4032-byte log (the region's last line is the
+	// header): 11 fit. Their redo records are padded to 1600 bytes, and
+	// each undo record takes 192 more.
+	if got := l.Bytes(); n != 11 || got != 1600+11*192 {
+		t.Fatalf("%d updates and their undos take %d bytes, want 11 in %d", n, got, 1600+11*192)
 	}
 	if st := l.Stats(); st.Undos != int64(n) || st.Records != 2*int64(n) {
 		t.Fatalf("stats = %+v, want %d undos among %d records", st, n, 2*n)
@@ -637,6 +646,29 @@ func TestUndoReservation(t *testing.T) {
 		}()
 		l.AppendUndo(tx, 0, 0, img)
 	}()
+
+	// The pad a flush may put behind an update comes before its undo
+	// record: a 55-byte record is padded to 64, so an undo record of
+	// undoRoom(u) bytes fits only while 64 + undoRoom(u) is at most 4032,
+	// for u up to 3923.
+	for _, c := range []struct {
+		undo int
+		fits bool
+	}{{3923, true}, {3924, false}} {
+		l.Truncate()
+		tx := l.Begin()
+		if _, err := l.Update(tx, 1, 0, make([]byte, 10), c.undo); (err == nil) != c.fits {
+			t.Fatalf("an update reserving a %d-byte undo image: err %v, want it to fit: %v", c.undo, err, c.fits)
+		}
+		if c.fits {
+			l.Flush()
+			l.AppendUndo(tx, 1, 0, make([]byte, c.undo))
+			l.Flush()
+			if l.Bytes() > l.Capacity() {
+				t.Fatalf("the undo record behind the pad overran the log: %d of %d bytes", l.Bytes(), l.Capacity())
+			}
+		}
+	}
 
 	// A commit mark may use the reservation it releases.
 	l.Truncate()
@@ -652,6 +684,70 @@ func TestUndoReservation(t *testing.T) {
 	if _, err := l.Update(l.Begin(), 1, 0, img, len(img)); err != nil {
 		t.Fatalf("the next transaction found no room: %v", err)
 	}
+}
+
+// TestNoLineFlushedTwice: between two truncations every log line up to
+// the head reaches the device exactly once, whatever ends a flush —
+// autocommits ending at every offset of a line, a group flush, a
+// write-barrier flush of undo records. A Truncate writes the header line
+// once, and the next generation starts over.
+func TestNoLineFlushedTwice(t *testing.T) {
+	l, dev := newTestLog(t, true)
+	generation := func() {
+		t.Helper()
+		wear := dev.WearCounts()
+		for n := 0; n < nvm.LineSize; n++ {
+			tx := l.Begin()
+			if _, err := l.Update(tx, 1, 0, make([]byte, n), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			tx := l.Begin()
+			if _, err := l.Update(tx, 2, 0, make([]byte, 30*i), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.CommitNoFlush(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.FlushTail()
+		tx := l.Begin()
+		for i := 0; i < 3; i++ {
+			if _, err := l.Update(tx, 3, 0, []byte("redo"), 40+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Flush()
+		for i := 0; i < 3; i++ {
+			l.AppendUndo(tx, 3, 0, make([]byte, 40+i))
+		}
+		l.Flush() // the write barrier
+		if err := l.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+		head := l.Bytes() / nvm.LineSize
+		for line, w := range dev.WearCounts()[:l.Capacity()/nvm.LineSize] {
+			want := uint32(0)
+			if int64(line) < head {
+				want = 1
+			}
+			if got := w - wear[line]; got != want {
+				t.Fatalf("line %d of a %d-line generation flushed %d times, want %d", line, head, got, want)
+			}
+		}
+	}
+	generation()
+	hdr := l.Capacity() / nvm.LineSize
+	wear := dev.Wear(hdr)
+	l.Truncate()
+	if got := dev.Wear(hdr) - wear; got != 1 {
+		t.Fatalf("Truncate wrote the header line %d times, want 1", got)
+	}
+	generation()
 }
 
 // TestUndoRecordsStayInTheLog: an undo record is no append-fault site and
