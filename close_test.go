@@ -1,7 +1,10 @@
 package nvmstore
 
 import (
+	"runtime"
 	"testing"
+
+	"nvmstore/internal/offheap"
 )
 
 func openForClose(t *testing.T, checkpoint bool) *Store {
@@ -122,4 +125,43 @@ func TestShardedCloseIdempotent(t *testing.T) {
 			t.Fatalf("key %d after close + crash restart: found=%v err=%v", key, found, err)
 		}
 	}
+}
+
+// TestDroppedStoreReleasesItsMedia: a store's simulated NVM and SSD media
+// live off the Go heap, and they are released once the store is
+// unreachable (not at Close, after which the store can still be read).
+func TestDroppedStoreReleasesItsMedia(t *testing.T) {
+	collect := func(want int64) {
+		t.Helper()
+		for i := 0; i < 10 && offheap.Mapped() != want; i++ {
+			runtime.GC()
+		}
+		if got := offheap.Mapped(); got != want {
+			t.Fatalf("offheap.Mapped() = %d after 10 collections, want %d", got, want)
+		}
+	}
+	collect(0) // no store of an earlier test is reachable
+	func() {
+		s, err := Open(Options{Architecture: ThreeTier, DRAMBytes: 1 << 20, NVMBytes: 2 << 20, SSDBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab, err := s.CreateTable(1, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := uint64(0); key < 4000; key++ {
+			if err := s.Update(func() error { return tab.Insert(key, make([]byte, 1000)) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		nvmBytes, ssdPages := s.e.Manager().NVM().Size(), s.e.Manager().SSD().Allocated()
+		if got := offheap.Mapped(); ssdPages == 0 || got <= nvmBytes {
+			t.Fatalf("store maps %d bytes with a %d-byte NVM device and %d SSD pages", got, nvmBytes, ssdPages)
+		}
+	}()
+	collect(0)
 }

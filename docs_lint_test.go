@@ -18,7 +18,8 @@ import (
 // documented: the serving layer and observability surface other
 // programs build against, the fault layer whose spec grammar users
 // type on the command line, and the storage core (engine, buffer
-// manager, WAL, simulated devices) that every layer above builds on.
+// manager, WAL, simulated devices and their media) that every layer
+// above builds on.
 // CI runs this as the docs-lint step.
 var lintedPackages = []string{
 	"internal/wire",
@@ -35,6 +36,7 @@ var lintedPackages = []string{
 	"internal/wal",
 	"internal/nvm",
 	"internal/ssd",
+	"internal/offheap",
 }
 
 // TestExportedIdentifiersDocumented fails for every exported top-level

@@ -25,10 +25,12 @@ package nvm
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"nvmstore/internal/fault"
 	"nvmstore/internal/obs"
+	"nvmstore/internal/offheap"
 	"nvmstore/internal/simclock"
 )
 
@@ -110,10 +112,15 @@ type Stats struct {
 
 // Device is a simulated NVM DIMM.
 type Device struct {
-	cfg  Config
-	clk  *simclock.Clock
-	data []byte
-	wear []uint32
+	cfg Config
+	clk *simclock.Clock
+	// data is the medium, one allocation of arena: off the Go heap, and
+	// unmapped once the device (its arena's one holder) is unreachable.
+	// A method whose last use of d touches data ends in
+	// runtime.KeepAlive(d), so the unmap cannot overtake the access.
+	arena *offheap.Arena
+	data  []byte
+	wear  []uint32
 	// wearTotal is the running sum of wear, kept so TotalWrites need not
 	// walk the array.
 	wearTotal int64
@@ -176,11 +183,13 @@ func New(cfg Config, clk *simclock.Clock) *Device {
 	}
 	lines := (cfg.Size + LineSize - 1) / LineSize
 	cfg.Size = lines * LineSize
+	arena := offheap.New()
 	d := &Device{
-		cfg:  cfg,
-		clk:  clk,
-		data: make([]byte, cfg.Size),
-		wear: make([]uint32, lines),
+		cfg:   cfg,
+		clk:   clk,
+		arena: arena,
+		data:  arena.Alloc(int(cfg.Size)),
+		wear:  make([]uint32, lines),
 	}
 	if cfg.CPUCacheBytes > 0 {
 		ways := cfg.CPUCacheWays
@@ -255,6 +264,7 @@ func (d *Device) ReadAt(p []byte, off int64) {
 		d.recordRead(ns)
 	}
 	copy(p, d.data[off:off+int64(len(p))])
+	runtime.KeepAlive(d)
 }
 
 // Touch charges exactly what a ReadAt of [off, off+n) would charge without
@@ -291,6 +301,12 @@ func (d *Device) Touch(off int64, n int) {
 // and persisting mutations via Flush. Mutations made through a view bypass
 // strict-persistence tracking: they behave like stores that the CPU evicted
 // to NVM on its own, which the paper notes can happen at any time.
+//
+// A view is valid only while its device is reachable: the medium lives
+// off the Go heap and is unmapped once the device is garbage, whatever
+// views remain. The one holder of views, core's direct frame, is reached
+// only through its Manager, which holds the device (CI gate "One media
+// allocator; views stay in core").
 func (d *Device) View(off int64, n int) []byte {
 	d.checkRange(off, n)
 	return d.data[off : off+int64(n)]
@@ -323,6 +339,7 @@ func (d *Device) WriteAt(p []byte, off int64) {
 		}
 	}
 	copy(d.data[off:off+int64(len(p))], p)
+	runtime.KeepAlive(d)
 }
 
 // SetFaults installs a fault injector consulted on every Flush: a

@@ -70,13 +70,13 @@ func (d *Device) ReadSnapshot(r io.Reader) error {
 	if _, err := io.ReadFull(br, d.data); err != nil {
 		return fmt.Errorf("nvm: snapshot data: %w", err)
 	}
-	buf := make([]byte, 4*len(d.wear))
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return fmt.Errorf("nvm: snapshot wear: %w", err)
-	}
 	d.wearTotal = 0
+	var b [4]byte
 	for i := range d.wear {
-		d.wear[i] = binary.LittleEndian.Uint32(buf[i*4:])
+		if _, err := io.ReadFull(br, b[:]); err != nil {
+			return fmt.Errorf("nvm: snapshot wear: %w", err)
+		}
+		d.wear[i] = binary.LittleEndian.Uint32(b[:])
 		d.wearTotal += int64(d.wear[i])
 	}
 	if d.pending != nil {

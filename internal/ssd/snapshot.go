@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+
+	"nvmstore/internal/offheap"
 )
 
 const snapshotMagic = 0x535344534e415031 // "SSDSNAP1"
@@ -37,11 +40,14 @@ func (d *Device) WriteSnapshot(w io.Writer) error {
 			return err
 		}
 	}
+	runtime.KeepAlive(d)
 	return bw.Flush()
 }
 
 // ReadSnapshot restores a snapshot into this device, which must have the
-// same page size and capacity.
+// same page size and capacity. The restored pages come from a fresh arena,
+// so the memory of the pages the device held before is released and no
+// slot outside the snapshot is touched.
 func (d *Device) ReadSnapshot(r io.Reader) error {
 	br := bufio.NewReader(r)
 	var hdr [28]byte
@@ -58,7 +64,7 @@ func (d *Device) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("ssd: snapshot geometry %d×%d does not match device %d×%d",
 			capacity, pageSize, d.cfg.Capacity, d.cfg.PageSize)
 	}
-	d.pages = make(map[int64][]byte, count)
+	d.arena, d.pages = offheap.New(), make(map[int64][]byte, count)
 	for i := int64(0); i < count; i++ {
 		var sb [8]byte
 		if _, err := io.ReadFull(br, sb[:]); err != nil {
@@ -68,7 +74,7 @@ func (d *Device) ReadSnapshot(r io.Reader) error {
 		if slot < 0 || slot >= capacity {
 			return fmt.Errorf("ssd: snapshot slot %d out of range", slot)
 		}
-		page := make([]byte, pageSize)
+		page := d.arena.Alloc(pageSize)
 		if _, err := io.ReadFull(br, page); err != nil {
 			return fmt.Errorf("ssd: snapshot page: %w", err)
 		}

@@ -7,17 +7,21 @@
 // microseconds versus hundreds of nanoseconds).
 //
 // Pages are allocated lazily, so a large configured capacity costs memory
-// only for pages actually written. Latency is charged to a simclock.Clock
+// only for pages actually written. That memory is off the Go heap: each
+// first-written page comes from the device's internal/offheap arena, in
+// 1 MB chunks mapped as they fill. Latency is charged to a simclock.Clock
 // rather than slept (see internal/simclock). The device is not safe for
 // concurrent use.
 package ssd
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"nvmstore/internal/fault"
 	"nvmstore/internal/obs"
+	"nvmstore/internal/offheap"
 	"nvmstore/internal/simclock"
 )
 
@@ -68,8 +72,13 @@ type Stats struct {
 // Device is a simulated SSD storing fixed-size pages addressed by slot
 // number.
 type Device struct {
-	cfg    Config
-	clk    *simclock.Clock
+	cfg Config
+	clk *simclock.Clock
+	// pages maps each written slot to its page, one allocation of arena:
+	// off the Go heap, and unmapped once the device (the arena's one
+	// holder) is unreachable. A method whose last use of d touches a page
+	// ends in runtime.KeepAlive(d), so the unmap cannot overtake the access.
+	arena  *offheap.Arena
 	pages  map[int64][]byte
 	stats  Stats
 	rec    obs.Recorder
@@ -139,7 +148,7 @@ func New(cfg Config, clk *simclock.Clock) *Device {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Microsecond
 	}
-	return &Device{cfg: cfg, clk: clk, pages: make(map[int64][]byte)}
+	return &Device{cfg: cfg, clk: clk, arena: offheap.New(), pages: make(map[int64][]byte)}
 }
 
 // Config returns the device configuration.
@@ -177,6 +186,7 @@ func (d *Device) ReadPage(slot int64, p []byte) {
 	}
 	if src, ok := d.pages[slot]; ok {
 		copy(p, src)
+		runtime.KeepAlive(d)
 		return
 	}
 	for i := range p {
@@ -202,10 +212,11 @@ func (d *Device) WritePage(slot int64, p []byte) {
 	}
 	dst, ok := d.pages[slot]
 	if !ok {
-		dst = make([]byte, d.cfg.PageSize)
+		dst = d.arena.Alloc(d.cfg.PageSize)
 		d.pages[slot] = dst
 	}
 	copy(dst, p)
+	runtime.KeepAlive(d)
 }
 
 // Written reports whether slot has ever been written.

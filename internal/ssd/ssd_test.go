@@ -2,9 +2,11 @@ package ssd
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
+	"nvmstore/internal/offheap"
 	"nvmstore/internal/simclock"
 )
 
@@ -17,6 +19,46 @@ func testDevice(capacity int64) (*Device, *simclock.Clock) {
 		WriteLatency: 200 * time.Microsecond,
 	}
 	return New(cfg, clk), clk
+}
+
+// collect runs garbage collections until offheap.Mapped reads want, at
+// most ten.
+func collect(t *testing.T, want int64) {
+	t.Helper()
+	for i := 0; i < 10 && offheap.Mapped() != want; i++ {
+		runtime.GC()
+	}
+	if got := offheap.Mapped(); got != want {
+		t.Fatalf("offheap.Mapped() = %d after 10 collections, want %d", got, want)
+	}
+}
+
+// TestScatteredWritesMapOnlyWhatTheyWrite writes 1 000 scattered slots of
+// a device with README's quickstart geometry (16 GB of 16 KB pages): the
+// device maps the written pages, packed into shared chunks, and not its
+// capacity.
+func TestScatteredWritesMapOnlyWhatTheyWrite(t *testing.T) {
+	const pageSize, writes = 16 << 10, 1000
+	collect(t, 0) // no device of an earlier test is reachable
+	d := New(DefaultConfig(pageSize, (16<<30)/pageSize), &simclock.Clock{})
+	slot := func(i int64) int64 { return i*1047 + i*i%13 }
+	page := make([]byte, pageSize)
+	for i := int64(0); i < writes; i++ {
+		page[0] = byte(i)
+		d.WritePage(slot(i), page)
+	}
+	chunks := (writes*pageSize + offheap.ChunkSize - 1) / offheap.ChunkSize
+	if got := offheap.Mapped(); got > int64(chunks)*offheap.ChunkSize {
+		t.Fatalf("%d written pages mapped %d bytes, want at most %d chunks of %d", writes, got, chunks, offheap.ChunkSize)
+	}
+	if d.Allocated() != writes {
+		t.Fatalf("Allocated() = %d, want %d", d.Allocated(), writes)
+	}
+	last := int64(writes - 1)
+	d.ReadPage(slot(last), page)
+	if page[0] != byte(last) {
+		t.Fatalf("slot of the last write reads %d", page[0])
+	}
 }
 
 func TestRoundTrip(t *testing.T) {

@@ -200,6 +200,8 @@ func Open(opts Options) (*Store, error) {
 // inside an open transaction. The store's simulated devices live in
 // process memory, so a closed store can still be read; Close defines
 // the durable state a drain (e.g. a serving layer's shutdown) ends in.
+// Their media live off the Go heap and are released once the store is
+// unreachable, not at Close.
 func (s *Store) Close() error {
 	if s.closed {
 		return nil
