@@ -397,11 +397,11 @@ func TestDirectUndoIsInline(t *testing.T) {
 }
 
 // TestAutocommitUpdateLogsRedoOnly pins what one autocommit 100-byte
-// UpdateField logs on 3 Tier BM: a 153-byte update record (8-byte prefix,
-// 37-byte header, 8-byte key, 100 bytes of after image) and a 25-byte
-// commit record, 178 bytes and no undo record. Committed through
-// Engine.Commit, the flush pads them to 192 log bytes: exactly 3 lines,
-// each flushed once.
+// UpdateField logs on 3 Tier BM: one 128-byte folded record (8-byte
+// prefix, kind, LSN, 1-byte tree id, 2-byte op and offset code, 8-byte
+// key, 100 bytes of after image) standing for the update and its commit,
+// and no undo record. Committed through Engine.Commit it fills exactly 2
+// lines, each flushed once.
 func TestAutocommitUpdateLogsRedoOnly(t *testing.T) {
 	s := newStealStore(t, testConfig(core.ThreeTier), 300)
 	log, dev := s.e.Log(), s.e.Manager().NVM()
@@ -412,35 +412,73 @@ func TestAutocommitUpdateLogsRedoOnly(t *testing.T) {
 		}
 		return sum
 	}
-	// The records, seen before their flush.
+	// The record, seen before its flush.
 	before, st0 := log.Bytes(), log.Stats()
 	s.e.Begin()
 	s.ops(t, 100)
 	if err := s.e.CommitNoFlush(); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.Bytes() - before; got != 178 {
-		t.Fatalf("one autocommit UpdateField appended %d log bytes, want 178", got)
+	if got := log.Bytes() - before; got != 128 {
+		t.Fatalf("one autocommit UpdateField appended %d log bytes, want 128", got)
 	}
-	if st := log.Stats(); st.Records-st0.Records != 2 || st.Undos != st0.Undos {
-		t.Fatalf("stats %+v -> %+v, want 2 records and no undo", st0, st)
+	if st := log.Stats(); st.Records-st0.Records != 1 || st.Folded-st0.Folded != 1 || st.Undos != st0.Undos {
+		t.Fatalf("stats %+v -> %+v, want 1 folded record and no undo", st0, st)
 	}
 	if _, err := s.e.FlushWAL(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The autocommit path itself: Commit appends and flushes them.
+	// The autocommit path itself: Commit appends and flushes it.
 	before, st0, wear0 := log.Bytes(), log.Stats(), walWear()
 	s.e.Begin()
 	s.ops(t, 104)
 	if err := s.e.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got, lines := log.Bytes()-before, walWear()-wear0; got != 192 || lines != 3 {
-		t.Fatalf("an autocommit took %d log bytes in %d line flushes, want 192 in 3", got, lines)
+	if got, lines := log.Bytes()-before, walWear()-wear0; got != 128 || lines != 2 {
+		t.Fatalf("an autocommit took %d log bytes in %d line flushes, want 128 in 2", got, lines)
 	}
-	if st := log.Stats(); st.Records-st0.Records != 2 || st.Undos != st0.Undos || st.Flushes-st0.Flushes != 1 {
-		t.Fatalf("stats %+v -> %+v, want 2 records, no undo and 1 flush", st0, st)
+	if st := log.Stats(); st.Records-st0.Records != 1 || st.Undos != st0.Undos || st.Flushes-st0.Flushes != 1 {
+		t.Fatalf("stats %+v -> %+v, want 1 record, no undo and 1 flush", st0, st)
+	}
+}
+
+// TestSingleOpSteal: the page of a one-update transaction is stolen before
+// its commit. The barrier writes the held update as a plain record ahead
+// of its undo record; a crash then rolls the transaction back, and a
+// commit after the steal is a plain mark that recovery honours.
+func TestSingleOpSteal(t *testing.T) {
+	for _, topo := range stealTopologies {
+		for _, end := range []string{"crash", "commit then crash"} {
+			t.Run(topo.String()+"/"+end, func(t *testing.T) {
+				s := newStealStore(t, testConfig(topo), 300)
+				st0 := s.e.Log().Stats()
+				s.e.Begin()
+				s.ops(t, 100)
+				s.e.Manager().FlushAll()
+				if st := s.e.Log().Stats(); st.Records-st0.Records != 2 || st.Undos-st0.Undos != 1 {
+					t.Fatalf("stats %+v -> %+v, want the update and its undo record", st0, st)
+				}
+				want := wal.RecoveryStats{Records: 2, Losers: 1, Undone: 1}
+				if end != "crash" {
+					if err := s.e.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					if st := s.e.Log().Stats(); st.Folded != st0.Folded {
+						t.Fatalf("a commit after the steal folded: %+v", st)
+					}
+					s.commit(100)
+					want = wal.RecoveryStats{Records: 2, Committed: 1, Redone: 1}
+				}
+				if st := s.restart(t); st != want {
+					t.Fatalf("recovery %+v, want %+v", st, want)
+				}
+				if !s.matches(t) {
+					t.Fatal("the recovered tree differs from the committed model")
+				}
+			})
+		}
 	}
 }
 

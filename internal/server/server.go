@@ -252,6 +252,9 @@ type StatsDoc struct {
 	// images logged because a steal or a page image could expose an
 	// uncommitted change.
 	LogUndoRecords int64 `json:"log_undo_records" prom:"counter" help:"WAL undo records logged at a steal or a page image, across shards"`
+	// LogFoldedCommits counts the commits written in one record with their
+	// transaction's only update, across shards.
+	LogFoldedCommits int64 `json:"log_folded_commits" prom:"counter" help:"WAL commits folded into their transaction's one update record, across shards"`
 	// CkptRounds and CkptPages count incremental-checkpoint write-back
 	// rounds and the dirty pages they flushed; CkptPagesPerRound is
 	// their ratio. CkptTruncatedBytes sums the WAL bytes reclaimed by
@@ -506,6 +509,7 @@ func (s *Server) snapshot() *snapshot {
 	doc.LogCommits = m.Log.Commits
 	doc.LogFlushes = m.Log.Flushes
 	doc.LogUndoRecords = m.Log.Undos
+	doc.LogFoldedCommits = m.Log.Folded
 	doc.OpsPerFlush = m.OpsPerFlush
 	doc.CkptRounds = m.Ckpt.Rounds
 	doc.CkptPages = m.Ckpt.Pages

@@ -304,8 +304,9 @@ func TestMetricsJSONIsLive(t *testing.T) {
 }
 
 // TestStatsExportsAdmissionDecisions: on a store whose data outgrows DRAM
-// and NVM, STATS carries the §4.2 decisions and the undo journal's lines,
-// and they are the buffer manager's own counters summed over the shards.
+// and NVM, STATS carries the §4.2 decisions, the undo journal's lines and
+// the log's undo records and folded commits, and they are the store's own
+// counters summed over the shards.
 func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
@@ -326,6 +327,7 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	folded := statsDoc(t, cl).LogFoldedCommits
 	// Even keys are inserted, then updated; odd keys are then inserted
 	// between them, into leaves that already own an NVM slot.
 	for pass := 0; pass < 3; pass++ {
@@ -346,6 +348,11 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	}
 	if want := buf.NVMLinesWrittenBy[core.CauseJournal]; doc.NVMJournalLines != want || want == 0 {
 		t.Fatalf("STATS nvm_journal_lines = %d, store counted %d (want > 0)", doc.NVMJournalLines, want)
+	}
+	// Each autocommit PUT is a one-update transaction, folded with its
+	// commit unless a split or a steal came between.
+	if want := store.Metrics().Log.Folded; doc.LogFoldedCommits != want || want == folded {
+		t.Fatalf("STATS log_folded_commits = %d, store counted %d (%d before the PUTs)", doc.LogFoldedCommits, want, folded)
 	}
 	// One transaction rewriting rows on more leaves than DRAM holds steals
 	// its own pages, and each steal logs the undo of what it exposes.

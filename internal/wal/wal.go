@@ -12,6 +12,18 @@
 // image inside the update record. A transaction commits by flushing the
 // log tail (clwb + sfence in hardware, Device.Flush here).
 //
+// A transaction whose only record is one Update and that commits before
+// anything else touches the log — every autocommit write — is one folded
+// record: kind, LSN, uvarint page id, uvarint offset and redo image, with
+// no transaction id and no image lengths. Update holds a transaction's
+// first update record instead of writing it; Commit or CommitNoFlush folds
+// the commit mark into it, and every other append, Flush and Truncate
+// first write it as a plain RecUpdate. The folded record stands for two
+// LSNs, the update's n and the commit's n+1, so LSNs, DurableLSN and the
+// ship hook's stream (an update at n, its commit at n+1) do not tell the
+// two layouts apart. A 100-byte field update with its 8-byte key is one
+// 128-byte record, two lines.
+//
 // The log is written in whole cache lines. A record is a 4-byte size and
 // a 4-byte CRC followed by its payload, and the records of one flush
 // follow each other without gaps. Flush ends on a line boundary: it sets
@@ -35,7 +47,8 @@
 // Recover applies one rule, and nowhere else decides it:
 //
 //   - redo is logical and unconditional, in log order: every RecUpdate of
-//     a committed or aborted transaction, and every RecImage. There are no
+//     a committed or aborted transaction, every folded record (handed
+//     over as a RecUpdate), and every RecImage. There are no
 //     page LSNs; a record is reapplied whether or not its page already
 //     holds it, so a Handler's operations must be idempotent;
 //   - a loser — neither commit nor abort record; there is at most one, the
@@ -116,6 +129,11 @@ const (
 	// RecImage is a page's after image (After), redone whatever its
 	// transaction's outcome.
 	RecImage byte = 5
+	// recFolded is a one-update transaction in one record: its update at
+	// the record's LSN n and its commit at n+1. It exists only in the
+	// log: Recover hands it to Redo as a RecUpdate, and the ship hook
+	// delivers the update and the commit.
+	recFolded byte = 6
 )
 
 // ErrLogFull is returned when the log region cannot hold another record;
@@ -130,7 +148,8 @@ type Record struct {
 	// transaction boundaries.
 	Kind byte
 	LSN  LSN
-	Tx   TxID
+	// Tx is zero in an update Recover read from a folded record.
+	Tx TxID
 	// Data records carry the page (or caller-defined object) id, an
 	// offset, and their images: Before the undo image, After the redo
 	// image.
@@ -219,6 +238,23 @@ type Log struct {
 	// previous reservation.
 	resTx    TxID
 	reserved int64
+
+	// open holds the transactions with a record in the log and no commit
+	// or abort mark yet: a transaction outside it appends its first one.
+	open map[TxID]struct{}
+	// held is a transaction's first update record, appended but not yet
+	// written. Its commit mark folds into it; anything else that touches
+	// the log writes it first as a plain update record (settle).
+	held heldUpdate
+}
+
+// heldUpdate is an update record Update appended but did not write.
+type heldUpdate struct {
+	tx    TxID // zero: nothing held
+	lsn   LSN
+	pid   uint64
+	off   int
+	after []byte // owned; the buffer is reused by the next hold
 }
 
 // SetShip installs the replication tap: after every successful Flush, fn
@@ -288,6 +324,9 @@ type Stats struct {
 	// or a page image could expose a change before its commit. They are
 	// included in Records.
 	Undos int64
+	// Folded counts commits written in one record with their transaction's
+	// only update. Each is one of Commits and one of Records.
+	Folded int64
 }
 
 // Add folds other into s, for aggregating per-shard counters.
@@ -299,6 +338,7 @@ func (s *Stats) Add(other Stats) {
 	s.Truncates += other.Truncates
 	s.TruncateSkips += other.TruncateSkips
 	s.Undos += other.Undos
+	s.Folded += other.Folded
 }
 
 // OpsPerFlush returns Commits/Flushes, the average number of committed
@@ -315,8 +355,9 @@ func (s Stats) OpsPerFlush() float64 {
 
 const (
 	prefixSize = 8 // size + crc
-	updateHdr  = 1 + 8 + 8 + 8 + 4 + 4 + 4
-	markHdr    = 1 + 8 + 8
+	lsnHdr     = 1 + 8
+	updateHdr  = lsnHdr + 8 + 8 + 4 + 4 + 4
+	markHdr    = lsnHdr + 8
 	// flushEnd, set in a record's size field, marks the last record of a
 	// flush: the rest of its line is the flush's pad, and the log goes on
 	// at the next line.
@@ -338,7 +379,7 @@ func New(dev *nvm.Device, off, size int64) *Log {
 		panic(fmt.Sprintf("wal: log region of %d bytes at %d is too small or not line-aligned", size, off))
 	}
 	size -= size%nvm.LineSize + nvm.LineSize
-	return &Log{dev: dev, off: off, size: size, hdr: off + size, nextLSN: 1, nextTx: 1}
+	return &Log{dev: dev, off: off, size: size, hdr: off + size, nextLSN: 1, nextTx: 1, open: make(map[TxID]struct{})}
 }
 
 // Begin starts a transaction. Begin writes nothing: a transaction exists
@@ -354,6 +395,11 @@ func (l *Log) Begin() TxID {
 // The log reserves room for that record until tx's commit or abort mark,
 // so a change that could not be undone fails here with ErrLogFull. The
 // record is not durable until Flush, Commit, or Abort.
+//
+// The first record of tx is held, not written: if tx's commit mark comes
+// next, the two are written as one folded record; anything else that
+// touches the log first writes the held one as a plain update record.
+// Bytes counts it either way.
 func (l *Log) Update(tx TxID, pid uint64, off int, after []byte, undo int) (LSN, error) {
 	return l.data(RecUpdate, tx, pid, off, nil, after, undoRoom(undo))
 }
@@ -388,26 +434,40 @@ func (l *Log) AppendUndo(tx TxID, pid uint64, off int, before []byte) LSN {
 	if tx != l.resTx || n > l.reserved {
 		panic(fmt.Sprintf("wal: undo record needing %d bytes for tx %d exceeds its reservation", n, tx))
 	}
+	l.settle()
 	l.reserved -= n
 	l.stats.Undos++
-	return l.write(l.encode(RecUndo, tx, pid, off, before, nil))
+	lsn := l.take()
+	l.write(l.encode(RecUndo, lsn, tx, pid, off, before, nil))
+	return lsn
 }
 
 // data appends a data record of kind, reserving reserve more bytes for
-// tx's undo records.
+// tx's undo records. It holds tx's first update record if that carries no
+// undo image.
 func (l *Log) data(kind byte, tx TxID, pid uint64, off int, before, after []byte, reserve int64) (LSN, error) {
+	l.settle()
 	if tx != l.resTx {
 		l.resTx, l.reserved = tx, 0
 	}
-	payload := l.encode(kind, tx, pid, off, before, after)
-	if err := l.room(len(payload), reserve); err != nil {
+	if err := l.room(updateHdr+len(before)+len(after), reserve); err != nil {
 		return 0, err
 	}
 	l.reserved += reserve
-	lsn := l.write(payload)
+	lsn := l.take()
+	_, open := l.open[tx]
+	if !open {
+		l.open[tx] = struct{}{}
+	}
+	if !open && kind == RecUpdate && len(before) == 0 {
+		l.held = heldUpdate{tx: tx, lsn: lsn, pid: pid, off: off, after: append(l.held.after[:0], after...)}
+	} else {
+		l.write(l.encode(kind, lsn, tx, pid, off, before, after))
+	}
 	if l.ship != nil {
-		// Owned copies: payload is the reusable scratch buffer and the
-		// caller's images may be overwritten after we return.
+		// Owned copies: the caller's images may be overwritten after we
+		// return. A held update is shipped here, once, whatever layout it
+		// is written in.
 		nb := len(before)
 		img := make([]byte, nb+len(after))
 		copy(img, before)
@@ -420,12 +480,20 @@ func (l *Log) data(kind byte, tx TxID, pid uint64, off int, before, after []byte
 	return lsn, nil
 }
 
+// settle writes the held update record, if any, as a plain one.
+func (l *Log) settle() {
+	if h := &l.held; h.tx != 0 {
+		l.write(l.encode(RecUpdate, h.lsn, h.tx, h.pid, h.off, nil, h.after))
+		h.tx = 0
+	}
+}
+
 // encode lays out a data record in the scratch buffer.
-func (l *Log) encode(kind byte, tx TxID, pid uint64, off int, before, after []byte) []byte {
+func (l *Log) encode(kind byte, lsn LSN, tx TxID, pid uint64, off int, before, after []byte) []byte {
 	nb, na := len(before), len(after)
 	payload := l.buf(updateHdr + nb + na)
 	payload[0] = kind
-	binary.LittleEndian.PutUint64(payload[1:], uint64(l.nextLSN))
+	binary.LittleEndian.PutUint64(payload[1:], uint64(lsn))
 	binary.LittleEndian.PutUint64(payload[9:], uint64(tx))
 	binary.LittleEndian.PutUint64(payload[17:], pid)
 	binary.LittleEndian.PutUint32(payload[25:], uint32(off))
@@ -437,7 +505,9 @@ func (l *Log) encode(kind byte, tx TxID, pid uint64, off int, before, after []by
 }
 
 // Commit appends a commit record and flushes the log tail, making the
-// transaction durable.
+// transaction durable. If tx's one update record is still held, the two
+// are written as one folded record, which takes the update's LSN and the
+// commit's next to it.
 func (l *Log) Commit(tx TxID) error {
 	if err := l.mark(RecCommit, tx); err != nil {
 		return err
@@ -452,7 +522,8 @@ func (l *Log) Commit(tx TxID) error {
 // The transaction is NOT durable until the next Flush or FlushTail; a
 // crash before then loses it, and recovery rolls it back like any loser.
 // Callers implementing group commit must therefore not acknowledge the
-// transaction before flushing. Counted in Stats.Commits immediately.
+// transaction before flushing. Counted in Stats.Commits immediately. It
+// folds like Commit.
 func (l *Log) CommitNoFlush(tx TxID) error {
 	if err := l.mark(RecCommit, tx); err != nil {
 		return err
@@ -505,22 +576,36 @@ func (l *Log) buf(n int) []byte {
 	return l.scratch[:n]
 }
 
-// mark appends a commit or abort mark. The mark ends tx, so it may use
-// tx's undo reservation, which it releases; if it fails, tx keeps it.
+// mark appends a commit or abort mark, a commit folded into tx's held
+// update. The mark ends tx, so it may use tx's undo reservation, which it
+// releases; if it fails, tx keeps it and its held update.
 func (l *Log) mark(kind byte, tx TxID) error {
-	held := l.reserved
+	kept := l.reserved
 	if tx == l.resTx {
 		l.reserved = 0
 	}
-	payload := l.buf(markHdr)
-	payload[0] = kind
-	binary.LittleEndian.PutUint64(payload[1:], uint64(l.nextLSN))
-	binary.LittleEndian.PutUint64(payload[9:], uint64(tx))
+	fold := kind == RecCommit && l.held.tx == tx
+	var payload []byte
+	if fold {
+		payload = l.encodeFolded()
+	} else {
+		l.settle()
+		payload = l.buf(markHdr)
+		payload[0] = kind
+		binary.LittleEndian.PutUint64(payload[1:], uint64(l.nextLSN))
+		binary.LittleEndian.PutUint64(payload[9:], uint64(tx))
+	}
 	if err := l.room(len(payload), 0); err != nil {
-		l.reserved = held
+		l.reserved = kept
 		return err
 	}
-	lsn := l.write(payload)
+	if fold {
+		l.held.tx = 0
+		l.stats.Folded++
+	}
+	lsn := l.take()
+	l.write(payload)
+	delete(l.open, tx)
 	if l.ship != nil {
 		l.pending = append(l.pending, Record{Kind: kind, LSN: lsn, Tx: tx})
 	}
@@ -542,9 +627,29 @@ func (l *Log) room(n int, extra int64) error {
 	return nil
 }
 
+// encodeFolded lays out the held update and its commit as one folded
+// record in the scratch buffer: kind, the update's LSN, the uvarint page
+// id and offset, then the redo image.
+func (l *Log) encodeFolded() []byte {
+	h := &l.held
+	p := l.buf(lsnHdr + 2*binary.MaxVarintLen64 + len(h.after))[:lsnHdr]
+	p[0] = recFolded
+	binary.LittleEndian.PutUint64(p[1:], uint64(h.lsn))
+	p = binary.AppendUvarint(p, h.pid)
+	p = binary.AppendUvarint(p, uint64(h.off))
+	return append(p, h.after...)
+}
+
+// take hands out the next LSN.
+func (l *Log) take() LSN {
+	lsn := l.nextLSN
+	l.nextLSN++
+	return lsn
+}
+
 // write appends a length-and-checksum-prefixed record at the head without
-// flushing, and returns its LSN.
-func (l *Log) write(payload []byte) LSN {
+// flushing.
+func (l *Log) write(payload []byte) {
 	l.last = l.head
 	var prefix [prefixSize]byte
 	binary.LittleEndian.PutUint32(prefix[0:], uint32(len(payload)))
@@ -555,10 +660,7 @@ func (l *Log) write(payload []byte) LSN {
 	if l.rec != nil {
 		l.rec.Latency(obs.OpWALAppend, 0)
 	}
-	lsn := l.nextLSN
-	l.nextLSN++
 	l.stats.Records++
-	return lsn
 }
 
 // Flush makes all appended records durable. On commit this is the paper's
@@ -567,6 +669,7 @@ func (l *Log) write(payload []byte) LSN {
 // and it applies the line rule: the last record gets the flush-end bit,
 // [flushedTo, boundary) is flushed, and the head moves to the boundary.
 func (l *Log) Flush() {
+	l.settle()
 	if l.head == l.flushedTo {
 		return
 	}
@@ -622,6 +725,7 @@ func (l *Log) Flush() {
 // Stats.TruncateSkips, and returns 0; the zero return is how the
 // maintenance path learns the drain was refused and must retry later.
 func (l *Log) Truncate() LSN {
+	l.settle()
 	if l.retain != nil {
 		if keep := l.retain(); keep < l.nextLSN {
 			l.stats.TruncateSkips++
@@ -639,8 +743,14 @@ func (l *Log) Truncate() LSN {
 	return l.nextLSN - 1
 }
 
-// Bytes returns the current size of the log contents.
-func (l *Log) Bytes() int64 { return l.head }
+// Bytes returns the current size of the log contents, a held update record
+// counted as the plain one it may still become.
+func (l *Log) Bytes() int64 {
+	if l.held.tx != 0 {
+		return l.head + prefixSize + updateHdr + int64(len(l.held.after))
+	}
+	return l.head
+}
 
 // Capacity returns the room for records: the region less its header line.
 func (l *Log) Capacity() int64 { return l.size }
@@ -696,63 +806,46 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 		// before any record, where a stop is the clean end.
 		flushed = true
 	)
-scan:
 	for {
 		size, payload, ok := l.record(pos)
 		if !ok {
 			break
 		}
-		n := int64(len(payload))
-		next := pos + prefixSize + n
+		next := pos + prefixSize + int64(len(payload))
 		if size&flushEnd != 0 {
 			next = lineEnd(next)
 		}
-		kind := payload[0]
-		if n < markHdr || !knownKind(kind) {
+		r, ok := decode(payload)
+		if !ok {
 			if l.validSuccessor(next, maxLSN) {
-				return stats, fmt.Errorf("wal: corrupt record (type %d, %d bytes) mid-log at %d", kind, n, pos)
+				return stats, fmt.Errorf("wal: corrupt record (type %d, %d bytes) mid-log at %d", payload[0], len(payload), pos)
 			}
 			break
 		}
-		lsn := LSN(binary.LittleEndian.Uint64(payload[1:]))
-		tx := TxID(binary.LittleEndian.Uint64(payload[9:]))
-		if lsn <= maxLSN {
+		if r.LSN <= maxLSN {
 			// Stale: a record from before the last truncation, in a line
 			// the current generation has not reached or a crash lost.
 			break
 		}
-		maxLSN = lsn
-		if tx > maxTx {
-			maxTx = tx
-		}
-		switch kind {
+		maxLSN = r.LSN
+		switch r.Kind {
 		case RecCommit:
-			committed[tx] = true
+			committed[r.Tx] = true
 		case RecAbort:
-			aborted[tx] = true
+			aborted[r.Tx] = true
+		case recFolded:
+			// A committed update: its commit is the next LSN.
+			r.Kind = RecUpdate
+			maxLSN++
+			stats.Committed++
+			records = append(records, r)
 		default:
-			if n < updateHdr {
-				if l.validSuccessor(next, maxLSN) {
-					return stats, fmt.Errorf("wal: truncated data record at %d", pos)
-				}
-				break scan
-			}
-			nb := int(binary.LittleEndian.Uint32(payload[29:]))
-			na := int(binary.LittleEndian.Uint32(payload[33:]))
-			if int64(updateHdr+nb+na) != n {
-				return stats, fmt.Errorf("wal: corrupt data record at %d", pos)
-			}
-			records = append(records, Record{
-				Kind:   kind,
-				LSN:    lsn,
-				Tx:     tx,
-				PID:    binary.LittleEndian.Uint64(payload[17:]),
-				Off:    int(binary.LittleEndian.Uint32(payload[25:])),
-				Before: payload[37 : 37+nb],
-				After:  payload[37+nb : 37+nb+na],
-			})
+			records = append(records, r)
 		}
-		seen[tx] = true
+		if r.Tx != 0 {
+			seen[r.Tx] = true
+			maxTx = max(maxTx, r.Tx)
+		}
 		pos, flushed = next, size&flushEnd != 0
 	}
 	stats.TornTail = !flushed
@@ -772,8 +865,9 @@ scan:
 	// Redo: repeat the history of every transaction that ended — an
 	// aborted one's compensations net its changes out — plus every page
 	// image. The loser's changes are skipped: none of their bytes reached
-	// persistent storage unless an undo image below covers them.
-	ended := func(tx TxID) bool { return committed[tx] || aborted[tx] }
+	// persistent storage unless an undo image below covers them. A folded
+	// record carries no transaction id: it holds its own commit.
+	ended := func(tx TxID) bool { return tx == 0 || committed[tx] || aborted[tx] }
 	for _, r := range records {
 		if r.Kind == RecUndo || r.Kind == RecUpdate && !ended(r.Tx) {
 			continue
@@ -801,6 +895,8 @@ scan:
 	l.unflushedCommits = 0
 	l.pending = nil // never-shipped appends died with the crash
 	l.resTx, l.reserved = 0, 0
+	l.held.tx = 0
+	clear(l.open)
 	l.nextLSN = maxLSN + 1
 	l.nextTx = maxTx + 1
 	l.durable = maxLSN
@@ -808,14 +904,60 @@ scan:
 }
 
 // validSuccessor reports whether a well-formed record of the current log
-// generation (known type, valid CRC, LSN past maxLSN) starts at pos. A
+// generation (valid CRC, decodable, LSN past maxLSN) starts at pos. A
 // valid successor proves that the bytes *before* pos sit mid-log, which
 // rules out the end-of-log explanation for them: crashes only damage the
 // frontier of the durable prefix, never bytes the log appended over.
 func (l *Log) validSuccessor(pos int64, maxLSN LSN) bool {
 	_, payload, ok := l.record(pos)
-	return ok && len(payload) >= markHdr && knownKind(payload[0]) &&
-		LSN(binary.LittleEndian.Uint64(payload[1:])) > maxLSN
+	if !ok {
+		return false
+	}
+	r, ok := decode(payload)
+	return ok && r.LSN > maxLSN
+}
+
+// decode parses a record's payload; its images alias the payload. ok is
+// false unless the payload is a record this log writes: a known kind and
+// a size that matches its layout. A folded record comes back with Kind
+// recFolded and no Tx.
+func decode(p []byte) (r Record, ok bool) {
+	if len(p) < lsnHdr || p[0] < RecUpdate || p[0] > recFolded {
+		return r, false
+	}
+	r.Kind, r.LSN = p[0], LSN(binary.LittleEndian.Uint64(p[1:]))
+	switch r.Kind {
+	case recFolded:
+		pid, n := binary.Uvarint(p[lsnHdr:])
+		if n <= 0 {
+			return r, false
+		}
+		off, m := binary.Uvarint(p[lsnHdr+n:])
+		if m <= 0 {
+			return r, false
+		}
+		r.PID, r.Off, r.After = pid, int(off), p[lsnHdr+n+m:]
+		return r, true
+	case RecCommit, RecAbort:
+		if len(p) < markHdr {
+			return r, false
+		}
+		r.Tx = TxID(binary.LittleEndian.Uint64(p[9:]))
+		return r, true
+	}
+	if len(p) < updateHdr {
+		return r, false
+	}
+	nb := int(binary.LittleEndian.Uint32(p[29:]))
+	na := int(binary.LittleEndian.Uint32(p[33:]))
+	if updateHdr+nb+na != len(p) {
+		return r, false
+	}
+	r.Tx = TxID(binary.LittleEndian.Uint64(p[9:]))
+	r.PID = binary.LittleEndian.Uint64(p[17:])
+	r.Off = int(binary.LittleEndian.Uint32(p[25:]))
+	r.Before, r.After = p[updateHdr:updateHdr+nb], p[updateHdr+nb:]
+	return r, true
 }
 
 // record reads the record at pos: its size field, flush-end bit included,
@@ -836,6 +978,3 @@ func (l *Log) record(pos int64) (size uint32, payload []byte, ok bool) {
 	l.dev.ReadAt(payload, l.off+pos+prefixSize)
 	return size, payload, crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(prefix[4:])
 }
-
-// knownKind reports whether kind is a record type this log writes.
-func knownKind(kind byte) bool { return kind >= RecUpdate && kind <= RecImage }

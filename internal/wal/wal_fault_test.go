@@ -293,10 +293,10 @@ func TestScanEnd(t *testing.T) {
 			dev.Persist(junk[:], 128)
 		}, false},
 		{"flush ending on the boundary", func(l *Log, _ *nvm.Device) {
-			// A 103-byte update record and the 25-byte commit end at 128:
-			// the flush adds no pad.
+			// A one-update transaction with a 109-byte redo image is one
+			// 128-byte folded record: the flush adds no pad.
 			tx := l.Begin()
-			if _, err := l.Update(tx, 1, 0, make([]byte, 58), 0); err != nil {
+			if _, err := l.Update(tx, 1, 0, make([]byte, 109), 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := l.Commit(tx); err != nil {
@@ -398,58 +398,19 @@ func tearEachLine(t *testing.T, prepare, flush func(l *Log), check func(durable 
 	}
 }
 
-// TestTornPaddedFlush tears each line of three padded flushes — one
-// autocommit, a group of CommitNoFlush records ended by one FlushTail,
-// and a write-barrier flush of undo records, each crossing a line
-// boundary. Recovery must bring back exactly the prefix the durable lines
-// hold.
+// TestTornPaddedFlush tears each line of padded flushes — an autocommit of
+// two updates, a one-update transaction folded into one record, groups of
+// CommitNoFlush records of either kind ended by one FlushTail, and a
+// write-barrier flush of undo records, each crossing a line boundary.
+// Recovery must bring back exactly the prefix the durable lines hold.
 func TestTornPaddedFlush(t *testing.T) {
-	t.Run("autocommit", func(t *testing.T) {
-		img := bytes.Repeat([]byte{'a'}, 108)
-		var commitEnd int64
-		tearEachLine(t, nil, func(l *Log) {
-			tx := l.Begin()
-			if _, err := l.Update(tx, 1, 0, img, len(img)); err != nil {
-				t.Fatal(err)
-			}
-			commitEnd = l.Bytes() + prefixSize + markHdr
-			if err := l.Commit(tx); err != nil {
-				t.Fatal(err)
-			}
-		}, func(durable int64, st RecoveryStats, h *memHandler) {
-			committed := commitEnd <= durable
-			want := 1
-			if committed {
-				want = 2
-			}
-			if st.Committed != want {
-				t.Fatalf("durable to %d: %d committed, want %d", durable, st.Committed, want)
-			}
-			if got := bytes.Equal(h.page(1)[:len(img)], img); got != committed {
-				t.Fatalf("durable to %d: update applied %v, want %v", durable, got, committed)
-			}
-		})
-	})
-
-	t.Run("group", func(t *testing.T) {
-		sizes := []int{20, 60, 3, 90, 41}
-		var ends []int64
-		tearEachLine(t, nil, func(l *Log) {
-			ends = ends[:0]
-			for i, n := range sizes {
-				tx := l.Begin()
-				if _, err := l.Update(tx, uint64(10+i), 0, bytes.Repeat([]byte{byte('A' + i)}, n), n); err != nil {
-					t.Fatal(err)
-				}
-				if err := l.CommitNoFlush(tx); err != nil {
-					t.Fatal(err)
-				}
-				ends = append(ends, l.Bytes())
-			}
-			l.FlushTail()
-		}, func(durable int64, st RecoveryStats, h *memHandler) {
+	// commitsAt returns a check that, of transactions whose last record
+	// ends at ends[i] and that wrote sizes[i] bytes to page 10+i, finds
+	// exactly those committed whose end is durable.
+	commitsAt := func(ends *[]int64, sizes []int) func(durable int64, st RecoveryStats, h *memHandler) {
+		return func(durable int64, st RecoveryStats, h *memHandler) {
 			n := 0
-			for n < len(ends) && ends[n] <= durable {
+			for n < len(*ends) && (*ends)[n] <= durable {
 				n++
 			}
 			if st.Committed != 1+n {
@@ -461,8 +422,64 @@ func TestTornPaddedFlush(t *testing.T) {
 					t.Fatalf("durable to %d: transaction %d applied %v, want %v", durable, i, got, i < n)
 				}
 			}
+		}
+	}
+	// update logs size bytes of transaction i's image to page 10+i in
+	// parts updates.
+	update := func(l *Log, tx TxID, i, size, parts int) {
+		img := bytes.Repeat([]byte{byte('A' + i)}, size)
+		for p := 0; p < parts; p++ {
+			lo, hi := p*size/parts, (p+1)*size/parts
+			if _, err := l.Update(tx, uint64(10+i), lo, img[lo:hi], hi-lo); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		name  string
+		parts int
+	}{{"autocommit", 2}, {"folded", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sizes := []int{108}
+			var ends []int64
+			tearEachLine(t, nil, func(l *Log) {
+				tx := l.Begin()
+				update(l, tx, 0, sizes[0], tc.parts)
+				before := l.Stats().Folded
+				if err := l.CommitNoFlush(tx); err != nil {
+					t.Fatal(err)
+				}
+				if folded := l.Stats().Folded > before; folded != (tc.parts == 1) {
+					t.Fatalf("%d updates: folded %v", tc.parts, folded)
+				}
+				ends = []int64{l.Bytes()}
+				l.Flush() // CommitNoFlush and Flush: Commit, the end seen in between
+			}, commitsAt(&ends, sizes))
 		})
-	})
+	}
+
+	for _, tc := range []struct {
+		name  string
+		parts int
+	}{{"group", 2}, {"folded group", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sizes := []int{20, 60, 3, 90, 41}
+			var ends []int64
+			tearEachLine(t, nil, func(l *Log) {
+				ends = ends[:0]
+				for i, n := range sizes {
+					tx := l.Begin()
+					update(l, tx, i, n, tc.parts)
+					if err := l.CommitNoFlush(tx); err != nil {
+						t.Fatal(err)
+					}
+					ends = append(ends, l.Bytes())
+				}
+				l.FlushTail()
+			}, commitsAt(&ends, sizes))
+		})
+	}
 
 	t.Run("barrier", func(t *testing.T) {
 		undos := [][]byte{bytes.Repeat([]byte{'x'}, 78), bytes.Repeat([]byte{'y'}, 30), bytes.Repeat([]byte{'z'}, 100)}

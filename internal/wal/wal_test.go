@@ -207,13 +207,26 @@ func TestTornTailIgnored(t *testing.T) {
 	}
 }
 
+// TestRecoverPositionsLogForAppends: after recovery the next tx id exceeds
+// every tx id in the log, the next LSN every LSN in it, and appends go
+// behind the old records. A folded record carries no tx id, so the id of
+// the one-update transaction at the end may come back.
 func TestRecoverPositionsLogForAppends(t *testing.T) {
 	l, dev := newTestLog(t, false)
 	t1 := l.Begin()
-	if _, err := l.Update(t1, 1, 0, []byte("y"), 1); err != nil {
-		t.Fatal(err)
+	for _, v := range []string{"w", "x"} {
+		if _, err := l.Update(t1, 1, 0, []byte(v), 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Commit(t1); err != nil {
+		t.Fatal(err)
+	}
+	folded := l.Begin()
+	if _, err := l.Update(folded, 1, 0, []byte("y"), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(folded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,8 +235,6 @@ func TestRecoverPositionsLogForAppends(t *testing.T) {
 	if _, err := l2.Recover(newMemHandler()); err != nil {
 		t.Fatal(err)
 	}
-	// New transactions must get fresh ids and LSNs and append after the
-	// old records.
 	t2 := l2.Begin()
 	if t2 <= t1 {
 		t.Fatalf("tx id after recovery = %d, want > %d", t2, t1)
@@ -232,8 +243,9 @@ func TestRecoverPositionsLogForAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lsn < 3 {
-		t.Fatalf("lsn after recovery = %d, want >= 3", lsn)
+	// LSNs 1 to 3 are t1's, 4 and 5 the folded update and its commit.
+	if lsn != 6 {
+		t.Fatalf("lsn after recovery = %d, want 6", lsn)
 	}
 	if err := l2.Commit(t2); err != nil {
 		t.Fatal(err)
@@ -461,8 +473,10 @@ func TestRecordImagesAreCopies(t *testing.T) {
 // engine does). A steal logs the undo of the running transaction's
 // uncovered changes, flushes, and persists every page as it stands.
 func TestQuickRandomHistories(t *testing.T) {
+	var folded int64
 	prop := func(script []uint16) bool {
 		l, _ := newTestLog(nil, false)
+		defer func() { folded += l.Stats().Folded }()
 		model := make(map[uint64]byte)   // page -> committed value
 		scratch := make(map[uint64]byte) // uncommitted view
 		stolen := make(map[uint64]byte)  // pages as the last steal persisted them
@@ -531,6 +545,10 @@ func TestQuickRandomHistories(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+	// A transaction whose first op commits is a one-update one.
+	if folded == 0 {
+		t.Fatal("no history committed a one-update transaction")
 	}
 }
 
@@ -772,5 +790,244 @@ func TestUndoRecordsStayInTheLog(t *testing.T) {
 	}
 	if len(shipped) != 2 || shipped[0].Kind != RecUpdate || shipped[1].Kind != RecCommit {
 		t.Fatalf("shipped %+v, want the update and the commit", shipped)
+	}
+}
+
+// walWear sums the wear of the log region's lines.
+func walWear(l *Log, dev *nvm.Device) (sum int64) {
+	for _, w := range dev.WearCounts()[:l.Capacity()/nvm.LineSize] {
+		sum += int64(w)
+	}
+	return sum
+}
+
+// TestOneUpdateTransactionFolds: a transaction whose only record is an
+// update of a key and a 100-byte field is one record of at most 128 bytes
+// — 8 prefix, kind, LSN, the uvarint page id and offset, the 108-byte redo
+// image — and its Commit flushes exactly 2 lines, whether the offset takes
+// one uvarint byte or two. Recovery redoes it as a committed update.
+func TestOneUpdateTransactionFolds(t *testing.T) {
+	img := bytes.Repeat([]byte{'f'}, 108)
+	for _, off := range []int{0, 900} {
+		l, dev := newTestLog(t, true)
+		tx := l.Begin()
+		lsn, err := l.Update(tx, 1, off, img, len(img))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := l.Bytes(); got != prefixSize+updateHdr+108 {
+			t.Fatalf("off %d: the held update counts %d bytes, want the plain record's %d", off, got, prefixSize+updateHdr+108)
+		}
+		wear := walWear(l, dev)
+		if err := l.CommitNoFlush(tx); err != nil {
+			t.Fatal(err)
+		}
+		size := l.Bytes()
+		l.FlushTail()
+		if lines := walWear(l, dev) - wear; size > 128 || lines != 2 {
+			t.Fatalf("off %d: a one-update transaction took %d log bytes in %d line flushes, want at most 128 in 2", off, size, lines)
+		}
+		if st := l.Stats(); st.Records != 1 || st.Folded != 1 || st.Commits != 1 {
+			t.Fatalf("off %d: stats %+v, want 1 folded record", off, st)
+		}
+		if l.DurableLSN() != lsn+1 {
+			t.Fatalf("off %d: durable LSN %d, want the commit's %d", off, l.DurableLSN(), lsn+1)
+		}
+		dev.Crash()
+		var got []Record
+		st, err := New(dev, 0, 1<<16).Recover(recorderHandler{&got})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Committed != 1 || st.Redone != 1 || st.Records != 1 || len(got) != 1 {
+			t.Fatalf("off %d: recovery %+v of %d records", off, st, len(got))
+		}
+		if r := got[0]; r.Kind != RecUpdate || r.LSN != lsn || r.PID != 1 || r.Off != off || !bytes.Equal(r.After, img) || len(r.Before) != 0 {
+			t.Fatalf("off %d: redid %+v", off, r)
+		}
+	}
+}
+
+// TestUnfoldedTransactionsKeepTheirBytes: a transaction of several
+// records, one whose update carries its undo image inline, one with a
+// page image and an aborted one write plain records and marks, byte for
+// byte.
+func TestUnfoldedTransactionsKeepTheirBytes(t *testing.T) {
+	plain := func(before, after int) int64 { return prefixSize + updateHdr + int64(before+after) }
+	const mark = prefixSize + markHdr
+	cases := []struct {
+		name  string
+		run   func(l *Log, tx TxID) error
+		bytes int64
+	}{
+		{"two updates", func(l *Log, tx TxID) error {
+			if _, err := l.Update(tx, 1, 0, make([]byte, 20), 20); err != nil {
+				return err
+			}
+			_, err := l.Update(tx, 2, 0, make([]byte, 30), 30)
+			return err
+		}, plain(0, 20) + plain(0, 30)},
+		{"inline", func(l *Log, tx TxID) error {
+			_, err := l.UpdateInline(tx, 1, 0, make([]byte, 10), make([]byte, 20))
+			return err
+		}, plain(10, 20)},
+		{"image", func(l *Log, tx TxID) error {
+			_, err := l.Image(tx, 7, make([]byte, 50))
+			return err
+		}, plain(0, 50)},
+		{"update then image", func(l *Log, tx TxID) error {
+			if _, err := l.Update(tx, 1, 0, make([]byte, 20), 20); err != nil {
+				return err
+			}
+			_, err := l.Image(tx, 7, make([]byte, 50))
+			return err
+		}, plain(0, 20) + plain(0, 50)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, _ := newTestLog(t, false)
+			tx := l.Begin()
+			if err := tc.run(l, tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.CommitNoFlush(tx); err != nil {
+				t.Fatal(err)
+			}
+			if got := l.Bytes(); got != tc.bytes+mark {
+				t.Fatalf("%d log bytes, want %d", got, tc.bytes+mark)
+			}
+			if st := l.Stats(); st.Folded != 0 {
+				t.Fatalf("stats %+v, want nothing folded", st)
+			}
+		})
+	}
+	t.Run("aborted", func(t *testing.T) {
+		l, _ := newTestLog(t, false)
+		tx := l.Begin()
+		if _, err := l.Update(tx, 1, 0, make([]byte, 20), 20); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Abort(tx); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := l.Bytes(), lineEnd(plain(0, 20)+mark); got != want {
+			t.Fatalf("%d log bytes, want %d", got, want)
+		}
+		if st := l.Stats(); st.Records != 2 || st.Folded != 0 {
+			t.Fatalf("stats %+v, want an update record and an abort mark", st)
+		}
+	})
+}
+
+// TestHeldUpdateWrittenFirst: whatever touches the log between a
+// transaction's first Update and its Commit — an undo record, a flush,
+// another transaction's record — finds the update written first as a plain
+// record, and the commit is then a plain mark. Recovery sees them in LSN
+// order.
+func TestHeldUpdateWrittenFirst(t *testing.T) {
+	cases := []struct {
+		name string
+		// between runs between tx's update and its commit.
+		between func(l *Log, tx TxID)
+		// records counts every record written, the commit mark included.
+		records int64
+	}{
+		{"AppendUndo", func(l *Log, tx TxID) { l.AppendUndo(tx, 1, 0, []byte("old")) }, 3},
+		{"Flush", func(l *Log, _ TxID) { l.Flush() }, 2},
+		{"another transaction", func(l *Log, _ TxID) {
+			if _, err := l.Update(l.Begin(), 2, 0, []byte("other"), 5); err != nil {
+				t.Fatal(err)
+			}
+		}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, _ := newTestLog(t, false)
+			tx := l.Begin()
+			lsn, err := l.Update(tx, 1, 0, []byte("new"), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.between(l, tx)
+			if err := l.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+			if st := l.Stats(); st.Records != tc.records || st.Folded != 0 {
+				t.Fatalf("stats %+v, want %d records with a plain commit mark", st, tc.records)
+			}
+			var got []Record
+			st, err := l.Recover(recorderHandler{&got})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Committed != 1 || len(got) == 0 || got[0].LSN != lsn || string(got[0].After) != "new" {
+				t.Fatalf("recovery %+v redid %+v, want the update at lsn %d first", st, got, lsn)
+			}
+		})
+	}
+}
+
+// TestShipDeliversEachLSNOnce: folded or not, grouped or not, the ship hook
+// gets every LSN the log hands out exactly once and in order, each update
+// before its transaction's commit.
+func TestShipDeliversEachLSNOnce(t *testing.T) {
+	l, _ := newTestLog(t, false)
+	var shipped []Record
+	l.SetShip(func(rs []Record) { shipped = append(shipped, rs...) })
+	update := func(tx TxID, v string) {
+		t.Helper()
+		if _, err := l.Update(tx, 1, 0, []byte(v), len(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := l.Begin() // folded
+	update(tx, "a")
+	if err := l.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // a folded group
+		tx := l.Begin()
+		update(tx, "b")
+		if err := l.CommitNoFlush(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.FlushTail()
+	tx = l.Begin() // held, then flushed on its own
+	update(tx, "c")
+	l.Flush()
+	if err := l.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	tx = l.Begin() // two updates
+	update(tx, "d")
+	update(tx, "e")
+	if err := l.Commit(tx); err != nil {
+		t.Fatal(err)
+	}
+	tx = l.Begin() // aborted
+	update(tx, "f")
+	if err := l.Abort(tx); err != nil {
+		t.Fatal(err)
+	}
+	if want := int(l.DurableLSN()); len(shipped) != want {
+		t.Fatalf("shipped %d records for %d LSNs", len(shipped), want)
+	}
+	updates := map[TxID]int{}
+	for i, r := range shipped {
+		if r.LSN != LSN(i+1) {
+			t.Fatalf("record %d shipped at lsn %d, want %d", i, r.LSN, i+1)
+		}
+		switch r.Kind {
+		case RecUpdate:
+			updates[r.Tx]++
+		case RecCommit, RecAbort:
+			if updates[r.Tx] == 0 {
+				t.Fatalf("lsn %d: tx %d ended before any update shipped", r.LSN, r.Tx)
+			}
+		}
+	}
+	if st := l.Stats(); st.Folded != 4 {
+		t.Fatalf("stats %+v, want 4 folded commits", st)
 	}
 }

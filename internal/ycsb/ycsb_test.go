@@ -88,10 +88,10 @@ func TestMixedRatio(t *testing.T) {
 		}
 	}
 	updates := w.e.Log().Stats().Records - logBefore
-	// Each update logs one update record plus one commit; lookups log
-	// nothing. Expect roughly half of 400 (2 records each).
-	if updates < 200 || updates > 600 {
-		t.Fatalf("log records for 50%% mix = %d, want ~400", updates)
+	// Each update is a one-update transaction, one folded record; lookups
+	// log nothing. Expect roughly half of 400.
+	if updates < 100 || updates > 300 {
+		t.Fatalf("log records for 50%% mix = %d, want ~200", updates)
 	}
 }
 
