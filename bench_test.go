@@ -172,16 +172,26 @@ func BenchmarkScan50(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	keys, vals := make([]uint64, 1000), make([][]byte, 1000)
-	for i := range vals {
-		vals[i] = make([]byte, rowSize)
-	}
-	for k := uint64(0); k < rows; k += uint64(len(keys)) {
-		for i := range keys {
-			keys[i] = k + uint64(i)
-		}
-		if err := table.PutBatch(keys, vals); err != nil {
-			b.Fatal(err)
+	const chunk = 1000
+	row := make([]byte, rowSize)
+	for k := uint64(0); k < rows; k += chunk {
+		// Each shard commits its keys of the chunk under one Batch: one
+		// transaction per row, one WAL flush per shard.
+		for sh := 0; sh < shards; sh++ {
+			if err := s.Batch(sh, func(st *nvmstore.Store) error {
+				tab := st.Table(1)
+				for key := k; key < k+chunk; key++ {
+					if s.ShardFor(key) != sh {
+						continue
+					}
+					if err := st.UpdateNoFlush(func() error { return tab.Put(key, row) }); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		// Every batch starts from a clean pool and an empty log.
 		if err := s.Checkpoint(); err != nil {

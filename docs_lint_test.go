@@ -230,3 +230,126 @@ func TestStatsFieldsDocumented(t *testing.T) {
 		t.Errorf("server.StatsDoc json fields and kinds and docs/OPERATIONS.md §3 differ:\n declared:   %v\n documented: %v", declared, documented)
 	}
 }
+
+// TestCIRunPatternsMatchTests fails for every |-alternative of a quoted
+// -run pattern in the CI workflow that matches no test function in the
+// repository. go test -run matches unanchored, so an alternative may name
+// a prefix of several tests; one that names a deleted or renamed test
+// matches nothing, and CI would run it as an empty, passing step.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tests []string
+	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, build caches
+		}
+		if err != nil || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			tests = append(tests, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllSubmatch(ci, -1)
+	if len(patterns) == 0 {
+		t.Fatal("no -run patterns found in ci.yml")
+	}
+	for _, p := range patterns {
+		for _, alt := range strings.Split(string(p[1]), "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("ci.yml -run alternative %q: %v", alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(tests, re.MatchString) {
+				t.Errorf("ci.yml -run alternative %q matches no test function", alt)
+			}
+		}
+	}
+}
+
+// TestPublicAPIPinned fails when the exported top-level names and methods
+// of the root package differ from testdata/public_api.txt in either
+// direction, so the public API grows or shrinks only together with that
+// list.
+func TestPublicAPIPinned(t *testing.T) {
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	fset := token.NewFileSet()
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exported = append(exported, exportedInFile(f)...)
+	}
+	want, err := os.ReadFile("testdata/public_api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := strings.Split(strings.TrimSpace(string(want)), "\n")
+	slices.Sort(exported)
+	slices.Sort(pinned)
+	for _, name := range exported {
+		if _, found := slices.BinarySearch(pinned, name); !found {
+			t.Errorf("exported %s is not in testdata/public_api.txt", name)
+		}
+	}
+	for _, name := range pinned {
+		if _, found := slices.BinarySearch(exported, name); !found {
+			t.Errorf("testdata/public_api.txt lists %s, which the package no longer exports", name)
+		}
+	}
+}
+
+// exportedInFile lists a file's exported top-level names and its exported
+// methods on exported types, each as "<kind> <name>" or
+// "method <Type>.<Name>".
+func exportedInFile(f *ast.File) []string {
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if !d.Name.IsExported() {
+				continue
+			}
+			if r := receiverType(d); r == "" {
+				names = append(names, "func "+d.Name.Name)
+			} else if ast.IsExported(r) {
+				names = append(names, "method "+r+"."+d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						names = append(names, "type "+s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							names = append(names, kindWord(d.Tok)+" "+n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}

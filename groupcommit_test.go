@@ -179,53 +179,6 @@ func TestNoFlushCommitsShareOneFlush(t *testing.T) {
 	}
 }
 
-// TestShardedPutBatchCoalesces pins PutBatch's per-shard flush
-// coalescing: keys spread over every shard commit with at most one
-// flush per touched shard, and read back correctly.
-func TestShardedPutBatchCoalesces(t *testing.T) {
-	const shards = 4
-	s, err := OpenSharded(shards, Options{
-		Architecture: ThreeTier,
-		DRAMBytes:    8 << 20,
-		NVMBytes:     32 << 20,
-		SSDBytes:     128 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	tab, err := s.CreateTable(1, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Metrics().Log
-
-	const n = 64
-	keys := make([]uint64, n)
-	rows := make([][]byte, n)
-	for i := range keys {
-		keys[i] = uint64(i)
-		rows[i] = bytes.Repeat([]byte{byte(i + 1)}, 16)
-	}
-	if err := tab.PutBatch(keys, rows); err != nil {
-		t.Fatal(err)
-	}
-
-	after := s.Metrics().Log
-	if c := after.Commits - before.Commits; c != n {
-		t.Fatalf("commits = %d, want %d", c, n)
-	}
-	if f := after.Flushes - before.Flushes; f > shards {
-		t.Fatalf("flushes = %d, want <= %d (one per touched shard)", f, shards)
-	}
-	buf := make([]byte, 16)
-	for i, k := range keys {
-		if found, err := tab.Lookup(k, buf); err != nil || !found || !bytes.Equal(buf, rows[i]) {
-			t.Fatalf("key %d: found=%v err=%v", k, found, err)
-		}
-	}
-}
-
 // TestShardedGroupCommitConcurrent drives concurrent autocommit writers
 // through the sharded store's combining Batch and checks that every
 // acknowledged write reads back — the transparent-coalescing path under
@@ -318,23 +271,20 @@ func openCombinerStore(t *testing.T, n int) (*ShardedStore, *ShardedTable, []uin
 }
 
 // batchCallers returns one single-commit writer per key of shard 0, in
-// the three shapes a Batch call reaches the store in: a bare Batch (what
-// a server connection issues), an autocommit table write, and a PutBatch.
-// Each stores its result in errs.
+// the two shapes a Batch call reaches the store in: a bare Batch (what
+// a server connection issues) and an autocommit table write. Each stores
+// its result in errs.
 func batchCallers(s *ShardedStore, tab *ShardedTable, keys []uint64, row func(uint64) []byte, errs []error) []func() {
 	calls := make([]func(), len(keys))
 	for i, k := range keys {
-		switch i % 3 {
-		case 0:
+		if i%2 == 0 {
 			calls[i] = func() {
 				errs[i] = s.Batch(0, func(st *Store) error {
 					return st.UpdateNoFlush(func() error { return st.Table(1).Put(k, row(k)) })
 				})
 			}
-		case 1:
+		} else {
 			calls[i] = func() { errs[i] = tab.Put(k, row(k)) }
-		case 2:
-			calls[i] = func() { errs[i] = tab.PutBatch([]uint64{k}, [][]byte{row(k)}) }
 		}
 	}
 	return calls

@@ -53,8 +53,7 @@ type Versions struct {
 	// modified since tracking began).
 	counters map[PageID]uint64
 	// epoch invalidates open snapshots wholesale: it advances whenever a
-	// restart or snapshot load rewrites page content outside the version
-	// protocol.
+	// restart rewrites page content outside the version protocol.
 	epoch uint64
 
 	stamp     uint64

@@ -31,7 +31,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"nvmstore/internal/btree"
@@ -377,8 +376,8 @@ func (e *Engine) abandon() {
 // the log, stalling until the whole dirty set is written back: a drain of
 // the pool, then the same counted cut a CheckpointRound ends in. The
 // commit path never calls it — incremental rounds checkpoint in bounded
-// steps there — but shutdown, restart, and snapshot paths still want the
-// synchronous full barrier. It must not run inside a transaction.
+// steps there — but shutdown and restart paths still want the synchronous
+// full barrier. It must not run inside a transaction.
 func (e *Engine) Checkpoint() error {
 	if e.txActive {
 		return fmt.Errorf("engine: checkpoint inside a transaction")
@@ -673,39 +672,6 @@ func decodeCatalog(b []byte) ([]treeMeta, error) {
 		}
 	}
 	return metas, nil
-}
-
-// SaveSnapshot checkpoints the engine and writes all durable state to w;
-// LoadSnapshot on an identically configured engine restores it. Must not
-// run inside a transaction. The engine stays usable afterwards.
-func (e *Engine) SaveSnapshot(w io.Writer) error {
-	if e.txActive {
-		return fmt.Errorf("engine: snapshot inside a transaction")
-	}
-	if err := e.Checkpoint(); err != nil {
-		return err
-	}
-	return e.m.SaveSnapshot(w)
-}
-
-// LoadSnapshot replaces the engine's state with a snapshot written by
-// SaveSnapshot on an engine with the same configuration.
-func (e *Engine) LoadSnapshot(r io.Reader) error {
-	if e.txActive {
-		return fmt.Errorf("engine: snapshot load inside a transaction")
-	}
-	if err := e.m.LoadSnapshot(r); err != nil {
-		return err
-	}
-	if err := e.reload(); err != nil {
-		return err
-	}
-	// The snapshot was checkpointed: the log is empty, but Recover
-	// repositions the append cursor and transaction counters.
-	e.replaying = true
-	_, err := e.log.Recover(e)
-	e.replaying = false
-	return err
 }
 
 // Close shuts the engine down in an orderly fashion: the log tail is

@@ -125,7 +125,7 @@ func TestFlushIncrementsWear(t *testing.T) {
 
 // TestTotalWritesIsSumOfWearCounts pins the running total against the array
 // it summarizes through every way wear changes: whole flushes, the durable
-// prefix of a torn flush, ResetWear, and a snapshot round trip.
+// prefix of a torn flush, and ResetWear.
 func TestTotalWritesIsSumOfWearCounts(t *testing.T) {
 	d, _ := newStrictFaultDevice()
 	check := func(when string) {
@@ -160,58 +160,10 @@ func TestTotalWritesIsSumOfWearCounts(t *testing.T) {
 	d.Crash()
 	check("after a torn flush")
 
-	var snap bytes.Buffer
-	if err := d.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
 	d.ResetWear()
 	check("after ResetWear")
 	d.Persist(p[:LineSize], 0)
-	if err := d.ReadSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	check("after a snapshot restore")
-	if d.TotalWrites() < 10 {
-		t.Fatalf("TotalWrites() = %d after restoring a snapshot taken at >= 10", d.TotalWrites())
-	}
-}
-
-// TestSnapshotRestoreAllocatesLittle restores a device with 65 536 lines:
-// every wear counter and byte comes back, and the restore allocates a
-// small fixed amount, not 4 B per line.
-func TestSnapshotRestoreAllocatesLittle(t *testing.T) {
-	var clk simclock.Clock
-	d := New(testConfig(4<<20), &clk)
-	for l := int64(0); l < d.Lines(); l += 1021 {
-		for i := int64(0); i <= l%5; i++ {
-			d.Persist([]byte{byte(l), byte(i)}, l*LineSize)
-		}
-	}
-	var snap bytes.Buffer
-	if err := d.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	wantWear, wantData := d.WearCounts(), append([]byte(nil), d.View(0, int(d.Size()))...)
-	total := d.TotalWrites()
-
-	fresh := New(testConfig(4<<20), &clk)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := fresh.ReadSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
-		t.Fatalf("ReadSnapshot of %d lines allocated %d bytes", d.Lines(), got)
-	}
-	for l, w := range fresh.WearCounts() {
-		if w != wantWear[l] {
-			t.Fatalf("line %d wear %d after restore, want %d", l, w, wantWear[l])
-		}
-	}
-	if fresh.TotalWrites() != total || !bytes.Equal(fresh.View(0, int(fresh.Size())), wantData) {
-		t.Fatalf("restore: TotalWrites %d (want %d) or data differs", fresh.TotalWrites(), total)
-	}
+	check("after a flush past ResetWear")
 }
 
 func TestCPUCacheHitsAreFree(t *testing.T) {

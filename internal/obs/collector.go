@@ -51,14 +51,6 @@ func (c *Collector) Snapshot() *Snapshot {
 	return s
 }
 
-// Reset zeroes every histogram (the event ring is left alone; its Total
-// keeps counting). Like Histogram.Reset, callers quiesce writers first.
-func (c *Collector) Reset() {
-	for op := range c.hist {
-		c.hist[op].Reset()
-	}
-}
-
 // Snapshot is a point-in-time copy of a Collector's histograms, mergeable
 // across shards.
 type Snapshot struct {

@@ -38,8 +38,6 @@ package nvmstore
 import (
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"time"
 
@@ -125,12 +123,6 @@ type Options struct {
 	// WALBytes sizes the NVM log region (default 16 MB).
 	WALBytes int64
 
-	// NVMReadLatency and NVMWriteLatency configure the simulated device
-	// (default 500 ns each, the paper's midpoint; the hardware sweep in
-	// the paper covers 165-1800 ns).
-	NVMReadLatency  time.Duration
-	NVMWriteLatency time.Duration
-
 	// Maintenance tunes incremental checkpointing and paced dirty
 	// write-back (see MaintenanceOptions). The zero value selects every
 	// default. The rounds run on the commit (or WAL tail flush) that
@@ -157,10 +149,6 @@ type Options struct {
 	// Metrics().Latency. Costs a few percent of throughput; off by
 	// default.
 	Observe bool
-	// TraceEvents, when positive, additionally retains the most recent N
-	// page-lifecycle events (load/promote/swizzle/evict/writeback, ...)
-	// in a ring, dumpable as JSON Lines with WriteTrace. Implies Observe.
-	TraceEvents int
 }
 
 // Store is a single-threaded transactional storage engine.
@@ -176,13 +164,11 @@ type Store struct {
 func Open(opts Options) (*Store, error) {
 	cfg := engine.DefaultConfig(opts.Architecture.topology(), opts.DRAMBytes, opts.NVMBytes, opts.SSDBytes)
 	cfg.WALBytes = opts.WALBytes
-	cfg.NVMReadLatency = opts.NVMReadLatency
-	cfg.NVMWriteLatency = opts.NVMWriteLatency
 	cfg.StrictPersistence = opts.StrictPersistence
 	cfg.DebugChecks = opts.DebugChecks
 	var collector *obs.Collector
-	if opts.Observe || opts.TraceEvents > 0 {
-		collector = obs.NewCollector(opts.TraceEvents)
+	if opts.Observe {
+		collector = obs.NewCollector(0)
 		cfg.Recorder = collector
 	}
 	e, err := engine.Open(cfg)
@@ -638,25 +624,6 @@ func (s *Store) Metrics() Metrics {
 	return m
 }
 
-// ResetLatency zeroes the latency histograms (a no-op without
-// Options.Observe), so a measurement phase can start clean after warmup.
-func (s *Store) ResetLatency() {
-	if s.collector != nil {
-		s.collector.Reset()
-	}
-}
-
-// WriteTrace writes the retained page-lifecycle events as JSON Lines,
-// oldest first, and returns the number of events written. A nonzero pid
-// filters to that page's events. Without Options.TraceEvents the store
-// retains nothing and WriteTrace writes nothing.
-func (s *Store) WriteTrace(w io.Writer, pid uint64) (int, error) {
-	if s.collector == nil || s.collector.Trace() == nil {
-		return 0, nil
-	}
-	return s.collector.Trace().WriteJSONL(w, "", -1, pid)
-}
-
 // Table is a B+-tree of fixed-size rows keyed by uint64.
 type Table struct {
 	t *btree.Tree
@@ -736,8 +703,8 @@ func (t *Table) BulkLoad(n int, keyAt func(i int) uint64, rowAt func(i int, dst 
 }
 
 // ErrSnapshotInvalid reports that a read snapshot was invalidated by a
-// store restart (crash, clean restart, or state snapshot load) between
-// its creation and use. The caller should open a fresh snapshot.
+// store restart (crash or clean restart) between its creation and use.
+// The caller should open a fresh snapshot.
 var ErrSnapshotInvalid = errors.New("nvmstore: snapshot invalidated by restart")
 
 // StoreSnapshot is a stable read point over one Store: scans through it
@@ -781,32 +748,4 @@ func (sn *StoreSnapshot) Stamp() uint64 { return sn.stamp }
 // page images only it could read. Closing twice is harmless.
 func (sn *StoreSnapshot) Close() {
 	sn.s.e.Versions().EndSnapshot(sn.id)
-}
-
-// SaveSnapshot checkpoints the store and writes its entire durable state
-// (NVM and SSD content) to path, so a simulated store can outlive the
-// process. Load it with LoadSnapshot on a store opened with the same
-// Options. Must not run inside a transaction.
-func (s *Store) SaveSnapshot(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.e.SaveSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadSnapshot replaces the store's state with a snapshot written by
-// SaveSnapshot on a store with the same Options. Tables reappear under
-// their ids.
-func (s *Store) LoadSnapshot(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return s.e.LoadSnapshot(f)
 }

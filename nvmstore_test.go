@@ -184,109 +184,3 @@ func TestMainMemoryCapacitySurface(t *testing.T) {
 		t.Fatalf("err = %v, want ErrCapacity", err)
 	}
 }
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	for _, arch := range []Architecture{ThreeTier, BasicNVMBuffer, NVMDirect, SSDBuffer} {
-		t.Run(arch.String(), func(t *testing.T) {
-			s := open(t, arch)
-			table, err := s.CreateTable(1, 32)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := uint64(0); i < 300; i++ {
-				row := make([]byte, 32)
-				row[0], row[1] = byte(i), byte(i>>8)
-				i := i
-				if err := s.Update(func() error { return table.Insert(i, row) }); err != nil {
-					t.Fatal(err)
-				}
-			}
-			path := t.TempDir() + "/snap.db"
-			if err := s.SaveSnapshot(path); err != nil {
-				t.Fatalf("SaveSnapshot: %v", err)
-			}
-
-			// The original store keeps working after a save.
-			if err := s.Update(func() error { return table.Insert(1000, make([]byte, 32)) }); err != nil {
-				t.Fatalf("post-save insert: %v", err)
-			}
-
-			// A fresh store with the same options restores the snapshot
-			// (without the post-save insert).
-			s2 := open(t, arch)
-			if err := s2.LoadSnapshot(path); err != nil {
-				t.Fatalf("LoadSnapshot: %v", err)
-			}
-			t2 := s2.Table(1)
-			if t2 == nil {
-				t.Fatal("table lost in snapshot")
-			}
-			cnt, err := t2.Count()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cnt != 300 {
-				t.Fatalf("restored count = %d, want 300", cnt)
-			}
-			buf := make([]byte, 32)
-			for _, k := range []uint64{0, 137, 299} {
-				found, err := t2.Lookup(k, buf)
-				if err != nil || !found {
-					t.Fatalf("Lookup(%d) = %v, %v", k, found, err)
-				}
-				if buf[0] != byte(k) || buf[1] != byte(k>>8) {
-					t.Fatalf("row %d content wrong", k)
-				}
-			}
-			// The restored store is fully operational, including recovery.
-			if err := s2.Update(func() error { return t2.Insert(2000, make([]byte, 32)) }); err != nil {
-				t.Fatalf("post-load insert: %v", err)
-			}
-			if _, err := s2.CrashRestart(); err != nil {
-				t.Fatalf("post-load crash restart: %v", err)
-			}
-			if cnt, _ := s2.Table(1).Count(); cnt != 301 {
-				t.Fatalf("count after post-load crash = %d, want 301", cnt)
-			}
-		})
-	}
-}
-
-func TestSnapshotConfigMismatch(t *testing.T) {
-	s := open(t, ThreeTier)
-	if _, err := s.CreateTable(1, 16); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/snap.db"
-	if err := s.SaveSnapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	other, err := Open(Options{
-		Architecture: ThreeTier,
-		DRAMBytes:    8 << 20,
-		NVMBytes:     32 << 20, // different NVM size
-		SSDBytes:     256 << 20,
-		WALBytes:     1 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.LoadSnapshot(path); err == nil {
-		t.Fatal("snapshot loaded into mismatched configuration")
-	}
-	wrongArch := open(t, BasicNVMBuffer)
-	if err := wrongArch.LoadSnapshot(path); err == nil {
-		t.Fatal("snapshot loaded into different architecture")
-	}
-}
-
-func TestSnapshotInsideTxRejected(t *testing.T) {
-	s := open(t, BasicNVMBuffer)
-	s.Begin()
-	if err := s.SaveSnapshot(t.TempDir() + "/x.db"); err == nil {
-		t.Fatal("snapshot inside tx accepted")
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}

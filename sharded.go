@@ -3,7 +3,6 @@ package nvmstore
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"nvmstore/internal/core"
 	"nvmstore/internal/fault"
-	"nvmstore/internal/obs"
 	"nvmstore/internal/shard"
 )
 
@@ -114,12 +112,11 @@ func (s *ShardedStore) lead(i int, group []*batchCall) error {
 	return err
 }
 
-// shardSlot holds one shard's lock and operation counter, padded so that
-// adjacent shards' hot state does not share a cache line (false sharing).
+// shardSlot holds one shard's lock, padded to 128 bytes so that adjacent
+// shards' locks do not share a cache line (false sharing).
 type shardSlot struct {
-	mu  sync.Mutex
-	ops int64
-	_   [112]byte
+	mu sync.Mutex
+	_  [120]byte
 }
 
 // OpenSharded creates a sharded store of n independent single-threaded
@@ -204,7 +201,7 @@ func (s *ShardedStore) PaceWriter(i int) {}
 // which runs up to maxCombine queued calls — each fn in arrival order —
 // under one lock hold and one flush. Every caller returns only
 // after the flush covering its commits: only the flush is shared. Server
-// connections, COMMITs, PutBatch and table writes are plain Batch calls.
+// connections, COMMITs and table writes are plain Batch calls.
 func (s *ShardedStore) Batch(i int, fn func(st *Store) error) error {
 	c := &s.combiners[i]
 	c.mu.Lock()
@@ -229,31 +226,6 @@ func (s *ShardedStore) Batch(i int, fn func(st *Store) error) error {
 	c.queue = c.queue[n:]
 	c.mu.Unlock()
 	return s.lead(i, group)
-}
-
-// Ops returns the total number of routed table operations.
-func (s *ShardedStore) Ops() int64 {
-	var total int64
-	for i := range s.slots {
-		slot := &s.slots[i]
-		slot.mu.Lock()
-		total += slot.ops
-		slot.mu.Unlock()
-	}
-	return total
-}
-
-// ShardOps returns the per-shard routed-operation counts — the balance
-// check for the hash partitioning.
-func (s *ShardedStore) ShardOps() []int64 {
-	counts := make([]int64, len(s.slots))
-	for i := range s.slots {
-		slot := &s.slots[i]
-		slot.mu.Lock()
-		counts[i] = slot.ops
-		slot.mu.Unlock()
-	}
-	return counts
 }
 
 // CreateTable creates the table on every shard; rows are routed to their
@@ -424,48 +396,6 @@ func (s *ShardedStore) Metrics() Metrics {
 	return total
 }
 
-// ResetLatency zeroes every shard's latency histograms under its lock.
-func (s *ShardedStore) ResetLatency() {
-	for i := range s.shards {
-		s.slots[i].mu.Lock()
-		s.shards[i].ResetLatency()
-		s.slots[i].mu.Unlock()
-	}
-}
-
-// WriteTrace writes every shard's retained page-lifecycle events as JSON
-// Lines (each line tagged with its shard index), taking each shard's lock
-// while its ring is read, and returns the number of events written. A
-// nonzero pid filters to that page's events. Events are grouped by shard,
-// each group oldest first; page ids are per-shard, so the same pid on
-// different shards names different pages.
-func (s *ShardedStore) WriteTrace(w io.Writer, pid uint64) (int, error) {
-	total := 0
-	for i := range s.shards {
-		s.slots[i].mu.Lock()
-		n, err := s.writeShardTrace(w, i, pid)
-		s.slots[i].mu.Unlock()
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func (s *ShardedStore) writeShardTrace(w io.Writer, i int, pid uint64) (int, error) {
-	c := s.shards[i].collector
-	if c == nil || c.Trace() == nil {
-		return 0, nil
-	}
-	return c.Trace().WriteJSONL(w, "", i, pid)
-}
-
-// Collector returns shard i's recorder, or nil when the store was opened
-// without Options.Observe. Like Shard, it does not lock: read snapshots
-// only while the shard is quiescent or via Metrics.
-func (s *ShardedStore) Collector(i int) *obs.Collector { return s.shards[i].collector }
-
 // WearProfile computes the NVM wear distribution over all shards'
 // devices together, as if they were one larger device.
 func (s *ShardedStore) WearProfile() WearProfile {
@@ -500,12 +430,11 @@ func (t *ShardedTable) shardTable(st *Store) (*Table, error) {
 	return tab, nil
 }
 
-// read runs op against the table on shard i under the shard's lock,
-// counting it as a routed operation. Reads are not transactions: they
-// log nothing and leave the MVCC transaction stamp alone.
+// read runs op against the table on shard i under the shard's lock.
+// Reads are not transactions: they log nothing and leave the MVCC
+// transaction stamp alone.
 func (t *ShardedTable) read(i int, op func(tab *Table) error) error {
 	return t.s.WithShard(i, func(st *Store) error {
-		t.s.slots[i].ops++
 		tab, err := t.shardTable(st)
 		if err != nil {
 			return err
@@ -514,12 +443,11 @@ func (t *ShardedTable) read(i int, op func(tab *Table) error) error {
 	})
 }
 
-// write runs op against the table on st, shard i, as one transaction that
+// write runs op against the table on shard st as one transaction that
 // commits without flushing: the body of a table write's Batch call. Each
 // writer below builds that call's one closure itself, because Batch
 // retains what it is given and a second closure would allocate.
-func (t *ShardedTable) write(st *Store, i int, op func(tab *Table) error) error {
-	t.s.slots[i].ops++
+func (t *ShardedTable) write(st *Store, op func(tab *Table) error) error {
 	tab, err := t.shardTable(st)
 	if err != nil {
 		return err
@@ -531,9 +459,8 @@ func (t *ShardedTable) write(st *Store, i int, op func(tab *Table) error) error 
 // write below it is one Batch call: durable when it returns, its WAL
 // flush shared with concurrent writers on the same shard.
 func (t *ShardedTable) Insert(key uint64, row []byte) error {
-	i := t.s.ShardFor(key)
-	return t.s.Batch(i, func(st *Store) error {
-		return t.write(st, i, func(tab *Table) error { return tab.Insert(key, row) })
+	return t.s.Batch(t.s.ShardFor(key), func(st *Store) error {
+		return t.write(st, func(tab *Table) error { return tab.Insert(key, row) })
 	})
 }
 
@@ -541,48 +468,9 @@ func (t *ShardedTable) Insert(key uint64, row []byte) error {
 // transaction — the upsert the KV serving layer maps PUT to (see
 // Table.Put). A row longer than RowSize fails.
 func (t *ShardedTable) Put(key uint64, row []byte) error {
-	i := t.s.ShardFor(key)
-	return t.s.Batch(i, func(st *Store) error {
-		return t.write(st, i, func(tab *Table) error { return tab.Put(key, row) })
+	return t.s.Batch(t.s.ShardFor(key), func(st *Store) error {
+		return t.write(st, func(tab *Table) error { return tab.Put(key, row) })
 	})
-}
-
-// PutBatch upserts len(keys) rows (rows[i] under keys[i]) with explicit
-// group commit: the keys are grouped by owning shard, and each shard
-// executes its group as one Batch — one transaction per row, one WAL
-// flush per shard at the end of its group. Rows that fail individually
-// are rolled back and reported in the joined error while the rest of
-// the batch proceeds. Every row that succeeded is durable when PutBatch
-// returns.
-func (t *ShardedTable) PutBatch(keys []uint64, rows [][]byte) error {
-	if len(keys) != len(rows) {
-		return fmt.Errorf("nvmstore: put batch of %d keys with %d rows", len(keys), len(rows))
-	}
-	byShard := make(map[int][]int)
-	for i, key := range keys {
-		sh := t.s.ShardFor(key)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	var errs []error
-	for sh, idxs := range byShard {
-		err := t.s.Batch(sh, func(st *Store) error {
-			tab, err := t.shardTable(st)
-			if err != nil {
-				return err
-			}
-			for _, i := range idxs {
-				t.s.slots[sh].ops++
-				if err := st.UpdateNoFlush(func() error { return tab.Put(keys[i], rows[i]) }); err != nil {
-					errs = append(errs, fmt.Errorf("nvmstore: put key %d: %w", keys[i], err))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			errs = append(errs, fmt.Errorf("nvmstore: put batch on shard %d: %w", sh, err))
-		}
-	}
-	return errors.Join(errs...)
 }
 
 // Lookup copies the row for key into buf and reports whether it exists.
@@ -614,9 +502,8 @@ func (t *ShardedTable) LookupField(key uint64, off, n int, buf []byte) (bool, er
 // transaction.
 func (t *ShardedTable) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	var found bool
-	i := t.s.ShardFor(key)
-	err := t.s.Batch(i, func(st *Store) error {
-		return t.write(st, i, func(tab *Table) (err error) {
+	err := t.s.Batch(t.s.ShardFor(key), func(st *Store) error {
+		return t.write(st, func(tab *Table) (err error) {
 			found, err = tab.UpdateField(key, off, val)
 			return err
 		})
@@ -627,9 +514,8 @@ func (t *ShardedTable) UpdateField(key uint64, off int, val []byte) (bool, error
 // Delete removes a row and reports whether it existed.
 func (t *ShardedTable) Delete(key uint64) (bool, error) {
 	var found bool
-	i := t.s.ShardFor(key)
-	err := t.s.Batch(i, func(st *Store) error {
-		return t.write(st, i, func(tab *Table) (err error) {
+	err := t.s.Batch(t.s.ShardFor(key), func(st *Store) error {
+		return t.write(st, func(tab *Table) (err error) {
 			found, err = tab.Delete(key)
 			return err
 		})
