@@ -622,14 +622,36 @@ func (t *Tree) splitChild(parent, child core.Handle, idx int) (uint64, error) {
 	return sep, nil
 }
 
-// splitSortedLeaf moves the upper half of child into right and links the
-// sibling chain. Returns the separator (first key of right).
+// rightmostFillTenths is how full, in tenths, a split leaves the left
+// page of a leaf that has no right sibling. An insert that lands there
+// lies beyond every key in the tree, as auto-increment ids and timestamps
+// do, and an ascending load that split such a leaf 1:1 would leave every
+// page it passes half empty. Nine tenths rather than all but one entry:
+// keys that arrive slightly out of order (several pipelined writers) still
+// land in the left page, and a full left page would then split 1:1.
+// PostgreSQL's nbtree splits its rightmost page the same way.
+const rightmostFillTenths = 9
+
+// splitPoint returns how many of a splitting leaf's count entries stay in
+// the left page: half of them, or, for the rightmost leaf,
+// rightmostFillTenths of them. From two entries on, that is at least half
+// and never all (1 of 2, 2 of 3, 14 of 16), so neither page is left empty.
+func splitPoint(count int, rightmost bool) int {
+	if rightmost {
+		return rightmostFillTenths * count / 10
+	}
+	return count / 2
+}
+
+// splitSortedLeaf moves the entries past splitPoint from child into right
+// and links the sibling chain. Returns the separator (first key of right).
 func (t *Tree) splitSortedLeaf(child, right core.Handle) uint64 {
 	t.initLeaf(right)
 	src := child.WriteAll()
 	dst := right.WriteAll()
 	count := int(binary.LittleEndian.Uint16(src[offCount:]))
-	mid := count / 2
+	next := core.PageID(binary.LittleEndian.Uint64(src[offNext:]))
+	mid := splitPoint(count, next == core.InvalidPageID)
 	moved := count - mid
 	copy(dst[t.leafKeyOff(0):], src[t.leafKeyOff(mid):t.leafKeyOff(count)])
 	copy(dst[t.leafPayOff(0):], src[t.leafPayOff(mid):t.leafPayOff(count)])

@@ -224,13 +224,14 @@ func (t *Tree) hashPlace(data []byte, key uint64, payload []byte) {
 	copy(data[t.hashPayOff(i):t.hashPayOff(i)+t.payload], payload)
 }
 
-// splitHashLeaf partitions a hash leaf at its median key: the upper half
-// moves into right, the lower half is re-hashed in place (clearing
-// tombstones). Returns the separator.
+// splitHashLeaf partitions a hash leaf at its splitPoint-th key in key
+// order: the entries from there on move into right, the ones below are
+// re-hashed in place (clearing tombstones). Returns the separator.
 func (t *Tree) splitHashLeaf(child, right core.Handle) uint64 {
 	entries := t.hashGather(child)
 	src := child.WriteAll()
-	mid := len(entries) / 2
+	next := binary.LittleEndian.Uint64(src[offNext:])
+	mid := splitPoint(len(entries), core.PageID(next) == core.InvalidPageID)
 	sep := entries[mid].key
 
 	// Copy all payload bytes aside before rebuilding the page in place.
@@ -248,7 +249,6 @@ func (t *Tree) splitHashLeaf(child, right core.Handle) uint64 {
 	binary.LittleEndian.PutUint16(dst[offUsed:], uint16(len(entries)-mid))
 
 	// Rebuild the left page.
-	next := binary.LittleEndian.Uint64(src[offNext:])
 	for i := 0; i < t.hashCap; i++ {
 		src[t.hashStateOff(i)] = slotEmpty
 	}

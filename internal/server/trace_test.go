@@ -350,9 +350,9 @@ func TestStatsExportsOffheapMapped(t *testing.T) {
 }
 
 // TestStatsExportsAdmissionDecisions: on a store whose data outgrows DRAM
-// and NVM, STATS carries the §4.2 decisions, the undo journal's lines and
-// the log's undo records and folded commits, and they are the store's own
-// counters summed over the shards.
+// and NVM, STATS carries the §4.2 decisions, the undo journal's lines, the
+// log's undo records and folded commits and the footprint per tier, and
+// they are the store's own counters summed over the shards.
 func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
@@ -418,6 +418,16 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	doc = statsDoc(t, cl)
 	if want := store.Metrics().Log.Undos; doc.LogUndoRecords != want || want == undos {
 		t.Fatalf("STATS log_undo_records = %d, store counted %d (%d before the transaction)", doc.LogUndoRecords, want, undos)
+	}
+	// The footprint gauges are the shards' residency summed, and data of
+	// 3x NVM occupies every tier.
+	res := store.Metrics().Residency
+	if doc.DRAMBytesUsed != res.DRAMBytesUsed || doc.NVMPages != res.NVMPages || doc.SSDPages != res.SSDPages {
+		t.Fatalf("STATS dram_bytes_used/nvm_pages/ssd_pages = %d/%d/%d, store has %d/%d/%d",
+			doc.DRAMBytesUsed, doc.NVMPages, doc.SSDPages, res.DRAMBytesUsed, res.NVMPages, res.SSDPages)
+	}
+	if res.DRAMBytesUsed == 0 || res.NVMPages == 0 || res.SSDPages == 0 {
+		t.Fatalf("data of 3x NVM left dram_bytes_used/nvm_pages/ssd_pages = %d/%d/%d", res.DRAMBytesUsed, res.NVMPages, res.SSDPages)
 	}
 }
 

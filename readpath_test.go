@@ -115,7 +115,7 @@ func TestPointReadsGoThroughBufferManager(t *testing.T) {
 func TestScanAndSnapshotScanMatchModel(t *testing.T) {
 	const (
 		rows     = 1500
-		rowSize  = 512 // ~15 rows a leaf: dozens of leaves per shard
+		rowSize  = 512 // 31 rows a leaf, ≈ 27 after ascending inserts: 18–55 leaves a shard
 		stride   = 3   // keys 0, 3, 6, ...: some start keys fall between rows
 		fieldOff = 8
 		fieldLen = 16

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -673,14 +672,20 @@ func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fie
 		c.next, c.started, routed = pid, true, true
 	}
 	c.keys, c.fields, c.pos = c.keys[:0], c.fields[:0], 0
+	leafCap := tree.LeafCapacity()
+	room := readLeafBatch * leafCap // the most rows one hold can copy
 	if budget > 0 {
-		// One arena per hold, sized to the most it can copy.
-		room := min(budget, readLeafBatch*tree.LeafCapacity())
-		c.keys = slices.Grow(c.keys, room)
-		c.fields = slices.Grow(c.fields, room*fieldLen)
+		room = min(budget, room)
 	}
 	full, last := false, false
 	emit := func(key uint64, field []byte) bool {
+		if len(c.keys) == cap(c.keys) || len(c.fields)+len(field) > cap(c.fields) {
+			// Grow by one leaf's capacity, never past room: growing by
+			// append would overshoot what the hold can use.
+			rows := min(len(c.keys)+leafCap, room)
+			c.keys = append(make([]uint64, 0, rows), c.keys...)
+			c.fields = append(make([]byte, 0, rows*fieldLen), c.fields...)
+		}
 		c.keys = append(c.keys, key)
 		c.fields = append(c.fields, field...)
 		c.from = key + 1

@@ -1,6 +1,7 @@
 package nvmstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -570,6 +571,91 @@ func TestSnapshotScanSkipsLeavesBelowStart(t *testing.T) {
 	}
 }
 
+// TestAscendingInsertsBesideSnapshotScans has two writers insert
+// interleaved ascending keys (even and odd) through a 2-shard table, so
+// nearly every split is a rightmost leaf's 9:1 split, while a third
+// goroutine scans snapshots. Per shard a snapshot is a commit prefix, so
+// each scan must see, for every shard and writer, a prefix of the keys
+// that writer routes there, in ascending order and with their rows; the
+// last scan must see every key.
+func TestAscendingInsertsBesideSnapshotScans(t *testing.T) {
+	const (
+		shards  = 2
+		writers = 2
+		rowSize = 1000
+		rows    = 3000
+	)
+	s := openShardedStore(t, shards)
+	defer s.Close()
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seq[i][w] lists, ascending, the keys writer w inserts into shard i.
+	var seq [shards][writers][]uint64
+	for k := uint64(0); k < rows; k++ {
+		i, w := s.ShardFor(k), k%writers
+		seq[i][w] = append(seq[i][w], k)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := uint64(w); k < rows; k += writers {
+				if err := table.Insert(k, snapRow(k, 1, rowSize)); err != nil {
+					t.Errorf("insert %d: %v", k, err)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// scan checks one snapshot against the model and returns its row count.
+	scan := func() int {
+		sn, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sn.Close()
+		var next [shards][writers]int
+		n := 0
+		err = table.ScanSnapshot(sn, 0, 0, 0, rowSize, func(k uint64, row []byte) bool {
+			i, w := s.ShardFor(k), k%writers
+			if j := next[i][w]; j >= len(seq[i][w]) || seq[i][w][j] != k {
+				t.Fatalf("snapshot row %d is key %d, not the next key writer %d put in shard %d", n, k, w, i)
+			}
+			if !bytes.Equal(row, snapRow(k, 1, rowSize)) {
+				t.Fatalf("key %d: wrong row", k)
+			}
+			next[i][w]++
+			n++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	scans := 0
+	for writing := true; writing; scans++ {
+		select {
+		case <-done:
+			writing = false
+		default:
+		}
+		scan()
+	}
+	if n := scan(); n != rows {
+		t.Fatalf("after the writers finished a snapshot saw %d rows, want %d", n, rows)
+	}
+	t.Logf("%d snapshot scans beside the writers", scans)
+}
+
 // TestUnboundedSnapshotScanMemoryBounded scans a whole table of several
 // hundred leaves with no limit and samples the live heap from inside the
 // callback: the scan buffers at most readLeafBatch leaves' worth of rows
@@ -578,8 +664,8 @@ func TestSnapshotScanSkipsLeavesBelowStart(t *testing.T) {
 func TestUnboundedSnapshotScanMemoryBounded(t *testing.T) {
 	const (
 		shards  = 2
-		rowSize = 1000 // 8 rows a leaf after ascending inserts
-		rows    = 4000 // ~500 leaves, 8 MB of pages
+		rowSize = 1000 // 16 rows a leaf; ascending inserts leave 14 in each
+		rows    = 4000 // ~290 leaves, 4.7 MB of pages
 	)
 	s := openShardedStore(t, shards)
 	defer s.Close()
@@ -619,7 +705,7 @@ func TestUnboundedSnapshotScanMemoryBounded(t *testing.T) {
 		t.Fatalf("scan saw %d rows, want %d", seen, rows)
 	}
 	if bound := uint64(shards * readLeafBatch * core.PageSize); grown > bound {
-		t.Fatalf("unbounded scan of %d leaves holds %d bytes of heap, want at most %d (shards x readLeafBatch leaves)",
-			rows/8, grown, bound)
+		t.Fatalf("unbounded scan of %d rows holds %d bytes of heap, want at most %d (shards x readLeafBatch leaves)",
+			rows, grown, bound)
 	}
 }
