@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"nvmstore/internal/core"
 	"nvmstore/internal/nvm"
 	"nvmstore/internal/offheap"
 )
@@ -142,10 +141,10 @@ func collectArenas(t *testing.T, want int64) {
 	}
 }
 
-// TestDroppedStoreReleasesItsMedia: a store's simulated NVM and SSD media
-// and the NVM device's wear counters live off the Go heap, and they are
-// released once the store is unreachable (not at Close, after which the
-// store can still be read).
+// TestDroppedStoreReleasesItsMedia: a store's simulated NVM medium, the
+// NVM device's wear counters and the bytes the SSD stores for its pages
+// live off the Go heap, and they are released once the store is
+// unreachable (not at Close, after which the store can still be read).
 func TestDroppedStoreReleasesItsMedia(t *testing.T) {
 	collectArenas(t, 0) // no store of an earlier test is reachable
 	func() {
@@ -157,15 +156,16 @@ func TestDroppedStoreReleasesItsMedia(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		row := bytes.Repeat([]byte{0xa5}, 1000)
 		for key := uint64(0); key < 4000; key++ {
-			if err := s.Update(func() error { return tab.Insert(key, make([]byte, 1000)) }); err != nil {
+			if err := s.Update(func() error { return tab.Insert(key, row) }); err != nil {
 				t.Fatal(err)
 			}
 		}
-		nvmBytes, ssdPages := s.e.Manager().NVM().Size(), s.e.Manager().SSD().Allocated()
+		nvmBytes, ssdBytes := s.e.Manager().NVM().Size(), s.e.Manager().SSD().StoredBytes()
 		wear := nvmBytes / nvm.LineSize * 4
-		if got, want := offheap.Mapped(), nvmBytes+wear+ssdPages*core.PageSize; ssdPages == 0 || got < want {
-			t.Fatalf("store maps %d bytes with a %d-byte NVM device, %d bytes of wear counters and %d SSD pages", got, nvmBytes, wear, ssdPages)
+		if got, want := offheap.Mapped(), nvmBytes+wear+ssdBytes; ssdBytes == 0 || got < want {
+			t.Fatalf("store maps %d bytes with a %d-byte NVM device, %d bytes of wear counters and %d bytes stored on the SSD", got, nvmBytes, wear, ssdBytes)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)

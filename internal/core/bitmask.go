@@ -16,10 +16,12 @@ func (b *bitmask) clear(i int) { b[i>>6] &^= 1 << (uint(i) & 63) }
 // get reports bit i.
 func (b *bitmask) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
-// setRange sets bits [from, to] inclusive.
+// setRange sets bits [from, to] inclusive, a 64-bit word at a time:
+// install and Allocate set all 256 lines on every SSD load and new page.
 func (b *bitmask) setRange(from, to int) {
-	for i := from; i <= to; i++ {
-		b.set(i)
+	for w := from >> 6; w <= to>>6; w++ {
+		lo, hi := max(from, w<<6), min(to, w<<6+63)
+		b[w] |= ^uint64(0) >> uint(63-(hi-lo)) << (uint(lo) & 63)
 	}
 }
 

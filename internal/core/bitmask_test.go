@@ -45,6 +45,27 @@ func TestBitmaskFull(t *testing.T) {
 	}
 }
 
+// TestBitmaskSetRangeMatchesPerBit checks setRange for every range
+// 0 <= from <= to < LinesPerPage, on an empty mask and on one with bits
+// already set, against setting each bit on its own.
+func TestBitmaskSetRangeMatchesPerBit(t *testing.T) {
+	base := bitmask{0x8000000000000001, 0x00ff00ff00ff00ff, 0, 1 << 63}
+	for _, start := range []bitmask{{}, base} {
+		for from := 0; from < LinesPerPage; from++ {
+			for to := from; to < LinesPerPage; to++ {
+				got, want := start, start
+				got.setRange(from, to)
+				for i := from; i <= to; i++ {
+					want.set(i)
+				}
+				if got != want {
+					t.Fatalf("setRange(%d, %d) on %x = %x, want %x", from, to, start, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBitmaskNextClearNextSet(t *testing.T) {
 	var b bitmask
 	b.setRange(10, 20)

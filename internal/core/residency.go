@@ -22,8 +22,10 @@ type Residency struct {
 	NVMDirtyPages int64 `json:"nvmDirtyPages"`
 	NVMSlots      int64 `json:"nvmSlots"`
 
-	// SSD tier: pages written to the SSD at least once.
-	SSDPages int64 `json:"ssdPages"`
+	// SSD tier: pages written to the SSD at least once, and the host
+	// bytes the simulated device holds for them (ssd.Device.StoredBytes).
+	SSDPages       int64 `json:"ssdPages"`
+	SSDStoredBytes int64 `json:"ssdStoredBytes"`
 }
 
 // Add folds other into r, for aggregating per-shard gauges.
@@ -39,6 +41,7 @@ func (r *Residency) Add(other Residency) {
 	r.NVMDirtyPages += other.NVMDirtyPages
 	r.NVMSlots += other.NVMSlots
 	r.SSDPages += other.SSDPages
+	r.SSDStoredBytes += other.SSDStoredBytes
 }
 
 // popcount16 counts the set bits of a mini page's dirty mask.
@@ -100,6 +103,7 @@ func (m *Manager) Residency() Residency {
 	}
 	if m.ssd != nil {
 		r.SSDPages = m.ssd.Allocated()
+		r.SSDStoredBytes = m.ssd.StoredBytes()
 	}
 	return r
 }

@@ -278,13 +278,15 @@ type StatsDoc struct {
 	// heap: every live store's simulated media and device counters
 	// (offheap.Mapped, process-wide, not per store).
 	OffheapMappedBytes int64 `json:"offheap_mapped_bytes" prom:"gauge" help:"bytes mapped off the Go heap for simulated media and device counters, process-wide"`
-	// DRAMBytesUsed, NVMPages and SSDPages are the store's footprint per
-	// tier, summed over shards (core.Residency): the buffer pool's bytes in
-	// use, the pages cached or stored on NVM, and the pages written to the
-	// SSD at least once.
-	DRAMBytesUsed int64 `json:"dram_bytes_used" prom:"gauge" help:"DRAM buffer-pool bytes in use, across shards"`
-	NVMPages      int64 `json:"nvm_pages" prom:"gauge" help:"pages cached or stored on NVM, across shards"`
-	SSDPages      int64 `json:"ssd_pages" prom:"gauge" help:"pages written to the SSD at least once, across shards"`
+	// DRAMBytesUsed, NVMPages, SSDPages and SSDStoredBytes are the
+	// store's footprint per tier, summed over shards (core.Residency): the
+	// buffer pool's bytes in use, the pages cached or stored on NVM, the
+	// pages written to the SSD at least once, and the host bytes the
+	// simulated SSD holds for them.
+	DRAMBytesUsed  int64 `json:"dram_bytes_used" prom:"gauge" help:"DRAM buffer-pool bytes in use, across shards"`
+	NVMPages       int64 `json:"nvm_pages" prom:"gauge" help:"pages cached or stored on NVM, across shards"`
+	SSDPages       int64 `json:"ssd_pages" prom:"gauge" help:"pages written to the SSD at least once, across shards"`
+	SSDStoredBytes int64 `json:"ssd_stored_bytes" prom:"gauge" help:"host bytes the simulated SSD holds for its pages (non-zero prefixes and outgrown blocks), across shards"`
 	// MaxConns is the connection cap and ConnWaits how many accepts had
 	// to wait for a free slot — the MaxConns saturation counter.
 	MaxConns  int   `json:"max_conns" prom:"gauge" help:"connection cap (Options.MaxConns)"`
@@ -538,6 +540,7 @@ func (s *Server) snapshot() *snapshot {
 	doc.DRAMBytesUsed = m.Residency.DRAMBytesUsed
 	doc.NVMPages = m.Residency.NVMPages
 	doc.SSDPages = m.Residency.SSDPages
+	doc.SSDStoredBytes = m.Residency.SSDStoredBytes
 	if snap.engine = m.Latency; m.Latency != nil {
 		doc.Engine = m.Latency.Rows()
 	}

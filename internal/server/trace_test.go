@@ -422,12 +422,13 @@ func TestStatsExportsAdmissionDecisions(t *testing.T) {
 	// The footprint gauges are the shards' residency summed, and data of
 	// 3x NVM occupies every tier.
 	res := store.Metrics().Residency
-	if doc.DRAMBytesUsed != res.DRAMBytesUsed || doc.NVMPages != res.NVMPages || doc.SSDPages != res.SSDPages {
-		t.Fatalf("STATS dram_bytes_used/nvm_pages/ssd_pages = %d/%d/%d, store has %d/%d/%d",
-			doc.DRAMBytesUsed, doc.NVMPages, doc.SSDPages, res.DRAMBytesUsed, res.NVMPages, res.SSDPages)
+	if doc.DRAMBytesUsed != res.DRAMBytesUsed || doc.NVMPages != res.NVMPages || doc.SSDPages != res.SSDPages || doc.SSDStoredBytes != res.SSDStoredBytes {
+		t.Fatalf("STATS dram_bytes_used/nvm_pages/ssd_pages/ssd_stored_bytes = %d/%d/%d/%d, store has %d/%d/%d/%d",
+			doc.DRAMBytesUsed, doc.NVMPages, doc.SSDPages, doc.SSDStoredBytes, res.DRAMBytesUsed, res.NVMPages, res.SSDPages, res.SSDStoredBytes)
 	}
-	if res.DRAMBytesUsed == 0 || res.NVMPages == 0 || res.SSDPages == 0 {
-		t.Fatalf("data of 3x NVM left dram_bytes_used/nvm_pages/ssd_pages = %d/%d/%d", res.DRAMBytesUsed, res.NVMPages, res.SSDPages)
+	if res.DRAMBytesUsed == 0 || res.NVMPages == 0 || res.SSDPages == 0 || res.SSDStoredBytes == 0 {
+		t.Fatalf("data of 3x NVM left dram_bytes_used/nvm_pages/ssd_pages/ssd_stored_bytes = %d/%d/%d/%d",
+			res.DRAMBytesUsed, res.NVMPages, res.SSDPages, res.SSDStoredBytes)
 	}
 }
 

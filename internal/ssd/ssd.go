@@ -6,15 +6,23 @@
 // the per-access latency is orders of magnitude above NVM (hundreds of
 // microseconds versus hundreds of nanoseconds).
 //
-// Pages are allocated lazily, so a large configured capacity costs memory
-// only for pages actually written. That memory is off the Go heap: each
-// first-written page comes from the device's internal/offheap arena, in
-// 1 MB chunks mapped as they fill. Latency is charged to a simclock.Clock
-// rather than slept (see internal/simclock). The device is not safe for
-// concurrent use.
+// How the device holds a page in host memory is not part of what it
+// simulates, so it keeps only what a read needs back: a written page is
+// stored as its prefix up to the last non-zero byte, rounded up to a
+// 1 KB grain, and a read copies that prefix and clears the rest of the
+// caller's buffer. A B-tree leaf filled to the paper's 0.66 holds its rows
+// at the front and zeros behind them, so it costs 10 KB of host memory,
+// not 16. Only written slots cost memory, so a large configured capacity
+// is free. The blocks are off the Go heap, carved from the device's
+// internal/offheap arena in 1 MB chunks mapped as they fill.
+//
+// Latency is charged to a simclock.Clock rather than slept (see
+// internal/simclock), the same per page whatever its prefix. The device is
+// not safe for concurrent use.
 package ssd
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -69,17 +77,29 @@ type Stats struct {
 	Stalls int64
 }
 
+// grain is the unit a stored prefix is rounded up to. A leaf holding
+// 10 192 bytes of rows takes 10 KB at this grain and 12 KB in whole 4 KB
+// sectors; a finer grain saves less than 1 KB a page.
+const grain = 1 << 10
+
+// zeros is what a page's trailing grains are compared against.
+var zeros [grain]byte
+
 // Device is a simulated SSD storing fixed-size pages addressed by slot
 // number.
 type Device struct {
 	cfg Config
 	clk *simclock.Clock
-	// pages maps each written slot to its page, one allocation of arena:
-	// off the Go heap, and unmapped once the device (the arena's one
-	// holder) is unreachable. A method whose last use of d touches a page
-	// ends in runtime.KeepAlive(d), so the unmap cannot overtake the access.
-	arena  *offheap.Arena
-	pages  map[int64][]byte
+	// pages maps each written slot to its block: the page's stored prefix,
+	// nil for an all-zero page. Blocks come from arena: off the Go heap,
+	// and unmapped once the device (the arena's one holder) is
+	// unreachable. A method whose last use of d touches a block ends in
+	// runtime.KeepAlive(d), so the unmap cannot overtake the access.
+	arena *offheap.Arena
+	pages map[int64][]byte
+	// stored counts the bytes of every block taken from the arena,
+	// including those left behind by pages that outgrew them.
+	stored int64
 	stats  Stats
 	rec    obs.Recorder
 	faults *fault.Injector
@@ -161,6 +181,12 @@ func (d *Device) Capacity() int64 { return d.cfg.Capacity }
 // once.
 func (d *Device) Allocated() int64 { return int64(len(d.pages)) }
 
+// StoredBytes returns the host bytes the device holds for its pages: the
+// blocks of written pages and those pages have outgrown. It never exceeds
+// twice Allocated() × PageSize: a page owns one block, and outgrows a
+// block at most once.
+func (d *Device) StoredBytes() int64 { return d.stored }
+
 func (d *Device) checkSlot(slot int64) {
 	if slot < 0 || slot >= d.cfg.Capacity {
 		panic(fmt.Sprintf("ssd: slot %d outside capacity %d", slot, d.cfg.Capacity))
@@ -184,14 +210,9 @@ func (d *Device) ReadPage(slot int64, p []byte) {
 	if d.rec != nil {
 		d.rec.Latency(obs.OpSSDRead, int64(d.cfg.ReadLatency))
 	}
-	if src, ok := d.pages[slot]; ok {
-		copy(p, src)
-		runtime.KeepAlive(d)
-		return
-	}
-	for i := range p {
-		p[i] = 0
-	}
+	n := copy(p, d.pages[slot])
+	runtime.KeepAlive(d)
+	clear(p[n:])
 }
 
 // WritePage stores p, which must be exactly one page long, at slot. SSD
@@ -210,13 +231,44 @@ func (d *Device) WritePage(slot int64, p []byte) {
 	if d.rec != nil {
 		d.rec.Latency(obs.OpSSDWrite, int64(d.cfg.WriteLatency))
 	}
-	dst, ok := d.pages[slot]
-	if !ok {
-		dst = d.arena.Alloc(d.cfg.PageSize)
-		d.pages[slot] = dst
+	blk, ok := d.pages[slot]
+	// A page in a full block stays there, so only a shorter block needs
+	// the scan.
+	if !ok || len(blk) < d.cfg.PageSize {
+		if n := prefixLen(p); !ok || n > len(blk) {
+			if len(blk) > 0 {
+				// Outgrown: the page moves to a full block for good, so
+				// it leaves at most one block behind, unused.
+				n = d.cfg.PageSize
+			}
+			blk = nil
+			if n > 0 {
+				d.stored += int64(n)
+				blk = d.arena.Alloc(n)
+			}
+			d.pages[slot] = blk
+		}
 	}
-	copy(dst, p)
+	// p is zero past its prefix, so this also clears what a longer earlier
+	// write left in the block.
+	copy(blk, p)
 	runtime.KeepAlive(d)
+}
+
+// prefixLen returns the length of p up to its last non-zero byte, rounded
+// up to a whole grain and capped at len(p); 0 if p is all zeros. It
+// compares one grain at a time with bytes.Equal, from the end, so it reads
+// the trailing zeros and one grain of the prefix, no more.
+func prefixLen(p []byte) int {
+	end := len(p)
+	for end > 0 {
+		start := (end - 1) &^ (grain - 1)
+		if !bytes.Equal(p[start:end], zeros[:end-start]) {
+			return end
+		}
+		end = start
+	}
+	return 0
 }
 
 // Written reports whether slot has ever been written.
