@@ -107,22 +107,26 @@ func TestAdmissionDuel(t *testing.T) {
 	counts := []uint8{0, 1, 2, 3, 127, 254, 255}
 	for _, cand := range counts {
 		for _, vict := range counts {
+			// The page ids are taken while the pages are fixed: an evicted
+			// frame's struct is reused by the next page to enter DRAM.
 			m := duelManager(t, 1, 4)
 			v := mustAlloc(t, m)
+			vpid := v.PID()
 			m.Unfix(v)
-			m.loads[v.PID()] = vict
+			m.loads[vpid] = vict
 			m.evictFrame(v.f)
-			if !onNVM(m, v.PID()) {
+			if !onNVM(m, vpid) {
 				t.Fatalf("count %d: a free slot did not admit", vict)
 			}
 			c := mustAlloc(t, m)
+			cpid := c.PID()
 			m.Unfix(c)
-			m.loads[c.PID()], m.loads[v.PID()] = cand, vict
+			m.loads[cpid], m.loads[vpid] = cand, vict
 			m.evictFrame(c.f)
 			won := cand > vict
-			if onNVM(m, c.PID()) != won || onNVM(m, v.PID()) == won {
+			if onNVM(m, cpid) != won || onNVM(m, vpid) == won {
 				t.Fatalf("candidate %d against victim %d: candidate on NVM %v, victim on NVM %v, want %v and %v",
-					cand, vict, onNVM(m, c.PID()), onNVM(m, v.PID()), won, !won)
+					cand, vict, onNVM(m, cpid), onNVM(m, vpid), won, !won)
 			}
 			want := [3]int64{1, 1, 0} // admissions (the free slot's), denials, NVM evictions
 			if won {

@@ -54,8 +54,11 @@ func (t Topology) String() string {
 }
 
 // NVM device layout: a WAL region, one superblock page, the write-back
-// undo journal, then page slots of one header line plus PageSize data
-// each.
+// undo journal, a table of one header line per page slot, then the slots'
+// data, PageSize bytes each from a PageSize boundary on. Aligned, the
+// unused tail of a partly filled page covers whole host pages, which the
+// NVM device then leaves unmapped (nvm.Device.WriteAt). slotSize is what
+// one slot takes of Config.NVMBytes: its header line and its data.
 const (
 	superSize     = 4096
 	slotSize      = LineSize + PageSize
@@ -295,9 +298,17 @@ type Manager struct {
 
 	fullPool [][]byte
 	miniPool [][]byte
+	// spareFrames holds dropped Frame structs for newFrame to reuse, as
+	// the pools above hold their data, so that a page entering DRAM
+	// allocates nothing. Unused under DebugChecks: there a dropped frame
+	// stays dead, and a stale Handle to it fails on its nil data instead of
+	// reaching whichever page the struct would have been reused for.
+	spareFrames []*Frame
 
-	// NVM page-slot bookkeeping.
+	// NVM page-slot bookkeeping: headersOff is the slot header table,
+	// slotsOff the first slot's data.
 	nvmSlots    int64
+	headersOff  int64
 	slotsOff    int64
 	journalOff  int64
 	journalBuf  []byte
@@ -355,10 +366,11 @@ func New(cfg Config) (*Manager, error) {
 	}
 	m.nvmSlots = cfg.NVMBytes / slotSize
 	m.journalOff = cfg.WALBytes + superSize
-	m.slotsOff = m.journalOff + journalSize
+	m.headersOff = m.journalOff + journalSize
+	m.slotsOff = (m.headersOff + m.nvmSlots*LineSize + PageSize - 1) / PageSize * PageSize
 	m.journalBuf = make([]byte, journalIndexLines*LineSize+PageSize)
 	nvmCfg := nvm.Config{
-		Size:              m.slotsOff + m.nvmSlots*slotSize,
+		Size:              m.slotsOff + m.nvmSlots*PageSize,
 		ReadLatency:       cfg.NVMReadLatency,
 		WriteLatency:      cfg.NVMWriteLatency,
 		LineTransfer:      cfg.NVMLineTransfer,
@@ -475,8 +487,8 @@ func (m *Manager) DRAMUsed() int64 { return m.dramUsed }
 // NVMSlotsTotal returns the number of NVM page slots.
 func (m *Manager) NVMSlotsTotal() int64 { return m.nvmSlots }
 
-func (m *Manager) slotHeaderOff(slot int64) int64 { return m.slotsOff + slot*slotSize }
-func (m *Manager) slotDataOff(slot int64) int64   { return m.slotsOff + slot*slotSize + LineSize }
+func (m *Manager) slotHeaderOff(slot int64) int64 { return m.headersOff + slot*LineSize }
+func (m *Manager) slotDataOff(slot int64) int64   { return m.slotsOff + slot*PageSize }
 
 // Handle is a pinned page. The zero Handle is invalid. Handles are values;
 // copy them freely, but every Fix must be matched by exactly one Unfix.
@@ -1207,7 +1219,14 @@ func (m *Manager) newFrame(kind frameKind, pid PageID) (*Frame, error) {
 	if err := m.ensureDRAM(need); err != nil {
 		return nil, err
 	}
-	f := &Frame{kind: kind, pid: pid, nvmSlot: -1}
+	var f *Frame
+	if n := len(m.spareFrames); n > 0 {
+		f = m.spareFrames[n-1]
+		m.spareFrames = m.spareFrames[:n-1]
+		*f = Frame{kind: kind, pid: pid, nvmSlot: -1}
+	} else {
+		f = &Frame{kind: kind, pid: pid, nvmSlot: -1}
+	}
 	if kind == kindMini {
 		if n := len(m.miniPool); n > 0 {
 			f.data = m.miniPool[n-1]
@@ -1252,6 +1271,9 @@ func (m *Manager) dropFrame(f *Frame) {
 	m.frames[f.idx] = nil
 	m.freeFrames = append(m.freeFrames, f.idx)
 	f.data = nil
+	if !m.cfg.DebugChecks {
+		m.spareFrames = append(m.spareFrames, f)
+	}
 }
 
 // ensureDRAM evicts frames until need bytes fit in the DRAM budget.
@@ -1520,8 +1542,8 @@ func (m *Manager) promoteMini(f *Frame) {
 	}
 }
 
-// Slot header helpers. The header occupies the first cache line of each
-// NVM page slot and is what the restart scan of §4.4 reads.
+// Slot header helpers. Each NVM page slot's header is one cache line of
+// the header table, and is what the restart scan of §4.4 reads.
 
 func (m *Manager) writeSlotHeader(slot int64, pid PageID, dirty bool) {
 	var h [16]byte

@@ -958,6 +958,37 @@ func TestDebugChecksCatchUnmarkedWrite(t *testing.T) {
 	_ = m.CleanShutdown()
 }
 
+// TestDroppedFramesReused pins newFrame's reuse of dropped Frame structs
+// and its exception: under DebugChecks an evicted frame is never reused,
+// so a stale handle to it fails on its first access instead of reading
+// whichever page the struct was given to.
+func TestDroppedFramesReused(t *testing.T) {
+	for _, debug := range []bool{false, true} {
+		m := newTestManager(t, DRAMNVM, 4, func(c *Config) { c.DebugChecks = debug })
+		stale := mustAlloc(t, m)
+		fillPattern(stale, 1)
+		m.Unfix(stale)
+		m.evictFrame(stale.f)
+		h := mustAlloc(t, m)
+		fillPattern(h, 2)
+		if reused := h.f == stale.f; reused == debug {
+			t.Fatalf("DebugChecks %v: the next frame reused the evicted one's struct: %v", debug, reused)
+		}
+		m.Unfix(h)
+		if !debug {
+			continue
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("DebugChecks: a stale handle read its evicted page without failing")
+				}
+			}()
+			stale.Read(0, 8)
+		}()
+	}
+}
+
 func TestUnfixPanics(t *testing.T) {
 	m := newTestManager(t, MemOnly, 0)
 	h := mustAlloc(t, m)

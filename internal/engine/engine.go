@@ -108,6 +108,11 @@ type Engine struct {
 	// redo is the reusable buffer a redo image is assembled in; the log
 	// copies it.
 	redo []byte
+	// undo holds the undo images of the running transaction's txOps back
+	// to back; Begin empties it. Images are only ever appended — Rollback's
+	// compensations too — so each txOp's img stays valid until the next
+	// Begin, even where a growing append moved the buffer.
+	undo []byte
 
 	replaying bool
 
@@ -242,6 +247,7 @@ func (e *Engine) Begin() {
 	e.txActive = true
 	e.curTx = e.log.Begin()
 	e.txOps = e.txOps[:0]
+	e.undo = e.undo[:0]
 	e.undoLogged = 0
 	// Advance the transaction stamp: pages modified by this transaction
 	// carry it as their version (what snapshot reads compare against).
@@ -418,8 +424,10 @@ func (e *Engine) logOp(op txOp, undo, redo []byte) error {
 	if !e.txActive {
 		return ErrNoTransaction
 	}
-	op.img = binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(undo)), op.key)
-	op.img = append(op.img, undo...) // undo aliases the page: copy it now
+	start := len(e.undo)
+	e.undo = binary.LittleEndian.AppendUint64(e.undo, op.key)
+	e.undo = append(e.undo, undo...) // undo aliases the page: copy it now
+	op.img = e.undo[start:len(e.undo):len(e.undo)]
 	e.redo = binary.LittleEndian.AppendUint64(e.redo[:0], op.key)
 	e.redo = append(e.redo, redo...)
 	code := op.op | op.off<<2

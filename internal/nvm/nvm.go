@@ -24,6 +24,7 @@
 package nvm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -38,6 +39,13 @@ import (
 
 // LineSize is the cache-line granularity of the device in bytes.
 const LineSize = 64
+
+// hostPage is the page size of the host's virtual memory: the unit in
+// which the medium's memory becomes resident (see WriteAt).
+const hostPage = 4096
+
+// zeroPage is the host page of zeros WriteAt compares with.
+var zeroPage [hostPage]byte
 
 // Config describes the geometry and timing of a simulated NVM device.
 type Config struct {
@@ -130,9 +138,13 @@ type Device struct {
 	stats     Stats
 	cache     *cpuCache
 
-	// pending maps line index -> previous durable content, only in
-	// strict persistence mode.
-	pending map[int64][]byte
+	// pending maps each line written since its last flush to the slot of
+	// prev holding the line's previous durable content, only in strict
+	// persistence mode. Flush returns a line's slot to prevFree and
+	// WriteAt reuses it, so a written line allocates nothing of its own.
+	pending  map[int64]int32
+	prev     []byte
+	prevFree []int32
 
 	// faults, when non-nil, is consulted on every Flush for scheduled
 	// torn flushes, clean crashes, and stalls (see SetFaults).
@@ -207,7 +219,7 @@ func New(cfg Config, clk *simclock.Clock) *Device {
 		d.cache = newCPUCache(arena, cfg.CPUCacheBytes, ways)
 	}
 	if cfg.StrictPersistence {
-		d.pending = make(map[int64][]byte)
+		d.pending = make(map[int64]int32)
 	}
 	return d
 }
@@ -253,12 +265,7 @@ func (d *Device) ReadAt(p []byte, off int64) {
 		return
 	}
 	first, count := lineRange(off, len(p))
-	misses := int64(0)
-	for l := first; l < first+count; l++ {
-		if d.cache == nil || !d.cache.access(l) {
-			misses++
-		}
-	}
+	misses := d.missed(first, count)
 	d.stats.ReadOps++
 	d.stats.LinesRead += count
 	d.stats.LinesReadCharged += misses
@@ -284,12 +291,7 @@ func (d *Device) Touch(off int64, n int) {
 		return
 	}
 	first, count := lineRange(off, n)
-	misses := int64(0)
-	for l := first; l < first+count; l++ {
-		if d.cache == nil || !d.cache.access(l) {
-			misses++
-		}
-	}
+	misses := d.missed(first, count)
 	d.stats.ReadOps++
 	d.stats.LinesRead += count
 	d.stats.LinesReadCharged += misses
@@ -302,6 +304,15 @@ func (d *Device) Touch(off int64, n int) {
 	if d.rec != nil {
 		d.recordRead(ns)
 	}
+}
+
+// missed runs the lines [first, first+count) through the CPU cache and
+// returns how many of them missed it: all of them without a cache.
+func (d *Device) missed(first, count int64) int64 {
+	if d.cache == nil {
+		return count
+	}
+	return d.cache.accessRange(first, count)
 }
 
 // View returns the device's backing memory for [off, off+n) without
@@ -325,6 +336,16 @@ func (d *Device) View(off int64, n int) []byte {
 // mode a Crash reverts unflushed lines. WriteAt itself charges no device
 // time; the cost of persisting is charged by Flush, mirroring how stores go
 // to the CPU cache and clwb pays the NVM write.
+//
+// A whole host page of p that is all zeros, stored onto a host page of the
+// medium that is all zeros, is not copied: the bytes are equal already. The
+// medium is an anonymous mapping (internal/offheap), so a page never
+// stored to reads as the kernel's shared zero page and is not resident;
+// copying zeros onto it would make it so. This is what keeps the zero
+// tails of partly filled pages out of the process's memory. Host pages are
+// counted from the medium's start, which is a host-page boundary on a
+// device of offheap.ChunkSize or more (a mapping of its own); on a smaller
+// one the skip can only save less.
 func (d *Device) WriteAt(p []byte, off int64) {
 	d.checkRange(off, len(p))
 	if len(p) == 0 {
@@ -335,19 +356,46 @@ func (d *Device) WriteAt(p []byte, off int64) {
 	if d.pending != nil {
 		for l := first; l < first+count; l++ {
 			if _, ok := d.pending[l]; !ok {
-				prev := make([]byte, LineSize)
-				copy(prev, d.data[l*LineSize:(l+1)*LineSize])
-				d.pending[l] = prev
+				d.pending[l] = d.keepPrev(l)
 			}
 		}
 	}
-	if d.cache != nil {
-		for l := first; l < first+count; l++ {
-			d.cache.access(l) // write-allocate
+	d.missed(first, count) // write-allocate
+	// Copy p in runs as long as possible: p[from:i] is yet to be copied.
+	dst := d.data[off : off+int64(len(p))]
+	from := 0
+	for i := 0; i < len(p); {
+		n := min(len(p)-i, hostPage-int((off+int64(i))%hostPage))
+		if n == hostPage && bytes.Equal(p[i:i+n], zeroPage[:]) && bytes.Equal(dst[i:i+n], zeroPage[:]) {
+			copy(dst[from:i], p[from:i])
+			from = i + n
 		}
+		i += n
 	}
-	copy(d.data[off:off+int64(len(p))], p)
+	copy(dst[from:], p[from:])
 	runtime.KeepAlive(d)
+}
+
+// keepPrev copies line l's current content into a free slot of prev and
+// returns the slot.
+func (d *Device) keepPrev(l int64) int32 {
+	line := d.data[l*LineSize : (l+1)*LineSize]
+	if n := len(d.prevFree); n > 0 {
+		i := d.prevFree[n-1]
+		d.prevFree = d.prevFree[:n-1]
+		copy(d.prev[int64(i)*LineSize:], line)
+		return i
+	}
+	d.prev = append(d.prev, line...)
+	return int32(len(d.prev)/LineSize - 1)
+}
+
+// settle marks line l durable: a Crash no longer reverts it.
+func (d *Device) settle(l int64) {
+	if i, ok := d.pending[l]; ok {
+		delete(d.pending, l)
+		d.prevFree = append(d.prevFree, i)
+	}
 }
 
 // SetFaults installs a fault injector consulted on every Flush: a
@@ -385,7 +433,7 @@ func (d *Device) Flush(off int64, n int) {
 			for l := first; l < first+durable; l++ {
 				d.wear[l]++
 				if d.pending != nil {
-					delete(d.pending, l)
+					d.settle(l)
 				}
 			}
 			d.wearTotal += durable
@@ -396,7 +444,7 @@ func (d *Device) Flush(off int64, n int) {
 	for l := first; l < first+count; l++ {
 		d.wear[l]++
 		if d.pending != nil {
-			delete(d.pending, l)
+			d.settle(l)
 		}
 	}
 	d.wearTotal += count
@@ -421,12 +469,11 @@ func (d *Device) Persist(p []byte, off int64) {
 // written since its last flush reverts to its last durable content. The
 // simulated CPU cache is dropped either way (a real restart starts cold).
 func (d *Device) Crash() {
-	for l, prev := range d.pending {
-		copy(d.data[l*LineSize:(l+1)*LineSize], prev)
+	for l, i := range d.pending {
+		copy(d.data[l*LineSize:(l+1)*LineSize], d.prev[int64(i)*LineSize:])
 	}
-	if d.pending != nil {
-		d.pending = make(map[int64][]byte)
-	}
+	clear(d.pending)
+	d.prev, d.prevFree = d.prev[:0], d.prevFree[:0]
 	d.DropCPUCache()
 }
 
@@ -492,10 +539,44 @@ func newCPUCache(arena *offheap.Arena, bytes int64, ways int) *cpuCache {
 	return &cpuCache{ways: ways, sets: sets, tags: offheap.Uint32s(arena, int(sets)*ways)}
 }
 
-// access looks up line l, inserting it if absent, and reports whether it
-// was present (a hit).
-func (c *cpuCache) access(l int64) bool {
-	set := l % c.sets
+// skewShift sets the skew of the set index: one set more per
+// 1<<skewShift lines, the lines of a 16 KB page.
+const skewShift = 8
+
+// set returns the set line l maps to. The index is skewed by one set per
+// 256 lines, so that 16 KB pages laid out back to back (core's page slots)
+// spread over the sets as they would at a stride of 257 lines. A plain
+// l % sets would put line i of every such page into the same sets/256
+// sets (the default cache has a multiple of 256 sets), where the hot first
+// lines of all pages evict each other. Consecutive lines still map to
+// consecutive sets, but one at each 256-line boundary.
+func (c *cpuCache) set(l int64) int64 { return (l + l>>skewShift) % c.sets }
+
+// accessRange accesses the lines [first, first+count) in order and returns
+// how many of them missed. Only the first line's set is divided out; each
+// further line's set follows from its predecessor's.
+func (c *cpuCache) accessRange(first, count int64) (misses int64) {
+	set := c.set(first)
+	for l := first; l < first+count; l++ {
+		if l != first {
+			set++
+			if l&(1<<skewShift-1) == 0 {
+				set++
+			}
+			for set >= c.sets {
+				set -= c.sets
+			}
+		}
+		if !c.access(l, set) {
+			misses++
+		}
+	}
+	return misses
+}
+
+// access looks up line l in its set, inserting it if absent, and reports
+// whether it was present (a hit).
+func (c *cpuCache) access(l, set int64) bool {
 	base := set * int64(c.ways)
 	tag := uint32(l + 1)
 	ways := c.tags[base : base+int64(c.ways)]

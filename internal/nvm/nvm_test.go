@@ -212,8 +212,10 @@ func TestCPUCacheEvicts(t *testing.T) {
 
 // TestCPUCacheIsExactLRU drives the cache model with seeded random line
 // streams on 4 sets of 8 ways and compares every hit and miss with a
-// list-based LRU per set. Half of the lines sit just below 2³²−1, where the
-// 32-bit tags (line + 1) end; line 2³²−2 has the largest tag there is.
+// list-based LRU per set, taking each line's set from the cache's own
+// index function (TestCPUCacheIndex pins that down). Half of the lines
+// sit just below 2³²−1, where the 32-bit tags (line + 1) end; line 2³²−2
+// has the largest tag there is.
 func TestCPUCacheIsExactLRU(t *testing.T) {
 	const sets, ways = 4, 8
 	for seed := int64(1); seed <= 16; seed++ {
@@ -233,19 +235,65 @@ func TestCPUCacheIsExactLRU(t *testing.T) {
 				clear(model)
 			}
 			l := pool[rng.Intn(len(pool))]
-			s := model[l%sets]
+			set := c.set(l) // the model checks replacement, not the index
+			s := model[set]
 			at := slices.Index(s, l)
 			if at >= 0 {
 				s = slices.Delete(s, at, at+1)
 			}
 			s = slices.Insert(s, 0, l)
-			model[l%sets] = s[:min(len(s), ways)]
-			if hit := c.access(l); hit != (at >= 0) {
+			model[set] = s[:min(len(s), ways)]
+			if hit := c.accessRange(l, 1) == 0; hit != (at >= 0) {
 				t.Fatalf("seed %d step %d: line %d hit=%v, LRU model says %v", seed, step, l, hit, at >= 0)
 			}
 		}
 		runtime.KeepAlive(arena) // c's tags are arena memory
 	}
+}
+
+// TestCPUCacheIndex pins the set index: consecutive lines take
+// consecutive sets, and line i of the k-th 256-line page takes the set it
+// would take at a stride of 257 lines, up to one offset for all pages, so
+// that pages laid out back to back do not crowd their first lines into
+// the same few sets. accessRange, which steps from set to set instead of
+// dividing per line, must agree with it.
+func TestCPUCacheIndex(t *testing.T) {
+	const ways = 8
+	arena := offheap.New()
+	c := newCPUCache(arena, 20<<20, ways) // the default cache: 40 960 sets
+	for l := int64(0); l < 4096; l++ {
+		if c.set(l+1) != (c.set(l)+1)%c.sets && (l+1)%256 != 0 {
+			t.Fatalf("lines %d and %d take sets %d and %d, not consecutive ones", l, l+1, c.set(l), c.set(l+1))
+		}
+	}
+	const base = 1 << 18 // a 256-line boundary, like core's first slot
+	shift := c.set(base)
+	for k := int64(0); k < 400; k++ {
+		for _, i := range []int64{0, 1, 100, 255} {
+			got := c.set(base + 256*k + i)
+			if want := (shift + 257*k + i) % c.sets; got != want {
+				t.Fatalf("line %d of page %d: set %d, want %d as at a 257-line stride", i, k, got, want)
+			}
+		}
+	}
+
+	// accessRange derives each line's set from its predecessor's: every
+	// line of a run, across 256-line boundaries and the wrap past the last
+	// set, must land in the set the index function names.
+	small := newCPUCache(arena, 3*ways*LineSize, ways)
+	for _, c := range []*cpuCache{c, small} {
+		for _, first := range []int64{0, 1, 250, 255, 256, 511, base - 3, base + 254, 40959, 40960*256 - 2, 1<<31 - 5} {
+			c.reset()
+			c.accessRange(first, ways)
+			for l := first; l < first+ways; l++ {
+				set := c.set(l)
+				if !slices.Contains(c.tags[set*ways:(set+1)*ways], uint32(l+1)) {
+					t.Fatalf("%d sets, run from line %d: line %d is not in its set %d", c.sets, first, l, set)
+				}
+			}
+		}
+	}
+	runtime.KeepAlive(arena)
 }
 
 func TestDropCPUCacheColdReads(t *testing.T) {
@@ -304,6 +352,28 @@ func TestStrictPersistenceFlushSurvivesCrash(t *testing.T) {
 	d.ReadAt(got, 0)
 	if string(got) != "v2" {
 		t.Fatalf("after crash = %q, want v2", got)
+	}
+}
+
+// TestStrictPersistenceAllocatesNoLine: once the slab of previous line
+// contents has room for the unflushed lines, writing lines, flushing them
+// and crashing allocates nothing, however many lines pass through.
+func TestStrictPersistenceAllocatesNoLine(t *testing.T) {
+	const size, chunk = 1 << 20, 4096
+	cfg := testConfig(size)
+	cfg.StrictPersistence = true
+	d := New(cfg, &simclock.Clock{})
+	p := bytes.Repeat([]byte{7}, chunk)
+	cycle := func() {
+		for off := int64(0); off < size; off += chunk {
+			d.WriteAt(p, off)
+		}
+		d.Flush(0, size/2)
+		d.Crash() // reverts the unflushed half
+	}
+	cycle() // grows the slab and the index to the 16 384 lines
+	if n := testing.AllocsPerRun(10, cycle); n != 0 {
+		t.Fatalf("writing and flushing %d lines allocates %v objects, want 0", size/LineSize, n)
 	}
 }
 
