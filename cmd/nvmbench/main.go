@@ -7,7 +7,7 @@
 //	nvmbench -experiment fig8
 //	nvmbench -experiment figA1 -threads 4
 //	nvmbench -experiment all -scale 16 -ops 30000
-//	nvmbench -experiment figA1 -threads 4 -json -trace -http :6060
+//	nvmbench -experiment figA1 -threads 4 -json -http :6060
 //	nvmbench -remote localhost:7070 -clients 4 -load
 //	nvmbench -experiment repl -replicas 2 -json
 //
@@ -42,19 +42,16 @@
 // (kinds and parameters are documented in internal/fault).
 //
 // Observability: -obs records per-tier latency histograms (printed as a
-// table after each experiment and embedded in the JSON output); -trace
-// additionally captures page-lifecycle events and writes them to
-// TRACE_<id>.jsonl; -http serves net/http/pprof and a /metrics.json
-// document (the running experiment and its latency rows, read on each
-// request) for the duration of the run. -json and -trace accept a bare
-// flag (current directory) or -json=dir / -trace=dir.
+// table after each experiment and embedded in the JSON output); -http
+// serves net/http/pprof and a /metrics.json document (the running
+// experiment and its latency rows, read on each request) for the duration
+// of the run. -json accepts a bare flag (current directory) or -json=dir.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -89,10 +86,6 @@ func (f *dirFlag) Set(s string) error {
 	return nil
 }
 
-// traceRingCap is the per-engine lifecycle-event ring size under
-// -trace: the most recent 64k events per shard, ~2 MB each.
-const traceRingCap = 1 << 16
-
 // phaseBox is the shared mutable "what is running right now" behind the
 // -http /metrics.json document.
 type phaseBox struct {
@@ -115,7 +108,7 @@ func (p *phaseBox) get() string {
 // run holds the real main body so deferred cleanup (notably stopping the
 // CPU profile) executes before the process exits.
 func run() int {
-	var jsonDir, traceDir dirFlag
+	var jsonDir dirFlag
 	var (
 		experiment = flag.String("experiment", "", "experiment id (see -list), or \"all\"")
 		list       = flag.Bool("list", false, "list available experiments")
@@ -143,7 +136,6 @@ func run() int {
 		traceSamp  = flag.Int("tracesample", 0, "remote mode: stamp every Nth keyed request with a trace header and report the server's p99 stage decomposition (0: off, 1: every request)")
 	)
 	flag.Var(&jsonDir, "json", "write BENCH_<id>.json files (bare flag: current directory, or -json=dir)")
-	flag.Var(&traceDir, "trace", "record lifecycle events and write TRACE_<id>.jsonl (bare flag: current directory, or -trace=dir)")
 	flag.Parse()
 
 	if *list {
@@ -256,14 +248,9 @@ func run() int {
 		}
 		opts.Faults = plan
 	}
-	// -trace implies -obs (events without histograms would be half a
-	// picture); -http implies -obs so /metrics.json has something to show.
-	if *observe || traceDir.dir != "" || *httpAddr != "" {
-		sink := &bench.ObsSink{}
-		if traceDir.dir != "" {
-			sink.TraceCap = traceRingCap
-		}
-		opts.Obs = sink
+	// -http implies -obs so /metrics.json has something to show.
+	if *observe || *httpAddr != "" {
+		opts.Obs = &bench.ObsSink{}
 	}
 
 	var phase phaseBox
@@ -312,16 +299,6 @@ func run() int {
 				break
 			}
 			fmt.Printf("(wrote %s)\n", path)
-		}
-		if traceDir.dir != "" {
-			path := filepath.Join(traceDir.dir, "TRACE_"+res.Tag()+".jsonl")
-			n, err := saveTrace(opts.Obs, path, exp.ID)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nvmbench: %s: %v\n", exp.ID, err)
-				exitCode = 1
-				break
-			}
-			fmt.Printf("(wrote %s, %d events)\n", path, n)
 		}
 		fmt.Printf("(%s finished in %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
 	}
@@ -377,18 +354,4 @@ func runRemote(o remote.Options, format, jsonDir string) int {
 	}
 	fmt.Printf("(remote run finished in %v)\n", time.Since(start).Round(time.Millisecond))
 	return 0
-}
-
-// saveTrace dumps the sink's event rings (all shards, all pids) as
-// JSONL to path.
-func saveTrace(sink *bench.ObsSink, path, label string) (int, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := sink.WriteTrace(f, label, 0)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
 }

@@ -157,27 +157,45 @@ func receiverType(d *ast.FuncDecl) string {
 // and the flag rows of docs/OPERATIONS.md §1 differ in either direction:
 // an undocumented flag, or a documented flag the binary no longer has.
 func TestServerFlagsDocumented(t *testing.T) {
-	src, err := os.ReadFile("cmd/nvmserver/main.go")
+	flagsDocumented(t, "cmd/nvmserver/main.go", 1)
+}
+
+// TestBenchFlagsDocumented is TestServerFlagsDocumented for cmd/nvmbench
+// and docs/OPERATIONS.md §2.
+func TestBenchFlagsDocumented(t *testing.T) {
+	flagsDocumented(t, "cmd/nvmbench/main.go", 2)
+}
+
+// flagsDocumented compares the flags mainGo declares (flag.Var ones
+// included) with the flags named in the first column of the table rows of
+// docs/OPERATIONS.md §n; one row may name several flags ("`-a` / `-b`").
+func flagsDocumented(t *testing.T, mainGo string, n int) {
+	t.Helper()
+	src, err := os.ReadFile(mainGo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var declared []string
-	for _, m := range regexp.MustCompile(`flag\.\w+\("([^"]+)"`).FindAllSubmatch(src, -1) {
+	for _, m := range regexp.MustCompile(`flag\.\w+\((?:&\w+, )?"([^"]+)"`).FindAllSubmatch(src, -1) {
 		declared = append(declared, string(m[1]))
 	}
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	section, _, _ := strings.Cut(string(doc), "\n## 2.")
+	_, section, _ := strings.Cut(string(doc), fmt.Sprintf("\n## %d.", n))
+	section, _, _ = strings.Cut(section, fmt.Sprintf("\n## %d.", n+1))
 	var documented []string
-	for _, m := range regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|").FindAllStringSubmatch(section, -1) {
-		documented = append(documented, m[1])
+	for _, row := range regexp.MustCompile("(?m)^\\| (`-[^|]+) \\|").FindAllStringSubmatch(section, -1) {
+		for _, m := range regexp.MustCompile("`-([^`]+)`").FindAllStringSubmatch(row[1], -1) {
+			documented = append(documented, m[1])
+		}
 	}
 	slices.Sort(declared)
 	slices.Sort(documented)
 	if len(declared) == 0 || !slices.Equal(declared, documented) {
-		t.Errorf("nvmserver flags and docs/OPERATIONS.md §1 differ:\n declared:   %v\n documented: %v", declared, documented)
+		t.Errorf("%s flags and docs/OPERATIONS.md §%d differ:\n declared:   %v\n documented: %v",
+			mainGo, n, declared, documented)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nvmstore/internal/core"
+	"nvmstore/internal/obs"
 )
 
 // TestEmbeddedOpsAllocateNothing pins the embedded op path at zero heap
@@ -14,8 +15,20 @@ import (
 // times its DRAM, so that the measured operations evict frames, load
 // cache lines from NVM, promote mini pages and write dirty pages back.
 // A run is a batch of operations, so a result of 0 means fewer than one
-// allocation per batch, not merely fewer than one per operation.
+// allocation per batch, not merely fewer than one per operation. It runs
+// with Options.Observe off and on: the recorder-enabled path is the one
+// the benchmark's traced run takes.
 func TestEmbeddedOpsAllocateNothing(t *testing.T) {
+	for _, observe := range []bool{false, true} {
+		name := "observe=off"
+		if observe {
+			name = "observe=on"
+		}
+		t.Run(name, func(t *testing.T) { embeddedOpsAllocateNothing(t, observe) })
+	}
+}
+
+func embeddedOpsAllocateNothing(t *testing.T, observe bool) {
 	const (
 		rows, rowSize = 4000, 1000 // ≈ 400 leaves at the 0.66 fill, 6.5 MB
 		dram          = 1 << 20
@@ -28,6 +41,7 @@ func TestEmbeddedOpsAllocateNothing(t *testing.T) {
 		NVMBytes:     16 << 20,
 		SSDBytes:     32 << 20,
 		WALBytes:     1 << 20,
+		Observe:      observe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -109,5 +123,8 @@ func TestEmbeddedOpsAllocateNothing(t *testing.T) {
 		if n == 0 {
 			t.Errorf("the measured operations made no %s: the test does not cover that path", what)
 		}
+	}
+	if lat := s.Metrics().Latency; observe && (lat == nil || lat.Ops[obs.OpNVMLineLoad].Count() == 0) {
+		t.Error("Observe is on, but no cache-line load latency was recorded")
 	}
 }

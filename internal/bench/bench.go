@@ -52,9 +52,8 @@ type Options struct {
 	// random streams (nvmbench -seed), so repeated runs can draw
 	// different — but individually reproducible — key sequences.
 	Seed uint64
-	// Obs, when non-nil, installs a latency/event recorder into every
-	// engine the experiments build. Merged histograms land in
-	// Result.Latency; lifecycle traces stay in the sink until dumped.
+	// Obs, when non-nil, installs a latency recorder into every engine
+	// the experiments build. Merged histograms land in Result.Latency.
 	// Recording costs a few percent of throughput — leave nil for clean
 	// performance runs.
 	Obs *ObsSink
@@ -111,14 +110,6 @@ type Result struct {
 	// sampled request timelines, recorded when the run traced requests
 	// (remote mode with TraceSample); nil otherwise.
 	Attribution *obs.Attribution
-}
-
-// Tag returns the file-name tag: FileTag if set, else the ID.
-func (r Result) Tag() string {
-	if r.FileTag != "" {
-		return r.FileTag
-	}
-	return r.ID
 }
 
 // Format writes the result as an aligned text table with one column per

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"io"
 	"sync"
 
 	"nvmstore/internal/obs"
@@ -13,10 +12,6 @@ import (
 // collector and merges them on demand. Install one via Options.Obs;
 // leave it nil for clean performance runs.
 type ObsSink struct {
-	// TraceCap is the per-engine lifecycle-event ring capacity. Zero
-	// records histograms only.
-	TraceCap int
-
 	mu         sync.Mutex
 	collectors []*obs.Collector
 }
@@ -24,7 +19,7 @@ type ObsSink struct {
 // newCollector registers a fresh per-engine collector. Safe to call
 // from the concurrent engine builders.
 func (s *ObsSink) newCollector() *obs.Collector {
-	c := obs.NewCollector(s.TraceCap)
+	c := obs.NewCollector()
 	s.mu.Lock()
 	s.collectors = append(s.collectors, c)
 	s.mu.Unlock()
@@ -46,28 +41,6 @@ func (s *ObsSink) Snapshot() *obs.Snapshot {
 
 // Rows returns the merged per-operation latency table.
 func (s *ObsSink) Rows() []obs.Row { return s.Snapshot().Rows() }
-
-// WriteTrace dumps every engine's event ring as JSONL, tagging each
-// line with the experiment label and the engine's registration index as
-// its shard. Unlike Snapshot, this must not run concurrently with the
-// workload: the rings are single-writer.
-func (s *ObsSink) WriteTrace(w io.Writer, label string, pid uint64) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0
-	for i, c := range s.collectors {
-		tr := c.Trace()
-		if tr == nil {
-			continue
-		}
-		n, err := tr.WriteJSONL(w, label, i, pid)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
 
 // Reset drops every registered collector, starting a fresh phase.
 func (s *ObsSink) Reset() {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -14,11 +13,11 @@ import (
 // TestObsSinkThroughExperiment runs figA1 at tiny scale with a recorder
 // installed and checks every observability surface: merged latency rows
 // on the result, the rendered per-tier table, the thread-suffixed JSON
-// file embedding the latency section, and a parseable JSONL trace.
+// file embedding the latency section.
 func TestObsSinkThroughExperiment(t *testing.T) {
 	o := tinyOptions()
 	o.Threads = 2
-	o.Obs = &ObsSink{TraceCap: 4096}
+	o.Obs = &ObsSink{}
 	exp, err := Lookup("figA1")
 	if err != nil {
 		t.Fatal(err)
@@ -72,33 +71,6 @@ func TestObsSinkThroughExperiment(t *testing.T) {
 	}
 	if len(got.Latency) != len(res.Latency) {
 		t.Errorf("json latency rows = %d, want %d", len(got.Latency), len(res.Latency))
-	}
-
-	var buf bytes.Buffer
-	n, err := o.Obs.WriteTrace(&buf, "figA1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("trace rings empty after instrumented run")
-	}
-	lines := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
-	if len(lines) != n {
-		t.Fatalf("WriteTrace reported %d events, emitted %d lines", n, len(lines))
-	}
-	for i, line := range lines {
-		var ev struct {
-			Experiment string `json:"experiment"`
-			Shard      *int   `json:"shard"`
-			Event      string `json:"event"`
-			Tier       string `json:"tier"`
-		}
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("trace line %d invalid: %v\n%s", i, err, line)
-		}
-		if ev.Experiment != "figA1" || ev.Shard == nil || ev.Event == "" || ev.Tier == "" {
-			t.Fatalf("trace line %d incomplete: %s", i, line)
-		}
 	}
 }
 

@@ -66,7 +66,11 @@ func (r Result) SaveJSON(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, "BENCH_"+r.Tag()+".json")
+	tag := r.FileTag
+	if tag == "" {
+		tag = r.ID
+	}
+	path := filepath.Join(dir, "BENCH_"+tag+".json")
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		return "", err
 	}

@@ -274,7 +274,6 @@ func (f *Frame) makeResident(m *Manager, a, b int) (pos int, ok bool) {
 	}
 	if m.rec != nil && loaded > 0 {
 		m.rec.Latency(obs.OpNVMLineLoad, m.clk.Ns()-t0)
-		m.trace(f.pid, f.idx, obs.EvLineLoad, obs.TierNVM, uint32(loaded))
 	}
 	return pos, true
 }

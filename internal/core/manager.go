@@ -130,9 +130,9 @@ type Config struct {
 	DebugChecks bool
 
 	// Recorder, when non-nil, receives latency samples at every tier
-	// boundary and page-lifecycle events (see internal/obs). It is also
-	// installed on the manager's NVM and SSD devices. Nil disables all
-	// recording at the cost of one nil check per boundary.
+	// boundary (see internal/obs). It is also installed on the manager's
+	// NVM and SSD devices. Nil disables all recording at the cost of one
+	// nil check per boundary.
 	Recorder obs.Recorder
 }
 
@@ -465,22 +465,6 @@ func (m *Manager) SyncObs() {
 	}
 }
 
-// trace emits a page-lifecycle event when a recorder is installed,
-// stamping it with the current simulated time.
-func (m *Manager) trace(pid PageID, frame int32, kind obs.EventKind, tier obs.Tier, detail uint32) {
-	if m.rec == nil {
-		return
-	}
-	m.rec.Event(obs.Event{
-		SimNs:  m.clk.Ns(),
-		PID:    uint64(pid),
-		Frame:  frame,
-		Kind:   kind,
-		Tier:   tier,
-		Detail: detail,
-	})
-}
-
 // DRAMUsed returns the bytes currently charged against the DRAM budget.
 func (m *Manager) DRAMUsed() int64 { return m.dramUsed }
 
@@ -576,7 +560,6 @@ func (m *Manager) Allocate() (Handle, error) {
 		m.writeSlotHeader(slot, pid, false)
 		f := m.directFrame(pid, slot)
 		m.stats.DirectFixes++
-		m.trace(pid, -1, obs.EvAlloc, obs.TierNVM, 0)
 		return Handle{f, m}, nil
 	}
 	slot := int64(-1) // MemOnly, DRAMSSD and ThreeTier pages start without NVM backing
@@ -593,7 +576,6 @@ func (m *Manager) Allocate() (Handle, error) {
 	f.dirty.setRange(0, LinesPerPage-1)
 	f.anyDirty = true
 	f.needsJournal = true
-	m.trace(f.pid, f.idx, obs.EvAlloc, obs.TierDRAM, 0)
 	return Handle{f, m}, nil
 }
 
@@ -777,11 +759,6 @@ func (m *Manager) loadFromNVM(pid PageID, slot int64, mode AccessMode) (*Frame, 
 		}
 	}
 	m.install(f, slot, pageGrained)
-	var mini uint32
-	if kind == kindMini {
-		mini = 1
-	}
-	m.trace(pid, f.idx, obs.EvLoad, obs.TierNVM, mini)
 	return f, nil
 }
 
@@ -796,7 +773,6 @@ func (m *Manager) loadFromSSD(pid PageID) (*Frame, error) {
 	m.ssd.ReadPage(int64(pid-1), f.data)
 	m.install(f, -1, true)
 	m.stats.SSDLoads++
-	m.trace(pid, f.idx, obs.EvLoad, obs.TierSSD, 0)
 	return f, nil
 }
 
@@ -811,19 +787,14 @@ func (m *Manager) maybeSwizzle(f *Frame, parent *Frame, wordOff int, holder *Ref
 		f.parent = parent
 		f.parentOff = int32(wordOff)
 		m.stats.Swizzles++
-		m.trace(f.pid, f.idx, obs.EvSwizzle, obs.TierDRAM, 0)
 	case holder != nil:
 		*holder = swizzledRef(f.idx)
 		f.rootHolder = holder
 		m.stats.Swizzles++
-		m.trace(f.pid, f.idx, obs.EvSwizzle, obs.TierDRAM, 0)
 	}
 }
 
 func (m *Manager) unswizzle(f *Frame) {
-	if f.swizzled() {
-		m.trace(f.pid, f.idx, obs.EvUnswizzle, obs.TierDRAM, 0)
-	}
 	switch {
 	case f.parent != nil:
 		if got := getRef(f.parent.data, int(f.parentOff)); !got.Swizzled() || got.frameIndex() != f.idx {
@@ -926,7 +897,6 @@ func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 		mk := m.written()
 		m.ssd.WritePage(int64(f.pid-1), f.data)
 		m.charge(cause, mk)
-		m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierSSD, 0)
 	case f.nvmSlot >= 0 && (dirty || admit):
 		var t0 int64
 		if admit {
@@ -967,13 +937,8 @@ func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 				m.writeSlotHeader(f.nvmSlot, f.pid, dirty)
 			}
 		}
-		if admit {
-			if m.rec != nil {
-				m.rec.Latency(obs.OpNVMAdmit, m.clk.Ns()-t0)
-			}
-			m.trace(f.pid, f.idx, obs.EvAdmit, obs.TierNVM, uint32(f.nvmSlot))
-		} else if f.kind != kindDirect {
-			m.trace(f.pid, f.idx, obs.EvWriteback, obs.TierNVM, 0)
+		if admit && m.rec != nil {
+			m.rec.Latency(obs.OpNVMAdmit, m.clk.Ns()-t0)
 		}
 	}
 	f.dirty.reset()
@@ -1165,7 +1130,6 @@ func (m *Manager) FreePage(h Handle) {
 		panic(fmt.Sprintf("core: freeing page %d with swizzled children", f.pid))
 	}
 	pid := f.pid
-	m.trace(pid, f.idx, obs.EvFree, obs.TierDRAM, 0)
 	m.vers.Drop(pid)
 	if int(pid) < len(m.loads) {
 		m.loads[pid] = 0 // pids are reused: the next page starts without history
@@ -1334,10 +1298,8 @@ func (m *Manager) evictFrame(f *Frame) {
 		delete(m.table, f.pid)
 		if m.cfg.Topology == ThreeTier {
 			m.stats.NVMDenials++
-			m.trace(f.pid, f.idx, obs.EvDeny, obs.TierNVM, 0)
 		}
 	}
-	m.trace(f.pid, f.idx, obs.EvEvict, obs.TierDRAM, 0)
 	m.dropFrame(f)
 	if m.rec != nil {
 		m.rec.Latency(obs.OpDRAMEvict, m.clk.Ns()-t0)
@@ -1483,16 +1445,13 @@ func (m *Manager) evictNVMSlot(slot int64) {
 		mk := m.written()
 		m.ssd.WritePage(int64(e.pid-1), m.scratch)
 		m.charge(causeNVMEvict, mk)
-		m.trace(e.pid, -1, obs.EvWriteback, obs.TierSSD, uint32(slot))
 	}
-	pid := e.pid
 	delete(m.table, e.pid)
 	m.clearSlotHeader(slot)
 	*e = nvmSlotMeta{}
 	m.stats.NVMEvictions++
 	if m.rec != nil {
 		m.rec.Latency(obs.OpNVMEvict, m.clk.Ns()-t0)
-		m.trace(pid, -1, obs.EvEvict, obs.TierNVM, uint32(slot))
 	}
 }
 
@@ -1538,7 +1497,6 @@ func (m *Manager) promoteMini(f *Frame) {
 	m.stats.MiniPromotions++
 	if m.rec != nil {
 		m.rec.Latency(obs.OpMiniPromote, m.clk.Ns()-t0)
-		m.trace(f.pid, full.idx, obs.EvPromote, obs.TierDRAM, uint32(f.count))
 	}
 }
 

@@ -1,23 +1,14 @@
 package obs
 
-// Collector is the standard Recorder: one lock-free histogram per Op plus
-// an optional lifecycle-event ring. One Collector serves one engine
-// (shard); per-shard Collectors are aggregated by merging snapshots.
+// Collector is the standard Recorder: one lock-free histogram per Op.
+// One Collector serves one engine (shard); per-shard Collectors are
+// aggregated by merging snapshots.
 type Collector struct {
-	hist  [NumOps]Histogram
-	trace *Trace
+	hist [NumOps]Histogram
 }
 
-// NewCollector returns a Collector. traceCap > 0 also enables the
-// lifecycle-event ring, retaining the most recent traceCap events;
-// traceCap <= 0 records latencies only.
-func NewCollector(traceCap int) *Collector {
-	c := &Collector{}
-	if traceCap > 0 {
-		c.trace = NewTrace(traceCap)
-	}
-	return c
-}
+// NewCollector returns an empty Collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Latency implements Recorder.
 func (c *Collector) Latency(op Op, ns int64) {
@@ -28,19 +19,6 @@ func (c *Collector) Latency(op Op, ns int64) {
 func (c *Collector) LatencyZeros(op Op, n int64) {
 	c.hist[op].RecordZeros(n)
 }
-
-// Event implements Recorder. Without a ring (traceCap <= 0) events are
-// dropped.
-func (c *Collector) Event(e Event) {
-	if c.trace != nil {
-		c.trace.Append(e)
-	}
-}
-
-// Trace returns the event ring, or nil when tracing is disabled. The
-// ring's reads are sequence-validated, so it may be read while the
-// owning engine is still appending (see Trace).
-func (c *Collector) Trace() *Trace { return c.trace }
 
 // Snapshot copies every histogram. Safe to call while the engine records.
 func (c *Collector) Snapshot() *Snapshot {

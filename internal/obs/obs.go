@@ -1,22 +1,21 @@
 // Package obs is the engine's observability layer: latency histograms at
-// every tier boundary of the storage hierarchy, a structured trace of
-// page-lifecycle events, and the diagnostics HTTP endpoints (JSON metrics,
-// Prometheus text, pprof) of the long-running commands.
+// every tier boundary of the storage hierarchy, request spans, and the
+// diagnostics HTTP endpoints (JSON metrics, Prometheus text, pprof) of the
+// long-running commands.
 //
 // The paper's evaluation (§5) explains *why* the three-tier buffer manager
 // wins — which tier absorbed each access, when cache-line-grained loads
-// beat full-page loads, when mini pages promoted — and flat event counters
-// cannot answer those questions. Following the NVM evaluation literature,
-// the layer records distributions (p50/p90/p99/max), not averages, and
-// per-decision traces, not aggregates.
+// beat full-page loads, when mini pages promoted. The buffer manager's
+// per-cause counters (core.Stats) count those decisions; following the NVM
+// evaluation literature, this layer records what they cost as
+// distributions (p50/p90/p99/max), not averages.
 //
 // Everything funnels through the Recorder interface. Components hold a
 // Recorder and skip all work when it is nil (the default), so the
 // instrumentation costs one nil check per boundary when disabled. The
 // concrete Collector implementation records into lock-free histograms
-// (atomic adds, mergeable snapshots) and an optional fixed-size event ring,
-// so a /metrics endpoint can snapshot a running engine without
-// stopping it.
+// (atomic adds, mergeable snapshots), so a /metrics endpoint can snapshot
+// a running engine without stopping it.
 package obs
 
 // Op identifies one instrumented operation of the storage hierarchy. Each
@@ -92,90 +91,10 @@ func (o Op) String() string {
 	return "op?"
 }
 
-// Tier identifies a level of the storage hierarchy in trace events.
-type Tier uint8
-
-// The tiers, in hierarchy order.
-const (
-	TierDRAM Tier = iota
-	TierNVM
-	TierSSD
-)
-
-var tierNames = [...]string{"dram", "nvm", "ssd"}
-
-// String returns the tier's name.
-func (t Tier) String() string {
-	if int(t) < len(tierNames) {
-		return tierNames[t]
-	}
-	return "tier?"
-}
-
-// EventKind identifies a page-lifecycle event.
-type EventKind uint8
-
-const (
-	// EvAlloc: a page was allocated (Tier: where it was created).
-	EvAlloc EventKind = iota
-	// EvFree: a page was deallocated.
-	EvFree
-	// EvLoad: a page was loaded into DRAM (Tier: where it came from;
-	// Detail: 1 when it was materialized as a mini page).
-	EvLoad
-	// EvLineLoad: a page access loaded cache lines from the page's NVM
-	// backing (Detail: number of lines that access loaded).
-	EvLineLoad
-	// EvPromote: a mini page was promoted to a full page.
-	EvPromote
-	// EvSwizzle: the page's reference was swizzled to a frame pointer.
-	EvSwizzle
-	// EvUnswizzle: the swizzled reference was restored to a page id.
-	EvUnswizzle
-	// EvWriteback: dirty content was written back (Tier: destination).
-	EvWriteback
-	// EvAdmit: the page was admitted to the NVM cache (§4.2).
-	EvAdmit
-	// EvDeny: the page was denied NVM admission and went to SSD.
-	EvDeny
-	// EvEvict: the page was evicted (Tier: the tier it left).
-	EvEvict
-)
-
-var eventNames = [...]string{
-	"alloc", "free", "load", "lineload", "promote", "swizzle",
-	"unswizzle", "writeback", "admit", "deny", "evict",
-}
-
-// String returns the event kind's name.
-func (k EventKind) String() string {
-	if int(k) < len(eventNames) {
-		return eventNames[k]
-	}
-	return "event?"
-}
-
-// Event is one structured page-lifecycle event. The encoding is a plain
-// value copy into a preallocated ring: recording allocates nothing.
-type Event struct {
-	// SimNs is the engine's simulated device time when the event fired.
-	SimNs int64
-	// PID is the page the event concerns (0 when not page-specific).
-	PID uint64
-	// Frame is the DRAM frame index involved, or -1.
-	Frame int32
-	// Kind is what happened.
-	Kind EventKind
-	// Tier is the storage tier the event concerns (see each Kind).
-	Tier Tier
-	// Detail is Kind-specific (line counts, mini flags, ...).
-	Detail uint32
-}
-
-// Recorder receives latency samples and lifecycle events. Implementations
-// must tolerate concurrent Latency calls (engines run one per shard, but a
-// live metrics reader snapshots concurrently); Event streams are
-// single-writer per Recorder. Components treat a nil Recorder as "off".
+// Recorder receives latency samples. Implementations must tolerate
+// concurrent Latency calls (engines run one per shard, but a live metrics
+// reader snapshots concurrently). Components treat a nil Recorder as
+// "off".
 type Recorder interface {
 	// Latency records that op took ns simulated nanoseconds.
 	Latency(op Op, ns int64)
@@ -184,8 +103,6 @@ type Recorder interface {
 	// plain counter and flush every ZeroFlush samples, keeping the hot
 	// path free of atomics; see Manager.SyncObs for the flush contract.
 	LatencyZeros(op Op, n int64)
-	// Event records a page-lifecycle event.
-	Event(e Event)
 }
 
 // ZeroFlush is how many batched zero-cost samples a component
@@ -198,7 +115,6 @@ type nop struct{}
 
 func (nop) Latency(Op, int64)      {}
 func (nop) LatencyZeros(Op, int64) {}
-func (nop) Event(Event)            {}
 
 // Nop is a Recorder that discards everything. Components usually prefer a
 // nil Recorder plus a nil check (cheaper); Nop exists for call sites that

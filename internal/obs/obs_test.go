@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -157,108 +154,11 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestTraceWraparound(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 1; i <= 10; i++ {
-		tr.Append(Event{SimNs: int64(i), PID: uint64(i), Kind: EvLoad})
-	}
-	if tr.Total() != 10 {
-		t.Fatalf("total = %d", tr.Total())
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	ev := tr.Events()
-	// The ring must retain exactly the newest 4 events, oldest first.
-	want := []int64{7, 8, 9, 10}
-	for i, e := range ev {
-		if e.SimNs != want[i] {
-			t.Fatalf("events[%d].SimNs = %d, want %d (all: %+v)", i, e.SimNs, want[i], ev)
-		}
-	}
-}
-
-func TestTracePartialFill(t *testing.T) {
-	tr := NewTrace(8)
-	tr.Append(Event{SimNs: 1})
-	tr.Append(Event{SimNs: 2})
-	if tr.Len() != 2 || tr.Total() != 2 {
-		t.Fatalf("len = %d, total = %d", tr.Len(), tr.Total())
-	}
-	ev := tr.Events()
-	if len(ev) != 2 || ev[0].SimNs != 1 || ev[1].SimNs != 2 {
-		t.Fatalf("events = %+v", ev)
-	}
-}
-
-func TestTraceEventsFor(t *testing.T) {
-	tr := NewTrace(16)
-	tr.Append(Event{PID: 1, Kind: EvLoad})
-	tr.Append(Event{PID: 2, Kind: EvLoad})
-	tr.Append(Event{PID: 1, Kind: EvEvict})
-	got := tr.EventsFor(1)
-	if len(got) != 2 || got[0].Kind != EvLoad || got[1].Kind != EvEvict {
-		t.Fatalf("EventsFor(1) = %+v", got)
-	}
-}
-
-func TestTraceWriteJSONL(t *testing.T) {
-	tr := NewTrace(16)
-	tr.Append(Event{SimNs: 100, PID: 7, Frame: 3, Kind: EvLoad, Tier: TierNVM, Detail: 1})
-	tr.Append(Event{SimNs: 200, PID: 8, Frame: -1, Kind: EvEvict, Tier: TierDRAM})
-
-	var buf bytes.Buffer
-	n, err := tr.WriteJSONL(&buf, "figA1", 2, 0)
-	if err != nil || n != 2 {
-		t.Fatalf("n = %d, err = %v", n, err)
-	}
-	// Every line must be valid JSON with the documented fields.
-	sc := bufio.NewScanner(&buf)
-	lines := 0
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %d not JSON: %v: %s", lines, err, sc.Text())
-		}
-		for _, k := range []string{"experiment", "shard", "simNs", "pid", "frame", "event", "tier", "detail"} {
-			if _, ok := m[k]; !ok {
-				t.Fatalf("line %d missing %q: %s", lines, k, sc.Text())
-			}
-		}
-		lines++
-	}
-	if lines != 2 {
-		t.Fatalf("lines = %d", lines)
-	}
-
-	// pid filter.
-	buf.Reset()
-	n, err = tr.WriteJSONL(&buf, "", -1, 7)
-	if err != nil || n != 1 {
-		t.Fatalf("filtered n = %d, err = %v", n, err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &m); err != nil {
-		t.Fatalf("filtered line not JSON: %v", err)
-	}
-	if m["pid"].(float64) != 7 || m["event"].(string) != "load" || m["tier"].(string) != "nvm" {
-		t.Fatalf("filtered line = %v", m)
-	}
-	if _, ok := m["experiment"]; ok {
-		t.Fatal("empty label must omit the experiment field")
-	}
-}
-
 func TestCollectorRows(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector()
 	c.Latency(OpSSDRead, 50_000)
 	c.Latency(OpSSDRead, 60_000)
 	c.Latency(OpDRAMHit, 0)
-	// Event without a ring must be a safe no-op.
-	c.Event(Event{Kind: EvLoad})
-	if c.Trace() != nil {
-		t.Fatal("traceCap 0 must disable the ring")
-	}
 
 	rows := c.Snapshot().Rows()
 	if len(rows) != 2 {
@@ -274,7 +174,7 @@ func TestCollectorRows(t *testing.T) {
 }
 
 func TestCollectorSnapshotMerge(t *testing.T) {
-	a, b := NewCollector(0), NewCollector(0)
+	a, b := NewCollector(), NewCollector()
 	a.Latency(OpNVMLineLoad, 500)
 	b.Latency(OpNVMLineLoad, 700)
 	b.Latency(OpWALFlush, 900)
@@ -298,21 +198,8 @@ func TestNames(t *testing.T) {
 			t.Fatalf("op %d has no name", op)
 		}
 	}
-	kinds := []EventKind{EvAlloc, EvFree, EvLoad, EvLineLoad, EvPromote,
-		EvSwizzle, EvUnswizzle, EvWriteback, EvAdmit, EvDeny, EvEvict}
-	for _, k := range kinds {
-		if k.String() == "" || k.String() == "event?" {
-			t.Fatalf("kind %d has no name", k)
-		}
-	}
-	for _, tier := range []Tier{TierDRAM, TierNVM, TierSSD} {
-		if tier.String() == "tier?" {
-			t.Fatalf("tier %d has no name", tier)
-		}
-	}
 }
 
 func TestNopRecorder(t *testing.T) {
 	Nop.Latency(OpSSDRead, 100)
-	Nop.Event(Event{Kind: EvLoad})
 }

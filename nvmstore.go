@@ -168,7 +168,7 @@ func Open(opts Options) (*Store, error) {
 	cfg.DebugChecks = opts.DebugChecks
 	var collector *obs.Collector
 	if opts.Observe {
-		collector = obs.NewCollector(0)
+		collector = obs.NewCollector()
 		cfg.Recorder = collector
 	}
 	e, err := engine.Open(cfg)
