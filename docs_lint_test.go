@@ -371,3 +371,73 @@ func exportedInFile(f *ast.File) []string {
 	}
 	return names
 }
+
+// TestSettingsPinned fails when the exported fields of the exported
+// *Config and *Options structs outside benchmark/ differ from
+// testdata/settings.txt in either direction, so a setting is added or
+// removed only together with that list.
+func TestSettingsPinned(t *testing.T) {
+	var settings []string
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark" || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.ToSlash(filepath.Join("nvmstore", filepath.Dir(path)))
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, n := range field.Names {
+						if n.IsExported() {
+							settings = append(settings, pkg+"."+name+"."+n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/settings.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := strings.Split(strings.TrimSpace(string(want)), "\n")
+	slices.Sort(settings)
+	slices.Sort(pinned)
+	for _, s := range settings {
+		if _, found := slices.BinarySearch(pinned, s); !found {
+			t.Errorf("setting %s is not in testdata/settings.txt", s)
+		}
+	}
+	for _, s := range pinned {
+		if _, found := slices.BinarySearch(settings, s); !found {
+			t.Errorf("testdata/settings.txt lists %s, which no longer exists", s)
+		}
+	}
+}

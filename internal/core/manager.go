@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"nvmstore/internal/nvm"
 	"nvmstore/internal/obs"
@@ -109,16 +108,10 @@ type Config struct {
 	// every page evicted from DRAM enters NVM, evicting a slot if it must.
 	AlwaysAdmit bool
 
-	// Device timing. Zero values select the defaults documented in
-	// internal/nvm and internal/ssd (500 ns NVM, 100/200 µs SSD).
-	NVMReadLatency  time.Duration
-	NVMWriteLatency time.Duration
-	NVMLineTransfer time.Duration
-	// CPUCacheBytes sizes the simulated CPU cache in front of NVM.
-	// Zero selects the 20 MB default; negative disables it.
-	CPUCacheBytes   int64
-	SSDReadLatency  time.Duration
-	SSDWriteLatency time.Duration
+	// CPUCacheBytes sizes the simulated CPU cache in front of NVM. Zero
+	// keeps nvm.DefaultConfig's; negative disables it. Every other device
+	// setting is nvm.DefaultConfig's or ssd.DefaultConfig's.
+	CPUCacheBytes int64
 
 	// StrictPersistence makes unflushed NVM writes vanish on Crash
 	// (see internal/nvm); used by recovery tests.
@@ -133,7 +126,7 @@ type Config struct {
 	// boundary (see internal/obs). It is also installed on the manager's
 	// NVM and SSD devices. Nil disables all recording at the cost of one
 	// nil check per boundary.
-	Recorder obs.Recorder
+	Recorder *obs.Collector
 }
 
 func (c *Config) applyDefaults() {
@@ -144,24 +137,6 @@ func (c *Config) applyDefaults() {
 	// structural changes.
 	if c.WALBytes < 1<<20 {
 		c.WALBytes = 1 << 20
-	}
-	if c.NVMReadLatency == 0 {
-		c.NVMReadLatency = 500 * time.Nanosecond
-	}
-	if c.NVMWriteLatency == 0 {
-		c.NVMWriteLatency = 500 * time.Nanosecond
-	}
-	if c.NVMLineTransfer == 0 {
-		c.NVMLineTransfer = 30 * time.Nanosecond
-	}
-	if c.CPUCacheBytes == 0 {
-		c.CPUCacheBytes = 20 << 20
-	}
-	if c.SSDReadLatency == 0 {
-		c.SSDReadLatency = 100 * time.Microsecond
-	}
-	if c.SSDWriteLatency == 0 {
-		c.SSDWriteLatency = 200 * time.Microsecond
 	}
 }
 
@@ -328,7 +303,7 @@ type Manager struct {
 
 	stats   Stats
 	scratch []byte
-	rec     obs.Recorder
+	rec     *obs.Collector
 	obsHits int64 // DRAM hits batched for the recorder, see recordHit
 
 	// vers is the multi-version read-path state (per-page version
@@ -369,32 +344,17 @@ func New(cfg Config) (*Manager, error) {
 	m.headersOff = m.journalOff + journalSize
 	m.slotsOff = (m.headersOff + m.nvmSlots*LineSize + PageSize - 1) / PageSize * PageSize
 	m.journalBuf = make([]byte, journalIndexLines*LineSize+PageSize)
-	nvmCfg := nvm.Config{
-		Size:              m.slotsOff + m.nvmSlots*PageSize,
-		ReadLatency:       cfg.NVMReadLatency,
-		WriteLatency:      cfg.NVMWriteLatency,
-		LineTransfer:      cfg.NVMLineTransfer,
-		CPUCacheBytes:     cfg.CPUCacheBytes,
-		StrictPersistence: cfg.StrictPersistence,
-	}
-	if nvmCfg.CPUCacheBytes < 0 {
-		nvmCfg.CPUCacheBytes = 0
+	nvmCfg := nvm.DefaultConfig(m.slotsOff + m.nvmSlots*PageSize)
+	nvmCfg.StrictPersistence = cfg.StrictPersistence
+	if cfg.CPUCacheBytes != 0 {
+		nvmCfg.CPUCacheBytes = max(cfg.CPUCacheBytes, 0)
 	}
 	m.nvm = nvm.New(nvmCfg, m.clk)
-	if m.rec != nil {
-		m.nvm.SetRecorder(m.rec)
-	}
+	m.nvm.SetRecorder(m.rec)
 	if cfg.SSDBytes > 0 {
 		m.ssdPages = cfg.SSDBytes / PageSize
-		m.ssd = ssd.New(ssd.Config{
-			PageSize:     PageSize,
-			Capacity:     m.ssdPages,
-			ReadLatency:  cfg.SSDReadLatency,
-			WriteLatency: cfg.SSDWriteLatency,
-		}, m.clk)
-		if m.rec != nil {
-			m.ssd.SetRecorder(m.rec)
-		}
+		m.ssd = ssd.New(ssd.DefaultConfig(PageSize, m.ssdPages), m.clk)
+		m.ssd.SetRecorder(m.rec)
 	}
 	if cfg.Topology == ThreeTier {
 		m.nvmDir = make([]nvmSlotMeta, m.nvmSlots)

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"nvmstore/internal/nvm"
+	"nvmstore/internal/ssd"
 )
 
 // newTestManager builds a Manager with small capacities suited to tests:
@@ -37,6 +40,37 @@ func newTestManager(t *testing.T, topo Topology, frames int, opts ...func(*Confi
 		t.Fatalf("New: %v", err)
 	}
 	return m
+}
+
+// TestDeviceDefaults: the manager builds its devices from
+// nvm.DefaultConfig and ssd.DefaultConfig, changing only the CPU cache
+// size (zero keeps the default, a negative value turns the cache off) and
+// strict persistence.
+func TestDeviceDefaults(t *testing.T) {
+	for _, row := range []struct {
+		cache, wantCache int64
+	}{
+		{0, nvm.DefaultConfig(0).CPUCacheBytes},
+		{-1, 0},
+		{1 << 20, 1 << 20},
+	} {
+		for _, strict := range []bool{false, true} {
+			m := newTestManager(t, ThreeTier, 8, func(c *Config) {
+				c.CPUCacheBytes = row.cache
+				c.StrictPersistence = strict
+			})
+			got := m.NVM().Config()
+			want := nvm.DefaultConfig(got.Size)
+			want.CPUCacheBytes = row.wantCache
+			want.StrictPersistence = strict
+			if got != want {
+				t.Errorf("CPUCacheBytes %d, strict %v: NVM config %+v, want %+v", row.cache, strict, got, want)
+			}
+			if got, want := m.SSD().Config(), ssd.DefaultConfig(PageSize, m.Config().SSDBytes/PageSize); got != want {
+				t.Errorf("CPUCacheBytes %d, strict %v: SSD config %+v, want %+v", row.cache, strict, got, want)
+			}
+		}
+	}
 }
 
 func withFeatures(cl, mini, swizzle bool) func(*Config) {
@@ -382,10 +416,11 @@ func TestMakeResidentOneRequestPerRun(t *testing.T) {
 					k.name, what, st.LinesLoaded, st.LineLoadRequests, wantLines, wantReads)
 			}
 		}
-		check("cold 3-line read", 4*LineSize+10, 2*LineSize+20, m.cfg.NVMReadLatency+2*m.cfg.NVMLineTransfer, 1, 3)
+		dev := m.NVM().Config()
+		check("cold 3-line read", 4*LineSize+10, 2*LineSize+20, dev.ReadLatency+2*dev.LineTransfer, 1, 3)
 		if k.kind != kindDirect { // a direct frame holds no lines to split a span
 			h.Read(9*LineSize, 8)
-			check("3-line read around resident line 9", 8*LineSize, 3*LineSize, 2*m.cfg.NVMReadLatency, 2, 2)
+			check("3-line read around resident line 9", 8*LineSize, 3*LineSize, 2*dev.ReadLatency, 2, 2)
 		}
 		m.Unfix(h)
 	}

@@ -114,9 +114,8 @@ func TestPageLifecycleCounters(t *testing.T) {
 			t.Errorf("no %v samples recorded", op)
 		}
 	}
-	if snap.Ops[obs.OpSSDRead].Max < int64(m.cfg.SSDReadLatency) {
-		t.Errorf("ssd.read max %d below device latency %d",
-			snap.Ops[obs.OpSSDRead].Max, int64(m.cfg.SSDReadLatency))
+	if lat := m.SSD().Config().ReadLatency; snap.Ops[obs.OpSSDRead].Max < int64(lat) {
+		t.Errorf("ssd.read max %d below device latency %d", snap.Ops[obs.OpSSDRead].Max, int64(lat))
 	}
 }
 

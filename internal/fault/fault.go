@@ -25,9 +25,11 @@
 //
 // Crash-type injections panic with Crash, which harnesses recover
 // before restarting the store (see AsCrash and internal/fault/harness);
-// error-type injections surface as *Error, classified transient or
-// fatal by Classify for the retry loops in the SSD device and the
-// network client.
+// error-type injections surface as *Error, whose Permanent field says
+// whether a retry can succeed. The SSD device retries a fault the plan
+// marks transient (Decision.Transient) and panics on a permanent one or
+// one that outlasts its retry budget; the network client retries what
+// client.IsRetryable accepts.
 //
 // Injectors are safe for concurrent use (the server shares one across
 // connections); all counters are atomic and probability draws are
@@ -442,9 +444,9 @@ func AsCrash(r any) (Crash, bool) {
 	return c, ok
 }
 
-// Error is an injected, non-crashing failure: an SSD access or a WAL
-// append that returns an error instead of taking the process down.
-// Classify sorts it into transient (worth retrying) or fatal.
+// Error is an injected, non-crashing failure: a WAL append that returns
+// an error instead of taking the process down. Permanent tells a caller
+// whether a retry can succeed.
 type Error struct {
 	// Kind is the injection point.
 	Kind Kind
@@ -464,32 +466,6 @@ func (e *Error) Error() string {
 		class = "permanent"
 	}
 	return fmt.Sprintf("fault: injected %s %s error at %s (attempt %d)", class, e.Kind, e.Site, e.Attempt)
-}
-
-// Class is an error's retry classification.
-type Class int
-
-// The two classes: transient errors are retried with backoff, fatal
-// errors are not.
-const (
-	// ClassTransient marks failures a retry may fix: injected transient
-	// device errors, dropped connections.
-	ClassTransient Class = iota
-	// ClassFatal marks definitive failures: permanent device errors and
-	// anything not recognized as transient — an unknown error must not
-	// be retried blindly.
-	ClassFatal
-)
-
-// Classify sorts an error for a retry loop: injected errors marked
-// transient are ClassTransient, everything else — permanent injections
-// and unknown errors alike — is ClassFatal.
-func Classify(err error) Class {
-	var fe *Error
-	if errors.As(err, &fe) && !fe.Permanent {
-		return ClassTransient
-	}
-	return ClassFatal
 }
 
 // IsInjected reports whether err originates from this package (an

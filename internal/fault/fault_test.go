@@ -196,23 +196,12 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
-// TestClassify pins the retry classification: transient injections are
-// retryable, permanent injections and unknown errors are fatal.
-func TestClassify(t *testing.T) {
+// TestIsInjected pins how harnesses tell scheduled faults from real bugs:
+// IsInjected accepts injected errors, wrapped or not, and AsCrash
+// injected crashes; neither accepts anything else.
+func TestIsInjected(t *testing.T) {
 	transient := &Error{Kind: SSDReadError, Site: "ssd.read", Attempt: 1}
 	permanent := &Error{Kind: SSDReadError, Site: "ssd.read", Attempt: 1, Permanent: true}
-	if Classify(transient) != ClassTransient {
-		t.Fatal("transient injection classified fatal")
-	}
-	if Classify(permanent) != ClassFatal {
-		t.Fatal("permanent injection classified transient")
-	}
-	if Classify(fmt.Errorf("wrapped: %w", transient)) != ClassTransient {
-		t.Fatal("wrapped transient injection classified fatal")
-	}
-	if Classify(errors.New("mystery")) != ClassFatal {
-		t.Fatal("unknown error classified transient")
-	}
 	if !IsInjected(transient) || !IsInjected(fmt.Errorf("w: %w", permanent)) {
 		t.Fatal("IsInjected missed an injected error")
 	}

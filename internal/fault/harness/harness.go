@@ -47,17 +47,10 @@ import (
 // Config parameterizes a sweep. The zero value sweeps the default
 // kinds over a small three-tier store.
 type Config struct {
-	// Arch is the storage architecture under test (default ThreeTier,
-	// the only one with all three device tiers).
-	Arch nvmstore.Architecture
 	// Seed derives the workload and every fault plan (default 1).
 	Seed uint64
 	// Txs is the number of transactions per run (default 60).
 	Txs int
-	// Rows bounds the key space (default 96).
-	Rows int
-	// RowSize is the table's row size in bytes (default 128).
-	RowSize int
 	// PointsPerKind is how many distinct crash points to schedule per
 	// fault kind (default 20, clamped to the opportunity count).
 	PointsPerKind int
@@ -67,7 +60,7 @@ type Config struct {
 	Kinds []fault.Kind
 	// GroupCommit switches the workload to the group-commit protocol:
 	// transactions commit without flushing and a shared log-tail flush
-	// every GroupEvery transactions makes them durable — the write path
+	// every groupEvery transactions makes them durable — the write path
 	// every ShardedStore.Batch caller (the server's connection readers,
 	// ShardedTable writes) runs. Crashes can then land between a commit
 	// record and its group flush (fault.WALGroupCrash), where the invariant
@@ -75,14 +68,22 @@ type Config struct {
 	// only as an all-or-nothing suffix — the survivors must form a
 	// prefix in commit order, each fully applied.
 	GroupCommit bool
-	// GroupEvery is the group size under GroupCommit (default 3).
-	GroupEvery int
 	// NetPoints is how many single-shot network faults to sweep against
 	// a live server (default 20; negative skips the network tier).
 	NetPoints int
 	// Logf, when set, receives per-point progress lines.
 	Logf func(format string, args ...any)
 }
+
+// What every sweep runs on: the ThreeTier architecture (the only one with
+// all three device tiers), one table of 1024 rows of 128 bytes, and under
+// Config.GroupCommit one shared log flush every 3 transactions.
+const (
+	arch       = nvmstore.ThreeTier
+	rows       = 1024
+	rowSize    = 128
+	groupEvery = 3
+)
 
 func (c *Config) applyDefaults() {
 	if c.Seed == 0 {
@@ -91,17 +92,8 @@ func (c *Config) applyDefaults() {
 	if c.Txs <= 0 {
 		c.Txs = 60
 	}
-	if c.Rows <= 0 {
-		c.Rows = 1024
-	}
-	if c.RowSize <= 0 {
-		c.RowSize = 128
-	}
 	if c.PointsPerKind <= 0 {
 		c.PointsPerKind = 20
-	}
-	if c.GroupEvery <= 0 {
-		c.GroupEvery = 3
 	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = []fault.Kind{
@@ -163,7 +155,7 @@ func Run(cfg Config) (Report, error) {
 	for _, kind := range cfg.Kinds {
 		n := opp.Opportunities(kind)
 		if n == 0 {
-			cfg.logf("%s: no opportunities on %s, skipped", kind, cfg.Arch)
+			cfg.logf("%s: no opportunities on %s, skipped", kind, arch)
 			continue
 		}
 		for _, point := range spread(cfg.PointsPerKind, n) {
@@ -201,9 +193,9 @@ func Run(cfg Config) (Report, error) {
 // the SSD fault kinds real injection opportunities. The table is
 // pre-populated with the full keyspace and checkpointed before any
 // fault is armed, so the sweep starts from a durable baseline.
-func openStore(cfg Config) (*nvmstore.Store, *nvmstore.Table, error) {
+func openStore() (*nvmstore.Store, *nvmstore.Table, error) {
 	st, err := nvmstore.Open(nvmstore.Options{
-		Architecture:      cfg.Arch,
+		Architecture:      arch,
 		DRAMBytes:         96 << 10,
 		NVMBytes:          128 << 10,
 		SSDBytes:          64 << 20,
@@ -219,13 +211,13 @@ func openStore(cfg Config) (*nvmstore.Store, *nvmstore.Table, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tab, err := st.CreateTable(1, cfg.RowSize)
+	tab, err := st.CreateTable(1, rowSize)
 	if err != nil {
 		return nil, nil, err
 	}
-	err = tab.BulkLoad(cfg.Rows,
+	err = tab.BulkLoad(rows,
 		func(i int) uint64 { return uint64(i) },
-		func(i int, dst []byte) { copy(dst, rowFor(cfg, uint64(i), -1)) },
+		func(i int, dst []byte) { copy(dst, rowFor(uint64(i), -1)) },
 		0.9)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: bulk load: %v", err)
@@ -239,7 +231,7 @@ func openStore(cfg Config) (*nvmstore.Store, *nvmstore.Table, error) {
 // dryRun runs the workload fault-free with an armed empty plan and
 // returns the per-device opportunity counters.
 func dryRun(cfg Config) (fault.Injectors, error) {
-	st, tab, err := openStore(cfg)
+	st, tab, err := openStore()
 	if err != nil {
 		return fault.Injectors{}, err
 	}
@@ -279,7 +271,7 @@ func spread(count int, n int64) []int64 {
 // point-th opportunity of kind, recovering and checking invariants at
 // the crash. It reports whether the fault actually surfaced.
 func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error) {
-	st, tab, err := openStore(cfg)
+	st, tab, err := openStore()
 	if err != nil {
 		return false, err
 	}
@@ -355,12 +347,12 @@ func newWorkload(cfg Config) *workload {
 	w := &workload{
 		cfg:   cfg,
 		rng:   cfg.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
-		model: make(map[uint64][]byte, cfg.Rows),
-		buf:   make([]byte, cfg.RowSize),
+		model: make(map[uint64][]byte, rows),
+		buf:   make([]byte, rowSize),
 	}
 	// The model starts as the bulk-loaded baseline (txIdx -1 rows).
-	for key := uint64(0); key < uint64(cfg.Rows); key++ {
-		w.model[key] = rowFor(cfg, key, -1)
+	for key := uint64(0); key < uint64(rows); key++ {
+		w.model[key] = rowFor(key, -1)
 	}
 	return w
 }
@@ -375,8 +367,8 @@ func (w *workload) next() uint64 {
 }
 
 // rowFor derives the row a given transaction writes to a key.
-func rowFor(cfg Config, key uint64, txIdx int) []byte {
-	row := make([]byte, cfg.RowSize)
+func rowFor(key uint64, txIdx int) []byte {
+	row := make([]byte, rowSize)
 	binary.LittleEndian.PutUint64(row, key)
 	binary.LittleEndian.PutUint64(row[8:], uint64(txIdx)+1)
 	for i := 16; i < len(row); i++ {
@@ -399,7 +391,7 @@ func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hi
 	}
 	ops := make([]op, nops)
 	for i := range ops {
-		ops[i] = op{key: w.next() % uint64(w.cfg.Rows), del: w.next()%10 < 3}
+		ops[i] = op{key: w.next() % uint64(rows), del: w.next()%10 < 3}
 	}
 
 	defer func() {
@@ -427,7 +419,7 @@ func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hi
 			}
 			p.after = nil
 		} else {
-			row := rowFor(w.cfg, o.key, txIdx)
+			row := rowFor(o.key, txIdx)
 			if uerr := tab.Put(o.key, row); uerr != nil {
 				if fault.IsInjected(uerr) {
 					return true, nil
@@ -463,13 +455,13 @@ func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hi
 }
 
 // step runs transaction i and, under GroupCommit, the group flush when
-// one is due (every GroupEvery transactions and after the last).
+// one is due (every groupEvery transactions and after the last).
 func (w *workload) step(st *nvmstore.Store, tab *nvmstore.Table, i int) (hit bool, err error) {
 	hit, err = w.runTx(st, tab, i)
 	if hit || err != nil || !w.cfg.GroupCommit {
 		return hit, err
 	}
-	if (i+1)%w.cfg.GroupEvery == 0 || i == w.cfg.Txs-1 {
+	if (i+1)%groupEvery == 0 || i == w.cfg.Txs-1 {
 		return w.flushGroup(st)
 	}
 	return false, nil
@@ -530,7 +522,7 @@ func (w *workload) lookup(tab *nvmstore.Table, key uint64) ([]byte, bool, error)
 // exactly as the model records (acknowledged writes survive, aborted
 // ones never resurface).
 func (w *workload) verify(tab *nvmstore.Table) error {
-	for key := uint64(0); key < uint64(w.cfg.Rows); key++ {
+	for key := uint64(0); key < uint64(rows); key++ {
 		if w.pending != nil {
 			if _, isPending := w.pending[key]; isPending {
 				continue
@@ -556,7 +548,7 @@ func (w *workload) verify(tab *nvmstore.Table) error {
 
 // matches compares the whole keyspace against an explicit model.
 func (w *workload) matches(tab *nvmstore.Table, model map[uint64][]byte) error {
-	for key := uint64(0); key < uint64(w.cfg.Rows); key++ {
+	for key := uint64(0); key < uint64(rows); key++ {
 		got, ok, err := w.lookup(tab, key)
 		if err != nil {
 			return fmt.Errorf("lookup %d: %v", key, err)
@@ -680,7 +672,7 @@ func runNet(cfg Config) (points int, violations []string, err error) {
 	for _, k := range kinds {
 		// Responses written ≈ ops issued; spread the single shot over
 		// the workload's response stream.
-		ops := int64(2 * cfg.Rows)
+		ops := int64(2 * rows)
 		for _, point := range spread(k.n, ops) {
 			points++
 			if verr := runNetPoint(cfg, k.kind, point); verr != nil {
@@ -698,7 +690,7 @@ func runNet(cfg Config) (points int, violations []string, err error) {
 // response index, and drives the keyspace through a retrying client.
 func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
 	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
-		Architecture: cfg.Arch,
+		Architecture: arch,
 		DRAMBytes:    4 << 20,
 		NVMBytes:     16 << 20,
 		SSDBytes:     64 << 20,
@@ -707,7 +699,7 @@ func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
 		return err
 	}
 	defer store.Close()
-	if _, err := store.CreateTable(1, cfg.RowSize); err != nil {
+	if _, err := store.CreateTable(1, rowSize); err != nil {
 		return err
 	}
 	plan := &fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{{Kind: kind, EveryN: point, Limit: 1}}}
@@ -733,12 +725,12 @@ func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
 	}
 	defer cl.Close()
 
-	for key := uint64(0); key < uint64(cfg.Rows); key++ {
-		if err := cl.Put(1, key, rowFor(cfg, key, int(point))); err != nil {
+	for key := uint64(0); key < uint64(rows); key++ {
+		if err := cl.Put(1, key, rowFor(key, int(point))); err != nil {
 			return fmt.Errorf("put %d: %v", key, err)
 		}
 	}
-	for key := uint64(0); key < uint64(cfg.Rows); key++ {
+	for key := uint64(0); key < uint64(rows); key++ {
 		got, ok, err := cl.Get(1, key)
 		if err != nil {
 			return fmt.Errorf("get %d: %v", key, err)
@@ -746,7 +738,7 @@ func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
 		if !ok {
 			return fmt.Errorf("acked key %d lost", key)
 		}
-		want := rowFor(cfg, key, int(point))
+		want := rowFor(key, int(point))
 		if string(got[:16]) != string(want[:16]) {
 			return fmt.Errorf("key %d corrupted", key)
 		}

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"time"
 
 	"nvmstore"
@@ -51,14 +52,6 @@ type ReplicationConfig struct {
 	// Seed derives the workload payloads and every fault plan
 	// (default 1).
 	Seed uint64
-	// Writes is the number of acknowledged writes per point
-	// (default 64).
-	Writes int
-	// Rows bounds the key space; Writes cycle through it so every key
-	// is overwritten at least once (default 32).
-	Rows int
-	// RowSize is the table's row size in bytes (default 64).
-	RowSize int
 	// CrashPoints is how many crash points to schedule per crash axis —
 	// live apply and snapshot bootstrap (default 20, clamped to the
 	// per-shard write floor that guarantees the shot fires).
@@ -80,15 +73,6 @@ func (c *ReplicationConfig) applyDefaults() {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Writes <= 0 {
-		c.Writes = 64
-	}
-	if c.Rows <= 0 {
-		c.Rows = 32
-	}
-	if c.RowSize <= 0 {
-		c.RowSize = 64
-	}
 	if c.CrashPoints <= 0 {
 		c.CrashPoints = 20
 	}
@@ -109,20 +93,26 @@ func (c *ReplicationConfig) logf(format string, args ...any) {
 	}
 }
 
+// Every point writes replWrites acknowledged rows of replRowSize bytes,
+// cycling through replRows keys so every key is overwritten at least
+// once.
 const (
-	replShards = 2
-	replTable  = 1
+	replShards  = 2
+	replTable   = 1
+	replWrites  = 64
+	replRows    = 32
+	replRowSize = 64
 )
 
 // replKey maps the i-th write to its key: the workload cycles the key
 // space so every key is overwritten.
-func replKey(cfg ReplicationConfig, i int) uint64 { return uint64(i % cfg.Rows) }
+func replKey(i int) uint64 { return uint64(i % replRows) }
 
 // replRow builds the i-th write's payload — seed- and sequence-tagged
 // so a lost or stale version is detected by content, not just presence.
 func replRow(cfg ReplicationConfig, i int) []byte {
-	row := make([]byte, cfg.RowSize)
-	key := replKey(cfg, i)
+	row := make([]byte, replRowSize)
+	key := replKey(i)
 	mix := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)
 	for j := range row {
 		row[j] = byte(mix >> (8 * (j % 8)))
@@ -135,10 +125,10 @@ func replRow(cfg ReplicationConfig, i int) []byte {
 // a replica-side flush schedule may safely cover: under semi-sync every
 // acknowledged write forces at least one replica WAL flush on its
 // shard, so any point up to this floor is guaranteed to fire.
-func minWritesPerShard(cfg ReplicationConfig) int64 {
+func minWritesPerShard() int64 {
 	per := make([]int64, replShards)
-	for i := 0; i < cfg.Writes; i++ {
-		per[shard.Of(replKey(cfg, i), replShards)]++
+	for i := 0; i < replWrites; i++ {
+		per[shard.Of(replKey(i), replShards)]++
 	}
 	min := per[0]
 	for _, n := range per[1:] {
@@ -158,13 +148,13 @@ func RunReplication(cfg ReplicationConfig) (Report, error) {
 	cfg.applyDefaults()
 	rep := Report{Opportunities: make(map[fault.Kind]int64)}
 
-	floor := minWritesPerShard(cfg)
+	floor := minWritesPerShard()
 	livePoints := spread(cfg.CrashPoints, floor)
 	// Bootstrap adds the snapshot's own flushes (durable meta wipe +
 	// final chunk) ahead of the live writes' flushes.
 	bootPoints := spread(cfg.CrashPoints, floor+2)
 	half := cfg.NetPoints / 2
-	netSpan := int64(2 * cfg.Writes)
+	netSpan := int64(2 * replWrites)
 	dropPoints := spread(cfg.NetPoints-half, netSpan)
 	partialPoints := spread(half, netSpan)
 	fixed := len(livePoints) + len(bootPoints) + len(dropPoints) + len(partialPoints)
@@ -172,7 +162,7 @@ func RunReplication(cfg ReplicationConfig) (Report, error) {
 	if need := cfg.MinPoints - fixed; need > promoteN {
 		promoteN = need
 	}
-	promotePoints := spread(promoteN, int64(cfg.Writes))
+	promotePoints := spread(promoteN, int64(replWrites))
 
 	rep.Opportunities[fault.WALFlushCrash] = floor + 2
 	rep.Opportunities[fault.NetDrop] = netSpan
@@ -209,7 +199,7 @@ func RunReplication(cfg ReplicationConfig) (Report, error) {
 			cfg.logf("repl.promote@%d: VIOLATION: %v", point, err)
 			continue
 		}
-		cfg.logf("repl.promote@%d/%d: ok", point, cfg.Writes)
+		cfg.logf("repl.promote@%d/%d: ok", point, replWrites)
 	}
 	return rep, nil
 }
@@ -250,7 +240,7 @@ func openReplStore(cfg ReplicationConfig) (*nvmstore.ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := st.CreateTable(replTable, cfg.RowSize); err != nil {
+	if _, err := st.CreateTable(replTable, replRowSize); err != nil {
 		st.Close()
 		return nil, err
 	}
@@ -306,26 +296,19 @@ func startReplPair(cfg ReplicationConfig) (*replPair, error) {
 }
 
 func serveRepl(p *replPair, srv *server.Server) (string, error) {
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; ; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		if i > 2000 {
-			return "", fmt.Errorf("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
 	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 	p.cleanup = append(p.cleanup, func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		srv.Shutdown(ctx)
 		<-errc
 	})
-	return addr, nil
+	return ln.Addr().String(), nil
 }
 
 func dialRepl(p *replPair, addr string) (*client.Client, error) {
@@ -370,10 +353,10 @@ func durableLSNs(st *nvmstore.ShardedStore) []uint64 {
 // checkReplState verifies a store holds exactly the model: every acked
 // version present byte-for-byte, nothing extra, and the buffer
 // manager's structural invariants intact on every shard.
-func checkReplState(st *nvmstore.ShardedStore, model map[uint64][]byte, rowSize int) error {
+func checkReplState(st *nvmstore.ShardedStore, model map[uint64][]byte) error {
 	got := make(map[uint64][]byte)
 	tab := st.Table(replTable)
-	err := tab.Scan(0, 1<<62, 0, rowSize, func(key uint64, row []byte) bool {
+	err := tab.Scan(0, 1<<62, 0, replRowSize, func(key uint64, row []byte) bool {
 		got[key] = append([]byte(nil), row...)
 		return true
 	})
@@ -429,7 +412,7 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 	p.cleanup = append(p.cleanup, func() { p.pstore.Close() })
 	if a.bootstrap {
 		tab := p.pstore.Table(replTable)
-		for key := uint64(0); key < uint64(cfg.Rows); key++ {
+		for key := uint64(0); key < uint64(replRows); key++ {
 			row := replRow(cfg, int(key))
 			if err := tab.Put(key, row); err != nil {
 				return false, fmt.Errorf("preload %d: %v", key, err)
@@ -465,8 +448,8 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 	if err := awaitLiveFeed(p.src); err != nil {
 		return false, err
 	}
-	for i := 0; i < cfg.Writes; i++ {
-		key, row := replKey(cfg, i), replRow(cfg, i)
+	for i := 0; i < replWrites; i++ {
+		key, row := replKey(i), replRow(cfg, i)
 		if err := cl.Put(replTable, key, row); err != nil {
 			return false, fmt.Errorf("put %d: %v", i, err)
 		}
@@ -479,10 +462,10 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 		return false, fmt.Errorf("replica never converged: %v", err)
 	}
 	crashed = p.rp.Stats().ApplyCrashes > 0
-	if err := checkReplState(p.pstore, model, cfg.RowSize); err != nil {
+	if err := checkReplState(p.pstore, model); err != nil {
 		return crashed, fmt.Errorf("primary: %v", err)
 	}
-	if err := checkReplState(p.rstore, model, cfg.RowSize); err != nil {
+	if err := checkReplState(p.rstore, model); err != nil {
 		return crashed, fmt.Errorf("replica: %v", err)
 	}
 	if a.crash && !crashed {
@@ -520,7 +503,7 @@ func runPromotePoint(cfg ReplicationConfig, point int64) error {
 	}
 	model := make(map[uint64][]byte)
 	for i := 0; i < int(point); i++ {
-		key, row := replKey(cfg, i), replRow(cfg, i)
+		key, row := replKey(i), replRow(cfg, i)
 		if err := pcl.Put(replTable, key, row); err != nil {
 			return fmt.Errorf("put %d: %v", i, err)
 		}
@@ -542,7 +525,7 @@ func runPromotePoint(cfg ReplicationConfig, point int64) error {
 
 	// The promoted replica holds the acked prefix — semi-sync made
 	// every acknowledged write durable there before its ack.
-	if err := checkReplState(p.rstore, model, cfg.RowSize); err != nil {
+	if err := checkReplState(p.rstore, model); err != nil {
 		return fmt.Errorf("promoted replica vs acked prefix: %v", err)
 	}
 
@@ -550,8 +533,8 @@ func runPromotePoint(cfg ReplicationConfig, point int64) error {
 	// fencing error and fails over; the remaining writes land on the
 	// new primary.
 	cur := pcl
-	for i := int(point); i < cfg.Writes; i++ {
-		key, row := replKey(cfg, i), replRow(cfg, i)
+	for i := int(point); i < replWrites; i++ {
+		key, row := replKey(i), replRow(cfg, i)
 		err := cur.Put(replTable, key, row)
 		if client.IsFenced(err) {
 			cur = rcl
@@ -562,10 +545,10 @@ func runPromotePoint(cfg ReplicationConfig, point int64) error {
 		}
 		model[key] = row
 	}
-	if int(point) < cfg.Writes && cur != rcl {
+	if int(point) < replWrites && cur != rcl {
 		return fmt.Errorf("old primary accepted writes after fencing")
 	}
-	if err := checkReplState(p.rstore, model, cfg.RowSize); err != nil {
+	if err := checkReplState(p.rstore, model); err != nil {
 		return fmt.Errorf("new primary after failover: %v", err)
 	}
 	// The new primary reports its role and epoch.

@@ -150,18 +150,18 @@ type Device struct {
 	// torn flushes, clean crashes, and stalls (see SetFaults).
 	faults *fault.Injector
 
-	rec obs.Recorder
+	rec *obs.Collector
 	// zeroReads batches fully CPU-cached ReadAt/Touch calls — the hot
 	// case — so they cost a plain increment instead of an atomic; see
 	// recordRead and SyncObs.
 	zeroReads int64
 }
 
-// SetRecorder installs an observability recorder. Every ReadAt/Touch
+// SetRecorder installs an observability collector. Every ReadAt/Touch
 // records its charged latency as obs.OpNVMRead (zero on CPU-cache hits)
-// and every Flush as obs.OpNVMFlush. A nil recorder (the default) disables
-// recording.
-func (d *Device) SetRecorder(r obs.Recorder) { d.rec = r }
+// and every Flush as obs.OpNVMFlush. A nil collector (the default)
+// disables recording.
+func (d *Device) SetRecorder(r *obs.Collector) { d.rec = r }
 
 // recordRead records one read's charged latency. Callers hold the
 // d.rec != nil guard.

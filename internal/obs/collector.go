@@ -1,8 +1,10 @@
 package obs
 
-// Collector is the standard Recorder: one lock-free histogram per Op.
+// Collector receives latency samples into one lock-free histogram per Op.
 // One Collector serves one engine (shard); per-shard Collectors are
-// aggregated by merging snapshots.
+// aggregated by merging snapshots. Its methods tolerate concurrent calls:
+// a live metrics reader snapshots while the engine records. Components
+// treat a nil *Collector as "off".
 type Collector struct {
 	hist [NumOps]Histogram
 }
@@ -10,12 +12,15 @@ type Collector struct {
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Latency implements Recorder.
+// Latency records that op took ns simulated nanoseconds.
 func (c *Collector) Latency(op Op, ns int64) {
 	c.hist[op].Record(ns)
 }
 
-// LatencyZeros implements Recorder.
+// LatencyZeros bulk-records n zero-cost samples of op. Hit-heavy paths
+// (DRAM hits, CPU-cached NVM reads) batch their zeros in a plain counter
+// and flush every ZeroFlush samples, keeping the hot path free of atomics;
+// see Manager.SyncObs for the flush contract.
 func (c *Collector) LatencyZeros(op Op, n int64) {
 	c.hist[op].RecordZeros(n)
 }

@@ -10,12 +10,11 @@
 // evaluation literature, this layer records what they cost as
 // distributions (p50/p90/p99/max), not averages.
 //
-// Everything funnels through the Recorder interface. Components hold a
-// Recorder and skip all work when it is nil (the default), so the
-// instrumentation costs one nil check per boundary when disabled. The
-// concrete Collector implementation records into lock-free histograms
-// (atomic adds, mergeable snapshots), so a /metrics endpoint can snapshot
-// a running engine without stopping it.
+// Everything funnels through a *Collector. Components hold one and skip
+// all work when it is nil (the default), so the instrumentation costs one
+// nil check per boundary when disabled. A Collector records into
+// lock-free histograms (atomic adds, mergeable snapshots), so a /metrics
+// endpoint can snapshot a running engine without stopping it.
 package obs
 
 // Op identifies one instrumented operation of the storage hierarchy. Each
@@ -91,32 +90,7 @@ func (o Op) String() string {
 	return "op?"
 }
 
-// Recorder receives latency samples. Implementations must tolerate
-// concurrent Latency calls (engines run one per shard, but a live metrics
-// reader snapshots concurrently). Components treat a nil Recorder as
-// "off".
-type Recorder interface {
-	// Latency records that op took ns simulated nanoseconds.
-	Latency(op Op, ns int64)
-	// LatencyZeros bulk-records n zero-cost samples of op. Hit-heavy
-	// paths (DRAM hits, CPU-cached NVM reads) batch their zeros in a
-	// plain counter and flush every ZeroFlush samples, keeping the hot
-	// path free of atomics; see Manager.SyncObs for the flush contract.
-	LatencyZeros(op Op, n int64)
-}
-
 // ZeroFlush is how many batched zero-cost samples a component
-// accumulates before flushing them via LatencyZeros. It bounds how
-// stale a mid-run snapshot's hit counts can be.
+// accumulates before flushing them via Collector.LatencyZeros. It bounds
+// how stale a mid-run snapshot's hit counts can be.
 const ZeroFlush = 4096
-
-// nop is the no-op default Recorder.
-type nop struct{}
-
-func (nop) Latency(Op, int64)      {}
-func (nop) LatencyZeros(Op, int64) {}
-
-// Nop is a Recorder that discards everything. Components usually prefer a
-// nil Recorder plus a nil check (cheaper); Nop exists for call sites that
-// need a non-nil value.
-var Nop Recorder = nop{}

@@ -199,7 +199,3 @@ func TestNames(t *testing.T) {
 		}
 	}
 }
-
-func TestNopRecorder(t *testing.T) {
-	Nop.Latency(OpSSDRead, 100)
-}

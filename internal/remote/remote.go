@@ -27,24 +27,19 @@ import (
 // whole request path: framing, the server's shard routing and batching,
 // and the storage engine underneath.
 type Options struct {
-	// Addr is the server's TCP address.
+	// Addr is the server's TCP address. The run targets table 1,
+	// nvmserver's default.
 	Addr string
-	// Table is the target table id (default 1, nvmserver's default).
-	Table uint64
 	// Clients is the number of concurrent workers, each keeping its own
-	// pipeline of requests in flight (default 4).
+	// pipeline of requests in flight, and of client connections
+	// (default 4).
 	Clients int
-	// Conns is the client connection-pool size (default Clients).
-	Conns int
 	// Depth is each worker's pipeline depth (default 16).
 	Depth int
 	// Rows is the key-space size [0, Rows) (default 10000).
 	Rows int
 	// Load bulk-loads the key space through pipelined PUTs first.
 	Load bool
-	// ValueSize is the bytes written per PUT (default 100, YCSB's field
-	// size; the server zero-pads rows to the table's row size).
-	ValueSize int
 	// WritePct is the percentage of operations that are PUTs, 0..100;
 	// the rest are GETs. 0 means a read-only run (so a zero-value
 	// Options runs pure GETs); values outside 0..100 reset to 5,
@@ -71,24 +66,20 @@ type Options struct {
 	TraceSample int
 }
 
+// benchTable is the table every run targets: table 1, nvmserver's
+// default. A PUT writes one YCSB field to it; the server zero-pads rows
+// to the table's row size.
+const benchTable = 1
+
 func (o *Options) applyDefaults() {
-	if o.Table == 0 {
-		o.Table = 1
-	}
 	if o.Clients <= 0 {
 		o.Clients = 4
-	}
-	if o.Conns <= 0 {
-		o.Conns = o.Clients
 	}
 	if o.Depth <= 0 {
 		o.Depth = 16
 	}
 	if o.Rows <= 0 {
 		o.Rows = 10000
-	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = ycsb.FieldSize
 	}
 	if o.WritePct < 0 || o.WritePct > 100 {
 		o.WritePct = 5
@@ -111,7 +102,7 @@ func (o *Options) applyDefaults() {
 func Run(o Options) (bench.Result, error) {
 	o.applyDefaults()
 	cl, err := client.Dial(o.Addr, client.Options{
-		Conns: o.Conns,
+		Conns: o.Clients,
 		// Every worker must be able to fill its pipeline even if the
 		// round-robin lands them all on one connection.
 		Depth:       o.Clients * o.Depth,
@@ -175,7 +166,7 @@ func Run(o Options) (bench.Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("%d ops, %d clients × depth %d over %d conns: wall %v + sim %v = %v",
-			o.Ops, o.Clients, o.Depth, o.Conns, wall.Round(time.Microsecond), sim, (wall+sim).Round(time.Microsecond)),
+			o.Ops, o.Clients, o.Depth, o.Clients, wall.Round(time.Microsecond), sim, (wall+sim).Round(time.Microsecond)),
 		"latency rows: wire.* are client-observed wall-clock round trips;",
 		"the rest are the server engine's simulated-time histograms (with -obs)")
 	// The wire path's cost in the paper's Fig. 10 idiom — a counter, not
@@ -271,15 +262,15 @@ func remoteStats(cl *client.Client) (server.StatsDoc, error) {
 // across the workers.
 func remoteLoad(cl *client.Client, o Options, reissued *atomic.Int64) error {
 	return remoteWorkers(o.Clients, func(wid int) error {
-		val := make([]byte, o.ValueSize)
+		val := make([]byte, ycsb.FieldSize)
 		var inflight []pending
 		for k := wid; k < o.Rows; k += o.Clients {
 			key := uint64(k)
 			ycsb.FillField(key, 0, val)
-			p := pending{cl.PutAsync(o.Table, key, val), func() error {
-				v := make([]byte, o.ValueSize)
+			p := pending{cl.PutAsync(benchTable, key, val), func() error {
+				v := make([]byte, ycsb.FieldSize)
 				ycsb.FillField(key, 0, v)
-				return cl.Put(o.Table, key, v)
+				return cl.Put(benchTable, key, v)
 			}}
 			inflight = append(inflight, p)
 			if len(inflight) >= o.Depth {
@@ -305,7 +296,7 @@ func remoteRun(cl *client.Client, o Options, total int, reissued *atomic.Int64) 
 			per++
 		}
 		gen := zipfian.New(uint64(o.Rows), zipfian.Theta1, shard.SeedFor(o.Seed, wid))
-		val := make([]byte, o.ValueSize)
+		val := make([]byte, ycsb.FieldSize)
 		var inflight []pending
 		for i := 0; i < per; i++ {
 			key := gen.NextScrambled()
@@ -315,14 +306,14 @@ func remoteRun(cl *client.Client, o Options, total int, reissued *atomic.Int64) 
 				// no-ops (PutAsync consumes val before returning).
 				fill := key + uint64(i)
 				ycsb.FillField(fill, 0, val)
-				p = pending{cl.PutAsync(o.Table, key, val), func() error {
-					v := make([]byte, o.ValueSize)
+				p = pending{cl.PutAsync(benchTable, key, val), func() error {
+					v := make([]byte, ycsb.FieldSize)
 					ycsb.FillField(fill, 0, v)
-					return cl.Put(o.Table, key, v)
+					return cl.Put(benchTable, key, v)
 				}}
 			} else {
-				p = pending{cl.GetAsync(o.Table, key), func() error {
-					_, _, err := cl.Get(o.Table, key)
+				p = pending{cl.GetAsync(benchTable, key), func() error {
+					_, _, err := cl.Get(benchTable, key)
 					return err
 				}}
 			}

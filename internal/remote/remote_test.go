@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,19 +34,12 @@ func startServer(t *testing.T, shards int) string {
 		t.Fatal(err)
 	}
 	srv := server.New(store, server.Options{})
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; ; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		if i > 500 {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -56,7 +50,7 @@ func startServer(t *testing.T, shards int) string {
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return addr
+	return ln.Addr().String()
 }
 
 // TestRemoteTraceAttribution runs the wire workload with tracing on and

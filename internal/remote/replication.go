@@ -19,6 +19,7 @@ package remote
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,8 +36,6 @@ import (
 
 // ReplicationOptions configures the read-replica scaling experiment.
 type ReplicationOptions struct {
-	// Shards is the per-node shard count (default 2).
-	Shards int
 	// MaxReplicas is the largest replica count swept; the sweep runs
 	// R = 0 (reads on the primary) through MaxReplicas (default 2).
 	MaxReplicas int
@@ -50,8 +49,6 @@ type ReplicationOptions struct {
 	// DRAM and NVM cache tiers so uniform reads pay SSD device time,
 	// which is what replicas scale).
 	Rows int
-	// ValueSize is the row payload size in bytes (default 100).
-	ValueSize int
 	// Ops is the number of measured reads per point (default 20000);
 	// Warmup reads run first (default Ops/4).
 	Ops    int
@@ -61,9 +58,6 @@ type ReplicationOptions struct {
 }
 
 func (o *ReplicationOptions) applyDefaults() {
-	if o.Shards <= 0 {
-		o.Shards = 2
-	}
 	if o.MaxReplicas <= 0 {
 		o.MaxReplicas = 2
 	}
@@ -76,9 +70,6 @@ func (o *ReplicationOptions) applyDefaults() {
 	if o.Rows <= 0 {
 		o.Rows = 200000
 	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = ycsb.FieldSize
-	}
 	if o.Ops <= 0 {
 		o.Ops = 20000
 	}
@@ -90,7 +81,8 @@ func (o *ReplicationOptions) applyDefaults() {
 	}
 }
 
-const replBenchTable = 1
+// replBenchShards is each node's shard count.
+const replBenchShards = 2
 
 // Replication sweeps replica counts and reports read throughput and
 // replication lag per point. The result lands in BENCH_repl.json under
@@ -147,7 +139,7 @@ type replScalePoint struct {
 }
 
 func openReplBenchStore(o ReplicationOptions) (*nvmstore.ShardedStore, error) {
-	st, err := nvmstore.OpenSharded(o.Shards, nvmstore.Options{
+	st, err := nvmstore.OpenSharded(replBenchShards, nvmstore.Options{
 		// Cache tiers deliberately small next to the key space: the
 		// experiment measures device-bandwidth scaling, so most reads
 		// must reach the SSD tier and pay real (simulated) device time.
@@ -163,7 +155,7 @@ func openReplBenchStore(o ReplicationOptions) (*nvmstore.ShardedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := st.CreateTable(replBenchTable, o.ValueSize); err != nil {
+	if _, err := st.CreateTable(benchTable, ycsb.FieldSize); err != nil {
 		st.Close()
 		return nil, err
 	}
@@ -190,19 +182,15 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 		}
 	}
 	serveStore := func(st *nvmstore.ShardedStore, opts server.Options) (string, error) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return "", err
+		}
 		srv := server.New(st, opts)
 		errc := make(chan error, 1)
-		go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-		for i := 0; ; i++ {
-			if a := srv.Addr(); a != nil {
-				cleanup = append(cleanup, shutdown(srv, errc))
-				return a.String(), nil
-			}
-			if i > 2000 {
-				return "", fmt.Errorf("server never started listening")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		go func() { errc <- srv.Serve(ln) }()
+		cleanup = append(cleanup, shutdown(srv, errc))
+		return ln.Addr().String(), nil
 	}
 
 	pstore, err := openReplBenchStore(o)
@@ -296,7 +284,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
-		val := make([]byte, o.ValueSize)
+		val := make([]byte, ycsb.FieldSize)
 		gen := zipfian.New(uint64(o.Rows), zipfian.Theta1, shard.SeedFor(o.Seed, 101))
 		for i := 0; ; i++ {
 			select {
@@ -309,7 +297,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 			// device bandwidth the read endpoints are scaling.
 			key := gen.NextScrambled()
 			ycsb.FillField(key+uint64(i), 0, val)
-			if err := pcl.Put(replBenchTable, key, val); err != nil {
+			if err := pcl.Put(benchTable, key, val); err != nil {
 				return
 			}
 			writes.Add(1)
@@ -353,11 +341,11 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 
 // replLoad bulk-loads the key space through pipelined PUTs.
 func replLoad(cl *client.Client, o ReplicationOptions) error {
-	val := make([]byte, o.ValueSize)
+	val := make([]byte, ycsb.FieldSize)
 	var inflight []*client.Call
 	for key := uint64(0); key < uint64(o.Rows); key++ {
 		ycsb.FillField(key, 0, val)
-		inflight = append(inflight, cl.PutAsync(replBenchTable, key, val))
+		inflight = append(inflight, cl.PutAsync(benchTable, key, val))
 		if len(inflight) >= 256 {
 			if _, err := inflight[0].Result(); err != nil {
 				return err
@@ -391,7 +379,7 @@ func replReads(rcls []*client.Client, o ReplicationOptions, readers, total int) 
 		var inflight []*client.Call
 		for i := 0; i < per; i++ {
 			key := gen.Uint64n(uint64(o.Rows))
-			inflight = append(inflight, cl.GetAsync(replBenchTable, key))
+			inflight = append(inflight, cl.GetAsync(benchTable, key))
 			if len(inflight) >= o.Depth {
 				if _, err := inflight[0].Result(); err != nil {
 					return err

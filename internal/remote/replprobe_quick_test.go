@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -27,11 +28,12 @@ func TestReplProbeQuick(t *testing.T) {
 	cleanup = append(cleanup, func() { pstore.Close() })
 	src := repl.NewSource(pstore, repl.SourceOptions{})
 	psrv := server.New(pstore, server.Options{Repl: src})
-	go psrv.ListenAndServe("127.0.0.1:0")
-	for psrv.Addr() == nil {
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	paddr := psrv.Addr().String()
+	go psrv.Serve(ln)
+	paddr := ln.Addr().String()
 	pcl, err := client.Dial(paddr, client.Options{Conns: 2, Depth: 256})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -43,19 +44,12 @@ func newStore(t *testing.T, shards int) *nvmstore.ShardedStore {
 func serve(t *testing.T, store *nvmstore.ShardedStore, sopts server.Options) string {
 	t.Helper()
 	srv := server.New(store, sopts)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; ; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		if i > 500 {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -66,7 +60,7 @@ func serve(t *testing.T, store *nvmstore.ShardedStore, sopts server.Options) str
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return addr
+	return ln.Addr().String()
 }
 
 // startReplica connects a replica store to the primary and serves it.

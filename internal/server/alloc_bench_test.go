@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -28,19 +29,12 @@ func startBenchServer(b *testing.B, shards, rowSize int) string {
 		b.Fatal(err)
 	}
 	srv := server.New(store, server.Options{})
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; ; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		if i > 500 {
-			b.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
 	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 	b.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -51,7 +45,7 @@ func startBenchServer(b *testing.B, shards, rowSize int) string {
 			b.Errorf("serve: %v", err)
 		}
 	})
-	return addr
+	return ln.Addr().String()
 }
 
 // BenchmarkServeGet measures allocations per pipelined GET round trip —

@@ -364,6 +364,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.started = true
 	s.ln = ln
+	if s.draining {
+		ln.Close() // Shutdown came first and found no listener to close
+	}
 	s.mu.Unlock()
 
 	for {
@@ -408,16 +411,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.connWG.Add(1)
 		go c.readLoop()
 	}
-}
-
-// Addr returns the listen address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Shutdown drains the server gracefully: it stops accepting, half-

@@ -70,19 +70,12 @@ func openStore(t *testing.T, shards, rowSize int) *nvmstore.ShardedStore {
 func serveStore(t *testing.T, store *nvmstore.ShardedStore, sopts server.Options) (*server.Server, string) {
 	t.Helper()
 	srv := server.New(store, sopts)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	var addr string
-	for i := 0; ; i++ {
-		if a := srv.Addr(); a != nil {
-			addr = a.String()
-			break
-		}
-		if i > 500 {
-			t.Fatal("server never started listening")
-		}
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -93,7 +86,7 @@ func serveStore(t *testing.T, store *nvmstore.ShardedStore, sopts server.Options
 			t.Errorf("serve: %v", err)
 		}
 	})
-	return srv, addr
+	return srv, ln.Addr().String()
 }
 
 // rowFor builds a deterministic row payload for key.
@@ -410,12 +403,13 @@ func TestDrainNoLostAcknowledgedWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := server.New(store, server.Options{})
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe("127.0.0.1:0") }()
-	for srv.Addr() == nil {
-		time.Sleep(time.Millisecond)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	addr := srv.Addr().String()
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	addr := ln.Addr().String()
 
 	const workers = 4
 	var acked [workers][]uint64
@@ -471,12 +465,13 @@ func TestDrainNoLostAcknowledgedWrites(t *testing.T) {
 
 	// Every acknowledged write must be there — through a fresh server.
 	srv2 := server.New(store, server.Options{})
-	errc2 := make(chan error, 1)
-	go func() { errc2 <- srv2.ListenAndServe("127.0.0.1:0") }()
-	for srv2.Addr() == nil {
-		time.Sleep(time.Millisecond)
+	ln2, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	cl, err := client.Dial(srv2.Addr().String(), client.Options{Depth: 64})
+	errc2 := make(chan error, 1)
+	go func() { errc2 <- srv2.Serve(ln2) }()
+	cl, err := client.Dial(ln2.Addr().String(), client.Options{Depth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,6 +738,33 @@ func TestStalledReaderDoesNotWedgeShard(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("shard wedged by a stalled reader: healthy client starved")
+	}
+}
+
+// TestShutdownBeforeServe: a Shutdown that runs before Serve has taken
+// its listener still stops Serve, which closes the listener and returns
+// nil instead of accepting forever.
+func TestShutdownBeforeServe(t *testing.T) {
+	store := openStore(t, 1, testRowSize)
+	t.Cleanup(func() { store.Close() })
+	srv := server.New(store, server.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.Serve(ln) }()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("serve after shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		ln.Close()
+		t.Fatal("Serve kept accepting after Shutdown")
 	}
 }
 

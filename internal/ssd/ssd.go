@@ -44,22 +44,24 @@ type Config struct {
 	// WriteLatency is charged per page write.
 	WriteLatency time.Duration
 	// MaxRetries bounds how many times a faulted page access is retried
-	// before the failure is treated as fatal (default 4).
+	// before the failure is treated as fatal.
 	MaxRetries int
-	// RetryBackoff is the simulated delay charged before the first
-	// retry; it doubles per attempt (default 50 µs).
-	RetryBackoff time.Duration
 }
+
+// retryBackoff is the simulated delay charged before the first retry of a
+// faulted page access; it doubles per attempt.
+const retryBackoff = 50 * time.Microsecond
 
 // DefaultConfig returns the SSD configuration used by the reproduction: the
 // paper quotes "hundreds of microseconds" per access; we use 100 µs reads
-// and 200 µs writes.
+// and 200 µs writes, and retry a faulted access up to 4 times.
 func DefaultConfig(pageSize int, capacity int64) Config {
 	return Config{
 		PageSize:     pageSize,
 		Capacity:     capacity,
 		ReadLatency:  100 * time.Microsecond,
 		WriteLatency: 200 * time.Microsecond,
+		MaxRetries:   4,
 	}
 }
 
@@ -101,14 +103,14 @@ type Device struct {
 	// including those left behind by pages that outgrew them.
 	stored int64
 	stats  Stats
-	rec    obs.Recorder
+	rec    *obs.Collector
 	faults *fault.Injector
 }
 
-// SetRecorder installs an observability recorder: every ReadPage records
+// SetRecorder installs an observability collector: every ReadPage records
 // its charged latency as obs.OpSSDRead and every WritePage as
-// obs.OpSSDWrite. A nil recorder (the default) disables recording.
-func (d *Device) SetRecorder(r obs.Recorder) { d.rec = r }
+// obs.OpSSDWrite. A nil collector (the default) disables recording.
+func (d *Device) SetRecorder(r *obs.Collector) { d.rec = r }
 
 // SetFaults installs a fault injector consulted on every page access:
 // fault.SSDReadError / fault.SSDWriteError inject I/O errors the device
@@ -137,9 +139,9 @@ func (d *Device) injectFaults(k fault.Kind, site string) {
 		panic(fault.Crash{Kind: k, Site: site})
 	}
 	// Retry the access until the transient failure clears. Attempt i
-	// charges RetryBackoff·2^(i-1); classification mirrors
-	// fault.Classify — only transient errors are worth the wait.
-	backoff := d.cfg.RetryBackoff
+	// charges retryBackoff·2^(i-1); only a fault the plan marks transient
+	// (dec.Transient > 0) is worth the wait.
+	backoff := retryBackoff
 	for attempt := 1; ; attempt++ {
 		if attempt > d.cfg.MaxRetries {
 			panic(fault.Crash{Kind: k, Site: site})
@@ -161,12 +163,6 @@ func New(cfg Config, clk *simclock.Clock) *Device {
 	}
 	if clk == nil {
 		panic("ssd: nil clock")
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 4
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Microsecond
 	}
 	return &Device{cfg: cfg, clk: clk, arena: offheap.New(), pages: make(map[int64][]byte)}
 }

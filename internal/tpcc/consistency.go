@@ -19,7 +19,7 @@ import (
 //
 // It is meant for tests and post-crash validation, not hot paths.
 func (w *Workload) VerifyConsistency() error {
-	for _, wh := range w.whs {
+	for wh := 1; wh <= w.cfg.Warehouses; wh++ {
 		if err := w.verifyWarehouse(wh); err != nil {
 			return err
 		}

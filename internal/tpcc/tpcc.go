@@ -6,7 +6,6 @@ import (
 
 	"nvmstore/internal/btree"
 	"nvmstore/internal/engine"
-	"nvmstore/internal/shard"
 )
 
 // Config scales the generated database. The zero value of any field
@@ -69,17 +68,12 @@ func (s Stats) Total() int64 {
 	return s.NewOrder + s.NewOrderRbk + s.Payment + s.OrderStatus + s.Delivery + s.StockLevel
 }
 
-// Workload drives TPC-C transactions against one engine. A partitioned
-// workload (NewPartition) holds one shard of the warehouses and routes
-// every transaction to a home warehouse it owns.
+// Workload drives TPC-C transactions against one engine, which holds
+// warehouses 1..Config.Warehouses.
 type Workload struct {
 	e   *engine.Engine
 	cfg Config
 	rng rng
-
-	// whs lists the warehouse ids this shard owns, ascending. An
-	// unpartitioned workload owns 1..Warehouses.
-	whs []int
 
 	warehouse *btree.Tree
 	district  *btree.Tree
@@ -169,49 +163,14 @@ func fillString(dst []byte, seed uint64) {
 }
 
 // New creates the TPC-C schema in e and loads the initial database per
-// the configuration, then checkpoints.
+// the configuration, then checkpoints. The random stream is seeded from
+// Config.Seed.
 func New(e *engine.Engine, cfg Config) (*Workload, error) {
-	return NewPartition(e, cfg, 1, 0)
-}
-
-// ownedWarehouses lists the warehouses of one shard: warehouse wh belongs
-// to shard (wh-1) % shards — the paper's Appendix A.1 partitioning, with
-// round-robin assignment so small warehouse counts stay balanced.
-func ownedWarehouses(warehouses, shards, index int) []int {
-	if shards <= 1 {
-		shards, index = 1, 0
-	}
-	whs := make([]int, 0, warehouses/shards+1)
-	for wh := index + 1; wh <= warehouses; wh += shards {
-		whs = append(whs, wh)
-	}
-	return whs
-}
-
-// NewPartition creates one shard of a partitioned TPC-C database: the
-// warehouses whose (id-1) % shards == index, with all their districts,
-// customers, stock, and orders, plus a replica of the read-only item
-// table. Transactions are routed by home warehouse, so shards share
-// nothing; the rare remote accesses of New-Order (1%) and Payment (15%)
-// stay within the shard's own warehouses. The random stream is seeded
-// from (Config.Seed, index), making a sharded run reproducible.
-func NewPartition(e *engine.Engine, cfg Config, shards, index int) (*Workload, error) {
 	cfg.applyDefaults()
 	if cfg.Warehouses < 1 {
 		return nil, fmt.Errorf("tpcc: need at least one warehouse")
 	}
-	if shards < 1 || index < 0 || (shards > 1 && index >= shards) {
-		return nil, fmt.Errorf("tpcc: bad partition %d/%d", index, shards)
-	}
-	seed := cfg.Seed
-	if shards > 1 {
-		seed = shard.SeedFor(cfg.Seed, index)
-	}
-	whs := ownedWarehouses(cfg.Warehouses, shards, index)
-	if len(whs) == 0 {
-		return nil, fmt.Errorf("tpcc: shard %d/%d owns no warehouses (W=%d)", index, shards, cfg.Warehouses)
-	}
-	w := &Workload{e: e, cfg: cfg, rng: rng{state: seed}, whs: whs, now: 1}
+	w := &Workload{e: e, cfg: cfg, rng: rng{state: cfg.Seed}, now: 1}
 	create := func(id uint64, size int) (*btree.Tree, error) {
 		return e.CreateTree(id, size, btree.LayoutSorted)
 	}
@@ -258,24 +217,15 @@ func NewPartition(e *engine.Engine, cfg Config, shards, index int) (*Workload, e
 	return w, nil
 }
 
-// Attach reopens a previously loaded workload (after a restart).
+// Attach reopens a previously loaded workload (after a restart). Its
+// random stream is seeded from Config.Seed+1, so it does not replay the
+// transactions run before the restart.
 func Attach(e *engine.Engine, cfg Config) (*Workload, error) {
-	return AttachPartition(e, cfg, 1, 0)
-}
-
-// AttachPartition reopens one shard of a partitioned workload (after a
-// restart of that shard's engine).
-func AttachPartition(e *engine.Engine, cfg Config, shards, index int) (*Workload, error) {
 	cfg.applyDefaults()
-	seed := cfg.Seed + 1
-	if shards > 1 {
-		seed = shard.SeedFor(cfg.Seed+1, index)
+	if cfg.Warehouses < 1 {
+		return nil, fmt.Errorf("tpcc: need at least one warehouse")
 	}
-	whs := ownedWarehouses(cfg.Warehouses, shards, index)
-	if len(whs) == 0 {
-		return nil, fmt.Errorf("tpcc: shard %d/%d owns no warehouses (W=%d)", index, shards, cfg.Warehouses)
-	}
-	w := &Workload{e: e, cfg: cfg, rng: rng{state: seed}, whs: whs, now: 1 << 20}
+	w := &Workload{e: e, cfg: cfg, rng: rng{state: cfg.Seed + 1}, now: 1 << 20}
 	for _, bind := range []struct {
 		id  uint64
 		dst **btree.Tree
@@ -335,9 +285,9 @@ func (w *Workload) load() error {
 		return err
 	}
 
-	// Warehouses (the shard's own; an unpartitioned load owns them all).
-	if err := w.warehouse.BulkLoad(len(w.whs),
-		func(i int) uint64 { return wKey(w.whs[i]) },
+	// Warehouses.
+	if err := w.warehouse.BulkLoad(cfg.Warehouses,
+		func(i int) uint64 { return wKey(i + 1) },
 		func(i int, dst []byte) {
 			putI64(dst, whYTD, 30000000*100)
 			putI32(dst, whTax, int32(r.uniform(0, 2000)))
@@ -347,8 +297,8 @@ func (w *Workload) load() error {
 	}
 
 	// Districts.
-	if err := w.district.BulkLoad(len(w.whs)*districtsPerWarehouse,
-		func(i int) uint64 { return dKey(w.whs[i/districtsPerWarehouse], i%districtsPerWarehouse+1) },
+	if err := w.district.BulkLoad(cfg.Warehouses*districtsPerWarehouse,
+		func(i int) uint64 { return dKey(i/districtsPerWarehouse+1, i%districtsPerWarehouse+1) },
 		func(i int, dst []byte) {
 			putI64(dst, diYTD, 3000000*100)
 			putI32(dst, diTax, int32(r.uniform(0, 2000)))
@@ -359,8 +309,8 @@ func (w *Workload) load() error {
 	}
 
 	// Stock (per warehouse, ascending item id).
-	if err := w.stock.BulkLoad(len(w.whs)*cfg.Items,
-		func(i int) uint64 { return sKey(w.whs[i/cfg.Items], i%cfg.Items+1) },
+	if err := w.stock.BulkLoad(cfg.Warehouses*cfg.Items,
+		func(i int) uint64 { return sKey(i/cfg.Items+1, i%cfg.Items+1) },
 		func(i int, dst []byte) {
 			putI32(dst, stQuantity, int32(r.uniform(10, 100)))
 			for d := 0; d < districtsPerWarehouse; d++ {
@@ -372,7 +322,7 @@ func (w *Workload) load() error {
 	}
 
 	// Customers, the name index, history.
-	nCust := len(w.whs) * districtsPerWarehouse * cfg.CustomersPerDistrict
+	nCust := cfg.Warehouses * districtsPerWarehouse * cfg.CustomersPerDistrict
 	nameKeys := make([]uint64, 0, nCust)
 	nameRows := make([][]byte, 0, nCust)
 	emptyIdx := make([]byte, indexSize)
@@ -380,13 +330,13 @@ func (w *Workload) load() error {
 		func(i int) uint64 {
 			c := i%cfg.CustomersPerDistrict + 1
 			d := i/cfg.CustomersPerDistrict%districtsPerWarehouse + 1
-			wh := w.whs[i/(cfg.CustomersPerDistrict*districtsPerWarehouse)]
+			wh := i/(cfg.CustomersPerDistrict*districtsPerWarehouse) + 1
 			return cKey(wh, d, c)
 		},
 		func(i int, dst []byte) {
 			c := i%cfg.CustomersPerDistrict + 1
 			d := i/cfg.CustomersPerDistrict%districtsPerWarehouse + 1
-			wh := w.whs[i/(cfg.CustomersPerDistrict*districtsPerWarehouse)]
+			wh := i/(cfg.CustomersPerDistrict*districtsPerWarehouse) + 1
 			putI64(dst, cuBalance, -1000)
 			putI64(dst, cuCreditLim, 50000*100)
 			putI32(dst, cuDiscount, int32(r.uniform(0, 5000)))
@@ -427,7 +377,7 @@ func (w *Workload) load() error {
 func (w *Workload) loadOrders(fill float64) error {
 	cfg := w.cfg
 	r := &w.rng
-	nOrders := len(w.whs) * districtsPerWarehouse * cfg.InitialOrdersPerDistrict
+	nOrders := cfg.Warehouses * districtsPerWarehouse * cfg.InitialOrdersPerDistrict
 	undelivered := cfg.InitialOrdersPerDistrict - cfg.InitialOrdersPerDistrict*7/10 // last ~30% pending
 
 	type orderInfo struct {
@@ -435,7 +385,7 @@ func (w *Workload) loadOrders(fill float64) error {
 	}
 	orders := make([]orderInfo, 0, nOrders)
 	// Customer permutation per district so each customer has orders.
-	for _, wh := range w.whs {
+	for wh := 1; wh <= cfg.Warehouses; wh++ {
 		for d := 1; d <= districtsPerWarehouse; d++ {
 			perm := make([]int, cfg.InitialOrdersPerDistrict)
 			for i := range perm {

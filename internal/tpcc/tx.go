@@ -31,11 +31,10 @@ func errNotFound(table string, key uint64) error {
 	return fmt.Errorf("tpcc: %s row %#x missing", table, key)
 }
 
-// homeW picks a uniformly random home warehouse among those the shard
-// owns. Unpartitioned, this is the specification's uniform(1, W) draw
-// (same random stream, same value).
+// homeW picks a uniformly random home warehouse: the specification's
+// uniform(1, W) draw.
 func (w *Workload) homeW() int {
-	return w.whs[w.rng.intn(len(w.whs))]
+	return w.rng.uniform(1, w.cfg.Warehouses)
 }
 
 // NewOrder runs the New-Order transaction: enter an order of 5-15 lines,
@@ -144,7 +143,7 @@ func (w *Workload) NewOrder() error {
 		}
 
 		supplyW := wh
-		if len(w.whs) > 1 && r.intn(100) == 0 {
+		if w.cfg.Warehouses > 1 && r.intn(100) == 0 {
 			for supplyW == wh {
 				supplyW = w.homeW()
 			}
@@ -260,7 +259,7 @@ func (w *Workload) Payment() error {
 	d := r.uniform(1, districtsPerWarehouse)
 	// 15% of payments come through a remote warehouse.
 	cw, cd := wh, d
-	if len(w.whs) > 1 && r.intn(100) < 15 {
+	if w.cfg.Warehouses > 1 && r.intn(100) < 15 {
 		for cw == wh {
 			cw = w.homeW()
 		}

@@ -215,7 +215,7 @@ type Log struct {
 	// single-threaded by contract).
 	scratch []byte
 
-	rec obs.Recorder
+	rec *obs.Collector
 	clk *simclock.Clock
 
 	faults *fault.Injector
@@ -289,12 +289,12 @@ func (l *Log) DurableLSN() LSN { return l.durable }
 // power failure between clwbs. A nil injector disables injection.
 func (l *Log) SetFaults(in *fault.Injector) { l.faults = in }
 
-// SetRecorder installs an observability recorder, charging flush time to
+// SetRecorder installs an observability collector, charging flush time to
 // obs.OpWALFlush (measured on clk, the engine's virtual clock) and
 // counting appended records under obs.OpWALAppend. Appends record zero
 // latency by design: WriteAt models a store into the CPU cache, and the
-// NVM cost is paid at flush time. A nil recorder disables recording.
-func (l *Log) SetRecorder(r obs.Recorder, clk *simclock.Clock) {
+// NVM cost is paid at flush time. A nil collector disables recording.
+func (l *Log) SetRecorder(r *obs.Collector, clk *simclock.Clock) {
 	l.rec = r
 	l.clk = clk
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"strings"
 	"testing"
@@ -204,8 +205,8 @@ func TestInjectedFlushCrashRecovers(t *testing.T) {
 	}
 }
 
-// TestInjectedAppendError: fault.WALAppendError surfaces as a
-// classifiable *fault.Error without advancing the log.
+// TestInjectedAppendError: fault.WALAppendError surfaces as a transient
+// *fault.Error without advancing the log.
 func TestInjectedAppendError(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	plan := &fault.Plan{Seed: 3, Rules: []fault.Rule{{Kind: fault.WALAppendError, EveryN: 1, Limit: 1, Transient: 1}}}
@@ -216,8 +217,9 @@ func TestInjectedAppendError(t *testing.T) {
 	if err == nil {
 		t.Fatal("append did not fail")
 	}
-	if fault.Classify(err) != fault.ClassTransient {
-		t.Fatalf("err %v classified fatal, want transient", err)
+	var fe *fault.Error
+	if !errors.As(err, &fe) || fe.Permanent {
+		t.Fatalf("err %v is not a transient *fault.Error", err)
 	}
 	if l.Bytes() != 0 {
 		t.Fatalf("failed append advanced the log to %d bytes", l.Bytes())

@@ -197,22 +197,6 @@ func LoadPartitionFill(e *engine.Engine, n int, layout btree.LeafLayout, fill fl
 	if err := e.Checkpoint(); err != nil {
 		return nil, err
 	}
-	return AttachPartition(e, n, p)
-}
-
-// Attach builds a workload over an already-loaded engine (for example
-// after a restart).
-func Attach(e *engine.Engine, n int) (*Workload, error) {
-	return AttachPartition(e, n, Partition{})
-}
-
-// AttachPartition is Attach for one shard of a partitioned load: n is the
-// global key-space size, of which the engine holds partition p's share.
-func AttachPartition(e *engine.Engine, n int, p Partition) (*Workload, error) {
-	t := e.Tree(TableID)
-	if t == nil {
-		return nil, fmt.Errorf("ycsb: engine has no YCSB table")
-	}
 	return &Workload{
 		e:     e,
 		table: t,

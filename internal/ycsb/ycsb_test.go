@@ -104,23 +104,6 @@ func TestRowBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAttachAfterRestart(t *testing.T) {
-	w := loadWorkload(t, core.ThreeTier, 300)
-	e := w.e
-	if err := e.CleanRestart(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Attach(e, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := w2.Lookup(); err != nil {
-			t.Fatalf("lookup after restart: %v", err)
-		}
-	}
-}
-
 func TestStandardPresets(t *testing.T) {
 	for _, p := range []Preset{PresetA, PresetB, PresetC, PresetD, PresetE} {
 		t.Run(string(p), func(t *testing.T) {
