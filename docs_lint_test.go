@@ -6,6 +6,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -260,22 +261,12 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	var tests []string
-	testFunc := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
-	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir // .git, build caches
+	for _, f := range parseRepo(t) {
+		for _, decl := range f.ast.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && f.test && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Test") {
+				tests = append(tests, fd.Name.Name)
+			}
 		}
-		if err != nil || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		for _, m := range testFunc.FindAllSubmatch(src, -1) {
-			tests = append(tests, string(m[1]))
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	patterns := regexp.MustCompile(`-run '([^']*)'`).FindAllSubmatch(ci, -1)
 	if len(patterns) == 0 {
@@ -291,6 +282,27 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 			if !slices.ContainsFunc(tests, re.MatchString) {
 				t.Errorf("ci.yml -run alternative %q matches no test function", alt)
 			}
+		}
+	}
+}
+
+// TestCICountsNoSourceText fails when the CI workflow counts or searches
+// Go source as text: a grep -c or -vc, an awk cut of a function body,
+// or a grep over .go files. Such a rule belongs in TestArchitectureGates
+// (gates_test.go), which counts on the parsed source and which
+// go test ./... runs.
+func TestCICountsNoSourceText(t *testing.T) {
+	ci, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, re := range []*regexp.Regexp{
+		regexp.MustCompile(`\bgrep\s+-[A-Za-z]*c`),
+		regexp.MustCompile(`\bawk\s+'/\^func`),
+		regexp.MustCompile(`\bgrep\b[^|\n]*(--include=.?\*\.go|\.go\b)`),
+	} {
+		for _, m := range re.FindAll(ci, -1) {
+			t.Errorf("ci.yml counts source text (%q); add a row to the gates in gates_test.go instead", m)
 		}
 	}
 }
@@ -378,26 +390,9 @@ func exportedInFile(f *ast.File) []string {
 // removed only together with that list.
 func TestSettingsPinned(t *testing.T) {
 	var settings []string
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark" || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(filepath.Join("nvmstore", filepath.Dir(path)))
-		for _, decl := range f.Decls {
+	for _, f := range nonTest(except(parseRepo(t), "benchmark")) {
+		pkg := path.Join("nvmstore", path.Dir(f.path))
+		for _, decl := range f.ast.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
 				continue
@@ -418,10 +413,6 @@ func TestSettingsPinned(t *testing.T) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	want, err := os.ReadFile("testdata/settings.txt")
 	if err != nil {

@@ -1,0 +1,416 @@
+package nvmstore_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// gate is one architecture rule: a mechanism the five architectures
+// share has one implementation, so they differ in their storage layer
+// alone. check returns a line per violation, found in the parsed Go
+// source of the repository; heading is the DESIGN.md heading whose
+// section states the rule, so the rule and its explanation go together.
+type gate struct {
+	rule    string
+	heading string
+	check   func(src []goFile) []string
+}
+
+// gates are the rows of TestArchitectureGates.
+var gates = []gate{
+	{
+		// A log flush ends on a line boundary with its last record
+		// marked, so no log line is flushed twice between truncations.
+		// Log.Flush owns that rule; a second flush site would not apply
+		// it. Truncate's one device write persists the LSN floor.
+		rule:    "One log flush site",
+		heading: "9.7 What the log holds: redo always, undo on steal",
+		check: func(src []goFile) []string {
+			return sitesAre(calls(nonTest(under(src, "internal/wal")), "dev.Flush", "dev.Persist"),
+				"Log.Flush dev.Flush", "Log.Truncate dev.Persist")
+		},
+	},
+	{
+		// An update record carries only its redo image; logUndo logs the
+		// undo images, and the write barrier and LogPageImage run it
+		// before uncommitted bytes can reach persistent storage. A second
+		// caller would log undo the rule does not account for.
+		rule:    "One undo append",
+		heading: "9.7 What the log holds: redo always, undo on steal",
+		check: func(src []goFile) []string {
+			return sitesAre(calls(nonTest(src), "AppendUndo"), "Engine.logUndo AppendUndo")
+		},
+	},
+	{
+		// Overwrite dirties lines without arming the write-back undo
+		// journal: crash-safe only for bytes whose after-image is in the
+		// WAL and that move nothing else on the page.
+		rule:    "One journal-free store",
+		heading: "9.4 The NVM write-back undo journal",
+		check: func(src []goFile) []string {
+			return sitesAre(calls(nonTest(src), "Overwrite"), "Tree.UpdateField Overwrite")
+		},
+	},
+	{
+		// Frame write-back and NVM-slot eviction are the two SSD writers,
+		// slot data is flushed in writeBack alone, every other durable
+		// store goes through the one charged persist helper, and the log
+		// is cut by the checkpoint round's truncateLog alone.
+		rule:    "One write-back path",
+		heading: "9.4 The NVM write-back undo journal",
+		check: func(src []goFile) []string {
+			core := nonTest(under(src, "internal/core"))
+			return slices.Concat(
+				sitesAre(calls(core, "ssd.WritePage"),
+					"Manager.evictNVMSlot ssd.WritePage", "Manager.writeBack ssd.WritePage"),
+				sitesAre(calls(core, "nvm.Flush"), "Manager.writeBack nvm.Flush"),
+				sitesAre(calls(core, "nvm.Persist"), "Manager.persist nvm.Persist"),
+				sitesAre(calls(nonTest(src), "log.Truncate"), "Engine.truncateLog log.Truncate"))
+		},
+	},
+	{
+		// The NVM slab, its wear counters and CPU-cache tags, and the SSD's
+		// pages live off the Go heap and are unmapped once their device is
+		// unreachable. A slice of the medium outliving its device would
+		// read unmapped memory, so the one holder of nvm.Device.View
+		// slices is a direct frame, reached only through the Manager that
+		// holds the device.
+		rule:    "One media allocator; views stay in core",
+		heading: "2. Substitutions (no NVM/SSD hardware, Go instead of C++)",
+		check: func(src []goFile) []string {
+			outside := except(src, "internal/offheap")
+			var bad []string
+			for _, s := range calls(outside, "syscall.Mmap", "syscall.Munmap") {
+				bad = append(bad, s.pos+": "+s.call+" outside internal/offheap")
+			}
+			for _, f := range outside {
+				for _, imp := range f.ast.Imports {
+					if imp.Path.Value == `"unsafe"` {
+						bad = append(bad, f.path+": imports unsafe outside internal/offheap")
+					}
+				}
+			}
+			for _, m := range mediaMakes(nonTest(slices.Concat(under(src, "internal/nvm"), under(src, "internal/ssd")))) {
+				bad = append(bad, m+": a medium or its counters made on the Go heap, not carved from an offheap.Arena")
+			}
+			return append(bad, sitesAre(calls(nonTest(src), "View"), "Manager.directFrame View")...)
+		},
+	},
+	{
+		// The per-connection reader is the only goroutine server.go starts
+		// for a connection; the response queue, its writer and the NVM
+		// device's private crash injector stay deleted (internal/fault is
+		// the one injector).
+		rule:    "One response path, one crash injector",
+		heading: "8. Serving layer (network)",
+		check: func(src []goFile) []string {
+			var bad []string
+			goConn := 0
+			for _, f := range file(src, "internal/server/server.go") {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok && isConnMethod(g.Call.Fun) {
+						goConn++
+					}
+					return true
+				})
+			}
+			if goConn != 1 {
+				bad = append(bad, "internal/server/server.go starts "+strconv.Itoa(goConn)+" goroutines on a conn method, want 1 (readLoop)")
+			}
+			for _, f := range src {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && slices.Contains([]string{"WriteQueue", "writeLoop", "FailAfterFlushes"}, id.Name) {
+						bad = append(bad, f.fset.Position(id.Pos()).String()+": "+id.Name+" is back")
+					}
+					return true
+				})
+			}
+			return bad
+		},
+	},
+	{
+		// Group commit, checkpoint pacing, fault absorption and scans
+		// beside writers are guarded by deterministic tests, not by
+		// wall-clock experiments: internal/bench keeps the paper's
+		// figures, figA1 and the admission ablation.
+		rule:    "One harness per purpose",
+		heading: "4. Experiment index (evaluation section + appendix)",
+		check: func(src []goFile) []string {
+			var bad []string
+			if len(file(src, "internal/remote/groupcommit.go")) > 0 {
+				bad = append(bad, "internal/remote/groupcommit.go is back")
+			}
+			for _, f := range file(src, "internal/bench/registry.go") {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					if cl, ok := n.(*ast.CompositeLit); ok && len(cl.Elts) > 0 {
+						if id := stringLit(cl.Elts[0]); slices.Contains([]string{"groupcommit", "ckptstall", "readscale", "faults"}, id) {
+							bad = append(bad, f.fset.Position(cl.Pos()).String()+": experiment "+strconv.Quote(id)+" is back")
+						}
+					}
+					return true
+				})
+			}
+			return bad
+		},
+	},
+	{
+		// STATS numbers reach /metrics through their StatsDoc tags; the
+		// only literal counter and gauge families in server.go are the
+		// per-replica repl_* block.
+		rule:    "One declaration per served metric",
+		heading: "11. Request tracing & tail-latency attribution",
+		check: func(src []goFile) []string {
+			var bad []string
+			for _, s := range calls(file(src, "internal/server/server.go"), "Counter", "Gauge") {
+				if len(s.expr.Args) == 0 || !strings.HasPrefix(stringLit(s.expr.Args[0]), "nvmstore_repl_") {
+					bad = append(bad, s.pos+": "+s.call+" declares a family by hand; give the number a StatsDoc field")
+				}
+			}
+			return bad
+		},
+	},
+}
+
+// TestArchitectureGates fails for every violation of a gate row, and for
+// every row whose DESIGN.md heading is gone. Each row counts call sites,
+// imports, identifiers or the functions that enclose them in the parsed
+// source (go/ast, not text), so comments, strings and formatting cannot
+// satisfy or break it.
+func TestArchitectureGates(t *testing.T) {
+	src := parseRepo(t)
+	headings := designHeadings(t)
+	for _, g := range gates {
+		t.Run(strings.ReplaceAll(g.rule, " ", "_"), func(t *testing.T) {
+			if !slices.Contains(headings, g.heading) {
+				t.Errorf("DESIGN.md has no heading %q, which states this rule", g.heading)
+			}
+			for _, v := range g.check(src) {
+				t.Errorf("%s (DESIGN.md %q): %s", g.rule, g.heading, v)
+			}
+		})
+	}
+}
+
+// goFile is one parsed Go file of the repository.
+type goFile struct {
+	path string // slash-separated, relative to the repository root
+	test bool
+	fset *token.FileSet
+	ast  *ast.File
+}
+
+// parseRepo parses every Go file of the repository, tests included, and
+// skips dot directories and testdata.
+func parseRepo(t *testing.T) []goFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []goFile
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, goFile{filepath.ToSlash(path), strings.HasSuffix(path, "_test.go"), fset, f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no Go files found")
+	}
+	return files
+}
+
+// designHeadings returns the text of every Markdown heading in DESIGN.md.
+func designHeadings(t *testing.T) []string {
+	t.Helper()
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var headings []string
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "#") {
+			headings = append(headings, strings.TrimSpace(strings.TrimLeft(line, "#")))
+		}
+	}
+	return headings
+}
+
+func nonTest(files []goFile) []goFile {
+	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return f.test })
+}
+
+// under keeps the files of dir and its subdirectories.
+func under(files []goFile, dir string) []goFile {
+	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return !strings.HasPrefix(f.path, dir+"/") })
+}
+
+// file keeps the file at path, if it exists.
+func file(files []goFile, path string) []goFile {
+	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return f.path != path })
+}
+
+// except drops the files of dir and its subdirectories.
+func except(files []goFile, dir string) []goFile {
+	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return strings.HasPrefix(f.path, dir+"/") })
+}
+
+// site is one call and the top-level function or method enclosing it.
+type site struct {
+	pos  string
+	fn   string // "Recv.Name", "Name", or "" outside any function
+	call string // the callee's trailing selectors that matched
+	expr *ast.CallExpr
+}
+
+// calls returns every call whose callee ends in one of the dotted
+// selector chains: "AppendUndo" matches x.AppendUndo(…) and
+// a.b.AppendUndo(…), "dev.Flush" matches l.dev.Flush(…), and
+// "syscall.Mmap" the package function.
+func calls(files []goFile, chains ...string) []site {
+	var sites []site
+	for _, f := range files {
+		for _, decl := range f.ast.Decls {
+			fn := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				fn = fd.Name.Name
+				if r := receiverType(fd); r != "" {
+					fn = r + "." + fn
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				names := selectorChain(call.Fun)
+				for _, c := range chains {
+					want := strings.Split(c, ".")
+					if len(names) >= len(want) && slices.Equal(names[len(names)-len(want):], want) {
+						sites = append(sites, site{f.fset.Position(call.Pos()).String(), fn, c, call})
+					}
+				}
+				return true
+			})
+		}
+	}
+	return sites
+}
+
+// selectorChain returns the names of a.b.c as [a b c]; a chain that does
+// not start at an identifier (f().b.c) keeps only its selectors.
+func selectorChain(e ast.Expr) []string {
+	var names []string
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			names = append(names, x.Sel.Name)
+			e = x.X
+		case *ast.Ident:
+			names = append(names, x.Name)
+			slices.Reverse(names)
+			return names
+		default:
+			slices.Reverse(names)
+			return names
+		}
+	}
+}
+
+// sitesAre reports a violation unless the calls are exactly the wanted
+// ones, each given as "<enclosing function> <chain>".
+func sitesAre(got []site, want ...string) []string {
+	var have []string
+	for _, s := range got {
+		have = append(have, s.fn+" "+s.call)
+	}
+	slices.Sort(have)
+	slices.Sort(want)
+	if slices.Equal(have, want) {
+		return nil
+	}
+	var where []string
+	for _, s := range got {
+		where = append(where, s.pos+" in "+s.fn)
+	}
+	return []string{"call sites " + strings.Join(have, ", ") + " (" + strings.Join(where, "; ") +
+		"), want exactly " + strings.Join(want, ", ")}
+}
+
+// mediaMakes returns the position of every make of a []byte, []uint32 or
+// []int64, the element types of a medium and its counters; a []byte of
+// LineSize, one line's scratch buffer, is allowed.
+func mediaMakes(files []goFile) []string {
+	var found []string
+	for _, f := range files {
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) < 2 {
+				return true
+			}
+			if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "make" {
+				return true
+			}
+			at, ok := call.Args[0].(*ast.ArrayType)
+			if !ok || at.Len != nil {
+				return true
+			}
+			elt, _ := at.Elt.(*ast.Ident)
+			if elt == nil || !slices.Contains([]string{"byte", "uint32", "int64"}, elt.Name) {
+				return true
+			}
+			if size, ok := call.Args[1].(*ast.Ident); ok && elt.Name == "byte" && size.Name == "LineSize" {
+				return true
+			}
+			found = append(found, f.fset.Position(call.Pos()).String())
+			return true
+		})
+	}
+	return found
+}
+
+// isConnMethod reports whether fn is a method value on the variable c, as
+// in go c.readLoop().
+func isConnMethod(fn ast.Expr) bool {
+	sel, ok := fn.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == "c"
+}
+
+// stringLit returns the value of a string literal, or "" for any other
+// expression.
+func stringLit(e ast.Expr) string {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return ""
+	}
+	s, err := strconv.Unquote(lit.Value)
+	if err != nil {
+		return ""
+	}
+	return s
+}

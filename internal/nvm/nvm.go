@@ -69,13 +69,10 @@ type Config struct {
 	LineTransfer time.Duration
 
 	// CPUCacheBytes is the size of the simulated last-level CPU cache
-	// sitting in front of the device. Reads that hit this cache are free.
-	// Zero disables the cache simulation.
+	// sitting in front of the device, cacheWays-way set associative.
+	// Reads that hit this cache are free. Zero disables the cache
+	// simulation.
 	CPUCacheBytes int64
-
-	// CPUCacheWays is the associativity of the simulated CPU cache.
-	// Defaults to 8 when the cache is enabled.
-	CPUCacheWays int
 
 	// StrictPersistence enables crash simulation: WriteAt records the
 	// previous content of each written line, and Crash reverts every line
@@ -95,7 +92,6 @@ func DefaultConfig(size int64) Config {
 		WriteLatency:  500 * time.Nanosecond,
 		LineTransfer:  30 * time.Nanosecond,
 		CPUCacheBytes: 20 << 20,
-		CPUCacheWays:  8,
 	}
 }
 
@@ -212,11 +208,7 @@ func New(cfg Config, clk *simclock.Clock) *Device {
 		wear:  offheap.Uint32s(arena, int(lines)),
 	}
 	if cfg.CPUCacheBytes > 0 {
-		ways := cfg.CPUCacheWays
-		if ways <= 0 {
-			ways = 8
-		}
-		d.cache = newCPUCache(arena, cfg.CPUCacheBytes, ways)
+		d.cache = newCPUCache(arena, cfg.CPUCacheBytes)
 	}
 	if cfg.StrictPersistence {
 		d.pending = make(map[int64]int32)
@@ -517,26 +509,25 @@ func (d *Device) Stats() Stats { return d.stats }
 // ResetStats zeroes the traffic counters.
 func (d *Device) ResetStats() { d.stats = Stats{} }
 
+// cacheWays is the associativity of the simulated CPU cache.
+const cacheWays = 8
+
 // cpuCache is a set-associative cache over line indices with per-set LRU
 // replacement. It only tracks presence, not content: content always lives
 // in the device slab.
 type cpuCache struct {
-	ways int
 	sets int64
 	// tags holds line indices + 1 (0 means empty), laid out per set in
-	// LRU order: tags[set*ways] is most recently used. They are 32-bit,
-	// which New checks the device's line count against.
+	// LRU order: tags[set*cacheWays] is most recently used. They are
+	// 32-bit, which New checks the device's line count against.
 	tags []uint32
 }
 
-// newCPUCache returns a cache of the given size and associativity whose
-// tags are carved from arena.
-func newCPUCache(arena *offheap.Arena, bytes int64, ways int) *cpuCache {
-	sets := bytes / LineSize / int64(ways)
-	if sets < 1 {
-		sets = 1
-	}
-	return &cpuCache{ways: ways, sets: sets, tags: offheap.Uint32s(arena, int(sets)*ways)}
+// newCPUCache returns a cache of the given size whose tags are carved
+// from arena.
+func newCPUCache(arena *offheap.Arena, bytes int64) *cpuCache {
+	sets := max(bytes/LineSize/cacheWays, 1)
+	return &cpuCache{sets: sets, tags: offheap.Uint32s(arena, int(sets)*cacheWays)}
 }
 
 // skewShift sets the skew of the set index: one set more per
@@ -577,9 +568,9 @@ func (c *cpuCache) accessRange(first, count int64) (misses int64) {
 // access looks up line l in its set, inserting it if absent, and reports
 // whether it was present (a hit).
 func (c *cpuCache) access(l, set int64) bool {
-	base := set * int64(c.ways)
+	base := set * cacheWays
 	tag := uint32(l + 1)
-	ways := c.tags[base : base+int64(c.ways)]
+	ways := c.tags[base : base+cacheWays]
 	for i, t := range ways {
 		if t == tag {
 			// Move to front (most recently used).

@@ -170,7 +170,6 @@ func TestCPUCacheHitsAreFree(t *testing.T) {
 	var clk simclock.Clock
 	cfg := testConfig(1 << 20)
 	cfg.CPUCacheBytes = 1 << 16
-	cfg.CPUCacheWays = 4
 	d := New(cfg, &clk)
 
 	buf := make([]byte, LineSize)
@@ -194,15 +193,14 @@ func TestCPUCacheHitsAreFree(t *testing.T) {
 func TestCPUCacheEvicts(t *testing.T) {
 	var clk simclock.Clock
 	cfg := testConfig(1 << 20)
-	// Tiny cache: 2 ways, 1 set (128 bytes).
-	cfg.CPUCacheBytes = 2 * LineSize
-	cfg.CPUCacheWays = 2
+	// Tiny cache: one set of cacheWays lines.
+	cfg.CPUCacheBytes = cacheWays * LineSize
 	d := New(cfg, &clk)
 	buf := make([]byte, LineSize)
 
-	d.ReadAt(buf, 0*LineSize) // miss, cache {0}
-	d.ReadAt(buf, 1*LineSize) // miss, cache {1,0}
-	d.ReadAt(buf, 2*LineSize) // miss, evicts 0, cache {2,1}
+	for l := int64(0); l <= cacheWays; l++ {
+		d.ReadAt(buf, l*LineSize) // miss; the ninth line evicts line 0
+	}
 	clk.Reset()
 	d.ReadAt(buf, 0*LineSize) // must miss again
 	if clk.Ns() == 0 {
@@ -211,17 +209,17 @@ func TestCPUCacheEvicts(t *testing.T) {
 }
 
 // TestCPUCacheIsExactLRU drives the cache model with seeded random line
-// streams on 4 sets of 8 ways and compares every hit and miss with a
-// list-based LRU per set, taking each line's set from the cache's own
+// streams on 4 sets of cacheWays ways and compares every hit and miss
+// with a list-based LRU per set, taking each line's set from the cache's own
 // index function (TestCPUCacheIndex pins that down). Half of the lines
 // sit just below 2³²−1, where the 32-bit tags (line + 1) end; line 2³²−2
 // has the largest tag there is.
 func TestCPUCacheIsExactLRU(t *testing.T) {
-	const sets, ways = 4, 8
+	const sets, ways = 4, cacheWays
 	for seed := int64(1); seed <= 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		arena := offheap.New()
-		c := newCPUCache(arena, sets*ways*LineSize, ways)
+		c := newCPUCache(arena, sets*ways*LineSize)
 		// The pool holds more lines than the cache, so lines both come
 		// back while cached and get evicted.
 		pool := []int64{0, math.MaxUint32 - 1}
@@ -258,9 +256,9 @@ func TestCPUCacheIsExactLRU(t *testing.T) {
 // the same few sets. accessRange, which steps from set to set instead of
 // dividing per line, must agree with it.
 func TestCPUCacheIndex(t *testing.T) {
-	const ways = 8
+	const ways = cacheWays
 	arena := offheap.New()
-	c := newCPUCache(arena, 20<<20, ways) // the default cache: 40 960 sets
+	c := newCPUCache(arena, 20<<20) // the default cache: 40 960 sets
 	for l := int64(0); l < 4096; l++ {
 		if c.set(l+1) != (c.set(l)+1)%c.sets && (l+1)%256 != 0 {
 			t.Fatalf("lines %d and %d take sets %d and %d, not consecutive ones", l, l+1, c.set(l), c.set(l+1))
@@ -280,7 +278,7 @@ func TestCPUCacheIndex(t *testing.T) {
 	// accessRange derives each line's set from its predecessor's: every
 	// line of a run, across 256-line boundaries and the wrap past the last
 	// set, must land in the set the index function names.
-	small := newCPUCache(arena, 3*ways*LineSize, ways)
+	small := newCPUCache(arena, 3*ways*LineSize)
 	for _, c := range []*cpuCache{c, small} {
 		for _, first := range []int64{0, 1, 250, 255, 256, 511, base - 3, base + 254, 40959, 40960*256 - 2, 1<<31 - 5} {
 			c.reset()
