@@ -45,7 +45,7 @@ func metricName(series string) string {
 // runExperiment executes one paper experiment per benchmark iteration and
 // reports the last point of every series.
 func runExperiment(b *testing.B, id string) {
-	exp, err := bench.Lookup(id)
+	exp, err := bench.Lookup(bench.Experiments(), id)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 //	nvmbench -experiment all -scale 16 -ops 30000
 //	nvmbench -experiment figA1 -threads 4 -json -http :6060
 //	nvmbench -remote localhost:7070 -clients 4 -load
-//	nvmbench -experiment repl -replicas 2 -json
+//	nvmbench -experiment repl -json
 //
 // Capacities follow the paper's DRAM:NVM:SSD = 2:10:50 proportions, scaled
 // by -scale (megabytes per "paper gigabyte"). Output is one aligned text
@@ -29,10 +29,10 @@
 //
 // The repl experiment (-experiment repl) measures read-replica scaling:
 // it builds an in-process cluster — a served primary, a background
-// writer, and -replicas replicas fed over the replication protocol —
+// writer, and up to two replicas fed over the replication protocol —
 // and sweeps the replica count, reporting aggregate read throughput and
-// ship→ack replication lag (p50/p99) per point; -json writes
-// BENCH_repl.json.
+// ship→ack replication lag (p50/p99) per point. It runs from the same
+// experiment list as the figures, with -ops reads per point.
 //
 // Fault injection (-faults spec) arms a deterministic injection plan on
 // every engine an experiment builds, so any figure can be regenerated
@@ -114,9 +114,9 @@ func run() int {
 		list       = flag.Bool("list", false, "list available experiments")
 		scaleMB    = flag.Int64("scale", 16, "megabytes per paper-gigabyte of capacity")
 		ops        = flag.Int("ops", 30000, "measured operations per data point")
-		warmup     = flag.Int("warmup", 0, "warm-up operations per data point (default: same as -ops)")
+		warmup     = flag.Int("warmup", 0, "warm-up operations per data point (default: same as -ops; repl: a quarter of -ops)")
 		threads    = flag.Int("threads", 4, "maximum shard count for multi-threaded experiments (figA1)")
-		quick      = flag.Bool("quick", false, "fewer sweep points for a fast smoke run")
+		quick      = flag.Bool("quick", false, "fewer sweep points for a fast smoke run (repl: at most 12000 reads per point)")
 		seed       = flag.Uint64("seed", 0, "base seed for the YCSB random streams (0: built-in default)")
 		format     = flag.String("format", "table", "output format: table, csv, or chart")
 		observe    = flag.Bool("obs", false, "record per-tier latency histograms")
@@ -128,7 +128,6 @@ func run() int {
 		remoteAddr = flag.String("remote", "", "drive a running nvmserver at this address instead of in-process engines")
 		clients    = flag.Int("clients", 4, "remote mode: concurrent pipelined client workers")
 		depth      = flag.Int("depth", 16, "remote mode: pipeline depth per worker")
-		replicas   = flag.Int("replicas", 2, "repl experiment: largest replica count swept")
 		rows       = flag.Int("rows", 10000, "remote mode: key-space size")
 		writePct   = flag.Int("writepct", 5, "remote mode: percentage of operations that are PUTs")
 		load       = flag.Bool("load", false, "remote mode: bulk-load the key space before measuring")
@@ -138,12 +137,15 @@ func run() int {
 	flag.Var(&jsonDir, "json", "write BENCH_<id>.json files (bare flag: current directory, or -json=dir)")
 	flag.Parse()
 
+	// The figures plus the cluster experiment, which internal/bench
+	// cannot list because internal/remote imports it.
+	exps := append(bench.Experiments(), bench.Experiment{
+		ID: "repl", Description: "read-replica scaling over WAL-shipping replication (not in the paper)", Run: remote.Replication,
+	})
 	if *list {
-		for _, e := range bench.Experiments() {
+		for _, e := range exps {
 			fmt.Printf("  %-6s %s\n", e.ID, e.Description)
 		}
-		// Cluster experiments dispatch outside the single-store registry.
-		fmt.Printf("  %-6s %s\n", "repl", "read-replica scaling over WAL-shipping replication (not in the paper)")
 		return 0
 	}
 
@@ -159,52 +161,6 @@ func run() int {
 			return 2
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	// The repl experiment builds its own in-process cluster — a served
-	// primary plus a sweep of replicas — so it takes no -remote address.
-	if *experiment == "repl" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		ro := remote.ReplicationOptions{MaxReplicas: *replicas, Seed: *seed}
-		// The remote-mode flag defaults (4 clients, depth 16, 10k rows)
-		// are sized for driving one server; the experiment's own defaults
-		// apply unless the flag was given explicitly.
-		if set["clients"] {
-			ro.Readers = *clients
-		}
-		if set["depth"] {
-			ro.Depth = *depth
-		}
-		if set["rows"] {
-			ro.Rows = *rows
-		}
-		if set["ops"] {
-			ro.Ops = *ops
-		}
-		if set["warmup"] {
-			ro.Warmup = *warmup
-		}
-		if *quick && !set["ops"] {
-			ro.Ops = 12000
-		}
-		start := time.Now()
-		res, err := remote.Replication(ro)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: repl: %v\n", err)
-			return 1
-		}
-		emit(res, *format)
-		if jsonDir.dir != "" {
-			path, err := res.SaveJSON(jsonDir.dir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "nvmbench: repl: %v\n", err)
-				return 1
-			}
-			fmt.Printf("(wrote %s)\n", path)
-		}
-		fmt.Printf("(repl finished in %v)\n", time.Since(start).Round(time.Millisecond))
-		return 0
 	}
 
 	if *remoteAddr != "" {
@@ -269,11 +225,9 @@ func run() int {
 		fmt.Printf("(serving /metrics.json and /debug/pprof/ on %s)\n", dbg.Addr())
 	}
 
-	var runs []bench.Experiment
-	if *experiment == "all" {
-		runs = bench.Experiments()
-	} else {
-		exp, err := bench.Lookup(*experiment)
+	runs := exps
+	if *experiment != "all" {
+		exp, err := bench.Lookup(exps, *experiment)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2

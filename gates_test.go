@@ -139,11 +139,12 @@ var gates = []gate{
 		// Group commit, checkpoint pacing, fault absorption and scans
 		// beside writers are guarded by deterministic tests, not by
 		// wall-clock experiments: internal/bench keeps the paper's
-		// figures, figA1 and the admission ablation.
+		// figures, figA1 and the admission ablation. nvmbench runs every
+		// experiment from one list, so it names none but "all".
 		rule:    "One harness per purpose",
 		heading: "4. Experiment index (evaluation section + appendix)",
 		check: func(src []goFile) []string {
-			var bad []string
+			bad := experimentBranches(nonTest(under(src, "cmd/nvmbench")))
 			if len(file(src, "internal/remote/groupcommit.go")) > 0 {
 				bad = append(bad, "internal/remote/groupcommit.go is back")
 			}
@@ -399,6 +400,69 @@ func isConnMethod(fn ast.Expr) bool {
 	}
 	id, ok := sel.X.(*ast.Ident)
 	return ok && id.Name == "c"
+}
+
+// experimentBranches returns every comparison, == or != or a switch,
+// of the -experiment flag's value with a string literal other than "all"
+// and "": a branch for one experiment beside the list all of them run
+// from. No flag.String("experiment", …) in the files is a violation too,
+// so the rule cannot pass by renaming the flag away.
+func experimentBranches(files []goFile) []string {
+	var bad []string
+	for _, f := range files {
+		var vars []string
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if vs, ok := n.(*ast.ValueSpec); ok {
+				for i, v := range vs.Values {
+					if call, ok := v.(*ast.CallExpr); ok && slices.Equal(selectorChain(call.Fun), []string{"flag", "String"}) &&
+						len(call.Args) > 0 && stringLit(call.Args[0]) == "experiment" {
+						vars = append(vars, vs.Names[i].Name)
+					}
+				}
+			}
+			return true
+		})
+		if len(vars) == 0 {
+			continue
+		}
+		// The flag is a local of the file that declares it, so its
+		// comparisons are in that file too.
+		isFlag := func(e ast.Expr) bool {
+			if star, ok := e.(*ast.StarExpr); ok {
+				e = star.X
+			}
+			id, ok := e.(*ast.Ident)
+			return ok && slices.Contains(vars, id.Name)
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			var operands []ast.Expr
+			switch x := n.(type) {
+			case *ast.BinaryExpr:
+				if x.Op == token.EQL || x.Op == token.NEQ {
+					if isFlag(x.X) {
+						operands = append(operands, x.Y)
+					}
+					if isFlag(x.Y) {
+						operands = append(operands, x.X)
+					}
+				}
+			case *ast.SwitchStmt:
+				if x.Tag != nil && isFlag(x.Tag) {
+					for _, c := range x.Body.List {
+						operands = append(operands, c.(*ast.CaseClause).List...)
+					}
+				}
+			}
+			for _, e := range operands {
+				if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING && !slices.Contains([]string{"all", ""}, stringLit(lit)) {
+					bad = append(bad, f.fset.Position(lit.Pos()).String()+": nvmbench branches on experiment "+lit.Value+"; add it to the one experiment list instead")
+				}
+			}
+			return true
+		})
+		return bad
+	}
+	return append(bad, "cmd/nvmbench declares no flag.String(\"experiment\", …)")
 }
 
 // stringLit returns the value of a string literal, or "" for any other

@@ -186,10 +186,10 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestLookupRegistry(t *testing.T) {
-	if _, err := Lookup("fig8"); err != nil {
+	if _, err := Lookup(Experiments(), "fig8"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lookup("nope"); err == nil {
+	if _, err := Lookup(Experiments(), "nope"); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }

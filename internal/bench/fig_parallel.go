@@ -15,8 +15,8 @@ import (
 
 // Appendix A.1 of the paper scales the single-threaded engine to many
 // cores by partitioning the key space across independent shard-per-core
-// instances. This file implements the parallel workload driver (one
-// goroutine per shard, batched op delivery over channels) and the
+// instances. This file implements the parallel workload driver (each
+// round runs one goroutine per shard, then joins them) and the
 // hybrid-time model for parallel runs.
 //
 // Time accounting: each shard has its own simulated device clock, and the
@@ -28,11 +28,6 @@ import (
 // host it still reports what shard-per-core hardware delivers instead of
 // penalizing the run for time-slicing goroutines on too few cores.
 
-// workerQueueCap bounds the per-shard request channel. runRound sizes
-// batches so a whole round fits in the buffers, so the coordinator never
-// blocks while distributing work.
-const workerQueueCap = 64
-
 // workerStats is one shard's counters, padded to its own cache line pair
 // so concurrent updates do not false-share.
 type workerStats struct {
@@ -43,92 +38,45 @@ type workerStats struct {
 	_      [88]byte
 }
 
-// parallelDriver runs one operation stream per shard on a dedicated
-// goroutine. Work arrives as op-count batches on a per-shard channel;
-// completion is signalled on a shared ack channel.
-type parallelDriver struct {
-	reqs  []chan int
-	ack   chan int
-	stats []workerStats
-	wg    sync.WaitGroup
-}
-
-// newParallelDriver starts one worker goroutine per shard. ops[i] is the
+// parallelDriver runs one operation stream per shard. ops[i] is the
 // shard-local operation (already bound to shard i's engine and key
 // stream); clks[i] is that engine's simulated clock.
-func newParallelDriver(ops []func() error, clks []*simclock.Clock) *parallelDriver {
-	d := &parallelDriver{
-		reqs:  make([]chan int, len(ops)),
-		ack:   make(chan int, workerQueueCap*len(ops)),
-		stats: make([]workerStats, len(ops)),
-	}
-	for i := range ops {
-		req := make(chan int, workerQueueCap)
-		d.reqs[i] = req
-		d.wg.Add(1)
-		go d.work(i, ops[i], clks[i], req)
-	}
-	return d
+type parallelDriver struct {
+	ops   []func() error
+	clks  []*simclock.Clock
+	stats []workerStats
 }
 
-func (d *parallelDriver) close() {
-	for _, req := range d.reqs {
-		close(req)
-	}
-	d.wg.Wait()
-}
-
-// work executes batches from req, accumulating busy time and simulated
-// clock advance in this shard's padded stats slot. After a failure the
-// worker keeps draining (and acking) batches so rounds still complete.
-func (d *parallelDriver) work(i int, op func() error, clk *simclock.Clock, req <-chan int) {
-	defer d.wg.Done()
-	st := &d.stats[i]
-	for n := range req {
-		if st.err == nil {
+// runRound splits total ops evenly across the shards, runs each share on
+// its own goroutine, and waits for all of them; the WaitGroup orders the
+// shards' stats updates before the coordinator reads them. A shard that
+// failed stays failed: later rounds skip it and report its error.
+func (d *parallelDriver) runRound(total int) error {
+	per := max((total+len(d.ops)-1)/len(d.ops), 1)
+	var wg sync.WaitGroup
+	for i := range d.ops {
+		st := &d.stats[i]
+		if st.err != nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			start := time.Now()
-			sim0 := clk.Ns()
+			sim0 := d.clks[i].Ns()
 			done := 0
-			for ; done < n; done++ {
-				if err := op(); err != nil {
+			for ; done < per; done++ {
+				if err := d.ops[i](); err != nil {
 					st.err = err
 					break
 				}
 			}
 			st.busyNs += time.Since(start).Nanoseconds()
-			st.simNs += clk.Ns() - sim0
+			st.simNs += d.clks[i].Ns() - sim0
 			st.ops += int64(done)
-		}
-		d.ack <- i
+		}()
 	}
-}
-
-// runRound distributes total ops evenly across the shards in batches and
-// waits for every batch to finish. The ack channel receives establish a
-// happens-before edge, so the coordinator may read stats afterwards.
-func (d *parallelDriver) runRound(total int) error {
-	per := (total + len(d.reqs) - 1) / len(d.reqs)
-	if per < 1 {
-		per = 1
-	}
-	batch := (per + workerQueueCap - 1) / workerQueueCap
-	if batch < 32 {
-		batch = 32
-	}
-	sent := 0
-	for _, req := range d.reqs {
-		for left := per; left > 0; left -= batch {
-			b := batch
-			if left < b {
-				b = left
-			}
-			req <- b
-			sent++
-		}
-	}
-	for ; sent > 0; sent-- {
-		<-d.ack
-	}
+	wg.Wait()
 	for i := range d.stats {
 		if err := d.stats[i].err; err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
@@ -247,14 +195,15 @@ func parallelYCSBPoint(o Options, topo core.Topology, rows, threads int) (parall
 			return parallelMeasurement{}, fmt.Errorf("load shard %d: %w", i, err)
 		}
 	}
-	ops := make([]func() error, threads)
-	clks := make([]*simclock.Clock, threads)
-	for i := range ops {
-		ops[i] = works[i].Lookup
-		clks[i] = engines[i].Clock()
+	d := &parallelDriver{
+		ops:   make([]func() error, threads),
+		clks:  make([]*simclock.Clock, threads),
+		stats: make([]workerStats, threads),
 	}
-	d := newParallelDriver(ops, clks)
-	defer d.close()
+	for i := range d.ops {
+		d.ops[i] = works[i].Lookup
+		d.clks[i] = engines[i].Clock()
+	}
 	warm := o.Warmup
 	if warm < rows {
 		warm = rows

@@ -18,7 +18,7 @@ func TestObsSinkThroughExperiment(t *testing.T) {
 	o := tinyOptions()
 	o.Threads = 2
 	o.Obs = &ObsSink{}
-	exp, err := Lookup("figA1")
+	exp, err := Lookup(Experiments(), "figA1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,15 +55,15 @@ func Experiments() []Experiment {
 	return exps
 }
 
-// Lookup returns the experiment with the given id.
-func Lookup(id string) (Experiment, error) {
-	for _, e := range Experiments() {
+// Lookup returns the experiment of exps with the given id. Callers
+// pass Experiments(), extended by runners from packages that import this
+// one (nvmbench adds internal/remote's replication experiment).
+func Lookup(exps []Experiment, id string) (Experiment, error) {
+	ids := make([]string, 0, len(exps))
+	for _, e := range exps {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	ids := make([]string, 0, len(Experiments()))
-	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)

@@ -11,10 +11,8 @@
 // them (§3.1): point operations (lookup, insert, delete, field update) fix
 // leaves in core.ModeCacheLine and touch individual cache lines through
 // the MakeResident-style Handle API, while inner-node traversal and
-// restructuring use the full-page path. Scans are cache-line-grained by
-// default — that is what the overhead analysis of §5.4.2 measures — and
-// can be switched to full-page loading via SetScanFullPage, the "hinting
-// mechanism" the paper describes.
+// restructuring use the full-page path. Scans are cache-line-grained too:
+// that is what the overhead analysis of §5.4.2 measures.
 //
 // Two leaf layouts are provided: the default sorted layout, and an
 // open-addressing hash layout ("3 Tier BM with hashing", §5.5) that
@@ -101,9 +99,8 @@ type Tree struct {
 	hashMax  int // split threshold for hash leaves
 	innerCap int
 
-	logger       Logger
-	syncMeta     func() error
-	scanFullPage bool
+	logger   Logger
+	syncMeta func() error
 	// structuralLogging makes splits durable by logging page images to
 	// the WAL. Without it (bulk loads, or architectures whose pages are
 	// already durable in place) split pages are force-written instead.
@@ -215,10 +212,6 @@ func (t *Tree) SetStructuralLogging(on bool) { t.structuralLogging = on }
 // SetMetaSync installs a callback invoked after the root changes (engines
 // persist their catalog there).
 func (t *Tree) SetMetaSync(fn func() error) { t.syncMeta = fn }
-
-// SetScanFullPage toggles the scan hint of §5.4.2: when enabled, scans fix
-// leaves with full-page loading instead of cache-line-grained access.
-func (t *Tree) SetScanFullPage(on bool) { t.scanFullPage = on }
 
 // Offset helpers.
 

@@ -538,37 +538,6 @@ func TestTreeSurvivesRestartViaCatalog(t *testing.T) {
 	}
 }
 
-func TestScanFullPageHintEquivalent(t *testing.T) {
-	m := newManager(t, core.DRAMNVM, 8, true, true, false)
-	tr, _ := Create(m, 1, 200, LayoutSorted)
-	for i := 0; i < 400; i++ {
-		if err := tr.Insert(uint64(i), payloadFor(uint64(i), 200)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	collect := func() []uint64 {
-		var keys []uint64
-		if err := tr.Scan(0, 0, 0, 8, func(k uint64, _ []byte) bool {
-			keys = append(keys, k)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return keys
-	}
-	clGrained := collect()
-	tr.SetScanFullPage(true)
-	fullPage := collect()
-	if len(clGrained) != len(fullPage) {
-		t.Fatalf("scan lengths differ: %d vs %d", len(clGrained), len(fullPage))
-	}
-	for i := range clGrained {
-		if clGrained[i] != fullPage[i] {
-			t.Fatalf("scan results differ at %d", i)
-		}
-	}
-}
-
 // loggerRecorder captures logical log records for assertions.
 type loggerRecorder struct {
 	events []string

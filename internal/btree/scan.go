@@ -13,18 +13,14 @@ import (
 // when fn returns false. The field slice is only valid during the
 // callback.
 //
-// By default leaves are accessed cache-line-grained — the configuration
-// whose overhead §5.4.2 measures — loading each visited tuple's field
-// individually; SetScanFullPage(true) switches to full-page loading.
+// Leaves are accessed cache-line-grained — the configuration whose
+// overhead §5.4.2 measures — loading each visited tuple's field
+// individually.
 func (t *Tree) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
 	if fieldOff < 0 || fieldLen < 0 || fieldOff+fieldLen > t.payload {
 		return fmt.Errorf("btree: scan field [%d,%d) outside payload of %d bytes", fieldOff, fieldOff+fieldLen, t.payload)
 	}
-	mode := core.ModeCacheLine
-	if t.scanFullPage {
-		mode = core.ModeFull
-	}
-	h, err := t.findLeaf(from, mode)
+	h, err := t.findLeaf(from, core.ModeCacheLine)
 	if err != nil {
 		return err
 	}
@@ -47,7 +43,7 @@ func (t *Tree) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key 
 			return nil
 		}
 		firstLeaf = false
-		h, err = t.m.Fix(core.MakeRef(next), mode)
+		h, err = t.m.Fix(core.MakeRef(next), core.ModeCacheLine)
 		if err != nil {
 			return err
 		}

@@ -146,10 +146,7 @@ func Run(o Options) (bench.Result, error) {
 	// would flatter the run; the slowest shard's simulated advance is what
 	// dedicated hardware would have added.
 	sim := time.Duration(after.MaxSimNs - before.MaxSimNs)
-	var perSec float64
-	if combined := wall + sim; combined > 0 {
-		perSec = float64(o.Ops) / combined.Seconds()
-	}
+	perSec := bench.Measurement{Ops: int64(o.Ops), Wall: wall, Sim: sim}.PerSecond()
 
 	res := bench.Result{
 		ID:      "remote",
@@ -259,102 +256,85 @@ func remoteStats(cl *client.Client) (server.StatsDoc, error) {
 }
 
 // remoteLoad PUTs every key of the key space, pipelined, partitioned
-// across the workers.
+// across the workers: worker w loads keys w, w+Clients, w+2·Clients, ….
 func remoteLoad(cl *client.Client, o Options, reissued *atomic.Int64) error {
-	return remoteWorkers(o.Clients, func(wid int) error {
+	return pipeline(o.Clients, o.Rows, o.Depth, func(wid int) func(int) pending {
 		val := make([]byte, ycsb.FieldSize)
-		var inflight []pending
-		for k := wid; k < o.Rows; k += o.Clients {
-			key := uint64(k)
+		return func(i int) pending {
+			key := uint64(wid + i*o.Clients)
 			ycsb.FillField(key, 0, val)
-			p := pending{cl.PutAsync(benchTable, key, val), func() error {
+			return pending{cl.PutAsync(benchTable, key, val), func() error {
 				v := make([]byte, ycsb.FieldSize)
 				ycsb.FillField(key, 0, v)
 				return cl.Put(benchTable, key, v)
 			}}
-			inflight = append(inflight, p)
-			if len(inflight) >= o.Depth {
-				if err := settle(o, inflight[0], reissued); err != nil {
-					return err
-				}
-				inflight = inflight[1:]
-			}
 		}
-		return drain(o, inflight, reissued)
-	})
+	}, func(p pending) error { return settle(o, p, reissued) })
 }
 
 // remoteRun issues exactly total operations of the configured mix
-// across the workers (the remainder spread over the first total%Clients
-// workers, so throughput can divide total by the measured time), each
-// worker pipelining Depth requests.
+// across the workers, so throughput can divide total by the measured
+// time, each worker pipelining Depth requests.
 func remoteRun(cl *client.Client, o Options, total int, reissued *atomic.Int64) error {
-	base, extra := total/o.Clients, total%o.Clients
-	return remoteWorkers(o.Clients, func(wid int) error {
-		per := base
-		if wid < extra {
-			per++
-		}
+	return pipeline(o.Clients, total, o.Depth, func(wid int) func(int) pending {
 		gen := zipfian.New(uint64(o.Rows), zipfian.Theta1, shard.SeedFor(o.Seed, wid))
 		val := make([]byte, ycsb.FieldSize)
-		var inflight []pending
-		for i := 0; i < per; i++ {
+		return func(i int) pending {
 			key := gen.NextScrambled()
-			var p pending
-			if int(gen.Uint64n(100)) < o.WritePct {
-				// Vary the payload with the op index so writes are not
-				// no-ops (PutAsync consumes val before returning).
-				fill := key + uint64(i)
-				ycsb.FillField(fill, 0, val)
-				p = pending{cl.PutAsync(benchTable, key, val), func() error {
-					v := make([]byte, ycsb.FieldSize)
-					ycsb.FillField(fill, 0, v)
-					return cl.Put(benchTable, key, v)
-				}}
-			} else {
-				p = pending{cl.GetAsync(benchTable, key), func() error {
+			if int(gen.Uint64n(100)) >= o.WritePct {
+				return pending{cl.GetAsync(benchTable, key), func() error {
 					_, _, err := cl.Get(benchTable, key)
 					return err
 				}}
 			}
-			inflight = append(inflight, p)
-			if len(inflight) >= o.Depth {
-				if err := settle(o, inflight[0], reissued); err != nil {
-					return err
-				}
-				inflight = inflight[1:]
-			}
+			// Vary the payload with the op index so writes are not
+			// no-ops (PutAsync consumes val before returning).
+			fill := key + uint64(i)
+			ycsb.FillField(fill, 0, val)
+			return pending{cl.PutAsync(benchTable, key, val), func() error {
+				v := make([]byte, ycsb.FieldSize)
+				ycsb.FillField(fill, 0, v)
+				return cl.Put(benchTable, key, v)
+			}}
 		}
-		return drain(o, inflight, reissued)
-	})
+	}, func(p pending) error { return settle(o, p, reissued) })
 }
 
-// drain waits out a pipeline tail.
-func drain(o Options, inflight []pending, reissued *atomic.Int64) error {
-	for _, p := range inflight {
-		if err := settle(o, p, reissued); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// remoteWorkers runs fn(0..n-1) concurrently and returns the first
-// error.
-func remoteWorkers(n int, fn func(wid int) error) error {
+// pipeline splits total calls across n concurrent workers (the first
+// total%n take one more) and returns the first error. Worker wid's
+// issue, built by worker(wid), issues its i-th call; each worker keeps at
+// most depth calls in flight and settles them in issue order.
+func pipeline[C any](n, total, depth int, worker func(wid int) func(i int) C, settle func(C) error) error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for wid := 0; wid < n; wid++ {
+		share := total / n
+		if wid < total%n {
+			share++
+		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
+			issue := worker(wid)
+			// Step i settles call i-depth, then issues call i; the last
+			// depth steps only settle the tail.
+			ring := make([]C, depth)
+			for i := 0; i < share+depth; i++ {
+				if i >= depth {
+					if errs[wid] = settle(ring[i%depth]); errs[wid] != nil {
+						return
+					}
+				}
+				if i < share {
+					ring[i%depth] = issue(i)
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	for i, err := range errs {
+	for wid, err := range errs {
 		if err != nil {
-			return fmt.Errorf("worker %d: %w", i, err)
+			return fmt.Errorf("worker %d: %w", wid, err)
 		}
 	}
 	return nil

@@ -34,44 +34,33 @@ import (
 	"nvmstore/internal/zipfian"
 )
 
-// ReplicationOptions configures the read-replica scaling experiment.
-type ReplicationOptions struct {
-	// MaxReplicas is the largest replica count swept; the sweep runs
-	// R = 0 (reads on the primary) through MaxReplicas (default 2).
-	MaxReplicas int
-	// Readers is the number of concurrent read workers (default 6 — a
-	// multiple of every swept endpoint count up to 3, so each endpoint
-	// serves an equal share at every point).
-	Readers int
-	// Depth is each reader's pipeline depth (default 32).
-	Depth int
-	// Rows is the key-space size (default 200000 — sized well past the
-	// DRAM and NVM cache tiers so uniform reads pay SSD device time,
-	// which is what replicas scale).
-	Rows int
-	// Ops is the number of measured reads per point (default 20000);
-	// Warmup reads run first (default Ops/4).
-	Ops    int
-	Warmup int
-	// Seed derives the per-worker key streams (default ycsb.DefaultSeed).
-	Seed uint64
-}
+// The experiment's fixed shape. The sweep runs R = 0 (reads on the
+// primary) through replMaxReplicas. replReaders is a multiple of every
+// swept endpoint count up to 3, so each endpoint serves an equal share at
+// every point. replRows is sized well past the DRAM and NVM cache tiers,
+// so uniform reads pay SSD device time, which is what replicas scale.
+const (
+	replMaxReplicas = 2
+	replReaders     = 6
+	replDepth       = 32
+	replRows        = 200000
+	// replBenchShards is each node's shard count.
+	replBenchShards = 2
+)
 
-func (o *ReplicationOptions) applyDefaults() {
-	if o.MaxReplicas <= 0 {
-		o.MaxReplicas = 2
-	}
-	if o.Readers <= 0 {
-		o.Readers = 6
-	}
-	if o.Depth <= 0 {
-		o.Depth = 32
-	}
-	if o.Rows <= 0 {
-		o.Rows = 200000
-	}
+// Replication sweeps replica counts and reports read throughput and
+// replication lag per point. The result lands in BENCH_repl.json under
+// -json: series "reads" (ops/s vs replica count) plus "lag_p50_ms" and
+// "lag_p99_ms" (ship→ack lag vs replica count, R >= 1). Each point
+// measures o.Ops reads (default 30000, at most 12000 with o.Quick) after
+// o.Warmup (default a quarter of that); o.Seed derives the key streams.
+// The other options size single-store engines and do not apply.
+func Replication(o bench.Options) (bench.Result, error) {
 	if o.Ops <= 0 {
-		o.Ops = 20000
+		o.Ops = 30000
+	}
+	if o.Quick {
+		o.Ops = min(o.Ops, 12000)
 	}
 	if o.Warmup <= 0 {
 		o.Warmup = o.Ops / 4
@@ -79,21 +68,10 @@ func (o *ReplicationOptions) applyDefaults() {
 	if o.Seed == 0 {
 		o.Seed = ycsb.DefaultSeed
 	}
-}
-
-// replBenchShards is each node's shard count.
-const replBenchShards = 2
-
-// Replication sweeps replica counts and reports read throughput and
-// replication lag per point. The result lands in BENCH_repl.json under
-// -json: series "reads" (ops/s vs replica count) plus "lag_p50_ms" and
-// "lag_p99_ms" (ship→ack lag vs replica count, R >= 1).
-func Replication(o ReplicationOptions) (bench.Result, error) {
-	o.applyDefaults()
 	res := bench.Result{
 		ID: "repl",
 		Title: fmt.Sprintf("read-replica scaling: %d readers × depth %d, %d rows, background writer",
-			o.Readers, o.Depth, o.Rows),
+			replReaders, replDepth, replRows),
 		XLabel:  "replicas",
 		YLabel:  "reads/s",
 		FileTag: "repl",
@@ -102,7 +80,7 @@ func Replication(o ReplicationOptions) (bench.Result, error) {
 	lag50 := bench.Series{Name: "lag_p50_ms"}
 	lag99 := bench.Series{Name: "lag_p99_ms"}
 	var base float64
-	for r := 0; r <= o.MaxReplicas; r++ {
+	for r := 0; r <= replMaxReplicas; r++ {
 		pt, err := replicationPoint(o, r)
 		if err != nil {
 			return res, fmt.Errorf("replication point R=%d: %w", r, err)
@@ -138,7 +116,7 @@ type replScalePoint struct {
 	wall, sim          time.Duration
 }
 
-func openReplBenchStore(o ReplicationOptions) (*nvmstore.ShardedStore, error) {
+func openReplBenchStore() (*nvmstore.ShardedStore, error) {
 	st, err := nvmstore.OpenSharded(replBenchShards, nvmstore.Options{
 		// Cache tiers deliberately small next to the key space: the
 		// experiment measures device-bandwidth scaling, so most reads
@@ -165,7 +143,7 @@ func openReplBenchStore(o ReplicationOptions) (*nvmstore.ShardedStore, error) {
 // replicationPoint builds a primary plus `replicas` replicas, loads the
 // key space, lets the replicas catch up, then measures pipelined reads
 // against the read endpoints while a writer keeps updating the primary.
-func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error) {
+func replicationPoint(o bench.Options, replicas int) (replScalePoint, error) {
 	var pt replScalePoint
 	var cleanup []func()
 	defer func() {
@@ -193,7 +171,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 		return ln.Addr().String(), nil
 	}
 
-	pstore, err := openReplBenchStore(o)
+	pstore, err := openReplBenchStore()
 	if err != nil {
 		return pt, err
 	}
@@ -212,7 +190,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 		return pt, err
 	}
 	cleanup = append(cleanup, func() { pcl.Close() })
-	if err := replLoad(pcl, o); err != nil {
+	if err := replLoad(pcl); err != nil {
 		return pt, fmt.Errorf("load: %w", err)
 	}
 
@@ -222,7 +200,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 	endpoints := []string{paddr}
 	var rps []*repl.Replica
 	for i := 0; i < replicas; i++ {
-		rstore, err := openReplBenchStore(o)
+		rstore, err := openReplBenchStore()
 		if err != nil {
 			return pt, err
 		}
@@ -258,20 +236,20 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 	// so every endpoint serves the same share of the reads — throughput
 	// is gated by the *slowest* endpoint's simulated device time, so an
 	// endpoint with one extra reader would cap the whole point.
-	readers := o.Readers
+	readers := replReaders
 	if rem := readers % len(endpoints); rem != 0 {
 		readers += len(endpoints) - rem
 	}
 	rcls := make([]*client.Client, len(endpoints))
 	for i, addr := range endpoints {
-		cl, err := client.Dial(addr, client.Options{Conns: 2, Depth: readers * o.Depth})
+		cl, err := client.Dial(addr, client.Options{Conns: 2, Depth: readers * replDepth})
 		if err != nil {
 			return pt, err
 		}
 		cleanup = append(cleanup, func() { cl.Close() })
 		rcls[i] = cl
 	}
-	if err := replReads(rcls, o, readers, o.Warmup); err != nil {
+	if err := replReads(rcls, o.Seed, readers, o.Warmup); err != nil {
 		return pt, fmt.Errorf("warmup: %w", err)
 	}
 
@@ -285,7 +263,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 	go func() {
 		defer wwg.Done()
 		val := make([]byte, ycsb.FieldSize)
-		gen := zipfian.New(uint64(o.Rows), zipfian.Theta1, shard.SeedFor(o.Seed, 101))
+		gen := zipfian.New(replRows, zipfian.Theta1, shard.SeedFor(o.Seed, 101))
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -313,7 +291,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 		before[i] = doc.MaxSimNs
 	}
 	start := time.Now()
-	err = replReads(rcls, o, readers, o.Ops)
+	err = replReads(rcls, o.Seed, readers, o.Ops)
 	pt.wall = time.Since(start)
 	close(stop)
 	wwg.Wait()
@@ -329,9 +307,7 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 			pt.sim = d
 		}
 	}
-	if combined := pt.wall + pt.sim; combined > 0 {
-		pt.perSec = float64(o.Ops) / combined.Seconds()
-	}
+	pt.perSec = bench.Measurement{Ops: int64(o.Ops), Wall: pt.wall, Sim: pt.sim}.PerSecond()
 	st := src.Stats()
 	pt.lagP50Ms = float64(st.LagP50Ns) / 1e6
 	pt.lagP99Ms = float64(st.LagP99Ns) / 1e6
@@ -340,58 +316,32 @@ func replicationPoint(o ReplicationOptions, replicas int) (replScalePoint, error
 }
 
 // replLoad bulk-loads the key space through pipelined PUTs.
-func replLoad(cl *client.Client, o ReplicationOptions) error {
-	val := make([]byte, ycsb.FieldSize)
-	var inflight []*client.Call
-	for key := uint64(0); key < uint64(o.Rows); key++ {
-		ycsb.FillField(key, 0, val)
-		inflight = append(inflight, cl.PutAsync(benchTable, key, val))
-		if len(inflight) >= 256 {
-			if _, err := inflight[0].Result(); err != nil {
-				return err
-			}
-			inflight = inflight[1:]
+func replLoad(cl *client.Client) error {
+	return pipeline(1, replRows, 256, func(int) func(int) *client.Call {
+		val := make([]byte, ycsb.FieldSize)
+		return func(i int) *client.Call {
+			ycsb.FillField(uint64(i), 0, val)
+			return cl.PutAsync(benchTable, uint64(i), val)
 		}
-	}
-	for _, call := range inflight {
-		if _, err := call.Result(); err != nil {
-			return err
-		}
-	}
-	return nil
+	}, result)
 }
 
 // replReads issues total uniformly-distributed pipelined GETs across
 // `readers` workers, each bound to one endpoint round-robin; readers is
 // a multiple of the endpoint count, so every endpoint serves an equal
 // share.
-func replReads(rcls []*client.Client, o ReplicationOptions, readers, total int) error {
-	base, extra := total/readers, total%readers
-	return remoteWorkers(readers, func(wid int) error {
-		per := base
-		if wid < extra {
-			per++
-		}
+func replReads(rcls []*client.Client, seed uint64, readers, total int) error {
+	return pipeline(readers, total, replDepth, func(wid int) func(int) *client.Call {
 		cl := rcls[wid%len(rcls)]
 		// Uniform keys, not Zipf: the point is device-time scaling, so
 		// the stream must keep missing the DRAM tier.
-		gen := zipfian.New(uint64(o.Rows), zipfian.Theta1, shard.SeedFor(o.Seed, wid))
-		var inflight []*client.Call
-		for i := 0; i < per; i++ {
-			key := gen.Uint64n(uint64(o.Rows))
-			inflight = append(inflight, cl.GetAsync(benchTable, key))
-			if len(inflight) >= o.Depth {
-				if _, err := inflight[0].Result(); err != nil {
-					return err
-				}
-				inflight = inflight[1:]
-			}
-		}
-		for _, call := range inflight {
-			if _, err := call.Result(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+		gen := zipfian.New(replRows, zipfian.Theta1, shard.SeedFor(seed, wid))
+		return func(int) *client.Call { return cl.GetAsync(benchTable, gen.Uint64n(replRows)) }
+	}, result)
+}
+
+// result settles a call whose reply the caller does not need.
+func result(c *client.Call) error {
+	_, err := c.Result()
+	return err
 }

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -12,16 +13,13 @@ import (
 )
 
 func TestReplProbeQuick(t *testing.T) {
-	o := ReplicationOptions{}
-	o.applyDefaults()
-	o.Rows = 100000
 	var cleanup []func()
 	defer func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
 			cleanup[i]()
 		}
 	}()
-	pstore, err := openReplBenchStore(o)
+	pstore, err := openReplBenchStore()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +30,25 @@ func TestReplProbeQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go psrv.Serve(ln)
+	errc := make(chan error, 1)
+	go func() { errc <- psrv.Serve(ln) }()
+	cleanup = append(cleanup, func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		psrv.Shutdown(ctx)
+		<-errc
+	})
 	paddr := ln.Addr().String()
 	pcl, err := client.Dial(paddr, client.Options{Conns: 2, Depth: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cleanup = append(cleanup, func() { pcl.Close() })
-	if err := replLoad(pcl, o); err != nil {
+	if err := replLoad(pcl); err != nil {
 		t.Fatal(err)
 	}
 	t.Log("load done")
-	rstore, err := openReplBenchStore(o)
+	rstore, err := openReplBenchStore()
 	if err != nil {
 		t.Fatal(err)
 	}

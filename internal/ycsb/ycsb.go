@@ -237,14 +237,6 @@ func FillField(key uint64, field int, dst []byte) {
 // Table returns the YCSB table tree.
 func (w *Workload) Table() *btree.Tree { return w.table }
 
-// Rows returns the size of the global key space (all shards together for
-// a partitioned workload).
-func (w *Workload) Rows() int { return int(w.n) }
-
-// Partition returns the workload's shard assignment (the zero Partition
-// for a single-threaded workload).
-func (w *Workload) Partition() Partition { return w.part }
-
 // gen returns the worker's key stream, rebuilding it when inserts grew
 // the key space.
 func (w *Workload) gen() *KeyStream {
