@@ -9,13 +9,17 @@
 //
 // Unlike cmd/nvmbench, which regenerates the paper's figures, this tool is
 // for ad-hoc exploration: pick an architecture, a workload, and capacities,
-// and see what the storage layer does.
+// and see what the storage layer does. Exit codes: 2 for usage errors, 1
+// for runtime errors, 0 on success.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"nvmstore/internal/btree"
@@ -25,40 +29,58 @@ import (
 	"nvmstore/internal/ycsb"
 )
 
-var archNames = map[string]core.Topology{
-	"3tier":  core.ThreeTier,
-	"mem":    core.MemOnly,
-	"direct": core.DirectNVM,
-	"basic":  core.DRAMNVM,
-	"ssd":    core.DRAMSSD,
+// archs lists the architectures in the order archs prints them.
+var archs = []struct {
+	name string
+	topo core.Topology
+}{
+	{"3tier", core.ThreeTier},
+	{"mem", core.MemOnly},
+	{"direct", core.DirectNVM},
+	{"basic", core.DRAMNVM},
+	{"ssd", core.DRAMSSD},
 }
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-	}
-	switch os.Args[1] {
-	case "ycsb":
-		runYCSB(os.Args[2:])
-	case "tpcc":
-		runTPCC(os.Args[2:])
-	case "archs":
-		for name, topo := range archNames {
-			fmt.Printf("  %-8s %s\n", name, topo)
-		}
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: nvmstore <command> [flags]
+const usage = `usage: nvmstore <command> [flags]
 
 commands:
   ycsb    run a YCSB preset workload (flags: -arch -rows -preset -ops -dram -nvm -ssd)
   tpcc    run the TPC-C mix (flags: -arch -warehouses -tx -dram -nvm -ssd)
-  archs   list storage architectures`)
-	os.Exit(2)
+  archs   list storage architectures
+`
+
+// usageError is an error in the command line, reported with exit code 2.
+type usageError struct{ error }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one command line and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		args = []string{""}
+	}
+	var err error
+	switch args[0] {
+	case "ycsb":
+		err = runYCSB(args[1:], stdout)
+	case "tpcc":
+		err = runTPCC(args[1:], stdout)
+	case "archs":
+		for _, a := range archs {
+			fmt.Fprintf(stdout, "  %-8s %s\n", a.name, a.topo)
+		}
+	default:
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "nvmstore:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
 }
 
 // capacityFlags registers the shared device-capacity flags (in MB).
@@ -70,69 +92,69 @@ func capacityFlags(fs *flag.FlagSet) (arch *string, dram, nvmMB, ssdMB *int64) {
 	return
 }
 
-func openEngine(arch string, dram, nvmMB, ssdMB int64) *engine.Engine {
-	topo, ok := archNames[arch]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "nvmstore: unknown architecture %q (see `nvmstore archs`)\n", arch)
-		os.Exit(2)
+func openEngine(arch string, dram, nvmMB, ssdMB int64) (*engine.Engine, error) {
+	for _, a := range archs {
+		if a.name == arch {
+			return engine.Open(engine.DefaultConfig(a.topo, dram<<20, nvmMB<<20, ssdMB<<20))
+		}
 	}
-	cfg := engine.DefaultConfig(topo, dram<<20, nvmMB<<20, ssdMB<<20)
-	e, err := engine.Open(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvmstore:", err)
-		os.Exit(1)
-	}
-	return e
+	return nil, usageError{fmt.Errorf("unknown architecture %q (see `nvmstore archs`)", arch)}
 }
 
-func report(e *engine.Engine, ops int, wall, sim time.Duration) {
+func report(w io.Writer, e *engine.Engine, ops int, wall, sim time.Duration) {
 	total := wall + sim
-	fmt.Printf("\n%d transactions in %v wall + %v simulated device time\n", ops, wall.Round(time.Millisecond), sim.Round(time.Millisecond))
-	fmt.Printf("throughput: %.0f tx/s (combined time)\n", float64(ops)/total.Seconds())
+	fmt.Fprintf(w, "\n%d transactions in %v wall + %v simulated device time\n", ops, wall.Round(time.Millisecond), sim.Round(time.Millisecond))
+	fmt.Fprintf(w, "throughput: %.0f tx/s (combined time)\n", float64(ops)/total.Seconds())
 	st := e.Manager().Stats()
-	fmt.Printf("buffer: %d fixes (%d swizzled), %d DRAM evictions, %d NVM admissions, %d NVM denials, %d NVM evictions\n",
+	fmt.Fprintf(w, "buffer: %d fixes (%d swizzled), %d DRAM evictions, %d NVM admissions, %d NVM denials, %d NVM evictions\n",
 		st.Fixes, st.SwizzleHits, st.DRAMEvictions, st.NVMAdmissions, st.NVMDenials, st.NVMEvictions)
 	nd := e.Manager().NVM().Stats()
-	fmt.Printf("NVM: %d lines read (%d charged), %d lines flushed, total line writes %d\n",
+	fmt.Fprintf(w, "NVM: %d lines read (%d charged), %d lines flushed, total line writes %d\n",
 		nd.LinesRead, nd.LinesReadCharged, nd.LinesFlushed, e.Manager().NVM().TotalWrites())
 	if ssd := e.Manager().SSD(); ssd != nil {
 		sd := ssd.Stats()
-		fmt.Printf("SSD: %d pages read, %d pages written\n", sd.PagesRead, sd.PagesWritten)
+		fmt.Fprintf(w, "SSD: %d pages read, %d pages written\n", sd.PagesRead, sd.PagesWritten)
 	}
 	ld := e.Log().Stats()
-	fmt.Printf("log: %d records, %d commits, %d flushes, %d truncations\n", ld.Records, ld.Commits, ld.Flushes, ld.Truncates)
+	fmt.Fprintf(w, "log: %d records, %d commits, %d flushes, %d truncations\n", ld.Records, ld.Commits, ld.Flushes, ld.Truncates)
 }
 
-func runYCSB(args []string) {
+func runYCSB(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("ycsb", flag.ExitOnError)
 	arch, dram, nvmMB, ssdMB := capacityFlags(fs)
 	rows := fs.Int("rows", 50000, "rows to load (1 kB each)")
 	preset := fs.String("preset", "C", "YCSB workload preset: A, B, C, D, or E")
 	ops := fs.Int("ops", 100000, "transactions to run")
 	_ = fs.Parse(args)
-
-	e := openEngine(*arch, *dram, *nvmMB, *ssdMB)
-	fmt.Printf("loading %d YCSB rows into %s...\n", *rows, e.Topology())
-	w, err := ycsb.Load(e, *rows, btree.LayoutSorted)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvmstore: load:", err)
-		os.Exit(1)
+	// Checked before the load, which takes far longer than the check.
+	if len(*preset) != 1 || !strings.Contains("ABCDE", *preset) {
+		return usageError{fmt.Errorf("unknown YCSB preset %q: want one of A, B, C, D, E", *preset)}
 	}
 	p := ycsb.Preset((*preset)[0])
+
+	e, err := openEngine(*arch, *dram, *nvmMB, *ssdMB)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "loading %d YCSB rows into %s...\n", *rows, e.Topology())
+	w, err := ycsb.Load(e, *rows, btree.LayoutSorted)
+	if err != nil {
+		return fmt.Errorf("load: %w", err)
+	}
 	e.Manager().ResetStats()
 	e.Manager().NVM().ResetStats()
 	start := time.Now()
 	simStart := e.Clock().Ns()
 	for i := 0; i < *ops; i++ {
 		if err := w.Run(p); err != nil {
-			fmt.Fprintln(os.Stderr, "nvmstore:", err)
-			os.Exit(1)
+			return err
 		}
 	}
-	report(e, *ops, time.Since(start), time.Duration(e.Clock().Ns()-simStart))
+	report(stdout, e, *ops, time.Since(start), time.Duration(e.Clock().Ns()-simStart))
+	return nil
 }
 
-func runTPCC(args []string) {
+func runTPCC(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tpcc", flag.ExitOnError)
 	arch, dram, nvmMB, ssdMB := capacityFlags(fs)
 	warehouses := fs.Int("warehouses", 2, "TPC-C scale factor")
@@ -141,8 +163,11 @@ func runTPCC(args []string) {
 	txCount := fs.Int("tx", 20000, "transactions to run")
 	_ = fs.Parse(args)
 
-	e := openEngine(*arch, *dram, *nvmMB, *ssdMB)
-	fmt.Printf("loading TPC-C with %d warehouses into %s...\n", *warehouses, e.Topology())
+	e, err := openEngine(*arch, *dram, *nvmMB, *ssdMB)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "loading TPC-C with %d warehouses into %s...\n", *warehouses, e.Topology())
 	w, err := tpcc.New(e, tpcc.Config{
 		Warehouses:               *warehouses,
 		Items:                    *items,
@@ -150,8 +175,7 @@ func runTPCC(args []string) {
 		InitialOrdersPerDistrict: *customers,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nvmstore: load:", err)
-		os.Exit(1)
+		return fmt.Errorf("load: %w", err)
 	}
 	e.Manager().ResetStats()
 	e.Manager().NVM().ResetStats()
@@ -159,19 +183,18 @@ func runTPCC(args []string) {
 	simStart := e.Clock().Ns()
 	for i := 0; i < *txCount; i++ {
 		if err := w.NextTransaction(); err != nil {
-			fmt.Fprintln(os.Stderr, "nvmstore:", err)
-			os.Exit(1)
+			return err
 		}
 	}
 	wall := time.Since(start)
 	sim := time.Duration(e.Clock().Ns() - simStart)
 	st := w.Stats()
-	fmt.Printf("mix: %d new-order (%d rolled back), %d payment, %d order-status, %d delivery, %d stock-level\n",
+	fmt.Fprintf(stdout, "mix: %d new-order (%d rolled back), %d payment, %d order-status, %d delivery, %d stock-level\n",
 		st.NewOrder, st.NewOrderRbk, st.Payment, st.OrderStatus, st.Delivery, st.StockLevel)
 	if err := w.VerifyConsistency(); err != nil {
-		fmt.Fprintln(os.Stderr, "nvmstore: CONSISTENCY VIOLATION:", err)
-		os.Exit(1)
+		return fmt.Errorf("CONSISTENCY VIOLATION: %w", err)
 	}
-	fmt.Println("consistency check: ok")
-	report(e, *txCount, wall, sim)
+	fmt.Fprintln(stdout, "consistency check: ok")
+	report(stdout, e, *txCount, wall, sim)
+	return nil
 }

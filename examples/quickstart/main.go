@@ -37,7 +37,6 @@ func main() {
 	row := make([]byte, 64)
 	for i := uint64(1); i <= 100; i++ {
 		copy(row, fmt.Sprintf("user-%03d", i))
-		i := i
 		if err := store.Update(func() error { return users.Insert(i, row) }); err != nil {
 			log.Fatal(err)
 		}

@@ -162,6 +162,62 @@ var gates = []gate{
 		},
 	},
 	{
+		// The embedded KV API is all package nvmstore exports. The layers
+		// built on the store reach its engine through engine.Of, which the
+		// root package assigns once; only replication, the serving layer
+		// and the fault harness call it.
+		rule:    "One engine seam",
+		heading: "3.1 The public API and the one engine seam",
+		check: func(src []goFile) []string {
+			var bad []string
+			assigned := 0
+			for _, f := range src {
+				ast.Inspect(f.ast, func(n ast.Node) bool {
+					as, ok := n.(*ast.AssignStmt)
+					if !ok {
+						return true
+					}
+					for _, lhs := range as.Lhs {
+						if !slices.Equal(selectorChain(lhs), []string{"engine", "Of"}) {
+							continue
+						}
+						if f.test || strings.Contains(f.path, "/") {
+							bad = append(bad, f.fset.Position(as.Pos()).String()+": engine.Of assigned outside package nvmstore")
+						} else {
+							assigned++
+						}
+					}
+					return true
+				})
+			}
+			if assigned != 1 {
+				bad = append(bad, "package nvmstore assigns engine.Of "+strconv.Itoa(assigned)+" times, want 1")
+			}
+			for _, s := range calls(nonTest(src), "engine.Of") {
+				if !slices.ContainsFunc([]string{"internal/repl/", "internal/server/", "internal/fault/harness/"},
+					func(dir string) bool { return strings.HasPrefix(s.pos, dir) }) {
+					bad = append(bad, s.pos+": engine.Of called outside internal/repl, internal/server and internal/fault/harness")
+				}
+			}
+			return bad
+		},
+	},
+	{
+		// Every flush-sharing site is a Batch call. The root package
+		// flushes in Batch's leader, in the public FlushWAL and before a
+		// snapshot reads the durable LSN; internal/repl only where it must
+		// flush before reading the durable LSN (Source.Attach) and where
+		// the wipe stays in one lock hold (Replica.wipeShard).
+		rule:    "One flush-sharing primitive",
+		heading: "10. Group commit — one primitive, no feeders",
+		check: func(src []goFile) []string {
+			return slices.Concat(
+				onlyIn(calls(nonTest(rootPackage(src)), "FlushWAL"), "Store.FlushWAL", "ShardedStore.lead", "ShardedStore.Snapshot"),
+				onlyIn(calls(nonTest(under(src, "internal/server")), "FlushWAL")),
+				onlyIn(calls(nonTest(under(src, "internal/repl")), "FlushWAL"), "Source.Attach", "Replica.wipeShard"))
+		},
+	},
+	{
 		// STATS numbers reach /metrics through their StatsDoc tags; the
 		// only literal counter and gauge families in server.go are the
 		// per-replica repl_* block.
@@ -272,6 +328,11 @@ func file(files []goFile, path string) []goFile {
 	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return f.path != path })
 }
 
+// rootPackage keeps the files of the repository's root directory.
+func rootPackage(files []goFile) []goFile {
+	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return strings.Contains(f.path, "/") })
+}
+
 // except drops the files of dir and its subdirectories.
 func except(files []goFile, dir string) []goFile {
 	return slices.DeleteFunc(slices.Clone(files), func(f goFile) bool { return strings.HasPrefix(f.path, dir+"/") })
@@ -357,6 +418,18 @@ func sitesAre(got []site, want ...string) []string {
 	}
 	return []string{"call sites " + strings.Join(have, ", ") + " (" + strings.Join(where, "; ") +
 		"), want exactly " + strings.Join(want, ", ")}
+}
+
+// onlyIn reports every call not enclosed by one of the functions fns,
+// each given as "Recv.Name" or "Name".
+func onlyIn(got []site, fns ...string) []string {
+	var bad []string
+	for _, s := range got {
+		if !slices.Contains(fns, s.fn) {
+			bad = append(bad, s.pos+": "+s.call+" in "+s.fn+", allowed only in ["+strings.Join(fns, ", ")+"]")
+		}
+	}
+	return bad
 }
 
 // mediaMakes returns the position of every make of a []byte, []uint32 or

@@ -58,6 +58,17 @@ const (
 // Begin/Commit.
 var ErrNoTransaction = errors.New("engine: modification outside a transaction")
 
+// Of returns the Engine behind a root-package *nvmstore.Store. It is the
+// one seam through which the layers built on the store — replication
+// (internal/repl), the serving layer (internal/server) and the fault
+// harness — reach what the embedded KV API does not export: the log's
+// ship tap and durability frontier, logical replay, unflushed commits,
+// tier counters and the buffer manager's invariants. Package nvmstore
+// assigns it when it is initialized; nothing else does. Like every
+// Engine method, what the caller does with the result must run while
+// the store's shard lock is held.
+var Of func(store any) *Engine
+
 // DefaultConfig returns the paper's configuration for one of the five
 // architectures: the three-tier buffer manager enables cache-line-grained
 // pages, mini pages, and pointer swizzling; the basic buffer managers are

@@ -16,7 +16,7 @@
 // After each crash the harness recovers with CrashRestart and checks:
 //
 //   - the buffer manager's structural invariants hold
-//     (Store.CheckInvariants);
+//     (core.Manager.CheckInvariants, reached through engine.Of);
 //   - every transaction acknowledged before the crash reads back
 //     exactly (no lost writes);
 //   - no transaction that never committed leaves partial effects —
@@ -40,6 +40,7 @@ import (
 
 	"nvmstore"
 	"nvmstore/internal/client"
+	"nvmstore/internal/engine"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/server"
 )
@@ -298,7 +299,7 @@ func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error
 		// Recovery rebuilds the trees; pre-crash table handles hold
 		// stale swizzled pointers into the lost DRAM frames.
 		tab = st.Table(1)
-		if ierr := st.CheckInvariants(); ierr != nil {
+		if ierr := engine.Of(st).Manager().CheckInvariants(); ierr != nil {
 			return crashed, fmt.Errorf("invariants after tx %d: %v", i, ierr)
 		}
 		var verr error
@@ -431,7 +432,7 @@ func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hi
 		w.pending[o.key] = p
 	}
 	if w.cfg.GroupCommit {
-		if cerr := st.CommitNoFlush(); cerr != nil {
+		if cerr := engine.Of(st).CommitNoFlush(); cerr != nil {
 			if fault.IsInjected(cerr) {
 				return true, nil
 			}

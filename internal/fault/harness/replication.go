@@ -39,6 +39,7 @@ import (
 
 	"nvmstore"
 	"nvmstore/internal/client"
+	"nvmstore/internal/engine"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/repl"
 	"nvmstore/internal/server"
@@ -337,19 +338,6 @@ func awaitLiveFeed(src *repl.Source) error {
 	return nil
 }
 
-// durableLSNs reads a sharded store's per-shard durable WAL positions.
-func durableLSNs(st *nvmstore.ShardedStore) []uint64 {
-	lsns := make([]uint64, st.NumShards())
-	for i := range lsns {
-		i := i
-		_ = st.WithShard(i, func(s *nvmstore.Store) error {
-			lsns[i] = s.DurableLSN()
-			return nil
-		})
-	}
-	return lsns
-}
-
 // checkReplState verifies a store holds exactly the model: every acked
 // version present byte-for-byte, nothing extra, and the buffer
 // manager's structural invariants intact on every shard.
@@ -376,7 +364,7 @@ func checkReplState(st *nvmstore.ShardedStore, model map[uint64][]byte) error {
 		return fmt.Errorf("store holds %d rows, model %d", len(got), len(model))
 	}
 	for i := 0; i < st.NumShards(); i++ {
-		err := st.WithShard(i, func(s *nvmstore.Store) error { return s.CheckInvariants() })
+		err := st.WithShard(i, func(s *nvmstore.Store) error { return engine.Of(s).Manager().CheckInvariants() })
 		if err != nil {
 			return fmt.Errorf("shard %d invariants: %v", i, err)
 		}
@@ -458,7 +446,7 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 
 	// Every write above was acknowledged; the replica must catch up to
 	// the primary's durable positions and hold exactly the model.
-	if err := p.rp.WaitLSN(durableLSNs(p.pstore), 20*time.Second); err != nil {
+	if err := p.rp.WaitLSN(repl.DurableLSNs(p.pstore), 20*time.Second); err != nil {
 		return false, fmt.Errorf("replica never converged: %v", err)
 	}
 	crashed = p.rp.Stats().ApplyCrashes > 0

@@ -11,8 +11,10 @@ import (
 
 // TestReplScalingQuick pins the untimed shape of the repl experiment's
 // output: the swept replica counts, positive lag quantiles at every
-// replicated point, and a background writer that ran at every point. The
-// read-scaling ratio is timed, so it is not asserted here.
+// replicated point, and a background writer that ran at every point with
+// the same load — write counts within 10 % of each other, as the writer
+// is paced by the readers' progress. The read-scaling ratio is timed, so
+// it is not asserted here.
 func TestReplScalingQuick(t *testing.T) {
 	res, err := Replication(bench.Options{Ops: 8000, Warmup: 1000})
 	if err != nil {
@@ -36,20 +38,24 @@ func TestReplScalingQuick(t *testing.T) {
 			}
 		}
 	}
-	writes := regexp.MustCompile(`^R=\d+: .*, (\d+) background writes`)
-	points := 0
+	writes := regexp.MustCompile(`^R=\d+: .*, (\d+) background writes \([0-9.e+-]+ per read\)`)
+	var counts []int
 	for _, n := range res.Notes {
 		t.Log(n)
 		m := writes.FindStringSubmatch(n)
 		if m == nil {
 			continue
 		}
-		points++
-		if w, _ := strconv.Atoi(m[1]); w <= 0 {
+		w, _ := strconv.Atoi(m[1])
+		if w <= 0 {
 			t.Errorf("point with no background writes: %s", n)
 		}
+		counts = append(counts, w)
 	}
-	if points != 3 {
-		t.Errorf("%d point notes report background writes, want 3", points)
+	if len(counts) != 3 {
+		t.Fatalf("%d point notes report background writes per read, want 3", len(counts))
+	}
+	if lo, hi := slices.Min(counts), slices.Max(counts); float64(hi) > 1.1*float64(lo) {
+		t.Errorf("background writes per point %v differ by more than 10 %%", counts)
 	}
 }

@@ -6,7 +6,9 @@ package remote
 // measures what read replicas buy — aggregate read throughput versus
 // replica count under a constant write load — and what they cost:
 // replication lag, reported from the primary source's ship→ack
-// histogram as p50/p99.
+// histogram as p50/p99. The write load is constant per read: the writer
+// is paced by the readers' progress, one PUT per replReadsPerWrite
+// measured reads, so every point runs the same number of writes.
 //
 // Throughput uses the repo's hybrid-time model: wall clock plus the
 // slowest *read endpoint's* simulated device-time advance. Each replica
@@ -44,6 +46,10 @@ const (
 	replReaders     = 6
 	replDepth       = 32
 	replRows        = 200000
+	// replReadsPerWrite is the measured reads per background PUT. Low
+	// enough that one synchronous writer keeps pace with the readers at
+	// every point.
+	replReadsPerWrite = 64
 	// replBenchShards is each node's shard count.
 	replBenchShards = 2
 )
@@ -90,9 +96,9 @@ func Replication(o bench.Options) (bench.Result, error) {
 		if base == 0 {
 			base = pt.perSec
 		}
-		note := fmt.Sprintf("R=%d: %.3g reads/s (%.2fx vs R=0), wall %v + sim %v, %d background writes",
+		note := fmt.Sprintf("R=%d: %.3g reads/s (%.2fx vs R=0), wall %v + sim %v, %d background writes (%.3g per read)",
 			r, pt.perSec, pt.perSec/base, pt.wall.Round(time.Millisecond),
-			pt.sim.Round(time.Millisecond), pt.writes)
+			pt.sim.Round(time.Millisecond), pt.writes, float64(pt.writes)/float64(o.Ops))
 		if r > 0 {
 			lag50.X = append(lag50.X, float64(r))
 			lag50.Y = append(lag50.Y, pt.lagP50Ms)
@@ -217,14 +223,7 @@ func replicationPoint(o bench.Options, replicas int) (replScalePoint, error) {
 		rps = append(rps, rp)
 		endpoints = append(endpoints, raddr)
 	}
-	lsns := make([]uint64, pstore.NumShards())
-	for i := range lsns {
-		i := i
-		_ = pstore.WithShard(i, func(s *nvmstore.Store) error {
-			lsns[i] = s.DurableLSN()
-			return nil
-		})
-	}
+	lsns := repl.DurableLSNs(pstore)
 	for _, rp := range rps {
 		if err := rp.WaitLSN(lsns, 60*time.Second); err != nil {
 			return pt, fmt.Errorf("replica catch-up: %w", err)
@@ -249,32 +248,37 @@ func replicationPoint(o bench.Options, replicas int) (replScalePoint, error) {
 		cleanup = append(cleanup, func() { cl.Close() })
 		rcls[i] = cl
 	}
-	if err := replReads(rcls, o.Seed, readers, o.Warmup); err != nil {
+	if err := replReads(rcls, o.Seed, readers, o.Warmup, result); err != nil {
 		return pt, fmt.Errorf("warmup: %w", err)
 	}
 
 	// The background writer keeps the replication stream busy for the
 	// whole measured window, so the lag histogram reflects reads under
-	// write pressure, not an idle stream.
-	stop := make(chan struct{})
-	var writes atomic.Int64
+	// write pressure, not an idle stream. Every replReadsPerWrite-th
+	// settled read hands it one PUT to issue; the channel holds every
+	// token the window can produce, so a read never waits for the writer.
+	tokens := make(chan struct{}, o.Ops/replReadsPerWrite+1)
+	var settled, writes atomic.Int64
+	paced := func(c *client.Call) error {
+		if settled.Add(1)%replReadsPerWrite == 0 {
+			tokens <- struct{}{}
+		}
+		return result(c)
+	}
 	var wwg sync.WaitGroup
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
 		val := make([]byte, ycsb.FieldSize)
 		gen := zipfian.New(replRows, zipfian.Theta1, shard.SeedFor(o.Seed, 101))
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		var i uint64
+		for range tokens {
+			i++
 			// Zipf-hot updates, YCSB-style: the write working set stays
 			// cache-resident, so replica apply does not eat into the
 			// device bandwidth the read endpoints are scaling.
 			key := gen.NextScrambled()
-			ycsb.FillField(key+uint64(i), 0, val)
+			ycsb.FillField(key+i, 0, val)
 			if err := pcl.Put(benchTable, key, val); err != nil {
 				return
 			}
@@ -291,9 +295,9 @@ func replicationPoint(o bench.Options, replicas int) (replScalePoint, error) {
 		before[i] = doc.MaxSimNs
 	}
 	start := time.Now()
-	err = replReads(rcls, o.Seed, readers, o.Ops)
+	err = replReads(rcls, o.Seed, readers, o.Ops, paced)
 	pt.wall = time.Since(start)
-	close(stop)
+	close(tokens)
 	wwg.Wait()
 	if err != nil {
 		return pt, fmt.Errorf("measured reads: %w", err)
@@ -327,17 +331,17 @@ func replLoad(cl *client.Client) error {
 }
 
 // replReads issues total uniformly-distributed pipelined GETs across
-// `readers` workers, each bound to one endpoint round-robin; readers is
-// a multiple of the endpoint count, so every endpoint serves an equal
-// share.
-func replReads(rcls []*client.Client, seed uint64, readers, total int) error {
+// `readers` workers, each bound to one endpoint round-robin, and settles
+// each with settle; readers is a multiple of the endpoint count, so every
+// endpoint serves an equal share.
+func replReads(rcls []*client.Client, seed uint64, readers, total int, settle func(*client.Call) error) error {
 	return pipeline(readers, total, replDepth, func(wid int) func(int) *client.Call {
 		cl := rcls[wid%len(rcls)]
 		// Uniform keys, not Zipf: the point is device-time scaling, so
 		// the stream must keep missing the DRAM tier.
 		gen := zipfian.New(replRows, zipfian.Theta1, shard.SeedFor(seed, wid))
 		return func(int) *client.Call { return cl.GetAsync(benchTable, gen.Uint64n(replRows)) }
-	}, result)
+	}, settle)
 }
 
 // result settles a call whose reply the caller does not need.

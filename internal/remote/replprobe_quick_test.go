@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"nvmstore"
 	"nvmstore/internal/client"
 	"nvmstore/internal/repl"
 	"nvmstore/internal/server"
@@ -58,14 +57,7 @@ func TestReplProbeQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanup = append(cleanup, rp.Close)
-	lsns := make([]uint64, pstore.NumShards())
-	for i := range lsns {
-		i := i
-		pstore.WithShard(i, func(s *nvmstore.Store) error {
-			lsns[i] = s.DurableLSN()
-			return nil
-		})
-	}
+	lsns := repl.DurableLSNs(pstore)
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if err := rp.WaitLSN(lsns, 2*time.Second); err == nil {

@@ -58,6 +58,7 @@ import (
 	"encoding/binary"
 
 	"nvmstore"
+	"nvmstore/internal/engine"
 )
 
 // MetaTable is the reserved table id holding a replica's replication
@@ -119,4 +120,19 @@ func writeMeta(st *nvmstore.Store, applied, epoch uint64) error {
 		}
 	}
 	return tab.Put(MetaKey, encodeMeta(applied, epoch))
+}
+
+// DurableLSNs returns a store's per-shard durability frontiers, each
+// read under its shard's lock: every acknowledged write on shard i has
+// its commit record at or below entry i. A primary answers LSNS with
+// it, and a replica whose applied vector covers it has caught up.
+func DurableLSNs(store *nvmstore.ShardedStore) []uint64 {
+	lsns := make([]uint64, store.NumShards())
+	for i := range lsns {
+		_ = store.WithShard(i, func(st *nvmstore.Store) error {
+			lsns[i] = uint64(engine.Of(st).Log().DurableLSN())
+			return nil
+		})
+	}
+	return lsns
 }

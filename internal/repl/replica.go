@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"nvmstore"
+	"nvmstore/internal/engine"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/wal"
 	"nvmstore/internal/wire"
@@ -75,8 +76,7 @@ func NewReplica(store *nvmstore.ShardedStore, opts ReplicaOptions) (*Replica, er
 		epoch:   1,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range n {
 		err := store.WithShard(i, func(st *nvmstore.Store) error {
 			applied, epoch := readMeta(st)
 			r.applied[i] = applied
@@ -333,10 +333,11 @@ func (r *Replica) adoptEpoch(e uint64) (uint64, error) {
 	return r.epoch, nil
 }
 
-// applyBatch replays one shipped batch: update records accumulate in
-// the open transaction's buffer and are applied — atomically with the
-// meta row — when its commit mark arrives. After the item, one WAL
-// flush makes every applied transaction durable and the ACK reports
+// applyBatch replays one shipped batch in one ShardedStore.Batch call:
+// update records accumulate in the open transaction's buffer, and each
+// primary transaction is applied as one local transaction — atomically
+// with the meta row — when its commit mark arrives. Batch's one WAL flush
+// makes every transaction the item applied durable, and the ACK reports
 // the new position.
 func (r *Replica) applyBatch(shard int, b *wire.ReplBatch, ws *workerState, conn net.Conn, wmu *sync.Mutex) error {
 	epoch, err := r.adoptEpoch(b.Epoch)
@@ -347,38 +348,44 @@ func (r *Replica) applyBatch(shard int, b *wire.ReplBatch, ws *workerState, conn
 	durable := r.applied[shard]
 	r.mu.Unlock()
 	var lastApplied uint64
-	for i := range b.Recs {
-		rec := &b.Recs[i]
-		if rec.LSN <= durable {
-			continue // resume overlap: already applied and durable
-		}
-		switch rec.Kind {
-		case wal.RecUpdate:
-			if rec.PID == MetaTable {
-				continue
+	err = r.store.Batch(shard, func(st *nvmstore.Store) error {
+		for i := range b.Recs {
+			rec := &b.Recs[i]
+			if rec.LSN <= durable {
+				continue // resume overlap: already applied and durable
 			}
-			if ws.pendingTx != 0 && rec.Tx != ws.pendingTx {
-				// Shards are single-threaded on the primary, so
-				// transactions never interleave; a new tx id without a
-				// mark means the stream is corrupt.
-				return fmt.Errorf("repl: shard %d: tx %d interleaves open tx %d", shard, rec.Tx, ws.pendingTx)
-			}
-			ws.pendingTx = rec.Tx
-			ws.pending = append(ws.pending, *rec)
-		case wal.RecAbort:
-			if rec.Tx == ws.pendingTx {
+			switch rec.Kind {
+			case wal.RecUpdate:
+				if rec.PID == MetaTable {
+					continue
+				}
+				if ws.pendingTx != 0 && rec.Tx != ws.pendingTx {
+					// Shards are single-threaded on the primary, so
+					// transactions never interleave; a new tx id without a
+					// mark means the stream is corrupt.
+					return fmt.Errorf("repl: shard %d: tx %d interleaves open tx %d", shard, rec.Tx, ws.pendingTx)
+				}
+				ws.pendingTx = rec.Tx
+				ws.pending = append(ws.pending, *rec)
+			case wal.RecAbort:
+				if rec.Tx == ws.pendingTx {
+					ws.pending, ws.pendingTx = nil, 0
+				}
+			case wal.RecCommit:
+				recs := ws.pending
 				ws.pending, ws.pendingTx = nil, 0
+				if err := applyTx(st, recs, rec.LSN, epoch); err != nil {
+					return err
+				}
+				lastApplied = rec.LSN
+			default:
+				return fmt.Errorf("repl: shard %d: unknown record kind %d", shard, rec.Kind)
 			}
-		case wal.RecCommit:
-			recs := ws.pending
-			ws.pending, ws.pendingTx = nil, 0
-			if err := r.applyTx(shard, recs, rec.LSN, epoch); err != nil {
-				return err
-			}
-			lastApplied = rec.LSN
-		default:
-			return fmt.Errorf("repl: shard %d: unknown record kind %d", shard, rec.Kind)
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	atomic.AddInt64(&r.statBatches, 1)
 	if lastApplied == 0 {
@@ -387,47 +394,38 @@ func (r *Replica) applyBatch(shard int, b *wire.ReplBatch, ws *workerState, conn
 	return r.finishApply(shard, lastApplied, epoch, conn, wmu)
 }
 
-// applyTx applies one primary transaction as one local transaction,
-// with the position row updated in the same commit — the apply is
-// exactly-once across crashes because the data and the position are
-// equally durable.
-func (r *Replica) applyTx(shard int, recs []wire.ReplRec, commitLSN, epoch uint64) error {
-	return r.store.WithShard(shard, func(st *nvmstore.Store) error {
-		return st.UpdateNoFlush(func() error {
-			for i := range recs {
-				rec := &recs[i]
-				wr := nvmstore.WALRecord{
-					Kind: rec.Kind,
-					LSN:  wal.LSN(rec.LSN),
-					Tx:   wal.TxID(rec.Tx),
-					PID:  rec.PID,
-					Off:  int(rec.Off),
-					// Images alias the frame buffer; ReplayRecord copies
-					// what it keeps.
-					Before: rec.Before,
-					After:  rec.After,
-				}
-				if err := st.ReplayRecord(wr); err != nil {
-					return err
-				}
+// applyTx applies one primary transaction as one local transaction that
+// commits without flushing, with the position row updated in the same
+// commit — the apply is exactly-once across crashes because the data and
+// the position are equally durable.
+func applyTx(st *nvmstore.Store, recs []wire.ReplRec, commitLSN, epoch uint64) error {
+	e := engine.Of(st)
+	return st.UpdateNoFlush(func() error {
+		for i := range recs {
+			rec := &recs[i]
+			err := e.ApplyLogical(wal.Record{
+				Kind: rec.Kind,
+				LSN:  wal.LSN(rec.LSN),
+				Tx:   wal.TxID(rec.Tx),
+				PID:  rec.PID,
+				Off:  int(rec.Off),
+				// Images alias the frame buffer; ApplyLogical copies
+				// what it keeps.
+				Before: rec.Before,
+				After:  rec.After,
+			})
+			if err != nil {
+				return err
 			}
-			return writeMeta(st, commitLSN, epoch)
-		})
+		}
+		return writeMeta(st, commitLSN, epoch)
 	})
 }
 
-// finishApply flushes the shard's WAL (making every transaction the
-// item applied durable), publishes the new applied LSN, and sends the
-// ACK. ACK after flush is what lets the primary's retention ring
-// eviction and semi-synchronous waits trust it.
+// finishApply publishes an applied LSN the item's Batch flush made
+// durable and sends the ACK. ACK after flush is what lets the primary's
+// retention ring eviction and semi-synchronous waits trust it.
 func (r *Replica) finishApply(shard int, applied, epoch uint64, conn net.Conn, wmu *sync.Mutex) error {
-	err := r.store.WithShard(shard, func(st *nvmstore.Store) error {
-		_, err := st.FlushWAL()
-		return err
-	})
-	if err != nil {
-		return err
-	}
 	r.mu.Lock()
 	if applied > r.applied[shard] {
 		r.applied[shard] = applied
@@ -437,7 +435,7 @@ func (r *Replica) finishApply(shard int, applied, epoch uint64, conn net.Conn, w
 	ack := wire.AppendReplAck(nil, wire.ReplAck{Shard: uint32(shard), Epoch: epoch, Applied: applied})
 	frame := wire.AppendRequest(nil, wire.Request{Op: wire.OpReplAck, ID: 0, Value: ack})
 	wmu.Lock()
-	_, err = conn.Write(frame)
+	_, err := conn.Write(frame)
 	wmu.Unlock()
 	return err
 }
@@ -463,7 +461,10 @@ func (r *Replica) applySnap(shard int, sn *wire.ReplSnap, ws *workerState, conn 
 		r.applied[shard] = 0
 		r.mu.Unlock()
 	}
-	err = r.store.WithShard(shard, func(st *nvmstore.Store) error {
+	// One Batch per chunk: its flush also keeps a large bootstrap's log
+	// bounded, as it runs the engine's checkpoint pacing outside the
+	// transaction.
+	err = r.store.Batch(shard, func(st *nvmstore.Store) error {
 		return st.UpdateNoFlush(func() error {
 			for i := range sn.Rows {
 				row := &sn.Rows[i]
@@ -490,22 +491,16 @@ func (r *Replica) applySnap(shard int, sn *wire.ReplSnap, ws *workerState, conn 
 	}
 	atomic.AddInt64(&r.statSnapRows, int64(len(sn.Rows)))
 	if !sn.Final {
-		// Flush between chunks: a large bootstrap logs every insert
-		// (plus page images from splits) into this store's own WAL, and
-		// only a flush outside a transaction runs the engine's automatic
-		// checkpoint — without it the log fills long before the Final
-		// chunk's flush.
-		return r.store.WithShard(shard, func(st *nvmstore.Store) error {
-			_, err := st.FlushWAL()
-			return err
-		})
+		return nil
 	}
 	ws.snapWiped = false
 	return r.finishApply(shard, sn.SnapLSN, epoch, conn, wmu)
 }
 
 // wipeShard durably zeroes the shard's position row and empties every
-// table except MetaTable, in bounded transactions.
+// table except MetaTable, in bounded transactions. It is one of the two
+// flush sites in this package outside Batch: the wipe stays in one hold
+// of the shard lock, and it flushes after every bounded transaction.
 func (r *Replica) wipeShard(shard int, epoch uint64) error {
 	return r.store.WithShard(shard, func(st *nvmstore.Store) error {
 		if err := st.UpdateNoFlush(func() error { return writeMeta(st, 0, epoch) }); err != nil {
@@ -514,7 +509,7 @@ func (r *Replica) wipeShard(shard int, epoch uint64) error {
 		if _, err := st.FlushWAL(); err != nil {
 			return err
 		}
-		for _, id := range st.TableIDs() {
+		for _, id := range engine.Of(st).TreeIDs() {
 			if id == MetaTable {
 				continue
 			}
@@ -662,14 +657,9 @@ func (r *Replica) Promote(epoch uint64) ([]uint64, error) {
 	r.wg.Wait() // session drained; apply workers done
 
 	applied := r.Applied()
-	for i := 0; i < r.store.NumShards(); i++ {
-		i := i
-		err := r.store.WithShard(i, func(st *nvmstore.Store) error {
-			if err := st.UpdateNoFlush(func() error { return writeMeta(st, applied[i], epoch) }); err != nil {
-				return err
-			}
-			_, err := st.FlushWAL()
-			return err
+	for i := range applied {
+		err := r.store.Batch(i, func(st *nvmstore.Store) error {
+			return st.UpdateNoFlush(func() error { return writeMeta(st, applied[i], epoch) })
 		})
 		if err != nil {
 			return nil, err

@@ -1,13 +1,16 @@
 package repl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
 	"time"
 
 	"nvmstore"
+	"nvmstore/internal/engine"
 	"nvmstore/internal/obs"
+	"nvmstore/internal/wal"
 	"nvmstore/internal/wire"
 )
 
@@ -273,21 +276,21 @@ func (s *Source) Attach(f *Feed, sub wire.ReplSubscribe) error {
 	s.feeds[f] = true
 	s.mu.Unlock()
 
-	for i := 0; i < n; i++ {
-		i := i
+	for i := range n {
 		err := s.store.WithShard(i, func(st *nvmstore.Store) error {
 			if _, err := st.FlushWAL(); err != nil {
 				return err
 			}
-			durable := st.DurableLSN()
+			log := engine.Of(st).Log()
+			durable := uint64(log.DurableLSN())
 			s.mu.Lock()
 			sh := &s.shards[i]
 			if !sh.tapped {
 				sh.tapped = true
 				sh.shipped = durable
 				sh.sent = durable
-				st.SetWALShip(func(recs []nvmstore.WALRecord) { s.ship(i, recs) })
-				st.SetWALRetain(func() uint64 { return s.retain(i) })
+				log.SetShip(func(recs []wal.Record) { s.ship(i, recs) })
+				log.SetRetain(func() wal.LSN { return s.retain(i) })
 			}
 			from := sub.From[i]
 			if !crossEpoch && from > durable {
@@ -355,7 +358,7 @@ func (s *Source) snapshotLocked(f *Feed, st *nvmstore.Store, shard int, durable 
 		chunk = &wire.ReplSnap{Shard: uint32(shard), Epoch: epoch, SnapLSN: durable}
 		return nil
 	}
-	for _, id := range st.TableIDs() {
+	for _, id := range engine.Of(st).TreeIDs() {
 		if id == MetaTable {
 			continue
 		}
@@ -384,7 +387,7 @@ func (s *Source) snapshotLocked(f *Feed, st *nvmstore.Store, shard int, durable 
 // ship is the WAL tap callback for one shard: it runs on the flushing
 // goroutine with the shard lock held, so it only converts, rings, and
 // fans out — never blocks.
-func (s *Source) ship(shard int, recs []nvmstore.WALRecord) {
+func (s *Source) ship(shard int, recs []wal.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := &s.shards[shard]
@@ -401,11 +404,11 @@ func (s *Source) ship(shard int, recs []nvmstore.WALRecord) {
 		// names this store's page ids (the replica's trees split on their
 		// own), and the meta row is the replica's own.
 		switch r.Kind {
-		case nvmstore.WALRecUpdate:
+		case wal.RecUpdate:
 			if r.PID == MetaTable {
 				continue
 			}
-		case nvmstore.WALRecCommit, nvmstore.WALRecAbort:
+		case wal.RecCommit, wal.RecAbort:
 		default:
 			continue
 		}
@@ -489,16 +492,16 @@ func (s *Source) maybeUntapLocked() {
 		return
 	}
 	go func() {
-		for i := 0; i < s.store.NumShards(); i++ {
-			i := i
+		for i := range s.store.NumShards() {
 			s.store.WithShard(i, func(st *nvmstore.Store) error {
 				s.mu.Lock()
 				defer s.mu.Unlock()
 				if len(s.feeds) != 0 || !s.shards[i].tapped {
 					return nil // a feed raced back in; keep the tap
 				}
-				st.SetWALShip(nil)
-				st.SetWALRetain(nil)
+				log := engine.Of(st).Log()
+				log.SetShip(nil)
+				log.SetRetain(nil)
 				s.shards[i] = srcShard{}
 				return nil
 			})
@@ -515,14 +518,14 @@ func (s *Source) maybeUntapLocked() {
 // log: the checkpoint path flushes (shipping everything durable) right
 // before truncating, and truncation under replication proceeds exactly
 // as without it. Runs under the shard lock (from wal.Truncate).
-func (s *Source) retain(shard int) uint64 {
+func (s *Source) retain(shard int) wal.LSN {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh := &s.shards[shard]
 	if !sh.tapped {
-		return ^uint64(0)
+		return ^wal.LSN(0)
 	}
-	return sh.shipped + 1
+	return wal.LSN(sh.shipped + 1)
 }
 
 // Ack records a replica's durable progress: semi-synchronous waiters
@@ -664,15 +667,7 @@ func (s *Source) Stats() Stats {
 		fs := FeedStat{ID: f.id, Addr: f.addr, AckedLSN: append([]uint64(nil), f.acked...), LagBytes: f.queued}
 		st.Replicas = append(st.Replicas, fs)
 	}
-	sortFeedStats(st.Replicas)
+	// Ordered by id for deterministic output.
+	slices.SortFunc(st.Replicas, func(a, b FeedStat) int { return cmp.Compare(a.ID, b.ID) })
 	return st
-}
-
-// sortFeedStats orders feeds by id for deterministic output.
-func sortFeedStats(fs []FeedStat) {
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].ID < fs[j-1].ID; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"nvmstore"
 	"nvmstore/internal/repl"
 	"nvmstore/internal/wire"
 )
@@ -199,21 +198,6 @@ func (c *conn) replPromote(req wire.Request, start time.Time) {
 	c.answer(req, start, resp)
 }
 
-// durableLSNs collects the per-shard durable WAL positions this server
-// would answer LSNS with as a primary.
-func (c *conn) durableLSNs() []uint64 {
-	n := c.srv.store.NumShards()
-	lsns := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		i := i
-		c.srv.store.WithShard(i, func(st *nvmstore.Store) error { //nolint:errcheck // fn never fails
-			lsns[i] = st.DurableLSN()
-			return nil
-		})
-	}
-	return lsns
-}
-
 // replLSNs reports this server's position vector: a primary answers its
 // per-shard durable LSNs (what a client's acked writes are covered by),
 // a replica its applied vector. Clients chain the two for read-your-
@@ -225,12 +209,12 @@ func (c *conn) replLSNs(req wire.Request, start time.Time) {
 	var doc wire.ReplLSNs
 	switch {
 	case s.opts.Repl != nil && s.opts.Repl.FencedBy() != 0:
-		doc = wire.ReplLSNs{Epoch: s.opts.Repl.FencedBy(), Role: wire.RoleFenced, LSNs: c.durableLSNs()}
+		doc = wire.ReplLSNs{Epoch: s.opts.Repl.FencedBy(), Role: wire.RoleFenced, LSNs: repl.DurableLSNs(s.store)}
 	case s.opts.Replica != nil && !s.opts.Replica.Promoted():
 		rp := s.opts.Replica
 		doc = wire.ReplLSNs{Epoch: rp.Epoch(), Role: wire.RoleReplica, LSNs: rp.Applied()}
 	default:
-		doc = wire.ReplLSNs{Epoch: 1, Role: wire.RolePrimary, LSNs: c.durableLSNs()}
+		doc = wire.ReplLSNs{Epoch: 1, Role: wire.RolePrimary, LSNs: repl.DurableLSNs(s.store)}
 		if src := s.opts.Repl; src != nil {
 			doc.Epoch = src.Epoch()
 		} else if rp := s.opts.Replica; rp != nil {

@@ -71,6 +71,7 @@ import (
 
 	"nvmstore"
 	"nvmstore/internal/core"
+	"nvmstore/internal/engine"
 	"nvmstore/internal/fault"
 	"nvmstore/internal/obs"
 	"nvmstore/internal/offheap"
@@ -751,15 +752,29 @@ func (c *conn) runLocked(st *nvmstore.Store) error {
 		// Differencing the engine's cumulative counters around this one
 		// execution attributes its tier work; the shard lock makes the
 		// reads exact.
-		before, simBefore := st.TierCounters()
+		e := engine.Of(st)
+		before, simBefore := tierCounters(e)
 		t.resp = execOnShard(st, t.req)
-		after, simAfter := st.TierCounters()
+		after, simAfter := tierCounters(e)
 		t.tl.Tiers = after.Sub(before)
 		t.tl.SimNs += simAfter - simBefore
 		t.tl.Shard = int32(c.shard)
 		t.tl.Mark(obs.StageExec, time.Now().UnixNano())
 	}
 	return nil
+}
+
+// tierCounters returns the engine's cumulative storage-hierarchy work
+// counters and its simulated clock. The caller holds the shard lock.
+func tierCounters(e *engine.Engine) (obs.TierDeltas, int64) {
+	st := e.Manager().Stats()
+	return obs.TierDeltas{
+		DRAMHits:     st.SwizzleHits + st.TableHits,
+		NVMLineLoads: st.LinesLoaded,
+		NVMPageLoads: st.NVMPageLoads,
+		SSDReads:     st.SSDLoads,
+		JournalUndos: st.JournalUndos,
+	}, e.Clock().Ns()
 }
 
 // execOnShard runs one keyed request against the shard that owns its

@@ -19,6 +19,7 @@ import (
 
 	"nvmstore"
 	"nvmstore/internal/client"
+	"nvmstore/internal/engine"
 	"nvmstore/internal/repl"
 	"nvmstore/internal/server"
 	"nvmstore/internal/wire"
@@ -210,12 +211,7 @@ func TestReadsAreNotTransactions(t *testing.T) {
 		out := make([]uint64, store.NumShards())
 		for i := range out {
 			err := store.WithShard(i, func(st *nvmstore.Store) error {
-				sn, err := st.Snapshot()
-				if err != nil {
-					return err
-				}
-				out[i] = sn.Stamp()
-				sn.Close()
+				out[i] = engine.Of(st).Versions().Stamp()
 				return nil
 			})
 			if err != nil {

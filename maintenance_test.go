@@ -193,7 +193,7 @@ func TestCkptRoundCrashOnShardedStore(t *testing.T) {
 			t.Fatalf("acknowledged key %d after the crash: found=%v err=%v", k, found, err)
 		}
 	}
-	if err := s.WithShard(0, (*Store).CheckInvariants); err != nil {
+	if err := s.WithShard(0, func(st *Store) error { return st.e.Manager().CheckInvariants() }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -345,10 +345,10 @@ func TestFullLogFailsWritesNotReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	retain := func(fn func() uint64) {
-		_ = s.WithShard(0, func(st *Store) error { st.SetWALRetain(fn); return nil })
+	retain := func(fn func() wal.LSN) {
+		_ = s.WithShard(0, func(st *Store) error { st.e.Log().SetRetain(fn); return nil })
 	}
-	retain(func() uint64 { return 1 }) // every truncation is refused
+	retain(func() wal.LSN { return 1 }) // every truncation is refused
 
 	// A reader on the same shard, all the way through.
 	stop, readerDone := make(chan struct{}), make(chan error, 1)

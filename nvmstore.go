@@ -32,7 +32,10 @@
 //
 // Stores are not safe for concurrent use: like the paper's evaluation, the
 // engines are single-threaded (multi-threading is discussed as future work
-// in the paper's Appendix A.1).
+// in the paper's Appendix A.1). A ShardedStore hash-partitions the key
+// space across Stores, one lock each, and is safe for concurrent use; its
+// Batch shares one log flush among the commits it runs, and its Snapshot
+// gives scans a stable read point.
 package nvmstore
 
 import (
@@ -160,6 +163,9 @@ type Store struct {
 	closed            bool
 }
 
+// The layers built on the store reach its engine through engine.Of.
+func init() { engine.Of = func(st any) *engine.Engine { return st.(*Store).e } }
+
 // Open creates a store with fresh simulated devices.
 func Open(opts Options) (*Store, error) {
 	cfg := engine.DefaultConfig(opts.Architecture.topology(), opts.DRAMBytes, opts.NVMBytes, opts.SSDBytes)
@@ -252,23 +258,18 @@ func (s *Store) Update(fn func() error) error {
 	return s.Commit()
 }
 
-// CommitNoFlush commits the running transaction without flushing the
-// write-ahead log: the commit record is appended, but the transaction is
-// not durable until FlushWAL (or the next flushing commit). Group-commit
-// building block — callers must not acknowledge the write before a flush
-// lands. On NVMDirect it behaves exactly like Commit (durable on
-// return), as in-place persistence leaves nothing to coalesce.
-func (s *Store) CommitNoFlush() error { return s.e.CommitNoFlush() }
-
-// FlushWAL flushes the write-ahead log tail, making every CommitNoFlush
-// since the last flush durable, and returns how many commits the flush
-// covered.
+// FlushWAL flushes the write-ahead log tail, making every UpdateNoFlush
+// commit since the last flush durable, and returns how many commits the
+// flush covered.
 func (s *Store) FlushWAL() (int64, error) { return s.e.FlushWAL() }
 
-// UpdateNoFlush is Update with the final flush elided: fn runs inside a
-// transaction that is committed with CommitNoFlush on success. The write
-// is durable only after a later FlushWAL. Rollbacks still flush — abort
-// records always go to the medium immediately.
+// UpdateNoFlush is Update with the final flush elided: on success the
+// commit record is appended but not flushed, so the write is durable only
+// after a later FlushWAL (or the next flushing commit) and must not be
+// acknowledged before. It is the body of ShardedStore.Batch's group
+// commit. On NVMDirect it is durable on return, as in-place persistence
+// leaves nothing to coalesce. Rollbacks still flush — abort records
+// always go to the medium immediately.
 func (s *Store) UpdateNoFlush(fn func() error) error {
 	s.Begin()
 	if err := fn(); err != nil {
@@ -277,7 +278,7 @@ func (s *Store) UpdateNoFlush(fn func() error) error {
 		}
 		return err
 	}
-	return s.CommitNoFlush()
+	return s.e.CommitNoFlush()
 }
 
 // Checkpoint forces all dirty pages to persistent storage and truncates
@@ -299,60 +300,6 @@ type CkptStats = engine.CkptStats
 // LogFill returns the WAL region's fill fraction (0..1) — the signal
 // that drives paced write-back.
 func (s *Store) LogFill() float64 { return s.e.LogFill() }
-
-// WALRecord is one write-ahead-log record as delivered to the
-// replication tap (SetWALShip) — an alias of wal.Record, like
-// RecoveryStats below.
-type WALRecord = wal.Record
-
-// WAL record kinds, re-exported for replication consumers. The tap also
-// delivers page images (wal.RecImage), which name this store's own page
-// ids and are no use to any other store; it never delivers undo records.
-const (
-	// WALRecUpdate marks a logical change's redo record.
-	WALRecUpdate = wal.RecUpdate
-	// WALRecCommit marks a transaction commit record.
-	WALRecCommit = wal.RecCommit
-	// WALRecAbort marks a transaction abort record.
-	WALRecAbort = wal.RecAbort
-)
-
-// SetWALShip installs the replication tap on this shard's write-ahead
-// log: fn receives owned copies of every record right after the flush
-// that made it durable, in append order, on the flushing goroutine (the
-// shard lock is held). Only durable records are ever delivered, so a
-// subscriber cannot observe state the store could still lose. A nil fn
-// removes the tap.
-func (s *Store) SetWALShip(fn func([]WALRecord)) { s.e.Log().SetShip(fn) }
-
-// SetWALRetain installs the replication retention watermark: fn returns
-// the lowest LSN the log must keep resident — the first record not yet
-// handed to the ship tap — and Checkpoint's log truncation becomes a
-// counted no-op while that record would be discarded (see
-// wal.Log.SetRetain). A nil fn removes the guard.
-func (s *Store) SetWALRetain(fn func() uint64) {
-	if fn == nil {
-		s.e.Log().SetRetain(nil)
-		return
-	}
-	s.e.Log().SetRetain(func() wal.LSN { return wal.LSN(fn()) })
-}
-
-// DurableLSN returns the highest log sequence number this shard has
-// flushed to its NVM log — the durability frontier. Every acknowledged
-// transaction's commit record is at or below it.
-func (s *Store) DurableLSN() uint64 { return uint64(s.e.Log().DurableLSN()) }
-
-// ReplayRecord applies one logical record from another store's log
-// inside the running transaction (Begin/Update). The operation is
-// logged to this store's own WAL, so applied records are crash-
-// recoverable here independently of the source. Commit/abort marks are
-// no-ops; page images, undo records and malformed records return an
-// error.
-func (s *Store) ReplayRecord(r WALRecord) error { return s.e.ApplyLogical(r) }
-
-// TableIDs returns the ids of all tables in ascending order.
-func (s *Store) TableIDs() []uint64 { return s.e.TreeIDs() }
 
 // CleanRestart simulates an orderly shutdown and restart: all volatile
 // state is dropped and the page mapping table is rebuilt by scanning the
@@ -381,36 +328,10 @@ func (s *Store) InjectFaults(plan *fault.Plan) fault.Injectors {
 	return s.e.ArmFaults(plan, 0)
 }
 
-// CheckInvariants walks the buffer manager's internal structures —
-// frame/mapping-table agreement, swizzled-pointer bookkeeping, mini-page
-// slot directories — and returns the first inconsistency found. The
-// crash-schedule harness calls it after every recovery; it is cheap
-// enough for tests but walks every frame, so production paths should not
-// call it per operation.
-func (s *Store) CheckInvariants() error { return s.e.Manager().CheckInvariants() }
-
 // SimulatedTime returns the accumulated simulated device time. Combined
 // with wall time it yields the throughput figures the benchmark harness
 // reports.
 func (s *Store) SimulatedTime() time.Duration { return s.e.Clock().Elapsed() }
-
-// TierCounters returns the engine's cumulative storage-hierarchy work
-// counters plus the current simulated clock, cheap enough to snapshot
-// around a single operation: the serving layer differences two
-// snapshots to attribute tier work (DRAM hits, NVM line loads, SSD
-// reads, journal undos) to one traced request. Like Manager.Stats, it
-// must only be called while no operation runs on this shard — under the
-// sharded driver, while holding the shard lock (WithShard).
-func (s *Store) TierCounters() (obs.TierDeltas, int64) {
-	st := s.e.Manager().Stats()
-	return obs.TierDeltas{
-		DRAMHits:     st.SwizzleHits + st.TableHits,
-		NVMLineLoads: st.LinesLoaded,
-		NVMPageLoads: st.NVMPageLoads,
-		SSDReads:     st.SSDLoads,
-		JournalUndos: st.JournalUndos,
-	}, s.e.Clock().Ns()
-}
 
 // Residency is the set of per-tier residency gauges: pages and cache
 // lines currently resident per tier, dirty and pin counts.
@@ -700,52 +621,4 @@ func (t *Table) BulkLoad(n int, keyAt func(i int) uint64, rowAt func(i int, dst 
 		return fmt.Errorf("nvmstore: bulk load inside a transaction")
 	}
 	return t.t.BulkLoad(n, keyAt, rowAt, fill)
-}
-
-// ErrSnapshotInvalid reports that a read snapshot was invalidated by a
-// store restart (crash or clean restart) between its creation and use.
-// The caller should open a fresh snapshot.
-var ErrSnapshotInvalid = errors.New("nvmstore: snapshot invalidated by restart")
-
-// StoreSnapshot is a stable read point over one Store: scans through it
-// see exactly the transactions committed before Snapshot was called,
-// while later writers proceed — their first modification of each page
-// saves a copy-on-write image the snapshot reads instead. Close it
-// promptly so those images can be reclaimed.
-type StoreSnapshot struct {
-	s     *Store
-	id    uint64
-	stamp uint64
-	lsn   uint64
-	epoch uint64
-}
-
-// Snapshot opens a stable read point at the current durable frontier. It
-// flushes the WAL first, so LSN() is a commit-LSN watermark: every
-// transaction at or below it is both durable and visible to the
-// snapshot. Must not run inside a transaction.
-func (s *Store) Snapshot() (*StoreSnapshot, error) {
-	if s.e.InTx() {
-		return nil, fmt.Errorf("nvmstore: snapshot inside a transaction")
-	}
-	if _, err := s.e.FlushWAL(); err != nil {
-		return nil, err
-	}
-	v := s.e.Versions()
-	id, stamp := v.BeginSnapshot()
-	return &StoreSnapshot{s: s, id: id, stamp: stamp, lsn: s.DurableLSN(), epoch: v.Epoch()}, nil
-}
-
-// LSN returns the commit-LSN watermark of the snapshot: the durable LSN
-// at creation. Everything committed at or below it is visible.
-func (sn *StoreSnapshot) LSN() uint64 { return sn.lsn }
-
-// Stamp returns the snapshot's transaction stamp (its position in the
-// store's begin-transaction order).
-func (sn *StoreSnapshot) Stamp() uint64 { return sn.stamp }
-
-// Close releases the snapshot, allowing the version store to reclaim
-// page images only it could read. Closing twice is harmless.
-func (sn *StoreSnapshot) Close() {
-	sn.s.e.Versions().EndSnapshot(sn.id)
 }

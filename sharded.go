@@ -650,7 +650,7 @@ func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fie
 	slot := &t.s.slots[i]
 	slot.mu.Lock()
 	defer slot.mu.Unlock()
-	st, ss := t.s.shards[i], sn.snaps[i]
+	st, ss := t.s.shards[i], &sn.snaps[i]
 	if st.e.Versions().Epoch() != ss.epoch {
 		return ErrSnapshotInvalid
 	}
@@ -724,16 +724,27 @@ func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fie
 	}
 }
 
+// ErrSnapshotInvalid reports that a read snapshot was invalidated by a
+// store restart (crash or clean restart) between its creation and use.
+// The caller should open a fresh snapshot.
+var ErrSnapshotInvalid = errors.New("nvmstore: snapshot invalidated by restart")
+
 // Snapshot is a stable read point over every shard of a ShardedStore:
 // scans through it see, per shard, exactly the transactions committed
-// before it was taken, while writers on all shards keep committing.
-// Close it promptly so the shards can reclaim the copy-on-write page
-// images the snapshot pins.
+// before it was taken, while writers on all shards keep committing —
+// their first modification of each page saves a copy-on-write image the
+// snapshot reads instead. Close it promptly so the shards can reclaim
+// those images.
 type Snapshot struct {
 	s     *ShardedStore
-	snaps []*StoreSnapshot
+	snaps []shardSnap
 	once  sync.Once
 }
+
+// shardSnap is one shard's read point: its registration in the shard's
+// version store (id 0: not taken), the transaction stamp it reads as of,
+// the durable LSN at creation and the restart epoch it is valid in.
+type shardSnap struct{ id, stamp, lsn, epoch uint64 }
 
 // Snapshot opens a stable read point across all shards. Each shard's
 // point is taken under its lock at the shard's durable frontier (the WAL
@@ -742,12 +753,19 @@ type Snapshot struct {
 // shards are close but not a single global instant — the same contract a
 // scan over hash-partitioned shards always had.
 func (s *ShardedStore) Snapshot() (*Snapshot, error) {
-	sn := &Snapshot{s: s, snaps: make([]*StoreSnapshot, len(s.shards))}
+	sn := &Snapshot{s: s, snaps: make([]shardSnap, len(s.shards))}
 	for i := range s.shards {
 		err := s.WithShard(i, func(st *Store) error {
-			var err error
-			sn.snaps[i], err = st.Snapshot()
-			return err
+			if st.e.InTx() {
+				return fmt.Errorf("nvmstore: snapshot inside a transaction")
+			}
+			if _, err := st.e.FlushWAL(); err != nil {
+				return err
+			}
+			v, ss := st.e.Versions(), &sn.snaps[i]
+			ss.id, ss.stamp = v.BeginSnapshot()
+			ss.lsn, ss.epoch = uint64(st.e.Log().DurableLSN()), v.Epoch()
+			return nil
 		})
 		if err != nil {
 			sn.Close()
@@ -763,14 +781,12 @@ func (s *ShardedStore) Snapshot() (*Snapshot, error) {
 func (sn *Snapshot) Close() {
 	sn.once.Do(func() {
 		for i, ss := range sn.snaps {
-			if ss == nil {
-				continue
+			if ss.id != 0 {
+				_ = sn.s.WithShard(i, func(st *Store) error {
+					st.e.Versions().EndSnapshot(ss.id)
+					return nil
+				})
 			}
-			ss := ss
-			_ = sn.s.WithShard(i, func(*Store) error {
-				ss.Close()
-				return nil
-			})
 		}
 	})
 }
@@ -780,9 +796,7 @@ func (sn *Snapshot) Close() {
 func (sn *Snapshot) LSNs() []uint64 {
 	lsns := make([]uint64, len(sn.snaps))
 	for i, ss := range sn.snaps {
-		if ss != nil {
-			lsns[i] = ss.LSN()
-		}
+		lsns[i] = ss.lsn
 	}
 	return lsns
 }
