@@ -45,12 +45,15 @@
 // table after each experiment and embedded in the JSON output); -http
 // serves net/http/pprof and a /metrics.json document (the running
 // experiment and its latency rows, read on each request) for the duration
-// of the run. -json accepts a bare flag (current directory) or -json=dir.
+// of the run. -json accepts a bare flag (current directory) or -json=dir;
+// nvmbench takes no arguments, so "-json dir" exits 2 naming dir.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -64,7 +67,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // dirFlag is an output-directory flag that may be given bare (meaning
@@ -106,36 +109,50 @@ func (p *phaseBox) get() string {
 }
 
 // run holds the real main body so deferred cleanup (notably stopping the
-// CPU profile) executes before the process exits.
-func run() int {
+// CPU profile) executes before the process exits. It parses args and
+// writes to stdout and stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nvmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var jsonDir dirFlag
 	var (
-		experiment = flag.String("experiment", "", "experiment id (see -list), or \"all\"")
-		list       = flag.Bool("list", false, "list available experiments")
-		scaleMB    = flag.Int64("scale", 16, "megabytes per paper-gigabyte of capacity")
-		ops        = flag.Int("ops", 30000, "measured operations per data point")
-		warmup     = flag.Int("warmup", 0, "warm-up operations per data point (default: same as -ops; repl: a quarter of -ops)")
-		threads    = flag.Int("threads", 4, "maximum shard count for multi-threaded experiments (figA1)")
-		quick      = flag.Bool("quick", false, "fewer sweep points for a fast smoke run (repl: at most 12000 reads per point)")
-		seed       = flag.Uint64("seed", 0, "base seed for the YCSB random streams (0: built-in default)")
-		format     = flag.String("format", "table", "output format: table, csv, or chart")
-		observe    = flag.Bool("obs", false, "record per-tier latency histograms")
-		faultSpec  = flag.String("faults", "", `fault-injection spec armed on every engine, e.g. "seed:7;ssd.read:p=0.001,transient=2;nvm.stall:p=0.01,stall=10us" (see internal/fault)`)
-		httpAddr   = flag.String("http", "", "serve pprof and /metrics.json on this address during the run")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		experiment = fs.String("experiment", "", "experiment id (see -list), or \"all\"")
+		list       = fs.Bool("list", false, "list available experiments")
+		scaleMB    = fs.Int64("scale", 16, "megabytes per paper-gigabyte of capacity")
+		ops        = fs.Int("ops", 30000, "measured operations per data point")
+		warmup     = fs.Int("warmup", 0, "warm-up operations per data point (default: same as -ops; repl: a quarter of -ops)")
+		threads    = fs.Int("threads", 4, "maximum shard count for multi-threaded experiments (figA1)")
+		quick      = fs.Bool("quick", false, "fewer sweep points for a fast smoke run (repl: at most 12000 reads per point)")
+		seed       = fs.Uint64("seed", 0, "base seed for the YCSB random streams (0: built-in default)")
+		format     = fs.String("format", "table", "output format: table, csv, or chart")
+		observe    = fs.Bool("obs", false, "record per-tier latency histograms")
+		faultSpec  = fs.String("faults", "", `fault-injection spec armed on every engine, e.g. "seed:7;ssd.read:p=0.001,transient=2;nvm.stall:p=0.01,stall=10us" (see internal/fault)`)
+		httpAddr   = fs.String("http", "", "serve pprof and /metrics.json on this address during the run")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		remoteAddr = flag.String("remote", "", "drive a running nvmserver at this address instead of in-process engines")
-		clients    = flag.Int("clients", 4, "remote mode: concurrent pipelined client workers")
-		depth      = flag.Int("depth", 16, "remote mode: pipeline depth per worker")
-		rows       = flag.Int("rows", 10000, "remote mode: key-space size")
-		writePct   = flag.Int("writepct", 5, "remote mode: percentage of operations that are PUTs")
-		load       = flag.Bool("load", false, "remote mode: bulk-load the key space before measuring")
-		retries    = flag.Int("retries", 0, "remote mode: per-request retry budget for transport failures (0: client default, negative: fail fast)")
-		traceSamp  = flag.Int("tracesample", 0, "remote mode: stamp every Nth keyed request with a trace header and report the server's p99 stage decomposition (0: off, 1: every request)")
+		remoteAddr = fs.String("remote", "", "drive a running nvmserver at this address instead of in-process engines")
+		clients    = fs.Int("clients", 4, "remote mode: concurrent pipelined client workers")
+		depth      = fs.Int("depth", 16, "remote mode: pipeline depth per worker")
+		rows       = fs.Int("rows", 10000, "remote mode: key-space size")
+		writePct   = fs.Int("writepct", 5, "remote mode: percentage of operations that are PUTs")
+		load       = fs.Bool("load", false, "remote mode: bulk-load the key space before measuring")
+		retries    = fs.Int("retries", 0, "remote mode: per-request retry budget for transport failures (0: client default, negative: fail fast)")
+		traceSamp  = fs.Int("tracesample", 0, "remote mode: stamp every Nth keyed request with a trace header and report the server's p99 stage decomposition (0: off, 1: every request)")
 	)
-	flag.Var(&jsonDir, "json", "write BENCH_<id>.json files (bare flag: current directory, or -json=dir)")
-	flag.Parse()
+	fs.Var(&jsonDir, "json", "write BENCH_<id>.json files (bare flag: current directory, or -json=dir)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// Parsing stops at the first non-flag argument, so every flag after
+	// it would be dropped; "-json DIR" is the usual way to get here.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "nvmbench: unexpected argument %q; nvmbench takes no arguments, and a -json directory is given as -json=DIR\n", fs.Arg(0))
+		return 2
+	}
 
 	// The figures plus the cluster experiment, which internal/bench
 	// cannot list because internal/remote imports it.
@@ -144,7 +161,7 @@ func run() int {
 	})
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("  %-6s %s\n", e.ID, e.Description)
+			fmt.Fprintf(stdout, "  %-6s %s\n", e.ID, e.Description)
 		}
 		return 0
 	}
@@ -152,12 +169,12 @@ func run() int {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: -cpuprofile: %v\n", err)
 			return 2
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: -cpuprofile: %v\n", err)
 			return 2
 		}
 		defer pprof.StopCPUProfile()
@@ -165,7 +182,7 @@ func run() int {
 
 	if *remoteAddr != "" {
 		if *experiment != "" {
-			fmt.Fprintf(os.Stderr, "nvmbench: -remote runs the wire workload and takes no -experiment (got %q)\n", *experiment)
+			fmt.Fprintf(stderr, "nvmbench: -remote runs the wire workload and takes no -experiment (got %q)\n", *experiment)
 			return 2
 		}
 		return runRemote(remote.Options{
@@ -180,11 +197,11 @@ func run() int {
 			Seed:        *seed,
 			Retries:     *retries,
 			TraceSample: *traceSamp,
-		}, *format, jsonDir.dir)
+		}, *format, jsonDir.dir, stdout, stderr)
 	}
 
 	if *experiment == "" {
-		fmt.Fprintln(os.Stderr, "nvmbench: pick an experiment with -experiment <id> or -experiment all (-list shows ids), or a server with -remote addr")
+		fmt.Fprintln(stderr, "nvmbench: pick an experiment with -experiment <id> or -experiment all (-list shows ids), or a server with -remote addr")
 		return 2
 	}
 
@@ -199,7 +216,7 @@ func run() int {
 	if *faultSpec != "" {
 		plan, err := fault.ParseSpec(*faultSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: -faults: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: -faults: %v\n", err)
 			return 2
 		}
 		opts.Faults = plan
@@ -218,18 +235,18 @@ func run() int {
 			}{phase.get(), opts.Obs.Rows()}
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: -http: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: -http: %v\n", err)
 			return 2
 		}
 		defer dbg.Close()
-		fmt.Printf("(serving /metrics.json and /debug/pprof/ on %s)\n", dbg.Addr())
+		fmt.Fprintf(stdout, "(serving /metrics.json and /debug/pprof/ on %s)\n", dbg.Addr())
 	}
 
 	runs := exps
 	if *experiment != "all" {
 		exp, err := bench.Lookup(exps, *experiment)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		runs = []bench.Experiment{exp}
@@ -240,33 +257,33 @@ func run() int {
 		start := time.Now()
 		res, err := exp.Run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: %s: %v\n", exp.ID, err)
+			fmt.Fprintf(stderr, "nvmbench: %s: %v\n", exp.ID, err)
 			exitCode = 1
 			break
 		}
-		emit(res, *format)
+		emit(stdout, res, *format)
 		if jsonDir.dir != "" {
 			path, err := res.SaveJSON(jsonDir.dir)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "nvmbench: %s: %v\n", exp.ID, err)
+				fmt.Fprintf(stderr, "nvmbench: %s: %v\n", exp.ID, err)
 				exitCode = 1
 				break
 			}
-			fmt.Printf("(wrote %s)\n", path)
+			fmt.Fprintf(stdout, "(wrote %s)\n", path)
 		}
-		fmt.Printf("(%s finished in %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s finished in %v)\n\n", exp.ID, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: -memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: -memprofile: %v\n", err)
 			return 2
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: -memprofile: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: -memprofile: %v\n", err)
 			return 2
 		}
 	}
@@ -274,38 +291,38 @@ func run() int {
 }
 
 // emit prints one result in the chosen format.
-func emit(res bench.Result, format string) {
+func emit(w io.Writer, res bench.Result, format string) {
 	switch format {
 	case "csv":
-		res.FormatCSV(os.Stdout)
+		res.FormatCSV(w)
 	case "chart":
-		res.Chart(os.Stdout, 72, 18)
-		res.FormatLatency(os.Stdout)
-		res.FormatAttribution(os.Stdout)
+		res.Chart(w, 72, 18)
+		res.FormatLatency(w)
+		res.FormatAttribution(w)
 	default:
-		res.Format(os.Stdout)
-		res.FormatAttribution(os.Stdout)
+		res.Format(w)
+		res.FormatAttribution(w)
 	}
 }
 
 // runRemote drives a running nvmserver with the remote YCSB mix and
 // prints the result.
-func runRemote(o remote.Options, format, jsonDir string) int {
+func runRemote(o remote.Options, format, jsonDir string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	res, err := remote.Run(o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "nvmbench: -remote %s: %v\n", o.Addr, err)
+		fmt.Fprintf(stderr, "nvmbench: -remote %s: %v\n", o.Addr, err)
 		return 1
 	}
-	emit(res, format)
+	emit(stdout, res, format)
 	if jsonDir != "" {
 		path, err := res.SaveJSON(jsonDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "nvmbench: remote: %v\n", err)
+			fmt.Fprintf(stderr, "nvmbench: remote: %v\n", err)
 			return 1
 		}
-		fmt.Printf("(wrote %s)\n", path)
+		fmt.Fprintf(stdout, "(wrote %s)\n", path)
 	}
-	fmt.Printf("(remote run finished in %v)\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "(remote run finished in %v)\n", time.Since(start).Round(time.Millisecond))
 	return 0
 }

@@ -167,9 +167,10 @@ func TestBenchFlagsDocumented(t *testing.T) {
 	flagsDocumented(t, "cmd/nvmbench/main.go", 2)
 }
 
-// flagsDocumented compares the flags mainGo declares (flag.Var ones
-// included) with the flags named in the first column of the table rows of
-// docs/OPERATIONS.md §n; one row may name several flags ("`-a` / `-b`").
+// flagsDocumented compares the flags mainGo declares on the flag package
+// or on a FlagSet named fs (Var ones included) with the flags named in the
+// first column of the table rows of docs/OPERATIONS.md §n; one row may
+// name several flags ("`-a` / `-b`").
 func flagsDocumented(t *testing.T, mainGo string, n int) {
 	t.Helper()
 	src, err := os.ReadFile(mainGo)
@@ -177,7 +178,7 @@ func flagsDocumented(t *testing.T, mainGo string, n int) {
 		t.Fatal(err)
 	}
 	var declared []string
-	for _, m := range regexp.MustCompile(`flag\.\w+\((?:&\w+, )?"([^"]+)"`).FindAllSubmatch(src, -1) {
+	for _, m := range regexp.MustCompile(`\b(?:flag|fs)\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var)\((?:&\w+, )?"([^"]+)"`).FindAllSubmatch(src, -1) {
 		declared = append(declared, string(m[1]))
 	}
 	doc, err := os.ReadFile("docs/OPERATIONS.md")
@@ -197,6 +198,40 @@ func flagsDocumented(t *testing.T, mainGo string, n int) {
 	if len(declared) == 0 || !slices.Equal(declared, documented) {
 		t.Errorf("%s flags and docs/OPERATIONS.md §%d differ:\n declared:   %v\n documented: %v",
 			mainGo, n, declared, documented)
+	}
+}
+
+// TestDesignInventoryNamesRealPaths fails when a backticked internal/…,
+// cmd/… or examples/… path in the DESIGN.md §3 inventory table names no
+// directory, or when a directory of Go files under internal/ or cmd/ has
+// no row there.
+func TestDesignInventoryNamesRealPaths(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(doc), "\n## 3.")
+	section, _, _ = strings.Cut(section, "\n#")
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\|.*$").FindAllString(section, -1) {
+		for _, p := range regexp.MustCompile("`((?:internal|cmd|examples)/[^`]+)`").FindAllStringSubmatch(m, -1) {
+			named[p[1]] = true
+		}
+	}
+	if len(named) == 0 {
+		t.Fatal("DESIGN.md §3 names no internal/, cmd/ or examples/ path")
+	}
+	for p := range named {
+		if fi, err := os.Stat(p); err != nil || !fi.IsDir() {
+			t.Errorf("DESIGN.md §3 names %s, which is not a directory", p)
+		}
+	}
+	for _, f := range parseRepo(t) {
+		dir := path.Dir(f.path)
+		if (strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")) && !named[dir] {
+			named[dir] = true // report each directory once
+			t.Errorf("%s has no row in the DESIGN.md §3 inventory", dir)
+		}
 	}
 }
 

@@ -478,7 +478,8 @@ func isConnMethod(fn ast.Expr) bool {
 // experimentBranches returns every comparison, == or != or a switch,
 // of the -experiment flag's value with a string literal other than "all"
 // and "": a branch for one experiment beside the list all of them run
-// from. No flag.String("experiment", …) in the files is a violation too,
+// from. The flag is declared on the flag package or on a FlagSet named
+// fs; no such String("experiment", …) in the files is a violation too,
 // so the rule cannot pass by renaming the flag away.
 func experimentBranches(files []goFile) []string {
 	var bad []string
@@ -487,7 +488,7 @@ func experimentBranches(files []goFile) []string {
 		ast.Inspect(f.ast, func(n ast.Node) bool {
 			if vs, ok := n.(*ast.ValueSpec); ok {
 				for i, v := range vs.Values {
-					if call, ok := v.(*ast.CallExpr); ok && slices.Equal(selectorChain(call.Fun), []string{"flag", "String"}) &&
+					if call, ok := v.(*ast.CallExpr); ok && slices.Contains([]string{"flag.String", "fs.String"}, strings.Join(selectorChain(call.Fun), ".")) &&
 						len(call.Args) > 0 && stringLit(call.Args[0]) == "experiment" {
 						vars = append(vars, vs.Names[i].Name)
 					}
@@ -535,7 +536,7 @@ func experimentBranches(files []goFile) []string {
 		})
 		return bad
 	}
-	return append(bad, "cmd/nvmbench declares no flag.String(\"experiment\", …)")
+	return append(bad, "cmd/nvmbench declares no flag.String or fs.String(\"experiment\", …)")
 }
 
 // stringLit returns the value of a string literal, or "" for any other

@@ -4,7 +4,7 @@
 // It lives in a subpackage of internal/fault because it sits on the
 // opposite side of the dependency: internal/fault is imported by the
 // devices, while the harness drives the whole assembled store (and, for
-// the network tier, a live server and client).
+// replication, a live primary→replica pair).
 //
 // The sweep works in two passes per fault kind. A dry run with an
 // empty, armed plan counts the kind's injection *opportunities* — every
@@ -17,32 +17,21 @@
 //
 //   - the buffer manager's structural invariants hold
 //     (core.Manager.CheckInvariants, reached through engine.Of);
-//   - every transaction acknowledged before the crash reads back
-//     exactly (no lost writes);
-//   - no transaction that never committed leaves partial effects —
-//     the in-flight transaction is either fully present or fully
-//     absent (atomicity at the crash point);
+//   - the store holds every transaction acknowledged before the crash
+//     plus some prefix, in commit order, of those left unacknowledged,
+//     each of them in full — no lost write, no partial transaction;
 //   - the store keeps serving transactions after recovery, and the
 //     final state matches the model.
-//
-// The network tier is swept the same way with single-shot connection
-// drops and partial frames injected into a live server's write path;
-// there the invariant is that a retrying client completes the workload
-// with nothing lost.
 package harness
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
-	"net"
-	"time"
+	"maps"
 
 	"nvmstore"
-	"nvmstore/internal/client"
 	"nvmstore/internal/engine"
 	"nvmstore/internal/fault"
-	"nvmstore/internal/server"
 )
 
 // Config parameterizes a sweep. The zero value sweeps the default
@@ -69,9 +58,6 @@ type Config struct {
 	// only as an all-or-nothing suffix — the survivors must form a
 	// prefix in commit order, each fully applied.
 	GroupCommit bool
-	// NetPoints is how many single-shot network faults to sweep against
-	// a live server (default 20; negative skips the network tier).
-	NetPoints int
 	// Logf, when set, receives per-point progress lines.
 	Logf func(format string, args ...any)
 }
@@ -107,17 +93,6 @@ func (c *Config) applyDefaults() {
 			c.Kinds = append(c.Kinds, fault.WALGroupCrash)
 		}
 	}
-	if c.NetPoints < 0 {
-		c.NetPoints = 0
-	} else if c.NetPoints == 0 {
-		c.NetPoints = 20
-	}
-}
-
-func (c *Config) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
 }
 
 // Report summarizes a sweep.
@@ -127,11 +102,9 @@ type Report struct {
 	Opportunities map[fault.Kind]int64
 	// Points is the number of distinct scheduled fault points run.
 	Points int
-	// Crashes is how many of them actually crashed the store (error-
-	// kind points surface as failed operations instead).
+	// Crashes is how many of them the scheduled fault surfaced in and
+	// the store recovered from (a failed recovery is a violation).
 	Crashes int
-	// Recoveries counts successful CrashRestart cycles.
-	Recoveries int
 	// Violations lists every invariant failure, formatted with its
 	// fault kind and crash point. Empty means the sweep passed.
 	Violations []string
@@ -144,47 +117,41 @@ type Report struct {
 func Run(cfg Config) (Report, error) {
 	cfg.applyDefaults()
 	rep := Report{Opportunities: make(map[fault.Kind]int64)}
-
 	opp, err := dryRun(cfg)
 	if err != nil {
 		return rep, err
 	}
-	for _, k := range cfg.Kinds {
-		rep.Opportunities[k] = opp.Opportunities(k)
-	}
-
 	for _, kind := range cfg.Kinds {
 		n := opp.Opportunities(kind)
-		if n == 0 {
-			cfg.logf("%s: no opportunities on %s, skipped", kind, arch)
-			continue
-		}
-		for _, point := range spread(cfg.PointsPerKind, n) {
-			rep.Points++
-			crashed, err := runPoint(cfg, kind, point)
-			if err != nil {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s@%d/%d: %v", kind, point, n, err))
-				cfg.logf("%s@%d: VIOLATION: %v", kind, point, err)
-				continue
-			}
-			if crashed {
-				rep.Crashes++
-				rep.Recoveries++
-			}
-			cfg.logf("%s@%d/%d: ok (crashed=%v)", kind, point, n, crashed)
-		}
-	}
-
-	if cfg.NetPoints > 0 {
-		points, violations, err := runNet(cfg)
-		if err != nil {
-			return rep, err
-		}
-		rep.Points += points
-		rep.Violations = append(rep.Violations, violations...)
+		rep.Opportunities[kind] = n
+		rep.sweep(kind.String(), spread(cfg.PointsPerKind, n), cfg.Logf, func(point int64) (bool, error) {
+			return runPoint(cfg, kind, point)
+		})
 	}
 	return rep, nil
+}
+
+// sweep runs every point of one named schedule through run and fills
+// rep: every point counts in Points, a point whose run returns an error
+// is a violation, and one that reports crashed without an error counts
+// in Crashes.
+func (rep *Report) sweep(name string, points []int64, logf func(string, ...any), run func(point int64) (crashed bool, err error)) {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	for _, point := range points {
+		rep.Points++
+		crashed, err := run(point)
+		if err != nil {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("%s@%d: %v", name, point, err))
+			logf("%s@%d: VIOLATION: %v", name, point, err)
+			continue
+		}
+		if crashed {
+			rep.Crashes++
+		}
+		logf("%s@%d: ok (crashed=%v)", name, point, crashed)
+	}
 }
 
 // openStore builds the store under test: strict persistence (unflushed
@@ -248,8 +215,12 @@ func dryRun(cfg Config) (fault.Injectors, error) {
 }
 
 // spread picks up to count opportunity indices covering [1, n]: the
-// earliest point, the latest, and an even spread between.
+// earliest point, the latest, and an even spread between. A kind with no
+// opportunities gets no points.
 func spread(count int, n int64) []int64 {
+	if n <= 0 {
+		return nil
+	}
 	if int64(count) > n {
 		count = int(n)
 	}
@@ -302,17 +273,11 @@ func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error
 		if ierr := engine.Of(st).Manager().CheckInvariants(); ierr != nil {
 			return crashed, fmt.Errorf("invariants after tx %d: %v", i, ierr)
 		}
-		var verr error
-		if cfg.GroupCommit {
-			verr = w.verifyAfterCrashGroup(tab)
-		} else {
-			verr = w.verifyAfterCrash(tab)
-		}
-		if verr != nil {
+		if verr := w.verifyAfterCrash(tab); verr != nil {
 			return crashed, fmt.Errorf("state after tx %d: %v", i, verr)
 		}
 	}
-	if verr := w.verify(tab); verr != nil {
+	if verr := w.matches(tab, w.model); verr != nil {
 		return crashed, fmt.Errorf("final state: %v", verr)
 	}
 	return crashed, nil
@@ -334,8 +299,8 @@ type workload struct {
 	cfg   Config
 	rng   uint64
 	model map[uint64][]byte
-	// pending is the in-flight transaction's net effect, kept for
-	// crash-time divergence accounting; nil outside runTx.
+	// pending is the in-flight transaction's net effect, kept until it
+	// commits or a crash resolves it.
 	pending map[uint64]pendingOp
 	// staged, under GroupCommit, holds the effects of transactions
 	// committed without a flush, in commit order; the group flush
@@ -507,50 +472,10 @@ func fold(model map[uint64][]byte, p map[uint64]pendingOp) {
 	}
 }
 
-// lookup reads a key, distinguishing absent from present.
-func (w *workload) lookup(tab *nvmstore.Table, key uint64) ([]byte, bool, error) {
-	ok, err := tab.Lookup(key, w.buf)
-	if err != nil {
-		return nil, false, err
-	}
-	if !ok {
-		return nil, false, nil
-	}
-	return w.buf, true, nil
-}
-
-// verify checks that every key outside the pending set reads back
-// exactly as the model records (acknowledged writes survive, aborted
-// ones never resurface).
-func (w *workload) verify(tab *nvmstore.Table) error {
-	for key := uint64(0); key < uint64(rows); key++ {
-		if w.pending != nil {
-			if _, isPending := w.pending[key]; isPending {
-				continue
-			}
-		}
-		got, ok, err := w.lookup(tab, key)
-		if err != nil {
-			return fmt.Errorf("lookup %d: %v", key, err)
-		}
-		want, exists := w.model[key]
-		switch {
-		case exists && !ok:
-			return fmt.Errorf("committed key %d lost", key)
-		case !exists && ok:
-			return fmt.Errorf("key %d resurfaced after delete/abort", key)
-		case exists && string(got) != string(want):
-			return fmt.Errorf("key %d corrupted (tx tag %d, want %d)",
-				key, binary.LittleEndian.Uint64(got[8:]), binary.LittleEndian.Uint64(want[8:]))
-		}
-	}
-	return nil
-}
-
 // matches compares the whole keyspace against an explicit model.
 func (w *workload) matches(tab *nvmstore.Table, model map[uint64][]byte) error {
 	for key := uint64(0); key < uint64(rows); key++ {
-		got, ok, err := w.lookup(tab, key)
+		ok, err := tab.Lookup(key, w.buf)
 		if err != nil {
 			return fmt.Errorf("lookup %d: %v", key, err)
 		}
@@ -560,35 +485,30 @@ func (w *workload) matches(tab *nvmstore.Table, model map[uint64][]byte) error {
 			return fmt.Errorf("key %d missing", key)
 		case !exists && ok:
 			return fmt.Errorf("key %d unexpectedly present", key)
-		case exists && string(got) != string(want):
+		case exists && string(w.buf) != string(want):
 			return fmt.Errorf("key %d corrupted (tx tag %d, want %d)",
-				key, binary.LittleEndian.Uint64(got[8:]), binary.LittleEndian.Uint64(want[8:]))
+				key, binary.LittleEndian.Uint64(w.buf[8:]), binary.LittleEndian.Uint64(want[8:]))
 		}
 	}
 	return nil
 }
 
-// verifyAfterCrashGroup resolves a crash under group commit. The
-// in-flight transaction never survives — its commit record was never
-// appended, so recovery undoes it. The staged transactions (committed
-// without a flush) may be lost, but only from the tail: the log makes
-// commit i durable before commit i+1, so the survivors must be a
-// prefix in commit order, each transaction fully applied. The store
-// must therefore match the model with some prefix of the staged
-// effects folded in; the longest matching prefix becomes the model.
-func (w *workload) verifyAfterCrashGroup(tab *nvmstore.Table) error {
-	models := make([]map[uint64][]byte, 0, len(w.staged)+1)
-	base := make(map[uint64][]byte, len(w.model))
-	for key, v := range w.model {
-		base[key] = v
+// verifyAfterCrash resolves the transactions a crash left
+// unacknowledged. The candidates to survive are, under GroupCommit, the
+// staged transactions (the in-flight one never appended its commit
+// record, so recovery undoes it) and otherwise the in-flight
+// transaction. The log makes commit i durable before commit i+1, so the
+// store must match the model with some prefix of the candidates folded
+// in, each in full; a half-applied transaction matches no prefix. The
+// longest matching prefix becomes the model.
+func (w *workload) verifyAfterCrash(tab *nvmstore.Table) error {
+	candidates := w.staged
+	if !w.cfg.GroupCommit {
+		candidates = []map[uint64]pendingOp{w.pending}
 	}
-	models = append(models, base)
-	for _, p := range w.staged {
-		prev := models[len(models)-1]
-		next := make(map[uint64][]byte, len(prev))
-		for key, v := range prev {
-			next[key] = v
-		}
+	models := []map[uint64][]byte{w.model}
+	for _, p := range candidates {
+		next := maps.Clone(models[len(models)-1])
 		fold(next, p)
 		models = append(models, next)
 	}
@@ -604,145 +524,6 @@ func (w *workload) verifyAfterCrashGroup(tab *nvmstore.Table) error {
 			fullest = err
 		}
 	}
-	return fmt.Errorf("no staged-commit prefix matches the store (%d staged); against the full prefix: %v",
-		len(w.staged), fullest)
-}
-
-// verifyAfterCrash checks the crash-time contract and resolves the
-// in-flight transaction: untouched keys must match the model exactly,
-// and the pending keys must *all* carry the transaction's after-state
-// or *all* its before-state — a mix is an atomicity violation. The
-// winning state is folded into the model and the workload continues.
-func (w *workload) verifyAfterCrash(tab *nvmstore.Table) error {
-	if err := w.verify(tab); err != nil {
-		return err
-	}
-	votesAfter, votesBefore := 0, 0
-	for key, p := range w.pending {
-		if string(p.before) == string(p.after) {
-			continue // uninformative (e.g. delete of an absent key)
-		}
-		got, ok, err := w.lookup(tab, key)
-		if err != nil {
-			return fmt.Errorf("lookup pending %d: %v", key, err)
-		}
-		var cur []byte
-		if ok {
-			cur = got
-		}
-		switch {
-		case string(cur) == string(p.after):
-			votesAfter++
-		case string(cur) == string(p.before):
-			votesBefore++
-		default:
-			return fmt.Errorf("pending key %d is neither before- nor after-image", key)
-		}
-	}
-	if votesAfter > 0 && votesBefore > 0 {
-		return fmt.Errorf("atomicity violation: in-flight tx partially applied (%d after, %d before)",
-			votesAfter, votesBefore)
-	}
-	if votesAfter > 0 {
-		for key, p := range w.pending {
-			if p.after == nil {
-				delete(w.model, key)
-			} else {
-				w.model[key] = p.after
-			}
-		}
-	}
-	w.pending = nil
-	return nil
-}
-
-// ---- the network tier ----
-
-// runNet sweeps single-shot connection drops and partial frames against
-// a live server, one scheduled point per run, checking that a retrying
-// client completes the workload with nothing lost.
-func runNet(cfg Config) (points int, violations []string, err error) {
-	half := cfg.NetPoints / 2
-	kinds := []struct {
-		kind fault.Kind
-		n    int
-	}{
-		{fault.NetDrop, cfg.NetPoints - half},
-		{fault.NetPartial, half},
-	}
-	for _, k := range kinds {
-		// Responses written ≈ ops issued; spread the single shot over
-		// the workload's response stream.
-		ops := int64(2 * rows)
-		for _, point := range spread(k.n, ops) {
-			points++
-			if verr := runNetPoint(cfg, k.kind, point); verr != nil {
-				violations = append(violations, fmt.Sprintf("%s@%d: %v", k.kind, point, verr))
-				cfg.logf("%s@%d: VIOLATION: %v", k.kind, point, verr)
-			} else {
-				cfg.logf("%s@%d/%d: ok", k.kind, point, ops)
-			}
-		}
-	}
-	return points, violations, nil
-}
-
-// runNetPoint serves a store, injects one network fault at the given
-// response index, and drives the keyspace through a retrying client.
-func runNetPoint(cfg Config, kind fault.Kind, point int64) error {
-	store, err := nvmstore.OpenSharded(2, nvmstore.Options{
-		Architecture: arch,
-		DRAMBytes:    4 << 20,
-		NVMBytes:     16 << 20,
-		SSDBytes:     64 << 20,
-	})
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	if _, err := store.CreateTable(1, rowSize); err != nil {
-		return err
-	}
-	plan := &fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{{Kind: kind, EveryN: point, Limit: 1}}}
-	srv := server.New(store, server.Options{Faults: plan.Injector(0)})
-	errc := make(chan error, 1)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	go func() { errc <- srv.Serve(ln) }()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-		<-errc
-	}()
-
-	cl, err := client.Dial(ln.Addr().String(), client.Options{
-		Conns: 2, Retries: 8, RetryBackoff: time.Millisecond,
-	})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	for key := uint64(0); key < uint64(rows); key++ {
-		if err := cl.Put(1, key, rowFor(key, int(point))); err != nil {
-			return fmt.Errorf("put %d: %v", key, err)
-		}
-	}
-	for key := uint64(0); key < uint64(rows); key++ {
-		got, ok, err := cl.Get(1, key)
-		if err != nil {
-			return fmt.Errorf("get %d: %v", key, err)
-		}
-		if !ok {
-			return fmt.Errorf("acked key %d lost", key)
-		}
-		want := rowFor(key, int(point))
-		if string(got[:16]) != string(want[:16]) {
-			return fmt.Errorf("key %d corrupted", key)
-		}
-	}
-	return nil
+	return fmt.Errorf("no prefix of the %d unacknowledged transactions matches the store; against all of them: %v",
+		len(candidates), fullest)
 }

@@ -48,7 +48,7 @@ import (
 )
 
 // ReplicationConfig parameterizes a replication sweep. The zero value
-// schedules at least MinPoints (default 100) points.
+// schedules 110 points.
 type ReplicationConfig struct {
 	// Seed derives the workload payloads and every fault plan
 	// (default 1).
@@ -61,11 +61,8 @@ type ReplicationConfig struct {
 	// drops and torn frames (default 40).
 	NetPoints int
 	// PromotePoints is how many failover points to schedule across the
-	// write sequence (default 30, grown as needed to reach MinPoints).
+	// write sequence (default 30).
 	PromotePoints int
-	// MinPoints is the sweep's floor on total scheduled points
-	// (default 100): promote points are topped up to meet it.
-	MinPoints int
 	// Logf, when set, receives per-point progress lines.
 	Logf func(format string, args ...any)
 }
@@ -82,15 +79,6 @@ func (c *ReplicationConfig) applyDefaults() {
 	}
 	if c.PromotePoints <= 0 {
 		c.PromotePoints = 30
-	}
-	if c.MinPoints <= 0 {
-		c.MinPoints = 100
-	}
-}
-
-func (c *ReplicationConfig) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
 	}
 }
 
@@ -143,76 +131,40 @@ func minWritesPerShard() int64 {
 // RunReplication executes the replication sweep and returns its report.
 // Like Run, the error covers only harness-level failures; invariant
 // violations land in Report.Violations. Report.Crashes counts crash
-// points whose scheduled fault surfaced on the replica, and Recoveries
-// those that then converged back to the primary's state.
+// points whose scheduled fault surfaced on the replica and that then
+// converged back to the primary's state.
 func RunReplication(cfg ReplicationConfig) (Report, error) {
 	cfg.applyDefaults()
-	rep := Report{Opportunities: make(map[fault.Kind]int64)}
-
 	floor := minWritesPerShard()
-	livePoints := spread(cfg.CrashPoints, floor)
-	// Bootstrap adds the snapshot's own flushes (durable meta wipe +
-	// final chunk) ahead of the live writes' flushes.
-	bootPoints := spread(cfg.CrashPoints, floor+2)
-	half := cfg.NetPoints / 2
 	netSpan := int64(2 * replWrites)
-	dropPoints := spread(cfg.NetPoints-half, netSpan)
-	partialPoints := spread(half, netSpan)
-	fixed := len(livePoints) + len(bootPoints) + len(dropPoints) + len(partialPoints)
-	promoteN := cfg.PromotePoints
-	if need := cfg.MinPoints - fixed; need > promoteN {
-		promoteN = need
-	}
-	promotePoints := spread(promoteN, int64(replWrites))
-
-	rep.Opportunities[fault.WALFlushCrash] = floor + 2
-	rep.Opportunities[fault.NetDrop] = netSpan
-	rep.Opportunities[fault.NetPartial] = netSpan
-
-	axes := []replAxis{
-		{"repl.crash.live", livePoints, false, true, fault.WALFlushCrash},
-		{"repl.crash.boot", bootPoints, true, true, fault.WALFlushCrash},
-		{"repl.net.drop", dropPoints, false, false, fault.NetDrop},
-		{"repl.net.partial", partialPoints, false, false, fault.NetPartial},
+	half := cfg.NetPoints / 2
+	rep := Report{Opportunities: map[fault.Kind]int64{
+		fault.WALFlushCrash: floor + 2,
+		fault.NetDrop:       netSpan,
+		fault.NetPartial:    netSpan,
+	}}
+	axes := []struct {
+		name      string
+		points    []int64
+		kind      fault.Kind
+		bootstrap bool
+	}{
+		{"repl.crash.live", spread(cfg.CrashPoints, floor), fault.WALFlushCrash, false},
+		// Bootstrap adds the snapshot's own flushes (durable meta wipe +
+		// final chunk) ahead of the live writes' flushes.
+		{"repl.crash.boot", spread(cfg.CrashPoints, floor+2), fault.WALFlushCrash, true},
+		{"repl.net.drop", spread(cfg.NetPoints-half, netSpan), fault.NetDrop, false},
+		{"repl.net.partial", spread(half, netSpan), fault.NetPartial, false},
 	}
 	for _, a := range axes {
-		for _, point := range a.points {
-			rep.Points++
-			crashed, err := runReplPoint(cfg, a, point)
-			if err != nil {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("%s@%d: %v", a.name, point, err))
-				cfg.logf("%s@%d: VIOLATION: %v", a.name, point, err)
-				continue
-			}
-			if crashed {
-				rep.Crashes++
-				rep.Recoveries++
-			}
-			cfg.logf("%s@%d: ok (crashed=%v)", a.name, point, crashed)
-		}
+		rep.sweep(a.name, a.points, cfg.Logf, func(point int64) (bool, error) {
+			return runReplPoint(cfg, a.kind, a.bootstrap, point)
+		})
 	}
-	for _, point := range promotePoints {
-		rep.Points++
-		if err := runPromotePoint(cfg, point); err != nil {
-			rep.Violations = append(rep.Violations,
-				fmt.Sprintf("repl.promote@%d: %v", point, err))
-			cfg.logf("repl.promote@%d: VIOLATION: %v", point, err)
-			continue
-		}
-		cfg.logf("repl.promote@%d/%d: ok", point, replWrites)
-	}
+	rep.sweep("repl.promote", spread(cfg.PromotePoints, replWrites), cfg.Logf, func(point int64) (bool, error) {
+		return false, runPromotePoint(cfg, point)
+	})
 	return rep, nil
-}
-
-// replAxis is one sweep dimension: its scheduled points and how each
-// point's single shot is armed.
-type replAxis struct {
-	name      string
-	points    []int64
-	bootstrap bool
-	crash     bool
-	kind      fault.Kind
 }
 
 // replPair is one point's primary/replica topology.
@@ -220,7 +172,6 @@ type replPair struct {
 	pstore, rstore *nvmstore.ShardedStore
 	src            *repl.Source
 	rp             *repl.Replica
-	psrv, rsrv     *server.Server
 	paddr, raddr   string
 	cleanup        []func()
 }
@@ -231,7 +182,7 @@ func (p *replPair) close() {
 	}
 }
 
-func openReplStore(cfg ReplicationConfig) (*nvmstore.ShardedStore, error) {
+func openReplStore() (*nvmstore.ShardedStore, error) {
 	st, err := nvmstore.OpenSharded(replShards, nvmstore.Options{
 		Architecture: nvmstore.ThreeTier,
 		DRAMBytes:    4 << 20,
@@ -248,10 +199,13 @@ func openReplStore(cfg ReplicationConfig) (*nvmstore.ShardedStore, error) {
 	return st, nil
 }
 
-// startReplPair builds a fault-free semi-synchronous primary→replica
-// pair with both ends served — the promote axis topology, where the
-// replica must answer PROMOTE and then serve writes over the wire.
-func startReplPair(cfg ReplicationConfig) (*replPair, error) {
+// startReplPair builds a semi-synchronous primary→replica pair with
+// both ends served, so the replica can answer PROMOTE and then serve
+// writes. The primary takes the sequence's first preload writes before
+// its replication source exists, which makes the replica bootstrap from
+// a snapshot; faults is the primary server's injector on its response
+// writes, and plan, when set, is armed on the replica's store.
+func startReplPair(cfg ReplicationConfig, preload int, faults *fault.Injector, plan *fault.Plan) (*replPair, error) {
 	p := &replPair{}
 	ok := false
 	defer func() {
@@ -261,23 +215,28 @@ func startReplPair(cfg ReplicationConfig) (*replPair, error) {
 	}()
 
 	var err error
-	if p.pstore, err = openReplStore(cfg); err != nil {
+	if p.pstore, err = openReplStore(); err != nil {
 		return nil, err
 	}
 	p.cleanup = append(p.cleanup, func() { p.pstore.Close() })
-	p.src = repl.NewSource(p.pstore, repl.SourceOptions{
-		SyncReplicas: 1,
-		SyncTimeout:  2 * time.Second,
-	})
-	p.psrv = server.New(p.pstore, server.Options{Repl: p.src})
-	if p.paddr, err = serveRepl(p, p.psrv); err != nil {
+	tab := p.pstore.Table(replTable)
+	for i := 0; i < preload; i++ {
+		if err := tab.Put(replKey(i), replRow(cfg, i)); err != nil {
+			return nil, fmt.Errorf("preload %d: %v", i, err)
+		}
+	}
+	p.src = repl.NewSource(p.pstore, repl.SourceOptions{SyncReplicas: 1})
+	if p.paddr, err = serveRepl(p, server.New(p.pstore, server.Options{Repl: p.src, Faults: faults})); err != nil {
 		return nil, err
 	}
 
-	if p.rstore, err = openReplStore(cfg); err != nil {
+	if p.rstore, err = openReplStore(); err != nil {
 		return nil, err
 	}
 	p.cleanup = append(p.cleanup, func() { p.rstore.Close() })
+	if plan != nil {
+		p.rstore.InjectFaults(plan)
+	}
 	if p.rp, err = repl.NewReplica(p.rstore, repl.ReplicaOptions{
 		Primary: p.paddr,
 		Backoff: 10 * time.Millisecond,
@@ -285,11 +244,10 @@ func startReplPair(cfg ReplicationConfig) (*replPair, error) {
 		return nil, err
 	}
 	p.cleanup = append(p.cleanup, p.rp.Close)
-	p.rsrv = server.New(p.rstore, server.Options{
+	if p.raddr, err = serveRepl(p, server.New(p.rstore, server.Options{
 		Replica: p.rp,
 		Repl:    repl.NewSource(p.rstore, repl.SourceOptions{}),
-	})
-	if p.raddr, err = serveRepl(p, p.rsrv); err != nil {
+	})); err != nil {
 		return nil, err
 	}
 	ok = true
@@ -374,60 +332,32 @@ func checkReplState(st *nvmstore.ShardedStore, model map[uint64][]byte) error {
 
 // runReplPoint runs one crash or network point: drive the full write
 // sequence through a retrying client against the primary, then require
-// the replica to converge and match the model exactly.
-func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool, err error) {
-	var netInj *fault.Injector
-	var plan *fault.Plan
-	if a.crash {
-		plan = &fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{
-			{Kind: a.kind, EveryN: point, Limit: 1},
-		}}
-	} else {
-		netInj = (&fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{
-			{Kind: a.kind, EveryN: point, Limit: 1},
-		}}).Injector(0)
+// the replica to converge and match the model exactly. A crash point
+// arms the single shot on the replica's store, a network point on the
+// primary server's response writes; the bootstrap axis preloads the
+// primary with one row per key, which joins the model and is
+// overwritten like any other.
+func runReplPoint(cfg ReplicationConfig, kind fault.Kind, bootstrap bool, point int64) (crashed bool, err error) {
+	plan := &fault.Plan{Seed: cfg.Seed, Rules: []fault.Rule{{Kind: kind, EveryN: point, Limit: 1}}}
+	crash := kind == fault.WALFlushCrash
+	preload := 0
+	if bootstrap {
+		preload = replRows
 	}
-
-	// The bootstrap axis preloads the primary before the replica ever
-	// attaches, forcing the snapshot path; preloaded rows join the
-	// model and are overwritten like any other.
-	model := make(map[uint64][]byte)
-	p := &replPair{}
-	if p.pstore, err = openReplStore(cfg); err != nil {
+	var p *replPair
+	if crash {
+		p, err = startReplPair(cfg, preload, nil, plan)
+	} else {
+		p, err = startReplPair(cfg, preload, plan.Injector(0), nil)
+	}
+	if err != nil {
 		return false, err
 	}
 	defer p.close()
-	p.cleanup = append(p.cleanup, func() { p.pstore.Close() })
-	if a.bootstrap {
-		tab := p.pstore.Table(replTable)
-		for key := uint64(0); key < uint64(replRows); key++ {
-			row := replRow(cfg, int(key))
-			if err := tab.Put(key, row); err != nil {
-				return false, fmt.Errorf("preload %d: %v", key, err)
-			}
-			model[key] = row
-		}
+	model := make(map[uint64][]byte)
+	for i := 0; i < preload; i++ {
+		model[replKey(i)] = replRow(cfg, i)
 	}
-	p.src = repl.NewSource(p.pstore, repl.SourceOptions{
-		SyncReplicas: 1, SyncTimeout: 2 * time.Second,
-	})
-	p.psrv = server.New(p.pstore, server.Options{Repl: p.src, Faults: netInj})
-	if p.paddr, err = serveRepl(p, p.psrv); err != nil {
-		return false, err
-	}
-	if p.rstore, err = openReplStore(cfg); err != nil {
-		return false, err
-	}
-	p.cleanup = append(p.cleanup, func() { p.rstore.Close() })
-	if plan != nil {
-		p.rstore.InjectFaults(plan)
-	}
-	if p.rp, err = repl.NewReplica(p.rstore, repl.ReplicaOptions{
-		Primary: p.paddr, Backoff: 10 * time.Millisecond,
-	}); err != nil {
-		return false, err
-	}
-	p.cleanup = append(p.cleanup, p.rp.Close)
 
 	cl, err := dialRepl(p, p.paddr)
 	if err != nil {
@@ -456,7 +386,7 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 	if err := checkReplState(p.rstore, model); err != nil {
 		return crashed, fmt.Errorf("replica: %v", err)
 	}
-	if a.crash && !crashed {
+	if crash && !crashed {
 		return false, fmt.Errorf("scheduled replica crash never fired")
 	}
 	return crashed, nil
@@ -467,7 +397,7 @@ func runReplPoint(cfg ReplicationConfig, a replAxis, point int64) (crashed bool,
 // primary is fenced with the classified error, and the rest of the
 // workload lands on the new primary.
 func runPromotePoint(cfg ReplicationConfig, point int64) error {
-	p, err := startReplPair(cfg)
+	p, err := startReplPair(cfg, 0, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ import (
 func TestReplicationCrashPromoteSweep(t *testing.T) {
 	cfg := ReplicationConfig{Seed: 13}
 	if testing.Short() {
-		cfg.CrashPoints, cfg.NetPoints, cfg.PromotePoints, cfg.MinPoints = 4, 8, 6, 1
+		cfg.CrashPoints, cfg.NetPoints, cfg.PromotePoints = 4, 8, 6
 	}
 	if testing.Verbose() {
 		cfg.Logf = t.Logf
@@ -24,8 +24,7 @@ func TestReplicationCrashPromoteSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
-	t.Logf("points=%d crashes=%d recoveries=%d violations=%d",
-		rep.Points, rep.Crashes, rep.Recoveries, len(rep.Violations))
+	t.Logf("points=%d crashes=%d violations=%d", rep.Points, rep.Crashes, len(rep.Violations))
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
 	}
@@ -35,24 +34,21 @@ func TestReplicationCrashPromoteSweep(t *testing.T) {
 	if rep.Crashes == 0 {
 		t.Fatal("no scheduled point crashed the replica; the sweep exercised nothing")
 	}
-	if rep.Recoveries != rep.Crashes {
-		t.Fatalf("crashes=%d but recoveries=%d", rep.Crashes, rep.Recoveries)
-	}
 }
 
 // TestReplicationSweepDeterminism pins that the replication sweep is a
 // pure function of its seed: two runs with the same config produce the
 // same schedule, crash tally, and (empty) violation list.
 func TestReplicationSweepDeterminism(t *testing.T) {
-	cfg := ReplicationConfig{Seed: 17, CrashPoints: 3, NetPoints: 4, PromotePoints: 3, MinPoints: 1}
+	cfg := ReplicationConfig{Seed: 17, CrashPoints: 3, NetPoints: 4, PromotePoints: 3}
 	var got [2]string
 	for i := range got {
 		rep, err := RunReplication(cfg)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		got[i] = fmt.Sprintf("points=%d crashes=%d recoveries=%d violations=%v opp=%v",
-			rep.Points, rep.Crashes, rep.Recoveries, rep.Violations, rep.Opportunities)
+		got[i] = fmt.Sprintf("points=%d crashes=%d violations=%v opp=%v",
+			rep.Points, rep.Crashes, rep.Violations, rep.Opportunities)
 	}
 	if got[0] != got[1] {
 		t.Fatalf("sweep not deterministic:\n run 1: %s\n run 2: %s", got[0], got[1])

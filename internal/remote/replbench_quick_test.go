@@ -12,9 +12,9 @@ import (
 // TestReplScalingQuick pins the untimed shape of the repl experiment's
 // output: the swept replica counts, positive lag quantiles at every
 // replicated point, and a background writer that ran at every point with
-// the same load — write counts within 10 % of each other, as the writer
-// is paced by the readers' progress. The read-scaling ratio is timed, so
-// it is not asserted here.
+// the same load — exactly one PUT per replReadsPerWrite measured reads,
+// all inside the measured window. The read-scaling ratio is timed, so it
+// is not asserted here.
 func TestReplScalingQuick(t *testing.T) {
 	res, err := Replication(bench.Options{Ops: 8000, Warmup: 1000})
 	if err != nil {
@@ -55,7 +55,7 @@ func TestReplScalingQuick(t *testing.T) {
 	if len(counts) != 3 {
 		t.Fatalf("%d point notes report background writes per read, want 3", len(counts))
 	}
-	if lo, hi := slices.Min(counts), slices.Max(counts); float64(hi) > 1.1*float64(lo) {
-		t.Errorf("background writes per point %v differ by more than 10 %%", counts)
+	if want := 8000 / replReadsPerWrite; slices.Min(counts) != want || slices.Max(counts) != want {
+		t.Errorf("background writes per point %v, want %d at every point", counts, want)
 	}
 }

@@ -294,11 +294,13 @@ func replicationPoint(o bench.Options, replicas int) (replScalePoint, error) {
 		}
 		before[i] = doc.MaxSimNs
 	}
+	// The window closes when the writer has drained its last token, so
+	// every point carries the same ⌊ops/replReadsPerWrite⌋ PUTs inside it.
 	start := time.Now()
 	err = replReads(rcls, o.Seed, readers, o.Ops, paced)
-	pt.wall = time.Since(start)
 	close(tokens)
 	wwg.Wait()
+	pt.wall = time.Since(start)
 	if err != nil {
 		return pt, fmt.Errorf("measured reads: %w", err)
 	}

@@ -13,7 +13,8 @@ import (
 // TestClientRetriesThroughNetFaults drives writes and reads through a
 // server that drops connections and tears response frames at a high
 // injected rate; the retrying client must complete every operation with
-// correct values, healing its pool as slots die.
+// correct values, healing its pool as slots die. Both kinds must fire,
+// and some faults must land on GET responses, not only on PUT acks.
 func TestClientRetriesThroughNetFaults(t *testing.T) {
 	plan := &fault.Plan{Seed: 1234, Rules: []fault.Rule{
 		{Kind: fault.NetDrop, Prob: 0.05},
@@ -37,6 +38,7 @@ func TestClientRetriesThroughNetFaults(t *testing.T) {
 			t.Fatalf("put %d: %v", key, err)
 		}
 	}
+	firedByPuts := inj.FiredTotal()
 	for key := uint64(0); key < n; key++ {
 		val, ok, err := cl.Get(testTable, key)
 		if err != nil {
@@ -49,13 +51,18 @@ func TestClientRetriesThroughNetFaults(t *testing.T) {
 			t.Fatalf("key %d corrupted", key)
 		}
 	}
-	if inj.FiredTotal() == 0 {
-		t.Fatal("no network faults fired; the test exercised nothing")
+	for _, k := range []fault.Kind{fault.NetDrop, fault.NetPartial} {
+		if inj.Fired(k) == 0 {
+			t.Errorf("no %s fault fired; that kind went unexercised", k)
+		}
+	}
+	if inj.FiredTotal() == firedByPuts {
+		t.Error("no network fault fired while the GETs ran; their retries went unexercised")
 	}
 	if cl.Retries() == 0 {
 		t.Fatal("faults fired but the client never retried")
 	}
-	t.Logf("fired %d net faults, client retried %d times", inj.FiredTotal(), cl.Retries())
+	t.Logf("fired %d net faults (%d during the PUTs), client retried %d times", inj.FiredTotal(), firedByPuts, cl.Retries())
 }
 
 // TestRetryDisabled pins that Retries < 0 restores fail-fast behavior:
