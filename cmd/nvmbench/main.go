@@ -14,9 +14,11 @@
 // Capacities follow the paper's DRAM:NVM:SSD = 2:10:50 proportions, scaled
 // by -scale (megabytes per "paper gigabyte"). Output is one aligned text
 // table per experiment, with one column per system line of the original
-// figure; -json additionally writes BENCH_<id>.json files for external
-// plotting. -seed replaces the base seed of the YCSB random streams, so
-// repeated runs draw different — but individually reproducible — keys.
+// figure, followed by the experiment's claim rows, each ✓ or ✗ with the
+// counts it decided on (internal/bench/claims.go); -json additionally
+// writes BENCH_<id>.json files for external plotting. -seed replaces the
+// base seed of the YCSB random streams, so repeated runs draw different —
+// but individually reproducible — keys.
 //
 // Remote mode (-remote addr) drives the YCSB mix against a running
 // nvmserver over the wire protocol instead of an in-process engine,
@@ -151,6 +153,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// it would be dropped; "-json DIR" is the usual way to get here.
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "nvmbench: unexpected argument %q; nvmbench takes no arguments, and a -json directory is given as -json=DIR\n", fs.Arg(0))
+		return 2
+	}
+	switch *format {
+	case "table", "csv", "chart":
+	default:
+		fmt.Fprintf(stderr, "nvmbench: unknown -format %q (have table, csv, chart)\n", *format)
 		return 2
 	}
 
@@ -290,19 +298,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitCode
 }
 
-// emit prints one result in the chosen format.
+// emit prints one result in the chosen format; the table and the chart
+// are followed by the verdicts of the experiment's claims.
 func emit(w io.Writer, res bench.Result, format string) {
 	switch format {
 	case "csv":
 		res.FormatCSV(w)
+		return
 	case "chart":
 		res.Chart(w, 72, 18)
 		res.FormatLatency(w)
-		res.FormatAttribution(w)
-	default:
+	case "table":
 		res.Format(w)
-		res.FormatAttribution(w)
 	}
+	res.FormatAttribution(w)
+	bench.FormatClaims(w, res.Claims())
 }
 
 // runRemote drives a running nvmserver with the remote YCSB mix and

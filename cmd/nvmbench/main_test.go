@@ -48,3 +48,19 @@ func TestFlagsParsedFromArgs(t *testing.T) {
 		t.Errorf("stderr %q does not name the unknown experiment", stderr.String())
 	}
 }
+
+// TestUnknownFormatRejected pins that an unknown -format is a usage
+// error before any experiment runs, as an unknown -experiment is.
+func TestUnknownFormatRejected(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-format", "bogus", "-experiment", "fig10", "-quick", "-scale", "1", "-ops", "100"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr %q)", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"bogus"`) {
+		t.Errorf("stderr %q does not name the unknown format", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed %q before rejecting the format", stdout.String())
+	}
+}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	nvmserver                                # 4 three-tier shards on :7070
-//	nvmserver -addr :7070 -shards 8 -arch three-tier -scale 16
+//	nvmserver -addr :7070 -shards 8 -arch 3tier -scale 16
 //	nvmserver -obs -http :6060               # with engine histograms + debug HTTP
 //
 // With -http, /metrics serves Prometheus text-format counters, gauges,
@@ -69,15 +69,6 @@ import (
 // large salt keeps the streams disjoint.
 const netFaultSite = 1 << 32
 
-// architectures maps the -arch flag values.
-var architectures = map[string]nvmstore.Architecture{
-	"three-tier":  nvmstore.ThreeTier,
-	"main-memory": nvmstore.MainMemory,
-	"nvm-direct":  nvmstore.NVMDirect,
-	"basic-nvm":   nvmstore.BasicNVMBuffer,
-	"ssd-buffer":  nvmstore.SSDBuffer,
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -86,7 +77,7 @@ func run() int {
 	var (
 		addr       = flag.String("addr", ":7070", "TCP address to serve the wire protocol on")
 		shards     = flag.Int("shards", 4, "number of shard-per-core stores")
-		arch       = flag.String("arch", "three-tier", "storage architecture: three-tier, main-memory, nvm-direct, basic-nvm, or ssd-buffer")
+		arch       = flag.String("arch", "3tier", "storage architecture: 3tier, mem, direct, basic, or ssd (as `nvmstore archs` lists them)")
 		scaleMB    = flag.Int64("scale", 16, "megabytes per paper-gigabyte of capacity (DRAM:NVM:SSD = 2:10:50)")
 		tableID    = flag.Uint64("table", 1, "id of the table created at startup")
 		rowSize    = flag.Int("rowsize", 1000, "row size in bytes of the startup table")
@@ -128,9 +119,9 @@ func run() int {
 		return 0
 	}
 
-	a, ok := architectures[*arch]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "nvmserver: unknown -arch %q (try three-tier, main-memory, nvm-direct, basic-nvm, ssd-buffer)\n", *arch)
+	a, err := nvmstore.ParseArchitecture(*arch)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "nvmserver: -arch: %v\n", err)
 		return 2
 	}
 	if *tableID == repl.MetaTable {

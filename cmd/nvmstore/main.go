@@ -29,18 +29,6 @@ import (
 	"nvmstore/internal/ycsb"
 )
 
-// archs lists the architectures in the order archs prints them.
-var archs = []struct {
-	name string
-	topo core.Topology
-}{
-	{"3tier", core.ThreeTier},
-	{"mem", core.MemOnly},
-	{"direct", core.DirectNVM},
-	{"basic", core.DRAMNVM},
-	{"ssd", core.DRAMSSD},
-}
-
 const usage = `usage: nvmstore <command> [flags]
 
 commands:
@@ -66,8 +54,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "tpcc":
 		err = runTPCC(args[1:], stdout)
 	case "archs":
-		for _, a := range archs {
-			fmt.Fprintf(stdout, "  %-8s %s\n", a.name, a.topo)
+		for _, t := range core.Topologies() {
+			fmt.Fprintf(stdout, "  %-8s %s\n", t.Name(), t)
 		}
 	default:
 		fmt.Fprint(stderr, usage)
@@ -93,12 +81,11 @@ func capacityFlags(fs *flag.FlagSet) (arch *string, dram, nvmMB, ssdMB *int64) {
 }
 
 func openEngine(arch string, dram, nvmMB, ssdMB int64) (*engine.Engine, error) {
-	for _, a := range archs {
-		if a.name == arch {
-			return engine.Open(engine.DefaultConfig(a.topo, dram<<20, nvmMB<<20, ssdMB<<20))
-		}
+	topo, err := core.ParseTopology(arch)
+	if err != nil {
+		return nil, usageError{err}
 	}
-	return nil, usageError{fmt.Errorf("unknown architecture %q (see `nvmstore archs`)", arch)}
+	return engine.Open(engine.DefaultConfig(topo, dram<<20, nvmMB<<20, ssdMB<<20))
 }
 
 func report(w io.Writer, e *engine.Engine, ops int, wall, sim time.Duration) {

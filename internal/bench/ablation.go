@@ -70,19 +70,39 @@ func AblationAdmission(o Options) (Result, error) {
 					return res, err
 				}
 			}
+			// The counts are taken over the window's first o.Ops
+			// operations, the same number for both policies.
 			writes := openWriteWindow(e.Manager())
-			m, err := measure(e.Clock(), o.Ops, op)
+			var st core.Stats
+			var split string
+			m, err := measureCounted(e.Clock(), o.Ops, op, func(Measurement) {
+				st, split = e.Manager().Stats(), writes.note()
+			})
 			if err != nil {
 				return res, err
 			}
-			st := e.Manager().Stats()
-			s.X = append(s.X, float64(share))
+			x := float64(share)
+			s.X = append(s.X, x)
 			s.Y = append(s.Y, m.PerSecond())
-			res.Notes = append(res.Notes, fmt.Sprintf("%-14s scans %2d%%: %8.0f tx/s, NVM admissions %7d, denials %7d, NVM evictions %7d, SSD reads %7d",
-				pol.name, share, m.PerSecond(), st.NVMAdmissions, st.NVMDenials, st.NVMEvictions, e.Manager().SSD().Stats().PagesRead))
-			res.Notes = append(res.Notes, fmt.Sprintf("%-14s scans %2d%%: %s", pol.name, share, writes.note()))
+			res.Notes = append(res.Notes, fmt.Sprintf("%-14s scans %2d%%: %8.0f tx/s; first %d ops: NVM admissions %7d, denials %7d, NVM evictions %7d, SSD reads %7d",
+				pol.name, share, m.PerSecond(), o.Ops, st.NVMAdmissions, st.NVMDenials, st.NVMEvictions, st.SSDLoads))
+			res.Notes = append(res.Notes, fmt.Sprintf("%-14s scans %2d%%: first %d ops: %s", pol.name, share, o.Ops, split))
+			res.set(keyAt(pol.name, "NVM admissions", x), float64(st.NVMAdmissions))
+			res.set(keyAt(pol.name, "SSD reads", x), float64(st.SSDLoads))
+			res.set(keyAt(pol.name, "NVM lines nvm-admit", x), float64(linesWrittenBy(st, "nvm-admit")))
 		}
 		res.Series = append(res.Series, s)
 	}
 	return res, nil
+}
+
+// linesWrittenBy returns the NVM lines st charges to the write cause of
+// the given name (core.WriteCause.String).
+func linesWrittenBy(st core.Stats, cause string) int64 {
+	for c, n := range st.NVMLinesWrittenBy {
+		if core.WriteCause(c).String() == cause {
+			return n
+		}
+	}
+	return 0
 }

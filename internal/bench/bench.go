@@ -99,6 +99,12 @@ type Result struct {
 	YLabel string
 	Series []Series
 	Notes  []string
+	// Values are the counts the experiment's claims (claims.go) rest on:
+	// device loads and read requests, NVM admissions and the lines they
+	// copy, line writes and peak writes per line, simulated device time
+	// per operation, restart work. Each is taken over a fixed number of
+	// operations, so it repeats exactly, and named by key or keyAt.
+	Values map[string]float64
 	// FileTag, when set, replaces ID in output file names. Experiments
 	// whose results depend on an option outside the sweep (figA1 and
 	// -threads) set it so repeated runs do not overwrite each other.
@@ -168,6 +174,23 @@ func (r Result) Format(w io.Writer) {
 	r.FormatLatency(w)
 }
 
+// set records one of the result's named counts.
+func (r *Result) set(name string, v float64) {
+	if r.Values == nil {
+		r.Values = make(map[string]float64)
+	}
+	r.Values[name] = v
+}
+
+// key names a count of a series, e.g. "3 Tier BM: line writes".
+func key(series, count string) string { return series + ": " + count }
+
+// keyAt names a count of a series taken at one point of the sweep, e.g.
+// "NVM Direct: sim-ns/op @6".
+func keyAt(series, count string, x float64) string {
+	return key(series, count) + " @" + trimFloat(x)
+}
+
 func trimFloat(v float64) string {
 	s := fmt.Sprintf("%.4g", v)
 	return strings.TrimSuffix(s, ".0")
@@ -190,6 +213,14 @@ func (m Measurement) PerSecond() float64 {
 	return float64(m.Ops) / total.Seconds()
 }
 
+// SimPerOp returns the simulated device time per operation in ns.
+func (m Measurement) SimPerOp() float64 {
+	if m.Ops == 0 {
+		return 0
+	}
+	return float64(m.Sim.Nanoseconds()) / float64(m.Ops)
+}
+
 // minMeasure is the minimum combined time a throughput sample must cover:
 // short wall-clock windows are dominated by scheduler and GC noise.
 const minMeasure = 100 * time.Millisecond
@@ -199,6 +230,15 @@ const minMeasure = 100 * time.Millisecond
 // wall + simulated time covers minMeasure. A garbage collection runs first
 // so that allocation debt from loading does not land inside the window.
 func measure(clk *simclock.Clock, n int, op func() error) (Measurement, error) {
+	return measureCounted(clk, n, op, nil)
+}
+
+// measureCounted is measure that calls counted, when not nil, after the
+// window's first n operations, with their sample. They are a fixed count,
+// so what counted reads there — their simulated device time, the counters
+// they moved — repeats exactly, where the window's length follows the wall
+// clock. counted runs between two timed chunks, outside the sample.
+func measureCounted(clk *simclock.Clock, n int, op func() error, counted func(first Measurement)) (Measurement, error) {
 	runtime.GC()
 	var total Measurement
 	chunk := n
@@ -206,6 +246,9 @@ func measure(clk *simclock.Clock, n int, op func() error) (Measurement, error) {
 		m, err := measureN(clk, chunk, op)
 		if err != nil {
 			return Measurement{}, err
+		}
+		if rounds == 0 && counted != nil {
+			counted(m)
 		}
 		total.Ops += m.Ops
 		total.Wall += m.Wall

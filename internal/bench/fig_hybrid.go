@@ -10,6 +10,7 @@ import (
 	"nvmstore/internal/engine"
 	"nvmstore/internal/fptree"
 	"nvmstore/internal/nvm"
+	"nvmstore/internal/shard"
 	"nvmstore/internal/simclock"
 	"nvmstore/internal/zipfian"
 )
@@ -18,11 +19,9 @@ import (
 type unif struct{ state, n uint64 }
 
 func (u *unif) next() uint64 {
+	x := shard.Mix(u.state)
 	u.state += 0x9e3779b97f4a7c15
-	z := u.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return (z ^ (z >> 31)) % u.n
+	return x % u.n
 }
 
 // kvTable is the §5.5 experiment table: n 8-byte key/value pairs in one
@@ -130,12 +129,14 @@ func Fig11(o Options) (Result, error) {
 					return res, err
 				}
 			}
-			m, err := measure(e.Clock(), o.Ops, op)
+			var first Measurement
+			m, err := measureCounted(e.Clock(), o.Ops, op, func(f Measurement) { first = f })
 			if err != nil {
 				return res, err
 			}
 			s.X = append(s.X, float64(ratio))
 			s.Y = append(s.Y, m.PerSecond())
+			res.set(keyAt(s.Name, "sim-ns/op", float64(ratio)), first.SimPerOp())
 		}
 		res.Series = append(res.Series, s)
 	}
@@ -169,11 +170,13 @@ func Fig11(o Options) (Result, error) {
 			return res, err
 		}
 	}
-	m, err := measure(clk, o.Ops, ftOp)
+	var first Measurement
+	m, err := measureCounted(clk, o.Ops, ftOp, func(f Measurement) { first = f })
 	if err != nil {
 		return res, err
 	}
 	ftSeries := Series{Name: "FPTree"}
+	res.set(key(ftSeries.Name, "sim-ns/op"), first.SimPerOp())
 	for _, ratio := range ratios {
 		ftSeries.X = append(ftSeries.X, float64(ratio))
 		ftSeries.Y = append(ftSeries.Y, m.PerSecond())
@@ -224,8 +227,10 @@ func Fig17(o Options) (Result, error) {
 		if err := restart(); err != nil {
 			return err
 		}
-		restartCost := time.Since(restartStart) + time.Duration(clk.Ns()-simStart)
+		restartSim := clk.Ns() - simStart
+		restartCost := time.Since(restartStart) + time.Duration(restartSim)
 		elapsed := restartCost
+		res.set(key(name, "restart sim-ns"), float64(restartSim))
 
 		s := Series{Name: name}
 		for b := 0; b < maxBuckets; b++ {

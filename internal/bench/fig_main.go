@@ -20,11 +20,11 @@ import (
 // that fill the duel converges more slowly than the paper's "admit on the
 // second denial" — EXPERIMENTS.md records what Fig. 8 pays just past the
 // NVM line.
-func ycsbPoint(o Options, e *engine.Engine, rows int, op func(*ycsb.Workload) error) (Measurement, error) {
+func ycsbPoint(o Options, e *engine.Engine, rows int, op func(*ycsb.Workload) error) (point, error) {
 	warmup, ops := o.Warmup, o.Ops
 	w, err := ycsb.Load(e, rows, btree.LayoutSorted)
 	if err != nil {
-		return Measurement{}, err
+		return point{}, err
 	}
 	o.reseed(w)
 	if warmup < rows {
@@ -32,10 +32,28 @@ func ycsbPoint(o Options, e *engine.Engine, rows int, op func(*ycsb.Workload) er
 	}
 	for i := 0; i < warmup; i++ {
 		if err := op(w); err != nil {
-			return Measurement{}, err
+			return point{}, err
 		}
 	}
-	return measure(e.Clock(), ops, func() error { return op(w) })
+	p := point{warm: e.Manager().Stats()}
+	p.Measurement, err = measureCounted(e.Clock(), ops, func() error { return op(w) }, func(first Measurement) {
+		st := e.Manager().Stats()
+		p.first = first
+		p.loads = st.LinesLoaded - p.warm.LinesLoaded + st.NVMPageLoads - p.warm.NVMPageLoads + st.SSDLoads - p.warm.SSDLoads
+	})
+	return p, err
+}
+
+// point is one measured YCSB data point: the throughput sample, whose
+// length follows the wall clock, and what repeats exactly: the manager's
+// counters when the sample opened, after the load and a warm-up of a fixed
+// length, the sample's first o.Ops operations, and the device loads of
+// those operations — NVM lines, whole NVM pages and SSD pages.
+type point struct {
+	Measurement
+	warm  core.Stats
+	first Measurement
+	loads int64
 }
 
 // Fig8 regenerates Figure 8: YCSB-RO throughput for data sizes sweeping
@@ -72,6 +90,8 @@ func Fig8(o Options) (Result, error) {
 			}
 			s.X = append(s.X, float64(size))
 			s.Y = append(s.Y, m.PerSecond())
+			res.set(keyAt(s.Name, "sim-ns/op", float64(size)), m.first.SimPerOp())
+			res.set(keyAt(s.Name, "device loads", float64(size)), float64(m.loads))
 		}
 		res.Series = append(res.Series, s)
 	}
@@ -186,9 +206,9 @@ var drillSteps = []drillConfig{
 // with 10 units of data on 10 units of NVM and 2 units of DRAM, the
 // proposed optimizations are enabled cumulatively; throughput is reported
 // relative to the baseline, with the NVM Direct engine as the comparison
-// line. The notes record the cache lines loaded from NVM, reproducing the
-// paper's 55x reduction claim, and the device read requests that fetched
-// them: lines and round trips per step.
+// line. The notes record the cache lines the load and the warm-up loaded
+// from NVM, reproducing the paper's 55x reduction claim, and the device
+// read requests that fetched them: lines and round trips per step.
 func Fig10(o Options) (Result, error) {
 	o.applyDefaults()
 	rows := ycsb.RowsForDataSize(10 * o.Scale)
@@ -214,7 +234,7 @@ func Fig10(o Options) (Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("fig10 step %q: %w", step.name, err)
 		}
-		st := e.Manager().Stats()
+		st := m.warm
 		lines := st.LinesLoaded + st.NVMPageLoads*core.LinesPerPage
 		requests := st.LineLoadRequests + st.NVMPageLoads
 		if i == 0 {
@@ -226,8 +246,10 @@ func Fig10(o Options) (Result, error) {
 			X:    []float64{float64(i)},
 			Y:    []float64{m.PerSecond() / baseline},
 		})
-		res.Notes = append(res.Notes, fmt.Sprintf("%-22s %8.0f tx/s, %12d NVM lines loaded (%.1fx fewer than baseline) in %10d read requests",
+		res.Notes = append(res.Notes, fmt.Sprintf("%-22s %8.0f tx/s; load and warm-up: %12d NVM lines loaded (%.1fx fewer than baseline) in %10d read requests",
 			step.name, m.PerSecond(), lines, float64(baseLines)/float64(lines+1), requests))
+		res.set(key(step.name, "NVM lines loaded"), float64(lines))
+		res.set(key(step.name, "read requests"), float64(requests))
 	}
 	// NVM Direct comparison line.
 	e, err := buildEngine(o, core.DirectNVM, 0, 10*o.Scale, 0, nil)

@@ -105,6 +105,7 @@ func Fig13(o Options) (Result, error) {
 				}
 				break
 			}
+			res.set(keyAt(s.Name, "sim-ns/op", float64(ratio)), m.first.SimPerOp())
 		}
 		res.Series = append(res.Series, s)
 	}
@@ -260,6 +261,8 @@ func Fig16(o Options) (Result, error) {
 		res.Notes = append(res.Notes, fmt.Sprintf("%-12s total NVM line writes: %d, lines touched: %d, max per line: %d",
 			topo.String(), total, len(nonzero), nonzero[0]))
 		res.Notes = append(res.Notes, fmt.Sprintf("%-12s %s", topo.String(), writes.note()))
+		res.set(key(s.Name, "line writes"), float64(total))
+		res.set(key(s.Name, "peak writes/line"), float64(nonzero[0]))
 	}
 	return res, nil
 }

@@ -33,6 +33,7 @@ type jsonResult struct {
 	YLabel     string                  `json:"ylabel"`
 	Series     map[string][][2]float64 `json:"series"`
 	Notes      []string                `json:"notes,omitempty"`
+	Values     map[string]float64      `json:"values,omitempty"`
 	Latency    []obs.Row               `json:"latency,omitempty"`
 	// Attribution is the p99 stage decomposition of the traced request
 	// timelines (remote mode with -tracesample); its stage fields sum
@@ -52,6 +53,7 @@ func (r Result) SaveJSON(dir string) (string, error) {
 		YLabel:      r.YLabel,
 		Series:      make(map[string][][2]float64, len(r.Series)),
 		Notes:       r.Notes,
+		Values:      r.Values,
 		Latency:     r.Latency,
 		Attribution: r.Attribution,
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"nvmstore/internal/core"
+	"nvmstore/internal/shard"
 )
 
 // Hash-leaf slot states.
@@ -14,14 +15,6 @@ const (
 	slotOccupied byte = 1
 	slotTomb     byte = 2
 )
-
-// hash64 is SplitMix64, a fast high-quality mixer for slot selection.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // sortedInsert adds an entry to a sorted leaf with guaranteed room. The
 // log record is appended before the page is modified (WAL rule).
@@ -86,7 +79,7 @@ func (t *Tree) sortedDelete(h core.Handle, key uint64) (bool, error) {
 // key usually share a probe locality), which is the point of the layout
 // (§5.5).
 func (t *Tree) hashSearch(h core.Handle, key uint64) (int, bool) {
-	i := int(hash64(key) % uint64(t.hashCap))
+	i := int(shard.Mix(key) % uint64(t.hashCap))
 	for probes := 0; probes < t.hashCap; probes++ {
 		st := h.Read(t.hashStateOff(i), 1)[0]
 		if st == slotEmpty {
@@ -108,7 +101,7 @@ func (t *Tree) hashSearch(h core.Handle, key uint64) (int, bool) {
 
 // hashInsert adds an entry to a hash leaf with guaranteed room.
 func (t *Tree) hashInsert(h core.Handle, key uint64, payload []byte, upsert bool) error {
-	i := int(hash64(key) % uint64(t.hashCap))
+	i := int(shard.Mix(key) % uint64(t.hashCap))
 	target := -1
 	for probes := 0; probes < t.hashCap; probes++ {
 		st := h.Read(t.hashStateOff(i), 1)[0]
@@ -212,7 +205,7 @@ func nodeCountData(data []byte) int {
 // hashPlace inserts into raw leaf data during splits and bulk loads,
 // assuming no duplicates and guaranteed room.
 func (t *Tree) hashPlace(data []byte, key uint64, payload []byte) {
-	i := int(hash64(key) % uint64(t.hashCap))
+	i := int(shard.Mix(key) % uint64(t.hashCap))
 	for data[t.hashStateOff(i)] == slotOccupied {
 		i++
 		if i == t.hashCap {

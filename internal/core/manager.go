@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"nvmstore/internal/nvm"
 	"nvmstore/internal/obs"
@@ -50,6 +51,51 @@ func (t Topology) String() string {
 	default:
 		return fmt.Sprintf("Topology(%d)", uint8(t))
 	}
+}
+
+// topologyNames holds each topology's short name, the value the
+// commands' -arch flags take, in the order `nvmstore archs` lists them.
+var topologyNames = []struct {
+	name string
+	t    Topology
+}{
+	{"3tier", ThreeTier},
+	{"mem", MemOnly},
+	{"direct", DirectNVM},
+	{"basic", DRAMNVM},
+	{"ssd", DRAMSSD},
+}
+
+// Topologies returns every topology in the order `nvmstore archs` lists
+// them.
+func Topologies() []Topology {
+	out := make([]Topology, len(topologyNames))
+	for i, n := range topologyNames {
+		out[i] = n.t
+	}
+	return out
+}
+
+// Name returns the topology's short name, the value -arch takes.
+func (t Topology) Name() string {
+	for _, n := range topologyNames {
+		if n.t == t {
+			return n.name
+		}
+	}
+	return t.String()
+}
+
+// ParseTopology returns the topology whose short name is name.
+func ParseTopology(name string) (Topology, error) {
+	names := make([]string, len(topologyNames))
+	for i, n := range topologyNames {
+		if n.name == name {
+			return n.t, nil
+		}
+		names[i] = n.name
+	}
+	return 0, fmt.Errorf("unknown architecture %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // NVM device layout: a WAL region, one superblock page, the write-back

@@ -45,6 +45,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"nvmstore/internal/shard"
 )
 
 // Kind names one injection point in the storage or serving stack.
@@ -173,7 +175,7 @@ func (p *Plan) Injector(site uint64) *Injector {
 	if p == nil {
 		return nil
 	}
-	in := &Injector{seed: mix(p.Seed ^ mix(site+0x5851f42d4c957f2d))}
+	in := &Injector{seed: shard.Mix(p.Seed ^ shard.Mix(site+0x5851f42d4c957f2d))}
 	for _, r := range p.Rules {
 		if int(r.Kind) >= int(numKinds) {
 			continue
@@ -480,19 +482,10 @@ func IsInjected(err error) bool {
 	return errors.As(err, &c)
 }
 
-// mix is the splitmix64 finalizer: a cheap, well-distributed hash for
-// deriving independent streams from (seed, kind, opportunity) tuples.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // unitDraw hashes a (seed, kind, opportunity, salt) tuple into [0, 1).
 // Counter-hashing instead of a stateful generator keeps concurrent
 // sites from perturbing each other's streams.
 func unitDraw(seed, kind, n, salt uint64) float64 {
-	h := mix(seed ^ mix(kind<<32|salt) ^ mix(n))
+	h := shard.Mix(seed ^ shard.Mix(kind<<32|salt) ^ shard.Mix(n))
 	return float64(h>>11) / (1 << 53)
 }

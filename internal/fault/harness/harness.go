@@ -32,6 +32,7 @@ import (
 	"nvmstore"
 	"nvmstore/internal/engine"
 	"nvmstore/internal/fault"
+	"nvmstore/internal/shard"
 )
 
 // Config parameterizes a sweep. The zero value sweeps the default
@@ -64,12 +65,16 @@ type Config struct {
 
 // What every sweep runs on: the ThreeTier architecture (the only one with
 // all three device tiers), one table of 1024 rows of 128 bytes, and under
-// Config.GroupCommit one shared log flush every 3 transactions.
+// Config.GroupCommit one shared log flush every 3 transactions. Without
+// group commit every 4th transaction is wide: 12 writes spread over the
+// keyspace, on more leaves than the 6 pages of openStore's DRAM.
 const (
 	arch       = nvmstore.ThreeTier
 	rows       = 1024
 	rowSize    = 128
 	groupEvery = 3
+	stealEvery = 4
+	wideOps    = 12
 )
 
 func (c *Config) applyDefaults() {
@@ -325,11 +330,9 @@ func newWorkload(cfg Config) *workload {
 
 // next is splitmix64, the workload's private deterministic stream.
 func (w *workload) next() uint64 {
+	x := shard.Mix(w.rng)
 	w.rng += 0x9e3779b97f4a7c15
-	x := w.rng
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return x
 }
 
 // rowFor derives the row a given transaction writes to a key.
@@ -343,11 +346,11 @@ func rowFor(key uint64, txIdx int) []byte {
 	return row
 }
 
-// runTx runs one transaction of 1–3 upserts/deletes. It reports
-// hit=true when an injected fault surfaced (crash panic or error); a
-// non-nil error is a real, non-injected failure. On a clean commit the
-// model absorbs the transaction's effect; on a hit the effect stays in
-// w.pending for verifyAfterCrash to resolve.
+// runTx runs one transaction of 1–3 upserts/deletes, or a wide one of
+// wideOps. It reports hit=true when an injected fault surfaced (crash
+// panic or error); a non-nil error is a real, non-injected failure. On a
+// clean commit the model absorbs the transaction's effect; on a hit the
+// effect stays in w.pending for verifyAfterCrash to resolve.
 func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hit bool, err error) {
 	w.pending = make(map[uint64]pendingOp)
 	nops := 1 + int(w.next()%3)
@@ -358,6 +361,17 @@ func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hi
 	ops := make([]op, nops)
 	for i := range ops {
 		ops[i] = op{key: w.next() % uint64(rows), del: w.next()%10 < 3}
+	}
+	if !w.cfg.GroupCommit && txIdx%stealEvery == stealEvery-1 {
+		// A wide transaction: its writes spread evenly over the keyspace
+		// touch more leaves than DRAM holds, so it steals its own
+		// uncommitted pages, and a crash after a steal leaves bytes of
+		// the loser on NVM or SSD that only recovery's undo removes.
+		start := w.next() % uint64(rows)
+		ops = make([]op, wideOps)
+		for i := range ops {
+			ops[i] = op{key: (start + uint64(i*rows/wideOps)) % uint64(rows), del: w.next()%10 < 3}
+		}
 	}
 
 	defer func() {

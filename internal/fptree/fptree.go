@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"nvmstore/internal/nvm"
+	"nvmstore/internal/shard"
 )
 
 // LeafEntries is the number of entries per NVM leaf, as configured in the
@@ -118,13 +119,7 @@ func (t *Tree) Count() int { return t.count }
 func (t *Tree) Leaves() int { return len(t.dir) }
 
 // fingerprint is the one-byte hash filtering leaf slots.
-func fingerprint(key uint64) byte {
-	x := key
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return byte(x ^ (x >> 31))
-}
+func fingerprint(key uint64) byte { return byte(shard.Mix(key)) }
 
 // findLeaf locates the directory slot responsible for key. This is the
 // DRAM-resident part of a lookup and charges no NVM time.

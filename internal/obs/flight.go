@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"nvmstore/internal/shard"
 )
 
 // FlightRecorder retains a bounded view of traced-request timelines: a
@@ -45,15 +47,6 @@ func NewFlightRecorder(sampleCap, slowN int) *FlightRecorder {
 	return f
 }
 
-// splitmix64 is the SplitMix64 mixer — a cheap, well-distributed hash
-// used to derive reservoir randomness from the record counter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Record offers one finished timeline to the recorder. tl must not be
 // modified after the call.
 func (f *FlightRecorder) Record(tl *Timeline) {
@@ -64,7 +57,7 @@ func (f *FlightRecorder) Record(tl *Timeline) {
 	} else {
 		// Algorithm R: keep with probability cap/i, evicting a uniform
 		// victim, so every record is retained with equal probability.
-		j := int64(splitmix64(uint64(i)) % uint64(i))
+		j := int64(shard.Mix(uint64(i)) % uint64(i))
 		if j < cap64 {
 			f.ring[j].Store(tl)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"nvmstore/internal/btree"
 	"nvmstore/internal/engine"
+	"nvmstore/internal/shard"
 )
 
 // Config scales the generated database. The zero value of any field
@@ -106,11 +107,9 @@ func (w *Workload) Config() Config { return w.cfg }
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {
+	x := shard.Mix(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return x
 }
 
 // intn returns a uniform int in [0, n).

@@ -11,7 +11,11 @@
 // the canonical "z = 1" workload uses theta = 0.99 (the Theta1 constant).
 package zipfian
 
-import "math"
+import (
+	"math"
+
+	"nvmstore/internal/shard"
+)
 
 // Theta1 is the skew used for the paper's "z = 1" workloads.
 const Theta1 = 0.99
@@ -59,11 +63,9 @@ func zeta(n uint64, theta float64) float64 {
 
 // rand64 is SplitMix64 over the generator state.
 func (g *Generator) rand64() uint64 {
+	x := shard.Mix(g.state)
 	g.state += 0x9e3779b97f4a7c15
-	z := g.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return x
 }
 
 // Float64 returns a uniform value in [0, 1).
@@ -104,13 +106,5 @@ func (g *Generator) NextScrambled() uint64 {
 // NextScrambled returns when Next draws that rank. It lets partitioned
 // workloads enumerate the key space in popularity order.
 func KeyAt(rank, n uint64) uint64 {
-	return scramble(rank) % n
-}
-
-// scramble is a fixed SplitMix64 hash (independent of the random stream).
-func scramble(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return shard.Mix(rank) % n
 }

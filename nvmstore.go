@@ -76,6 +76,18 @@ const (
 // String returns the paper's name for the architecture.
 func (a Architecture) String() string { return a.topology().String() }
 
+// ParseArchitecture returns the architecture with the given short name,
+// one of those `nvmstore archs` lists: 3tier, mem, direct, basic, ssd.
+func ParseArchitecture(name string) (Architecture, error) {
+	t, err := core.ParseTopology(name)
+	for a := ThreeTier; err == nil && a <= SSDBuffer; a++ {
+		if a.topology() == t {
+			return a, nil
+		}
+	}
+	return ThreeTier, err
+}
+
 func (a Architecture) topology() core.Topology {
 	switch a {
 	case MainMemory:
