@@ -89,7 +89,7 @@ func microEngine(b *testing.B, topo core.Topology) (*engine.Engine, *ycsb.Worklo
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := ycsb.Load(e, ycsb.RowsForDataSize(6*unit), btree.LayoutSorted)
+	w, err := ycsb.Load(e, ycsb.RowsForDataSize(6*unit), btree.LayoutSorted, 0.66, ycsb.Partition{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func BenchmarkLookupMainMemory(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := ycsb.Load(e, ycsb.RowsForDataSize(unit), btree.LayoutSorted)
+	w, err := ycsb.Load(e, ycsb.RowsForDataSize(unit), btree.LayoutSorted, 0.66, ycsb.Partition{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func BenchmarkRestartScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := ycsb.Load(e, ycsb.RowsForDataSize(8*unit), btree.LayoutSorted)
+	w, err := ycsb.Load(e, ycsb.RowsForDataSize(8*unit), btree.LayoutSorted, 0.66, ycsb.Partition{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func BenchmarkCrashRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		w, err := ycsb.Load(e, ycsb.RowsForDataSize(unit), btree.LayoutSorted)
+		w, err := ycsb.Load(e, ycsb.RowsForDataSize(unit), btree.LayoutSorted, 0.66, ycsb.Partition{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -124,7 +124,7 @@ func runYCSB(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "loading %d YCSB rows into %s...\n", *rows, e.Topology())
-	w, err := ycsb.Load(e, *rows, btree.LayoutSorted)
+	w, err := ycsb.Load(e, *rows, btree.LayoutSorted, 0.66, ycsb.Partition{})
 	if err != nil {
 		return fmt.Errorf("load: %w", err)
 	}

@@ -49,12 +49,12 @@ func AblationAdmission(o Options) (Result, error) {
 			if err != nil {
 				return res, err
 			}
-			w, err := ycsb.Load(e, rows, btree.LayoutSorted)
+			w, err := ycsb.Load(e, rows, btree.LayoutSorted, 0.66, ycsb.Partition{})
 			if err != nil {
 				return res, fmt.Errorf("ablation %s: %w", pol.name, err)
 			}
 			o.reseed(w)
-			mix := zipfian.New(100, zipfian.Theta1, 77)
+			mix := zipfian.New(100, 77)
 			op := func() error {
 				if int(mix.Uint64n(100)) < share {
 					return w.ScanRange(200)

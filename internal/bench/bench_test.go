@@ -1,9 +1,22 @@
 package bench
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
+	"maps"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// update rewrites the golden values of the experiments TestClaims runs:
+// go test ./internal/bench -run TestClaims -update
+var update = flag.Bool("update", false, "rewrite "+goldenPath+" from this run's values")
+
+// goldenPath holds every experiment's Result.Values at tinyOptions' scale.
+const goldenPath = "testdata/values.json"
 
 // tinyOptions makes every experiment run in seconds for testing.
 func tinyOptions() Options {
@@ -16,11 +29,13 @@ func tinyOptions() Options {
 }
 
 // TestClaims runs every experiment once at tiny scale. Each experiment's
-// subtest checks that the output is well-formed — at least two series,
-// matching X/Y lengths, positive values — and its "claims" subtest that
-// every claim of the experiment's table rows holds, apart from rows whose
-// failure a ROADMAP item owns (Claim.Known), which it logs.
+// subtest checks that its Values equal the golden ones in goldenPath and
+// that the output is well-formed — at least two series, matching X/Y
+// lengths, positive values — and its "claims" subtest that every claim of
+// the experiment's table rows holds, apart from rows whose failure a
+// ROADMAP item owns (Claim.Known), which it logs.
 func TestClaims(t *testing.T) {
+	golden := readGolden(t)
 	ids := map[string]bool{}
 	for _, exp := range Experiments() {
 		ids[exp.ID] = true
@@ -28,6 +43,13 @@ func TestClaims(t *testing.T) {
 			res, err := exp.Run(tinyOptions())
 			if err != nil {
 				t.Fatalf("%s: %v", exp.ID, err)
+			}
+			if *update {
+				golden[exp.ID] = res.Values
+			} else {
+				for _, moved := range diffValues(golden[exp.ID], res.Values) {
+					t.Errorf("%s value %s", exp.ID, moved)
+				}
 			}
 			if res.ID != exp.ID {
 				t.Errorf("result id %q, want %q", res.ID, exp.ID)
@@ -82,6 +104,64 @@ func TestClaims(t *testing.T) {
 			t.Errorf("claim %q names no experiment %q", c.Text, c.ID)
 		}
 	}
+	if *update {
+		writeGolden(t, golden)
+	}
+}
+
+// readGolden loads the checked-in values, keyed by experiment id.
+func readGolden(t *testing.T) map[string]map[string]float64 {
+	golden := map[string]map[string]float64{}
+	b, err := os.ReadFile(goldenPath)
+	if err == nil {
+		err = json.Unmarshal(b, &golden)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v (regenerate with -update)", goldenPath, err)
+	}
+	return golden
+}
+
+// writeGolden writes the values of every experiment that recorded some.
+func writeGolden(t *testing.T, golden map[string]map[string]float64) {
+	maps.DeleteFunc(golden, func(_ string, vs map[string]float64) bool { return len(vs) == 0 })
+	b, err := json.MarshalIndent(golden, "", "  ")
+	if err == nil {
+		err = os.WriteFile(goldenPath, append(b, '\n'), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffValues names, in key order, each value that differs between the
+// golden set and a run: its old and new value, or that one side lacks it.
+// The counts repeat exactly, so any difference is a change of behaviour.
+func diffValues(old, got map[string]float64) []string {
+	keys := make([]string, 0, len(old)+len(got))
+	for k := range old {
+		keys = append(keys, k)
+	}
+	for k := range got {
+		if _, ok := old[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	var out []string
+	for _, k := range keys {
+		o, inOld := old[k]
+		g, inGot := got[k]
+		switch {
+		case !inGot:
+			out = append(out, fmt.Sprintf("%q: %v, now not recorded", k, o))
+		case !inOld:
+			out = append(out, fmt.Sprintf("%q: %v, not in %s", k, g, goldenPath))
+		case o != g:
+			out = append(out, fmt.Sprintf("%q moved: %v → %v", k, o, g))
+		}
+	}
+	return out
 }
 
 func TestLookupRegistry(t *testing.T) {

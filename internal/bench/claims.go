@@ -188,6 +188,14 @@ var claims = []Claim{
 			return mini < cl && miniReq*cl <= clReq*mini,
 				fmt.Sprintf("%.0f < %.0f lines, %.3f <= %.3f requests/line", mini, cl, miniReq/mini, clReq/cl)
 		}},
+	{ID: "fig10", Text: "pointer swizzling bypasses the page table: ≥ 95% of the DRAM fixes follow a swizzled reference",
+		Check: func(c *counts) (bool, string) {
+			const sw = "+ Pointer swizzling"
+			hits, table := c.get(sw, "swizzle hits"), c.get(sw, "table hits")
+			f := hits / (hits + table)
+			return f >= 0.95, fmt.Sprintf("%.0f of %.0f DRAM fixes (%.1f%%); mini pages alone: %.0f table lookups",
+				hits, hits+table, 100*f, c.get("+ Mini pages", "table hits"))
+		}},
 	{ID: "fig11", Text: "with hash leaves the three-tier BM is competitive with the FPTree at reduced DRAM: device time per lookup within 5% of FPTree's at 40% and 10%",
 		Known: "item 12",
 		Check: func(c *counts) (bool, string) {

@@ -15,13 +15,10 @@ import (
 	"nvmstore/internal/zipfian"
 )
 
-// unif is a tiny deterministic uniform key stream.
-type unif struct{ state, n uint64 }
-
-func (u *unif) next() uint64 {
-	x := shard.Mix(u.state)
-	u.state += 0x9e3779b97f4a7c15
-	return x % u.n
+// uniformKeys returns a deterministic stream of uniform keys in [0, n).
+func uniformKeys(seed uint64, n int) func() uint64 {
+	s := shard.Stream(seed)
+	return func() uint64 { return s.Next() % uint64(n) }
 }
 
 // kvTable is the §5.5 experiment table: n 8-byte key/value pairs in one
@@ -39,6 +36,28 @@ func kvTable(e *engine.Engine, n int, layout btree.LeafLayout) (*btree.Tree, err
 		return nil, err
 	}
 	return t, e.Checkpoint()
+}
+
+// fpTable is kvTable's FPTree on an NVM device of its own, charging clk:
+// n pairs bulk-loaded ascending, and a lookup of nextKey's keys.
+func fpTable(o Options, clk *simclock.Clock, n int, nextKey func() uint64) (*nvm.Device, *fptree.Tree, func() error, error) {
+	devSize := int64(n/fptree.LeafEntries+16) * 2048
+	devCfg := nvm.DefaultConfig(devSize)
+	devCfg.CPUCacheBytes = cpuCacheFor(o)
+	dev := nvm.New(devCfg, clk)
+	ft, err := fptree.New(dev, 0, devSize)
+	if err == nil {
+		err = ft.BulkLoad(n,
+			func(i int) uint64 { return uint64(i) },
+			func(i int) uint64 { return uint64(i) ^ 0xABCD },
+			0.66)
+	}
+	return dev, ft, func() error {
+		if _, ok := ft.Lookup(nextKey()); !ok {
+			return fmt.Errorf("bench: fptree key missing")
+		}
+		return nil
+	}, err
 }
 
 // kvLookupOp returns a lookup closure over the table with the given key
@@ -111,13 +130,9 @@ func Fig11(o Options) (Result, error) {
 			if err != nil {
 				return res, fmt.Errorf("fig11 %s: %w", v.name, err)
 			}
-			var nextKey func() uint64
+			nextKey := uniformKeys(7, n)
 			if v.zipf {
-				z := zipfian.New(uint64(n), zipfian.Theta1, 11)
-				nextKey = z.NextScrambled
-			} else {
-				u := &unif{state: 7, n: uint64(n)}
-				nextKey = u.next
+				nextKey = zipfian.New(uint64(n), 11).NextScrambled
 			}
 			op := kvLookupOp(e, t, nextKey)
 			warm := o.Warmup
@@ -144,26 +159,9 @@ func Fig11(o Options) (Result, error) {
 	// FPTree: its DRAM use is the inner structure only, independent of
 	// the buffer-space axis, so its line is flat.
 	clk := &simclock.Clock{}
-	devSize := int64(n/fptree.LeafEntries+16) * 2048
-	devCfg := nvm.DefaultConfig(devSize)
-	devCfg.CPUCacheBytes = cpuCacheFor(o)
-	dev := nvm.New(devCfg, clk)
-	ft, err := fptree.New(dev, 0, devSize)
+	_, _, ftOp, err := fpTable(o, clk, n, uniformKeys(7, n))
 	if err != nil {
 		return res, err
-	}
-	if err := ft.BulkLoad(n,
-		func(i int) uint64 { return uint64(i) },
-		func(i int) uint64 { return uint64(i) ^ 0xABCD },
-		0.66); err != nil {
-		return res, err
-	}
-	u := &unif{state: 7, n: uint64(n)}
-	ftOp := func() error {
-		if _, ok := ft.Lookup(u.next()); !ok {
-			return fmt.Errorf("bench: fptree key missing")
-		}
-		return nil
 	}
 	for i := 0; i < o.Warmup; i++ {
 		if err := ftOp(); err != nil {
@@ -266,8 +264,7 @@ func Fig17(o Options) (Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("fig17 %v: %w", topo, err)
 		}
-		u := &unif{state: 3, n: uint64(n)}
-		op := kvLookupOp(e, t, u.next)
+		op := kvLookupOp(e, t, uniformKeys(3, n))
 		err = ramp(topo.String(), e.Clock(), op, func() error {
 			if err := e.CleanRestart(); err != nil {
 				return err
@@ -283,26 +280,9 @@ func Fig17(o Options) (Result, error) {
 	// FPTree: restart rebuilds the DRAM inner structure by scanning all
 	// leaves.
 	clk := &simclock.Clock{}
-	devSize := int64(n/fptree.LeafEntries+16) * 2048
-	devCfg := nvm.DefaultConfig(devSize)
-	devCfg.CPUCacheBytes = cpuCacheFor(o)
-	dev := nvm.New(devCfg, clk)
-	ft, err := fptree.New(dev, 0, devSize)
+	dev, ft, ftOp, err := fpTable(o, clk, n, uniformKeys(3, n))
 	if err != nil {
 		return res, err
-	}
-	if err := ft.BulkLoad(n,
-		func(i int) uint64 { return uint64(i) },
-		func(i int) uint64 { return uint64(i) },
-		0.66); err != nil {
-		return res, err
-	}
-	u := &unif{state: 3, n: uint64(n)}
-	ftOp := func() error {
-		if _, ok := ft.Lookup(u.next()); !ok {
-			return fmt.Errorf("bench: fptree key missing")
-		}
-		return nil
 	}
 	err = ramp("FPTree", clk, ftOp, func() error {
 		dev.DropCPUCache()

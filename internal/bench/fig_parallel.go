@@ -179,7 +179,7 @@ func parallelYCSBPoint(o Options, topo core.Topology, rows, threads int) (parall
 				errs[i] = err
 				return
 			}
-			w, err := ycsb.LoadPartition(e, rows, btree.LayoutSorted,
+			w, err := ycsb.Load(e, rows, btree.LayoutSorted, 0.66,
 				ycsb.Partition{Shards: threads, Index: i})
 			if err != nil {
 				errs[i] = err

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"nvmstore/internal/btree"
 	"nvmstore/internal/core"
 	"nvmstore/internal/engine"
 	"nvmstore/internal/ycsb"
@@ -32,7 +33,7 @@ func Fig12(o Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		w, err := ycsb.Load(e, rows, 0)
+		w, err := ycsb.Load(e, rows, btree.LayoutSorted, 0.66, ycsb.Partition{})
 		if err != nil {
 			return res, fmt.Errorf("fig12 %v: %w", topo, err)
 		}
@@ -168,7 +169,7 @@ func Fig15(o Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		w, err := ycsb.Load(e, rows, 0)
+		w, err := ycsb.Load(e, rows, btree.LayoutSorted, 0.66, ycsb.Partition{})
 		if err != nil {
 			return res, fmt.Errorf("fig15 %v: %w", topo, err)
 		}
@@ -224,7 +225,7 @@ func Fig16(o Options) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		w, err := ycsb.Load(e, rows, 0)
+		w, err := ycsb.Load(e, rows, btree.LayoutSorted, 0.66, ycsb.Partition{})
 		if err != nil {
 			return res, fmt.Errorf("fig16 %v: %w", topo, err)
 		}

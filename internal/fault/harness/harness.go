@@ -302,7 +302,7 @@ type pendingOp struct {
 // plus the model of what the store must contain.
 type workload struct {
 	cfg   Config
-	rng   uint64
+	rng   shard.Stream
 	model map[uint64][]byte
 	// pending is the in-flight transaction's net effect, kept until it
 	// commits or a crash resolves it.
@@ -317,7 +317,7 @@ type workload struct {
 func newWorkload(cfg Config) *workload {
 	w := &workload{
 		cfg:   cfg,
-		rng:   cfg.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		rng:   shard.Stream(cfg.Seed*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d),
 		model: make(map[uint64][]byte, rows),
 		buf:   make([]byte, rowSize),
 	}
@@ -326,13 +326,6 @@ func newWorkload(cfg Config) *workload {
 		w.model[key] = rowFor(key, -1)
 	}
 	return w
-}
-
-// next is splitmix64, the workload's private deterministic stream.
-func (w *workload) next() uint64 {
-	x := shard.Mix(w.rng)
-	w.rng += 0x9e3779b97f4a7c15
-	return x
 }
 
 // rowFor derives the row a given transaction writes to a key.
@@ -353,24 +346,24 @@ func rowFor(key uint64, txIdx int) []byte {
 // effect stays in w.pending for verifyAfterCrash to resolve.
 func (w *workload) runTx(st *nvmstore.Store, tab *nvmstore.Table, txIdx int) (hit bool, err error) {
 	w.pending = make(map[uint64]pendingOp)
-	nops := 1 + int(w.next()%3)
+	nops := 1 + int(w.rng.Next()%3)
 	type op struct {
 		key uint64
 		del bool
 	}
 	ops := make([]op, nops)
 	for i := range ops {
-		ops[i] = op{key: w.next() % uint64(rows), del: w.next()%10 < 3}
+		ops[i] = op{key: w.rng.Next() % uint64(rows), del: w.rng.Next()%10 < 3}
 	}
 	if !w.cfg.GroupCommit && txIdx%stealEvery == stealEvery-1 {
 		// A wide transaction: its writes spread evenly over the keyspace
 		// touch more leaves than DRAM holds, so it steals its own
 		// uncommitted pages, and a crash after a steal leaves bytes of
 		// the loser on NVM or SSD that only recovery's undo removes.
-		start := w.next() % uint64(rows)
+		start := w.rng.Next() % uint64(rows)
 		ops = make([]op, wideOps)
 		for i := range ops {
-			ops[i] = op{key: (start + uint64(i*rows/wideOps)) % uint64(rows), del: w.next()%10 < 3}
+			ops[i] = op{key: (start + uint64(i*rows/wideOps)) % uint64(rows), del: w.rng.Next()%10 < 3}
 		}
 	}
 

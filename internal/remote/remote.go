@@ -277,7 +277,7 @@ func remoteLoad(cl *client.Client, o Options, reissued *atomic.Int64) error {
 // time, each worker pipelining Depth requests.
 func remoteRun(cl *client.Client, o Options, total int, reissued *atomic.Int64) error {
 	return pipeline(o.Clients, total, o.Depth, func(wid int) func(int) pending {
-		gen := zipfian.New(uint64(o.Rows), zipfian.Theta1, shard.SeedFor(o.Seed, wid))
+		gen := zipfian.New(uint64(o.Rows), shard.SeedFor(o.Seed, wid))
 		val := make([]byte, ycsb.FieldSize)
 		return func(i int) pending {
 			key := gen.NextScrambled()

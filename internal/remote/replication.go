@@ -270,7 +270,7 @@ func replicationPoint(o bench.Options, replicas int) (replScalePoint, error) {
 	go func() {
 		defer wwg.Done()
 		val := make([]byte, ycsb.FieldSize)
-		gen := zipfian.New(replRows, zipfian.Theta1, shard.SeedFor(o.Seed, 101))
+		gen := zipfian.New(replRows, shard.SeedFor(o.Seed, 101))
 		var i uint64
 		for range tokens {
 			i++
@@ -341,7 +341,7 @@ func replReads(rcls []*client.Client, seed uint64, readers, total int, settle fu
 		cl := rcls[wid%len(rcls)]
 		// Uniform keys, not Zipf: the point is device-time scaling, so
 		// the stream must keep missing the DRAM tier.
-		gen := zipfian.New(replRows, zipfian.Theta1, shard.SeedFor(seed, wid))
+		gen := zipfian.New(replRows, shard.SeedFor(seed, wid))
 		return func(int) *client.Call { return cl.GetAsync(benchTable, gen.Uint64n(replRows)) }
 	}, settle)
 }

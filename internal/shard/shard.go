@@ -30,3 +30,16 @@ func Mix(x uint64) uint64 {
 func SeedFor(base uint64, index int) uint64 {
 	return Mix(base ^ Mix(uint64(index)+0x5348415244)) // "SHARD"
 }
+
+// Stream is a SplitMix64 random stream: Next returns Mix of the state,
+// then advances the state. A stream is its state, so shard.Stream(seed)
+// starts one and two streams from the same seed draw the same sequence.
+// Not safe for concurrent use.
+type Stream uint64
+
+// Next returns the stream's next value.
+func (s *Stream) Next() uint64 {
+	x := Mix(uint64(*s))
+	*s += 0x9e3779b97f4a7c15
+	return x
+}

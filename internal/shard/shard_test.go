@@ -48,3 +48,12 @@ func TestSeedForDistinct(t *testing.T) {
 		t.Fatal("different base seeds must derive different shard seeds")
 	}
 }
+
+func TestStreamIsMixOfAdvancingState(t *testing.T) {
+	s := Stream(42)
+	for i := uint64(0); i < 100; i++ {
+		if got, want := s.Next(), Mix(42+i*0x9e3779b97f4a7c15); got != want {
+			t.Fatalf("draw %d: %#x, want %#x", i, got, want)
+		}
+	}
+}

@@ -104,16 +104,10 @@ func (w *Workload) Engine() *engine.Engine { return w.e }
 func (w *Workload) Config() Config { return w.cfg }
 
 // rng is a SplitMix64 stream with the TPC-C helper distributions.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	x := shard.Mix(r.state)
-	r.state += 0x9e3779b97f4a7c15
-	return x
-}
+type rng struct{ shard.Stream }
 
 // intn returns a uniform int in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
+func (r *rng) intn(n int) int { return int(r.Next() % uint64(n)) }
 
 // uniform returns a uniform int in [lo, hi] inclusive.
 func (r *rng) uniform(lo, hi int) int { return lo + r.intn(hi-lo+1) }
@@ -169,7 +163,7 @@ func New(e *engine.Engine, cfg Config) (*Workload, error) {
 	if cfg.Warehouses < 1 {
 		return nil, fmt.Errorf("tpcc: need at least one warehouse")
 	}
-	w := &Workload{e: e, cfg: cfg, rng: rng{state: cfg.Seed}, now: 1}
+	w := &Workload{e: e, cfg: cfg, rng: rng{shard.Stream(cfg.Seed)}, now: 1}
 	create := func(id uint64, size int) (*btree.Tree, error) {
 		return e.CreateTree(id, size, btree.LayoutSorted)
 	}
@@ -224,7 +218,7 @@ func Attach(e *engine.Engine, cfg Config) (*Workload, error) {
 	if cfg.Warehouses < 1 {
 		return nil, fmt.Errorf("tpcc: need at least one warehouse")
 	}
-	w := &Workload{e: e, cfg: cfg, rng: rng{state: cfg.Seed + 1}, now: 1 << 20}
+	w := &Workload{e: e, cfg: cfg, rng: rng{shard.Stream(cfg.Seed + 1)}, now: 1 << 20}
 	for _, bind := range []struct {
 		id  uint64
 		dst **btree.Tree

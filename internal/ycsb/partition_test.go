@@ -81,7 +81,7 @@ func loadShard(t *testing.T, rows int, p Partition) *Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := LoadPartition(e, rows, btree.LayoutSorted, p)
+	w, err := Load(e, rows, btree.LayoutSorted, 0.66, p)
 	if err != nil {
 		t.Fatal(err)
 	}

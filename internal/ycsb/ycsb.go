@@ -37,16 +37,11 @@ const (
 	TableID = 1
 )
 
-// RowBytes returns the storage footprint of n rows once loaded into a
-// B-tree at the paper's 0.66 fill factor: ten rows per 16 kB leaf page
-// (plus its slot header), which the paper calls the data size.
-func RowBytes(n int) int64 {
-	return int64(n) * 1645
-}
-
 // RowsForDataSize returns how many rows fit in the given data size with a
 // few percent of headroom for inner pages, so that a data set sized to a
-// device capacity actually fits on it.
+// device capacity actually fits on it. Loaded at the paper's 0.66 fill
+// factor a row takes 1645 bytes (ten rows per 16 kB leaf page plus its
+// slot header), which the paper calls the data size.
 func RowsForDataSize(bytes int64) int {
 	return int(bytes / 1700)
 }
@@ -92,7 +87,7 @@ type KeyStream struct {
 // sequence.
 func NewKeyStream(n uint64, seed uint64, p Partition) *KeyStream {
 	if p.Shards <= 1 {
-		return &KeyStream{gen: zipfian.New(n, zipfian.Theta1, seed), part: p}
+		return &KeyStream{gen: zipfian.New(n, seed), part: p}
 	}
 	owned := make([]uint64, 0, int(n)/p.Shards+16)
 	for r := uint64(0); r < n; r++ {
@@ -104,7 +99,7 @@ func NewKeyStream(n uint64, seed uint64, p Partition) *KeyStream {
 		panic(fmt.Sprintf("ycsb: shard %d/%d owns no keys of %d", p.Index, p.Shards, n))
 	}
 	return &KeyStream{
-		gen:   zipfian.New(uint64(len(owned)), zipfian.Theta1, shard.SeedFor(seed, p.Index)),
+		gen:   zipfian.New(uint64(len(owned)), shard.SeedFor(seed, p.Index)),
 		part:  p,
 		owned: owned,
 	}
@@ -140,57 +135,34 @@ type Workload struct {
 	Ops int64
 }
 
-// Load creates the YCSB table in e and bulk-loads n rows at the paper's
-// 0.66 fill factor. Row i has key i; field f of row i holds a
-// deterministic pattern.
-func Load(e *engine.Engine, n int, layout btree.LeafLayout) (*Workload, error) {
-	return LoadFill(e, n, layout, 0.66)
-}
-
-// LoadFill is Load with an explicit B-tree fill factor; the scan overhead
-// experiment of §5.4.2 loads at a fill factor of 1.0.
-func LoadFill(e *engine.Engine, n int, layout btree.LeafLayout, fill float64) (*Workload, error) {
-	return LoadPartitionFill(e, n, layout, fill, Partition{})
-}
-
-// LoadPartition creates the YCSB table in e and bulk-loads the subset of
-// the global key space [0, n) owned by partition p — one shard of the
-// Appendix A.1 shard-per-core layout. The workload's key stream is seeded
-// from (DefaultSeed, p.Index) and only ever draws owned keys.
-func LoadPartition(e *engine.Engine, n int, layout btree.LeafLayout, p Partition) (*Workload, error) {
-	return LoadPartitionFill(e, n, layout, 0.66, p)
-}
-
-// LoadPartitionFill is LoadPartition with an explicit fill factor.
-func LoadPartitionFill(e *engine.Engine, n int, layout btree.LeafLayout, fill float64, p Partition) (*Workload, error) {
+// Load creates the YCSB table in e and bulk-loads, at the B-tree fill
+// factor fill, the rows of the global key space [0, n) that partition p
+// owns: all of them for the zero Partition, one shard's for the Appendix
+// A.1 shard-per-core layout. The paper loads at a fill factor of 0.66,
+// its scan overhead experiment (§5.4.2) at 1.0. Row i has key i; field f
+// of row i holds a deterministic pattern. The workload's key stream
+// starts from DefaultSeed (a shard's from shard.SeedFor(DefaultSeed,
+// p.Index)) and only ever draws owned keys.
+func Load(e *engine.Engine, n int, layout btree.LeafLayout, fill float64, p Partition) (*Workload, error) {
 	t, err := e.CreateTree(TableID, RowSize, layout)
 	if err != nil {
 		return nil, err
 	}
-	row := make([]byte, RowSize)
-	if p.Shards <= 1 {
-		err = t.BulkLoad(n,
-			func(i int) uint64 { return uint64(i) },
-			func(i int, dst []byte) {
-				FillRow(uint64(i), row)
-				copy(dst, row)
-			},
-			fill)
-	} else {
-		owned := make([]uint64, 0, n/p.Shards+n/(8*p.Shards)+16)
-		for k := uint64(0); k < uint64(n); k++ {
-			if p.Owns(k) {
-				owned = append(owned, k)
-			}
+	shards := max(p.Shards, 1)
+	owned := make([]uint64, 0, n/shards+n/(8*shards)+16)
+	for k := uint64(0); k < uint64(n); k++ {
+		if p.Owns(k) {
+			owned = append(owned, k)
 		}
-		err = t.BulkLoad(len(owned),
-			func(i int) uint64 { return owned[i] },
-			func(i int, dst []byte) {
-				FillRow(owned[i], row)
-				copy(dst, row)
-			},
-			fill)
 	}
+	row := make([]byte, RowSize)
+	err = t.BulkLoad(len(owned),
+		func(i int) uint64 { return owned[i] },
+		func(i int, dst []byte) {
+			FillRow(owned[i], row)
+			copy(dst, row)
+		},
+		fill)
 	if err != nil {
 		return nil, fmt.Errorf("ycsb: bulk load: %w", err)
 	}
@@ -378,7 +350,7 @@ func (w *Workload) Insert() error {
 // YCSB's "latest" distribution.
 func (w *Workload) latest() uint64 {
 	if w.zipfLatest == nil || w.zipfLatest.n != w.n {
-		w.zipfLatest = &latestDist{n: w.n, gen: zipfian.New(w.n, zipfian.Theta1, 0x1A7E57)}
+		w.zipfLatest = &latestDist{n: w.n, gen: zipfian.New(w.n, 0x1A7E57)}
 	}
 	return w.n - 1 - w.zipfLatest.gen.Next()
 }

@@ -21,7 +21,7 @@ func loadWorkload(t *testing.T, topo core.Topology, rows int) *Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Load(e, rows, btree.LayoutSorted)
+	w, err := Load(e, rows, btree.LayoutSorted, 0.66, Partition{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,13 @@ func TestMixedRatio(t *testing.T) {
 	}
 }
 
-func TestRowBytesRoundTrip(t *testing.T) {
-	// RowsForDataSize deliberately leaves a few percent of headroom for
-	// inner pages, so the round trip comes back slightly under.
-	n := RowsForDataSize(RowBytes(12345))
+func TestRowsForDataSizeLeavesHeadroom(t *testing.T) {
+	// A loaded row takes 1645 bytes. RowsForDataSize deliberately leaves a
+	// few percent of headroom for inner pages, so the round trip comes
+	// back slightly under.
+	n := RowsForDataSize(12345 * 1645)
 	if n < 11500 || n > 12345 {
-		t.Fatalf("RowsForDataSize(RowBytes(12345)) = %d, want slightly under 12345", n)
+		t.Fatalf("RowsForDataSize(12345 rows' bytes) = %d, want slightly under 12345", n)
 	}
 }
 

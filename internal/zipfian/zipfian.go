@@ -8,7 +8,8 @@
 // keys") by hashing the rank, as YCSB's scrambled Zipfian does.
 //
 // A theta of exactly 1 makes Gray's closed form singular; following YCSB,
-// the canonical "z = 1" workload uses theta = 0.99 (the Theta1 constant).
+// the canonical "z = 1" workload uses theta = 0.99, the one skew every
+// workload of the paper draws.
 package zipfian
 
 import (
@@ -17,43 +18,37 @@ import (
 	"nvmstore/internal/shard"
 )
 
-// Theta1 is the skew used for the paper's "z = 1" workloads.
-const Theta1 = 0.99
+// theta is the skew of the paper's "z = 1" workloads.
+const theta = 0.99
 
 // Generator produces Zipf-distributed ranks in [0, n). It embeds its own
-// deterministic random stream, so two generators with the same parameters
-// and seed produce identical sequences. Not safe for concurrent use.
+// deterministic random stream, so two generators with the same n and
+// seed produce identical sequences. Not safe for concurrent use.
 type Generator struct {
 	n     uint64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
-	state uint64
+	rng   shard.Stream
 }
 
-// New creates a generator over [0, n) with skew theta in (0, 1). It
-// precomputes zeta(n), which is O(n) but done once.
-func New(n uint64, theta float64, seed uint64) *Generator {
+// New creates a generator over [0, n). It precomputes zeta(n), which is
+// O(n) but done once.
+func New(n uint64, seed uint64) *Generator {
 	if n == 0 {
 		panic("zipfian: empty key space")
 	}
-	if theta <= 0 || theta >= 1 {
-		panic("zipfian: theta must be in (0, 1); use Theta1 for z=1")
-	}
-	zetan := zeta(n, theta)
-	g := &Generator{
+	zetan := zeta(n)
+	return &Generator{
 		n:     n,
-		theta: theta,
 		alpha: 1 / (1 - theta),
 		zetan: zetan,
-		eta:   (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/zetan),
-		state: seed*2862933555777941757 + 3037000493,
+		eta:   (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2)/zetan),
+		rng:   shard.Stream(seed*2862933555777941757 + 3037000493),
 	}
-	return g
 }
 
-func zeta(n uint64, theta float64) float64 {
+func zeta(n uint64) float64 {
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1 / math.Pow(float64(i), theta)
@@ -61,21 +56,14 @@ func zeta(n uint64, theta float64) float64 {
 	return sum
 }
 
-// rand64 is SplitMix64 over the generator state.
-func (g *Generator) rand64() uint64 {
-	x := shard.Mix(g.state)
-	g.state += 0x9e3779b97f4a7c15
-	return x
-}
-
 // Float64 returns a uniform value in [0, 1).
 func (g *Generator) Float64() float64 {
-	return float64(g.rand64()>>11) / (1 << 53)
+	return float64(g.rng.Next()>>11) / (1 << 53)
 }
 
 // Uint64n returns a uniform value in [0, n).
 func (g *Generator) Uint64n(n uint64) uint64 {
-	return g.rand64() % n
+	return g.rng.Next() % n
 }
 
 // Next returns the next Zipf-distributed rank in [0, n); rank 0 is the
@@ -86,7 +74,7 @@ func (g *Generator) Next() uint64 {
 	if uz < 1 {
 		return 0
 	}
-	if uz < 1+math.Pow(0.5, g.theta) {
+	if uz < 1+math.Pow(0.5, theta) {
 		return 1
 	}
 	r := uint64(float64(g.n) * math.Pow(g.eta*u-g.eta+1, g.alpha))
