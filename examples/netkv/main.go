@@ -37,14 +37,15 @@ func main() {
 
 	// Synchronous calls: each Put is one durable transaction on the
 	// owning shard — when it returns nil, the write survives a crash.
-	if err := cl.Put(*table, 42, []byte("hello over the wire")); err != nil {
+	hello := []byte("hello over the wire")
+	if err := cl.Put(*table, 42, hello); err != nil {
 		log.Fatal(err)
 	}
 	val, found, err := cl.Get(*table, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("get 42: found=%v value=%q\n", found, val)
+	fmt.Printf("get 42: found=%v value=%q (a %d-byte row)\n", found, written(val, hello), len(val))
 
 	// Pipelining: issue a burst without waiting, then collect. The
 	// requests interleave across shards and return out of order on the
@@ -84,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, e := range entries {
-		fmt.Printf("scan: %d = %q\n", e.Key, trim(e.Value))
+		fmt.Printf("scan: %d = %q\n", e.Key, written(e.Value, fmt.Appendf(nil, "row-%d", e.Key)))
 	}
 
 	// STATS: server counters plus wire (wall-clock) and engine
@@ -107,12 +108,7 @@ func main() {
 	}
 }
 
-// trim cuts the zero padding the server added to short rows.
-func trim(row []byte) []byte {
-	for i, b := range row {
-		if b == 0 {
-			return row[:i]
-		}
-	}
-	return row
-}
+// written returns the part of row that a Put of put wrote: a row has the
+// table's fixed size, and a Put keeps the tail of a longer row already
+// there (a loaded one, say).
+func written(row, put []byte) []byte { return row[:min(len(row), len(put))] }

@@ -80,23 +80,6 @@ func TestLoadCounts(t *testing.T) {
 	if !saturated || halvings != 5 {
 		t.Fatalf("stream never exercised the limits: saturated=%v halvings=%d", saturated, halvings)
 	}
-
-	// A freed page id is reused; its next page starts without history.
-	m = duelManager(t, 2, 4)
-	pid := newPage(t, m, 1)
-	for i := 0; i < 5; i++ {
-		touch(t, m, pid)
-	}
-	if m.loads[pid] != 6 {
-		t.Fatalf("count after allocate + 5 loads = %d, want 6", m.loads[pid])
-	}
-	m.FreePage(mustFix(t, m, pid, ModeFull))
-	if m.loads[pid] != 0 {
-		t.Fatalf("count of a freed page id = %d, want 0", m.loads[pid])
-	}
-	if h := mustAlloc(t, m); h.PID() != pid || m.loads[pid] != 1 {
-		t.Fatalf("reallocated page %d (want %d) with count %d, want 1", h.PID(), pid, m.loads[pid])
-	}
 }
 
 // TestAdmissionDuel pins the decision itself for every pairing of counts: a

@@ -207,11 +207,8 @@ func TestRefEncoding(t *testing.T) {
 		t.Fatalf("frameIndex() = %d, want 7", s.frameIndex())
 	}
 	var zero Ref
-	if !zero.IsNull() {
-		t.Fatal("zero ref not null")
-	}
-	if MakeRef(1).IsNull() {
-		t.Fatal("non-zero ref reports null")
+	if zero.Swizzled() || zero.PageID() != InvalidPageID {
+		t.Fatal("zero ref names a page")
 	}
 }
 

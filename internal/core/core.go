@@ -94,9 +94,6 @@ func (r Ref) PageID() PageID { return PageID(r &^ swizzleBit) }
 // frameIndex returns the frame-table index of a swizzled reference.
 func (r Ref) frameIndex() int32 { return int32(r &^ swizzleBit) }
 
-// IsNull reports whether r is the null reference.
-func (r Ref) IsNull() bool { return r == 0 }
-
 // AccessMode tells the buffer manager how a fixed page will be used, the
 // "hinting mechanism" of §5.4.2.
 type AccessMode uint8

@@ -76,36 +76,6 @@ func TestThreeTierAdmissionFallsBackWhenNVMPinned(t *testing.T) {
 	m.Unfix(h3)
 }
 
-func TestFreePageReleasesNVMSlot(t *testing.T) {
-	m := newTestManager(t, ThreeTier, 4, withFeatures(true, true, false), func(c *Config) {
-		c.NVMBytes = 2 * slotSize // free slots admit at once
-	})
-	h := mustAlloc(t, m)
-	pid := h.PID()
-	fillPattern(h, 1)
-	m.Unfix(h)
-	if err := m.CleanShutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if loc, ok := m.table[pid]; !ok || loc.inDRAM() {
-		t.Fatalf("page not on NVM: %v %v", loc, ok)
-	}
-	h = mustFix(t, m, pid, ModeFull)
-	m.FreePage(h)
-	// Both NVM slots are available again: two new pages admit cleanly.
-	for i := 0; i < 2; i++ {
-		n := mustAlloc(t, m)
-		fillPattern(n, byte(i))
-		m.Unfix(n)
-	}
-	if err := m.CleanShutdown(); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Stats().NVMAdmissions; got < 3 {
-		t.Fatalf("NVM admissions = %d, want the freed slot reused", got)
-	}
-}
-
 func TestRestartScanSkipsFreedSlots(t *testing.T) {
 	m := newTestManager(t, ThreeTier, 4, withFeatures(true, false, false))
 	keep := mustAlloc(t, m)
@@ -119,20 +89,31 @@ func TestRestartScanSkipsFreedSlots(t *testing.T) {
 	if err := m.CleanShutdown(); err != nil {
 		t.Fatal(err)
 	}
-	g := mustFix(t, m, gonePID, ModeFull)
-	m.FreePage(g)
+	// Evicting the page from NVM to SSD clears its slot header; nothing
+	// takes the slot before the restart.
+	loc, ok := m.table[gonePID]
+	if !ok || loc.inDRAM() {
+		t.Fatalf("page not on NVM: %v %v", loc, ok)
+	}
+	goneSlot := loc.nvmSlot()
+	m.evictNVMSlot(goneSlot)
 	if err := m.CleanRestart(); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := m.table[gonePID]; ok {
-		t.Fatal("freed page reappeared in the rebuilt table")
+		t.Fatal("evicted page reappeared in the rebuilt table")
 	}
 	if loc, ok := m.table[keepPID]; !ok || loc.inDRAM() {
 		t.Fatalf("kept page lost from NVM: %v %v", loc, ok)
 	}
-	h := mustFix(t, m, keepPID, ModeFull)
-	checkPattern(t, h, 1)
-	m.Unfix(h)
+	if slot, ok := m.freeNVMSlot(); !ok || slot != goneSlot {
+		t.Fatalf("first free slot after restart = %d (%v), want the emptied slot %d", slot, ok, goneSlot)
+	}
+	for pid, seed := range map[PageID]byte{keepPID: 1, gonePID: 2} {
+		h := mustFix(t, m, pid, ModeFull)
+		checkPattern(t, h, seed)
+		m.Unfix(h)
+	}
 }
 
 func TestMiniPromotionTransfersSwizzle(t *testing.T) {
@@ -197,15 +178,15 @@ func TestUserMetaEmpty(t *testing.T) {
 
 func TestStatsAccessors(t *testing.T) {
 	m := newTestManager(t, ThreeTier, 4)
-	if m.NVMSlotsTotal() != 64 {
-		t.Fatalf("NVMSlotsTotal = %d", m.NVMSlotsTotal())
+	if m.nvmSlots != 64 {
+		t.Fatalf("nvmSlots = %d", m.nvmSlots)
 	}
-	if m.DRAMUsed() != 0 {
-		t.Fatalf("DRAMUsed = %d on fresh manager", m.DRAMUsed())
+	if m.dramUsed != 0 {
+		t.Fatalf("dramUsed = %d on fresh manager", m.dramUsed)
 	}
 	h := mustAlloc(t, m)
-	if m.DRAMUsed() == 0 {
-		t.Fatal("DRAMUsed did not grow")
+	if m.dramUsed == 0 {
+		t.Fatal("dramUsed did not grow")
 	}
 	m.Unfix(h)
 	m.ResetStats()

@@ -328,15 +328,14 @@ type Manager struct {
 
 	// NVM page-slot bookkeeping: headersOff is the slot header table,
 	// slotsOff the first slot's data.
-	nvmSlots    int64
-	headersOff  int64
-	slotsOff    int64
-	journalOff  int64
-	journalBuf  []byte
-	nvmDir      []nvmSlotMeta // ThreeTier only
-	freeSlots   []int64
-	nvmNextSlot int64
-	nvmHand     int64
+	nvmSlots   int64
+	headersOff int64
+	slotsOff   int64
+	journalOff int64
+	journalBuf []byte
+	nvmDir     []nvmSlotMeta // ThreeTier only
+	freeSlots  []int64       // ThreeTier only; the lowest slot is last
+	nvmHand    int64
 
 	// loads[pid] counts how often the page entered DRAM (install), the
 	// evidence the admission duel compares (ThreeTier only); see noteLoad.
@@ -344,7 +343,6 @@ type Manager struct {
 	loadsSince int64 // loads since every count was last halved
 
 	nextPID  PageID
-	freePIDs []PageID
 	ssdPages int64
 
 	stats   Stats
@@ -403,7 +401,13 @@ func New(cfg Config) (*Manager, error) {
 		m.ssd.SetRecorder(m.rec)
 	}
 	if cfg.Topology == ThreeTier {
+		// Every slot starts free, pushed in rebuildFromNVM's order: the
+		// lowest slot is handed out first.
 		m.nvmDir = make([]nvmSlotMeta, m.nvmSlots)
+		m.freeSlots = make([]int64, 0, m.nvmSlots)
+		for slot := m.nvmSlots - 1; slot >= 0; slot-- {
+			m.freeSlots = append(m.freeSlots, slot)
+		}
 	}
 	m.persistSuper()
 	return m, nil
@@ -470,12 +474,6 @@ func (m *Manager) SyncObs() {
 		m.nvm.SyncObs()
 	}
 }
-
-// DRAMUsed returns the bytes currently charged against the DRAM budget.
-func (m *Manager) DRAMUsed() int64 { return m.dramUsed }
-
-// NVMSlotsTotal returns the number of NVM page slots.
-func (m *Manager) NVMSlotsTotal() int64 { return m.nvmSlots }
 
 func (m *Manager) slotHeaderOff(slot int64) int64 { return m.headersOff + slot*LineSize }
 func (m *Manager) slotDataOff(slot int64) int64   { return m.slotsOff + slot*PageSize }
@@ -551,18 +549,12 @@ func (h Handle) Ref() Ref {
 // Allocate creates a new page and returns it fixed. The page content is
 // zeroed and the caller is expected to initialize it before unfixing.
 func (m *Manager) Allocate() (Handle, error) {
-	pid, reused, err := m.takePID()
+	pid, err := m.takePID()
 	if err != nil {
 		return Handle{}, err
 	}
 	if m.cfg.Topology == DirectNVM {
 		slot := int64(pid - 1)
-		if reused {
-			// Reused slots may hold stale data; clear it so the new
-			// page starts zeroed like a fresh one.
-			zeroBytes(m.scratch)
-			m.nvm.WriteAt(m.scratch, m.slotDataOff(slot))
-		}
 		m.writeSlotHeader(slot, pid, false)
 		f := m.directFrame(pid, slot)
 		m.stats.DirectFixes++
@@ -623,26 +615,21 @@ func (m *Manager) noteLoad(pid PageID) {
 
 // takePID hands out the next page identifier, enforcing the topology's
 // hard capacity limit, and persists the allocation watermark.
-func (m *Manager) takePID() (PageID, bool, error) {
-	if n := len(m.freePIDs); n > 0 {
-		pid := m.freePIDs[n-1]
-		m.freePIDs = m.freePIDs[:n-1]
-		return pid, true, nil
-	}
+func (m *Manager) takePID() (PageID, error) {
 	pid := m.nextPID
 	switch m.cfg.Topology {
 	case DirectNVM, DRAMNVM:
 		if int64(pid-1) >= m.nvmSlots {
-			return 0, false, fmt.Errorf("core: %v full at %d pages: %w", m.cfg.Topology, m.nvmSlots, ErrCapacity)
+			return 0, fmt.Errorf("core: %v full at %d pages: %w", m.cfg.Topology, m.nvmSlots, ErrCapacity)
 		}
 	case DRAMSSD, ThreeTier:
 		if int64(pid-1) >= m.ssdPages {
-			return 0, false, fmt.Errorf("core: SSD full at %d pages: %w", m.ssdPages, ErrCapacity)
+			return 0, fmt.Errorf("core: SSD full at %d pages: %w", m.ssdPages, ErrCapacity)
 		}
 	}
 	m.nextPID++
 	m.persistNextPID()
-	return pid, false, nil
+	return pid, nil
 }
 
 // Fix pins the page identified by ref without swizzling bookkeeping. Use
@@ -1124,61 +1111,6 @@ func (m *Manager) Unswizzle(h Handle) {
 	m.unswizzle(h.f.live())
 }
 
-// FreePage deallocates the page held by h, releasing its DRAM frame, NVM
-// slot, and page identifier. The caller must hold the only pin and must
-// have removed all references to the page.
-func (m *Manager) FreePage(h Handle) {
-	f := h.f
-	if f.pins != 1 {
-		panic(fmt.Sprintf("core: freeing page %d with %d pins", f.pid, f.pins))
-	}
-	if f.swizzledChildren != 0 {
-		panic(fmt.Sprintf("core: freeing page %d with swizzled children", f.pid))
-	}
-	pid := f.pid
-	m.vers.Drop(pid)
-	if int(pid) < len(m.loads) {
-		m.loads[pid] = 0 // pids are reused: the next page starts without history
-	}
-	if f.kind == kindDirect {
-		m.clearSlotHeader(f.nvmSlot)
-		f.pins = 0
-		m.freePIDs = append(m.freePIDs, pid)
-		return
-	}
-	if f.promoted != nil {
-		p := f.promoted
-		m.unswizzle(p)
-		p.pins = 0
-		m.freeNVMBacking(p)
-		delete(m.table, pid)
-		m.dropFrame(p)
-		f.pins = 0
-		m.dropFrame(f)
-		m.freePIDs = append(m.freePIDs, pid)
-		return
-	}
-	m.unswizzle(f)
-	f.pins = 0
-	m.freeNVMBacking(f)
-	delete(m.table, pid)
-	m.dropFrame(f)
-	m.freePIDs = append(m.freePIDs, pid)
-}
-
-// freeNVMBacking releases the NVM slot backing f, if any.
-func (m *Manager) freeNVMBacking(f *Frame) {
-	if f.nvmSlot < 0 {
-		return
-	}
-	m.clearSlotHeader(f.nvmSlot)
-	if m.cfg.Topology == ThreeTier {
-		m.nvmDir[f.nvmSlot] = nvmSlotMeta{}
-		m.freeSlots = append(m.freeSlots, f.nvmSlot)
-	}
-	f.nvmSlot = -1
-}
-
 // newFrame allocates a DRAM frame, evicting pages as needed to stay within
 // the DRAM budget, and registers it in the frame table.
 func (m *Manager) newFrame(kind frameKind, pid PageID) (*Frame, error) {
@@ -1400,11 +1332,6 @@ func (m *Manager) freeNVMSlot() (int64, bool) {
 	if n := len(m.freeSlots); n > 0 {
 		slot := m.freeSlots[n-1]
 		m.freeSlots = m.freeSlots[:n-1]
-		return slot, true
-	}
-	if m.nvmNextSlot < m.nvmSlots {
-		slot := m.nvmNextSlot
-		m.nvmNextSlot++
 		return slot, true
 	}
 	return 0, false

@@ -315,8 +315,8 @@ func TestMiniPageBasic(t *testing.T) {
 		}
 	}
 	// Mini pages cost far less DRAM than a full page.
-	if used := m.DRAMUsed(); used != miniFrameBytes {
-		t.Fatalf("DRAMUsed = %d, want %d (one mini page)", used, miniFrameBytes)
+	if used := m.dramUsed; used != miniFrameBytes {
+		t.Fatalf("dramUsed = %d, want %d (one mini page)", used, miniFrameBytes)
 	}
 	// Modify line 3 and evict; the change must persist, others must not
 	// be disturbed.
@@ -563,8 +563,8 @@ func TestMiniPagePromotion(t *testing.T) {
 	}
 	m.Unfix(h2)
 	// After unfix the wrapper is gone: only the full frame remains.
-	if used := m.DRAMUsed(); used != fullFrameBytes {
-		t.Fatalf("DRAMUsed = %d after unfix, want %d", used, fullFrameBytes)
+	if used := m.dramUsed; used != fullFrameBytes {
+		t.Fatalf("dramUsed = %d after unfix, want %d", used, fullFrameBytes)
 	}
 	// The pre-promotion dirty line survives eviction.
 	if err := m.CleanShutdown(); err != nil {
@@ -894,6 +894,40 @@ func TestCrashRestartStrictPersistence(t *testing.T) {
 	m.Unfix(h3)
 }
 
+// TestPageIDsOnlyGrowAcrossRestarts: nothing frees a page, so every
+// allocation takes an id above every id handed out before it, across a
+// clean restart and a crash alike; the persisted watermark is all a
+// restart needs to keep that.
+func TestPageIDsOnlyGrowAcrossRestarts(t *testing.T) {
+	for _, topo := range []Topology{DRAMSSD, DRAMNVM, ThreeTier, DirectNVM} {
+		t.Run(topo.String(), func(t *testing.T) {
+			m := newTestManager(t, topo, 4, func(c *Config) { c.StrictPersistence = true })
+			var top PageID
+			alloc := func(when string) {
+				t.Helper()
+				for i := 0; i < 6; i++ {
+					h := mustAlloc(t, m)
+					if h.PID() <= top {
+						t.Fatalf("%s: allocated page %d, not above %d", when, h.PID(), top)
+					}
+					top = h.PID()
+					fillPattern(h, byte(top))
+					m.Unfix(h)
+				}
+			}
+			alloc("fresh")
+			if err := m.CleanRestart(); err != nil {
+				t.Fatal(err)
+			}
+			alloc("after a clean restart")
+			if err := m.CrashRestart(); err != nil {
+				t.Fatal(err)
+			}
+			alloc("after a crash")
+		})
+	}
+}
+
 func TestDirectNVM(t *testing.T) {
 	m := newTestManager(t, DirectNVM, 0)
 	h := mustAlloc(t, m)
@@ -926,25 +960,6 @@ func TestDirectNVM(t *testing.T) {
 	if m.Stats().DirectFixes != 2 {
 		t.Fatalf("DirectFixes = %d, want 2", m.Stats().DirectFixes)
 	}
-}
-
-func TestFreePageReusesPID(t *testing.T) {
-	m := newTestManager(t, DRAMNVM, 4)
-	h := mustAlloc(t, m)
-	pid := h.PID()
-	m.FreePage(h)
-	h2 := mustAlloc(t, m)
-	if h2.PID() != pid {
-		t.Fatalf("reallocated pid = %d, want reused %d", h2.PID(), pid)
-	}
-	// Freed-and-reused pages must read as zero.
-	data := h2.ReadAll()
-	for i, b := range data {
-		if b != 0 {
-			t.Fatalf("reused page byte %d = %#x, want 0", i, b)
-		}
-	}
-	m.Unfix(h2)
 }
 
 func TestUserMetaPersistsAcrossRestart(t *testing.T) {

@@ -99,7 +99,7 @@ func (m *Manager) Residency() Residency {
 	case DRAMNVM, DirectNVM:
 		// Every allocated page lives on NVM; there is no separate cache
 		// directory.
-		r.NVMPages = int64(m.nextPID-1) - int64(len(m.freePIDs))
+		r.NVMPages = int64(m.nextPID - 1)
 	}
 	if m.ssd != nil {
 		r.SSDPages = m.ssd.Allocated()

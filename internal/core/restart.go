@@ -143,7 +143,6 @@ func (m *Manager) reopen() error {
 	m.freeFrames = m.freeFrames[:0]
 	m.clockHand = 0
 	m.dramUsed = 0
-	m.freePIDs = nil
 	m.nvm.DropCPUCache()
 	if err := m.readSuper(); err != nil {
 		return err
@@ -171,7 +170,6 @@ func (m *Manager) rebuildFromNVM() {
 	m.loads = make([]uint8, m.nextPID)
 	m.loadsSince = 0
 	m.freeSlots = m.freeSlots[:0]
-	m.nvmNextSlot = m.nvmSlots
 	m.nvmHand = 0
 	for slot := m.nvmSlots - 1; slot >= 0; slot-- {
 		pid, dirty, ok := m.readSlotHeader(slot)

@@ -233,16 +233,6 @@ func anyStampIn(stamps []uint64, lo, hi uint64) bool {
 	return i < len(stamps) && stamps[i] < hi
 }
 
-// Drop forgets all version state of a freed page.
-func (v *Versions) Drop(pid PageID) {
-	delete(v.counters, pid)
-	if chain, ok := v.store[pid]; ok {
-		v.stats.Reclaimed += int64(len(chain))
-		v.stats.Live -= int64(len(chain))
-		delete(v.store, pid)
-	}
-}
-
 // Stats returns the read-path counters.
 func (v *Versions) Stats() VersionStats { return v.stats }
 

@@ -24,8 +24,8 @@ type writeTraffic struct {
 // runWriteBackStream drives one seeded op stream through every way a page
 // leaves DRAM: 48 pages allocated into 8 frames (past DRAM and, on
 // ThreeTier's 16 slots, past NVM), Zipf-skewed reads and updates of mixed
-// sizes, bounded FlushSome rounds, split-style ForceWrite pairs, one
-// FreePage, and two CleanRestarts. The write barrier stands in for the WAL:
+// sizes, bounded FlushSome rounds, split-style ForceWrite pairs and two
+// CleanRestarts. The write barrier stands in for the WAL:
 // it persists one line into the log region, and walLines counts them. The
 // page contents are checked against a shadow copy at the end.
 func runWriteBackStream(t *testing.T, topo Topology, opts ...func(*Config)) (m *Manager, walLines int64) {
@@ -57,7 +57,6 @@ func runWriteBackStream(t *testing.T, topo Topology, opts ...func(*Config)) (m *
 
 	zipf := rand.NewZipf(rng, 1.2, 1, pages-1)
 	cursor := 0
-	var freed bool
 	burst := func(n int) {
 		for i := 0; i < n; i++ {
 			pid := live[int(zipf.Uint64())%len(live)]
@@ -101,14 +100,8 @@ func runWriteBackStream(t *testing.T, topo Topology, opts ...func(*Config)) (m *
 				m.ForceWrite(dst)
 				m.ForceWrite(src)
 				m.Unfix(src)
-				if !freed && i > ops/2 {
-					freed = true
-					delete(shadow, dst.PID())
-					m.FreePage(dst)
-				} else {
-					live = append(live, dst.PID())
-					m.Unfix(dst)
-				}
+				live = append(live, dst.PID())
+				m.Unfix(dst)
 			}
 		}
 	}
@@ -159,40 +152,43 @@ var writeBackStreams = []struct {
 	name string
 	topo Topology
 	opts func(*Config)
-	want writeTraffic // recorded at the commit before writeBack existed (ThreeTier: see its row)
+	// want was recorded at the commit before writeBack existed (ThreeTier:
+	// see its row) and re-recorded on unchanged code when the stream
+	// stopped freeing a page, the step the manager no longer has.
+	want writeTraffic
 	// The causes the topology's write-back path can reach, by device.
 	lines, pages []WriteCause
 }{
 	{
 		"DRAMSSD", DRAMSSD, func(*Config) {},
-		writeTraffic{FlushOps: 1211, LinesFlushed: 1211, SSDPagesWritten: 1154, DRAMEvictions: 1806, MaxWear: 57, ClockNs: 407407500},
+		writeTraffic{FlushOps: 1211, LinesFlushed: 1211, SSDPagesWritten: 1153, DRAMEvictions: 1806, MaxWear: 58, ClockNs: 407107500},
 		[]WriteCause{causeSlotMeta},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce},
 	},
 	{
 		"DRAMNVM page-grained", DRAMNVM, func(*Config) {},
-		writeTraffic{FlushOps: 7037, LinesFlushed: 603655, DRAMEvictions: 1806, MaxWear: 2308, ClockNs: 183475040},
+		writeTraffic{FlushOps: 7031, LinesFlushed: 603132, DRAMEvictions: 1806, MaxWear: 2306, ClockNs: 183320380},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, CauseJournal, causeSlotMeta},
 		nil,
 	},
 	{
 		"DRAMNVM cache-line", DRAMNVM, func(c *Config) { c.CacheLineGrained, c.DebugChecks = true, true },
-		writeTraffic{FlushOps: 7674, LinesFlushed: 52549, DRAMEvictions: 1806, MaxWear: 2308, ClockNs: 31474410},
+		writeTraffic{FlushOps: 7671, LinesFlushed: 52541, DRAMEvictions: 1806, MaxWear: 2306, ClockNs: 31733730},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, CauseJournal, causeSlotMeta},
 		nil,
 	},
 	{
-		// Re-recorded when the admission set (LinesFlushed 79077, SSD pages
-		// 527, 248 admissions, 232 NVM evictions, 192.4 ms) became the
-		// admission duel: a policy change, not a moved device call.
+		// Also re-recorded when the admission set (LinesFlushed 79077, SSD
+		// pages 527, 248 admissions, 232 NVM evictions, 192.4 ms) became
+		// the admission duel: a policy change, not a moved device call.
 		"ThreeTier cache-line+mini", ThreeTier, withFeatures(true, true, false),
-		writeTraffic{FlushOps: 4744, LinesFlushed: 29921, SSDPagesWritten: 396, DRAMEvictions: 1499, NVMAdmissions: 52, NVMDenials: 626, NVMEvictions: 36, MaxWear: 1156, ClockNs: 151044520},
+		writeTraffic{FlushOps: 4686, LinesFlushed: 30508, SSDPagesWritten: 402, DRAMEvictions: 1494, NVMAdmissions: 55, NVMDenials: 632, NVMEvictions: 39, MaxWear: 1138, ClockNs: 152971530},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMAdmit, CauseJournal, causeSlotMeta},
 		[]WriteCause{causeDRAMEvict, causeCkpt, causeSplitForce, causeNVMEvict},
 	},
 	{
 		"DirectNVM", DirectNVM, func(*Config) {},
-		writeTraffic{FlushOps: 3877, LinesFlushed: 25818, MaxWear: 57, ClockNs: 4604190},
+		writeTraffic{FlushOps: 3877, LinesFlushed: 25818, MaxWear: 58, ClockNs: 4612340},
 		[]WriteCause{causeInPlace, causeSlotMeta},
 		nil,
 	},

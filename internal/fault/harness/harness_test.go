@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sort"
 	"testing"
 
 	"nvmstore/internal/fault"
@@ -20,9 +21,7 @@ func TestCrashScheduleSweep(t *testing.T) {
 	if err != nil {
 		t.Fatalf("harness: %v", err)
 	}
-	for k, n := range rep.Opportunities {
-		t.Logf("%s: %d opportunities", k, n)
-	}
+	logOpportunities(t, rep.Opportunities)
 	t.Logf("points=%d crashes=%d violations=%d", rep.Points, rep.Crashes, len(rep.Violations))
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
@@ -32,6 +31,20 @@ func TestCrashScheduleSweep(t *testing.T) {
 	}
 	if rep.Crashes == 0 {
 		t.Fatal("no scheduled point crashed the store; the sweep exercised nothing")
+	}
+}
+
+// logOpportunities logs a sweep's opportunity counts in kind order, so
+// that two -v runs diff line for line.
+func logOpportunities(t *testing.T, opp map[fault.Kind]int64) {
+	t.Helper()
+	kinds := make([]fault.Kind, 0, len(opp))
+	for k := range opp {
+		kinds = append(kinds, k)
+	}
+	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	for _, k := range kinds {
+		t.Logf("%s: %d opportunities", k, opp[k])
 	}
 }
 
@@ -55,9 +68,7 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if rep.Opportunities[fault.WALGroupCrash] == 0 {
 		t.Fatal("the group-commit workload produced no wal.group opportunities; the new flush point was not exercised")
 	}
-	for k, n := range rep.Opportunities {
-		t.Logf("%s: %d opportunities", k, n)
-	}
+	logOpportunities(t, rep.Opportunities)
 	t.Logf("points=%d crashes=%d violations=%d", rep.Points, rep.Crashes, len(rep.Violations))
 	for _, v := range rep.Violations {
 		t.Errorf("violation: %s", v)
