@@ -481,6 +481,9 @@ func (t *Tree) insert(key uint64, payload []byte, upsert bool) error {
 			return err
 		}
 	}
+	// rightmost tracks whether h is the last node of its level, so that its
+	// last child is too.
+	rightmost := true
 	for lvl := 0; lvl < t.height-1; lvl++ {
 		idx := t.innerSearch(h, key)
 		child, err := t.m.FixChild(h, t.innerChildOff(idx), t.modeFor(lvl+1, t.leafMode()))
@@ -489,9 +492,18 @@ func (t *Tree) insert(key uint64, payload []byte, upsert bool) error {
 			return err
 		}
 		if t.nodeFull(child) {
-			// Split the child using h as the (non-full) parent, then
-			// re-route to the correct side.
-			sep, err := t.splitChild(h, child, idx)
+			// Make room in the child using h as the (non-full) parent:
+			// shift its upper entries into the rightmost leaf if that is
+			// its right sibling, else split it. Then re-route to the
+			// correct side.
+			var sep uint64
+			shifted := false
+			if rightmost && lvl == t.height-2 && idx == nodeCount(h)-1 && t.layout == LayoutSorted {
+				sep, shifted, err = t.shiftToRightmost(h, child, idx, key)
+			}
+			if err == nil && !shifted {
+				sep, err = t.splitChild(h, child, idx)
+			}
 			if err != nil {
 				t.m.Unfix(child)
 				t.m.Unfix(h)
@@ -507,6 +519,7 @@ func (t *Tree) insert(key uint64, payload []byte, upsert bool) error {
 				return err
 			}
 		}
+		rightmost = rightmost && idx == nodeCount(h)
 		t.m.Unfix(h)
 		h = child
 	}
@@ -613,6 +626,68 @@ func (t *Tree) splitChild(parent, child core.Handle, idx int) (uint64, error) {
 	}
 	t.m.Unfix(right)
 	return sep, nil
+}
+
+// shiftToRightmost makes room in child, a full sorted leaf whose right
+// sibling under parent is the rightmost leaf, by moving its entries >= key
+// to the front of that sibling instead of splitting: a slower writer's
+// late keys fill the left page of the last rightmost split, and a 1:1
+// split of it would leave two half-empty leaves behind an ascending load.
+// It changes nothing and reports false unless the sibling is the
+// rightmost leaf, at most half of child's entries move, and the sibling
+// has room for them and key. Otherwise it lowers the parent's separator to
+// the first moved key, or to key itself when nothing moves, and returns
+// it. The sibling's routed range widens, which the version store records
+// for snapshot scans (core.Versions.NoteWidened). Like splitChild, it
+// makes the change durable at once; it allocates nothing.
+func (t *Tree) shiftToRightmost(parent, child core.Handle, idx int, key uint64) (uint64, bool, error) {
+	sib, err := t.m.FixChild(parent, t.innerChildOff(idx+1), t.leafMode())
+	if err != nil {
+		return 0, false, err
+	}
+	defer t.m.Unfix(sib)
+	if leafNext(sib) != core.InvalidPageID {
+		return 0, false, nil
+	}
+	count, sibCount := nodeCount(child), nodeCount(sib)
+	pos, _ := t.leafSearch(child, key)
+	moved := count - pos
+	if 2*moved > count || sibCount+moved+1 > t.leafCap {
+		return 0, false, nil
+	}
+	sep := key
+	changed := []core.Handle{parent}
+	if moved > 0 {
+		t.noteLeafWrite(child)
+		t.noteLeafWrite(sib)
+		n := sibCount + moved
+		kb := sib.Write(t.leafKeyOff(0), n*8)
+		copy(kb[moved*8:], kb[:sibCount*8])
+		copy(kb, child.Read(t.leafKeyOff(pos), moved*8))
+		pb := sib.Write(t.leafPayOff(0), n*t.payload)
+		copy(pb[moved*t.payload:], pb[:sibCount*t.payload])
+		copy(pb, child.Read(t.leafPayOff(pos), moved*t.payload))
+		setNodeCount(sib, n)
+		setNodeCount(child, pos)
+		sep = binary.LittleEndian.Uint64(sib.Read(t.leafKeyOff(0), 8))
+		changed = []core.Handle{child, sib, parent}
+	}
+	t.m.Versions().NoteWidened(sib.PID())
+	binary.LittleEndian.PutUint64(parent.Write(t.innerKeyOff(idx), 8), sep)
+	if t.structuralLogging && t.logger != nil {
+		// The parent's image must hold page ids, not swizzled references.
+		t.m.UnswizzleChildren(parent)
+		for _, h := range changed {
+			if err := t.logger.LogPageImage(h.PID(), h.ReadAll()); err != nil {
+				return 0, false, err
+			}
+		}
+	} else {
+		for _, h := range changed {
+			t.m.ForceWrite(h)
+		}
+	}
+	return sep, true, nil
 }
 
 // rightmostFillTenths is how full, in tenths, a split leaves the left

@@ -43,10 +43,14 @@ func (t *Tree) HeadLeaf() (core.PageID, error) {
 	return pid, nil
 }
 
-// LeafFor returns the page id of the leaf currently routing key. Because
-// separators are only ever added, a leaf's routed range only narrows over
-// time: if the leaf already existed at an earlier snapshot stamp, it
-// covered key then too, which lets snapshot scans start mid-chain.
+// LeafFor returns the page id of the leaf currently routing key. Splits
+// only add separators, so a leaf's routed range only narrows over time:
+// if the leaf already existed at an earlier snapshot stamp, it covered key
+// then too, which lets snapshot scans start mid-chain. The one exception
+// is the rightmost leaf, whose range widens when a full left neighbour
+// shifts entries into it (shiftToRightmost); the version store records
+// that (core.Versions.WidenedAfter), and a snapshot scan that would start
+// at a leaf widened after its stamp starts at the chain head instead.
 func (t *Tree) LeafFor(key uint64) (core.PageID, error) {
 	h, err := t.findLeaf(key, t.leafMode())
 	if err != nil {

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -112,10 +113,11 @@ func TestAscendingInsertsFillLeaves(t *testing.T) {
 	}
 }
 
-// TestNearAscendingInsertsFillLeaves: keys shuffled within windows of 16,
-// as two pipelined connections with 8 requests in flight each deliver an
-// ascending load, still fill the leaves: the out-of-order keys land in the
-// left page, which the 9:1 split left room for.
+// TestNearAscendingInsertsFillLeaves: keys shuffled within windows of 16
+// still fill the leaves: the out-of-order keys land in the left page,
+// which the 9:1 split left room for. Pipelined writers do not deliver
+// keys this way: one writer's keys can trail the other's for longer than
+// a window, as TestLaggedAscendingWritersFillLeaves models.
 func TestNearAscendingInsertsFillLeaves(t *testing.T) {
 	for _, l := range splitLayouts {
 		t.Run(l.name, func(t *testing.T) {
@@ -128,6 +130,45 @@ func TestNearAscendingInsertsFillLeaves(t *testing.T) {
 			m, tr := insertInOrder(t, l.layout, l.payload, keys)
 			if fill := leafFill(t, m, tr); fill < 0.80 {
 				t.Fatalf("near-ascending inserts leave leaves %.1f %% full, want >= 80 %%", 100*fill)
+			}
+		})
+	}
+}
+
+// laggedAscendingKeys returns n keys as two ascending writers deliver
+// them: one writes the even keys, the other the odd ones, each step is a
+// random writer's next key, and neither runs more than lead keys ahead of
+// the other.
+func laggedAscendingKeys(n int, lead uint64, seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]uint64, 0, n)
+	next := [2]uint64{0, 1}
+	for len(keys) < n {
+		w := rng.Intn(2)
+		if next[w] >= next[1-w]+lead {
+			w = 1 - w
+		}
+		keys = append(keys, next[w])
+		next[w] += 2
+	}
+	return keys
+}
+
+// TestLaggedAscendingWritersFillLeaves: the slower of two ascending
+// writers delivers keys that belong in the left page of the last
+// rightmost split. Once they fill it, a 1:1 split of that page would
+// leave two half-empty leaves behind the load; the full leaf hands its
+// upper entries to the rightmost leaf instead. With the lead wandering up
+// to 8 and up to 16 keys, 1:1 splits left leaves 88.2 % and 71.9 % full.
+func TestLaggedAscendingWritersFillLeaves(t *testing.T) {
+	for _, lead := range []uint64{8, 16} {
+		t.Run(fmt.Sprintf("lead%d", lead), func(t *testing.T) {
+			m, tr := insertInOrder(t, LayoutSorted, 1000, laggedAscendingKeys(30000, lead, 1))
+			if fill := leafFill(t, m, tr); fill < 0.90 {
+				t.Fatalf("lagged ascending writers leave leaves %.1f %% full, want >= 90 %%", 100*fill)
+			}
+			for k := uint64(0); k < 30000; k += 997 {
+				checkLookup(t, tr, k, payloadFor(k, 1000))
 			}
 		})
 	}

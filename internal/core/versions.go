@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // This file implements the multi-version read path: per-page version
 // stamps plus copy-on-write leaf images, so read transactions can see a
@@ -61,7 +64,10 @@ type Versions struct {
 	snaps     map[uint64]uint64 // snapshot id -> pinned stamp
 	maxActive uint64            // largest pinned stamp (valid when snaps non-empty)
 	store     map[PageID][]pageVersion
-	stats     VersionStats
+	// widened holds, per leaf whose routed range widened while a snapshot
+	// older than the widening was open, the stamp of its latest widening.
+	widened map[PageID]uint64
+	stats   VersionStats
 }
 
 func newVersions() *Versions {
@@ -69,6 +75,7 @@ func newVersions() *Versions {
 		counters: make(map[PageID]uint64),
 		snaps:    make(map[uint64]uint64),
 		store:    make(map[PageID][]pageVersion),
+		widened:  make(map[PageID]uint64),
 	}
 }
 
@@ -129,6 +136,28 @@ func (v *Versions) WillModify(pid PageID, image func() []byte) {
 // must not present its content as part of that snapshot.
 func (v *Versions) NoteNewPage(pid PageID) { v.counters[pid] = v.stamp }
 
+// NoteWidened records that a leaf's routed range widened at the current
+// stamp: keys that an older snapshot found in the leaf's left neighbour
+// now route to it. It is the one exception to "a leaf's routed range only
+// narrows" (btree's rightmost-leaf shift), so a snapshot scan must not
+// start at such a leaf (WidenedAfter). Only a widening some open snapshot
+// predates is recorded.
+func (v *Versions) NoteWidened(pid PageID) {
+	for _, s := range v.snaps {
+		if s < v.stamp {
+			v.widened[pid] = v.stamp
+			return
+		}
+	}
+}
+
+// WidenedAfter reports whether the leaf's routed range widened after the
+// snapshot stamp asOf, so that it may not have covered a key then that
+// routes to it now.
+func (v *Versions) WidenedAfter(pid PageID, asOf uint64) bool {
+	return v.widened[pid] > asOf
+}
+
 // BeginSnapshot registers a snapshot pinned at the current stamp and
 // returns its id and the pinned stamp.
 func (v *Versions) BeginSnapshot() (id, asOf uint64) {
@@ -158,7 +187,24 @@ func (v *Versions) EndSnapshot(id uint64) int64 {
 		}
 	}
 	v.stats.ActiveSnapshots = int64(len(v.snaps))
+	v.dropWidenings()
 	return v.Reclaim()
+}
+
+// dropWidenings forgets every widening that no open snapshot predates.
+func (v *Versions) dropWidenings() {
+	if len(v.widened) == 0 {
+		return
+	}
+	oldest := uint64(math.MaxUint64)
+	for _, s := range v.snaps {
+		oldest = min(oldest, s)
+	}
+	for pid, at := range v.widened {
+		if at <= oldest {
+			delete(v.widened, pid)
+		}
+	}
 }
 
 // ImageAsOf returns the saved image of a page as of the given stamp, or
@@ -244,6 +290,7 @@ func (v *Versions) Reset() {
 	v.counters = make(map[PageID]uint64)
 	v.store = make(map[PageID][]pageVersion)
 	v.snaps = make(map[uint64]uint64)
+	v.widened = make(map[PageID]uint64)
 	v.maxActive = 0
 	v.stamp = 0
 	v.stats.Live = 0

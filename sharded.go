@@ -643,9 +643,10 @@ func (t *ShardedTable) scanAsOf(sn *Snapshot, from uint64, limit int, fieldOff, 
 // hold is bounded by what the scan asked for, not by the leaves it passes;
 // c is marked done at the end of the chain. It fails with
 // ErrSnapshotInvalid if the shard restarted since sn was taken. The walk is
-// sound because splits keep the left sibling in place (so a leaf's as-of
-// content names its as-of successor), leaves are never merged or freed
-// while the tree lives, and as-of content does not change between holds.
+// sound because splits and shifts keep the left sibling in place (so a
+// leaf's as-of content names its as-of successor), leaves are never merged
+// or freed while the tree lives, and as-of content does not change between
+// holds.
 func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fieldLen, budget int) error {
 	slot := &t.s.slots[i]
 	slot.mu.Lock()
@@ -663,11 +664,18 @@ func (t *ShardedTable) refill(sn *Snapshot, i int, c *shardCursor, fieldOff, fie
 	if !c.started {
 		// Start at the leaf currently routing from: if it existed at the
 		// snapshot stamp it covered from then too (leaf ranges only
-		// narrow). A leaf born after the stamp has no as-of content; fall
-		// back to the stable chain head and skip forward from there.
+		// narrow, but for a rightmost leaf that widened since). A leaf
+		// born after the stamp has no as-of content, and one that widened
+		// may not have covered from; fall back to the stable chain head
+		// and skip forward from there.
 		pid, err := tree.LeafFor(c.from)
 		if err != nil {
 			return err
+		}
+		if st.e.Versions().WidenedAfter(pid, ss.stamp) {
+			if pid, err = tree.HeadLeaf(); err != nil {
+				return err
+			}
 		}
 		c.next, c.started, routed = pid, true, true
 	}

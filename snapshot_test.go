@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -708,4 +710,81 @@ func TestUnboundedSnapshotScanMemoryBounded(t *testing.T) {
 		t.Fatalf("unbounded scan of %d rows holds %d bytes of heap, want at most %d (shards x readLeafBatch leaves)",
 			rows, grown, bound)
 	}
+}
+
+// TestSnapshotScanFromWidenedLeaf: two ascending writers (even and odd
+// keys, the lead wandering up to 16 keys) fill a one-shard table, a
+// snapshot is opened, and the writers go on. Their late keys then move a
+// full leaf's upper rows into the rightmost leaf, which widens that leaf's
+// routed range below keys an older snapshot found in its left neighbour.
+// A snapshot scan from such a key must not start at the widened leaf:
+// every start, limit 8, must return exactly the snapshot's next rows.
+func TestSnapshotScanFromWidenedLeaf(t *testing.T) {
+	const (
+		rowSize = 1000
+		before  = 3000 // rows in the snapshot
+		rows    = 3400
+		limit   = 8
+	)
+	s := openShardedStore(t, 1)
+	defer s.Close()
+	table, err := s.CreateTable(1, rowSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := laggedAscendingKeys(rows, 16, 1)
+	for _, k := range keys[:before] {
+		if err := table.Insert(k, snapRow(k, 1, rowSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model := append([]uint64(nil), keys[:before]...)
+	slices.Sort(model)
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Close()
+	for _, k := range keys[before:] {
+		if err := table.Insert(k, snapRow(k, 2, rowSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for from := uint64(0); from < rows; from++ {
+		i, _ := slices.BinarySearch(model, from)
+		want := model[i:min(i+limit, len(model))]
+		var got []uint64
+		err := table.ScanSnapshot(sn, from, limit, 0, 8, func(k uint64, field []byte) bool {
+			if gen := binary.LittleEndian.Uint64(field); gen != 1 {
+				t.Errorf("from %d: key %d of generation %d", from, k, gen)
+			}
+			got = append(got, k)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("snapshot scan from %d returned %v, want %v", from, got, want)
+		}
+	}
+}
+
+// laggedAscendingKeys returns n keys as two ascending writers deliver
+// them: one writes the even keys, the other the odd ones, each step is a
+// random writer's next key, and neither runs more than lead keys ahead of
+// the other.
+func laggedAscendingKeys(n int, lead uint64, seed int64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	keys := make([]uint64, 0, n)
+	next := [2]uint64{0, 1}
+	for len(keys) < n {
+		w := rng.Intn(2)
+		if next[w] >= next[1-w]+lead {
+			w = 1 - w
+		}
+		keys = append(keys, next[w])
+		next[w] += 2
+	}
+	return keys
 }
