@@ -87,7 +87,7 @@ var gates = []gate{
 		check: func(src []goFile) []string {
 			outside := except(src, "internal/offheap")
 			var bad []string
-			for _, s := range calls(outside, "syscall.Mmap", "syscall.Munmap") {
+			for _, s := range calls(outside, "syscall.Mmap", "syscall.Munmap", "syscall.Madvise") {
 				bad = append(bad, s.pos+": "+s.call+" outside internal/offheap")
 			}
 			for _, f := range outside {

@@ -136,11 +136,9 @@ func Load(m *core.Manager, id uint64, payloadSize int, layout LeafLayout, root c
 	if err != nil {
 		return nil, err
 	}
-	if root == core.InvalidPageID || height < 1 {
-		return nil, fmt.Errorf("btree: invalid catalog entry root=%d height=%d", root, height)
+	if err := t.SetRoot(root, height); err != nil {
+		return nil, err
 	}
-	t.root = core.MakeRef(root)
-	t.height = height
 	return t, nil
 }
 
@@ -200,6 +198,35 @@ func (t *Tree) RootPID() core.PageID {
 	return t.root.PageID()
 }
 
+// SetRoot makes root, a tree of the given height, the tree's root, as
+// Load and the redo of an engine's root record do.
+func (t *Tree) SetRoot(root core.PageID, height int) error {
+	if root == core.InvalidPageID || height < 1 {
+		return fmt.Errorf("btree: invalid root %d of height %d", root, height)
+	}
+	if err := t.detachRoot(); err != nil {
+		return err
+	}
+	t.root = core.MakeRef(root)
+	t.height = height
+	return nil
+}
+
+// detachRoot unswizzles the root reference, so that no frame keeps a
+// back-pointer into it before it is reassigned.
+func (t *Tree) detachRoot() error {
+	if !t.root.Swizzled() {
+		return nil
+	}
+	h, err := t.m.Fix(t.root, core.ModeFull)
+	if err != nil {
+		return err
+	}
+	t.m.Unswizzle(h)
+	t.m.Unfix(h)
+	return nil
+}
+
 // SetLogger installs the WAL adapter for subsequent modifications.
 func (t *Tree) SetLogger(l Logger) { t.logger = l }
 
@@ -209,8 +236,9 @@ func (t *Tree) SetLogger(l Logger) { t.logger = l }
 // persistent home (in-place architectures, or engines without a logger).
 func (t *Tree) SetStructuralLogging(on bool) { t.structuralLogging = on }
 
-// SetMetaSync installs a callback invoked after the root changes (engines
-// persist their catalog there).
+// SetMetaSync installs a callback invoked after the root changes: a split
+// that grows the tree by a level, or a bulk load. Engines log or persist
+// the new root there.
 func (t *Tree) SetMetaSync(fn func() error) { t.syncMeta = fn }
 
 // Offset helpers.

@@ -34,15 +34,9 @@ func (t *Tree) BulkLoad(n int, keyAt func(i int) uint64, payloadAt func(i int, d
 	}
 	var level []entry
 
-	// The root reference is reassigned at the end of the load, so no
-	// frame may keep a swizzled back-pointer into it.
-	if t.root.Swizzled() {
-		h, err := t.m.Fix(t.root, core.ModeFull)
-		if err != nil {
-			return err
-		}
-		t.m.Unswizzle(h)
-		t.m.Unfix(h)
+	// The root reference is reassigned at the end of the load.
+	if err := t.detachRoot(); err != nil {
+		return err
 	}
 
 	// Level 0: build the leaf chain, reusing the existing empty root as

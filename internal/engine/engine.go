@@ -28,6 +28,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -47,12 +48,17 @@ import (
 // bytes (update), and nothing for a delete; the undo image (Before, in an
 // undo record or an NVM Direct update) with the old payload (delete) or
 // the old field bytes (update), and nothing for an insert. Page images are
-// wal.RecImage records whose PID is a raw page id.
+// wal.RecImage records whose PID is a raw page id, or catalogPage.
 const (
 	opInsert = 1
 	opDelete = 2
 	opUpdate = 3
 )
+
+// catalogPage is the PID of a root record: a wal.RecImage whose image is
+// one tree's catalog entry (catalogEntry), logged where a split grows the
+// tree by a level. No page id reaches it.
+const catalogPage = ^uint64(0)
 
 // ErrNoTransaction is returned when a modification happens outside
 // Begin/Commit.
@@ -126,6 +132,13 @@ type Engine struct {
 	undo []byte
 
 	replaying bool
+
+	// catalog is the tree catalog as the superblock holds it. Where splits
+	// log page images, a root change reaches it only at the next log cut
+	// (truncateLog), and catalogStale says one is waiting; until then redo
+	// moves the root at the root record's LSN.
+	catalog      []byte
+	catalogStale bool
 
 	// maint tunes incremental checkpointing and paced write-back; see
 	// MaintenanceOptions. Always normalized (no zero fields).
@@ -220,10 +233,14 @@ func (e *Engine) CreateTree(id uint64, payloadSize int, layout btree.LeafLayout)
 	if err != nil {
 		return nil, err
 	}
-	e.register(t)
-	if err := e.saveCatalog(); err != nil {
+	// The new entry joins the catalog as the superblock holds it, which
+	// leaves out a root change waiting for the log's next cut.
+	catalog := appendEntry(e.catalog, t)
+	if err := e.m.SetUserMeta(catalog); err != nil {
 		return nil, err
 	}
+	e.catalog = catalog
+	e.register(t)
 	return t, nil
 }
 
@@ -242,12 +259,39 @@ func (e *Engine) TreeIDs() []uint64 {
 
 func (e *Engine) register(t *btree.Tree) {
 	t.SetLogger(e)
-	t.SetMetaSync(e.saveCatalog)
-	// In-place NVM pages are durable as written, and main-memory pages
-	// have no persistent home: neither needs split images in the log.
-	topo := e.Topology()
-	t.SetStructuralLogging(topo != core.DirectNVM && topo != core.MemOnly)
+	t.SetMetaSync(func() error { return e.rootChanged(t) })
+	t.SetStructuralLogging(e.logsSplits())
 	e.tree[t.ID()] = t
+}
+
+// logsSplits reports whether splits are made durable by page images in the
+// log. In-place NVM pages are durable as written, and main-memory pages
+// have no persistent home: neither needs split images in the log.
+func (e *Engine) logsSplits() bool {
+	topo := e.Topology()
+	return topo != core.DirectNVM && topo != core.MemOnly
+}
+
+// rootChanged runs when tree t's root changes: a split grew the tree by a
+// level, or a bulk load replaced it. Where splits are force-written in
+// place, the new root's pages are durable, and the catalog is written at
+// once. Where they are logged, the catalog must not run ahead of the log:
+// the new root's page may exist only as an image in it, and redo of older
+// records must descend from the old root. So inside a transaction a root
+// record, logged behind the split's page images, moves the root at its
+// LSN on redo, and the superblock learns of the change at the next cut,
+// when every page the root reaches is durable (truncateLog).
+func (e *Engine) rootChanged(t *btree.Tree) error {
+	if !e.logsSplits() {
+		return e.saveCatalog()
+	}
+	e.catalogStale = true
+	if e.replaying || !e.txActive {
+		return nil // redo of a root record, or a bulk load, which is no logged change
+	}
+	entry := catalogEntry(t)
+	_, err := e.log.Image(e.curTx, catalogPage, entry[:])
+	return err
 }
 
 // Begin starts a transaction.
@@ -391,17 +435,21 @@ func (e *Engine) abandon() {
 
 // Checkpoint forces all dirty pages to persistent storage and truncates
 // the log, stalling until the whole dirty set is written back: a drain of
-// the pool, then the same counted cut a CheckpointRound ends in. The
-// commit path never calls it — incremental rounds checkpoint in bounded
-// steps there — but shutdown and restart paths still want the synchronous
-// full barrier. It must not run inside a transaction.
+// the pool, then the same counted cut a CheckpointRound ends in. Then it
+// releases the cut log's host pages (wal.Log.Release). The commit path
+// never calls it — incremental rounds checkpoint in bounded steps there —
+// but loads, shutdown and restart paths still want the synchronous full
+// barrier. It must not run inside a transaction.
 func (e *Engine) Checkpoint() error {
 	if e.txActive {
 		return fmt.Errorf("engine: checkpoint inside a transaction")
 	}
 	e.m.FlushAll()
 	e.truncateLog()
-	return nil
+	// Hand the cut log's pages back to the host; a log the retention
+	// watermark kept keeps them. Paced rounds leave them: the log's next
+	// lap would write them again.
+	return e.log.Release()
 }
 
 // The engine is the btree.Logger for all its trees: tree modifications
@@ -499,9 +547,13 @@ func (e *Engine) LogPageImage(pid core.PageID, image []byte) error {
 }
 
 // Redo implements wal.Handler: repeat history with idempotent logical
-// operations; page-image records restore the page wholesale.
+// operations; page-image records restore the page wholesale, and root
+// records move a tree's root.
 func (e *Engine) Redo(r wal.Record) error {
 	if r.Kind == wal.RecImage {
+		if r.PID == catalogPage {
+			return e.redoRoot(r.After)
+		}
 		h, err := e.m.Fix(core.MakeRef(core.PageID(r.PID)), core.ModeFull)
 		if err != nil {
 			return fmt.Errorf("engine: redo page image %d: %w", r.PID, err)
@@ -529,6 +581,22 @@ func (e *Engine) Redo(r wal.Record) error {
 		err = fmt.Errorf("engine: unknown opcode %d", op)
 	}
 	return err
+}
+
+// redoRoot moves a tree's root to the one its root record names. Like a
+// page image it is redone whatever its transaction's outcome, and redoing
+// it twice changes nothing.
+func (e *Engine) redoRoot(img []byte) error {
+	if len(img) != entrySize {
+		return fmt.Errorf("engine: root record of %d bytes", len(img))
+	}
+	tm := decodeEntry(img)
+	t := e.tree[tm.id]
+	if t == nil {
+		return fmt.Errorf("engine: root record for unknown tree %d", tm.id)
+	}
+	e.catalogStale = true
+	return t.SetRoot(tm.root, tm.height)
 }
 
 // Undo implements wal.Handler: roll back one change of the loser from its
@@ -636,7 +704,9 @@ func (e *Engine) CrashRestart() (wal.RecoveryStats, error) {
 
 // reload rebuilds the tree map from the persistent catalog.
 func (e *Engine) reload() error {
-	metas, err := decodeCatalog(e.m.UserMeta())
+	e.catalog = bytes.Clone(e.m.UserMeta())
+	e.catalogStale = false
+	metas, err := decodeCatalog(e.catalog)
 	if err != nil {
 		return err
 	}
@@ -652,20 +722,48 @@ func (e *Engine) reload() error {
 }
 
 // saveCatalog persists every tree's root and height in the manager's
-// superblock metadata. It runs on tree creation and on every root change.
+// superblock metadata: at a root change where splits are written in
+// place, and at a log cut after a logged one.
 func (e *Engine) saveCatalog() error {
-	buf := make([]byte, 2, 2+len(e.tree)*22)
+	buf := make([]byte, 2, 2+len(e.tree)*entrySize)
 	binary.LittleEndian.PutUint16(buf, uint16(len(e.tree)))
 	for _, t := range e.tree {
-		var entry [22]byte
-		binary.LittleEndian.PutUint64(entry[0:], t.ID())
-		binary.LittleEndian.PutUint32(entry[8:], uint32(t.PayloadSize()))
-		entry[12] = byte(t.Layout())
-		binary.LittleEndian.PutUint64(entry[13:], uint64(t.RootPID()))
-		entry[21] = byte(t.Height())
+		entry := catalogEntry(t)
 		buf = append(buf, entry[:]...)
 	}
-	return e.m.SetUserMeta(buf)
+	if err := e.m.SetUserMeta(buf); err != nil {
+		return err
+	}
+	e.catalog, e.catalogStale = buf, false
+	return nil
+}
+
+// entrySize is the size of one catalog entry.
+const entrySize = 22
+
+// catalogEntry encodes t's catalog entry: id, payload size, layout, root
+// and height.
+func catalogEntry(t *btree.Tree) [entrySize]byte {
+	var entry [entrySize]byte
+	binary.LittleEndian.PutUint64(entry[0:], t.ID())
+	binary.LittleEndian.PutUint32(entry[8:], uint32(t.PayloadSize()))
+	entry[12] = byte(t.Layout())
+	binary.LittleEndian.PutUint64(entry[13:], uint64(t.RootPID()))
+	entry[21] = byte(t.Height())
+	return entry
+}
+
+// appendEntry returns a copy of catalog, an encoded catalog or nothing,
+// with t's entry added.
+func appendEntry(catalog []byte, t *btree.Tree) []byte {
+	var n uint16
+	if len(catalog) > 0 {
+		n, catalog = binary.LittleEndian.Uint16(catalog), catalog[2:]
+	}
+	out := binary.LittleEndian.AppendUint16(make([]byte, 0, 2+len(catalog)+entrySize), n+1)
+	out = append(out, catalog...)
+	entry := catalogEntry(t)
+	return append(out, entry[:]...)
 }
 
 func decodeCatalog(b []byte) ([]treeMeta, error) {
@@ -676,21 +774,26 @@ func decodeCatalog(b []byte) ([]treeMeta, error) {
 		return nil, fmt.Errorf("engine: catalog of %d bytes", len(b))
 	}
 	n := int(binary.LittleEndian.Uint16(b))
-	if len(b) < 2+n*22 {
+	if len(b) < 2+n*entrySize {
 		return nil, fmt.Errorf("engine: catalog truncated: %d entries in %d bytes", n, len(b))
 	}
 	metas := make([]treeMeta, n)
-	for i := 0; i < n; i++ {
-		entry := b[2+i*22:]
-		metas[i] = treeMeta{
-			id:      binary.LittleEndian.Uint64(entry[0:]),
-			payload: int(binary.LittleEndian.Uint32(entry[8:])),
-			layout:  btree.LeafLayout(entry[12]),
-			root:    core.PageID(binary.LittleEndian.Uint64(entry[13:])),
-			height:  int(entry[21]),
-		}
+	for i := range metas {
+		metas[i] = decodeEntry(b[2+i*entrySize:])
 	}
 	return metas, nil
+}
+
+// decodeEntry decodes the catalog entry at the start of b, which holds
+// one.
+func decodeEntry(b []byte) treeMeta {
+	return treeMeta{
+		id:      binary.LittleEndian.Uint64(b[0:]),
+		payload: int(binary.LittleEndian.Uint32(b[8:])),
+		layout:  btree.LeafLayout(b[12]),
+		root:    core.PageID(binary.LittleEndian.Uint64(b[13:])),
+		height:  int(b[21]),
+	}
 }
 
 // Close shuts the engine down in an orderly fashion: the log tail is
@@ -698,8 +801,9 @@ func decodeCatalog(b []byte) ([]treeMeta, error) {
 // checkpoint=true all dirty pages are written back and the log
 // truncated (a cold store that recovers instantly). Close is idempotent
 // and fails inside a transaction. The simulated devices live in process
-// memory, so Close releases nothing — it exists to define the durable
-// state a server hand-off or restart starts from.
+// memory, so Close frees no device — the checkpoint only hands the log's
+// pages back to the host — and exists to define the durable state a
+// server hand-off or restart starts from.
 func (e *Engine) Close(checkpoint bool) error {
 	if e.txActive {
 		return fmt.Errorf("engine: close inside a transaction")

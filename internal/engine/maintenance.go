@@ -150,12 +150,22 @@ func (e *Engine) CheckpointRound(batch int) (pages int, truncated bool, err erro
 }
 
 // truncateLog flushes the tail (so unshipped records reach the
-// replication tap before the region is reused) and truncates the WAL,
-// updating the checkpoint counters. It reports whether the log was
-// actually cut: the replication retention watermark can refuse (see
-// wal.Log.Truncate), and an empty log has nothing to cut.
+// replication tap before the region is reused), writes a root change that
+// only the log holds to the superblock catalog, and truncates the WAL,
+// updating the checkpoint counters. Where splits are logged, every caller
+// runs it on a clean pool. It reports whether the log was actually cut:
+// the replication retention watermark can refuse (see wal.Log.Truncate),
+// and an empty log has nothing to cut.
 func (e *Engine) truncateLog() bool {
 	e.log.Flush()
+	// Every page a root reaches is durable, so the catalog may name it. It
+	// goes before the cut: a crash between the two must not leave the old
+	// root and no root record to move it. (If the watermark then refuses
+	// the cut, redo of the kept log from the new root converges as it does
+	// after a crash between FlushAll and the cut.)
+	if e.catalogStale && e.saveCatalog() != nil {
+		return false
+	}
 	before := e.log.Bytes()
 	if before == 0 {
 		return false

@@ -1,0 +1,176 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+
+	"nvmstore/internal/btree"
+	"nvmstore/internal/core"
+	"nvmstore/internal/fault"
+)
+
+// The buffered topologies, whose splits are made durable by page images in
+// the log.
+var bufferedTopologies = []core.Topology{core.DRAMSSD, core.DRAMNVM, core.ThreeTier}
+
+// insertEach inserts keys, each in a transaction of its own that commits.
+func insertEach(t *testing.T, e *Engine, tr *btree.Tree, keys []uint64) {
+	t.Helper()
+	for _, k := range keys {
+		e.Begin()
+		if err := tr.Insert(k, shiftRow(k)); err != nil {
+			t.Fatalf("Insert(%d): %v", k, err)
+		}
+		if err := e.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func ascending(from, to uint64) []uint64 {
+	var keys []uint64
+	for k := from; k < to; k++ {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// TestRootSplitRecoversWithoutCheckpoint: a fresh tree of 16-row leaves
+// that grew a level since the last checkpoint, with none of its pages
+// written back, recovers every committed key. The catalog still names the
+// old root, logical redo of the records before the split descends from
+// it, and the root record behind the split's page images moves the root
+// at its LSN.
+func TestRootSplitRecoversWithoutCheckpoint(t *testing.T) {
+	for _, topo := range bufferedTopologies {
+		for _, n := range []uint64{16, 17, 40} {
+			t.Run(fmt.Sprintf("%s/%d", topo, n), func(t *testing.T) {
+				e := openEngine(t, topo)
+				tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := ascending(0, n)
+				insertEach(t, e, tr, keys)
+				height := tr.Height()
+				if _, err := e.CrashRestart(); err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				tr = e.Tree(1)
+				if tr.Height() != height {
+					t.Fatalf("height %d after recovery, want %d", tr.Height(), height)
+				}
+				verifyShiftCrash(t, 0, tr, keys[:n-1], keys[n-1], true)
+			})
+		}
+	}
+}
+
+// TestRootSplitSurvivesCrashes crashes at every NVM flush from the start of
+// the transaction whose insert splits a full root leaf, through its commit
+// and the checkpoint that writes the new root back and records it in the
+// superblock, on a tree of 16 keys checkpointed before. Every acknowledged
+// key must read back after CrashRestart, the in-flight one at most once.
+// A catalog written at the split itself fails the sweep: after a crash
+// before the commit's log flush, the recovered tree descends from a root
+// page no surviving byte holds.
+func TestRootSplitSurvivesCrashes(t *testing.T) {
+	for _, topo := range bufferedTopologies {
+		t.Run(topo.String(), func(t *testing.T) {
+			setup := func() (*Engine, *btree.Tree, []uint64) {
+				e := openEngine(t, topo)
+				tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys := ascending(0, 16)
+				insertEach(t, e, tr, keys)
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				return e, tr, keys
+			}
+			e, tr, _ := setup()
+			inj := e.ArmFaults(&fault.Plan{}, 0)
+			var acked bool
+			shiftTx(t, e, tr, 16, &acked)
+			points := inj.NVM.Opportunities(fault.NVMCrash)
+			if tr.Height() != 2 || points == 0 {
+				t.Fatalf("height %d after the insert, %d NVM flushes: no root split to crash in", tr.Height(), points)
+			}
+			crashEachFlush(t, points, 16, setup)
+			t.Logf("%d crash points", points)
+		})
+	}
+}
+
+// TestRootSplitToHeightThreeRecovers grows a tree of 16-row leaves from
+// height 2 to 3 — at the insert of key 14 269, when the root holds as many
+// separators as it can (1 019) — between a checkpoint and a crash, with committed inserts on both sides of the split: recovery
+// redoes the older ones from the height-2 root the catalog names and the
+// younger ones from the new root.
+func TestRootSplitToHeightThreeRecovers(t *testing.T) {
+	const grows = 14269 // the key whose insert splits the height-2 root
+	for _, topo := range bufferedTopologies {
+		t.Run(topo.String(), func(t *testing.T) {
+			cfg := testConfig(topo)
+			cfg.NVMBytes = 2048 * (core.PageSize + core.LineSize) // Basic NVM BM holds every page
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insertEach(t, e, tr, ascending(0, grows-5))
+			if err := e.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			insertEach(t, e, tr, ascending(grows-5, grows))
+			if tr.Height() != 2 {
+				t.Fatalf("height %d before key %d, want 2", tr.Height(), grows)
+			}
+			insertEach(t, e, tr, ascending(grows, grows+5))
+			if tr.Height() != 3 {
+				t.Fatalf("height %d after key %d, want 3", tr.Height(), grows)
+			}
+			if _, err := e.CrashRestart(); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			tr = e.Tree(1)
+			if tr.Height() != 3 {
+				t.Fatalf("height %d after recovery, want 3", tr.Height())
+			}
+			keys := ascending(0, grows+5)
+			verifyShiftCrash(t, 0, tr, keys[:len(keys)-1], keys[len(keys)-1], true)
+		})
+	}
+}
+
+// TestTreeCreatedWhileARootChangeWaits: a tree created after another tree
+// grew a level, with no log cut between, joins the catalog as the
+// superblock holds it — the grown tree's old root — and both recover.
+func TestTreeCreatedWhileARootChangeWaits(t *testing.T) {
+	for _, topo := range bufferedTopologies {
+		t.Run(topo.String(), func(t *testing.T) {
+			e := openEngine(t, topo)
+			grown, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := ascending(0, 20)
+			insertEach(t, e, grown, keys)
+			fresh, err := e.CreateTree(2, shiftPayload, btree.LayoutSorted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insertEach(t, e, fresh, keys[:5])
+			if _, err := e.CrashRestart(); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			verifyShiftCrash(t, 0, e.Tree(1), keys[:19], keys[19], true)
+			verifyShiftCrash(t, 0, e.Tree(2), keys[:4], keys[4], true)
+		})
+	}
+}

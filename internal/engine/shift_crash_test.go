@@ -37,15 +37,7 @@ func shiftSetup(t *testing.T, topo core.Topology) (*Engine, *btree.Tree, []uint6
 		keys = append(keys, k)
 	}
 	keys = append(keys, 1, 3)
-	for _, k := range keys {
-		e.Begin()
-		if err := tr.Insert(k, shiftRow(k)); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	insertEach(t, e, tr, keys)
 	// Write the tree back and truncate the log, so that recovery starts
 	// from the loaded tree.
 	if err := e.Checkpoint(); err != nil {
@@ -130,30 +122,37 @@ func TestRightmostShiftSurvivesCrashes(t *testing.T) {
 				if points == 0 {
 					t.Fatal("the window made no NVM flush")
 				}
-				for p := int64(0); p < points; p++ {
-					e, tr, keys := shiftSetup(t, topo)
-					e.ArmFaults(&fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: p + 1, Limit: 1}}}, 0)
-					acked := false
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								if _, ok := fault.AsCrash(r); !ok {
-									panic(r)
-								}
-							}
-						}()
-						shiftTx(t, e, tr, key, &acked)
-					}()
-					e.ArmFaults(nil, 0)
-					if _, err := e.CrashRestart(); err != nil {
-						t.Fatalf("point %d: recovery: %v", p, err)
-					}
-					tr = e.Tree(1)
-					verifyShiftCrash(t, p, tr, keys, key, acked)
-				}
+				crashEachFlush(t, points, key, func() (*Engine, *btree.Tree, []uint64) { return shiftSetup(t, topo) })
 				t.Logf("%d crash points", points)
 			})
 		}
+	}
+}
+
+// crashEachFlush runs shiftTx(key) on a fresh setup() once for each of the
+// window's points NVM flushes, crashing before that flush, then recovers
+// and checks tree 1 with verifyShiftCrash.
+func crashEachFlush(t *testing.T, points int64, key uint64, setup func() (*Engine, *btree.Tree, []uint64)) {
+	t.Helper()
+	for p := int64(0); p < points; p++ {
+		e, tr, keys := setup()
+		e.ArmFaults(&fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: p + 1, Limit: 1}}}, 0)
+		acked := false
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					if _, ok := fault.AsCrash(r); !ok {
+						panic(r)
+					}
+				}
+			}()
+			shiftTx(t, e, tr, key, &acked)
+		}()
+		e.ArmFaults(nil, 0)
+		if _, err := e.CrashRestart(); err != nil {
+			t.Fatalf("point %d: recovery: %v", p, err)
+		}
+		verifyShiftCrash(t, p, e.Tree(1), keys, key, acked)
 	}
 }
 

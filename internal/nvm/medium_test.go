@@ -3,37 +3,42 @@ package nvm
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nvmstore/internal/simclock"
 )
 
 // FuzzNVMMedium runs a program of strict-persistence WriteAt, ReadAt,
-// Flush and Crash calls against two byte arrays: what reads must return
-// and what a crash must leave. Each op is 4 bytes: the op code, a host
-// page, a signed shift from that page's start (±4.7 KB, so ranges
+// Flush, Crash and Release calls against two byte arrays: what reads must
+// return and what a crash must leave. Each op is 4 bytes: the op code, a
+// host page, a signed shift from that page's start (±4.7 KB, so ranges
 // straddle host-page boundaries) and a length of up to 13.5 KB. Writes
 // are all zeros, all non-zero, or a non-zero head with a zero tail and
-// the reverse, over ranges written before and ranges never written. After
-// every op the whole medium must equal the model — a zero page WriteAt
-// leaves alone reads as zeros all the same — and Stats and TotalWrites
-// must count exactly the requests made.
+// the reverse, over ranges written before and ranges never written. A
+// release zeroes the whole host pages inside its range, in both arrays,
+// unless the range holds a line written since its last flush, which it
+// must refuse. After every op the whole medium must equal the model — a
+// zero page WriteAt leaves alone reads as zeros all the same — and Stats
+// and TotalWrites must count exactly the requests made: a release counts
+// nothing and charges no time.
 func FuzzNVMMedium(f *testing.F) {
 	const pages, maxOps = 8, 256
-	const size = pages * hostPage
+	const size = pages * HostPage
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		prog = prog[:min(len(prog), 4*maxOps)]
 		cfg := testConfig(size)
 		cfg.StrictPersistence = true
 		d := New(cfg, &simclock.Clock{})
-		cur := make([]byte, size)     // what reads must return
-		durable := make([]byte, size) // what a crash must leave
+		cur := make([]byte, size)              // what reads must return
+		durable := make([]byte, size)          // what a crash must leave
+		pending := make([]bool, size/LineSize) // written since its last flush
 		var want Stats
 		var wear int64
 		buf := make([]byte, size)
 		for ; len(prog) >= 4; prog = prog[4:] {
 			op := prog[0]
-			off := int(prog[1])%pages*hostPage + int(int8(prog[2]))*37
+			off := int(prog[1])%pages*HostPage + int(int8(prog[2]))*37
 			off = min(max(off, 0), size-1)
 			n := min(1+int(prog[3])*53, size-off)
 			first, count := lineRange(int64(off), n)
@@ -59,6 +64,9 @@ func FuzzNVMMedium(f *testing.F) {
 				d.WriteAt(p, int64(off))
 				copy(cur[off:], p)
 				want.LinesWritten += count
+				for l := first; l < first+count; l++ {
+					pending[l] = true
+				}
 			case 3, 4:
 				got := buf[:n]
 				d.ReadAt(got, int64(off))
@@ -73,12 +81,31 @@ func FuzzNVMMedium(f *testing.F) {
 				d.Flush(int64(off), n)
 				lo, hi := first*LineSize, (first+count)*LineSize
 				copy(durable[lo:hi], cur[lo:hi])
+				clear(pending[first : first+count])
 				want.FlushOps++
 				want.LinesFlushed += count
 				wear += count
 			case 7:
-				d.Crash()
-				copy(cur, durable)
+				if (op>>3)%2 == 0 {
+					d.Crash()
+					copy(cur, durable)
+					clear(pending)
+					break
+				}
+				clk, worn := d.clk.Ns(), d.WearCounts()
+				err := d.Release(int64(off), n)
+				if slices.Contains(pending[first:first+count], true) != (err != nil) {
+					t.Fatalf("Release(%d, %d) with unflushed lines %v: err %v", off, n, pending[first:first+count], err)
+				}
+				if err == nil {
+					lo := (off + HostPage - 1) / HostPage * HostPage
+					hi := max(lo, (off+n)/HostPage*HostPage)
+					clear(cur[lo:hi])
+					clear(durable[lo:hi])
+				}
+				if d.clk.Ns() != clk || !slices.Equal(d.WearCounts(), worn) {
+					t.Fatalf("Release(%d, %d) charged %d ns or moved a wear counter", off, n, d.clk.Ns()-clk)
+				}
 			}
 			if !bytes.Equal(d.View(0, size), cur) {
 				for l := int64(0); l < size/LineSize; l++ {

@@ -40,12 +40,13 @@ import (
 // LineSize is the cache-line granularity of the device in bytes.
 const LineSize = 64
 
-// hostPage is the page size of the host's virtual memory: the unit in
-// which the medium's memory becomes resident (see WriteAt).
-const hostPage = 4096
+// HostPage is the page size of the host's virtual memory: the unit in
+// which the medium's memory becomes resident (see WriteAt) and is released
+// (see Release).
+const HostPage = 4096
 
 // zeroPage is the host page of zeros WriteAt compares with.
-var zeroPage [hostPage]byte
+var zeroPage [HostPage]byte
 
 // Config describes the geometry and timing of a simulated NVM device.
 type Config struct {
@@ -357,8 +358,8 @@ func (d *Device) WriteAt(p []byte, off int64) {
 	dst := d.data[off : off+int64(len(p))]
 	from := 0
 	for i := 0; i < len(p); {
-		n := min(len(p)-i, hostPage-int((off+int64(i))%hostPage))
-		if n == hostPage && bytes.Equal(p[i:i+n], zeroPage[:]) && bytes.Equal(dst[i:i+n], zeroPage[:]) {
+		n := min(len(p)-i, HostPage-int((off+int64(i))%HostPage))
+		if n == HostPage && bytes.Equal(p[i:i+n], zeroPage[:]) && bytes.Equal(dst[i:i+n], zeroPage[:]) {
 			copy(dst[from:i], p[from:i])
 			from = i + n
 		}
@@ -366,6 +367,33 @@ func (d *Device) WriteAt(p []byte, off int64) {
 	}
 	copy(dst[from:], p[from:])
 	runtime.KeepAlive(d)
+}
+
+// Release hands the host pages of the medium that lie wholly inside
+// [off, off+n) back to the host (offheap.Release): they read as zeros and
+// are no longer resident until stored to again. The parts of the range
+// that share a host page with bytes outside it keep their bytes; host
+// pages are counted from the medium's start, as in WriteAt. Release is no
+// device operation: it charges no time, counts no line, and leaves the
+// wear counters and the CPU cache alone. The caller must need the bytes no
+// more — the log releases what a truncation made stale. In strict
+// persistence mode Release refuses, changing nothing, a range that holds
+// a line written since its last flush: a crash would have to revert that
+// line to content the release dropped.
+func (d *Device) Release(off int64, n int) error {
+	d.checkRange(off, n)
+	first, count := lineRange(off, n)
+	for l := range d.pending {
+		if l >= first && l < first+count {
+			return fmt.Errorf("nvm: release of [%d, %d) holds line %d, written and not flushed", off, off+int64(n), l)
+		}
+	}
+	lo := (off + HostPage - 1) / HostPage * HostPage
+	if hi := (off + int64(n)) / HostPage * HostPage; lo < hi {
+		offheap.Release(d.data[lo:hi])
+	}
+	runtime.KeepAlive(d)
+	return nil
 }
 
 // keepPrev copies line l's current content into a free slot of prev and

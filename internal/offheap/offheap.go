@@ -14,6 +14,11 @@
 // detector checks only accesses to the Go heap and data segments, and the
 // media are the bytes concurrent engine code must not race on. The arena
 // code path is the same either way; only the page source differs.
+//
+// Release hands memory back without unmapping it: the whole host pages of
+// a slice go back to the OS (MADV_DONTNEED, on Linux outside race builds)
+// and read as zeros, so a device can drop the residency of bytes it no
+// longer needs while its arena keeps the address space.
 package offheap
 
 import (

@@ -128,3 +128,28 @@ func TestUnreachableArenaReleasesItsMappings(t *testing.T) {
 	}()
 	collect(t, 0)
 }
+
+// TestReleaseZeroesAndKeepsNeighbours: Release zeroes exactly the slice it
+// is given, whole host pages and the partial pages at its ends alike, and
+// the bytes around it keep their values; released memory can be written
+// again.
+func TestReleaseZeroesAndKeepsNeighbours(t *testing.T) {
+	a := New()
+	b := a.Alloc(4 * ChunkSize)
+	for _, r := range []struct{ lo, hi int }{{0, len(b)}, {100, 3*4096 + 7}, {4096, 3 * 4096}, {5, 9}, {8192, 8192}} {
+		for i := range b {
+			b[i] = byte(i) | 1
+		}
+		Release(b[r.lo:r.hi])
+		for i := range b {
+			want := byte(i) | 1
+			if i >= r.lo && i < r.hi {
+				want = 0
+			}
+			if b[i] != want {
+				t.Fatalf("Release(b[%d:%d]): byte %d is %d, want %d", r.lo, r.hi, i, b[i], want)
+			}
+		}
+	}
+	runtime.KeepAlive(a)
+}

@@ -34,15 +34,18 @@
 // two truncations. Recover reads the same rule back: behind a record with
 // the flush-end bit the log goes on at the next line.
 //
-// Nothing marks the end of the log: the region is never erased, so the
-// line after the last flush holds zeros, a record of an earlier
-// generation, or garbage. The region's last line is the log's header: it
-// holds the LSN floor, the highest LSN appended before the last Truncate,
-// which Truncate persists and Recover starts from. A record whose LSN does
-// not exceed the floor and every LSN before it is therefore stale. A scan
-// that stops right behind a flush-end record (or before any record) has
-// found the clean end; one that stops right behind any other record has
-// found a flush torn by a crash (RecoveryStats.TornTail).
+// Nothing marks the end of the log: Truncate does not erase the region, so
+// the line after the last flush holds zeros, a record of an earlier
+// generation, or garbage. (Release, after a truncation, hands the record
+// area's host pages back to the host, and they read as zeros; the
+// engine's full checkpoint calls it, its paced truncations do not.) The
+// region's last line is the log's header: it holds the LSN floor, the
+// highest LSN appended before the last Truncate, which Truncate persists
+// and Recover starts from. A record whose LSN does not exceed the floor
+// and every LSN before it is therefore stale. A scan that stops right
+// behind a flush-end record (or before any record) has found the clean
+// end; one that stops right behind any other record has found a flush
+// torn by a crash (RecoveryStats.TornTail).
 //
 // Recover applies one rule, and nowhere else decides it:
 //
@@ -200,6 +203,9 @@ type Log struct {
 	head      int64 // append position relative to off
 	flushedTo int64 // durable prefix relative to off
 	last      int64 // start of the last appended record, relative to off
+	// written is the extent of the record area written since the last
+	// Release, relative to off: what Release hands back.
+	written int64
 
 	nextLSN LSN
 	nextTx  TxID
@@ -657,6 +663,7 @@ func (l *Log) write(payload []byte) {
 	l.dev.WriteAt(prefix[:], l.off+l.head)
 	l.dev.WriteAt(payload, l.off+l.head+prefixSize)
 	l.head += prefixSize + int64(len(payload))
+	l.written = max(l.written, l.head)
 	if l.rec != nil {
 		l.rec.Latency(obs.OpWALAppend, 0)
 	}
@@ -743,6 +750,30 @@ func (l *Log) Truncate() LSN {
 	return l.nextLSN - 1
 }
 
+// Release hands the host pages of the record area written since the last
+// Release back to the device (nvm.Device.Release), so they stop being
+// resident: the engine's full checkpoint calls it once Truncate has cut
+// the log. It does nothing while the log holds a record — a truncation the
+// retention watermark refused releases nothing. The released lines read
+// as zeros, which Recover takes for the end of the log, and the header
+// line behind the record area keeps the LSN floor. It fails only if the
+// area holds a line appended and not flushed, which the device refuses to
+// drop.
+func (l *Log) Release() error {
+	if l.Bytes() != 0 {
+		return nil
+	}
+	// Bytes behind the written extent are zeros already: never written,
+	// or released last time. The extent's last host page goes too, unless
+	// it holds the header line.
+	end := min((l.off+l.written+nvm.HostPage-1)/nvm.HostPage*nvm.HostPage, l.hdr)
+	if err := l.dev.Release(l.off, int(end-l.off)); err != nil {
+		return err
+	}
+	l.written = 0
+	return nil
+}
+
 // Bytes returns the current size of the log contents, a held update record
 // counted as the plain one it may still become.
 func (l *Log) Bytes() int64 {
@@ -770,13 +801,13 @@ func (l *Log) Stats() Stats { return l.stats }
 // belong to a transaction whose commit record was never flushed.
 //
 // Nothing marks the end of the log: the region is not erased on Truncate,
-// so the line behind the last flush holds zeros, a complete CRC-valid
-// record of an earlier log generation, or garbage, and a crash can tear a
-// flush at any line boundary. A stop behind a flush-end record, or before
-// any record, is the clean end; a stop behind any other record is a torn
-// tail. Two rules keep stale bytes and garbage apart from the log, and the
-// scan stops (rather than failing) only when the end-of-log explanation
-// holds:
+// so the line behind the last flush holds zeros (as all of it does after
+// a Release), a complete CRC-valid record of an earlier log generation,
+// or garbage, and a crash can tear a flush at any line boundary. A stop
+// behind a flush-end record, or before any record, is the clean end; a
+// stop behind any other record is a torn tail. Two rules keep stale bytes
+// and garbage apart from the log, and the scan stops (rather than failing)
+// only when the end-of-log explanation holds:
 //
 //   - LSNs are strictly monotonic in append order and survive truncation
 //     and recovery (the header's floor), so a CRC-valid record whose LSN
@@ -892,6 +923,8 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 
 	l.head = pos
 	l.flushedTo = pos
+	// Earlier runs may have written anywhere in the record area.
+	l.written = l.size
 	l.unflushedCommits = 0
 	l.pending = nil // never-shipped appends died with the crash
 	l.resTx, l.reserved = 0, 0

@@ -1031,3 +1031,120 @@ func TestShipDeliversEachLSNOnce(t *testing.T) {
 		t.Fatalf("stats %+v, want 4 folded commits", st)
 	}
 }
+
+// appendCommitted commits n one-update transactions of a 1000-byte image
+// each: four of them fill about a host page of the record area.
+func appendCommitted(t *testing.T, l *Log, n int, fill byte) {
+	t.Helper()
+	img := bytes.Repeat([]byte{fill}, 1000)
+	for i := 0; i < n; i++ {
+		tx := l.Begin()
+		if _, err := l.Update(tx, uint64(i%4), 0, img, len(img)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReleaseAfterTruncate: a release after a truncation zeroes the record
+// area the log wrote and leaves the header's LSN floor, so a restart finds
+// an empty log that goes on above the floor, and a log appended after the
+// release recovers its records.
+func TestReleaseAfterTruncate(t *testing.T) {
+	l, dev := newTestLog(t, true)
+	appendCommitted(t, l, 40, 0xa5)
+	written := l.Bytes()
+	floor := l.Truncate()
+	if err := l.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if written < 8*nvm.HostPage {
+		t.Fatalf("the log wrote %d bytes, want at least 8 host pages", written)
+	}
+	if !bytes.Equal(dev.View(0, int(written)), make([]byte, written)) {
+		t.Fatal("the released record area does not read as zeros")
+	}
+	// A crash keeps the released zeros: they held no unflushed store.
+	dev.Crash()
+	l2 := New(dev, 0, 1<<16)
+	st, err := l2.Recover(newMemHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 0 || st.TornTail {
+		t.Fatalf("recovery after a release: %+v, want an empty log with a clean end", st)
+	}
+	if got := l2.DurableLSN(); got != floor {
+		t.Fatalf("recovered LSN %d, want the floor %d", got, floor)
+	}
+
+	appendCommitted(t, l2, 3, 0x5a)
+	h := newMemHandler()
+	st, err = New(dev, 0, 1<<16).Recover(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Records != 3 || st.Committed != 3 || h.pages[0][0] != 0x5a {
+		t.Fatalf("the log appended after a release recovered %+v, page 0 starts %#x", st, h.pages[0][0])
+	}
+	if h.lsn[0] <= floor {
+		t.Fatalf("redo at LSN %d, not above the floor %d", h.lsn[0], floor)
+	}
+}
+
+// TestRefusedTruncateReleasesNothing: while the retention watermark keeps
+// the log, Release leaves every byte of it in place and a restart recovers
+// its records.
+func TestRefusedTruncateReleasesNothing(t *testing.T) {
+	l, dev := newTestLog(t, true)
+	l.SetRetain(func() LSN { return 1 })
+	appendCommitted(t, l, 20, 0xa5)
+	before := bytes.Clone(dev.View(0, 1<<16))
+	if l.Truncate() != 0 {
+		t.Fatal("Truncate under the watermark cut the log")
+	}
+	if err := l.Release(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dev.View(0, 1<<16), before) {
+		t.Fatal("Release changed a log the truncation kept")
+	}
+	st, err := New(dev, 0, 1<<16).Recover(newMemHandler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Committed != 20 {
+		t.Fatalf("recovered %d commits, want 20", st.Committed)
+	}
+}
+
+// TestReleaseAfterRecoverCoversTheRecordArea: a recovered log does not know
+// what earlier runs wrote, so its first release hands back the whole
+// record area, stale records of an earlier generation included, and keeps
+// the header line's host page.
+func TestReleaseAfterRecoverCoversTheRecordArea(t *testing.T) {
+	l, dev := newTestLog(t, true)
+	appendCommitted(t, l, 40, 0xa5)
+	floor := l.Truncate() // the records stay behind as stale bytes
+	l2 := New(dev, 0, 1<<16)
+	if _, err := l2.Recover(newMemHandler()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Release(); err != nil {
+		t.Fatal(err)
+	}
+	area := l2.Capacity() / nvm.HostPage * nvm.HostPage
+	if !bytes.Equal(dev.View(0, int(area)), make([]byte, area)) {
+		t.Fatal("the first release after Recover left stale records in the record area")
+	}
+	l3 := New(dev, 0, 1<<16)
+	st, err := l3.Recover(newMemHandler())
+	if err != nil || st.Records != 0 {
+		t.Fatalf("recovery after the release: %+v, %v", st, err)
+	}
+	if got := l3.DurableLSN(); got != floor {
+		t.Fatalf("LSN %d after the release, want the floor %d", got, floor)
+	}
+}
