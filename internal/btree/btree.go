@@ -641,11 +641,9 @@ func (t *Tree) splitChild(parent, child core.Handle, idx int) (uint64, error) {
 	// consistent regardless of later eviction order: either as page
 	// images in the WAL, or by force-writing the pages.
 	if t.structuralLogging && t.logger != nil {
-		for _, h := range []core.Handle{child, right, parent} {
-			if err := t.logger.LogPageImage(h.PID(), h.ReadAll()); err != nil {
-				t.m.Unfix(right)
-				return 0, err
-			}
+		if err := t.logImages(child, right, parent); err != nil {
+			t.m.Unfix(right)
+			return 0, err
 		}
 	} else {
 		t.m.ForceWrite(child)
@@ -654,6 +652,25 @@ func (t *Tree) splitChild(parent, child core.Handle, idx int) (uint64, error) {
 	}
 	t.m.Unfix(right)
 	return sep, nil
+}
+
+// logImages logs the page images of one structural change, at most
+// three pages. It reads every image before it appends the first: reading
+// can promote a mini page, whose new frame can evict another page, and
+// that write-back's barrier flushes the log — a flush between the images
+// would make some durable without the others. With none between them,
+// recovery redoes them all or none (wal.Log.Recover).
+func (t *Tree) logImages(hs ...core.Handle) error {
+	var imgs [3][]byte
+	for i, h := range hs {
+		imgs[i] = h.ReadAll()
+	}
+	for i, h := range hs {
+		if err := t.logger.LogPageImage(h.PID(), imgs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // shiftToRightmost makes room in child, a full sorted leaf whose right
@@ -705,10 +722,8 @@ func (t *Tree) shiftToRightmost(parent, child core.Handle, idx int, key uint64) 
 	if t.structuralLogging && t.logger != nil {
 		// The parent's image must hold page ids, not swizzled references.
 		t.m.UnswizzleChildren(parent)
-		for _, h := range changed {
-			if err := t.logger.LogPageImage(h.PID(), h.ReadAll()); err != nil {
-				return 0, false, err
-			}
+		if err := t.logImages(changed...); err != nil {
+			return 0, false, err
 		}
 	} else {
 		for _, h := range changed {

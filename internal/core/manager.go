@@ -928,6 +928,14 @@ func (m *Manager) writeBack(f *Frame, cause WriteCause) {
 			if admit || !e.dirtyWrtSSD {
 				e.dirtyWrtSSD = dirty
 				m.writeSlotHeader(f.nvmSlot, f.pid, dirty)
+				if dirty {
+					// The persisted header names the NVM copy as the
+					// page's current one: the SSD copy is dead until an
+					// NVM eviction writes the page back. A crash before
+					// the header leaves the SSD copy, one after it the
+					// NVM copy.
+					m.ssd.Trim(int64(f.pid - 1))
+				}
 			}
 		}
 		if admit && m.rec != nil {

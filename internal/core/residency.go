@@ -22,8 +22,9 @@ type Residency struct {
 	NVMDirtyPages int64 `json:"nvmDirtyPages"`
 	NVMSlots      int64 `json:"nvmSlots"`
 
-	// SSD tier: pages written to the SSD at least once, and the host
-	// bytes the simulated device holds for them (ssd.Device.StoredBytes).
+	// SSD tier: pages whose current copy is on the SSD — written there,
+	// and not trimmed since an NVM slot took a newer copy — and the host
+	// bytes the simulated device holds (ssd.Device.StoredBytes).
 	SSDPages       int64 `json:"ssdPages"`
 	SSDStoredBytes int64 `json:"ssdStoredBytes"`
 }

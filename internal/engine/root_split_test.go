@@ -60,10 +60,43 @@ func TestRootSplitRecoversWithoutCheckpoint(t *testing.T) {
 				if tr.Height() != height {
 					t.Fatalf("height %d after recovery, want %d", tr.Height(), height)
 				}
-				verifyShiftCrash(t, 0, tr, keys[:n-1], keys[n-1], true)
+				verifyShiftCrash(t, "after recovery", tr, keys[:n-1], keys[n-1], true)
 			})
 		}
 	}
+}
+
+// rootSplitSetup opens an engine on topo with a tree of 16 committed keys
+// in one full root leaf, checkpointed.
+func rootSplitSetup(t *testing.T, topo core.Topology) (*Engine, *btree.Tree, []uint64) {
+	t.Helper()
+	e := openEngine(t, topo)
+	tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := ascending(0, 16)
+	insertEach(t, e, tr, keys)
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return e, tr, keys
+}
+
+// rootSplitFlushes runs the transaction whose insert of key 16 splits the
+// root leaf of rootSplitSetup, with its commit and checkpoint, and returns
+// how many NVM flushes it makes.
+func rootSplitFlushes(t *testing.T, topo core.Topology) int64 {
+	t.Helper()
+	e, tr, _ := rootSplitSetup(t, topo)
+	inj := e.ArmFaults(&fault.Plan{}, 0)
+	var acked bool
+	shiftTx(t, e, tr, 16, &acked)
+	points := inj.NVM.Opportunities(fault.NVMCrash)
+	if tr.Height() != 2 || points == 0 {
+		t.Fatalf("height %d after the insert, %d NVM flushes: no root split to crash in", tr.Height(), points)
+	}
+	return points
 }
 
 // TestRootSplitSurvivesCrashes crashes at every NVM flush from the start of
@@ -77,29 +110,25 @@ func TestRootSplitRecoversWithoutCheckpoint(t *testing.T) {
 func TestRootSplitSurvivesCrashes(t *testing.T) {
 	for _, topo := range bufferedTopologies {
 		t.Run(topo.String(), func(t *testing.T) {
-			setup := func() (*Engine, *btree.Tree, []uint64) {
-				e := openEngine(t, topo)
-				tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys := ascending(0, 16)
-				insertEach(t, e, tr, keys)
-				if err := e.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				return e, tr, keys
-			}
-			e, tr, _ := setup()
-			inj := e.ArmFaults(&fault.Plan{}, 0)
-			var acked bool
-			shiftTx(t, e, tr, 16, &acked)
-			points := inj.NVM.Opportunities(fault.NVMCrash)
-			if tr.Height() != 2 || points == 0 {
-				t.Fatalf("height %d after the insert, %d NVM flushes: no root split to crash in", tr.Height(), points)
-			}
-			crashEachFlush(t, points, 16, setup)
+			points := rootSplitFlushes(t, topo)
+			crashEachFlush(t, points, 16, func() (*Engine, *btree.Tree, []uint64) { return rootSplitSetup(t, topo) })
 			t.Logf("%d crash points", points)
+		})
+	}
+}
+
+// TestRootSplitSurvivesTornFlushes tears each NVM flush of
+// TestRootSplitSurvivesCrashes' window instead, eight times, each with a
+// different share of its lines reaching the medium. The split's page
+// images and its root record must reach recovery all or none: a durable
+// image of the old root leaf without one of the new right leaf loses the
+// two keys the split moved there, 14 and 15.
+func TestRootSplitSurvivesTornFlushes(t *testing.T) {
+	for _, topo := range bufferedTopologies {
+		t.Run(topo.String(), func(t *testing.T) {
+			points := rootSplitFlushes(t, topo)
+			tearEachFlush(t, points, 8, 16, func() (*Engine, *btree.Tree, []uint64) { return rootSplitSetup(t, topo) })
+			t.Logf("%d flushes torn 8 ways each", points)
 		})
 	}
 }
@@ -143,7 +172,7 @@ func TestRootSplitToHeightThreeRecovers(t *testing.T) {
 				t.Fatalf("height %d after recovery, want 3", tr.Height())
 			}
 			keys := ascending(0, grows+5)
-			verifyShiftCrash(t, 0, tr, keys[:len(keys)-1], keys[len(keys)-1], true)
+			verifyShiftCrash(t, "after recovery", tr, keys[:len(keys)-1], keys[len(keys)-1], true)
 		})
 	}
 }
@@ -169,8 +198,8 @@ func TestTreeCreatedWhileARootChangeWaits(t *testing.T) {
 			if _, err := e.CrashRestart(); err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
-			verifyShiftCrash(t, 0, e.Tree(1), keys[:19], keys[19], true)
-			verifyShiftCrash(t, 0, e.Tree(2), keys[:4], keys[4], true)
+			verifyShiftCrash(t, "after recovery", e.Tree(1), keys[:19], keys[19], true)
+			verifyShiftCrash(t, "after recovery", e.Tree(2), keys[:4], keys[4], true)
 		})
 	}
 }

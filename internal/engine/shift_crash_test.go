@@ -135,28 +135,49 @@ func TestRightmostShiftSurvivesCrashes(t *testing.T) {
 func crashEachFlush(t *testing.T, points int64, key uint64, setup func() (*Engine, *btree.Tree, []uint64)) {
 	t.Helper()
 	for p := int64(0); p < points; p++ {
-		e, tr, keys := setup()
-		e.ArmFaults(&fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: p + 1, Limit: 1}}}, 0)
-		acked := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := fault.AsCrash(r); !ok {
-						panic(r)
-					}
-				}
-			}()
-			shiftTx(t, e, tr, key, &acked)
-		}()
-		e.ArmFaults(nil, 0)
-		if _, err := e.CrashRestart(); err != nil {
-			t.Fatalf("point %d: recovery: %v", p, err)
-		}
-		verifyShiftCrash(t, p, e.Tree(1), keys, key, acked)
+		plan := &fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: p + 1, Limit: 1}}}
+		crashAt(t, fmt.Sprintf("point %d", p), plan, key, setup)
 	}
 }
 
-func verifyShiftCrash(t *testing.T, p int64, tr *btree.Tree, keys []uint64, inflight uint64, acked bool) {
+// tearEachFlush is crashEachFlush with each flush torn instead, once for
+// each seed from 1 to seeds: the seed sets how many of the flush's lines
+// reach the medium before the crash.
+func tearEachFlush(t *testing.T, points int64, seeds uint64, key uint64, setup func() (*Engine, *btree.Tree, []uint64)) {
+	t.Helper()
+	for p := int64(0); p < points; p++ {
+		for seed := uint64(1); seed <= seeds; seed++ {
+			plan := &fault.Plan{Seed: seed, Rules: []fault.Rule{{Kind: fault.NVMTornFlush, EveryN: p + 1, Limit: 1}}}
+			crashAt(t, fmt.Sprintf("flush %d torn with seed %d", p, seed), plan, key, setup)
+		}
+	}
+}
+
+// crashAt runs shiftTx(key) on a fresh setup() under plan, recovers, and
+// checks tree 1 with verifyShiftCrash.
+func crashAt(t *testing.T, at string, plan *fault.Plan, key uint64, setup func() (*Engine, *btree.Tree, []uint64)) {
+	t.Helper()
+	e, tr, keys := setup()
+	e.ArmFaults(plan, 0)
+	acked := false
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := fault.AsCrash(r); !ok {
+					panic(r)
+				}
+			}
+		}()
+		shiftTx(t, e, tr, key, &acked)
+	}()
+	e.ArmFaults(nil, 0)
+	if _, err := e.CrashRestart(); err != nil {
+		t.Fatalf("%s: recovery: %v", at, err)
+	}
+	verifyShiftCrash(t, at, e.Tree(1), keys, key, acked)
+}
+
+func verifyShiftCrash(t *testing.T, at string, tr *btree.Tree, keys []uint64, inflight uint64, acked bool) {
 	t.Helper()
 	buf := make([]byte, shiftPayload)
 	want := len(keys)
@@ -167,7 +188,7 @@ func verifyShiftCrash(t *testing.T, p int64, tr *btree.Tree, keys []uint64, infl
 	for _, k := range keys {
 		found, err := tr.Lookup(k, buf)
 		if err != nil || !found || binary.LittleEndian.Uint64(buf) != k*7+3 {
-			t.Fatalf("point %d: acknowledged key %d: found %v, err %v", p, k, found, err)
+			t.Fatalf("%s: acknowledged key %d: found %v, err %v", at, k, found, err)
 		}
 	}
 	n, err := tr.Count()
@@ -182,20 +203,20 @@ func verifyShiftCrash(t *testing.T, p int64, tr *btree.Tree, keys []uint64, infl
 		want++
 	}
 	if n != want {
-		t.Fatalf("point %d: Count %d, want %d (in-flight key %d landed: %v)", p, n, want, inflight, landed)
+		t.Fatalf("%s: Count %d, want %d (in-flight key %d landed: %v)", at, n, want, inflight, landed)
 	}
 	chain := leafChain(t, tr)
 	seen, last := 0, int64(-1)
 	for _, leaf := range chain {
 		for _, k := range leaf {
 			if int64(k) <= last {
-				t.Fatalf("point %d: leaf chain %v not strictly ascending", p, chain)
+				t.Fatalf("%s: leaf chain %v not strictly ascending", at, chain)
 			}
 			last = int64(k)
 			seen++
 		}
 	}
 	if seen != want {
-		t.Fatalf("point %d: leaf chain holds %d keys, want %d: %v", p, seen, want, chain)
+		t.Fatalf("%s: leaf chain holds %d keys, want %d: %v", at, seen, want, chain)
 	}
 }

@@ -286,8 +286,8 @@ type StatsDoc struct {
 	// simulated SSD holds for them.
 	DRAMBytesUsed  int64 `json:"dram_bytes_used" prom:"gauge" help:"DRAM buffer-pool bytes in use, across shards"`
 	NVMPages       int64 `json:"nvm_pages" prom:"gauge" help:"pages cached or stored on NVM, across shards"`
-	SSDPages       int64 `json:"ssd_pages" prom:"gauge" help:"pages written to the SSD at least once, across shards"`
-	SSDStoredBytes int64 `json:"ssd_stored_bytes" prom:"gauge" help:"host bytes the simulated SSD holds for its pages (non-zero prefixes and outgrown blocks), across shards"`
+	SSDPages       int64 `json:"ssd_pages" prom:"gauge" help:"pages whose current copy is on the SSD, across shards"`
+	SSDStoredBytes int64 `json:"ssd_stored_bytes" prom:"gauge" help:"host bytes the simulated SSD holds for its pages (non-zero prefixes, and free blocks of trimmed or outgrown pages), across shards"`
 	// MaxConns is the connection cap and ConnWaits how many accepts had
 	// to wait for a free slot — the MaxConns saturation counter.
 	MaxConns  int   `json:"max_conns" prom:"gauge" help:"connection cap (Options.MaxConns)"`

@@ -12,9 +12,15 @@
 // 1 KB grain, and a read copies that prefix and clears the rest of the
 // caller's buffer. A B-tree leaf filled to the paper's 0.66 holds its rows
 // at the front and zeros behind them, so it costs 10 KB of host memory,
-// not 16. Only written slots cost memory, so a large configured capacity
-// is free. The blocks are off the Go heap, carved from the device's
-// internal/offheap arena in 1 MB chunks mapped as they fill.
+// not 16. A slot that holds no page costs nothing, so a large configured
+// capacity is free. The blocks are off the Go heap, carved from the
+// device's internal/offheap arena in 1 MB chunks mapped as they fill.
+//
+// Trim tells the device that a slot's page is dead: the buffer manager
+// trims a page once its NVM copy supersedes it. The slot then reads as
+// zeros, and its block, like the block a page outgrows, waits on a free
+// list for the next page that fits, so the device's memory follows the
+// pages it holds rather than every page it was ever given.
 //
 // Latency is charged to a simclock.Clock rather than slept (see
 // internal/simclock), the same per page whatever its prefix. The device is
@@ -92,15 +98,19 @@ var zeros [grain]byte
 type Device struct {
 	cfg Config
 	clk *simclock.Clock
-	// pages maps each written slot to its block: the page's stored prefix,
-	// nil for an all-zero page. Blocks come from arena: off the Go heap,
-	// and unmapped once the device (the arena's one holder) is
-	// unreachable. A method whose last use of d touches a block ends in
+	// pages maps each slot that holds a page to its block: the page's
+	// stored prefix, nil for an all-zero page. Blocks come from arena: off
+	// the Go heap, and unmapped once the device (the arena's one holder)
+	// is unreachable. A method whose last use of d touches a block ends in
 	// runtime.KeepAlive(d), so the unmap cannot overtake the access.
 	arena *offheap.Arena
 	pages map[int64][]byte
-	// stored counts the bytes of every block taken from the arena,
-	// including those left behind by pages that outgrew them.
+	// free holds the blocks no page uses — trimmed, or outgrown — by
+	// length in grains: free[i] are blocks of i grains, the last index
+	// also those of a whole page that is not a multiple of the grain.
+	free [][][]byte
+	// stored counts the bytes of every block taken from the arena, in use
+	// or free.
 	stored int64
 	stats  Stats
 	rec    *obs.Collector
@@ -164,7 +174,13 @@ func New(cfg Config, clk *simclock.Clock) *Device {
 	if clk == nil {
 		panic("ssd: nil clock")
 	}
-	return &Device{cfg: cfg, clk: clk, arena: offheap.New(), pages: make(map[int64][]byte)}
+	return &Device{
+		cfg:   cfg,
+		clk:   clk,
+		arena: offheap.New(),
+		pages: make(map[int64][]byte),
+		free:  make([][][]byte, grains(cfg.PageSize)+1),
+	}
 }
 
 // Config returns the device configuration.
@@ -173,14 +189,16 @@ func (d *Device) Config() Config { return d.cfg }
 // Capacity returns the maximum number of pages.
 func (d *Device) Capacity() int64 { return d.cfg.Capacity }
 
-// Allocated returns the number of pages that have been written at least
-// once.
+// Allocated returns the number of slots that hold a page: written, and
+// not trimmed since.
 func (d *Device) Allocated() int64 { return int64(len(d.pages)) }
 
-// StoredBytes returns the host bytes the device holds for its pages: the
-// blocks of written pages and those pages have outgrown. It never exceeds
-// twice Allocated() × PageSize: a page owns one block, and outgrows a
-// block at most once.
+// StoredBytes returns the host bytes the device has taken for blocks, in
+// use or free. It never exceeds twice PageSize times the most pages the
+// device has held at once. New bytes shorter than a page are taken only
+// while no block is free, so there are never more such blocks than
+// pages held; a new whole-page block only while every whole-page block
+// holds a page, so there are never more of those either.
 func (d *Device) StoredBytes() int64 { return d.stored }
 
 func (d *Device) checkSlot(slot int64) {
@@ -233,22 +251,73 @@ func (d *Device) WritePage(slot int64, p []byte) {
 	if !ok || len(blk) < d.cfg.PageSize {
 		if n := prefixLen(p); !ok || n > len(blk) {
 			if len(blk) > 0 {
-				// Outgrown: the page moves to a full block for good, so
-				// it leaves at most one block behind, unused.
+				// Outgrown: the page moves to a full block for good, and
+				// its old block waits for a shorter page.
+				d.release(blk)
 				n = d.cfg.PageSize
 			}
 			blk = nil
 			if n > 0 {
-				d.stored += int64(n)
-				blk = d.arena.Alloc(n)
+				blk = d.block(n)
 			}
 			d.pages[slot] = blk
 		}
 	}
-	// p is zero past its prefix, so this also clears what a longer earlier
-	// write left in the block.
+	// p is zero past its prefix, and a block is never longer than p, so
+	// this also clears what an earlier page left in the block.
 	copy(blk, p)
 	runtime.KeepAlive(d)
+}
+
+// Trim drops the page slot holds, if any: the slot reads as zeros and is
+// not Written until the next WritePage, and its block joins the free list.
+// A trim is the host telling the drive that the page is dead, not a page
+// transfer: it charges no time and moves no traffic counter.
+func (d *Device) Trim(slot int64) {
+	d.checkSlot(slot)
+	blk, ok := d.pages[slot]
+	if !ok {
+		return
+	}
+	delete(d.pages, slot)
+	if len(blk) > 0 {
+		d.release(blk)
+	}
+}
+
+// grains returns how many grains n bytes take, a partial one counted.
+func grains(n int) int { return (n + grain - 1) / grain }
+
+// release puts a block no page uses on the free list.
+func (d *Device) release(blk []byte) {
+	i := grains(len(blk))
+	d.free[i] = append(d.free[i], blk)
+}
+
+// block returns a block for a prefix of n bytes, 0 < n <= PageSize: the
+// shortest free one that fits, else new arena bytes — n of them if no
+// block is free at all, a whole page if only blocks too short are. The
+// second rule bounds StoredBytes (see there): prefixes that keep growing
+// past the free blocks cannot pile up one short block per length.
+func (d *Device) block(n int) []byte {
+	free := false
+	for i := range d.free {
+		l := len(d.free[i])
+		if l == 0 {
+			continue
+		}
+		if i >= grains(n) {
+			blk := d.free[i][l-1]
+			d.free[i] = d.free[i][:l-1]
+			return blk
+		}
+		free = true
+	}
+	if free {
+		n = d.cfg.PageSize
+	}
+	d.stored += int64(n)
+	return d.arena.Alloc(n)
 }
 
 // prefixLen returns the length of p up to its last non-zero byte, rounded
@@ -267,7 +336,8 @@ func prefixLen(p []byte) int {
 	return 0
 }
 
-// Written reports whether slot has ever been written.
+// Written reports whether slot holds a page: written, and not trimmed
+// since.
 func (d *Device) Written(slot int64) bool {
 	_, ok := d.pages[slot]
 	return ok

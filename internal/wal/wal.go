@@ -51,9 +51,16 @@
 //
 //   - redo is logical and unconditional, in log order: every RecUpdate of
 //     a committed or aborted transaction, every folded record (handed
-//     over as a RecUpdate), and every RecImage. There are no
-//     page LSNs; a record is reapplied whether or not its page already
-//     holds it, so a Handler's operations must be idempotent;
+//     over as a RecUpdate), and every RecImage up to the end of the last
+//     completed flush. There are no page LSNs; a record is reapplied
+//     whether or not its page already holds it, so a Handler's operations
+//     must be idempotent;
+//   - a RecImage behind the last completed flush, in a flush a crash tore,
+//     is not redone: no page can hold its bytes, since a write-back
+//     flushes the log first, and a tear could have kept some images of a
+//     structural change and lost the others. A caller that appends the
+//     images of one change with no flush between them gets them redone
+//     all or none;
 //   - a loser — neither commit nor abort record; there is at most one, the
 //     log's last transaction — has its RecUpdate records skipped;
 //   - the loser's undo images, RecUndo records and inline ones, are undone
@@ -425,7 +432,7 @@ func (l *Log) UpdateInline(tx TxID, pid uint64, off int, before, after []byte) (
 }
 
 // Image appends the after image of page pid. Recover redoes it whatever
-// tx's outcome.
+// tx's outcome, once a flush has completed behind it.
 func (l *Log) Image(tx TxID, pid uint64, image []byte) (LSN, error) {
 	return l.data(RecImage, tx, pid, 0, nil, image, 0)
 }
@@ -791,14 +798,15 @@ func (l *Log) Stats() Stats { return l.stats }
 
 // Recover scans the log, applies the package's recovery rule — redo
 // through h.Redo in log order for every record of a committed or aborted
-// transaction and every page image, then h.Undo in reverse log order for
-// the loser's undo images, while the loser's update records are skipped —
-// and positions the log for new appends after the scanned records. The
-// scan starts from the LSN floor in the header, goes on at the next line
-// behind a record with the flush-end bit, and stops at the first position
-// holding no record of the current generation: zeros, a size outside the
-// region, a checksum mismatch, or a stale record. A torn record can only
-// belong to a transaction whose commit record was never flushed.
+// transaction and every page image of a completed flush, then h.Undo in
+// reverse log order for the loser's undo images, while the loser's update
+// records are skipped — and positions the log for new appends after the
+// scanned records. The scan starts from the LSN floor in the header, goes
+// on at the next line behind a record with the flush-end bit, and stops at
+// the first position holding no record of the current generation: zeros,
+// a size outside the region, a checksum mismatch, or a stale record. A
+// torn record can only belong to a transaction whose commit record was
+// never flushed.
 //
 // Nothing marks the end of the log: the region is not erased on Truncate,
 // so the line behind the last flush holds zeros (as all of it does after
@@ -836,6 +844,8 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 		// flushed: the scan stands behind the last record of a flush, or
 		// before any record, where a stop is the clean end.
 		flushed = true
+		// complete: how many of records lie in completed flushes.
+		complete int
 	)
 	for {
 		size, payload, ok := l.record(pos)
@@ -878,6 +888,9 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 			maxTx = max(maxTx, r.Tx)
 		}
 		pos, flushed = next, size&flushEnd != 0
+		if flushed {
+			complete = len(records)
+		}
 	}
 	stats.TornTail = !flushed
 
@@ -895,12 +908,13 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 
 	// Redo: repeat the history of every transaction that ended — an
 	// aborted one's compensations net its changes out — plus every page
-	// image. The loser's changes are skipped: none of their bytes reached
-	// persistent storage unless an undo image below covers them. A folded
-	// record carries no transaction id: it holds its own commit.
+	// image of a completed flush. The loser's changes are skipped: none of
+	// their bytes reached persistent storage unless an undo image below
+	// covers them. A folded record carries no transaction id: it holds its
+	// own commit.
 	ended := func(tx TxID) bool { return tx == 0 || committed[tx] || aborted[tx] }
-	for _, r := range records {
-		if r.Kind == RecUndo || r.Kind == RecUpdate && !ended(r.Tx) {
+	for i, r := range records {
+		if r.Kind == RecUndo || r.Kind == RecUpdate && !ended(r.Tx) || r.Kind == RecImage && i >= complete {
 			continue
 		}
 		if err := h.Redo(r); err != nil {

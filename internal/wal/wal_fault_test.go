@@ -522,3 +522,43 @@ func TestTornPaddedFlush(t *testing.T) {
 		})
 	})
 }
+
+// TestTornImagesRedoneAllOrNone tears, at each line, the flush of a
+// transaction that logged two page images with no flush between them and
+// then committed: recovery redoes both images once the whole flush is
+// durable and neither before, however many of their lines are. The image
+// of an earlier, completed flush is redone either way.
+func TestTornImagesRedoneAllOrNone(t *testing.T) {
+	img := func(pid uint64) []byte { return bytes.Repeat([]byte{byte('a' + pid)}, 100) }
+	var end int64
+	tearEachLine(t, func(l *Log) {
+		tx := l.Begin()
+		if _, err := l.Image(tx, 1, img(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	}, func(l *Log) {
+		tx := l.Begin()
+		for pid := uint64(2); pid <= 3; pid++ {
+			if _, err := l.Image(tx, pid, img(pid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.CommitNoFlush(tx); err != nil {
+			t.Fatal(err)
+		}
+		end = l.Bytes()
+		l.Flush()
+	}, func(durable int64, st RecoveryStats, h *memHandler) {
+		if !bytes.Equal(h.page(1)[:100], img(1)) {
+			t.Fatalf("durable to %d: the completed flush's image was not redone", durable)
+		}
+		for pid := uint64(2); pid <= 3; pid++ {
+			if got, whole := bytes.Equal(h.page(pid)[:100], img(pid)), durable >= end; got != whole {
+				t.Fatalf("durable to %d of %d: image of page %d redone %v, want %v", durable, end, pid, got, whole)
+			}
+		}
+	})
+}
