@@ -38,10 +38,12 @@ var gates = []gate{
 		},
 	},
 	{
-		// An update record carries only its redo image; logUndo logs the
-		// undo images, and the write barrier and LogPageImage run it
-		// before uncommitted bytes can reach persistent storage. A second
-		// caller would log undo the rule does not account for.
+		// An update record carries only its redo image, on all five
+		// architectures; logUndo logs the undo images, and the write
+		// barrier and LogPageImage run it before uncommitted bytes can
+		// reach persistent storage. NVM Direct runs the barrier as each
+		// op is logged, before the tree stores in place. A second caller
+		// would log undo the rule does not account for.
 		rule:    "One undo append",
 		heading: "9.7 What the log holds: redo always, undo on steal",
 		check: func(src []goFile) []string {

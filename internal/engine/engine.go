@@ -22,9 +22,10 @@
 // Recovery (wal.Recover) redoes the history of committed and aborted
 // transactions and every page image, unconditionally, then rolls the one
 // loser back from its undo images. The NVM Direct architecture writes
-// tuples in place before any barrier runs, so its records carry the undo
-// image inline; it truncates the log after every commit, as in the paper
-// (§2.1), so the log only covers the in-flight transaction.
+// tuples in place, a steal at every modification, so it runs the write
+// barrier as each one is logged; it truncates the log after every commit,
+// as in the paper (§2.1), so the log only covers the in-flight
+// transaction.
 package engine
 
 import (
@@ -46,7 +47,7 @@ import (
 // PID is the tree id. Each image starts with the 8-byte key: the redo
 // image (After) continues with the payload (insert) or the new field
 // bytes (update), and nothing for a delete; the undo image (Before, in an
-// undo record or an NVM Direct update) with the old payload (delete) or
+// undo record) with the old payload (delete) or
 // the old field bytes (update), and nothing for an insert. Page images are
 // wal.RecImage records whose PID is a raw page id, or catalogPage.
 const (
@@ -474,8 +475,8 @@ func (e *Engine) LogUpdate(treeID, key uint64, off int, before, after []byte) er
 // logOp appends op's redo record — the key, then redo — and keeps op, its
 // undo image built from the key and undo, for Rollback and logUndo. The
 // log reserves room for op's undo record, so a later steal never meets a
-// full log. On NVM Direct the undo image goes into the record itself: the
-// tree writes the change in place before any barrier could log it.
+// full log. On NVM Direct the tree writes the change in place as soon as
+// logOp returns, a steal at every op, so the write barrier runs here.
 func (e *Engine) logOp(op txOp, undo, redo []byte) error {
 	if e.replaying {
 		return nil
@@ -489,20 +490,12 @@ func (e *Engine) logOp(op txOp, undo, redo []byte) error {
 	op.img = e.undo[start:len(e.undo):len(e.undo)]
 	e.redo = binary.LittleEndian.AppendUint64(e.redo[:0], op.key)
 	e.redo = append(e.redo, redo...)
-	code := op.op | op.off<<2
-	inline := e.Topology() == core.DirectNVM
-	var err error
-	if inline {
-		_, err = e.log.UpdateInline(e.curTx, op.treeID, code, op.img, e.redo)
-	} else {
-		_, err = e.log.Update(e.curTx, op.treeID, code, e.redo, len(op.img))
-	}
-	if err != nil {
+	if _, err := e.log.Update(e.curTx, op.treeID, op.op|op.off<<2, e.redo, len(op.img)); err != nil {
 		return err
 	}
 	e.txOps = append(e.txOps, op)
-	if inline {
-		e.undoLogged = len(e.txOps)
+	if e.Topology() == core.DirectNVM {
+		e.writeBarrier()
 	}
 	return nil
 }

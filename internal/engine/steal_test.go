@@ -376,23 +376,46 @@ func TestCrashMidRollbackAfterSteal(t *testing.T) {
 	}
 }
 
-// TestDirectUndoIsInline: NVM Direct writes a change in place before any
-// barrier runs, so its update records carry their undo images and no undo
-// record is ever appended. A crash after the in-place stores recovers the
-// before images.
-func TestDirectUndoIsInline(t *testing.T) {
-	s := newStealStore(t, testConfig(core.DirectNVM), 300)
-	s.e.Begin()
-	s.ops(t, 100, 101, 102)
-	st := s.restart(t)
-	if st.Losers != 1 || st.Undone != 3 || st.Redone != 0 {
-		t.Fatalf("recovery %+v, want the 3 in-place ops undone", st)
+// TestDirectUndoBeforeInPlaceStore: NVM Direct writes each change in
+// place, a steal at every op, so logOp runs the write barrier before the
+// tree stores: the op's undo record is durable before the bytes it
+// covers. The power fails at each NVM flush of a 4-op transaction in
+// turn, and every crash recovers the committed model. Run to the end, the
+// transaction logs one undo record per op, and recovery undoes them all.
+func TestDirectUndoBeforeInPlaceStore(t *testing.T) {
+	keys := []uint64{100, 101, 102, 104}
+	run := func(plan *fault.Plan) (*stealStore, fault.Injectors, int64, bool) {
+		s := newStealStore(t, testConfig(core.DirectNVM), 300)
+		undos := s.e.Log().Stats().Undos
+		inj := s.e.ArmFaults(plan, 0)
+		s.e.Begin()
+		c := crashed(func() { s.ops(t, keys...) })
+		s.e.ArmFaults(nil, 0)
+		return s, inj, s.e.Log().Stats().Undos - undos, c
 	}
-	if n := s.e.Log().Stats().Undos; n != 0 {
-		t.Fatalf("%d undo records on NVM Direct", n)
+	s, inj, undos, _ := run(&fault.Plan{})
+	flushes := inj.NVM.Opportunities(fault.NVMCrash)
+	if flushes != 12 {
+		t.Fatalf("the transaction flushed %d times, want 12", flushes)
+	}
+	if undos != int64(len(keys)) {
+		t.Fatalf("%d undo records for %d ops", undos, len(keys))
+	}
+	if st := s.restart(t); st.Losers != 1 || st.Undone != len(keys) || st.Redone != 0 {
+		t.Fatalf("recovery %+v, want the %d in-place ops undone", st, len(keys))
 	}
 	if !s.matches(t) {
 		t.Fatal("the recovered tree differs from the committed model")
+	}
+	for point := int64(1); point <= flushes; point++ {
+		s, _, _, c := run(&fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: point, Limit: 1}}})
+		if !c {
+			t.Fatalf("point %d: the transaction completed", point)
+		}
+		s.restart(t)
+		if !s.matches(t) {
+			t.Fatalf("point %d of %d: the recovered tree differs from the committed model", point, flushes)
+		}
 	}
 }
 

@@ -61,15 +61,20 @@ type Config struct {
 	GroupCommit bool
 	// Logf, when set, receives per-point progress lines.
 	Logf func(format string, args ...any)
+	// arch is the architecture under test; the zero value is ThreeTier,
+	// the only one with all three device tiers. Only this package's tests
+	// set it. Main Memory cannot be swept: it cannot recover from a crash
+	// (Engine.CrashRestart refuses it). NVM Direct runs the crash-schedule
+	// sweep only: its CommitNoFlush commits durably, so the group-commit
+	// oracle does not hold there, and it runs no checkpoint rounds.
+	arch nvmstore.Architecture
 }
 
-// What every sweep runs on: the ThreeTier architecture (the only one with
-// all three device tiers), one table of 1024 rows of 128 bytes, and under
-// Config.GroupCommit one shared log flush every 3 transactions. Without
-// group commit every 4th transaction is wide: 12 writes spread over the
-// keyspace, on more leaves than the 6 pages of openStore's DRAM.
+// What every sweep runs on: one table of 1024 rows of 128 bytes, and
+// under Config.GroupCommit one shared log flush every 3 transactions.
+// Without group commit every 4th transaction is wide: 12 writes spread
+// over the keyspace, on more leaves than the 6 pages of openStore's DRAM.
 const (
-	arch       = nvmstore.ThreeTier
 	rows       = 1024
 	rowSize    = 128
 	groupEvery = 3
@@ -165,12 +170,18 @@ func (rep *Report) sweep(name string, points []int64, logf func(string, ...any),
 // every tier — evictions write to SSD and misses read it back, giving
 // the SSD fault kinds real injection opportunities. The table is
 // pre-populated with the full keyspace and checkpointed before any
-// fault is armed, so the sweep starts from a durable baseline.
-func openStore() (*nvmstore.Store, *nvmstore.Table, error) {
+// fault is armed, so the sweep starts from a durable baseline. NVM
+// Direct and Basic NVM BM keep every page on NVM, so they get room for
+// the whole table there.
+func openStore(arch nvmstore.Architecture) (*nvmstore.Store, *nvmstore.Table, error) {
+	nvmBytes := int64(128 << 10)
+	if arch == nvmstore.NVMDirect || arch == nvmstore.BasicNVMBuffer {
+		nvmBytes = 4 << 20
+	}
 	st, err := nvmstore.Open(nvmstore.Options{
 		Architecture:      arch,
 		DRAMBytes:         96 << 10,
-		NVMBytes:          128 << 10,
+		NVMBytes:          nvmBytes,
 		SSDBytes:          64 << 20,
 		WALBytes:          4 << 20,
 		StrictPersistence: true,
@@ -204,7 +215,7 @@ func openStore() (*nvmstore.Store, *nvmstore.Table, error) {
 // dryRun runs the workload fault-free with an armed empty plan and
 // returns the per-device opportunity counters.
 func dryRun(cfg Config) (fault.Injectors, error) {
-	st, tab, err := openStore()
+	st, tab, err := openStore(cfg.arch)
 	if err != nil {
 		return fault.Injectors{}, err
 	}
@@ -248,7 +259,7 @@ func spread(count int, n int64) []int64 {
 // point-th opportunity of kind, recovering and checking invariants at
 // the crash. It reports whether the fault actually surfaced.
 func runPoint(cfg Config, kind fault.Kind, point int64) (crashed bool, err error) {
-	st, tab, err := openStore()
+	st, tab, err := openStore(cfg.arch)
 	if err != nil {
 		return false, err
 	}

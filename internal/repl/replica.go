@@ -409,10 +409,9 @@ func applyTx(st *nvmstore.Store, recs []wire.ReplRec, commitLSN, epoch uint64) e
 				Tx:   wal.TxID(rec.Tx),
 				PID:  rec.PID,
 				Off:  int(rec.Off),
-				// Images alias the frame buffer; ApplyLogical copies
-				// what it keeps.
-				Before: rec.Before,
-				After:  rec.After,
+				// The image aliases the frame buffer; ApplyLogical
+				// copies what it keeps.
+				After: rec.After,
 			})
 			if err != nil {
 				return err

@@ -414,9 +414,9 @@ func (s *Source) ship(shard int, recs []wal.Record) {
 		}
 		b.Recs = append(b.Recs, wire.ReplRec{
 			Kind: r.Kind, LSN: lsn, Tx: uint64(r.Tx), PID: r.PID, Off: uint32(r.Off),
-			Before: r.Before, After: r.After,
+			After: r.After,
 		})
-		b.Bytes += len(r.Before) + len(r.After) + 64
+		b.Bytes += len(r.After) + 64
 	}
 	if b.Last == 0 {
 		return

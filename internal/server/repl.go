@@ -110,7 +110,7 @@ func (c *conn) feeder(f *repl.Feed) {
 			for len(recs) > 0 {
 				n, bytes := 0, 0
 				for n < len(recs) && (n == 0 || bytes < max) {
-					bytes += 37 + len(recs[n].Before) + len(recs[n].After)
+					bytes += 33 + len(recs[n].After)
 					n++
 				}
 				body := wire.AppendReplBatch(nil, wire.ReplBatch{Shard: uint32(b.Shard), Epoch: epoch, Recs: recs[:n]})

@@ -7,9 +7,9 @@
 // which appends it as a RecUndo record (AppendUndo) only once the change's
 // bytes could reach persistent storage before its commit: a page stolen
 // mid-transaction, or a page image, which redo replays whatever the
-// transaction's outcome. Where the store persists a change in place
-// before any write barrier runs (NVM Direct), UpdateInline keeps the undo
-// image inside the update record. A transaction commits by flushing the
+// transaction's outcome. A store that writes a change in place (NVM
+// Direct) steals at every change, so it appends the undo record, and
+// flushes it, before the store. A transaction commits by flushing the
 // log tail (clwb + sfence in hardware, Device.Flush here).
 //
 // A transaction whose only record is one Update and that commits before
@@ -63,9 +63,9 @@
 //     all or none;
 //   - a loser — neither commit nor abort record; there is at most one, the
 //     log's last transaction — has its RecUpdate records skipped;
-//   - the loser's undo images, RecUndo records and inline ones, are undone
-//     in reverse log order. Undo images exist only for changes a steal or
-//     a page image could have exposed.
+//   - the loser's RecUndo records are undone in reverse log order. Undo
+//     records exist only for changes a steal or a page image could have
+//     exposed.
 //
 // Every append makes room for the pad the next flush may add behind it,
 // Update reserves room for the change's undo record and its pad, and the
@@ -127,8 +127,7 @@ type LSN uint64
 // Record kinds, the first payload byte of a record and Record.Kind.
 const (
 	// RecUpdate is the redo record of a logical change: After is its redo
-	// image. Before is empty unless the change was logged with its undo
-	// image inline (UpdateInline).
+	// image, and Before is empty.
 	RecUpdate byte = 1
 	// RecCommit and RecAbort are transaction marks with no images.
 	RecCommit byte = 2
@@ -161,8 +160,8 @@ type Record struct {
 	// Tx is zero in an update Recover read from a folded record.
 	Tx TxID
 	// Data records carry the page (or caller-defined object) id, an
-	// offset, and their images: Before the undo image, After the redo
-	// image.
+	// offset, and one image: Before the undo image of a RecUndo, After
+	// the redo image of a RecUpdate or RecImage.
 	PID    uint64
 	Off    int
 	Before []byte
@@ -170,8 +169,8 @@ type Record struct {
 }
 
 // Handler receives records during recovery: Redo in log order for the
-// records redo repeats, Undo in reverse log order for the loser's undo
-// images — a RecUndo record, or a RecUpdate logged with UpdateInline.
+// records redo repeats, Undo in reverse log order for the loser's RecUndo
+// records.
 type Handler interface {
 	Redo(r Record) error
 	Undo(r Record) error
@@ -414,7 +413,7 @@ func (l *Log) Begin() TxID {
 // touches the log first writes the held one as a plain update record.
 // Bytes counts it either way.
 func (l *Log) Update(tx TxID, pid uint64, off int, after []byte, undo int) (LSN, error) {
-	return l.data(RecUpdate, tx, pid, off, nil, after, undoRoom(undo))
+	return l.data(RecUpdate, tx, pid, off, after, undoRoom(undo))
 }
 
 // undoRoom is the room an undo record with an undo image of n bytes may
@@ -423,18 +422,10 @@ func (l *Log) Update(tx TxID, pid uint64, off int, after []byte, undo int) (LSN,
 // boundary.
 func undoRoom(n int) int64 { return lineEnd(prefixSize + updateHdr + int64(n)) }
 
-// UpdateInline appends the redo record of a change with its undo image,
-// before (not empty), in the same record — for a store whose changes
-// reach persistent storage before any write barrier runs (NVM Direct).
-// Recover undoes it if tx loses. Nothing is reserved.
-func (l *Log) UpdateInline(tx TxID, pid uint64, off int, before, after []byte) (LSN, error) {
-	return l.data(RecUpdate, tx, pid, off, before, after, 0)
-}
-
 // Image appends the after image of page pid. Recover redoes it whatever
 // tx's outcome, once a flush has completed behind it.
 func (l *Log) Image(tx TxID, pid uint64, image []byte) (LSN, error) {
-	return l.data(RecImage, tx, pid, 0, nil, image, 0)
+	return l.data(RecImage, tx, pid, 0, image, 0)
 }
 
 // AppendUndo appends the undo record of an earlier Update of tx: before
@@ -455,15 +446,15 @@ func (l *Log) AppendUndo(tx TxID, pid uint64, off int, before []byte) LSN {
 	return lsn
 }
 
-// data appends a data record of kind, reserving reserve more bytes for
-// tx's undo records. It holds tx's first update record if that carries no
-// undo image.
-func (l *Log) data(kind byte, tx TxID, pid uint64, off int, before, after []byte, reserve int64) (LSN, error) {
+// data appends a data record of kind with its image, after, reserving
+// reserve more bytes for tx's undo records. It holds tx's first update
+// record.
+func (l *Log) data(kind byte, tx TxID, pid uint64, off int, after []byte, reserve int64) (LSN, error) {
 	l.settle()
 	if tx != l.resTx {
 		l.resTx, l.reserved = tx, 0
 	}
-	if err := l.room(updateHdr+len(before)+len(after), reserve); err != nil {
+	if err := l.room(updateHdr+len(after), reserve); err != nil {
 		return 0, err
 	}
 	l.reserved += reserve
@@ -472,22 +463,18 @@ func (l *Log) data(kind byte, tx TxID, pid uint64, off int, before, after []byte
 	if !open {
 		l.open[tx] = struct{}{}
 	}
-	if !open && kind == RecUpdate && len(before) == 0 {
+	if !open && kind == RecUpdate {
 		l.held = heldUpdate{tx: tx, lsn: lsn, pid: pid, off: off, after: append(l.held.after[:0], after...)}
 	} else {
-		l.write(l.encode(kind, lsn, tx, pid, off, before, after))
+		l.write(l.encode(kind, lsn, tx, pid, off, nil, after))
 	}
 	if l.ship != nil {
-		// Owned copies: the caller's images may be overwritten after we
+		// An owned copy: the caller's image may be overwritten after we
 		// return. A held update is shipped here, once, whatever layout it
 		// is written in.
-		nb := len(before)
-		img := make([]byte, nb+len(after))
-		copy(img, before)
-		copy(img[nb:], after)
 		l.pending = append(l.pending, Record{
 			Kind: kind, LSN: lsn, Tx: tx, PID: pid, Off: off,
-			Before: img[:nb:nb], After: img[nb:],
+			After: append([]byte(nil), after...),
 		})
 	}
 	return lsn, nil
@@ -922,11 +909,10 @@ func (l *Log) Recover(h Handler) (RecoveryStats, error) {
 		}
 		stats.Redone++
 	}
-	// Undo: roll the loser's undo images back in reverse log order — its
-	// undo records and the updates that carry one inline.
+	// Undo: roll the loser's undo records back in reverse log order.
 	for i := len(records) - 1; i >= 0; i-- {
 		r := records[i]
-		if ended(r.Tx) || r.Kind == RecImage || len(r.Before) == 0 {
+		if ended(r.Tx) || r.Kind != RecUndo {
 			continue
 		}
 		if err := h.Undo(r); err != nil {

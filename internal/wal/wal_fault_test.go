@@ -12,13 +12,22 @@ import (
 	"nvmstore/internal/nvm"
 )
 
-// staleImages returns before/after images sized so that a whole inline
-// record (prefix + payload) is exactly one 64-byte cache line: 8 + 37 + 9
-// + 10. Inline records carry their undo, so a loser's is handed to Undo.
+// lineImage returns an image sized so that a whole update or undo record
+// (prefix + payload) is exactly one 64-byte cache line: 8 + 37 + 19.
 // Records then start and end on line boundaries, which is the geometry
 // that lets a torn flush end the durable prefix on a record boundary.
-func staleImages() (before, after []byte) {
-	return make([]byte, 9), make([]byte, 10)
+func lineImage() []byte { return make([]byte, 19) }
+
+// updateWithUndo appends a one-line update record of tx and its one-line
+// undo record, the pair a steal leaves in the log; a loser's undo record
+// is handed to Undo.
+func updateWithUndo(l *Log, tx TxID, pid uint64) error {
+	img := lineImage()
+	if _, err := l.Update(tx, pid, 0, img, len(img)); err != nil {
+		return err
+	}
+	l.AppendUndo(tx, pid, 0, img)
+	return nil
 }
 
 // TestStaleRecordAfterTornFlushDetected reproduces the nastiest torn
@@ -29,13 +38,13 @@ func staleImages() (before, after []byte) {
 // must not replay it — its stale LSN gives it away.
 func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	l, dev := newTestLog(t, true)
-	before, after := staleImages()
+	img := lineImage()
 
-	// Generation 1: two one-line update records plus a commit mark, all
-	// durable. LSNs 1, 2, 3.
+	// Generation 1: three one-line update records plus a commit mark, all
+	// durable. LSNs 1 to 4.
 	t1 := l.Begin()
-	for i := 0; i < 2; i++ {
-		if _, err := l.UpdateInline(t1, uint64(i+1), 0, before, after); err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := l.Update(t1, uint64(i+1), 0, img, len(img)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,14 +53,15 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	}
 	l.Truncate()
 
-	// Generation 2: one update record (LSN 4) over [0, 64). The next
-	// line still holds generation 1's second record. Tear the flush:
-	// persist the record's line only, then power-fail.
+	// Generation 2: an update record (LSN 5) and its undo record (LSN 6)
+	// over [0, 128). The next line still holds generation 1's third
+	// record. Tear the flush: persist the two records' lines only, then
+	// power-fail.
 	t2 := l.Begin()
-	if _, err := l.UpdateInline(t2, 9, 0, before, after); err != nil {
+	if err := updateWithUndo(l, t2, 9); err != nil {
 		t.Fatal(err)
 	}
-	dev.Flush(0, 64)
+	dev.Flush(0, 128)
 	dev.Crash()
 
 	var got []Record
@@ -63,10 +73,10 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 	if !st.TornTail {
 		t.Fatal("stale record not flagged as torn tail")
 	}
-	// Only the generation-2 record replays; the stale generation-1
-	// record at the scan position (LSN 2 ≤ 4) must be dropped.
-	if len(got) != 1 || got[0].LSN != 4 || got[0].PID != 9 {
-		t.Fatalf("replayed %+v, want only the LSN-4 record", got)
+	// Only the generation-2 undo record is handed over; the stale
+	// generation-1 record at the scan position (LSN 3 ≤ 6) must be dropped.
+	if len(got) != 1 || got[0].LSN != 6 || got[0].PID != 9 || got[0].Kind != RecUndo {
+		t.Fatalf("replayed %+v, want only the LSN-6 undo record", got)
 	}
 	if st.Losers != 1 {
 		t.Fatalf("stats = %+v, want the torn tx as loser", st)
@@ -93,26 +103,20 @@ func rewriteKind(dev *nvm.Device, pos int64, kind byte) {
 // rather than silently drop the corrupt record and everything after it,
 // also when the successor starts on the next line, past a flush's pad.
 func TestUnknownTypeMidLogIsCorruption(t *testing.T) {
-	before, after := staleImages()
 	cases := []struct {
 		name string
 		// build appends the record corrupted at offset 0 and its successor.
 		build func(l *Log, tx TxID) error
 	}{
 		{"adjacent", func(l *Log, tx TxID) error {
-			if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
-				return err
-			}
-			_, err := l.UpdateInline(tx, 2, 0, before, after)
-			return err
+			return updateWithUndo(l, tx, 1)
 		}},
 		{"past a pad", func(l *Log, tx TxID) error {
-			if _, err := l.UpdateInline(tx, 1, 0, before[:4], after[:4]); err != nil {
+			if _, err := l.Update(tx, 1, 0, lineImage()[:8], 0); err != nil {
 				return err
 			}
 			l.Flush()
-			_, err := l.UpdateInline(tx, 2, 0, before, after)
-			return err
+			return updateWithUndo(l, tx, 2)
 		}},
 	}
 	for _, tc := range cases {
@@ -140,9 +144,8 @@ func TestUnknownTypeMidLogIsCorruption(t *testing.T) {
 // match; the scan stops there instead of failing recovery.
 func TestUnknownTypeAtTailIsTorn(t *testing.T) {
 	l, dev := newTestLog(t, false)
-	before, after := staleImages()
 	tx := l.Begin()
-	if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
+	if err := updateWithUndo(l, tx, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(tx); err != nil {
@@ -150,7 +153,7 @@ func TestUnknownTypeAtTailIsTorn(t *testing.T) {
 	}
 	// Corrupt the *last* record (the commit mark) — nothing follows it,
 	// and the record before it did not end a flush.
-	commitPos := int64(64) // record 1 occupies [0, 64)
+	commitPos := int64(128) // the update and its undo occupy [0, 128)
 	rewriteKind(dev, commitPos, 77)
 
 	var got []Record
@@ -163,8 +166,8 @@ func TestUnknownTypeAtTailIsTorn(t *testing.T) {
 		t.Fatal("unknown-type tail not flagged torn")
 	}
 	// The update survives but its commit mark is gone: loser, undone.
-	if len(got) != 1 || st.Losers != 1 {
-		t.Fatalf("records=%d stats=%+v, want 1 record and 1 loser", len(got), st)
+	if len(got) != 1 || got[0].Kind != RecUndo || st.Losers != 1 {
+		t.Fatalf("records=%d stats=%+v, want 1 undo record and 1 loser", len(got), st)
 	}
 }
 
@@ -237,12 +240,13 @@ func TestInjectedAppendError(t *testing.T) {
 // inside a flush — right after a record whose next line the crash lost —
 // reports a torn tail.
 func TestScanEnd(t *testing.T) {
-	before, after := staleImages()
-	// commitOne commits a transaction of one one-line inline record at the
-	// head; from offset 0 its flush ends at 128, the commit record padded.
+	img := lineImage()
+	// commitOne commits a transaction of one one-line update record and
+	// its one-line undo record at the head; from offset 0 its flush ends
+	// at 192, the commit record padded.
 	commitOne := func(l *Log) {
 		tx := l.Begin()
-		if _, err := l.UpdateInline(tx, 1, 0, before, after); err != nil {
+		if err := updateWithUndo(l, tx, 1); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Commit(tx); err != nil {
@@ -250,12 +254,12 @@ func TestScanEnd(t *testing.T) {
 		}
 	}
 	// earlier fills [0, 320) with a committed generation: four one-line
-	// records, LSNs 1 to 4, and a commit record. Its record at 128 is what
+	// records, LSNs 1 to 4, and a commit record. Its record at 192 is what
 	// the line behind commitOne's flush holds.
 	earlier := func(l *Log) {
 		tx := l.Begin()
 		for i := 0; i < 4; i++ {
-			if _, err := l.UpdateInline(tx, 9, 0, before, after); err != nil {
+			if _, err := l.Update(tx, 9, 0, img, len(img)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -278,7 +282,7 @@ func TestScanEnd(t *testing.T) {
 			// A crash right after the truncation: recovery finds an empty
 			// log and must keep counting LSNs up from the header's floor,
 			// or the next generation's LSNs would fall below the stale
-			// record's at 128.
+			// record's at 192.
 			earlier(l)
 			dev.Crash()
 			l = New(dev, 0, 1<<16)
@@ -292,7 +296,7 @@ func TestScanEnd(t *testing.T) {
 			var junk [nvm.LineSize]byte
 			binary.LittleEndian.PutUint32(junk[:], 40) // a plausible size, a wrong CRC
 			copy(junk[prefixSize:], "not a record")
-			dev.Persist(junk[:], 128)
+			dev.Persist(junk[:], 192)
 		}, false},
 		{"flush ending on the boundary", func(l *Log, _ *nvm.Device) {
 			// A one-update transaction with a 109-byte redo image is one
@@ -310,16 +314,17 @@ func TestScanEnd(t *testing.T) {
 		}, false},
 		{"torn flush", func(l *Log, dev *nvm.Device) {
 			commitOne(l)
-			// A one-line record at 128, then one crossing into the line
-			// at 256, which the crash loses.
+			// An update and its undo, one line each at 192 and 256, then
+			// a record crossing into the line at 384, which the crash
+			// loses.
 			tx := l.Begin()
-			if _, err := l.UpdateInline(tx, 2, 0, before, after); err != nil {
+			if err := updateWithUndo(l, tx, 2); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := l.Update(tx, 3, 0, make([]byte, 100), 0); err != nil {
 				t.Fatal(err)
 			}
-			dev.Flush(128, 2*nvm.LineSize)
+			dev.Flush(192, 3*nvm.LineSize)
 		}, true},
 	}
 	for _, tc := range cases {

@@ -404,17 +404,18 @@ func TestCommitFlushesDurably(t *testing.T) {
 }
 
 func TestDifferingImageLengths(t *testing.T) {
-	// An update record has no before image; an inline one may have an
-	// empty after image.
+	// An update record has no before image; an undo record has no after
+	// image. t1 commits its update, t2 loses with its undo in the log.
 	l, _ := newTestLog(t, false)
-	tx := l.Begin()
-	if _, err := l.Update(tx, 1, 0, []byte("inserted"), 0); err != nil {
+	t1, t2 := l.Begin(), l.Begin()
+	if _, err := l.Update(t1, 1, 0, []byte("inserted"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.UpdateInline(tx, 2, 0, []byte("deleted"), nil); err != nil {
+	if _, err := l.Update(t2, 2, 0, nil, len("deleted")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	l.AppendUndo(t2, 2, 0, []byte("deleted"))
+	if err := l.Commit(t1); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
@@ -587,8 +588,9 @@ func TestRecoverRule(t *testing.T) {
 	must("undo stolen", l.AppendUndo(t3, 3, 0, []byte("s0")), nil)
 	lsn, err = l.Image(t3, 9, []byte("image"))
 	must("image", lsn, err)
-	lsn, err = l.UpdateInline(t3, 4, 0, []byte("i0"), []byte("i1"))
-	must("inline", lsn, err)
+	lsn, err = l.Update(t3, 4, 0, []byte("w1"), 2)
+	must("written", lsn, err)
+	must("undo written", l.AppendUndo(t3, 4, 0, []byte("w0")), nil)
 	lsn, err = l.Update(t3, 5, 0, []byte("u1"), 2)
 	must("unstolen", lsn, err)
 	l.Flush()
@@ -598,7 +600,7 @@ func TestRecoverRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"committed", "aborted", "compensation", "image", "inline", "undo stolen"}
+	want := []string{"committed", "aborted", "compensation", "image", "undo written", "undo stolen"}
 	if len(got) != len(want) {
 		t.Fatalf("handled %d records, want %v", len(got), want)
 	}
@@ -607,10 +609,10 @@ func TestRecoverRule(t *testing.T) {
 			t.Fatalf("call %d handled lsn %d, want %s (%d)", i, got[i].LSN, name, lsns[name])
 		}
 	}
-	if got[4].Kind != RecUpdate || string(got[4].Before) != "i0" || got[5].Kind != RecUndo || string(got[5].Before) != "s0" {
+	if got[4].Kind != RecUndo || string(got[4].Before) != "w0" || got[5].Kind != RecUndo || string(got[5].Before) != "s0" {
 		t.Fatalf("undo records handed over as %+v, %+v", got[4], got[5])
 	}
-	if st.Records != 8 || st.Committed != 1 || st.Aborted != 1 || st.Losers != 1 || st.Redone != 4 || st.Undone != 2 {
+	if st.Records != 9 || st.Committed != 1 || st.Aborted != 1 || st.Losers != 1 || st.Redone != 4 || st.Undone != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -849,7 +851,7 @@ func TestOneUpdateTransactionFolds(t *testing.T) {
 }
 
 // TestUnfoldedTransactionsKeepTheirBytes: a transaction of several
-// records, one whose update carries its undo image inline, one with a
+// records, one whose update is followed by its undo record, one with a
 // page image and an aborted one write plain records and marks, byte for
 // byte.
 func TestUnfoldedTransactionsKeepTheirBytes(t *testing.T) {
@@ -867,10 +869,13 @@ func TestUnfoldedTransactionsKeepTheirBytes(t *testing.T) {
 			_, err := l.Update(tx, 2, 0, make([]byte, 30), 30)
 			return err
 		}, plain(0, 20) + plain(0, 30)},
-		{"inline", func(l *Log, tx TxID) error {
-			_, err := l.UpdateInline(tx, 1, 0, make([]byte, 10), make([]byte, 20))
-			return err
-		}, plain(10, 20)},
+		{"update and its undo", func(l *Log, tx TxID) error {
+			if _, err := l.Update(tx, 1, 0, make([]byte, 20), 10); err != nil {
+				return err
+			}
+			l.AppendUndo(tx, 1, 0, make([]byte, 10))
+			return nil
+		}, plain(0, 20) + plain(10, 0)},
 		{"image", func(l *Log, tx TxID) error {
 			_, err := l.Image(tx, 7, make([]byte, 50))
 			return err

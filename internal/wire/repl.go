@@ -15,7 +15,7 @@
 //	LSNS       epoch u64 | role u8 | nshards u32 | nshards × lsn u64
 //	BATCH      shard u32 | epoch u64 | count u32 | count × record
 //	  record   kind u8 | lsn u64 | tx u64 | pid u64 | off u32 |
-//	           blen u32 | alen u32 | before | after
+//	           alen u32 | after
 //	SNAPSHOT   shard u32 | epoch u64 | final u8 | snapLSN u64 |
 //	           count u32 | count × (table u64 | key u64 | vlen u32 | value)
 package wire
@@ -103,10 +103,8 @@ type ReplRec struct {
 	PID uint64
 	// Off packs the logical opcode and field offset like wal.Record.Off.
 	Off uint32
-	// Before and After are the undo and redo images; they alias the
-	// decode buffer.
-	Before []byte
-	After  []byte
+	// After is the redo image; it aliases the decode buffer.
+	After []byte
 }
 
 // ReplBatch is the body of a RespReplBatch pushed frame: a run of
@@ -148,7 +146,7 @@ type ReplSnap struct {
 }
 
 // replRecHdr is the fixed part of an encoded ReplRec.
-const replRecHdr = 1 + 8 + 8 + 8 + 4 + 4 + 4
+const replRecHdr = 1 + 8 + 8 + 8 + 4 + 4
 
 // snapRowHdr is the fixed part of an encoded SnapRow.
 const snapRowHdr = 8 + 8 + 4
@@ -281,9 +279,7 @@ func AppendReplBatch(dst []byte, bt ReplBatch) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, r.Tx)
 		dst = binary.BigEndian.AppendUint64(dst, r.PID)
 		dst = binary.BigEndian.AppendUint32(dst, r.Off)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.Before)))
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(r.After)))
-		dst = append(dst, r.Before...)
 		dst = append(dst, r.After...)
 	}
 	return dst
@@ -314,15 +310,13 @@ func DecodeReplBatch(b []byte) (ReplBatch, error) {
 			PID:  binary.BigEndian.Uint64(b[17:]),
 			Off:  binary.BigEndian.Uint32(b[25:]),
 		}
-		nb := binary.BigEndian.Uint32(b[29:])
-		na := binary.BigEndian.Uint32(b[33:])
+		na := binary.BigEndian.Uint32(b[29:])
 		b = b[replRecHdr:]
-		if uint64(nb)+uint64(na) > uint64(len(b)) {
-			return ReplBatch{}, fmt.Errorf("%w: batch record %d images", ErrShortFrame, i)
+		if uint64(na) > uint64(len(b)) {
+			return ReplBatch{}, fmt.Errorf("%w: batch record %d image", ErrShortFrame, i)
 		}
-		r.Before = b[:nb:nb]
-		r.After = b[nb : uint64(nb)+uint64(na)]
-		b = b[uint64(nb)+uint64(na):]
+		r.After = b[:na:na]
+		b = b[na:]
 		bt.Recs = append(bt.Recs, r)
 	}
 	if len(b) != 0 {

@@ -15,8 +15,8 @@ func replSamples() (ReplSubscribe, ReplAck, ReplPromote, ReplWait, ReplLSNs, Rep
 	wait := ReplWait{TimeoutMs: 250, LSNs: []uint64{5, 6}}
 	lsns := ReplLSNs{Epoch: 3, Role: RoleReplica, LSNs: []uint64{11, 12}}
 	batch := ReplBatch{Shard: 1, Epoch: 3, Recs: []ReplRec{
-		{Kind: 1, LSN: 7, Tx: 2, PID: 1, Off: 1, Before: nil, After: []byte("\x01\x00\x00\x00\x00\x00\x00\x00row")},
-		{Kind: 1, LSN: 8, Tx: 2, PID: 1, Off: 3 | 8<<2, Before: []byte("a"), After: []byte("b")},
+		{Kind: 1, LSN: 7, Tx: 2, PID: 1, Off: 1, After: []byte("\x01\x00\x00\x00\x00\x00\x00\x00row")},
+		{Kind: 1, LSN: 8, Tx: 2, PID: 1, Off: 3 | 8<<2, After: []byte("b")},
 		{Kind: 2, LSN: 9, Tx: 2},
 	}}
 	snap := ReplSnap{Shard: 0, Epoch: 3, Final: true, SnapLSN: 42, Rows: []SnapRow{
@@ -51,7 +51,7 @@ func TestReplBodyRoundTrips(t *testing.T) {
 	for i, r := range got.Recs {
 		w := batch.Recs[i]
 		if r.Kind != w.Kind || r.LSN != w.LSN || r.Tx != w.Tx || r.PID != w.PID || r.Off != w.Off ||
-			!bytes.Equal(r.Before, w.Before) || !bytes.Equal(r.After, w.After) {
+			!bytes.Equal(r.After, w.After) {
 			t.Fatalf("batch rec %d: %+v != %+v", i, r, w)
 		}
 	}
