@@ -40,14 +40,26 @@ var gates = []gate{
 	{
 		// An update record carries only its redo image, on all five
 		// architectures; logUndo logs the undo images, and the write
-		// barrier and LogPageImage run it before uncommitted bytes can
-		// reach persistent storage. NVM Direct runs the barrier as each
+		// barrier and makeDurable's page images run it before uncommitted
+		// bytes can reach persistent storage. NVM Direct runs the barrier as each
 		// op is logged, before the tree stores in place. A second caller
 		// would log undo the rule does not account for.
 		rule:    "One undo append",
 		heading: "9.7 What the log holds: redo always, undo on steal",
 		check: func(src []goFile) []string {
 			return sitesAre(calls(nonTest(src), "AppendUndo"), "Engine.logUndo AppendUndo")
+		},
+	},
+	{
+		// The B-tree reports its structural changes and keeps no
+		// durability state: Engine.makeDurable decides, by topology, how
+		// each becomes durable — page images in the log, or NVM Direct's
+		// force-writes behind the root record. A second ForceWrite caller
+		// would be a second decision.
+		rule:    "One structural-durability decision",
+		heading: "9.7 What the log holds: redo always, undo on steal",
+		check: func(src []goFile) []string {
+			return sitesAre(calls(nonTest(src), "ForceWrite"), "Engine.makeDurable ForceWrite")
 		},
 	},
 	{

@@ -70,18 +70,24 @@ var (
 )
 
 // Logger receives every tree modification, with its redo and undo images,
-// before the page changes. The engine binds it to the current
-// transaction's WAL. A nil Logger disables logging (bulk load, recovery
-// replay).
+// before the page changes, and every structural change once it is made.
+// The engine binds it to the current transaction's WAL and decides how a
+// structural change becomes durable; the tree keeps no durability state.
+// A nil Logger logs nothing and makes nothing durable.
 type Logger interface {
 	LogInsert(treeID, key uint64, payload []byte) error
 	LogDelete(treeID, key uint64, old []byte) error
 	LogUpdate(treeID, key uint64, off int, before, after []byte) error
-	// LogPageImage records the full after-image of a page changed by a
-	// structural operation (split). Image records are redo-only: splits
-	// survive even when the surrounding transaction rolls back, like
-	// ARIES nested top actions.
-	LogPageImage(pid core.PageID, image []byte) error
+	// LogStructure reports one structural change, made on the fixed pages
+	// it names in order: child, right and parent for a split, the changed
+	// pages for a shift into the rightmost leaf. The change stays when
+	// the surrounding transaction rolls back, like an ARIES nested top
+	// action.
+	LogStructure(pages ...core.Handle) error
+	// LogRoot reports that tree treeID has a new root: root, fixed, where
+	// a split grows the tree by a level, reported before the old root
+	// splits; no handle where a bulk load replaced the root.
+	LogRoot(treeID uint64, root core.Handle) error
 }
 
 // Tree is a B+-tree over fixed-size payloads keyed by uint64.
@@ -99,12 +105,7 @@ type Tree struct {
 	hashMax  int // split threshold for hash leaves
 	innerCap int
 
-	logger   Logger
-	syncMeta func() error
-	// structuralLogging makes splits durable by logging page images to
-	// the WAL. Without it (bulk loads, or architectures whose pages are
-	// already durable in place) split pages are force-written instead.
-	structuralLogging bool
+	logger Logger
 	// perProbeInner makes inner-node searches read individual keys
 	// instead of the whole page. The NVM Direct architecture works in
 	// place and never loads pages, so charging it a full-page read for
@@ -229,17 +230,6 @@ func (t *Tree) detachRoot() error {
 
 // SetLogger installs the WAL adapter for subsequent modifications.
 func (t *Tree) SetLogger(l Logger) { t.logger = l }
-
-// SetStructuralLogging selects how splits are made durable: true logs
-// page images to the WAL (the cheap path for buffered architectures whose
-// log lives on NVM), false force-writes the split pages to their
-// persistent home (in-place architectures, or engines without a logger).
-func (t *Tree) SetStructuralLogging(on bool) { t.structuralLogging = on }
-
-// SetMetaSync installs a callback invoked after the root changes: a split
-// that grows the tree by a level, or a bulk load. Engines log or persist
-// the new root there.
-func (t *Tree) SetMetaSync(fn func() error) { t.syncMeta = fn }
 
 // Offset helpers.
 
@@ -586,7 +576,9 @@ func (t *Tree) nodeFull(h core.Handle) bool {
 }
 
 // splitRoot grows the tree by one level: a fresh inner root adopts the old
-// root, which is then split as its child. Returns the new root, fixed.
+// root as its only child and is reported to the Logger before the old root
+// is split as its child, so a crash between the two leaves a tree one
+// level taller that still holds every key. Returns the new root, fixed.
 func (t *Tree) splitRoot(oldRoot core.Handle) (core.Handle, error) {
 	t.m.Unswizzle(oldRoot) // detach the old root from the root holder
 	newRoot, err := t.m.Allocate()
@@ -599,25 +591,23 @@ func (t *Tree) splitRoot(oldRoot core.Handle) (core.Handle, error) {
 	binary.LittleEndian.PutUint64(data[t.innerChildOff(0):], uint64(core.MakeRef(oldRoot.PID())))
 	t.root = core.MakeRef(newRoot.PID())
 	t.height++
-	if _, err := t.splitChild(newRoot, oldRoot, 0); err != nil {
-		t.m.Unfix(oldRoot)
-		t.m.Unfix(newRoot)
-		return core.Handle{}, err
+	if t.logger != nil {
+		err = t.logger.LogRoot(t.id, newRoot)
+	}
+	if err == nil {
+		_, err = t.splitChild(newRoot, oldRoot, 0)
 	}
 	t.m.Unfix(oldRoot)
-	if t.syncMeta != nil {
-		if err := t.syncMeta(); err != nil {
-			t.m.Unfix(newRoot)
-			return core.Handle{}, err
-		}
+	if err != nil {
+		t.m.Unfix(newRoot)
+		return core.Handle{}, err
 	}
 	return newRoot, nil
 }
 
 // splitChild splits child (the idx-th child of parent, which must not be
-// full) and inserts the separator into parent. It returns the separator
-// key. All three pages are force-written so the persistent structure stays
-// consistent regardless of later eviction order.
+// full), inserts the separator into parent and reports the three pages to
+// the Logger, which makes the split durable. It returns the separator key.
 func (t *Tree) splitChild(parent, child core.Handle, idx int) (uint64, error) {
 	right, err := t.m.Allocate()
 	if err != nil {
@@ -637,40 +627,11 @@ func (t *Tree) splitChild(parent, child core.Handle, idx int) (uint64, error) {
 		sep = t.splitSortedLeaf(child, right)
 	}
 	t.innerInsertSep(parent, idx, sep, right.PID())
-	// Make the structural change durable so the persistent tree stays
-	// consistent regardless of later eviction order: either as page
-	// images in the WAL, or by force-writing the pages.
-	if t.structuralLogging && t.logger != nil {
-		if err := t.logImages(child, right, parent); err != nil {
-			t.m.Unfix(right)
-			return 0, err
-		}
-	} else {
-		t.m.ForceWrite(child)
-		t.m.ForceWrite(right)
-		t.m.ForceWrite(parent)
+	if t.logger != nil {
+		err = t.logger.LogStructure(child, right, parent)
 	}
 	t.m.Unfix(right)
-	return sep, nil
-}
-
-// logImages logs the page images of one structural change, at most
-// three pages. It reads every image before it appends the first: reading
-// can promote a mini page, whose new frame can evict another page, and
-// that write-back's barrier flushes the log — a flush between the images
-// would make some durable without the others. With none between them,
-// recovery redoes them all or none (wal.Log.Recover).
-func (t *Tree) logImages(hs ...core.Handle) error {
-	var imgs [3][]byte
-	for i, h := range hs {
-		imgs[i] = h.ReadAll()
-	}
-	for i, h := range hs {
-		if err := t.logger.LogPageImage(h.PID(), imgs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sep, err
 }
 
 // shiftToRightmost makes room in child, a full sorted leaf whose right
@@ -684,7 +645,7 @@ func (t *Tree) logImages(hs ...core.Handle) error {
 // the first moved key, or to key itself when nothing moves, and returns
 // it. The sibling's routed range widens, which the version store records
 // for snapshot scans (core.Versions.NoteWidened). Like splitChild, it
-// makes the change durable at once; it allocates nothing.
+// reports the changed pages to the Logger; it allocates nothing.
 func (t *Tree) shiftToRightmost(parent, child core.Handle, idx int, key uint64) (uint64, bool, error) {
 	sib, err := t.m.FixChild(parent, t.innerChildOff(idx+1), t.leafMode())
 	if err != nil {
@@ -719,15 +680,9 @@ func (t *Tree) shiftToRightmost(parent, child core.Handle, idx int, key uint64) 
 	}
 	t.m.Versions().NoteWidened(sib.PID())
 	binary.LittleEndian.PutUint64(parent.Write(t.innerKeyOff(idx), 8), sep)
-	if t.structuralLogging && t.logger != nil {
-		// The parent's image must hold page ids, not swizzled references.
-		t.m.UnswizzleChildren(parent)
-		if err := t.logImages(changed...); err != nil {
+	if t.logger != nil {
+		if err := t.logger.LogStructure(changed...); err != nil {
 			return 0, false, err
-		}
-	} else {
-		for _, h := range changed {
-			t.m.ForceWrite(h)
 		}
 	}
 	return sep, true, nil

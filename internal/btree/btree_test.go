@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nvmstore/internal/core"
@@ -555,8 +557,16 @@ func (l *loggerRecorder) LogUpdate(treeID, key uint64, off int, before, after []
 	l.events = append(l.events, fmt.Sprintf("update:%d:%d:%d", treeID, key, off))
 	return nil
 }
-func (l *loggerRecorder) LogPageImage(pid core.PageID, image []byte) error {
-	l.events = append(l.events, fmt.Sprintf("image:%d", pid))
+func (l *loggerRecorder) LogStructure(pages ...core.Handle) error {
+	pids := make([]core.PageID, len(pages))
+	for i, h := range pages {
+		pids[i] = h.PID()
+	}
+	l.events = append(l.events, fmt.Sprintf("structure:%v", pids))
+	return nil
+}
+func (l *loggerRecorder) LogRoot(treeID uint64, root core.Handle) error {
+	l.events = append(l.events, fmt.Sprintf("root:%d:%d", treeID, root.PID()))
 	return nil
 }
 
@@ -586,21 +596,38 @@ func TestLoggerReceivesLogicalRecords(t *testing.T) {
 	}
 }
 
-func TestMetaSyncCalledOnRootChange(t *testing.T) {
+// TestRootSplitReportsRootThenSplit pins the order in which a root split
+// reaches the Logger: the new root, whose only child is the old root,
+// first, then the split of the old root, naming child, right and parent
+// in that order. An engine that makes each call durable as it arrives
+// then never names a root that lost half its keys to a split.
+func TestRootSplitReportsRootThenSplit(t *testing.T) {
 	m := newManager(t, core.MemOnly, 0, false, false, false)
 	tr, _ := Create(m, 1, 512, LayoutSorted)
-	calls := 0
-	tr.SetMetaSync(func() error { calls++; return nil })
-	for i := 0; i < 100; i++ { // more than one 31-entry leaf: root splits
+	oldRoot := tr.RootPID()
+	rec := &loggerRecorder{}
+	tr.SetLogger(rec)
+	for i := 0; i <= tr.LeafCapacity(); i++ { // one more than the root leaf holds
 		if err := tr.Insert(uint64(i), payloadFor(uint64(i), 512)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if calls == 0 {
-		t.Fatal("meta sync never called despite root split")
+	if tr.Height() != 2 {
+		t.Fatalf("height %d, want 2", tr.Height())
 	}
-	if tr.Height() < 2 {
-		t.Fatal("no root split happened")
+	newRoot := tr.RootPID()
+	right, _, err := tr.VisitLeafAsOf(oldRoot, math.MaxUint64, 0, 0, 0, func(uint64, []byte) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(rec.events)
+	want := []string{
+		fmt.Sprintf("root:1:%d", newRoot),
+		fmt.Sprintf("structure:%v", []core.PageID{oldRoot, right, newRoot}),
+		fmt.Sprintf("insert:1:%d", tr.LeafCapacity()),
+	}
+	if n < len(want) || !slices.Equal(rec.events[n-len(want):], want) {
+		t.Fatalf("events end %v, want %v", rec.events[max(0, n-len(want)):], want)
 	}
 }
 

@@ -130,8 +130,8 @@ func (t *Tree) BulkLoad(n int, keyAt func(i int) uint64, payloadAt func(i int, d
 		t.height++
 	}
 	t.root = core.MakeRef(level[0].pid)
-	if t.syncMeta != nil {
-		return t.syncMeta()
+	if t.logger != nil {
+		return t.logger.LogRoot(t.id, core.Handle{})
 	}
 	return nil
 }

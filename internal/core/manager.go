@@ -225,7 +225,7 @@ type WriteCause uint8
 const (
 	causeDRAMEvict  WriteCause = iota // a frame's content, written back on DRAM eviction
 	causeCkpt                         // the same, by a checkpoint walk (FlushSome, FlushAll)
-	causeSplitForce                   // the same, by ForceWrite on a structural change
+	causeSplitForce                   // the same, by ForceWrite (no production path forces a buffered frame)
 	causeInPlace                      // dirty lines of an in-place (NVM Direct) page
 	causeNVMAdmit                     // the page copy that admits a frame to an NVM slot
 	CauseJournal                      // the write-back undo journal: saved lines, arm, disarm, replay
@@ -839,11 +839,12 @@ func (m *Manager) Unfix(h Handle) {
 }
 
 // ForceWrite persists the page's dirty content to its home (NVM slot or
-// SSD) without evicting it, clearing the dirty state. Storage engines use
-// it to make structural changes (for example B-tree splits) durable
-// immediately, so that the persistent tree structure is always consistent
-// regardless of later eviction order. On a MemOnly topology it is a no-op:
-// that architecture has no page-based persistence.
+// SSD) without evicting it, clearing the dirty state. The engine's one
+// structural-durability decision (engine.Engine.makeDurable) calls it on
+// NVM Direct, whose splits and shifts reach NVM in place, to flush their
+// pages in order; the buffered topologies log page images instead. On a
+// MemOnly topology it is a no-op: that architecture has no page-based
+// persistence.
 func (m *Manager) ForceWrite(h Handle) {
 	f := h.f.live()
 	cause := causeSplitForce

@@ -26,6 +26,12 @@
 // barrier as each one is logged; it truncates the log after every commit,
 // as in the paper (§2.1), so the log only covers the in-flight
 // transaction.
+//
+// The B-trees report their structural changes — splits, shifts, new roots —
+// and keep no durability state: makeDurable alone decides, by topology,
+// how a change becomes durable: page images in the log, or force-writes on
+// NVM Direct. Where a crash is recovered, a root change is a root record
+// in the log, and it reaches the superblock catalog at the next log cut.
 package engine
 
 import (
@@ -134,10 +140,10 @@ type Engine struct {
 
 	replaying bool
 
-	// catalog is the tree catalog as the superblock holds it. Where splits
-	// log page images, a root change reaches it only at the next log cut
-	// (truncateLog), and catalogStale says one is waiting; until then redo
-	// moves the root at the root record's LSN.
+	// catalog is the tree catalog as the superblock holds it. A root change
+	// reaches it only at the next log cut (truncateLog), and catalogStale
+	// says one is waiting; until then redo moves the root at the root
+	// record's LSN.
 	catalog      []byte
 	catalogStale bool
 
@@ -260,39 +266,7 @@ func (e *Engine) TreeIDs() []uint64 {
 
 func (e *Engine) register(t *btree.Tree) {
 	t.SetLogger(e)
-	t.SetMetaSync(func() error { return e.rootChanged(t) })
-	t.SetStructuralLogging(e.logsSplits())
 	e.tree[t.ID()] = t
-}
-
-// logsSplits reports whether splits are made durable by page images in the
-// log. In-place NVM pages are durable as written, and main-memory pages
-// have no persistent home: neither needs split images in the log.
-func (e *Engine) logsSplits() bool {
-	topo := e.Topology()
-	return topo != core.DirectNVM && topo != core.MemOnly
-}
-
-// rootChanged runs when tree t's root changes: a split grew the tree by a
-// level, or a bulk load replaced it. Where splits are force-written in
-// place, the new root's pages are durable, and the catalog is written at
-// once. Where they are logged, the catalog must not run ahead of the log:
-// the new root's page may exist only as an image in it, and redo of older
-// records must descend from the old root. So inside a transaction a root
-// record, logged behind the split's page images, moves the root at its
-// LSN on redo, and the superblock learns of the change at the next cut,
-// when every page the root reaches is durable (truncateLog).
-func (e *Engine) rootChanged(t *btree.Tree) error {
-	if !e.logsSplits() {
-		return e.saveCatalog()
-	}
-	e.catalogStale = true
-	if e.replaying || !e.txActive {
-		return nil // redo of a root record, or a bulk load, which is no logged change
-	}
-	entry := catalogEntry(t)
-	_, err := e.log.Image(e.curTx, catalogPage, entry[:])
-	return err
 }
 
 // Begin starts a transaction.
@@ -523,11 +497,55 @@ func (e *Engine) writeBarrier() {
 	e.log.Flush()
 }
 
-// LogPageImage implements btree.Logger: a redo-only record carrying the
-// full after-image of a page changed by a split. Redo replays it whatever
-// the transaction's outcome, so the undo images of the transaction's ops
-// so far, whose bytes the image may hold, are logged first.
-func (e *Engine) LogPageImage(pid core.PageID, image []byte) error {
+// LogStructure implements btree.Logger: makeDurable decides how the
+// change's pages become durable.
+func (e *Engine) LogStructure(pages ...core.Handle) error {
+	return e.makeDurable(nil, pages)
+}
+
+// LogRoot implements btree.Logger. Inside a transaction a root change is
+// a root record, which redo replays at its LSN; the superblock catalog,
+// where redo starts its descents, learns of it only at the next log cut
+// (truncateLog), when every page the root reaches is durable.
+func (e *Engine) LogRoot(treeID uint64, root core.Handle) error {
+	e.catalogStale = true
+	if e.replaying || !e.txActive {
+		return nil // redo of a root record, or a bulk load, which is no logged change
+	}
+	entry := catalogEntry(e.tree[treeID])
+	return e.makeDurable(entry[:], []core.Handle{root})
+}
+
+// makeDurable is the one decision of how a structural change becomes
+// durable: pages, fixed, are what it changed, and root, when not nil, the
+// root record of a new root, which pages then holds alone.
+//
+//   - The buffered topologies log each page's image, redone whatever the
+//     transaction's outcome, so the undo images of its ops so far, whose
+//     bytes an image may hold, go first. Every image is read before the
+//     first is appended: reading can promote a mini page, whose new frame
+//     can evict another page, and that write-back's barrier flushes the
+//     log. With no flush between them, recovery redoes the images and the
+//     root record behind them all or none (wal.Log.Recover).
+//   - NVM Direct stores in place, so its pages reach NVM before any record
+//     could describe them; it force-writes them in order instead. A root
+//     record goes first, and the new root's force-write barrier flushes it.
+//   - Main Memory has nothing to make durable.
+func (e *Engine) makeDurable(root []byte, pages []core.Handle) error {
+	switch e.Topology() {
+	case core.MemOnly:
+		return nil
+	case core.DirectNVM:
+		if root != nil {
+			if _, err := e.log.Image(e.curTx, catalogPage, root); err != nil {
+				return err
+			}
+		}
+		for _, h := range pages {
+			e.m.ForceWrite(h)
+		}
+		return nil
+	}
 	if e.replaying {
 		return nil
 	}
@@ -535,7 +553,20 @@ func (e *Engine) LogPageImage(pid core.PageID, image []byte) error {
 		return ErrNoTransaction
 	}
 	e.logUndo()
-	_, err := e.log.Image(e.curTx, uint64(pid), image)
+	var imgs [3][]byte
+	for i, h := range pages {
+		e.m.UnswizzleChildren(h) // an image holds page ids, not swizzled references
+		imgs[i] = h.ReadAll()
+	}
+	for i, h := range pages {
+		if _, err := e.log.Image(e.curTx, uint64(h.PID()), imgs[i]); err != nil {
+			return err
+		}
+	}
+	if root == nil {
+		return nil
+	}
+	_, err := e.log.Image(e.curTx, catalogPage, root)
 	return err
 }
 
@@ -715,8 +746,7 @@ func (e *Engine) reload() error {
 }
 
 // saveCatalog persists every tree's root and height in the manager's
-// superblock metadata: at a root change where splits are written in
-// place, and at a log cut after a logged one.
+// superblock metadata, at the log cut after a root change.
 func (e *Engine) saveCatalog() error {
 	buf := make([]byte, 2, 2+len(e.tree)*entrySize)
 	binary.LittleEndian.PutUint16(buf, uint16(len(e.tree)))

@@ -152,10 +152,11 @@ func (e *Engine) CheckpointRound(batch int) (pages int, truncated bool, err erro
 // truncateLog flushes the tail (so unshipped records reach the
 // replication tap before the region is reused), writes a root change that
 // only the log holds to the superblock catalog, and truncates the WAL,
-// updating the checkpoint counters. Where splits are logged, every caller
-// runs it on a clean pool. It reports whether the log was actually cut:
-// the replication retention watermark can refuse (see wal.Log.Truncate),
-// and an empty log has nothing to cut.
+// updating the checkpoint counters. Every caller runs it where each page
+// a root reaches is durable: on a clean pool, or at an NVM Direct commit,
+// whose pages are durable in place. It reports whether the log was
+// actually cut: the replication retention watermark can refuse (see
+// wal.Log.Truncate), and an empty log has nothing to cut.
 func (e *Engine) truncateLog() bool {
 	e.log.Flush()
 	// Every page a root reaches is durable, so the catalog may name it. It

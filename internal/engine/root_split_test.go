@@ -9,9 +9,10 @@ import (
 	"nvmstore/internal/fault"
 )
 
-// The buffered topologies, whose splits are made durable by page images in
-// the log.
-var bufferedTopologies = []core.Topology{core.DRAMSSD, core.DRAMNVM, core.ThreeTier}
+// The topologies that recover from a crash: the buffered ones, whose splits
+// are made durable by page images in the log, and NVM Direct, which
+// force-writes them.
+var recoverableTopologies = []core.Topology{core.DRAMSSD, core.DRAMNVM, core.ThreeTier, core.DirectNVM}
 
 // insertEach inserts keys, each in a transaction of its own that commits.
 func insertEach(t *testing.T, e *Engine, tr *btree.Tree, keys []uint64) {
@@ -36,13 +37,13 @@ func ascending(from, to uint64) []uint64 {
 }
 
 // TestRootSplitRecoversWithoutCheckpoint: a fresh tree of 16-row leaves
-// that grew a level since the last checkpoint, with none of its pages
-// written back, recovers every committed key. The catalog still names the
-// old root, logical redo of the records before the split descends from
-// it, and the root record behind the split's page images moves the root
-// at its LSN.
+// that grew a level since the last checkpoint recovers every committed
+// key. On the buffered topologies none of its pages was written back, the
+// catalog still names the old root, logical redo of the records before the
+// split descends from it, and the root record in front of the split's page
+// images moves the root at its LSN.
 func TestRootSplitRecoversWithoutCheckpoint(t *testing.T) {
-	for _, topo := range bufferedTopologies {
+	for _, topo := range recoverableTopologies {
 		for _, n := range []uint64{16, 17, 40} {
 			t.Run(fmt.Sprintf("%s/%d", topo, n), func(t *testing.T) {
 				e := openEngine(t, topo)
@@ -106,9 +107,12 @@ func rootSplitFlushes(t *testing.T, topo core.Topology) int64 {
 // key must read back after CrashRestart, the in-flight one at most once.
 // A catalog written at the split itself fails the sweep: after a crash
 // before the commit's log flush, the recovered tree descends from a root
-// page no surviving byte holds.
+// page no surviving byte holds. So does an old root split before the new
+// root is published: on NVM Direct, whose split reaches NVM as it is
+// made, a crash before the root record is durable leaves the old root
+// with keys 0–13 and loses 14 and 15.
 func TestRootSplitSurvivesCrashes(t *testing.T) {
-	for _, topo := range bufferedTopologies {
+	for _, topo := range recoverableTopologies {
 		t.Run(topo.String(), func(t *testing.T) {
 			points := rootSplitFlushes(t, topo)
 			crashEachFlush(t, points, 16, func() (*Engine, *btree.Tree, []uint64) { return rootSplitSetup(t, topo) })
@@ -124,7 +128,7 @@ func TestRootSplitSurvivesCrashes(t *testing.T) {
 // image of the old root leaf without one of the new right leaf loses the
 // two keys the split moved there, 14 and 15.
 func TestRootSplitSurvivesTornFlushes(t *testing.T) {
-	for _, topo := range bufferedTopologies {
+	for _, topo := range recoverableTopologies {
 		t.Run(topo.String(), func(t *testing.T) {
 			points := rootSplitFlushes(t, topo)
 			tearEachFlush(t, points, 8, 16, func() (*Engine, *btree.Tree, []uint64) { return rootSplitSetup(t, topo) })
@@ -140,10 +144,10 @@ func TestRootSplitSurvivesTornFlushes(t *testing.T) {
 // younger ones from the new root.
 func TestRootSplitToHeightThreeRecovers(t *testing.T) {
 	const grows = 14269 // the key whose insert splits the height-2 root
-	for _, topo := range bufferedTopologies {
+	for _, topo := range recoverableTopologies {
 		t.Run(topo.String(), func(t *testing.T) {
 			cfg := testConfig(topo)
-			cfg.NVMBytes = 2048 * (core.PageSize + core.LineSize) // Basic NVM BM holds every page
+			cfg.NVMBytes = 2048 * (core.PageSize + core.LineSize) // Basic NVM BM and NVM Direct hold every page
 			e, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -181,7 +185,7 @@ func TestRootSplitToHeightThreeRecovers(t *testing.T) {
 // grew a level, with no log cut between, joins the catalog as the
 // superblock holds it — the grown tree's old root — and both recover.
 func TestTreeCreatedWhileARootChangeWaits(t *testing.T) {
-	for _, topo := range bufferedTopologies {
+	for _, topo := range recoverableTopologies {
 		t.Run(topo.String(), func(t *testing.T) {
 			e := openEngine(t, topo)
 			grown, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
