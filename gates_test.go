@@ -65,11 +65,12 @@ var gates = []gate{
 	{
 		// Overwrite dirties lines without arming the write-back undo
 		// journal: crash-safe only for bytes whose after-image is in the
-		// WAL and that move nothing else on the page.
+		// WAL and that move nothing else on the page. Row.Update is the
+		// tree's one field write (UpdateField and Put go through it).
 		rule:    "One journal-free store",
 		heading: "9.4 The NVM write-back undo journal",
 		check: func(src []goFile) []string {
-			return sitesAre(calls(nonTest(src), "Overwrite"), "Tree.UpdateField Overwrite")
+			return sitesAre(calls(nonTest(src), "Overwrite"), "Row.Update Overwrite")
 		},
 	},
 	{

@@ -9,7 +9,7 @@ import (
 // Row gives field-level access to one entry while its leaf stays fixed,
 // so a transaction can read and update several fields of a row with a
 // single tree descent. Obtain one through Access; it is only valid inside
-// the callback.
+// the callback. Its Update is the tree's one field write.
 type Row struct {
 	t       *Tree
 	h       core.Handle
@@ -55,17 +55,24 @@ func (r Row) I64(off int) int64 {
 	return int64(v)
 }
 
-// Update overwrites len(val) payload bytes at off, logging before and
-// after images like Tree.UpdateField.
+// Update overwrites len(val) payload bytes at off: the tree's one field
+// write, which UpdateField and Put of a present key go through too. An
+// open snapshot keeps the leaf's image from before it (noteLeafWrite), and
+// the before and after images go to the Logger.
 func (r Row) Update(off int, val []byte) error {
-	if off < 0 || off+len(val) > r.t.payload {
-		return fmt.Errorf("btree: row update [%d,%d) outside payload of %d bytes", off, off+len(val), r.t.payload)
+	if err := r.t.checkField(off, len(val)); err != nil {
+		return err
 	}
-	dst := r.h.Write(r.payBase+off, len(val))
-	if r.t.logger != nil {
-		if err := r.t.logger.LogUpdate(r.t.id, r.key, off, dst, val); err != nil {
-			return err
-		}
+	r.t.noteLeafWrite(r.h)
+	if r.t.logger == nil {
+		copy(r.h.Write(r.payBase+off, len(val)), val)
+		return nil
+	}
+	// The after-image logged here is all that changes on the page, so the
+	// leaf's write-back needs no undo journal (core.Handle.Overwrite).
+	dst := r.h.Overwrite(r.payBase+off, len(val))
+	if err := r.t.logger.LogUpdate(r.t.id, r.key, off, dst, val); err != nil {
+		return err
 	}
 	copy(dst, val)
 	return nil
@@ -73,29 +80,22 @@ func (r Row) Update(off int, val []byte) error {
 
 // Access locates key and, if present, calls fn with a Row for it; the
 // leaf stays fixed for the duration of fn. It reports whether the key was
-// found. This is the one-descent read-modify-write path transactions use.
+// found. Every keyed read and field write of the tree goes through it:
+// Lookup, LookupField, UpdateField, Put, and the one-descent
+// read-modify-write path transactions use.
 func (t *Tree) Access(key uint64, fn func(r Row) error) (bool, error) {
 	h, err := t.findLeaf(key, t.leafMode())
 	if err != nil {
 		return false, err
 	}
 	defer t.m.Unfix(h)
-	var payBase int
+	search, payOff := t.leafSearch, t.leafPayOff
 	if t.layout == LayoutHash {
-		pos, found := t.hashSearch(h, key)
-		if !found {
-			return false, nil
-		}
-		payBase = t.hashPayOff(pos)
-	} else {
-		pos, found := t.leafSearch(h, key)
-		if !found {
-			return false, nil
-		}
-		payBase = t.leafPayOff(pos)
+		search, payOff = t.hashSearch, t.hashPayOff
 	}
-	if err := fn(Row{t: t, h: h, key: key, payBase: payBase}); err != nil {
-		return true, err
+	i, found := search(h, key)
+	if !found {
+		return false, nil
 	}
-	return true, nil
+	return true, fn(Row{t: t, h: h, key: key, payBase: payOff(i)})
 }

@@ -104,6 +104,42 @@ func TestRowUpdateLogsImages(t *testing.T) {
 	}
 }
 
+// TestRowUpdateLeavesSnapshotAlone: a row updated through Access, the
+// path TPC-C writes by, keeps the leaf's image from before the update for
+// an open snapshot, as UpdateField does: a snapshot read at the
+// snapshot's stamp returns the old bytes, a live read the new ones.
+func TestRowUpdateLeavesSnapshotAlone(t *testing.T) {
+	for _, layout := range []LeafLayout{LayoutSorted, LayoutHash} {
+		m := newManager(t, core.ThreeTier, 8, true, true, true)
+		tr, _ := Create(m, 1, 64, layout)
+		v := m.Versions()
+		v.BeginTx()
+		old := payloadFor(9, 64)
+		if err := tr.Insert(9, old); err != nil {
+			t.Fatal(err)
+		}
+		id, asOf := v.BeginSnapshot()
+		v.BeginTx()
+		if _, err := tr.Access(9, func(r Row) error { return r.Update(0, []byte("patched")) }); err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		if _, _, err := tr.VisitLeafAsOf(tr.RootPID(), asOf, 0, 0, 64, func(k uint64, field []byte) bool {
+			if k == 9 {
+				got = bytes.Clone(field)
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, old) {
+			t.Fatalf("layout %d: snapshot reads %q, want the row from before the update", layout, got[:min(8, len(got))])
+		}
+		v.EndSnapshot(id)
+		checkLookup(t, tr, 9, append([]byte("patched"), old[7:]...))
+	}
+}
+
 func TestRowBoundsChecked(t *testing.T) {
 	m := newManager(t, core.MemOnly, 0, false, false, false)
 	tr, _ := Create(m, 1, 16, LayoutSorted)

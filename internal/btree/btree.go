@@ -71,6 +71,9 @@ var (
 
 // Logger receives every tree modification, with its redo and undo images,
 // before the page changes, and every structural change once it is made.
+// A field write reaches it as LogUpdate from Row.Update, the one field
+// write (UpdateField and Put of a present key included); a new entry as
+// LogInsert from Insert (and Put of an absent key).
 // The engine binds it to the current transaction's WAL and decides how a
 // structural change becomes durable; the tree keeps no durability state.
 // A nil Logger logs nothing and makes nothing durable.
@@ -399,72 +402,50 @@ func (t *Tree) LookupField(key uint64, off, n int, buf []byte) (bool, error) {
 }
 
 func (t *Tree) lookupField(key uint64, off, n int, buf []byte) (bool, error) {
-	if off < 0 || n < 0 || off+n > t.payload {
-		return false, fmt.Errorf("btree: field [%d,%d) outside payload of %d bytes", off, off+n, t.payload)
+	if err := t.checkField(off, n); err != nil {
+		return false, err
 	}
 	if len(buf) < n {
 		return false, fmt.Errorf("btree: buffer of %d bytes for field of %d", len(buf), n)
 	}
-	h, err := t.findLeaf(key, t.leafMode())
-	if err != nil {
-		return false, err
-	}
-	defer t.m.Unfix(h)
-	if t.layout == LayoutHash {
-		pos, found := t.hashSearch(h, key)
-		if !found {
-			return false, nil
-		}
-		copy(buf, h.Read(t.hashPayOff(pos)+off, n))
-		return true, nil
-	}
-	pos, found := t.leafSearch(h, key)
-	if !found {
-		return false, nil
-	}
-	copy(buf, h.Read(t.leafPayOff(pos)+off, n))
-	return true, nil
+	return t.Access(key, func(r Row) error {
+		copy(buf, r.h.Read(r.payBase+off, n))
+		return nil
+	})
 }
 
-// UpdateField overwrites n bytes at byte offset off of key's payload and
-// reports whether the key was found. The before and after images go to
-// the Logger.
+// UpdateField overwrites len(val) bytes at byte offset off of key's
+// payload (Row.Update) and reports whether the key was found.
 func (t *Tree) UpdateField(key uint64, off int, val []byte) (bool, error) {
-	if off < 0 || off+len(val) > t.payload {
-		return false, fmt.Errorf("btree: field [%d,%d) outside payload of %d bytes", off, off+len(val), t.payload)
-	}
-	h, err := t.findLeaf(key, t.leafMode())
-	if err != nil {
+	if err := t.checkField(off, len(val)); err != nil {
 		return false, err
 	}
-	defer t.m.Unfix(h)
-	var payOff int
-	if t.layout == LayoutHash {
-		pos, found := t.hashSearch(h, key)
-		if !found {
-			return false, nil
-		}
-		payOff = t.hashPayOff(pos)
-	} else {
-		pos, found := t.leafSearch(h, key)
-		if !found {
-			return false, nil
-		}
-		payOff = t.leafPayOff(pos)
+	return t.Access(key, func(r Row) error { return r.Update(off, val) })
+}
+
+// checkField rejects a field [off, off+n) that is not inside the payload.
+func (t *Tree) checkField(off, n int) error {
+	if off < 0 || n < 0 || off+n > t.payload {
+		return fmt.Errorf("btree: field [%d,%d) outside payload of %d bytes", off, off+n, t.payload)
 	}
-	t.noteLeafWrite(h)
-	if t.logger == nil {
-		copy(h.Write(payOff+off, len(val)), val)
-		return true, nil
+	return nil
+}
+
+// Put is the tree's one upsert. If key is present it overwrites the
+// leading len(row) bytes of its payload, like UpdateField, and splits
+// nothing; otherwise it inserts row, zero-padded to the payload size. A
+// row longer than the payload fails.
+// Recovery's redo and undo and the engine's Rollback use it too: redoing
+// an insert against a page that already saw it overwrites in place.
+func (t *Tree) Put(key uint64, row []byte) error {
+	found, err := t.UpdateField(key, 0, row)
+	if err != nil || found {
+		return err
 	}
-	// The after-image logged here is all that changes on the page, so the
-	// leaf's write-back needs no undo journal (core.Handle.Overwrite).
-	dst := h.Overwrite(payOff+off, len(val))
-	if err := t.logger.LogUpdate(t.id, key, off, dst, val); err != nil {
-		return false, err
+	if len(row) < t.payload {
+		row = append(row[:len(row):len(row)], make([]byte, t.payload-len(row))...)
 	}
-	copy(dst, val)
-	return true, nil
+	return t.Insert(key, row)
 }
 
 // Insert adds key with the given payload. It fails with ErrDuplicateKey if
@@ -472,19 +453,6 @@ func (t *Tree) UpdateField(key uint64, off int, val []byte) (bool, error) {
 // preemptively (top-down splitting), so a parent always has room for a
 // separator from a splitting child.
 func (t *Tree) Insert(key uint64, payload []byte) error {
-	return t.insert(key, payload, false)
-}
-
-// InsertOrReplace adds key or overwrites its payload if present. Recovery
-// redo uses it, because replaying an insert against a page that already
-// saw it must be idempotent.
-func (t *Tree) InsertOrReplace(key uint64, payload []byte) error {
-	return t.insert(key, payload, true)
-}
-
-// insert adds or (when upsert is set, used by recovery redo) overwrites an
-// entry.
-func (t *Tree) insert(key uint64, payload []byte, upsert bool) error {
 	if len(payload) != t.payload {
 		return fmt.Errorf("btree: payload of %d bytes, tree holds %d: %w", len(payload), t.payload, ErrPayloadSize)
 	}
@@ -543,9 +511,9 @@ func (t *Tree) insert(key uint64, payload []byte, upsert bool) error {
 	}
 	defer t.m.Unfix(h)
 	if t.layout == LayoutHash {
-		return t.hashInsert(h, key, payload, upsert)
+		return t.hashInsert(h, key, payload)
 	}
-	return t.sortedInsert(h, key, payload, upsert)
+	return t.sortedInsert(h, key, payload)
 }
 
 // Delete removes key and reports whether it was present. Leaves are never

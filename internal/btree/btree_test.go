@@ -97,9 +97,9 @@ func TestDuplicateKey(t *testing.T) {
 	if err := tr.Insert(7, payloadFor(7, 16)); !errors.Is(err, ErrDuplicateKey) {
 		t.Fatalf("err = %v, want ErrDuplicateKey", err)
 	}
-	// InsertOrReplace overwrites instead.
+	// Put overwrites instead.
 	repl := payloadFor(99, 16)
-	if err := tr.InsertOrReplace(7, repl); err != nil {
+	if err := tr.Put(7, repl); err != nil {
 		t.Fatal(err)
 	}
 	checkLookup(t, tr, 7, repl)
@@ -628,6 +628,40 @@ func TestRootSplitReportsRootThenSplit(t *testing.T) {
 	}
 	if n < len(want) || !slices.Equal(rec.events[n-len(want):], want) {
 		t.Fatalf("events end %v, want %v", rec.events[max(0, n-len(want)):], want)
+	}
+}
+
+// TestPutOfPresentKeySplitsNothing: Put of a key already in a full root
+// leaf overwrites its leading bytes in place — one update record, no
+// structural change, no new root — where an upsert that descended like an
+// insert would split the leaf first. The rest of the row is kept, and an
+// absent key is inserted zero-padded.
+func TestPutOfPresentKeySplitsNothing(t *testing.T) {
+	m := newManager(t, core.MemOnly, 0, false, false, false)
+	tr, _ := Create(m, 1, 512, LayoutSorted)
+	for i := 0; i < tr.LeafCapacity(); i++ {
+		if err := tr.Insert(uint64(i), payloadFor(uint64(i), 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := &loggerRecorder{}
+	tr.SetLogger(rec)
+	if err := tr.Put(3, []byte("patched")); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"update:1:3:0"}; !slices.Equal(rec.events, want) {
+		t.Fatalf("events %v, want %v", rec.events, want)
+	}
+	if tr.Height() != 1 {
+		t.Fatalf("height %d, want 1", tr.Height())
+	}
+	checkLookup(t, tr, 3, append([]byte("patched"), payloadFor(3, 512)[7:]...))
+	if err := tr.Put(1000, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	checkLookup(t, tr, 1000, append([]byte("new"), make([]byte, 509)...))
+	if err := tr.Put(1001, make([]byte, 513)); err == nil {
+		t.Fatal("Put of a row longer than the payload accepted")
 	}
 }
 

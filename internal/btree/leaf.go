@@ -18,15 +18,10 @@ const (
 
 // sortedInsert adds an entry to a sorted leaf with guaranteed room. The
 // log record is appended before the page is modified (WAL rule).
-func (t *Tree) sortedInsert(h core.Handle, key uint64, payload []byte, upsert bool) error {
+func (t *Tree) sortedInsert(h core.Handle, key uint64, payload []byte) error {
 	pos, found := t.leafSearch(h, key)
 	if found {
-		if !upsert {
-			return fmt.Errorf("btree: insert key %d: %w", key, ErrDuplicateKey)
-		}
-		t.noteLeafWrite(h)
-		copy(h.Write(t.leafPayOff(pos), t.payload), payload)
-		return nil
+		return fmt.Errorf("btree: insert key %d: %w", key, ErrDuplicateKey)
 	}
 	if t.logger != nil {
 		if err := t.logger.LogInsert(t.id, key, payload); err != nil {
@@ -100,7 +95,7 @@ func (t *Tree) hashSearch(h core.Handle, key uint64) (int, bool) {
 }
 
 // hashInsert adds an entry to a hash leaf with guaranteed room.
-func (t *Tree) hashInsert(h core.Handle, key uint64, payload []byte, upsert bool) error {
+func (t *Tree) hashInsert(h core.Handle, key uint64, payload []byte) error {
 	i := int(shard.Mix(key) % uint64(t.hashCap))
 	target := -1
 	for probes := 0; probes < t.hashCap; probes++ {
@@ -118,12 +113,7 @@ func (t *Tree) hashInsert(h core.Handle, key uint64, payload []byte, upsert bool
 		} else {
 			k := binary.LittleEndian.Uint64(h.Read(t.hashKeyOff(i), 8))
 			if k == key {
-				if !upsert {
-					return fmt.Errorf("btree: insert key %d: %w", key, ErrDuplicateKey)
-				}
-				t.noteLeafWrite(h)
-				copy(h.Write(t.hashPayOff(i), t.payload), payload)
-				return nil
+				return fmt.Errorf("btree: insert key %d: %w", key, ErrDuplicateKey)
 			}
 		}
 		i++

@@ -376,17 +376,7 @@ func (e *Engine) Rollback() error {
 	}
 	for i := n - 1; i >= 0; i-- {
 		op := e.txOps[i]
-		t := e.tree[op.treeID]
-		var err error
-		switch op.op {
-		case opInsert:
-			_, err = t.Delete(op.key)
-		case opDelete:
-			err = t.InsertOrReplace(op.key, op.img[8:])
-		case opUpdate:
-			_, err = t.UpdateField(op.key, op.off, op.img[8:])
-		}
-		if err != nil {
+		if err := apply(e.tree[op.treeID], undoOf[op.op], op.key, op.off, op.img[8:]); err != nil {
 			e.abandon()
 			return fmt.Errorf("engine: rollback: %w", err)
 		}
@@ -506,9 +496,18 @@ func (e *Engine) LogStructure(pages ...core.Handle) error {
 // LogRoot implements btree.Logger. Inside a transaction a root change is
 // a root record, which redo replays at its LSN; the superblock catalog,
 // where redo starts its descents, learns of it only at the next log cut
-// (truncateLog), when every page the root reaches is durable.
+// (truncateLog), when every page the root reaches is durable. A root that
+// recovery's own redo grows on NVM Direct, where the old root splits in
+// place next and no record describes the new one, is force-written and
+// named in the catalog at once, so a crash inside recovery restarts from it.
 func (e *Engine) LogRoot(treeID uint64, root core.Handle) error {
 	e.catalogStale = true
+	if e.replaying && e.Topology() == core.DirectNVM {
+		if err := e.makeDurable(nil, []core.Handle{root}); err != nil {
+			return err
+		}
+		return e.saveCatalog()
+	}
 	if e.replaying || !e.txActive {
 		return nil // redo of a root record, or a bulk load, which is no logged change
 	}
@@ -594,17 +593,7 @@ func (e *Engine) Redo(r wal.Record) error {
 	if err != nil {
 		return err
 	}
-	switch op, off := r.Off&3, r.Off>>2; op {
-	case opInsert:
-		return t.InsertOrReplace(key, r.After[8:])
-	case opDelete:
-		_, err = t.Delete(key)
-	case opUpdate:
-		_, err = t.UpdateField(key, off, r.After[8:])
-	default:
-		err = fmt.Errorf("engine: unknown opcode %d", op)
-	}
-	return err
+	return apply(t, r.Off&3, key, r.Off>>2, r.After[8:])
 }
 
 // redoRoot moves a tree's root to the one its root record names. Like a
@@ -624,21 +613,35 @@ func (e *Engine) redoRoot(img []byte) error {
 }
 
 // Undo implements wal.Handler: roll back one change of the loser from its
-// undo image. Each undo is idempotent — delete if present, insert or
-// replace, set the field — so undoing a change whose page never left DRAM
-// is harmless.
+// undo image.
 func (e *Engine) Undo(r wal.Record) error {
 	t, key, err := e.logical(r, r.Before)
 	if err != nil {
 		return err
 	}
-	switch op, off := r.Off&3, r.Off>>2; op {
+	return apply(t, undoOf[r.Off&3], key, r.Off>>2, r.Before[8:])
+}
+
+// undoOf maps an opcode to the one that undoes it from the undo image: a
+// delete undoes an insert, an insert of the old payload a delete, and an
+// update back to the old bytes an update.
+var undoOf = [4]int{opInsert: opDelete, opDelete: opInsert, opUpdate: opUpdate}
+
+// apply is the one application of a logical operation, for redo, undo and
+// Rollback: op on key of t, with img the payload (insert) or the field
+// bytes at payload offset off (update). Each is idempotent — delete if
+// present, upsert (btree.Tree.Put, which splits nothing for a present
+// key), set the field — so redoing a change a page already holds, or
+// undoing one whose page never left DRAM, is harmless.
+func apply(t *btree.Tree, op int, key uint64, off int, img []byte) error {
+	var err error
+	switch op {
 	case opInsert:
-		_, err = t.Delete(key)
+		err = t.Put(key, img)
 	case opDelete:
-		err = t.InsertOrReplace(key, r.Before[8:])
+		_, err = t.Delete(key)
 	case opUpdate:
-		_, err = t.UpdateField(key, off, r.Before[8:])
+		_, err = t.UpdateField(key, off, img)
 	default:
 		err = fmt.Errorf("engine: unknown opcode %d", op)
 	}

@@ -173,7 +173,7 @@ crash:
 	}
 	// The engine keeps working after recovery.
 	e.Begin()
-	if err := tr.InsertOrReplace(1000, val(9999)); err != nil {
+	if err := tr.Put(1000, val(9999)); err != nil {
 		t.Fatalf("seed %d: post-recovery insert: %v", seed, err)
 	}
 	if err := e.Commit(); err != nil {

@@ -207,3 +207,133 @@ func TestTreeCreatedWhileARootChangeWaits(t *testing.T) {
 		})
 	}
 }
+
+// fullRootTxs are transactions that leave the root leaf of a checkpointed
+// 15-key tree of 16-row leaves full without splitting it. inflight is the
+// key each adds for good, and directPairs how many (transaction, recovery)
+// crash pairs TestCrashInsideRecoveryKeepsAcknowledgedKeys reaches on NVM
+// Direct, the floor it asserts there. On NVM Direct, which stores in place,
+// redo of "present" meets key 15 already in the full leaf, and redo of
+// "absent" re-inserts 100, which the leaf no longer holds, into a leaf full
+// with 101, and grows the tree.
+var fullRootTxs = []struct {
+	name        string
+	inflight    uint64
+	directPairs int
+	tx          func(tr *btree.Tree) error
+}{
+	{"present", 15, 11, func(tr *btree.Tree) error { return tr.Insert(15, shiftRow(15)) }},
+	{"absent", 101, 60, func(tr *btree.Tree) error {
+		if err := tr.Insert(100, shiftRow(100)); err != nil {
+			return err
+		}
+		if _, err := tr.Delete(100); err != nil {
+			return err
+		}
+		return tr.Insert(101, shiftRow(101))
+	}},
+}
+
+// crashes runs f and reports whether it stopped at an injected crash.
+func crashes(f func()) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := fault.AsCrash(r); !ok {
+				panic(r)
+			}
+			crashed = true
+		}
+	}()
+	f()
+	return false
+}
+
+// TestCrashInsideRecoveryKeepsAcknowledgedKeys crashes a transaction of
+// fullRootTxs at each NVM flush p of its window (the transaction and its
+// commit; p past the window crashes right after the commit returns), then
+// the recovery that follows at each of its own NVM flushes q, then
+// recovers cleanly: every acknowledged key must read back, the in-flight
+// one at most once. A recovery whose redo splits the root leaf must
+// publish the grown root before the split: on NVM Direct the split reaches
+// NVM as it is made, and a crash before recovery's closing checkpoint then
+// restarts from the old root, cut to keys 0–13, and loses key 14. For
+// "present", an upsert that descends like an insert splits the full leaf
+// before it finds key 15 there; "absent" grows the tree whatever the
+// upsert does.
+func TestCrashInsideRecoveryKeepsAcknowledgedKeys(t *testing.T) {
+	setup := func(topo core.Topology) (*Engine, *btree.Tree, []uint64) {
+		e := openEngine(t, topo)
+		tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := ascending(0, 15)
+		insertEach(t, e, tr, keys)
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		return e, tr, keys
+	}
+	crashAt := func(n int64) *fault.Plan {
+		return &fault.Plan{Rules: []fault.Rule{{Kind: fault.NVMCrash, EveryN: n + 1, Limit: 1}}}
+	}
+	// restart recovers e under plan and reports whether recovery crashed
+	// and how many NVM flushes it made.
+	restart := func(e *Engine, plan *fault.Plan) (crashed bool, flushes int64) {
+		inj := e.ArmFaults(plan, 0)
+		crashed = crashes(func() {
+			if _, err := e.CrashRestart(); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+		})
+		return crashed, inj.NVM.Opportunities(fault.NVMCrash)
+	}
+	for _, topo := range recoverableTopologies {
+		for _, c := range fullRootTxs {
+			t.Run(topo.String()+"/"+c.name, func(t *testing.T) {
+				// crashTx runs c.tx on a fresh tree under plan and returns the
+				// engine, ready to recover, and the window's NVM flushes.
+				crashTx := func(plan *fault.Plan) (e *Engine, keys []uint64, acked bool, flushes int64) {
+					e, tr, keys := setup(topo)
+					inj := e.ArmFaults(plan, 0)
+					crashes(func() {
+						e.Begin()
+						if err := c.tx(tr); err != nil {
+							t.Fatal(err)
+						}
+						if err := e.Commit(); err != nil {
+							t.Fatal(err)
+						}
+						acked = true
+					})
+					return e, keys, acked, inj.NVM.Opportunities(fault.NVMCrash)
+				}
+				_, _, _, points := crashTx(&fault.Plan{})
+				pairs := 0
+				for p := int64(0); p <= points; p++ {
+					e, keys, acked, _ := crashTx(crashAt(p))
+					_, flushes := restart(e, &fault.Plan{})
+					verifyShiftCrash(t, fmt.Sprintf("transaction crashed at %d", p), e.Tree(1), keys, c.inflight, acked)
+					for q := int64(0); q < flushes; q++ {
+						at := fmt.Sprintf("transaction crashed at %d, recovery at %d", p, q)
+						e, keys, acked, _ := crashTx(crashAt(p))
+						if crashed, _ := restart(e, crashAt(q)); !crashed {
+							t.Fatalf("%s: recovery did not crash", at)
+						}
+						pairs++
+						restart(e, nil)
+						verifyShiftCrash(t, at, e.Tree(1), keys, c.inflight, acked)
+					}
+				}
+				floor := 1
+				if topo == core.DirectNVM {
+					floor = c.directPairs
+				}
+				if pairs < floor {
+					t.Fatalf("recovery crashed at %d pairs, want at least %d", pairs, floor)
+				}
+				t.Logf("%d transaction crash points, %d pairs with a crashed recovery", points, pairs)
+			})
+		}
+	}
+}

@@ -160,16 +160,7 @@ func crashAt(t *testing.T, at string, plan *fault.Plan, key uint64, setup func()
 	e, tr, keys := setup()
 	e.ArmFaults(plan, 0)
 	acked := false
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := fault.AsCrash(r); !ok {
-					panic(r)
-				}
-			}
-		}()
-		shiftTx(t, e, tr, key, &acked)
-	}()
+	crashes(func() { shiftTx(t, e, tr, key, &acked) })
 	e.ArmFaults(nil, 0)
 	if _, err := e.CrashRestart(); err != nil {
 		t.Fatalf("%s: recovery: %v", at, err)

@@ -588,27 +588,12 @@ func (t *Table) UpdateField(key uint64, off int, val []byte) (bool, error) {
 	return t.t.UpdateField(key, off, val)
 }
 
-// Put inserts or replaces the row for key — the one upsert every write
-// path shares. When the key exists, row overwrites the leading len(row)
-// bytes of the stored row and the rest is kept; when it does not, row is
-// inserted zero-padded to RowSize. A row longer than RowSize fails. Like
-// Insert, it needs a running transaction.
-func (t *Table) Put(key uint64, row []byte) error {
-	size := t.RowSize()
-	if len(row) > size {
-		return fmt.Errorf("nvmstore: put of %d bytes into %d-byte rows", len(row), size)
-	}
-	found, err := t.t.UpdateField(key, 0, row)
-	if err != nil || found {
-		return err
-	}
-	if len(row) < size {
-		full := make([]byte, size)
-		copy(full, row)
-		row = full
-	}
-	return t.t.Insert(key, row)
-}
+// Put inserts or replaces the row for key — btree.Tree.Put, the one
+// upsert every write path and recovery share. When the key exists, row
+// overwrites the leading len(row) bytes of the stored row and the rest is
+// kept; when it does not, row is inserted zero-padded to RowSize. A row
+// longer than RowSize fails. Like Insert, it needs a running transaction.
+func (t *Table) Put(key uint64, row []byte) error { return t.t.Put(key, row) }
 
 // Delete removes a row and reports whether it existed.
 func (t *Table) Delete(key uint64) (bool, error) { return t.t.Delete(key) }
