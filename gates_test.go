@@ -74,6 +74,21 @@ var gates = []gate{
 		},
 	},
 	{
+		// Every page access is one MakeResident over a span of cache
+		// lines (§3.1–3.2), on a full page, a mini page or an NVM Direct
+		// page in place: Frame.access, which Handle's Read, Write,
+		// Overwrite, ReadAll and WriteAll call on their span. A mini
+		// page resolves its slots in miniAccess, which forwards a
+		// promoted page to Frame.access. A second caller would be a
+		// second access path.
+		rule:    "One page access",
+		heading: "2. Substitutions (no NVM/SSD hardware, Go instead of C++)",
+		check: func(src []goFile) []string {
+			return sitesAre(calls(nonTest(under(src, "internal/core")), "makeResident", "nvm.Touch"),
+				"Frame.access makeResident", "Frame.access nvm.Touch", "Frame.miniAccess makeResident")
+		},
+	},
+	{
 		// Frame write-back and NVM-slot eviction are the two SSD writers,
 		// slot data is flushed in writeBack alone, every other durable
 		// store goes through the one charged persist helper, and the log

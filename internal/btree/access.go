@@ -93,7 +93,7 @@ func (t *Tree) Access(key uint64, fn func(r Row) error) (bool, error) {
 	if t.layout == LayoutHash {
 		search, payOff = t.hashSearch, t.hashPayOff
 	}
-	i, found := search(h, key)
+	i, found := search(node{h: h}, key)
 	if !found {
 		return false, nil
 	}

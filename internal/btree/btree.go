@@ -246,6 +246,41 @@ func (t *Tree) hashPayOff(i int) int   { return headerSize + t.hashCap*(1+8) + i
 func (t *Tree) innerKeyOff(i int) int   { return headerSize + i*8 }
 func (t *Tree) innerChildOff(i int) int { return headerSize + t.innerCap*8 + i*8 }
 
+// node is a node to read: a fixed page, read through its handle span by
+// span (cache-line-grained), or, when data is set, the page's bytes
+// already in hand — a node read in full, or a saved snapshot image.
+type node struct {
+	h    core.Handle
+	data []byte
+}
+
+// read returns the node's bytes [off, off+n). With the handle's read
+// inlined into it, it is too large to inline itself, so u64, count and
+// visitLeaf's fields slice bytes in hand themselves and call read only to
+// read through the handle.
+func (nd *node) read(off, n int) []byte {
+	if nd.data == nil {
+		return nd.h.Read(off, n)
+	}
+	return nd.data[off : off+n]
+}
+
+// u64 reads the little-endian word at off: a key, a child or a sibling.
+func (nd *node) u64(off int) uint64 {
+	if nd.data != nil {
+		return binary.LittleEndian.Uint64(nd.data[off:])
+	}
+	return binary.LittleEndian.Uint64(nd.read(off, 8))
+}
+
+// count reads the node's entry count.
+func (nd *node) count() int {
+	if nd.data != nil {
+		return int(binary.LittleEndian.Uint16(nd.data[offCount:]))
+	}
+	return int(binary.LittleEndian.Uint16(nd.read(offCount, 2)))
+}
+
 // Small header accessors. Point operations read them cache-line-grained;
 // the header shares the leaf's first line with nothing else.
 
@@ -315,30 +350,18 @@ func (t *Tree) modeFor(level int, leafMode core.AccessMode) core.AccessMode {
 }
 
 // innerSearch returns the child index to follow for key. Inner nodes are
-// fixed with ModeFull, so ReadAll is free of residency checks; on the
-// in-place NVM Direct architecture each probe reads only its key word.
+// fixed with ModeFull, so the whole page is in hand, free of residency
+// checks; on the in-place NVM Direct architecture each probe reads only
+// its key word.
 func (t *Tree) innerSearch(h core.Handle, key uint64) int {
-	if t.perProbeInner {
-		count := nodeCount(h)
-		lo, hi := 0, count
-		for lo < hi {
-			mid := (lo + hi) / 2
-			k := binary.LittleEndian.Uint64(h.Read(t.innerKeyOff(mid), 8))
-			if k <= key {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
+	nd := node{h: h}
+	if !t.perProbeInner {
+		nd.data = h.ReadAll()
 	}
-	data := h.ReadAll()
-	count := int(binary.LittleEndian.Uint16(data[offCount:]))
-	lo, hi := 0, count
+	lo, hi := 0, nd.count()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k := binary.LittleEndian.Uint64(data[t.innerKeyOff(mid):])
-		if k <= key {
+		if nd.u64(t.innerKeyOff(mid)) <= key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -347,26 +370,21 @@ func (t *Tree) innerSearch(h core.Handle, key uint64) int {
 	return lo
 }
 
-// leafSearch binary-searches a sorted leaf cache-line-grained: each probe
-// makes one 8-byte key resident. It returns the insertion position and
-// whether the key is present.
-func (t *Tree) leafSearch(h core.Handle, key uint64) (int, bool) {
-	count := nodeCount(h)
+// leafSearch is the one search of a sorted leaf: a binary search that,
+// through a handle, makes one 8-byte key resident per probe. It returns
+// the position of the first key >= key and whether that key is key.
+func (t *Tree) leafSearch(nd node, key uint64) (int, bool) {
+	count := nd.count()
 	lo, hi := 0, count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		k := binary.LittleEndian.Uint64(h.Read(t.leafKeyOff(mid), 8))
-		if k < key {
+		if nd.u64(t.leafKeyOff(mid)) < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < count {
-		k := binary.LittleEndian.Uint64(h.Read(t.leafKeyOff(lo), 8))
-		return lo, k == key
-	}
-	return lo, false
+	return lo, lo < count && nd.u64(t.leafKeyOff(lo)) == key
 }
 
 // findLeaf descends to the leaf covering key, fixing it with leafMode and
@@ -624,7 +642,7 @@ func (t *Tree) shiftToRightmost(parent, child core.Handle, idx int, key uint64) 
 		return 0, false, nil
 	}
 	count, sibCount := nodeCount(child), nodeCount(sib)
-	pos, _ := t.leafSearch(child, key)
+	pos, _ := t.leafSearch(node{h: child}, key)
 	moved := count - pos
 	if 2*moved > count || sibCount+moved+1 > t.leafCap {
 		return 0, false, nil

@@ -1,9 +1,7 @@
 package btree
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"nvmstore/internal/core"
 )
@@ -65,66 +63,37 @@ func (t *Tree) LeafFor(key uint64) (core.PageID, error) {
 // calls fn, in key order, with each entry whose key is >= from: the key
 // and a read-only view of fieldLen payload bytes at fieldOff, valid only
 // during the call. It stops when fn returns false. The bytes read are the
-// fixed live page when its version is still <= asOf, otherwise the
-// copy-on-write image the version store already holds — no copy of the
-// leaf is made either way, and a leaf whose keys are all below from costs
-// a header read and a search. It returns the leaf's as-of right sibling
+// fixed live page, read in full, when its version is still <= asOf,
+// otherwise the copy-on-write image the version store already holds — no
+// copy of the leaf is made either way, and visitLeaf, the live scan's
+// visitor, reads them in hand. It returns the leaf's as-of right sibling
 // and whether the page existed at asOf (a leaf born later has no as-of
 // content and fn is not called). Must run under the engine's lock, fn
 // included.
 func (t *Tree) VisitLeafAsOf(pid core.PageID, asOf, from uint64, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) (next core.PageID, existed bool, err error) {
-	if fieldOff < 0 || fieldLen < 0 || fieldOff+fieldLen > t.payload {
-		return core.InvalidPageID, false, fmt.Errorf("btree: scan field [%d,%d) outside payload of %d bytes", fieldOff, fieldOff+fieldLen, t.payload)
+	if err := t.checkField(fieldOff, fieldLen); err != nil {
+		return core.InvalidPageID, false, err
 	}
-	v := t.m.Versions()
-	if v.VerOf(pid) <= asOf {
+	var nd node
+	if v := t.m.Versions(); v.VerOf(pid) <= asOf {
 		h, err := t.m.Fix(core.MakeRef(pid), core.ModeFull)
 		if err != nil {
 			return core.InvalidPageID, false, err
 		}
+		defer t.m.Unfix(h)
 		v.NoteServed()
-		next, err = t.visitLeafData(h.ReadAll(), from, fieldOff, fieldLen, fn)
-		t.m.Unfix(h)
-		return next, true, err
-	}
-	img, ok := v.ImageAsOf(pid, asOf)
-	if !ok {
+		nd.data = h.ReadAll()
+	} else if nd.data, existed = v.ImageAsOf(pid, asOf); !existed {
 		return core.InvalidPageID, false, nil
 	}
-	next, err = t.visitLeafData(img, from, fieldOff, fieldLen, fn)
-	return next, true, err
-}
-
-// visitLeafData is VisitLeafAsOf over the bytes of one leaf, live or saved.
-func (t *Tree) visitLeafData(data []byte, from uint64, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) (core.PageID, error) {
 	// Like the live scan, dispatch on the tree's layout rather than the
 	// page's type byte: leaves materialized by logical crash recovery are
 	// rebuilt in place from zeroed images and never pass through initLeaf,
 	// so a valid leaf may carry type 0. Only an inner node — a sign the
 	// chain walk left the leaf level — is rejected.
-	if data[offType] == nodeInner {
-		return core.InvalidPageID, fmt.Errorf("btree: snapshot scan reached an inner node")
+	if nd.data[offType] == nodeInner {
+		return core.InvalidPageID, false, fmt.Errorf("btree: snapshot scan reached an inner node")
 	}
-	next := core.PageID(binary.LittleEndian.Uint64(data[offNext:]))
-	if t.layout == LayoutHash {
-		for _, e := range t.hashGatherData(data, from) {
-			off := t.hashPayOff(e.slot) + fieldOff
-			if !fn(e.key, data[off:off+fieldLen]) {
-				break
-			}
-		}
-		return next, nil
-	}
-	count := nodeCountData(data)
-	pos := sort.Search(count, func(i int) bool {
-		return binary.LittleEndian.Uint64(data[t.leafKeyOff(i):]) >= from
-	})
-	for ; pos < count; pos++ {
-		key := binary.LittleEndian.Uint64(data[t.leafKeyOff(pos):])
-		off := t.leafPayOff(pos) + fieldOff
-		if !fn(key, data[off:off+fieldLen]) {
-			break
-		}
-	}
-	return next, nil
+	t.visitLeaf(nd, from, true, fieldOff, fieldLen, fn)
+	return core.PageID(nd.u64(offNext)), true, nil
 }

@@ -19,7 +19,7 @@ const (
 // sortedInsert adds an entry to a sorted leaf with guaranteed room. The
 // log record is appended before the page is modified (WAL rule).
 func (t *Tree) sortedInsert(h core.Handle, key uint64, payload []byte) error {
-	pos, found := t.leafSearch(h, key)
+	pos, found := t.leafSearch(node{h: h}, key)
 	if found {
 		return fmt.Errorf("btree: insert key %d: %w", key, ErrDuplicateKey)
 	}
@@ -47,7 +47,7 @@ func (t *Tree) sortedInsert(h core.Handle, key uint64, payload []byte) error {
 
 // sortedDelete removes an entry from a sorted leaf.
 func (t *Tree) sortedDelete(h core.Handle, key uint64) (bool, error) {
-	pos, found := t.leafSearch(h, key)
+	pos, found := t.leafSearch(node{h: h}, key)
 	if !found {
 		return false, nil
 	}
@@ -73,18 +73,15 @@ func (t *Tree) sortedDelete(h core.Handle, key uint64) (bool, error) {
 // it touches around two cache lines per present key (the state byte and
 // key usually share a probe locality), which is the point of the layout
 // (§5.5).
-func (t *Tree) hashSearch(h core.Handle, key uint64) (int, bool) {
+func (t *Tree) hashSearch(nd node, key uint64) (int, bool) {
 	i := int(shard.Mix(key) % uint64(t.hashCap))
 	for probes := 0; probes < t.hashCap; probes++ {
-		st := h.Read(t.hashStateOff(i), 1)[0]
+		st := nd.read(t.hashStateOff(i), 1)[0]
 		if st == slotEmpty {
 			return 0, false
 		}
-		if st == slotOccupied {
-			k := binary.LittleEndian.Uint64(h.Read(t.hashKeyOff(i), 8))
-			if k == key {
-				return i, true
-			}
+		if st == slotOccupied && nd.u64(t.hashKeyOff(i)) == key {
+			return i, true
 		}
 		i++
 		if i == t.hashCap {
@@ -143,7 +140,7 @@ func (t *Tree) hashInsert(h core.Handle, key uint64, payload []byte) error {
 
 // hashDelete tombstones an entry in a hash leaf.
 func (t *Tree) hashDelete(h core.Handle, key uint64) (bool, error) {
-	pos, found := t.hashSearch(h, key)
+	pos, found := t.hashSearch(node{h: h}, key)
 	if !found {
 		return false, nil
 	}
@@ -165,17 +162,12 @@ type hashEntry struct {
 	slot int
 }
 
-// hashGather collects the occupied slots of a hash leaf in key order.
-// Scans over hash leaves pay this sorting cost, as the paper notes (§5.5).
-func (t *Tree) hashGather(h core.Handle) []hashEntry {
-	return t.hashGatherData(h.ReadAll(), 0)
-}
-
-// hashGatherData is hashGather over the bytes of a leaf (snapshot scans
-// read copy-on-write images without fixing a page), restricted to keys
-// >= from so that a leaf below the scan's start sorts nothing.
-func (t *Tree) hashGatherData(data []byte, from uint64) []hashEntry {
-	entries := make([]hashEntry, 0, nodeCountData(data))
+// hashGather collects, in key order, the occupied slots of a hash leaf's
+// bytes whose key is >= from, so that a leaf below a scan's start sorts
+// nothing. Scans over hash leaves pay this sorting cost, as the paper
+// notes (§5.5).
+func (t *Tree) hashGather(data []byte, from uint64) []hashEntry {
+	entries := make([]hashEntry, 0, binary.LittleEndian.Uint16(data[offCount:]))
 	for i := 0; i < t.hashCap; i++ {
 		if data[t.hashStateOff(i)] != slotOccupied {
 			continue
@@ -186,10 +178,6 @@ func (t *Tree) hashGatherData(data []byte, from uint64) []hashEntry {
 	}
 	sort.Slice(entries, func(a, b int) bool { return entries[a].key < entries[b].key })
 	return entries
-}
-
-func nodeCountData(data []byte) int {
-	return int(binary.LittleEndian.Uint16(data[offCount:]))
 }
 
 // hashPlace inserts into raw leaf data during splits and bulk loads,
@@ -211,7 +199,7 @@ func (t *Tree) hashPlace(data []byte, key uint64, payload []byte) {
 // order: the entries from there on move into right, the ones below are
 // re-hashed in place (clearing tombstones). Returns the separator.
 func (t *Tree) splitHashLeaf(child, right core.Handle) uint64 {
-	entries := t.hashGather(child)
+	entries := t.hashGather(child.ReadAll(), 0)
 	src := child.WriteAll()
 	next := binary.LittleEndian.Uint64(src[offNext:])
 	mid := splitPoint(len(entries), core.PageID(next) == core.InvalidPageID)

@@ -1,11 +1,6 @@
 package btree
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"nvmstore/internal/core"
-)
+import "nvmstore/internal/core"
 
 // Scan visits entries with key >= from in ascending key order, calling fn
 // with each key and a read-only view of fieldLen payload bytes starting at
@@ -13,36 +8,34 @@ import (
 // when fn returns false. The field slice is only valid during the
 // callback.
 //
-// Leaves are accessed cache-line-grained — the configuration whose
-// overhead §5.4.2 measures — loading each visited tuple's field
-// individually.
+// Leaves are read through their handles, cache-line-grained — the
+// configuration whose overhead §5.4.2 measures — loading each visited
+// tuple's field individually; visitLeaf, the one leaf visitor, serves
+// snapshot scans too.
 func (t *Tree) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) error {
-	if fieldOff < 0 || fieldLen < 0 || fieldOff+fieldLen > t.payload {
-		return fmt.Errorf("btree: scan field [%d,%d) outside payload of %d bytes", fieldOff, fieldOff+fieldLen, t.payload)
+	if err := t.checkField(fieldOff, fieldLen); err != nil {
+		return err
+	}
+	if limit > 0 {
+		emit, emitted := fn, 0
+		fn = func(key uint64, field []byte) bool {
+			emitted++
+			return emit(key, field) && emitted < limit
+		}
 	}
 	h, err := t.findLeaf(from, core.ModeCacheLine)
 	if err != nil {
 		return err
 	}
-	emitted := 0
-	firstLeaf := true
-	for {
-		var done bool
-		if t.layout == LayoutHash {
-			done = t.scanHashLeaf(h, from, firstLeaf, limit, &emitted, fieldOff, fieldLen, fn)
-		} else {
-			done = t.scanSortedLeaf(h, from, firstLeaf, limit, &emitted, fieldOff, fieldLen, fn)
+	for first := true; ; first = false {
+		next := core.InvalidPageID
+		if !t.visitLeaf(node{h: h}, from, first, fieldOff, fieldLen, fn) {
+			next = leafNext(h)
 		}
-		if done {
-			t.m.Unfix(h)
-			return nil
-		}
-		next := leafNext(h)
 		t.m.Unfix(h)
 		if next == core.InvalidPageID {
 			return nil
 		}
-		firstLeaf = false
 		h, err = t.m.Fix(core.MakeRef(next), core.ModeCacheLine)
 		if err != nil {
 			return err
@@ -50,52 +43,45 @@ func (t *Tree) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key 
 	}
 }
 
-// scanSortedLeaf emits the qualifying entries of one sorted leaf and
-// reports whether the scan is finished.
-func (t *Tree) scanSortedLeaf(h core.Handle, from uint64, firstLeaf bool, limit int, emitted *int, fieldOff, fieldLen int, fn func(uint64, []byte) bool) bool {
+// visitLeaf is the one leaf visitor, of live and snapshot scans: it calls
+// fn, in key order, with each entry of leaf nd whose key is >= from, and
+// fieldLen payload bytes at fieldOff, and reports whether fn stopped it.
+// A sorted leaf is searched for from when search is set and visited from
+// its first entry otherwise; a hash leaf is read in full and sorted just
+// in time, the scan overhead of the layout (§5.5), and its fields are
+// read through nd like a sorted leaf's.
+func (t *Tree) visitLeaf(nd node, from uint64, search bool, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) bool {
+	field := func(off int) []byte {
+		switch off += fieldOff; {
+		case fieldLen == 0:
+			return nil
+		case nd.data != nil:
+			return nd.data[off : off+fieldLen]
+		}
+		return nd.read(off, fieldLen)
+	}
+	if t.layout == LayoutHash {
+		data := nd.data
+		if data == nil {
+			data = nd.h.ReadAll()
+		}
+		for _, e := range t.hashGather(data, from) {
+			if !fn(e.key, field(t.hashPayOff(e.slot))) {
+				return true
+			}
+		}
+		return false
+	}
 	pos := 0
-	if firstLeaf {
-		pos, _ = t.leafSearch(h, from)
+	if search {
+		pos, _ = t.leafSearch(nd, from)
 	}
-	count := nodeCount(h)
-	for ; pos < count; pos++ {
-		if limit > 0 && *emitted >= limit {
+	for count := nd.count(); pos < count; pos++ {
+		if !fn(nd.u64(t.leafKeyOff(pos)), field(t.leafPayOff(pos))) {
 			return true
 		}
-		key := binary.LittleEndian.Uint64(h.Read(t.leafKeyOff(pos), 8))
-		var field []byte
-		if fieldLen > 0 {
-			field = h.Read(t.leafPayOff(pos)+fieldOff, fieldLen)
-		}
-		if !fn(key, field) {
-			return true
-		}
-		*emitted++
 	}
-	return limit > 0 && *emitted >= limit
-}
-
-// scanHashLeaf emits the qualifying entries of one hash leaf in key order,
-// sorting the leaf just in time — the scan overhead of the hash layout the
-// paper points out in §5.5.
-func (t *Tree) scanHashLeaf(h core.Handle, from uint64, firstLeaf bool, limit int, emitted *int, fieldOff, fieldLen int, fn func(uint64, []byte) bool) bool {
-	for _, e := range t.hashGather(h) {
-		if firstLeaf && e.key < from {
-			continue
-		}
-		if limit > 0 && *emitted >= limit {
-			return true
-		}
-		var field []byte
-		if fieldLen > 0 {
-			field = h.Read(t.hashPayOff(e.slot)+fieldOff, fieldLen)
-		}
-		if !fn(e.key, field) {
-			return true
-		}
-		*emitted++
-	}
-	return limit > 0 && *emitted >= limit
+	return false
 }
 
 // Count scans the whole tree and returns the number of entries; intended

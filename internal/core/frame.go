@@ -107,97 +107,35 @@ func lineSpan(off, n int) (first, last int) {
 	return off / LineSize, (off + n - 1) / LineSize
 }
 
-func (f *Frame) checkSpan(off, n int) {
+// access is the one page access: it returns a slice covering [off, off+n)
+// of the page, loading missing cache lines from NVM first (MakeResident,
+// §3.2), and for a write marks the covered lines dirty — loaded first,
+// since a partially overwritten line needs its old content. A direct frame
+// charges a read to the NVM device in place. The returned slice is valid
+// until the next access to the same page: a later load into a mini page
+// may shift its data array. [0, PageSize) is the full-page path the paper
+// uses for restructuring, which promotes a mini page.
+func (f *Frame) access(m *Manager, off, n int, write bool) []byte {
 	if off < 0 || n <= 0 || off+n > PageSize {
 		panic(fmt.Sprintf("core: page access [%d, %d) outside page of %d bytes", off, off+n, PageSize))
 	}
-}
-
-// read returns a slice covering [off, off+n) of the page, loading missing
-// cache lines from NVM first (MakeResident, §3.2). The returned slice is
-// valid until the next access to the same page: a later load into a mini
-// page may shift its data array.
-func (f *Frame) read(m *Manager, off, n int) []byte {
-	f.checkSpan(off, n)
-	switch f.kind {
-	case kindDirect:
-		base := m.slotDataOff(f.nvmSlot)
-		m.nvm.Touch(base+int64(off), n)
-		return f.data[off : off+n]
-	case kindMini:
-		return f.miniAccess(m, off, n, false)
-	default:
-		if !f.fullyResident {
-			a, b := lineSpan(off, n)
-			f.makeResident(m, a, b)
+	switch {
+	case f.kind == kindMini:
+		return f.miniAccess(m, off, n, write)
+	case f.kind == kindDirect:
+		if !write {
+			m.nvm.Touch(m.slotDataOff(f.nvmSlot)+int64(off), n)
 		}
-		return f.data[off : off+n]
+	case !f.fullyResident:
+		a, b := lineSpan(off, n)
+		f.makeResident(m, a, b)
 	}
-}
-
-// write returns a writable slice covering [off, off+n), loading missing
-// cache lines first (a partially overwritten line needs its old content)
-// and marking the covered lines dirty. The same validity rule as read
-// applies.
-func (f *Frame) write(m *Manager, off, n int) []byte {
-	f.checkSpan(off, n)
-	switch f.kind {
-	case kindDirect:
+	if write {
 		a, b := lineSpan(off, n)
 		f.dirty.setRange(a, b)
 		f.anyDirty = true
-		return f.data[off : off+n]
-	case kindMini:
-		return f.miniAccess(m, off, n, true)
-	default:
-		a, b := lineSpan(off, n)
-		if !f.fullyResident {
-			f.makeResident(m, a, b)
-		}
-		f.dirty.setRange(a, b)
-		f.anyDirty = true
-		return f.data[off : off+n]
 	}
-}
-
-// readAll returns the entire page, loading whatever is missing. This is
-// the full-page path the paper uses for restructuring operations, which
-// avoids per-access residency checks.
-func (f *Frame) readAll(m *Manager) []byte {
-	switch f.kind {
-	case kindDirect:
-		base := m.slotDataOff(f.nvmSlot)
-		m.nvm.Touch(base, PageSize)
-		return f.data
-	case kindMini:
-		full := f.forward(m)
-		return full.readAll(m)
-	default:
-		if !f.fullyResident {
-			f.makeResident(m, 0, LinesPerPage-1)
-		}
-		return f.data
-	}
-}
-
-// writeAll returns the entire page for writing, marking every line dirty.
-func (f *Frame) writeAll(m *Manager) []byte {
-	switch f.kind {
-	case kindDirect:
-		f.dirty.setRange(0, LinesPerPage-1)
-		f.anyDirty = true
-		return f.data
-	case kindMini:
-		full := f.forward(m)
-		return full.writeAll(m)
-	default:
-		if !f.fullyResident {
-			f.makeResident(m, 0, LinesPerPage-1)
-		}
-		f.dirty.setRange(0, LinesPerPage-1)
-		f.anyDirty = true
-		return f.data
-	}
+	return f.data[off : off+n]
 }
 
 // makeResident is MakeResident (§3.2) for both DRAM frame kinds: it loads
@@ -302,11 +240,7 @@ func (f *Frame) miniAccess(m *Manager, off, n int, forWrite bool) []byte {
 			return f.data[start : start+n]
 		}
 	}
-	full := f.forward(m)
-	if forWrite {
-		return full.write(m, off, n)
-	}
-	return full.read(m, off, n)
+	return f.forward(m).access(m, off, n, forWrite)
 }
 
 // miniOpen inserts the physical lines [from, to] at slot pos with one shift

@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nvmstore/internal/btree"
@@ -139,6 +140,11 @@ type Engine struct {
 	undo []byte
 
 	replaying bool
+	// restructured and grown list the pages recovery's own redo
+	// restructured and the trees whose root it grew, which CrashRestart
+	// logs once redo and undo are done (logRestructured).
+	restructured []core.PageID
+	grown        []uint64
 
 	// catalog is the tree catalog as the superblock holds it. A root change
 	// reaches it only at the next log cut (truncateLog), and catalogStale
@@ -500,16 +506,22 @@ func (e *Engine) LogStructure(pages ...core.Handle) error {
 // recovery's own redo grows on NVM Direct, where the old root splits in
 // place next and no record describes the new one, is force-written and
 // named in the catalog at once, so a crash inside recovery restarts from it.
+// On the buffered topologies the tree is noted with the root's page, and
+// logRestructured logs a root record for it.
 func (e *Engine) LogRoot(treeID uint64, root core.Handle) error {
 	e.catalogStale = true
-	if e.replaying && e.Topology() == core.DirectNVM {
+	if e.replaying {
+		if e.Topology() != core.DirectNVM {
+			e.grown = append(e.grown, treeID)
+			return e.makeDurable(nil, []core.Handle{root})
+		}
 		if err := e.makeDurable(nil, []core.Handle{root}); err != nil {
 			return err
 		}
 		return e.saveCatalog()
 	}
-	if e.replaying || !e.txActive {
-		return nil // redo of a root record, or a bulk load, which is no logged change
+	if !e.txActive {
+		return nil // a bulk load, which is no logged change
 	}
 	entry := catalogEntry(e.tree[treeID])
 	return e.makeDurable(entry[:], []core.Handle{root})
@@ -525,7 +537,10 @@ func (e *Engine) LogRoot(treeID uint64, root core.Handle) error {
 //     first is appended: reading can promote a mini page, whose new frame
 //     can evict another page, and that write-back's barrier flushes the
 //     log. With no flush between them, recovery redoes the images and the
-//     root record behind them all or none (wal.Log.Recover).
+//     root record behind them all or none (wal.Log.Recover). While
+//     recovery replays, nothing can be appended behind the records it
+//     redoes: the pages are noted, and logRestructured images them once
+//     redo and undo are done.
 //   - NVM Direct stores in place, so its pages reach NVM before any record
 //     could describe them; it force-writes them in order instead. A root
 //     record goes first, and the new root's force-write barrier flushes it.
@@ -546,6 +561,9 @@ func (e *Engine) makeDurable(root []byte, pages []core.Handle) error {
 		return nil
 	}
 	if e.replaying {
+		for _, h := range pages {
+			e.restructured = append(e.restructured, h.PID())
+		}
 		return nil
 	}
 	if !e.txActive {
@@ -567,6 +585,65 @@ func (e *Engine) makeDurable(root []byte, pages []core.Handle) error {
 	}
 	_, err := e.log.Image(e.curTx, catalogPage, root)
 	return err
+}
+
+// logRestructured makes durable what recovery's own redo restructured: the
+// images of the pages it noted, as they stand after redo and undo, and a
+// root record for each tree whose root it grew, as one committed log
+// transaction. Images taken at the split itself would be wrong: the next
+// recovery redoes them behind every other record, so they would revert the
+// later records' effects. Each page is fixed only while its image is
+// copied, so any number of pages fits the pool, and every copy is taken
+// before the first append, so no write-back's flush comes between them.
+// The transaction is the log's alone: it holds no logical change for
+// Engine.Commit to count, and recovery paces no maintenance.
+//
+// When the records do not fit the log's room (a crash can leave the log
+// nearly full), recovery goes on without them rather than fail every
+// restart: its closing checkpoint can then write a cut page back before
+// the catalog names the new root, and a crash between the two loses the
+// keys the split moved.
+func (e *Engine) logRestructured() error {
+	slices.Sort(e.restructured)
+	slices.Sort(e.grown)
+	pids, grown := slices.Compact(e.restructured), slices.Compact(e.grown)
+	e.restructured, e.grown = pids, grown
+	if len(pids) == 0 {
+		return nil
+	}
+	sizes := make([]int, len(pids), len(pids)+len(grown))
+	for i := range pids {
+		sizes[i] = core.PageSize
+	}
+	for range grown {
+		sizes = append(sizes, entrySize)
+	}
+	if !e.log.Fits(sizes...) {
+		return nil
+	}
+	imgs := make([][]byte, len(pids))
+	for i, pid := range pids {
+		h, err := e.m.Fix(core.MakeRef(pid), core.ModeFull)
+		if err != nil {
+			return err
+		}
+		e.m.UnswizzleChildren(h) // an image holds page ids, not swizzled references
+		imgs[i] = bytes.Clone(h.ReadAll())
+		e.m.Unfix(h)
+	}
+	tx := e.log.Begin()
+	for i, pid := range pids {
+		if _, err := e.log.Image(tx, uint64(pid), imgs[i]); err != nil {
+			return err
+		}
+	}
+	for _, id := range grown {
+		entry := catalogEntry(e.tree[id])
+		if _, err := e.log.Image(tx, catalogPage, entry[:]); err != nil {
+			return err
+		}
+	}
+	return e.log.Commit(tx)
 }
 
 // Redo implements wal.Handler: repeat history with idempotent logical
@@ -718,10 +795,13 @@ func (e *Engine) CrashRestart() (wal.RecoveryStats, error) {
 	if err := e.reload(); err != nil {
 		return wal.RecoveryStats{}, err
 	}
-	e.replaying = true
+	e.replaying, e.restructured, e.grown = true, e.restructured[:0], e.grown[:0]
 	stats, err := e.log.Recover(e)
 	e.replaying = false
 	if err != nil {
+		return stats, err
+	}
+	if err := e.logRestructured(); err != nil {
 		return stats, err
 	}
 	// All recovered state is in the buffer pool; checkpoint so the log

@@ -249,17 +249,21 @@ func crashes(f func()) (crashed bool) {
 }
 
 // TestCrashInsideRecoveryKeepsAcknowledgedKeys crashes a transaction of
-// fullRootTxs at each NVM flush p of its window (the transaction and its
-// commit; p past the window crashes right after the commit returns), then
-// the recovery that follows at each of its own NVM flushes q, then
-// recovers cleanly: every acknowledged key must read back, the in-flight
-// one at most once. A recovery whose redo splits the root leaf must
-// publish the grown root before the split: on NVM Direct the split reaches
-// NVM as it is made, and a crash before recovery's closing checkpoint then
-// restarts from the old root, cut to keys 0–13, and loses key 14. For
-// "present", an upsert that descends like an insert splits the full leaf
-// before it finds key 15 there; "absent" grows the tree whatever the
-// upsert does.
+// fullRootTxs at each NVM flush p of its window (the transaction, its
+// commit and the checkpoint after it; p past the window crashes right
+// after the checkpoint returns), then the recovery that follows at each of
+// its own NVM flushes q, then recovers cleanly: every acknowledged key
+// must read back, the in-flight one at most once. A recovery whose redo
+// splits the root leaf must make the split durable before its closing
+// checkpoint writes the cut old root back: on NVM Direct the split reaches
+// NVM as it is made, so the grown root is published before it; on the
+// buffered topologies the checkpoint inside the window can write the full
+// leaf back before the log is cut, and recovery logs the pages its redo
+// restructured before its own checkpoint (Engine.logRestructured).
+// Otherwise a crash in between restarts from the old root, cut to keys
+// 0–13, and loses key 14. For "present", an upsert that descends like an
+// insert splits the full leaf before it finds key 15 there; "absent" grows
+// the tree whatever the upsert does.
 func TestCrashInsideRecoveryKeepsAcknowledgedKeys(t *testing.T) {
 	setup := func(topo core.Topology) (*Engine, *btree.Tree, []uint64) {
 		e := openEngine(t, topo)
@@ -291,8 +295,9 @@ func TestCrashInsideRecoveryKeepsAcknowledgedKeys(t *testing.T) {
 	for _, topo := range recoverableTopologies {
 		for _, c := range fullRootTxs {
 			t.Run(topo.String()+"/"+c.name, func(t *testing.T) {
-				// crashTx runs c.tx on a fresh tree under plan and returns the
-				// engine, ready to recover, and the window's NVM flushes.
+				// crashTx runs c.tx and a checkpoint on a fresh tree under
+				// plan and returns the engine, ready to recover, and the
+				// window's NVM flushes.
 				crashTx := func(plan *fault.Plan) (e *Engine, keys []uint64, acked bool, flushes int64) {
 					e, tr, keys := setup(topo)
 					inj := e.ArmFaults(plan, 0)
@@ -305,6 +310,9 @@ func TestCrashInsideRecoveryKeepsAcknowledgedKeys(t *testing.T) {
 							t.Fatal(err)
 						}
 						acked = true
+						if err := e.Checkpoint(); err != nil {
+							t.Fatal(err)
+						}
 					})
 					return e, keys, acked, inj.NVM.Opportunities(fault.NVMCrash)
 				}
@@ -333,6 +341,81 @@ func TestCrashInsideRecoveryKeepsAcknowledgedKeys(t *testing.T) {
 					t.Fatalf("recovery crashed at %d pairs, want at least %d", pairs, floor)
 				}
 				t.Logf("%d transaction crash points, %d pairs with a crashed recovery", points, pairs)
+			})
+		}
+	}
+}
+
+// TestRecoveryLogsWhatItsRedoRestructured: a recovery whose redo splits
+// more pages than DRAM has frames logs every image, each page fixed only
+// while its image is copied; one whose images would overrun the log goes
+// on without them. Either way recovery finishes and every committed key
+// reads back. The tree's leaves hold 15 of 16 rows at the checkpoint; a
+// committed transaction fills each of the first splits leaves with a key
+// it deletes again and then with another, and the pages are written back
+// without a log cut, as by a checkpoint that crashed before its cut. Redo
+// of each first insert then meets a full leaf and splits it.
+func TestRecoveryLogsWhatItsRedoRestructured(t *testing.T) {
+	const splits = 32 // 65 pages: more than 16 DRAM frames, and images past a 1 MB log
+	for _, topo := range []core.Topology{core.DRAMSSD, core.DRAMNVM, core.ThreeTier} {
+		for _, c := range []struct {
+			name     string
+			walBytes int64
+			logged   bool
+		}{{"fits", 1 << 22, true}, {"overruns", 1 << 20, false}} {
+			t.Run(topo.String()+"/"+c.name, func(t *testing.T) {
+				cfg := testConfig(topo)
+				cfg.WALBytes = c.walBytes
+				e, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Ascending keys split the rightmost leaf 14:2, so leaf i
+				// holds 140i, 140i+10, ..., 140i+130.
+				var keys []uint64
+				for k := uint64(0); k < 14*(splits+2); k++ {
+					keys = append(keys, 10*k)
+				}
+				insertEach(t, e, tr, keys)
+				for i := uint64(0); i < splits; i++ {
+					keys = append(keys, 140*i+1)
+				}
+				insertEach(t, e, tr, keys[len(keys)-splits:])
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				e.Begin()
+				for i := uint64(0); i < splits; i++ {
+					if err := tr.Insert(140*i+2, shiftRow(140*i+2)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := tr.Delete(140*i + 2); err != nil {
+						t.Fatal(err)
+					}
+					if err := tr.Insert(140*i+3, shiftRow(140*i+3)); err != nil {
+						t.Fatal(err)
+					}
+					keys = append(keys, 140*i+3)
+				}
+				if err := e.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				e.Manager().FlushAll()
+				commits := e.Log().Stats().Commits
+				if _, err := e.CrashRestart(); err != nil {
+					t.Fatalf("recovery: %v", err)
+				}
+				if n := len(e.restructured); n <= 16 {
+					t.Fatalf("redo restructured %d pages, want more than the 16 DRAM frames", n)
+				}
+				if logged := e.Log().Stats().Commits > commits; logged != c.logged {
+					t.Fatalf("recovery logged the %d pages: %v, want %v", len(e.restructured), logged, c.logged)
+				}
+				verifyShiftCrash(t, "after recovery", e.Tree(1), keys[:len(keys)-1], keys[len(keys)-1], true)
 			})
 		}
 	}

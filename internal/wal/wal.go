@@ -780,6 +780,17 @@ func (l *Log) Bytes() int64 {
 // Capacity returns the room for records: the region less its header line.
 func (l *Log) Capacity() int64 { return l.size }
 
+// Fits reports whether one transaction of image records of the given
+// lengths and its commit mark fit beside the current reservation, so a
+// caller that must append them all or none can ask before the first.
+func (l *Log) Fits(images ...int) bool {
+	end := l.Bytes() + prefixSize + markHdr
+	for _, n := range images {
+		end += prefixSize + updateHdr + int64(n)
+	}
+	return lineEnd(end)+l.reserved <= l.size
+}
+
 // Stats returns a snapshot of the activity counters.
 func (l *Log) Stats() Stats { return l.stats }
 

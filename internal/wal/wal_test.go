@@ -354,6 +354,48 @@ func TestLogFull(t *testing.T) {
 	}
 }
 
+// TestFitsIsExact: a transaction of image records and its commit mark
+// append without ErrLogFull exactly when Fits says they fit. The last
+// image grows a byte at a time across the end of the log, behind heads
+// that an unflushed update of a few sizes leaves.
+func TestFitsIsExact(t *testing.T) {
+	for _, head := range []int{0, 1, 100} {
+		var fit, full bool
+		for n := 1500; n < 2500; n++ {
+			dev := nvm.New(nvm.Config{Size: 1 << 14, ReadLatency: 1, WriteLatency: 1, LineTransfer: 1}, &simclock.Clock{})
+			l := New(dev, 0, 8192)
+			if head > 0 {
+				tx := l.Begin()
+				if _, err := l.Update(tx, 1, 0, make([]byte, head), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.CommitNoFlush(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sizes := []int{3000, 3000, n}
+			fits := l.Fits(sizes...)
+			tx := l.Begin()
+			var err error
+			for _, size := range sizes {
+				if _, err = l.Image(tx, 2, make([]byte, size)); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				err = l.Commit(tx)
+			}
+			if fits != (err == nil) || err != nil && !errors.Is(err, ErrLogFull) {
+				t.Fatalf("head %d, last image %d bytes: Fits = %v, append: %v", head, n, fits, err)
+			}
+			fit, full = fit || fits, full || !fits
+		}
+		if !fit || !full {
+			t.Fatalf("head %d: the last image never crossed the end of the log", head)
+		}
+	}
+}
+
 func TestRedoIsIdempotentViaPageLSN(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()

@@ -11,6 +11,11 @@ import (
 
 func loadWorkload(t *testing.T, topo core.Topology, rows int) *Workload {
 	t.Helper()
+	return loadWorkloadLayout(t, topo, rows, btree.LayoutSorted)
+}
+
+func loadWorkloadLayout(t *testing.T, topo core.Topology, rows int, layout btree.LeafLayout) *Workload {
+	t.Helper()
 	cfg := engine.DefaultConfig(topo,
 		64*(core.PageSize+2*core.LineSize),
 		4096*(core.PageSize+core.LineSize),
@@ -21,7 +26,7 @@ func loadWorkload(t *testing.T, topo core.Topology, rows int) *Workload {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Load(e, rows, btree.LayoutSorted, 0.66, Partition{})
+	w, err := Load(e, rows, layout, 0.66, Partition{})
 	if err != nil {
 		t.Fatal(err)
 	}
