@@ -8,6 +8,7 @@ import (
 
 	"nvmstore/internal/btree"
 	"nvmstore/internal/core"
+	"nvmstore/internal/fault"
 )
 
 const testPayload = 64
@@ -401,21 +402,101 @@ func TestMultipleTreesAndCatalog(t *testing.T) {
 	}
 }
 
+// TestReadOnlyCommitWritesNothing: on every architecture a read-only
+// transaction's Commit is free — no log record or flush, no NVM access,
+// no checkpoint round and no fault opportunity.
 func TestReadOnlyCommitWritesNothing(t *testing.T) {
-	e := openEngine(t, core.DRAMNVM)
-	tr, _ := e.CreateTree(1, testPayload, btree.LayoutSorted)
-	mustInsert(t, e, tr, 9)
+	for _, topo := range []core.Topology{core.MemOnly, core.DRAMSSD, core.DRAMNVM, core.ThreeTier, core.DirectNVM} {
+		t.Run(topo.String(), func(t *testing.T) {
+			e := openEngine(t, topo)
+			tr, _ := e.CreateTree(1, testPayload, btree.LayoutSorted)
+			mustInsert(t, e, tr, 9)
+			inj := e.ArmFaults(&fault.Plan{}, 0)
+			opportunities := func() (n [fault.CkptRound + 1]int64) {
+				for k := range n {
+					n[k] = inj.Opportunities(fault.Kind(k))
+				}
+				return n
+			}
 
-	before := e.Log().Stats()
+			e.Begin()
+			checkKey(t, tr, 9, true)
+			log, dev, ckpt, opp := e.Log().Stats(), e.Manager().NVM().Stats(), e.CkptStats(), opportunities()
+			if err := e.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if after := e.Log().Stats(); after != log {
+				t.Errorf("read-only commit logged: %+v -> %+v", log, after)
+			}
+			if after := e.Manager().NVM().Stats(); after != dev {
+				t.Errorf("read-only commit touched NVM: %+v -> %+v", dev, after)
+			}
+			if after := e.CkptStats(); after != ckpt {
+				t.Errorf("read-only commit paced: %+v -> %+v", ckpt, after)
+			}
+			if after := opportunities(); after != opp {
+				t.Errorf("read-only commit passed fault sites: %v -> %v", opp, after)
+			}
+		})
+	}
+}
+
+// TestDirectGroupCommit: on NVM Direct a CommitNoFlush mark becomes
+// durable at the next flush of the tail. Crashed before it, the insert is
+// a loser, and recovery undoes the bytes the tree stored in place from the
+// undo record the write barrier made durable before the store. An insert
+// that FlushWAL made durable survives, and that flush's round cut the log.
+func TestDirectGroupCommit(t *testing.T) {
+	e := openEngine(t, core.DirectNVM)
+	tr, _ := e.CreateTree(1, testPayload, btree.LayoutSorted)
+	mustInsert(t, e, tr, 1, 2, 3)
+
+	log := e.Log().Stats()
 	e.Begin()
-	checkKey(t, tr, 9, true)
-	if err := e.Commit(); err != nil {
+	if err := tr.Insert(4, pay(4)); err != nil {
 		t.Fatal(err)
 	}
-	after := e.Log().Stats()
-	if after.Records != before.Records || after.Flushes != before.Flushes {
-		t.Fatalf("read-only commit logged: %+v -> %+v", before, after)
+	if err := e.CommitNoFlush(); err != nil {
+		t.Fatal(err)
 	}
+	checkKey(t, tr, 4, true) // stored in place
+	if after := e.Log().Stats(); after.Undos != log.Undos+1 || after.Flushes != log.Flushes+1 {
+		t.Fatalf("log %+v -> %+v, want one undo record and only the barrier's flush", log, after)
+	}
+	st, err := e.CrashRestart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Losers != 1 || st.Undone != 1 {
+		t.Fatalf("recovery %+v, want the unflushed commit's in-place insert undone", st)
+	}
+	tr = e.Tree(1)
+	checkKey(t, tr, 4, false)
+	for k := uint64(1); k <= 3; k++ {
+		checkKey(t, tr, k, true)
+	}
+	if n, err := tr.Count(); err != nil || n != 3 {
+		t.Fatalf("Count = %d, %v after recovery, want 3", n, err)
+	}
+
+	ckpt := e.CkptStats()
+	e.Begin()
+	if err := tr.Insert(5, pay(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CommitNoFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := e.FlushWAL(); err != nil || n != 1 {
+		t.Fatalf("FlushWAL = %d, %v, want the one commit", n, err)
+	}
+	if c := e.CkptStats(); c.Rounds != ckpt.Rounds+1 || c.Truncations != ckpt.Truncations+1 || e.Log().Bytes() != 0 {
+		t.Fatalf("CkptStats %+v -> %+v with %d log bytes, want one round that cut the log", ckpt, c, e.Log().Bytes())
+	}
+	if _, err := e.CrashRestart(); err != nil {
+		t.Fatal(err)
+	}
+	checkKey(t, e.Tree(1), 5, true)
 }
 
 func TestRecoveryAcrossManyTransactions(t *testing.T) {

@@ -68,13 +68,14 @@ func (o MaintenanceOptions) normalized() MaintenanceOptions {
 // activity.
 type CkptStats struct {
 	// Rounds counts bounded write-back rounds (CheckpointRound calls
-	// that walked the frame table).
+	// that walked the frame table), NVM Direct's one round per FlushWAL
+	// included.
 	Rounds int64
 	// Pages counts dirty pages written back by those rounds.
 	Pages int64
 	// Truncations counts every WAL truncation (all go through
 	// truncateLog): the round that drains the dirty set, a full
-	// Checkpoint, NVM Direct's per-commit cut.
+	// Checkpoint.
 	Truncations int64
 	// TruncatedBytes sums the log bytes discarded by those truncations.
 	TruncatedBytes int64
@@ -89,9 +90,15 @@ func (c *CkptStats) Add(other CkptStats) {
 }
 
 // SetMaintenance replaces the engine's maintenance tuning. Fields left
-// zero keep their defaults. It must not run inside a transaction.
+// zero keep their defaults. On NVM Direct both thresholds are zero
+// whatever o says: its log holds undo for in-flight transactions only
+// (§2.1), so every FlushWAL runs one round, which cuts the log. It must
+// not run inside a transaction.
 func (e *Engine) SetMaintenance(o MaintenanceOptions) {
 	e.maint = o.normalized()
+	if e.Topology() == core.DirectNVM {
+		e.maint.SoftFill, e.maint.HardFill = 0, 0
+	}
 }
 
 // CkptStats returns the incremental-checkpoint counters.
@@ -118,10 +125,10 @@ func (e *Engine) LogFill() float64 {
 // from the intact log exactly (the fault.CkptRound site at the top of
 // each round is the harness's probe for this).
 //
-// On NVM Direct there is nothing to do — tuples persist in place and
-// Commit truncates per transaction. On Main Memory pages have no
-// persistent home; the round just flushes and cuts the log, which only
-// covers the running transaction's rollback needs. It must not run
+// On NVM Direct the pool holds no frame to write back — tuples persist
+// in place — so a round cuts the log at once. On Main Memory pages have
+// no persistent home; the round just flushes and cuts the log, which
+// only covers the running transaction's rollback needs. It must not run
 // inside a transaction.
 func (e *Engine) CheckpointRound(batch int) (pages int, truncated bool, err error) {
 	if e.txActive {
@@ -130,10 +137,7 @@ func (e *Engine) CheckpointRound(batch int) (pages int, truncated bool, err erro
 	if dec := e.ckptFaults.Check(fault.CkptRound); dec.Fire {
 		panic(fault.Crash{Kind: fault.CkptRound, Site: "ckpt.round"})
 	}
-	switch e.Topology() {
-	case core.DirectNVM:
-		return 0, false, nil
-	case core.MemOnly:
+	if e.Topology() == core.MemOnly {
 		return 0, e.truncateLog(), nil
 	}
 	if batch <= 0 {
@@ -153,8 +157,8 @@ func (e *Engine) CheckpointRound(batch int) (pages int, truncated bool, err erro
 // replication tap before the region is reused), writes a root change that
 // only the log holds to the superblock catalog, and truncates the WAL,
 // updating the checkpoint counters. Every caller runs it where each page
-// a root reaches is durable: on a clean pool, or at an NVM Direct commit,
-// whose pages are durable in place. It reports whether the log was
+// a root reaches is durable: on a clean pool, which NVM Direct's, whose
+// pages are durable in place, always is. It reports whether the log was
 // actually cut: the replication retention watermark can refuse (see
 // wal.Log.Truncate), and an empty log has nothing to cut.
 func (e *Engine) truncateLog() bool {
@@ -179,12 +183,12 @@ func (e *Engine) truncateLog() bool {
 	return true
 }
 
-// pace is the one placement of checkpoint write-back: Commit and FlushWAL
-// call it once the tail is durable, outside any transaction, so it runs
-// on the goroutine that filled the log and under whatever lock that
-// goroutine already holds (a ShardedStore's Batch holds the shard lock
-// around its one FlushWAL) — the writer that fills the log is the one
-// that drains it, and backpressure needs no protocol. Below SoftFill it
+// pace is the one placement of checkpoint write-back: FlushWAL, which
+// every Commit ends in, calls it once the tail is durable, outside any
+// transaction, so it runs on the goroutine that filled the log and under
+// whatever lock that goroutine already holds (a ShardedStore's Batch
+// holds the shard lock around its one FlushWAL) — the writer that fills
+// the log is the one that drains it, and backpressure needs no protocol. Below SoftFill it
 // does nothing. From SoftFill it runs one bounded round per commit —
 // write-back amortized across the writers that generate the dirt, in
 // place of a stall-the-world checkpoint. From HardFill it runs rounds

@@ -11,7 +11,7 @@ import (
 // sweptArchs are the architectures the sweeps run on, each with its point
 // count per sweep — crash-schedule, group-commit, checkpoint-round — as
 // its floor; 0 means the sweep does not run there. Config.arch says why
-// Main Memory is missing and NVM Direct runs one sweep only.
+// Main Memory is missing.
 var sweptArchs = []struct {
 	arch   nvmstore.Architecture
 	points [3]int
@@ -19,7 +19,7 @@ var sweptArchs = []struct {
 	{nvmstore.ThreeTier, [3]int{135, 133, 20}},
 	{nvmstore.SSDBuffer, [3]int{135, 145, 20}},
 	{nvmstore.BasicNVMBuffer, [3]int{95, 105, 20}},
-	{nvmstore.NVMDirect, [3]int{80, 0, 0}},
+	{nvmstore.NVMDirect, [3]int{100, 120, 20}},
 }
 
 // The sweeps, indexes into sweptArchs' points.

@@ -253,31 +253,15 @@ func lineRange(off int64, n int) (first, count int64) {
 // ReadAt copies len(p) bytes starting at off into p, charging read latency
 // for the cache lines that miss the simulated CPU cache.
 func (d *Device) ReadAt(p []byte, off int64) {
-	d.checkRange(off, len(p))
-	if len(p) == 0 {
-		return
-	}
-	first, count := lineRange(off, len(p))
-	misses := d.missed(first, count)
-	d.stats.ReadOps++
-	d.stats.LinesRead += count
-	d.stats.LinesReadCharged += misses
-	var ns int64
-	if misses > 0 {
-		d.stats.ReadOpsCharged++
-		ns = int64(d.cfg.ReadLatency) + (misses-1)*int64(d.cfg.LineTransfer)
-		d.clk.AdvanceNs(ns)
-	}
-	if d.rec != nil {
-		d.recordRead(ns)
-	}
+	d.Touch(off, len(p))
 	copy(p, d.data[off:off+int64(len(p))])
 	runtime.KeepAlive(d)
 }
 
-// Touch charges exactly what a ReadAt of [off, off+n) would charge without
-// copying any data. It exists for engines that access the device zero-copy
-// through View, such as the NVM Direct engine working in place.
+// Touch charges a read of [off, off+n) without copying any data: ReadAt
+// is Touch and then the copy. Alone it serves engines that access the
+// device zero-copy through View, such as the NVM Direct engine working in
+// place.
 func (d *Device) Touch(off int64, n int) {
 	d.checkRange(off, n)
 	if n == 0 {

@@ -254,7 +254,7 @@ func (s *Source) Attach(f *Feed, sub wire.ReplSubscribe) error {
 		return fmt.Errorf("repl: subscriber has %d shards, primary has %d", len(sub.From), n)
 	}
 	if arch := s.store.Shard(0).Architecture(); arch == nvmstore.NVMDirect.String() {
-		return fmt.Errorf("repl: architecture %q truncates its log per commit and cannot ship it", arch)
+		return fmt.Errorf("repl: architecture %q cuts its log at every flush and cannot ship it", arch)
 	}
 	s.mu.Lock()
 	if s.fencedBy != 0 {

@@ -16,8 +16,8 @@
 // anything else touches the log — every autocommit write — is one folded
 // record: kind, LSN, uvarint page id, uvarint offset and redo image, with
 // no transaction id and no image lengths. Update holds a transaction's
-// first update record instead of writing it; Commit or CommitNoFlush folds
-// the commit mark into it, and every other append, Flush and Truncate
+// first update record instead of writing it; CommitNoFlush folds the
+// commit mark into it, and every other append, Flush and Truncate
 // first write it as a plain RecUpdate. The folded record stands for two
 // LSNs, the update's n and the commit's n+1, so LSNs, DurableLSN and the
 // ship hook's stream (an update at n, its commit at n+1) do not tell the
@@ -313,9 +313,9 @@ func (l *Log) SetRecorder(r *obs.Collector, clk *simclock.Clock) {
 
 // Stats counts log activity.
 //
-// Commits counts transactions whose commit record was appended, whether
-// by Commit (flushes immediately) or CommitNoFlush (group commit: the
-// record becomes durable at the next flush of the tail). Flushes counts
+// Commits counts transactions whose commit record was appended
+// (CommitNoFlush); each becomes durable at the next flush of the tail.
+// Flushes counts
 // physical tail flushes from any path — commits, aborts, the page
 // write-back barrier, and explicit FlushTail calls. Without group commit
 // every commit performs its own flush and Commits ≤ Flushes; under group
@@ -406,7 +406,7 @@ func (l *Log) Begin() TxID {
 // redo image, and undo the length of the undo image AppendUndo would log.
 // The log reserves room for that record until tx's commit or abort mark,
 // so a change that could not be undone fails here with ErrLogFull. The
-// record is not durable until Flush, Commit, or Abort.
+// record is not durable until Flush, FlushTail or Abort.
 //
 // The first record of tx is held, not written: if tx's commit mark comes
 // next, the two are written as one folded record; anything else that
@@ -504,26 +504,13 @@ func (l *Log) encode(kind byte, lsn LSN, tx TxID, pid uint64, off int, before, a
 	return payload
 }
 
-// Commit appends a commit record and flushes the log tail, making the
-// transaction durable. If tx's one update record is still held, the two
-// are written as one folded record, which takes the update's LSN and the
-// commit's next to it.
-func (l *Log) Commit(tx TxID) error {
-	if err := l.mark(RecCommit, tx); err != nil {
-		return err
-	}
-	l.unflushedCommits++
-	l.stats.Commits++
-	l.Flush()
-	return nil
-}
-
 // CommitNoFlush appends a commit record without flushing the log tail.
 // The transaction is NOT durable until the next Flush or FlushTail; a
 // crash before then loses it, and recovery rolls it back like any loser.
 // Callers implementing group commit must therefore not acknowledge the
-// transaction before flushing. Counted in Stats.Commits immediately. It
-// folds like Commit.
+// transaction before flushing. Counted in Stats.Commits immediately. If
+// tx's one update record is still held, the two are written as one folded
+// record, which takes the update's LSN and the commit's next to it.
 func (l *Log) CommitNoFlush(tx TxID) error {
 	if err := l.mark(RecCommit, tx); err != nil {
 		return err

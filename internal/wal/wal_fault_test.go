@@ -48,7 +48,7 @@ func TestStaleRecordAfterTornFlushDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Commit(t1); err != nil {
+	if err := commit(l, t1); err != nil {
 		t.Fatal(err)
 	}
 	l.Truncate()
@@ -126,7 +126,7 @@ func TestUnknownTypeMidLogIsCorruption(t *testing.T) {
 			if err := tc.build(l, tx); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Commit(tx); err != nil {
+			if err := commit(l, tx); err != nil {
 				t.Fatal(err)
 			}
 			rewriteKind(dev, 0, 99)
@@ -148,7 +148,7 @@ func TestUnknownTypeAtTailIsTorn(t *testing.T) {
 	if err := updateWithUndo(l, tx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the *last* record (the commit mark) — nothing follows it,
@@ -189,7 +189,7 @@ func TestInjectedFlushCrashRecovers(t *testing.T) {
 				t.Fatal("commit did not crash")
 			}
 		}()
-		_ = l.Commit(tx)
+		_ = commit(l, tx)
 	}()
 	dev.Crash()
 
@@ -249,7 +249,7 @@ func TestScanEnd(t *testing.T) {
 		if err := updateWithUndo(l, tx, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Commit(tx); err != nil {
+		if err := commit(l, tx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestScanEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.Commit(tx); err != nil {
+		if err := commit(l, tx); err != nil {
 			t.Fatal(err)
 		}
 		l.Truncate()
@@ -305,7 +305,7 @@ func TestScanEnd(t *testing.T) {
 			if _, err := l.Update(tx, 1, 0, make([]byte, 109), 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Commit(tx); err != nil {
+			if err := commit(l, tx); err != nil {
 				t.Fatal(err)
 			}
 			if l.Bytes() != 128 {
@@ -359,7 +359,7 @@ func tearEachLine(t *testing.T, prepare, flush func(l *Log), check func(durable 
 		if _, err := l.Update(tx, 0, 0, []byte("committed"), 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Commit(tx); err != nil {
+		if err := commit(l, tx); err != nil {
 			t.Fatal(err)
 		}
 		if prepare != nil {
@@ -541,7 +541,7 @@ func TestTornImagesRedoneAllOrNone(t *testing.T) {
 		if _, err := l.Image(tx, 1, img(1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Commit(tx); err != nil {
+		if err := commit(l, tx); err != nil {
 			t.Fatal(err)
 		}
 	}, func(l *Log) {

@@ -63,13 +63,23 @@ func newTestLog(t *testing.T, strict bool) (*Log, *nvm.Device) {
 	return New(dev, 0, 1<<16), dev
 }
 
+// commit appends tx's commit mark and flushes the tail, as a commit
+// that is acknowledged alone does.
+func commit(l *Log, tx TxID) error {
+	if err := l.CommitNoFlush(tx); err != nil {
+		return err
+	}
+	l.Flush()
+	return nil
+}
+
 func TestCommittedTransactionRecovers(t *testing.T) {
 	l, _ := newTestLog(t, false)
 	tx := l.Begin()
 	if _, err := l.Update(tx, 1, 10, []byte("new!"), 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +136,7 @@ func TestInterleavedTransactions(t *testing.T) {
 	if _, err := l.Update(t1, 1, 1, []byte("Z"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(t1); err != nil {
+	if err := commit(l, t1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +193,7 @@ func TestTornTailIgnored(t *testing.T) {
 	if _, err := l.Update(t1, 1, 0, []byte("B"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(t1); err != nil {
+	if err := commit(l, t1); err != nil {
 		t.Fatal(err)
 	}
 	// A second update is appended but never flushed; the crash tears it.
@@ -219,14 +229,14 @@ func TestRecoverPositionsLogForAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Commit(t1); err != nil {
+	if err := commit(l, t1); err != nil {
 		t.Fatal(err)
 	}
 	folded := l.Begin()
 	if _, err := l.Update(folded, 1, 0, []byte("y"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(folded); err != nil {
+	if err := commit(l, folded); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,7 +257,7 @@ func TestRecoverPositionsLogForAppends(t *testing.T) {
 	if lsn != 6 {
 		t.Fatalf("lsn after recovery = %d, want 6", lsn)
 	}
-	if err := l2.Commit(t2); err != nil {
+	if err := commit(l2, t2); err != nil {
 		t.Fatal(err)
 	}
 	h := newMemHandler()
@@ -267,7 +277,7 @@ func TestTruncate(t *testing.T) {
 	if _, err := l.Update(tx, 1, 0, []byte("r"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	l.Truncate()
@@ -292,7 +302,7 @@ func TestTruncateRetentionWatermark(t *testing.T) {
 	if _, err := l.Update(tx, 1, 0, []byte("r"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	l.Flush()
@@ -323,7 +333,7 @@ func TestTruncateRetentionWatermark(t *testing.T) {
 	if _, err := l.Update(tx2, 1, 0, []byte("s"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx2); err != nil {
+	if err := commit(l, tx2); err != nil {
 		t.Fatal(err)
 	}
 	l.Flush()
@@ -383,7 +393,7 @@ func TestFitsIsExact(t *testing.T) {
 				}
 			}
 			if err == nil {
-				err = l.Commit(tx)
+				err = commit(l, tx)
 			}
 			if fits != (err == nil) || err != nil && !errors.Is(err, ErrLogFull) {
 				t.Fatalf("head %d, last image %d bytes: Fits = %v, append: %v", head, n, fits, err)
@@ -405,7 +415,7 @@ func TestRedoIsIdempotentViaPageLSN(t *testing.T) {
 	if _, err := l.Update(tx, 1, 0, []byte{2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	h := newMemHandler()
@@ -426,7 +436,7 @@ func TestCommitFlushesDurably(t *testing.T) {
 	if _, err := l.Update(tx, 1, 0, []byte("v"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	dev.Crash() // commit must survive
@@ -457,7 +467,7 @@ func TestDifferingImageLengths(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.AppendUndo(t2, 2, 0, []byte("deleted"))
-	if err := l.Commit(t1); err != nil {
+	if err := commit(l, t1); err != nil {
 		t.Fatal(err)
 	}
 	var got []Record
@@ -497,7 +507,7 @@ func TestRecordImagesAreCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(buf, "dead") // caller reuses its buffer
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	h := newMemHandler()
@@ -540,7 +550,7 @@ func TestQuickRandomHistories(t *testing.T) {
 			scratch[page] = val
 			switch op % 7 {
 			case 0: // commit
-				if err := l.Commit(tx); err != nil {
+				if err := commit(l, tx); err != nil {
 					return false
 				}
 				for k, v := range scratch {
@@ -613,7 +623,7 @@ func TestRecoverRule(t *testing.T) {
 	t1 := l.Begin()
 	lsn, err := l.Update(t1, 1, 0, []byte("c1"), 2)
 	must("committed", lsn, err)
-	if err := l.Commit(t1); err != nil {
+	if err := commit(l, t1); err != nil {
 		t.Fatal(err)
 	}
 	t2 := l.Begin()
@@ -740,7 +750,7 @@ func TestUndoReservation(t *testing.T) {
 			break
 		}
 	}
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatalf("commit did not fit into the released reservation: %v", err)
 	}
 	if _, err := l.Update(l.Begin(), 1, 0, img, len(img)); err != nil {
@@ -763,7 +773,7 @@ func TestNoLineFlushedTwice(t *testing.T) {
 			if _, err := l.Update(tx, 1, 0, make([]byte, n), 0); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Commit(tx); err != nil {
+			if err := commit(l, tx); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -788,7 +798,7 @@ func TestNoLineFlushedTwice(t *testing.T) {
 			l.AppendUndo(tx, 3, 0, make([]byte, 40+i))
 		}
 		l.Flush() // the write barrier
-		if err := l.Commit(tx); err != nil {
+		if err := commit(l, tx); err != nil {
 			t.Fatal(err)
 		}
 		head := l.Bytes() / nvm.LineSize
@@ -829,7 +839,7 @@ func TestUndoRecordsStayInTheLog(t *testing.T) {
 		t.Fatalf("the undo append was %d fault opportunities", n)
 	}
 	l.SetFaults(nil)
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	if len(shipped) != 2 || shipped[0].Kind != RecUpdate || shipped[1].Kind != RecCommit {
@@ -996,7 +1006,7 @@ func TestHeldUpdateWrittenFirst(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.between(l, tx)
-			if err := l.Commit(tx); err != nil {
+			if err := commit(l, tx); err != nil {
 				t.Fatal(err)
 			}
 			if st := l.Stats(); st.Records != tc.records || st.Folded != 0 {
@@ -1029,7 +1039,7 @@ func TestShipDeliversEachLSNOnce(t *testing.T) {
 	}
 	tx := l.Begin() // folded
 	update(tx, "a")
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // a folded group
@@ -1043,13 +1053,13 @@ func TestShipDeliversEachLSNOnce(t *testing.T) {
 	tx = l.Begin() // held, then flushed on its own
 	update(tx, "c")
 	l.Flush()
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	tx = l.Begin() // two updates
 	update(tx, "d")
 	update(tx, "e")
-	if err := l.Commit(tx); err != nil {
+	if err := commit(l, tx); err != nil {
 		t.Fatal(err)
 	}
 	tx = l.Begin() // aborted
@@ -1089,7 +1099,7 @@ func appendCommitted(t *testing.T, l *Log, n int, fill byte) {
 		if _, err := l.Update(tx, uint64(i%4), 0, img, len(img)); err != nil {
 			t.Fatal(err)
 		}
-		if err := l.Commit(tx); err != nil {
+		if err := commit(l, tx); err != nil {
 			t.Fatal(err)
 		}
 	}

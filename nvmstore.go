@@ -279,9 +279,8 @@ func (s *Store) FlushWAL() (int64, error) { return s.e.FlushWAL() }
 // commit record is appended but not flushed, so the write is durable only
 // after a later FlushWAL (or the next flushing commit) and must not be
 // acknowledged before. It is the body of ShardedStore.Batch's group
-// commit. On NVMDirect it is durable on return, as in-place persistence
-// leaves nothing to coalesce. Rollbacks still flush — abort records
-// always go to the medium immediately.
+// commit. Rollbacks still flush — abort records always go to the medium
+// immediately.
 func (s *Store) UpdateNoFlush(fn func() error) error {
 	s.Begin()
 	if err := fn(); err != nil {
