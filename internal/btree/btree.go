@@ -254,31 +254,15 @@ type node struct {
 	data []byte
 }
 
-// read returns the node's bytes [off, off+n). With the handle's read
-// inlined into it, it is too large to inline itself, so u64, count and
-// visitLeaf's fields slice bytes in hand themselves and call read only to
-// read through the handle.
+// read returns the node's bytes from off, of which the caller uses the
+// first n: exactly [off, off+n) read through the handle, or, in hand,
+// everything from off to the page's end. It inlines, so a probe through
+// a handle is one call, the handle's access.
 func (nd *node) read(off, n int) []byte {
 	if nd.data == nil {
 		return nd.h.Read(off, n)
 	}
-	return nd.data[off : off+n]
-}
-
-// u64 reads the little-endian word at off: a key, a child or a sibling.
-func (nd *node) u64(off int) uint64 {
-	if nd.data != nil {
-		return binary.LittleEndian.Uint64(nd.data[off:])
-	}
-	return binary.LittleEndian.Uint64(nd.read(off, 8))
-}
-
-// count reads the node's entry count.
-func (nd *node) count() int {
-	if nd.data != nil {
-		return int(binary.LittleEndian.Uint16(nd.data[offCount:]))
-	}
-	return int(binary.LittleEndian.Uint16(nd.read(offCount, 2)))
+	return nd.data[off:]
 }
 
 // Small header accessors. Point operations read them cache-line-grained;
@@ -358,10 +342,10 @@ func (t *Tree) innerSearch(h core.Handle, key uint64) int {
 	if !t.perProbeInner {
 		nd.data = h.ReadAll()
 	}
-	lo, hi := 0, nd.count()
+	lo, hi := 0, int(binary.LittleEndian.Uint16(nd.read(offCount, 2)))
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if nd.u64(t.innerKeyOff(mid)) <= key {
+		if binary.LittleEndian.Uint64(nd.read(t.innerKeyOff(mid), 8)) <= key {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -374,17 +358,17 @@ func (t *Tree) innerSearch(h core.Handle, key uint64) int {
 // through a handle, makes one 8-byte key resident per probe. It returns
 // the position of the first key >= key and whether that key is key.
 func (t *Tree) leafSearch(nd node, key uint64) (int, bool) {
-	count := nd.count()
+	count := int(binary.LittleEndian.Uint16(nd.read(offCount, 2)))
 	lo, hi := 0, count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if nd.u64(t.leafKeyOff(mid)) < key {
+		if binary.LittleEndian.Uint64(nd.read(t.leafKeyOff(mid), 8)) < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < count && nd.u64(t.leafKeyOff(lo)) == key
+	return lo, lo < count && binary.LittleEndian.Uint64(nd.read(t.leafKeyOff(lo), 8)) == key
 }
 
 // findLeaf descends to the leaf covering key, fixing it with leafMode and

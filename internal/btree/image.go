@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"nvmstore/internal/core"
@@ -95,5 +96,5 @@ func (t *Tree) VisitLeafAsOf(pid core.PageID, asOf, from uint64, fieldOff, field
 		return core.InvalidPageID, false, fmt.Errorf("btree: snapshot scan reached an inner node")
 	}
 	t.visitLeaf(nd, from, true, fieldOff, fieldLen, fn)
-	return core.PageID(nd.u64(offNext)), true, nil
+	return core.PageID(binary.LittleEndian.Uint64(nd.read(offNext, 8))), true, nil
 }

@@ -80,7 +80,7 @@ func (t *Tree) hashSearch(nd node, key uint64) (int, bool) {
 		if st == slotEmpty {
 			return 0, false
 		}
-		if st == slotOccupied && nd.u64(t.hashKeyOff(i)) == key {
+		if st == slotOccupied && binary.LittleEndian.Uint64(nd.read(t.hashKeyOff(i), 8)) == key {
 			return i, true
 		}
 		i++

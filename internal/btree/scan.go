@@ -1,6 +1,10 @@
 package btree
 
-import "nvmstore/internal/core"
+import (
+	"encoding/binary"
+
+	"nvmstore/internal/core"
+)
 
 // Scan visits entries with key >= from in ascending key order, calling fn
 // with each key and a read-only view of fieldLen payload bytes starting at
@@ -52,13 +56,10 @@ func (t *Tree) Scan(from uint64, limit int, fieldOff, fieldLen int, fn func(key 
 // read through nd like a sorted leaf's.
 func (t *Tree) visitLeaf(nd node, from uint64, search bool, fieldOff, fieldLen int, fn func(key uint64, field []byte) bool) bool {
 	field := func(off int) []byte {
-		switch off += fieldOff; {
-		case fieldLen == 0:
+		if fieldLen == 0 {
 			return nil
-		case nd.data != nil:
-			return nd.data[off : off+fieldLen]
 		}
-		return nd.read(off, fieldLen)
+		return nd.read(off+fieldOff, fieldLen)[:fieldLen]
 	}
 	if t.layout == LayoutHash {
 		data := nd.data
@@ -76,8 +77,8 @@ func (t *Tree) visitLeaf(nd node, from uint64, search bool, fieldOff, fieldLen i
 	if search {
 		pos, _ = t.leafSearch(nd, from)
 	}
-	for count := nd.count(); pos < count; pos++ {
-		if !fn(nd.u64(t.leafKeyOff(pos)), field(t.leafPayOff(pos))) {
+	for count := int(binary.LittleEndian.Uint16(nd.read(offCount, 2))); pos < count; pos++ {
+		if !fn(binary.LittleEndian.Uint64(nd.read(t.leafKeyOff(pos), 8)), field(t.leafPayOff(pos))) {
 			return true
 		}
 	}

@@ -115,7 +115,8 @@ func lineSpan(off, n int) (first, last int) {
 // until the next access to the same page: a later load into a mini page
 // may shift its data array. [0, PageSize) is the full-page path the paper
 // uses for restructuring, which promotes a mini page.
-func (f *Frame) access(m *Manager, off, n int, write bool) []byte {
+func (h Handle) access(off, n int, write bool) []byte {
+	f, m := h.f, h.m
 	if off < 0 || n <= 0 || off+n > PageSize {
 		panic(fmt.Sprintf("core: page access [%d, %d) outside page of %d bytes", off, off+n, PageSize))
 	}
@@ -240,7 +241,7 @@ func (f *Frame) miniAccess(m *Manager, off, n int, forWrite bool) []byte {
 			return f.data[start : start+n]
 		}
 	}
-	return f.forward(m).access(m, off, n, forWrite)
+	return Handle{f.forward(m), m}.access(off, n, forWrite)
 }
 
 // miniOpen inserts the physical lines [from, to] at slot pos with one shift

@@ -504,13 +504,13 @@ func (h Handle) PID() PageID { return h.f.pid }
 // from NVM first; Read, Write, Overwrite, ReadAll and WriteAll are all the
 // frame's one access over their span. The slice is valid until the next
 // access to this page or its Unfix, and must not be modified.
-func (h Handle) Read(off, n int) []byte { return h.f.access(h.m, off, n, false) }
+func (h Handle) Read(off, n int) []byte { return h.access(off, n, false) }
 
 // Write returns a writable slice of the page bytes [off, off+n), marking
 // the covered cache lines dirty. The same validity rule as Read applies.
 // The page's next write-back runs under the undo journal.
 func (h Handle) Write(off, n int) []byte {
-	b := h.f.access(h.m, off, n, true)
+	b := h.access(off, n, true)
 	h.f.live().needsJournal = true
 	return b
 }
@@ -522,17 +522,17 @@ func (h Handle) Write(off, n int) []byte {
 // journal — a torn one leaves every line old or new, differing only in
 // logged bytes, and redo rewrites them (DESIGN.md §9.4). Any other store
 // must use Write.
-func (h Handle) Overwrite(off, n int) []byte { return h.f.access(h.m, off, n, true) }
+func (h Handle) Overwrite(off, n int) []byte { return h.access(off, n, true) }
 
 // ReadAll is Read of the whole page, [0, PageSize): it loads the page
 // completely — the paper's full-page path, which then avoids per-access
 // residency checks. A mini page is promoted.
-func (h Handle) ReadAll() []byte { return h.f.access(h.m, 0, PageSize, false) }
+func (h Handle) ReadAll() []byte { return h.access(0, PageSize, false) }
 
 // WriteAll returns the entire page writable with every line marked dirty.
 // Like Write, it arms the undo journal for the next write-back.
 func (h Handle) WriteAll() []byte {
-	b := h.f.access(h.m, 0, PageSize, true)
+	b := h.access(0, PageSize, true)
 	h.f.live().needsJournal = true
 	return b
 }

@@ -420,3 +420,58 @@ func TestRecoveryLogsWhatItsRedoRestructured(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectGroupRootGrowthRedoesOnce: on NVM Direct a grown root is named
+// in the catalog before the old root splits in place, so redo descends from
+// the tree NVM holds. tx1 inserts key 15, the right end of a root leaf of
+// 14 committed keys, and commits without a flush; tx2's first barrier makes
+// that mark durable, and tx2 then grows the root, splitting the old one so
+// that 15 moves right. A crash before the group's FlushWAL leaves tx1 a
+// winner and tx2 a loser. Redo of tx1's insert from a catalog that still
+// names the old root, which holds only the left half, would store a second
+// 15 in the wrong leaf: Lookup through the new root would still find one,
+// Scan and Count would list it twice.
+func TestDirectGroupRootGrowthRedoesOnce(t *testing.T) {
+	e := openEngine(t, core.DirectNVM)
+	tr, err := e.CreateTree(1, shiftPayload, btree.LayoutSorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := ascending(0, 14)
+	insertEach(t, e, tr, keys)
+	e.Begin()
+	if err := tr.Insert(15, shiftRow(15)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.CommitNoFlush(); err != nil {
+		t.Fatal(err)
+	}
+	e.Begin()
+	for k := uint64(16); tr.Height() == 1; k++ {
+		if err := tr.Insert(k, shiftRow(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := e.CrashRestart()
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if st.Committed == 0 || st.Losers != 1 {
+		t.Fatalf("recovery %+v, want tx1 redone and tx2 undone", st)
+	}
+	tr = e.Tree(1)
+	var got []uint64
+	if err := tr.Scan(0, 0, 0, 0, func(k uint64, _ []byte) bool {
+		got = append(got, k)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := append(keys, 15)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Scan after recovery = %v, want %v", got, want)
+	}
+	if n, err := tr.Count(); err != nil || n != len(want) {
+		t.Fatalf("Count = %d, %v after recovery, want %d", n, err, len(want))
+	}
+}
